@@ -126,7 +126,6 @@ class _WriteOp:
         "extra_acks",
         "done_cb",
         "finished",
-        "timeout_event",
     )
 
     def __init__(self, coord, result, requirement, version, done_cb):
@@ -135,7 +134,10 @@ class _WriteOp:
         self.requirement = requirement
         self.version = version
         self.acks_total = 0
-        self.acks_by_dc: Dict[int, int] = {}
+        #: per-DC ack census, kept only for the DC-aware levels that need it
+        self.acks_by_dc: Optional[Dict[int, int]] = (
+            {} if requirement.per_dc else None
+        )
         # Migration pending-endpoint acks: live incoming owners that must
         # additionally acknowledge before the client ack fires (Cassandra's
         # raised effective write level during bootstrap). Keeps r+w>RF
@@ -143,8 +145,9 @@ class _WriteOp:
         self.extra_needed = 0
         self.extra_acks = 0
         self.done_cb = done_cb
+        #: the client has its answer (ack or timeout); the store's
+        #: DeadlineQueue reads this to know the op needs no timeout any more
         self.finished = False
-        self.timeout_event = None
 
 
 class _ReadOp:
@@ -160,7 +163,6 @@ class _ReadOp:
         "responses",
         "done_cb",
         "finished",
-        "timeout_event",
         "repair_targets",
     )
 
@@ -174,7 +176,6 @@ class _ReadOp:
         self.responses: List[tuple] = []  # (node_id, version) for read repair
         self.done_cb = done_cb
         self.finished = False
-        self.timeout_event = None
         self.repair_targets: List[int] = []
 
 
@@ -234,32 +235,41 @@ class Coordinator:
         key: str,
         level: LevelSpec,
         value_size: int,
-        done: Callable[[OpResult], Any],
+        done: Optional[Callable[[OpResult], Any]],
     ) -> None:
-        """Coordinate one write; ``done(result)`` fires on ack or failure."""
+        """Coordinate one write; the store completes it on ack or failure.
+
+        ``done`` is the client's callback (or ``None``); completion always
+        goes through ``store._op_done`` so metrics and listeners see it.
+        """
         st = self.store
         tr = st.transport
+        now = tr.now
         replicas, extra, by_dc = st.replica_info(key)
         requirement = self._requirement(level, replicas, by_dc)
-        result = OpResult("write", key, tr.now, requirement.label)
+        result = OpResult("write", key, now, requirement.label)
         result.dc = self.dc
         result.value_size = value_size
         result.ack_delays = []
 
-        alive = [r for r in replicas if st.nodes[r].up]
-        alive_by_dc: Dict[int, int] = {}
-        for r in alive:
-            dc = st.topology.dc_of(r)
-            alive_by_dc[dc] = alive_by_dc.get(dc, 0) + 1
-        if not requirement.feasible(len(alive), alive_by_dc):
-            result.t_end = tr.now
+        nodes = st.nodes
+        alive = [r for r in replicas if nodes[r].up]
+        if requirement.per_dc:
+            alive_by_dc: Dict[int, int] = {}
+            for r in alive:
+                dc = st.topology.dc_of(r)
+                alive_by_dc[dc] = alive_by_dc.get(dc, 0) + 1
+            feasible = requirement.feasible(len(alive), alive_by_dc)
+        else:
+            feasible = len(alive) >= requirement.total
+        if not feasible:
             result.error = "unavailable"
             st._count_failure("write", "unavailable")
-            done(result)
+            st._op_done(result, done)
             return
 
         st.write_seq += 1
-        version = Version(tr.now, st.write_seq, value_size)
+        version = Version(now, st.write_seq, value_size)
         st.oracle.note_write_start(key, version, n_replicas=len(alive))
         # Mark the write in flight until it settles (ack or timeout): the
         # rebalancer must not hand this key's ownership off underneath it.
@@ -268,14 +278,14 @@ class Coordinator:
         op = _WriteOp(self, result, requirement, version, done)
         result.replicas_contacted = len(alive)
         msg = st.sizes.request_overhead + value_size
+        send = tr.send
+        me = self.node_id
+        applied = self._make_write_applied(op)
 
         for r in replicas:
-            node = st.nodes[r]
+            node = nodes[r]
             if node.up:
-                tr.send(
-                    self.node_id, r, msg, node.handle_write, key, version,
-                    self._make_write_applied(op),
-                )
+                send(me, r, msg, node.handle_write, key, version, applied)
             elif st.hints is not None:
                 st.hints.add(r, key, version)
         # Forward to incoming owners of a pending migration. Live incoming
@@ -285,31 +295,34 @@ class Coordinator:
         # ownership switch can never manufacture a stale read. Their acks
         # stay out of the monitor's ack-delay profile -- the authoritative
         # set alone defines the observable propagation structure.
-        for r in extra:
-            node = st.nodes[r]
-            if node.up:
-                op.extra_needed += 1
-                tr.send(
-                    self.node_id, r, msg, node.handle_write, key, version,
-                    self._make_extra_applied(op),
-                )
-            elif st.hints is not None:
-                st.hints.add(r, key, version)
+        if extra:
+            extra_applied = self._make_extra_applied(op)
+            for r in extra:
+                node = nodes[r]
+                if node.up:
+                    op.extra_needed += 1
+                    send(me, r, msg, node.handle_write, key, version, extra_applied)
+                elif st.hints is not None:
+                    st.hints.add(r, key, version)
 
         if st.write_timeout > 0:
-            op.timeout_event = tr.set_timer(
-                st.write_timeout, self._write_timeout, op
-            )
+            st._write_deadlines.add(now + st.write_timeout, op)
 
     def _make_write_applied(self, op: _WriteOp):
-        """Replica-side completion: record propagation, send the ack home."""
+        """Replica-side completion: record propagation, send the ack home.
+
+        One closure serves every replica of the write (the replica names
+        itself through ``node_id``).
+        """
         st = self.store
+        tr = st.transport
+        send = tr.send
+        note_applied = st.oracle.note_replica_applied
+        ack, home, on_ack = st.sizes.ack, self.node_id, self._on_write_ack
 
         def applied(node_id: int, key: str, version: Version) -> None:
-            st.oracle.note_replica_applied(version, st.transport.now)
-            st.transport.send(
-                node_id, self.node_id, st.sizes.ack, self._on_write_ack, op, node_id
-            )
+            note_applied(version, tr.now)
+            send(node_id, home, ack, on_ack, op, node_id)
 
         return applied
 
@@ -326,47 +339,46 @@ class Coordinator:
 
     def _on_extra_ack(self, op: _WriteOp) -> None:
         op.extra_acks += 1
-        self._maybe_finish_write(op)
+        if not op.finished:
+            self._maybe_finish_write(op, self.store.transport.now)
 
     def _on_write_ack(self, op: _WriteOp, replica_id: int) -> None:
         st = self.store
+        now = st.transport.now
+        result = op.result
         op.acks_total += 1
-        dc = st.topology.dc_of(replica_id)
-        op.acks_by_dc[dc] = op.acks_by_dc.get(dc, 0) + 1
-        if op.result.ack_delays is not None:
-            op.result.ack_delays.append(st.transport.now - op.result.t_start)
-        if op.acks_total == op.result.replicas_contacted:
+        by_dc = op.acks_by_dc
+        if by_dc is not None:
+            dc = st.topology.dc_of(replica_id)
+            by_dc[dc] = by_dc.get(dc, 0) + 1
+        result.ack_delays.append(now - result.t_start)
+        if op.acks_total == result.replicas_contacted:
             # Every live replica has acknowledged: the write is fully
             # propagated as far as the coordinator can observe. This is the
             # monitor's (observable) proxy for the paper's Tp.
-            st._notify_propagated(op.result)
-        self._maybe_finish_write(op)
+            st._notify_propagated(result)
+        if not op.finished:
+            self._maybe_finish_write(op, now)
 
-    def _maybe_finish_write(self, op: _WriteOp) -> None:
-        st = self.store
-        if (
-            not op.finished
-            and op.extra_acks >= op.extra_needed
-            and op.requirement.satisfied(op.acks_total, op.acks_by_dc)
-        ):
-            op.finished = True
-            if op.timeout_event is not None:
-                op.timeout_event.cancel()
-            st.oracle.note_write_acked(op.result.key, op.version)
-            st._note_write_settled(op.result.key)
-            op.result.t_end = st.transport.now
-            op.result.ok = True
-            op.done_cb(op.result)
-
-    def _write_timeout(self, op: _WriteOp) -> None:
-        if op.finished:
+    def _maybe_finish_write(self, op: _WriteOp, now: float) -> None:
+        """Ack the client once the level (and any migration extras) is met."""
+        if op.extra_acks < op.extra_needed:
             return
+        requirement = op.requirement
+        if op.acks_by_dc is None:
+            if op.acks_total < requirement.total:
+                return
+        elif not requirement.satisfied(op.acks_total, op.acks_by_dc):
+            return
+        st = self.store
+        result = op.result
         op.finished = True
-        op.result.t_end = self.store.transport.now
-        op.result.error = "timeout"
-        self.store._note_write_settled(op.result.key)
-        self.store._count_failure("write", "timeout")
-        op.done_cb(op.result)
+        st._write_deadlines.settle()
+        st.oracle.note_write_acked(result.key, op.version)
+        st._note_write_settled(result.key)
+        result.t_end = now
+        result.ok = True
+        st._op_done(result, op.done_cb)
 
     # ------------------------------------------------------------------ read
 
@@ -374,9 +386,9 @@ class Coordinator:
         self,
         key: str,
         level: LevelSpec,
-        done: Callable[[OpResult], Any],
+        done: Optional[Callable[[OpResult], Any]],
     ) -> None:
-        """Coordinate one read; ``done(result)`` fires with the merged version.
+        """Coordinate one read; the store completes it with the merged version.
 
         During a pending migration the replica set here is the *old*
         owners -- the nodes guaranteed to hold the key until the streaming
@@ -385,17 +397,17 @@ class Coordinator:
         """
         st = self.store
         tr = st.transport
+        now = tr.now
         replicas, _, by_dc = st.replica_info(key)
         requirement = self._requirement(level, replicas, by_dc)
-        result = OpResult("read", key, tr.now, requirement.label)
+        result = OpResult("read", key, now, requirement.label)
         result.dc = self.dc
 
         targets = self._select_read_targets(replicas, requirement)
         if targets is None:
-            result.t_end = tr.now
             result.error = "unavailable"
             st._count_failure("read", "unavailable")
-            done(result)
+            st._op_done(result, done)
             return
 
         expected = st.oracle.expected_version(key)
@@ -406,30 +418,31 @@ class Coordinator:
             st.read_repair_chance > 0.0
             and st.rng.random() < st.read_repair_chance
         )
+        nodes = st.nodes
         if do_repair:
             op.repair_targets = [
-                r for r in replicas if r not in targets and st.nodes[r].up
+                r for r in replicas if r not in targets and nodes[r].up
             ]
             op.pending += len(op.repair_targets)
 
         req_size = st.sizes.request_overhead
+        send = tr.send
+        me = self.node_id
         for i, r in enumerate(targets):
-            node = st.nodes[r]
             # first target returns full data, the rest return digests
             resp = st.default_value_size if i == 0 else st.sizes.digest
-            tr.send(
-                self.node_id, r, req_size, node.handle_read, key,
+            send(
+                me, r, req_size, nodes[r].handle_read, key,
                 self._make_read_response(op, resp, foreground=True),
             )
         for r in op.repair_targets:
-            node = st.nodes[r]
-            tr.send(
-                self.node_id, r, req_size, node.handle_read, key,
+            send(
+                me, r, req_size, nodes[r].handle_read, key,
                 self._make_read_response(op, st.sizes.digest, foreground=False),
             )
 
         if st.read_timeout > 0:
-            op.timeout_event = tr.set_timer(st.read_timeout, self._read_timeout, op)
+            st._read_deadlines.add(now + st.read_timeout, op)
 
     def _select_read_targets(
         self, replicas: Sequence[int], requirement: Requirement
@@ -460,12 +473,13 @@ class Coordinator:
         return chosen
 
     def _make_read_response(self, op: _ReadOp, resp_bytes: int, foreground: bool):
-        st = self.store
+        send = self.store.transport.send
+        home, on_response = self.node_id, self._on_read_response
 
         def served(node_id: int, key: str, version: Optional[Version]) -> None:
-            st.transport.send(
-                node_id, self.node_id, resp_bytes,
-                self._on_read_response, op, node_id, key, version, foreground,
+            send(
+                node_id, home, resp_bytes,
+                on_response, op, node_id, key, version, foreground,
             )
 
         return served
@@ -483,20 +497,21 @@ class Coordinator:
         if foreground:
             op.fg_pending -= 1
         op.responses.append((node_id, version))
-        if version is not None and (op.best is None or version.newer_than(op.best)):
-            op.best = version
+        best = op.best
+        if version is not None and (best is None or version.newer_than(best)):
+            op.best = best = version
 
         # The client answer waits only for the foreground targets.
         if not op.finished and op.fg_pending <= 0:
             op.finished = True
-            if op.timeout_event is not None:
-                op.timeout_event.cancel()
-            op.result.t_end = st.transport.now
-            op.result.ok = True
-            op.result.value_size = op.best.size if op.best is not None else 0
-            op.result.version = op.best
-            op.result.stale = st.oracle.note_read(op.expected, op.best)
-            op.done_cb(op.result)
+            st._read_deadlines.settle()
+            result = op.result
+            result.t_end = st.transport.now
+            result.ok = True
+            result.value_size = best.size if best is not None else 0
+            result.version = best
+            result.stale = st.oracle.note_read(op.expected, best)
+            st._op_done(result, op.done_cb)
 
         if op.pending <= 0 and op.repair_targets:
             self._issue_read_repair(op, key)
@@ -524,14 +539,18 @@ class Coordinator:
                     _ignore_apply,
                 )
 
-    def _read_timeout(self, op: _ReadOp) -> None:
-        if op.finished:
-            return
-        op.finished = True
-        op.result.t_end = self.store.transport.now
-        op.result.error = "timeout"
-        self.store._count_failure("read", "timeout")
-        op.done_cb(op.result)
+
+def op_timed_out(op: "_ReadOp | _WriteOp") -> None:
+    """Deadline expiry of the store's queues: fail an op still open."""
+    st = op.coord.store
+    result = op.result
+    op.finished = True
+    result.t_end = st.transport.now
+    result.error = "timeout"
+    if result.kind == "write":
+        st._note_write_settled(result.key)
+    st._count_failure(result.kind, "timeout")
+    st._op_done(result, op.done_cb)
 
 
 def _ignore_apply(node_id: int, key: str, version: Version) -> None:

@@ -74,8 +74,9 @@ class FreshnessDeadline:
         key = result.key
         # the authoritative version at write time is the strict bar
         _, strict = st.oracle.expected_version(key)
-        remaining = self.deadline - (st.sim.now - result.t_start)
-        st.sim.schedule(max(remaining, 0.0), self._enforce, key, strict)
+        tr = st.transport
+        remaining = self.deadline - (tr.now - result.t_start)
+        tr.set_timer(max(remaining, 0.0), self._enforce, key, strict)
 
     # -- enforcement ---------------------------------------------------------------
 
@@ -95,7 +96,7 @@ class FreshnessDeadline:
         if source is None:
             # no live replica holds it yet (e.g. full partition): re-check
             # one deadline later rather than giving up.
-            st.sim.schedule(self.deadline, self._enforce, key, version)
+            st.transport.set_timer(self.deadline, self._enforce, key, version)
             return
         for r in replicas:
             node = st.nodes[r]
@@ -104,7 +105,7 @@ class FreshnessDeadline:
             local = node.data.get(key)
             if local is None or version.newer_than(local):
                 self.repushes += 1
-                st.network.send(
+                st.transport.send(
                     source,
                     r,
                     st.sizes.request_overhead + version.size,

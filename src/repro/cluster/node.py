@@ -11,7 +11,7 @@ the paper's §IV-A measures.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -22,6 +22,10 @@ from repro.simcore.resources import Resource
 from repro.simcore.simulator import Simulator
 
 __all__ = ["ServiceModel", "StorageNode"]
+
+#: unit-exponential draws a node fetches from its stream per refill (enough
+#: to amortize the numpy call; small, because every node keeps a block)
+_JITTER_BLOCK = 64
 
 
 class ServiceModel:
@@ -104,6 +108,8 @@ class StorageNode:
         "reads_served",
         "writes_applied",
         "dropped_while_down",
+        "_unit_jitter",
+        "_unit_jitter_at",
     )
 
     def __init__(
@@ -126,6 +132,8 @@ class StorageNode:
         m = mutation_servers if mutation_servers is not None else servers
         self.mutation_resource = Resource(sim, servers=m, name=f"node{node_id}.mut")
         self.rng = spawn_rng(rng)
+        self._unit_jitter: List[float] = []
+        self._unit_jitter_at = 0
         self.data: Dict[str, Version] = {}
         self.up = True
         self.retired = False
@@ -154,6 +162,27 @@ class StorageNode:
 
     # -- request handling -------------------------------------------------------
 
+    def _service_time(self, base: float, jitter: float) -> float:
+        """``base + Exp(jitter)``, drawn as the :class:`ServiceModel` draws it.
+
+        numpy's ``rng.exponential(scale)`` *is* ``scale * standard_exponential()``
+        and a batch of standard draws is the scalar stream element for
+        element, so scaling a block entry at use reproduces
+        ``ServiceModel.sample_read/sample_write`` bit for bit (pinned by a
+        test) at a list index instead of a numpy scalar call per request.
+        Valid because nothing else consumes this node's stream.
+        """
+        if jitter <= 0:
+            return base  # like the model, no draw at all
+        at = self._unit_jitter_at
+        block = self._unit_jitter
+        if at == len(block):
+            block = self.rng.standard_exponential(_JITTER_BLOCK).tolist()
+            self._unit_jitter = block
+            at = 0
+        self._unit_jitter_at = at + 1
+        return base + jitter * block[at]
+
     def handle_write(
         self,
         key: str,
@@ -169,7 +198,8 @@ class StorageNode:
         if not self.up:
             self.dropped_while_down += 1
             return
-        service = self.service.sample_write(self.rng)
+        model = self.service
+        service = self._service_time(model.write_base, model.write_jitter)
         self.mutation_resource.submit(service, self._apply_write, key, version, done)
 
     def _apply_write(
@@ -198,7 +228,8 @@ class StorageNode:
         if not self.up:
             self.dropped_while_down += 1
             return
-        service = self.service.sample_read(self.rng)
+        model = self.service
+        service = self._service_time(model.read_base, model.read_jitter)
         self.resource.submit(service, self._serve_read, key, done)
 
     def _serve_read(

@@ -60,7 +60,7 @@ class AntiEntropyRepair:
 
     def start(self) -> None:
         """Schedule the first sweep."""
-        self.store.sim.schedule(self.interval, self._sweep)
+        self.store.sim.post(self.interval, self._sweep)
 
     def stop(self) -> None:
         """Stop after the current sweep (no further sweeps are scheduled)."""
@@ -79,7 +79,7 @@ class AntiEntropyRepair:
                 self._repair_key(key)
             self.keys_examined += len(sample)
         self.sweeps += 1
-        st.sim.schedule(self.interval, self._sweep)
+        st.sim.post(self.interval, self._sweep)
 
     def _repair_key(self, key: str) -> None:
         """Stream the newest replica version to every lagging live replica.

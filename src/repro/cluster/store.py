@@ -35,7 +35,12 @@ from repro.common.errors import ConfigError
 from repro.common.rng import RngFactory
 from repro.common.stats import Histogram
 from repro.cluster.consistency import LevelSpec
-from repro.cluster.coordinator import Coordinator, MessageSizes, OpResult
+from repro.cluster.coordinator import (
+    Coordinator,
+    MessageSizes,
+    OpResult,
+    op_timed_out,
+)
 from repro.cluster.hints import HintStore
 from repro.cluster.node import ServiceModel, StorageNode
 from repro.cluster.replication import ReplicationStrategy, SimpleStrategy
@@ -45,6 +50,7 @@ from repro.cluster.versions import Version
 from repro.net.topology import Topology
 from repro.net.transport import Network
 from repro.obs.events import EventBus
+from repro.runtime.deadlines import DeadlineQueue
 from repro.runtime.sim import SimTransport
 from repro.simcore.simulator import Simulator
 
@@ -181,8 +187,13 @@ class ReplicatedStore:
         self.sizes = self.config.sizes
         self.default_value_size = self.config.default_value_size
         self.read_repair_chance = self.config.read_repair_chance
+        #: coordinator timeouts, read per operation (assignable after
+        #: construction). Every read shares the one, every write the other,
+        #: so each kind needs a single armed timer, not one per operation.
         self.read_timeout = self.config.read_timeout
         self.write_timeout = self.config.write_timeout
+        self._read_deadlines = DeadlineQueue(self.transport, op_timed_out)
+        self._write_deadlines = DeadlineQueue(self.transport, op_timed_out)
 
         # metrics
         self.read_latency = Histogram(lo=1e-5, hi=60.0)
@@ -257,7 +268,7 @@ class ReplicatedStore:
         if key not in self._written_set:
             self._written_set.add(key)
             self._written_keys.append(key)
-        coord.write(key, level, size, self._wrap_done("write", done))
+        coord.write(key, level, size, done)
 
     def read(
         self,
@@ -271,7 +282,7 @@ class ReplicatedStore:
         if coord is None:
             self._fail_without_coordinator("read", key, done)
             return
-        coord.read(key, level, self._wrap_done("read", done))
+        coord.read(key, level, done)
 
     def add_listener(self, listener: Any) -> None:
         """Register an observer (monitors, trace recorders).
@@ -712,8 +723,7 @@ class ReplicatedStore:
         result = OpResult(kind, key, self.sim.now, "n/a")
         result.error = "unavailable"
         self._count_failure(kind, "unavailable")
-        finish = self._wrap_done(kind, user_done)
-        finish(result)
+        self._op_done(result, user_done)
 
     def _any_live_node(self) -> Optional[int]:
         for node in self.nodes:
@@ -721,23 +731,22 @@ class ReplicatedStore:
                 return node.node_id
         return None
 
-    def _wrap_done(
-        self, kind: str, user_done: Optional[Callable[[OpResult], Any]]
-    ) -> Callable[[OpResult], Any]:
-        def finish(result: OpResult) -> None:
-            if result.ok:
-                if kind == "read":
-                    self.reads_ok += 1
-                    self.read_latency.add(max(result.latency, 1e-9))
-                else:
-                    self.writes_ok += 1
-                    self.write_latency.add(max(result.latency, 1e-9))
-            for hook in self._op_complete_hooks:
-                hook(result)
-            if user_done is not None:
-                user_done(result)
-
-        return finish
+    def _op_done(
+        self, result: OpResult, user_done: Optional[Callable[[OpResult], Any]]
+    ) -> None:
+        """Every operation ends here: metrics, listeners, then the client."""
+        if result.ok:
+            latency = max(result.t_end - result.t_start, 1e-9)
+            if result.kind == "read":
+                self.reads_ok += 1
+                self.read_latency.add(latency)
+            else:
+                self.writes_ok += 1
+                self.write_latency.add(latency)
+        for hook in self._op_complete_hooks:
+            hook(result)
+        if user_done is not None:
+            user_done(result)
 
     def _count_failure(self, kind: str, reason: str) -> None:
         key = f"{kind}_{reason}"

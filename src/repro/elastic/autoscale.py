@@ -134,7 +134,7 @@ class CostAwareAutoscaler:
             raise ConfigError("autoscaler already started")
         self._started = True
         self._stopped = False
-        self.cluster.store.sim.schedule(self.config.interval, self._tick)
+        self.cluster.store.sim.post(self.config.interval, self._tick)
 
     def stop(self) -> None:
         """Stop polling (the workload ended; no more capacity decisions)."""
@@ -235,7 +235,7 @@ class CostAwareAutoscaler:
         else:
             self._streak_out = 0
             self._streak_in = 0
-        st.sim.schedule(cfg.interval, self._tick)
+        st.sim.post(cfg.interval, self._tick)
 
     def _scale_out(self, now, n, util, queue, snapshot) -> None:
         cluster = self.cluster

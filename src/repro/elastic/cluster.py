@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ConsistencyError
 from repro.cluster.store import ReplicatedStore
 from repro.elastic.rebalance import RebalanceConfig, StreamingRebalancer
 
@@ -95,8 +95,8 @@ class ElasticCluster:
             survivors = [m for m in st.ring.members if m != node_id]
             try:
                 st.strategy.validate_membership(survivors, st.topology)
-            except Exception:
-                continue
+            except ConsistencyError:
+                continue  # its departure would break a replica quota
             return node_id
         return None
 

@@ -179,7 +179,7 @@ class StreamingRebalancer:
         if self._pump_scheduled:
             return
         self._pump_scheduled = True
-        self.store.sim.schedule(delay, self._pump)
+        self.store.sim.post(delay, self._pump)
 
     def _pump(self) -> None:
         self._pump_scheduled = False

@@ -29,6 +29,7 @@ __all__ = ["TrafficMatrix", "Network"]
 #: Stable small-int code per link class (list index into the hot counters).
 _CLASS_LIST = list(LinkClass)
 _CLASS_CODE: Dict[LinkClass, int] = {cls: i for i, cls in enumerate(_CLASS_LIST)}
+_LOCAL = LinkClass.LOCAL
 
 
 class TrafficMatrix:
@@ -40,8 +41,10 @@ class TrafficMatrix:
     Internally the counters are lists indexed by a small int code:
     ``Enum.__hash__`` is a Python-level call, and two enum-keyed dict
     updates per message were among the hottest lines of a full store run.
-    The public ``messages`` / ``bytes`` mappings are built on access --
-    reporting and billing read them a handful of times per run.
+    :meth:`Network.send` bumps the two lists in place with the code its
+    route memo carries. The public ``messages`` / ``bytes`` mappings are
+    built on access -- reporting and billing read them a handful of times
+    per run.
     """
 
     __slots__ = ("_messages", "_bytes")
@@ -63,11 +66,6 @@ class TrafficMatrix:
     def record(self, cls: LinkClass, nbytes: int) -> None:
         """Count one message of ``nbytes`` on link class ``cls``."""
         code = _CLASS_CODE[cls]
-        self._messages[code] += 1
-        self._bytes[code] += nbytes
-
-    def record_code(self, code: int, nbytes: int) -> None:
-        """Hot-path variant of :meth:`record` taking the precomputed code."""
         self._messages[code] += 1
         self._bytes[code] += nbytes
 
@@ -119,8 +117,9 @@ class Network:
 
     Notes
     -----
-    Delivery is fire-and-forget: :meth:`send` schedules
-    ``deliver(*args)`` after the sampled delay. Reliability is modelled at
+    Delivery is fire-and-forget: :meth:`send` posts ``deliver(*args)`` on
+    the simulator after the sampled delay (no handle: a message in flight
+    cannot be recalled). Reliability is modelled at
     this layer only through partitions; omission failures of individual
     nodes are modelled by the cluster layer marking nodes down.
     """
@@ -151,12 +150,11 @@ class Network:
     def _route(
         self, src: int, dst: int
     ) -> Tuple[LinkClass, int, Any, Tuple[int, int]]:
-        route = self._route_cache.get((src, dst))
-        if route is None:
-            cls = self.topology.link_class(src, dst)
-            dcs = (self.topology.dc_of(src), self.topology.dc_of(dst))
-            route = (cls, _CLASS_CODE[cls], self.topology.latency_models[cls], dcs)
-            self._route_cache[(src, dst)] = route
+        """Resolve and memoize a node pair (the miss path of :meth:`send`)."""
+        cls = self.topology.link_class(src, dst)
+        dcs = (self.topology.dc_of(src), self.topology.dc_of(dst))
+        route = (cls, _CLASS_CODE[cls], self.topology.latency_models[cls], dcs)
+        self._route_cache[(src, dst)] = route
         return route
 
     def clear_topology_cache(self) -> None:
@@ -212,16 +210,21 @@ class Network:
         dropped by a partition. ``deliver(*args)`` fires at ``now + delay``.
         Bytes are counted even for local messages (zero-priced link class).
         """
-        cls, code, model, dcs = self._route(src, dst)
-        local = cls is LinkClass.LOCAL
+        route = self._route_cache.get((src, dst))
+        if route is None:
+            route = self._route(src, dst)
+        cls, code, model, dcs = route
+        local = cls is _LOCAL
         if not local and self._partitioned and dcs in self._partitioned:
             self.dropped += 1
             return None
-        self.traffic.record_code(code, int(nbytes))
+        traffic = self.traffic
+        traffic._messages[code] += 1
+        traffic._bytes[code] += int(nbytes)
         delay = model.sample(self.rng)
         if not local:
             delay += self._extra_delay
-        self.sim.schedule(delay, deliver, *args)
+        self.sim.post(delay, deliver, *args)
         return delay
 
     def sample_delay(self, src: int, dst: int) -> float:

@@ -164,7 +164,9 @@ def _bench_engine_timeouts(p: Params) -> int:
         return None
 
     # Stagger the op/timeout pairs so cancelled timeouts sit in the heap a
-    # while before being skipped on pop -- the store's actual access pattern.
+    # while before being skipped on pop -- the access pattern of per-round
+    # protocol timers (the TM's prepare/retry timers; the store's own op
+    # timeouts share one DeadlineQueue instead).
     for i in range(pairs):
         t = i * 0.001
         timeout = sim.schedule_at(t + 5.0, noop)

@@ -6,6 +6,8 @@
   discrete-event backend (a pure view over ``Simulator`` + ``Network``);
 - :class:`~repro.runtime.aio.AsyncioTransport` -- the localhost asyncio
   backend: real timers, a JSON wire codec, file-backed WALs.
+- :class:`~repro.runtime.deadlines.DeadlineQueue` -- one armed timer for
+  all operations that share a timeout (on either backend).
 
 ``BACKENDS`` lists the valid values of the ``backend=`` knob threaded
 through :class:`repro.RunSpec`, scenarios, sweeps and the CLI.
@@ -14,6 +16,7 @@ through :class:`repro.RunSpec`, scenarios, sweeps and the CLI.
 from repro.runtime.interface import TimerHandle, Transport
 from repro.runtime.sim import SimTransport
 from repro.runtime.aio import AsyncioTransport
+from repro.runtime.deadlines import DeadlineQueue
 
 __all__ = [
     "BACKENDS",
@@ -21,6 +24,7 @@ __all__ = [
     "Transport",
     "SimTransport",
     "AsyncioTransport",
+    "DeadlineQueue",
     "FileWriteAheadLog",
     "LocalhostSpec",
     "LocalhostStore",

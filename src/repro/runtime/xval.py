@@ -106,12 +106,12 @@ def run_sim_twin(spec: LocalhostSpec) -> Dict[str, Any]:
 
         def done(outcome) -> None:
             state["outcomes"] += 1
-            sim.schedule(0.0, issue_next)
+            sim.post(0.0, issue_next)
 
         txn.commit(done)
 
     for _ in range(spec.clients):
-        sim.schedule(0.0, issue_next)
+        sim.post(0.0, issue_next)
     # The protocol-time analogue of the asyncio side's wall cap.
     sim.run(until=spec.wall_timeout / spec.time_scale)
 

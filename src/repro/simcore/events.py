@@ -1,8 +1,9 @@
-"""Event objects for the discrete-event engine.
+"""Cancellable event handles for the discrete-event engine.
 
-Events are small ``__slots__`` objects ordered by ``(time, seq)``; the
-monotonically increasing sequence number makes simultaneous events fire in
-schedule order, which keeps every run bit-for-bit deterministic.
+An :class:`Event` is what :meth:`Simulator.schedule` hands back to a caller
+that may want to cancel. Ordering lives in the simulator's heap tuples
+(``(time, seq, ...)``), not here; callbacks nobody cancels go through
+:meth:`Simulator.post` and never allocate one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ __all__ = ["Event"]
 
 
 class Event:
-    """A scheduled callback, orderable by firing time.
+    """A scheduled callback that can be cancelled before it fires.
 
     Do not construct directly; use :meth:`repro.simcore.Simulator.schedule`.
     Cancellation is lazy: :meth:`cancel` marks the event and the simulator
@@ -52,11 +53,6 @@ class Event:
         self.args = ()
         if self.owner is not None:
             self.owner._event_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "cancelled" if self.cancelled else "pending"

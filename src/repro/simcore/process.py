@@ -67,7 +67,7 @@ class WaitEvent:
         self._value = value
         waiters, self._waiters = self._waiters, []
         for sim, proc in waiters:
-            sim.schedule(0.0, proc._resume, value)
+            sim.post(0.0, proc._resume, value)
 
     def fail(self, error: BaseException) -> None:
         """Complete the event with an exception, raised inside each waiter."""
@@ -77,14 +77,14 @@ class WaitEvent:
         self._error = error
         waiters, self._waiters = self._waiters, []
         for sim, proc in waiters:
-            sim.schedule(0.0, proc._throw, error)
+            sim.post(0.0, proc._throw, error)
 
     def _register(self, sim: Simulator, proc: "Process") -> None:
         if self._done:
             if self._error is not None:
-                sim.schedule(0.0, proc._throw, self._error)
+                sim.post(0.0, proc._throw, self._error)
             else:
-                sim.schedule(0.0, proc._resume, self._value)
+                sim.post(0.0, proc._resume, self._value)
         else:
             self._waiters.append((sim, proc))
 
@@ -112,7 +112,7 @@ class Process:
         self._gen = gen
         self.finished = WaitEvent()
         self.name = name
-        sim.schedule(0.0, self._resume, None)
+        sim.post(0.0, self._resume, None)
 
     def _resume(self, value: Any) -> None:
         try:
@@ -132,7 +132,7 @@ class Process:
 
     def _dispatch(self, instruction: Any) -> None:
         if isinstance(instruction, Delay):
-            self.sim.schedule(instruction.duration, self._resume, None)
+            self.sim.post(instruction.duration, self._resume, None)
         elif isinstance(instruction, WaitEvent):
             instruction._register(self.sim, self)
         elif isinstance(instruction, Process):

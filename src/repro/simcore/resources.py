@@ -49,7 +49,6 @@ class Resource:
         "_busy",
         "_queue",
         "queue_wait",
-        "service_time",
         "completed",
         "_busy_integral",
         "_last_change",
@@ -64,10 +63,10 @@ class Resource:
         self._busy = 0
         self._queue: Deque[Tuple[float, float, Callable[..., Any], Tuple[Any, ...]]] = deque()
         self.queue_wait = OnlineStats()
-        self.service_time = OnlineStats()
         self.completed = 0
         # busy-time integral (server-seconds of actual work), the basis of
-        # the dynamic part of the power model.
+        # the dynamic part of the power model; brought up to date in place
+        # at every change of ``_busy``.
         self._busy_integral = 0.0
         self._last_change = sim.now
 
@@ -85,10 +84,18 @@ class Resource:
         """
         if service < 0:
             raise ConfigError(f"negative service time {service}")
-        if self._busy < self.servers:
-            self._start(self.sim.now, service, done, args)
+        sim = self.sim
+        now = sim.now
+        busy = self._busy
+        if busy < self.servers:
+            # A server is idle: service starts at once, with zero wait.
+            self._busy_integral += busy * (now - self._last_change)
+            self._last_change = now
+            self._busy = busy + 1
+            self.queue_wait.add(0.0)
+            sim.post(service, self._finish, done, args)
         else:
-            self._queue.append((self.sim.now, service, done, args))
+            self._queue.append((now, service, done, args))
 
     @property
     def busy(self) -> int:
@@ -108,34 +115,22 @@ class Resource:
         """Cumulative server-seconds spent serving (the energy meter)."""
         return self._busy_integral + self._busy * (self.sim.now - self._last_change)
 
-    def _tick(self) -> None:
-        now = self.sim.now
-        self._busy_integral += self._busy * (now - self._last_change)
-        self._last_change = now
-
     # -- internals ---------------------------------------------------------------
 
-    def _start(
-        self,
-        arrival: float,
-        service: float,
-        done: Callable[..., Any],
-        args: Tuple[Any, ...],
-    ) -> None:
-        self._tick()
-        self._busy += 1
-        wait = self.sim.now - arrival
-        self.queue_wait.add(wait)
-        self.service_time.add(service)
-        self.sim.schedule(service, self._finish, done, args)
-
     def _finish(self, done: Callable[..., Any], args: Tuple[Any, ...]) -> None:
-        self._tick()
-        self._busy -= 1
+        sim = self.sim
+        now = sim.now
+        self._busy_integral += self._busy * (now - self._last_change)
+        self._last_change = now
         self.completed += 1
         if self._queue:
+            # The freed server goes straight to the longest-waiting request
+            # (``_busy`` is unchanged), before ``done`` can submit more work.
             arrival, service, nxt_done, nxt_args = self._queue.popleft()
-            self._start(arrival, service, nxt_done, nxt_args)
+            self.queue_wait.add(now - arrival)
+            sim.post(service, self._finish, nxt_done, nxt_args)
+        else:
+            self._busy -= 1
         done(*args)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -5,15 +5,23 @@ Design notes (hpc-parallel idioms):
 - the run loop is a tight ``heappop`` + call, with local-variable binding of
   hot attributes; profiling end-to-end store runs shows >80% of wall time in
   user callbacks, not the engine;
-- heap entries are ``(time, seq, Event)`` tuples, not bare events: the heap
-  siftup/siftdown comparisons then run entirely in C on float/int pairs
-  instead of calling :meth:`Event.__lt__` per comparison -- profiling showed
-  nearly a million ``__lt__`` calls per 8k-op store run, all pure overhead
-  (``seq`` is unique, so the :class:`Event` in slot 3 is never compared);
-- cancellation is lazy (flag + skip) so cancelling the common case -- a
-  timeout that did not fire -- costs O(1);
-- determinism: equal-time events fire in scheduling order via a sequence
-  counter; no wall-clock or entropy anywhere in the engine.
+- heap entries are plain tuples ordered by ``(time, seq)``, so the heap's
+  siftup/siftdown comparisons run entirely in C on float/int pairs (``seq``
+  is unique, so slots 3 and 4 are never compared). They come in two
+  shapes, told apart by one ``fn is None`` test:
+
+  * ``(time, seq, fn, args)`` -- pushed by :meth:`Simulator.post`, which
+    returns nothing. Message deliveries, service completions and client
+    hand-offs are never cancelled, so they allocate no :class:`Event`;
+  * ``(time, seq, None, event)`` -- pushed by :meth:`Simulator.schedule` /
+    :meth:`Simulator.schedule_at`, which return the cancellable
+    :class:`Event` handle. Use these only when the caller keeps the handle;
+
+- cancellation is lazy (flag + skip) so cancelling a timeout that did not
+  fire costs O(1);
+- determinism: equal-time events fire in scheduling order via one sequence
+  counter shared by both entry shapes; no wall-clock or entropy anywhere in
+  the engine.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(2.0, fired.append, "b")
-    >>> _ = sim.schedule(1.0, fired.append, "a")
+    >>> sim.post(2.0, fired.append, "b")
+    >>> handle = sim.schedule(1.0, fired.append, "a")
     >>> sim.run()
     >>> fired
     ['a', 'b']
@@ -45,7 +53,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, Optional[Callable[..., Any]], Any]] = []
         self._seq: int = 0
         self._live: int = 0
         self._running = False
@@ -62,22 +70,36 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
 
+    def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` simulated seconds from now; no handle.
+
+        The hottest entry point of the engine (every message hop and service
+        completion lands here): one tuple, one heap push. Ordering, the
+        ``pending()`` count and the negative-delay check are exactly those
+        of :meth:`schedule`; what is given up is the ability to cancel.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (self.now + delay, seq, fn, args))
+        self._live += 1
+
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` simulated seconds from now.
 
-        Returns the :class:`Event` handle (cancellable). ``delay`` must be
-        non-negative; scheduling into the past is a harness bug and raises
+        Returns the :class:`Event` handle (cancellable); callers that would
+        discard it use :meth:`post`. ``delay`` must be non-negative;
+        scheduling into the past is a harness bug and raises
         :class:`~repro.common.errors.SimulationError`.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        # Inlined schedule_at body: this is the hottest entry point of the
-        # engine (every message hop and service completion lands here), and
-        # the extra call layer is measurable at millions of events.
-        self._seq += 1
+        # Same body as schedule_at, inlined: protocol timers land here by
+        # the million and the extra call layer is measurable.
+        self._seq = seq = self._seq + 1
         time = self.now + delay
-        ev = Event(time, self._seq, fn, args, owner=self)
-        heapq.heappush(self._heap, (time, self._seq, ev))
+        ev = Event(time, seq, fn, args, owner=self)
+        heapq.heappush(self._heap, (time, seq, None, ev))
         self._live += 1
         return ev
 
@@ -87,9 +109,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} < now={self.now}"
             )
-        self._seq += 1
-        ev = Event(time, self._seq, fn, args, owner=self)
-        heapq.heappush(self._heap, (time, self._seq, ev))
+        self._seq = seq = self._seq + 1
+        ev = Event(time, seq, fn, args, owner=self)
+        heapq.heappush(self._heap, (time, seq, None, ev))
         self._live += 1
         return ev
 
@@ -103,17 +125,19 @@ class Simulator:
         """Fire the next pending event. Returns ``False`` if the queue is empty."""
         heap = self._heap
         while heap:
-            time, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
-                continue
+            time, _, fn, args = heapq.heappop(heap)
+            if fn is None:
+                ev = args
+                if ev.cancelled:
+                    continue
+                fn, args = ev.fn, ev.args
+                ev.fn = None
+                ev.args = ()
+                ev.live = False
             self.now = time
-            fn, args = ev.fn, ev.args
-            ev.fn = None  # break cycles; event objects may be retained by callers
-            ev.args = ()
-            ev.live = False
             self._live -= 1
             self.events_processed += 1
-            fn(*args)  # type: ignore[misc]
+            fn(*args)
             return True
         return False
 
@@ -132,8 +156,8 @@ class Simulator:
             heappop = heapq.heappop
             budget = max_events if max_events is not None else -1
             while heap and not self._stop_requested:
-                time, _, ev = heap[0]
-                if ev.cancelled:
+                time, _, fn, args = heap[0]
+                if fn is None and args.cancelled:
                     heappop(heap)
                     continue
                 if until is not None and time > until:
@@ -142,13 +166,15 @@ class Simulator:
                     break
                 heappop(heap)
                 self.now = time
-                fn, args = ev.fn, ev.args
-                ev.fn = None
-                ev.args = ()
-                ev.live = False
+                if fn is None:
+                    ev = args
+                    fn, args = ev.fn, ev.args
+                    ev.fn = None  # break cycles; callers may retain the handle
+                    ev.args = ()
+                    ev.live = False
                 self._live -= 1
                 self.events_processed += 1
-                fn(*args)  # type: ignore[misc]
+                fn(*args)
                 if budget > 0:
                     budget -= 1
             if until is not None and self.now < until and not self._stop_requested:
@@ -169,18 +195,20 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Firing time of the next live event, or ``None`` if idle."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2] is None and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""
         if self._running:
             raise SimulationError("cannot reset a running simulator")
         self.now = 0.0
-        for _, _, ev in self._heap:
-            ev.live = False
-            ev.owner = None
+        for _, _, fn, ev in self._heap:
+            if fn is None:
+                ev.live = False
+                ev.owner = None
         self._heap.clear()
         self._seq = 0
         self._live = 0

@@ -41,6 +41,7 @@ from repro.common.stats import Histogram
 from repro.cluster.coordinator import OpResult
 from repro.cluster.store import ReplicatedStore
 from repro.cluster.versions import NONE_VERSION, Version
+from repro.runtime.deadlines import DeadlineQueue
 from repro.txn.participant import TxnParticipant
 from repro.txn.tm import TransactionManager
 from repro.txn.wal import WriteAheadLog
@@ -248,7 +249,6 @@ class Transaction:
         "read_failed",
         "stale_reads",
         "n_reads",
-        "timeout_event",
     )
 
     def __init__(self, owner: "TransactionalStore", txn_id: int, coordinator: Optional[int]):
@@ -268,7 +268,6 @@ class Transaction:
         self.read_failed = False
         self.stale_reads = 0
         self.n_reads = 0
-        self.timeout_event: Any = None
 
     # -- operations ---------------------------------------------------------------
 
@@ -367,6 +366,11 @@ class TransactionalStore:
 
         self._txn_seq = 0
         self._inflight: Dict[int, Transaction] = {}
+        # Every commit waits the same ``config.client_timeout``, so one
+        # armed timer serves them all; a delivered transaction needs none.
+        self._client_deadlines = DeadlineQueue(
+            store.transport, self._client_timeout, done_attr="delivered"
+        )
         self._register_wire_handlers()
         self._reset_counters()
 
@@ -485,15 +489,11 @@ class TransactionalStore:
             coord = live
             txn.coordinator = coord
         self._inflight[txn.txn_id] = txn
-        txn.timeout_event = tr.set_timer(
-            self.config.client_timeout, self._client_timeout, txn.txn_id
-        )
+        self._client_deadlines.add(tr.now + self.config.client_timeout, txn)
         self.tms[coord].begin_commit(txn)
 
-    def _client_timeout(self, txn_id: int) -> None:
-        txn = self._inflight.get(txn_id)
-        if txn is None or txn.delivered:
-            return
+    def _client_timeout(self, txn: Transaction) -> None:
+        """The commit is still undecided at its deadline: answer in-doubt."""
         self.in_doubt_client += 1
         self._deliver(txn, "in-doubt", "client-timeout")
 
@@ -502,9 +502,6 @@ class TransactionalStore:
         txn = self._inflight.pop(txn_id, None)
         if txn is None:
             return
-        if txn.timeout_event is not None:
-            txn.timeout_event.cancel()
-            txn.timeout_event = None
         latency = self.transport.now - txn.t_commit
         if commit:
             self.commits += 1
@@ -532,6 +529,7 @@ class TransactionalStore:
             )
             return
         self._deliver(txn, "committed" if commit else "aborted", reason)
+        self._client_deadlines.settle()
 
     def grade_commit(self, txn_id: int, writes_by_key: Dict[str, Version]) -> None:
         """Oracle-side lost-update grading at the TM's commit point.

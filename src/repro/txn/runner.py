@@ -68,7 +68,7 @@ class TxnClient:
         if self.remaining == 0:
             self._finish()
             return
-        self.tstore.store.sim.schedule(0.0, self._issue_next)
+        self.tstore.store.sim.post(0.0, self._issue_next)
 
     # -- internals ---------------------------------------------------------------
 
@@ -102,7 +102,7 @@ class TxnClient:
             delay = self._deadline - now
         else:
             delay = 0.0
-        self.tstore.store.sim.schedule(delay, self._issue_next)
+        self.tstore.store.sim.post(delay, self._issue_next)
 
     def _finish(self) -> None:
         if self.on_finished is not None:

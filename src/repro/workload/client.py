@@ -129,7 +129,7 @@ class ClosedLoopClient:
         if self.remaining == 0:
             self._finish()
             return
-        self.store.sim.schedule(0.0, self._issue_next)
+        self.store.sim.post(0.0, self._issue_next)
 
     # -- internals ---------------------------------------------------------------
 
@@ -203,7 +203,7 @@ class ClosedLoopClient:
             delay = self._deadline - now
         else:
             delay = 0.0
-        self.store.sim.schedule(delay, self._issue_next)
+        self.store.sim.post(delay, self._issue_next)
 
     def _finish(self) -> None:
         if self.on_finished is not None:

@@ -250,7 +250,7 @@ class CohortPopulation:
                 self._issue()
             return
         delay = self._next_gap() / self.rate
-        self.store.sim.schedule(delay, self._arrival)
+        self.store.sim.post(delay, self._arrival)
 
     def _arrival(self) -> None:
         if self.remaining > 0:

@@ -64,6 +64,37 @@ class TestServiceModel:
         assert m.sample_read(rng) == 0.002
         assert m.sample_write(rng) == 0.001
 
+    def test_batched_unit_draws_equal_the_scalar_stream(self):
+        # The identity the node's batched jitter rests on: unit-exponential
+        # draws taken in blocks, scaled at use, are rng.exponential(scale)
+        # element for element (bit-equal, not approximately).
+        import numpy as np
+
+        scale = 0.0003
+        scalar_rng = np.random.default_rng(42)
+        batch_rng = np.random.default_rng(42)
+        scalar = [scalar_rng.exponential(scale) for _ in range(100_000)]
+        batched = []
+        while len(batched) < len(scalar):
+            batched.extend(scale * u for u in batch_rng.standard_exponential(64).tolist())
+        assert batched[: len(scalar)] == scalar
+
+    def test_node_service_times_are_the_models_draws(self, sim):
+        # A node serving interleaved reads and writes draws exactly what
+        # ServiceModel.sample_read/sample_write draw from the same stream.
+        import numpy as np
+
+        model = ServiceModel()
+        node = StorageNode(sim, 0, service=model, rng=np.random.default_rng(9))
+        reference = np.random.default_rng(9)
+        for i in range(1000):  # crosses several block refills
+            if i % 3:
+                got = node._service_time(model.read_base, model.read_jitter)
+                assert got == model.sample_read(reference)
+            else:
+                got = node._service_time(model.write_base, model.write_jitter)
+                assert got == model.sample_write(reference)
+
 
 class TestStorageNode:
     def test_write_then_read(self, sim):
@@ -296,3 +327,110 @@ class TestReplicatedStore:
             for r in st.strategy.replicas("k", st.ring, st.topology)
         }
         assert len(versions) == 1
+
+
+class TestOperationTimeouts:
+    """One deadline queue per timeout instead of one timer per operation."""
+
+    ALL = ConsistencyLevel.ALL
+
+    def _crash_after_dispatch(self, st, t, kind, key, results, coordinator):
+        """Issue an op at ``t`` and crash one replica while its message flies."""
+        victim = next(r for r in st.replica_sets(key)[0] if r != coordinator)
+        sim = st.sim
+        if kind == "w":
+            sim.schedule_at(t, st.write, key, self.ALL, results.append, None, coordinator)
+        else:
+            sim.schedule_at(t, st.read, key, self.ALL, results.append, coordinator)
+        sim.schedule_at(t, st.on_node_crash, victim)  # same instant, after the send
+        return victim
+
+    def test_timeouts_fire_at_exactly_start_plus_timeout(self, simple_store):
+        st, sim = simple_store, simple_store.sim
+        st.preload(["k"])
+        # assigned after construction: read per operation, so both are honoured
+        st.write_timeout = 1.25
+        st.read_timeout = 0.75
+        coordinator = st.replica_sets("k")[0][0]
+        results = []
+        victim = self._crash_after_dispatch(st, 1.0, "w", "k", results, coordinator)
+        sim.schedule_at(2.5, st.on_node_recover, victim)
+        self._crash_after_dispatch(st, 3.0, "r", "k", results, coordinator)
+        sim.run()
+        write, read = results
+        assert (write.kind, write.error, write.t_start, write.t_end) == (
+            "write", "timeout", 1.0, 2.25)
+        assert (read.kind, read.error, read.t_start, read.t_end) == (
+            "read", "timeout", 3.0, 3.75)
+        assert st.failures == {"write_timeout": 1, "read_timeout": 1}
+        assert not st.write_in_flight("k")
+
+    def test_stuck_op_does_not_delay_or_lose_later_timeouts(self, simple_store):
+        # ops finishing behind an open head are popped once the head expires,
+        # and a second stuck op still times out at its own deadline
+        st, sim = simple_store, simple_store.sim
+        st.preload(["k", "j"])
+        st.read_timeout = 1.0
+        coordinator = st.replica_sets("k")[0][0]
+        stuck, quick = [], []
+        victim = self._crash_after_dispatch(st, 0.0, "r", "k", stuck, coordinator)
+        for i in range(1, 6):
+            sim.schedule_at(0.1 * i, st.read, "j", 1, quick.append,
+                            next(n for n in range(5) if n != victim))
+        sim.schedule_at(0.6, st.on_node_recover, victim)
+        self._crash_after_dispatch(st, 0.7, "r", "k", stuck, coordinator)
+        # a burst of reads completes while the first op is still stuck: the
+        # queue must not keep the finished ones alive until it expires
+        live = next(n for n in range(5) if n != victim)
+        for i in range(200):
+            sim.schedule_at(0.2 + 0.001 * i, st.read, "j", 1, None, live)
+        held = []
+        sim.schedule_at(0.5, lambda: held.append(len(st._read_deadlines)))
+        sim.run()
+        assert held[0] < 40  # one open op + what one sweep period lets pile up
+        assert [r.ok for r in quick] == [True] * 5
+        assert [(r.error, r.t_end) for r in stuck] == [("timeout", 1.0), ("timeout", 1.7)]
+        assert len(st._read_deadlines) == 0 and sim.pending() == 0
+
+    def test_settled_ops_leave_no_timer_behind(self, simple_store):
+        st, sim = simple_store, simple_store.sim
+        results = run_ops(
+            st,
+            [(0.001 * i, "w" if i % 2 else "r", f"k{i % 7}", 2) for i in range(200)],
+        )
+        assert len(results) == 200 and all(r.ok for r in results)
+        assert len(st._read_deadlines) == 0 and len(st._write_deadlines) == 0
+        assert sim.pending() == 0
+        # the draining run ended at the last real event (a trailing replica
+        # ack), not at an obsolete 5 s deadline
+        assert max(r.t_end for r in results) <= sim.now < 0.25
+
+    def test_queues_track_the_in_flight_window_not_the_run(self, simple_store):
+        from repro.workload.client import WorkloadRunner
+        from repro.workload.workloads import WORKLOADS
+
+        st = simple_store
+        queues = (st._read_deadlines, st._write_deadlines)
+
+        class Watch:
+            longest = 0
+
+            def on_op_complete(self, result):
+                for queue in queues:
+                    entries = list(queue._queue)
+                    # settle() ran: whatever is queued sits behind an open head
+                    assert not entries or not entries[0][1].finished
+                    assert entries == sorted(entries, key=lambda e: e[0])
+                    Watch.longest = max(Watch.longest, len(entries))
+
+        st.add_listener(Watch())
+        report = WorkloadRunner(
+            st, WORKLOADS["A"].scaled(200), n_clients=8, ops_total=5000, seed=3
+        ).run()
+        assert report.ops_completed == 5000
+        # a few times the 8 ops in flight (done ops wait for an open head), never ~5000
+        assert 0 < Watch.longest <= 64
+        assert len(queues[0]) == len(queues[1]) == 0
+        # not one dead timer per op: only a timer cancelled when its queue
+        # ran empty (rare with 8 clients) lingers until its time comes
+        assert len(st.sim._heap) < 500

@@ -19,7 +19,7 @@ from repro.cluster.store import ReplicatedStore, StoreConfig
 from repro.common.stats import Histogram
 from repro.elastic.rebalance import RebalanceConfig, StreamingRebalancer
 from repro.net.topology import Datacenter, LinkClass, Topology
-from repro.net.transport import TrafficMatrix
+from repro.net.transport import Network
 from repro.simcore.simulator import Simulator
 
 
@@ -153,11 +153,13 @@ class TestNetworkRouteCache:
         assert cls is LinkClass.INTRA_DC and dcs == (0, 0)
 
     def test_traffic_matrix_views_and_codes_agree(self):
-        t = TrafficMatrix()
+        # Network.send bumps the counters in place with its route's int
+        # code; record() goes through the enum. Both must land in one cell.
+        topo = Topology([Datacenter("a", "r"), Datacenter("b", "r")], [1, 1])
+        net = Network(Simulator(), topo, rng=0)
+        t = net.traffic
         t.record(LinkClass.INTER_AZ, 10)
-        t.record_code(
-            list(LinkClass).index(LinkClass.INTER_AZ), 20
-        )
+        net.send(0, 1, 20, lambda: None)
         assert t.bytes[LinkClass.INTER_AZ] == 30
         assert t.messages[LinkClass.INTER_AZ] == 2
         assert t.billable_bytes() == 30

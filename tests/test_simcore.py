@@ -12,12 +12,6 @@ from repro.simcore.simulator import Simulator
 
 
 class TestEvent:
-    def test_ordering_by_time_then_seq(self):
-        a = Event(1.0, 1, None)
-        b = Event(2.0, 0, None)
-        c = Event(1.0, 2, None)
-        assert a < b and a < c and not (b < a)
-
     def test_cancel_drops_references(self):
         payload = [1, 2, 3]
         ev = Event(1.0, 1, print, (payload,))
@@ -156,6 +150,56 @@ class TestSimulator:
         sim.schedule(2.0, lambda: None)
         ev.cancel()
         assert sim.peek_time() == 2.0
+
+    def test_post_and_schedule_share_one_order(self, sim):
+        # handle-free and cancellable entries interleave by call order at
+        # equal times: one sequence counter serves both heap-entry shapes
+        fired = []
+        sim.post(1.0, fired.append, "a")
+        sim.schedule(1.0, fired.append, "b")
+        sim.post(1.0, fired.append, "c")
+        sim.schedule_at(1.0, fired.append, "d")
+        sim.post(0.5, fired.append, "first")
+        sim.run()
+        assert fired == ["first", "a", "b", "c", "d"]
+        assert sim.events_processed == 5
+
+    def test_post_returns_no_handle_and_rejects_the_past(self, sim):
+        assert sim.post(0.0, lambda: None) is None
+        with pytest.raises(SimulationError):
+            sim.post(-1e-9, lambda: None)
+        assert sim.pending() == 1  # the rejected post left nothing behind
+
+    def test_introspection_over_mixed_entries(self, sim):
+        fired = []
+        sim.post(2.0, fired.append, "p2")
+        early = sim.schedule(1.0, fired.append, "s1")
+        sim.post(3.0, fired.append, "p3")
+        late = sim.schedule(4.0, fired.append, "s4")
+        assert sim.pending() == 4
+        assert sim.peek_time() == 1.0
+        early.cancel()
+        assert sim.pending() == 3
+        assert sim.peek_time() == 2.0  # skips the cancelled head, keeps the post
+        sim.run(max_events=1)
+        assert fired == ["p2"] and sim.now == 2.0
+        sim.run(until=3.5)
+        assert fired == ["p2", "p3"] and sim.now == 3.5
+        assert sim.pending() == 1 and sim.peek_time() == 4.0
+        assert sim.step() is True and fired[-1] == "s4"
+        assert not late.live and sim.pending() == 0
+
+    def test_reset_over_mixed_entries(self, sim):
+        fired = []
+        sim.post(1.0, fired.append, "post")
+        handle = sim.schedule(1.0, fired.append, "event")
+        sim.reset()
+        assert sim.pending() == 0 and sim.peek_time() is None
+        handle.cancel()  # a handle from before the reset must not corrupt the count
+        assert sim.pending() == 0
+        sim.post(1.0, fired.append, "fresh")
+        sim.run()
+        assert fired == ["fresh"] and sim.now == 1.0
 
     @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)

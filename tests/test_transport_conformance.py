@@ -32,6 +32,7 @@ from repro.net.topology import Datacenter, Topology, LinkClass
 from repro.net.transport import Network
 from repro.runtime.aio import AsyncioTransport
 from repro.runtime.localhost import LocalhostStore
+from repro.runtime.deadlines import DeadlineQueue
 from repro.runtime.sim import SimTransport
 from repro.simcore.simulator import Simulator
 
@@ -199,6 +200,52 @@ class TestTransportContract:
 
         h.run(setup, until=2.0)
         assert seen["fire"] >= seen["t0"] + 0.5 - 1e-9
+
+    def test_deadline_queue_expires_open_ops_in_order(self, harness):
+        # One armed timer for a FIFO of same-timeout ops: done ops never
+        # expire, open ones expire in order and never early, an op added
+        # from inside an expiry is still watched, and nothing stays armed.
+        h = harness()
+        expired = []
+
+        class Op:
+            def __init__(self, tag):
+                self.tag = tag
+                self.finished = False
+
+        ops = [Op(i) for i in range(5)]
+        late = Op("late")
+
+        def setup(t):
+            def expire(op):
+                op.finished = True
+                expired.append((op.tag, t.now))
+                if op.tag == 1:
+                    queue.add(t.now + 0.5, late)
+
+            queue = DeadlineQueue(t, expire)
+            h.queue = queue
+
+            def start(op):
+                queue.add(t.now + 0.5, op)
+
+            def finish(op):
+                op.finished = True
+                queue.settle()
+
+            for i, op in enumerate(ops):
+                t.set_timer(0.1 * i, start, op)
+            t.set_timer(0.15, finish, ops[0])  # the head: its timer goes stale
+            t.set_timer(0.45, finish, ops[3])  # done behind open heads
+            t.set_timer(0.35, finish, ops[2])
+
+        h.run(setup, until=2.0)
+        assert [tag for tag, _ in expired] == [1, 4, "late"]
+        for (tag, at), deadline in zip(expired, (0.6, 0.9, 1.1)):
+            assert at >= deadline - 1e-9
+            if h.backend == "sim":
+                assert at == pytest.approx(deadline, abs=1e-12)
+        assert len(h.queue) == 0 and h.queue._timer is None
 
     def test_sample_delay_matches_link_class(self, harness):
         t = harness().transport
