@@ -14,10 +14,9 @@ Reproduces the paper's §IV-B reasoning interactively:
 Run:  python examples/cost_aware_deployment.py
 """
 
+import repro
 from repro.bismar.efficiency import rank_levels
 from repro.common.tables import Table
-from repro.experiments.platforms import grid5000_bismar_platform
-from repro.experiments.runner import bismar_factory, run_one, static_factory
 
 OPS = 20_000
 TARGET = 8_000.0  # offered load cap, as YCSB's target parameter
@@ -27,18 +26,20 @@ def main() -> None:
     # The Grid'5000 Bismar preset (RF=5 over two sites with a real WAN hop):
     # the deployment where the consistency/cost trade-off is widest, and the
     # one the paper evaluates Bismar on.
-    platform = grid5000_bismar_platform()
+    platform = repro.grid5000_bismar_platform()
 
     runs = {}
     for level in (1, 2, 3, 4, 5):
-        report, bill = run_one(
-            platform,
-            static_factory(level, level, name=f"n={level}"),
-            ops=OPS,
-            seed=11,
-            target_throughput=TARGET,
+        out = repro.run(
+            repro.RunSpec(
+                platform=platform,
+                policy=repro.static_factory(level, level, name=f"n={level}"),
+                ops=OPS,
+                seed=11,
+                target_throughput=TARGET,
+            )
         )
-        runs[level] = (report, bill)
+        runs[level] = (out.report, out.bill)
 
     table = Table(
         "Bill decomposition per consistency level (RF=5, two sites, heavy read-update)",
@@ -81,13 +82,16 @@ def main() -> None:
     print(eff)
 
     # --- Bismar at runtime --------------------------------------------------
-    report, bill = run_one(
-        platform,
-        bismar_factory(platform.prices, stale_cap=0.05),
-        ops=OPS,
-        seed=11,
-        target_throughput=TARGET,
+    out = repro.run(
+        repro.RunSpec(
+            platform=platform,
+            policy=repro.bismar_factory(platform.prices, stale_cap=0.05),
+            ops=OPS,
+            seed=11,
+            target_throughput=TARGET,
+        )
     )
+    report, bill = out.report, out.bill
     one_bill = runs[1][1]
     quorum_bill = runs[3][1]
     print(

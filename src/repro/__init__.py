@@ -63,7 +63,6 @@ from repro.elastic import (
     ElasticSpec,
     RebalanceConfig,
     StreamingRebalancer,
-    deploy_and_run_elastic,
 )
 from repro.workload import (
     WorkloadRunner,
@@ -136,7 +135,6 @@ __all__ = [
     "ElasticSpec",
     "RebalanceConfig",
     "StreamingRebalancer",
-    "deploy_and_run_elastic",
     "TxnWorkloadSpec",
     "bank_transfer_mix",
     # the unified run facade and its building blocks

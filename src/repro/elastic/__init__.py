@@ -9,18 +9,14 @@ The capacity-over-time axis of the simulated store:
   writes, re-stream on failure);
 - :class:`~repro.elastic.autoscale.CostAwareAutoscaler` -- a hysteretic
   control loop trading observed load pressure against the projected bill;
-- :func:`~repro.elastic.runner.deploy_and_run_elastic` -- the experiment
-  harness the ``elastic-*`` scenarios run through.
+- :class:`~repro.elastic.runner.ElasticSpec` -- what changes during a run
+  (``RunSpec.elastic``); :func:`repro.run` attaches it to the deployment.
 """
 
 from repro.elastic.autoscale import AutoscalerConfig, CostAwareAutoscaler
 from repro.elastic.cluster import ElasticCluster
 from repro.elastic.rebalance import RebalanceConfig, StreamingRebalancer
-from repro.elastic.runner import (
-    ElasticRunOutcome,
-    ElasticSpec,
-    deploy_and_run_elastic,
-)
+from repro.elastic.runner import ElasticSpec
 
 __all__ = [
     "AutoscalerConfig",
@@ -28,7 +24,5 @@ __all__ = [
     "ElasticCluster",
     "RebalanceConfig",
     "StreamingRebalancer",
-    "ElasticRunOutcome",
     "ElasticSpec",
-    "deploy_and_run_elastic",
 ]

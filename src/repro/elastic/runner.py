@@ -1,33 +1,24 @@
-"""The elastic deploy-run-bill harness.
+"""The elastic axis of a run: *capacity over time*.
 
-:func:`deploy_and_run_elastic` mirrors
-:func:`repro.experiments.runner.deploy_and_run` with one extra axis:
-*capacity over time*. An :class:`ElasticSpec` describes what changes during
-the run -- scripted membership events, an autoscaler, a time-varying
-offered-load schedule -- and the resulting
-:class:`~repro.workload.client.RunReport` carries an ``elastic`` block
-(scale events, ranges moved, bytes streamed, autoscaler decisions) next to
-the usual throughput/latency/staleness metrics.
+An :class:`ElasticSpec` describes what changes during the run -- scripted
+membership events, an autoscaler, a time-varying offered-load schedule.
+:func:`repro.run` attaches it to the deployment (``RunSpec.elastic``) and
+the resulting :class:`~repro.workload.client.RunReport` carries an
+``elastic`` block (scale events, ranges moved, bytes streamed, autoscaler
+decisions) next to the usual throughput/latency/staleness metrics.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.cluster.failures import FailureInjector
-from repro.cluster.store import ReplicatedStore
-from repro.cost.billing import Bill, Biller
 from repro.elastic.autoscale import AutoscalerConfig, CostAwareAutoscaler
 from repro.elastic.cluster import ElasticCluster
 from repro.elastic.rebalance import RebalanceConfig
-from repro.monitor.collector import ClusterMonitor
-from repro.obs.recorder import ObsConfig, RunObserver
-from repro.workload.client import RunReport, WorkloadRunner
-from repro.workload.workloads import WorkloadSpec, heavy_read_update
+from repro.workload.client import WorkloadRunner
 
-__all__ = ["ElasticSpec", "ElasticRunOutcome", "deploy_and_run_elastic"]
+__all__ = ["ElasticSpec"]
 
 #: A membership script receives the cluster and schedules bootstrap /
 #: decommission calls on the simulation clock (times relative to run start).
@@ -57,118 +48,6 @@ class ElasticSpec:
     autoscaler: Optional[AutoscalerConfig] = None
     rebalance: RebalanceConfig = field(default_factory=RebalanceConfig)
     pacing_schedule: Tuple[Tuple[float, float], ...] = ()
-
-
-@dataclass
-class ElasticRunOutcome:
-    """Everything one elastic deployment run produced."""
-
-    report: RunReport
-    bill: Bill
-    policy: Any
-    store: ReplicatedStore
-    cluster: ElasticCluster
-    autoscaler: Optional[CostAwareAutoscaler]
-    obs: Optional[RunObserver] = None
-
-
-def deploy_and_run_elastic(*args: Any, **kwargs: Any) -> ElasticRunOutcome:
-    """Deprecated spelling of the elastic path of :func:`repro.run`.
-
-    Same signature and behaviour as before; new code should build a
-    :class:`repro.RunSpec` with ``elastic=`` and call :func:`repro.run`.
-    """
-    warnings.warn(
-        "deploy_and_run_elastic() is deprecated; build a repro.RunSpec with "
-        "elastic= and call repro.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _deploy_and_run_elastic(*args, **kwargs)
-
-
-def _deploy_and_run_elastic(
-    platform,
-    policy_factory,
-    elastic: ElasticSpec,
-    spec: Optional[WorkloadSpec] = None,
-    ops: Optional[int] = None,
-    clients: Optional[int] = None,
-    seed: int = 11,
-    warmup_fraction: float = 0.2,
-    target_throughput: Optional[float] = None,
-    failure_script: Optional[Callable[[FailureInjector], Any]] = None,
-    client_mode: str = "per_client",
-    obs: Optional[ObsConfig] = None,
-) -> ElasticRunOutcome:
-    """One full experiment run on a deployment whose capacity changes.
-
-    Build the platform, attach the policy, wrap the store in an
-    :class:`ElasticCluster`, arm the autoscaler / membership script /
-    pacing schedule, run the workload with warmup, and bill the
-    measurement phase.
-    """
-    sim, store = platform.build(seed=seed)
-    policy = policy_factory(store)
-    cluster = ElasticCluster(store, rebalance=elastic.rebalance)
-
-    autoscaler: Optional[CostAwareAutoscaler] = None
-    if elastic.autoscaler is not None:
-        monitor = ClusterMonitor(window=2.0)
-        store.add_listener(monitor)
-        autoscaler = CostAwareAutoscaler(
-            cluster, monitor, platform.prices, elastic.autoscaler
-        )
-        autoscaler.start()
-    if elastic.script is not None:
-        elastic.script(cluster)
-
-    workload = spec or heavy_read_update(record_count=platform.default_record_count)
-    biller = Biller(store, platform.prices, workload.data_size_bytes())
-    if failure_script is not None:
-        failure_script(FailureInjector(store))
-    observer = (
-        RunObserver(store, obs, policy=policy, run_meta={"seed": seed})
-        if obs is not None
-        else None
-    )
-    runner = WorkloadRunner(
-        store,
-        workload,
-        policy=policy,
-        n_clients=clients if clients is not None else platform.default_clients,
-        ops_total=ops if ops is not None else platform.default_ops,
-        seed=seed,
-        warmup_fraction=warmup_fraction,
-        target_throughput=target_throughput,
-        biller=biller,
-        client_mode=client_mode,
-    )
-    for t, rate in elastic.pacing_schedule:
-        sim.schedule_at(t, _repace, runner, float(rate))
-    report = runner.run()
-    # The bill covers the measurement window, not the post-run drain.
-    bill = biller.bill()
-    if autoscaler is not None:
-        autoscaler.stop()
-    # Let in-flight migrations finish (bounded): the workload window just
-    # ended first; the hand-off's in-flight-write gate in particular needs
-    # one more pump tick after the last write settles.
-    deadline = sim.now + 5.0
-    while cluster.rebalancer.active and sim.now < deadline:
-        sim.run(until=min(sim.now + 0.05, deadline))
-    report.elastic = _elastic_block(cluster, autoscaler)
-    if observer is not None:
-        observer.finish()
-    return ElasticRunOutcome(
-        report=report,
-        bill=bill,
-        policy=policy,
-        store=store,
-        cluster=cluster,
-        autoscaler=autoscaler,
-        obs=observer,
-    )
 
 
 def _repace(runner: WorkloadRunner, total_rate: float) -> None:

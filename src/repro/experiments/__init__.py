@@ -5,8 +5,8 @@ in ``benchmarks/`` are thin wrappers around these):
 
 - :mod:`repro.experiments.platforms` -- the two evaluation platforms as
   simulated presets (Amazon EC2 / Grid'5000 deployments);
-- :mod:`repro.experiments.runner` -- build-deploy-run-bill plumbing and
-  policy factories;
+- :mod:`repro.experiments.runner` -- policy factories and the run outcome
+  type (the deploy-run-bill pipeline itself is :func:`repro.run`);
 - :mod:`repro.experiments.harmony_eval` -- E1: performance/staleness of
   Harmony vs static eventual/strong (§IV-A);
 - :mod:`repro.experiments.cost_eval` -- E2: consistency impact on monetary
@@ -39,8 +39,6 @@ from repro.experiments.runner import (
     bismar_factory,
     rationing_factory,
     rwratio_factory,
-    deploy_and_run,
-    run_one,
 )
 
 __all__ = [
@@ -58,6 +56,4 @@ __all__ = [
     "bismar_factory",
     "rationing_factory",
     "rwratio_factory",
-    "deploy_and_run",
-    "run_one",
 ]

@@ -25,7 +25,7 @@ from repro.common.tables import Table
 from repro.cluster.consistency import ConsistencyLevel, resolve_level
 from repro.cost.billing import Bill
 from repro.experiments.platforms import Platform
-from repro.experiments.runner import run_one
+from repro.facade import RunSpec, run
 from repro.monitor.collector import ClusterMonitor
 from repro.policy import StaticPolicy
 from repro.stale.model import params_from_snapshot, system_stale_rate
@@ -137,9 +137,11 @@ def run_cost_eval(
             captured["monitor"] = monitor
             return StaticPolicy(read, write, name=name)
 
-        report, bill = run_one(platform, factory, spec=spec, ops=ops, seed=seed)
-        reports[name] = report
-        bills[name] = bill
+        out = run(
+            RunSpec(platform=platform, policy=factory, workload=spec, ops=ops, seed=seed)
+        )
+        reports[name] = out.report
+        bills[name] = out.bill
 
         monitor = captured["monitor"]
         snapshot = monitor.snapshot()

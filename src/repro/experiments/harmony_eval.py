@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.common.tables import Table
 from repro.cluster.consistency import ConsistencyLevel
 from repro.experiments.platforms import Platform
-from repro.experiments.runner import harmony_factory, run_one, static_factory
+from repro.experiments.runner import harmony_factory, static_factory
+from repro.facade import RunSpec, run
 from repro.workload.client import RunReport
 from repro.workload.workloads import WorkloadSpec
 
@@ -95,8 +96,9 @@ def run_harmony_eval(
 
     reports: Dict[str, RunReport] = {}
     for name, factory in factories.items():
-        report, _bill = run_one(platform, factory, spec=spec, ops=ops, seed=seed)
-        reports[name] = report
+        reports[name] = run(
+            RunSpec(platform=platform, policy=factory, workload=spec, ops=ops, seed=seed)
+        ).report
 
     eventual = reports["eventual"]
     strong = reports["strong"]

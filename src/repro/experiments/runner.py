@@ -1,42 +1,37 @@
-"""Deploy-run-bill plumbing shared by every experiment.
+"""Policy factories and the outcome type of one experiment run.
 
 A *policy factory* is a callable ``(store) -> ConsistencyPolicy`` that may
-attach monitors to the store before returning the policy; :func:`run_one`
-builds the deployment from a platform preset, runs the workload with
-warmup, and returns the run report together with the measurement-phase
-bill.
-
-:func:`deploy_and_run` is the lower-level entry the scenario-sweep
-subsystem uses: same build-run-bill sequence, but it also accepts a
-*failure script* (a callable that schedules crashes/partitions on a
+attach monitors to the store before returning the policy; a *failure
+script* is a callable that schedules crashes/partitions on a
 :class:`~repro.cluster.failures.FailureInjector` before the workload
-starts) and returns the policy and store alongside the report so callers
-can read adaptive-policy timelines after the run.
+starts. :func:`repro.run` (:mod:`repro.facade`) takes both in a
+``RunSpec``, runs the deploy-run-bill pipeline and returns a
+:class:`RunOutcome`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.common.errors import ConfigError
 from repro.cluster.consistency import ConsistencyLevel, LevelSpec
 from repro.cluster.failures import FailureInjector
 from repro.cluster.store import ReplicatedStore
-from repro.cost.billing import Bill, Biller
+from repro.cost.billing import Bill
 from repro.cost.estimator import CostEstimator
 from repro.baselines.rationing import ConsistencyRationingPolicy
 from repro.baselines.rwratio import ReadWriteRatioPolicy
 from repro.bismar.engine import BismarEngine
 from repro.harmony.engine import HarmonyEngine
 from repro.monitor.collector import ClusterMonitor
-from repro.obs.recorder import ObsConfig, RunObserver
+from repro.elastic.autoscale import CostAwareAutoscaler
+from repro.elastic.cluster import ElasticCluster
+from repro.obs.recorder import RunObserver
 from repro.policy import ConsistencyPolicy, StaticPolicy
 from repro.stale.dcmodel import DeploymentInfo
-from repro.experiments.platforms import Platform
-from repro.workload.client import RunReport, WorkloadRunner
-from repro.workload.workloads import WorkloadSpec, heavy_read_update
+from repro.txn.api import TransactionalStore
+from repro.workload.client import RunReport
 
 __all__ = [
     "PolicyFactory",
@@ -48,8 +43,6 @@ __all__ = [
     "rationing_factory",
     "rwratio_factory",
     "named_policy_factory",
-    "deploy_and_run",
-    "run_one",
 ]
 
 #: A policy factory receives the freshly built store (so it can attach
@@ -172,11 +165,14 @@ def rwratio_factory(threshold: float = 4.0) -> PolicyFactory:
 
 @dataclass
 class RunOutcome:
-    """Everything one deployment run produced.
+    """Everything one simulated run produced, whatever its shape.
 
     ``policy`` and ``store`` are the live objects from the run, so adaptive
     policies can be asked for their decision timelines
     (``policy.level_time_fractions()``) and the store for post-run summaries.
+    ``tstore`` is set only by a transactional run, ``cluster`` (and
+    ``autoscaler``, when one was configured) only by an elastic run; the
+    report's ``txn`` / ``elastic`` blocks are filled to match.
     """
 
     report: RunReport
@@ -184,104 +180,6 @@ class RunOutcome:
     policy: ConsistencyPolicy
     store: ReplicatedStore
     obs: Optional[RunObserver] = None
-
-
-def deploy_and_run(*args: object, **kwargs: object) -> RunOutcome:
-    """Deprecated spelling of the plain-workload path of :func:`repro.run`.
-
-    Same signature and behaviour as before; new code should build a
-    :class:`repro.RunSpec` and call :func:`repro.run`.
-    """
-    warnings.warn(
-        "deploy_and_run() is deprecated; build a repro.RunSpec and call "
-        "repro.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _deploy_and_run(*args, **kwargs)
-
-
-def _deploy_and_run(
-    platform: Platform,
-    policy_factory: PolicyFactory,
-    spec: Optional[WorkloadSpec] = None,
-    ops: Optional[int] = None,
-    clients: Optional[int] = None,
-    seed: int = 11,
-    warmup_fraction: float = 0.2,
-    target_throughput: Optional[float] = None,
-    failure_script: Optional[FailureScript] = None,
-    client_mode: str = "per_client",
-    obs: Optional[ObsConfig] = None,
-) -> RunOutcome:
-    """One full experiment run on a fresh deployment, with failure injection.
-
-    The failure script (if any) is invoked with an injector bound to the new
-    store *before* the workload starts, so crash/partition times are relative
-    to the beginning of the run.  ``client_mode="cohort"`` pools the client
-    population into one generator per datacenter (millions of clients, O(1)
-    objects); per-client mode is the default. Passing an :class:`ObsConfig`
-    attaches a :class:`RunObserver` (timeline + optional trace) -- when
-    ``obs`` is ``None`` no observer object is ever constructed.
-    """
-    sim, store = platform.build(seed=seed)
-    policy = policy_factory(store)
-    workload = spec or heavy_read_update(record_count=platform.default_record_count)
-    biller = Biller(store, platform.prices, workload.data_size_bytes())
-    if failure_script is not None:
-        failure_script(FailureInjector(store))
-    observer = (
-        RunObserver(store, obs, policy=policy, run_meta={"seed": seed})
-        if obs is not None
-        else None
-    )
-    runner = WorkloadRunner(
-        store,
-        workload,
-        policy=policy,
-        n_clients=clients if clients is not None else platform.default_clients,
-        ops_total=ops if ops is not None else platform.default_ops,
-        seed=seed,
-        warmup_fraction=warmup_fraction,
-        target_throughput=target_throughput,
-        biller=biller,
-        client_mode=client_mode,
-    )
-    report = runner.run()
-    if observer is not None:
-        observer.finish()
-    return RunOutcome(
-        report=report, bill=biller.bill(), policy=policy, store=store, obs=observer
-    )
-
-
-def run_one(
-    platform: Platform,
-    policy_factory: PolicyFactory,
-    spec: Optional[WorkloadSpec] = None,
-    ops: Optional[int] = None,
-    clients: Optional[int] = None,
-    seed: int = 11,
-    warmup_fraction: float = 0.2,
-    target_throughput: Optional[float] = None,
-    failure_script: Optional[FailureScript] = None,
-    client_mode: str = "per_client",
-) -> Tuple[RunReport, Bill]:
-    """One full experiment run on a fresh deployment.
-
-    Returns the run report and the bill covering exactly the measurement
-    phase (post-warmup).
-    """
-    outcome = _deploy_and_run(
-        platform,
-        policy_factory,
-        spec=spec,
-        ops=ops,
-        clients=clients,
-        seed=seed,
-        warmup_fraction=warmup_fraction,
-        target_throughput=target_throughput,
-        failure_script=failure_script,
-        client_mode=client_mode,
-    )
-    return outcome.report, outcome.bill
+    tstore: Optional[TransactionalStore] = None
+    cluster: Optional[ElasticCluster] = None
+    autoscaler: Optional[CostAwareAutoscaler] = None

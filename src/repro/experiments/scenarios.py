@@ -93,7 +93,7 @@ class ScenarioSpec:
         Zero-argument platform preset factory.
     policy:
         ``params -> PolicyFactory``; the returned factory is applied to the
-        freshly built store as in :func:`repro.experiments.runner.run_one`.
+        freshly built store by :func:`repro.run`.
     workload:
         ``params -> WorkloadSpec``, or ``None`` for the platform's default
         heavy read-update mix.
@@ -197,10 +197,6 @@ class ScenarioSpec:
 
         params = self.resolve_params(overrides)
         mode = client_mode if client_mode is not None else self.client_mode
-        if mode not in ("per_client", "cohort"):
-            raise ConfigError(
-                f"client_mode must be 'per_client' or 'cohort', got {mode!r}"
-            )
         engine = backend if backend is not None else "sim"
         if obs is not None and self.oracle_overrides:
             obs = replace(

@@ -1,27 +1,23 @@
 """One front door for every experiment run: ``repro.run(RunSpec)``.
 
-Historically the harness grew three parallel entry points --
-``deploy_and_run`` (plain single-op workloads),
-``deploy_and_run_txn`` (multi-key transactions) and
-``deploy_and_run_elastic`` (capacity-changing deployments) -- whose
-signatures drifted apart one keyword at a time. :class:`RunSpec` is the
-union of those knobs as one keyword-only declarative spec, and
-:func:`run` is the single dispatcher: the *shape* of the spec (which of
-``workload`` / ``txn_workload`` / ``elastic`` is set) picks the harness,
-and the ``backend`` field picks the execution engine:
+:class:`RunSpec` is one keyword-only declarative description of a run,
+and :func:`run` executes it. The ``backend`` field picks the execution
+engine:
 
 - ``backend="sim"`` (default): the deterministic discrete-event
   simulator. Bit-for-bit reproducible; this is what every result table
-  in the repository is built from.
+  in the repository is built from. Every sim run -- plain, transactional
+  or elastic -- goes through the *one* deploy-run-bill pipeline in
+  :func:`_run_sim`; the *shape* of the spec (which of ``workload`` /
+  ``txn_workload`` / ``elastic`` is set) only switches optional steps of
+  that pipeline on, and the result is always one
+  :class:`~repro.experiments.runner.RunOutcome`.
 - ``backend="asyncio"``: the localhost runtime
   (:mod:`repro.runtime.localhost`) -- the *same* transaction-protocol
   classes on real asyncio timers, a JSON wire codec and file-backed
   WALs. Wall-clock, hence not deterministic; supported for
   transactional workloads, and cross-validated against the simulator by
   ``repro xval`` (:mod:`repro.runtime.xval`).
-
-The three old names still work as thin wrappers that emit a
-:class:`DeprecationWarning`; in-repo code calls this facade.
 """
 
 from __future__ import annotations
@@ -29,20 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
+from repro.cluster.failures import FailureInjector
 from repro.common.errors import ConfigError
-from repro.elastic.runner import ElasticRunOutcome, ElasticSpec, _deploy_and_run_elastic
+from repro.cost.billing import Biller
+from repro.elastic.autoscale import CostAwareAutoscaler
+from repro.elastic.cluster import ElasticCluster
+from repro.elastic.runner import ElasticSpec, _elastic_block, _repace
 from repro.experiments.platforms import Platform
-from repro.experiments.runner import (
-    FailureScript,
-    PolicyFactory,
-    RunOutcome,
-    _deploy_and_run,
-)
-from repro.obs.recorder import ObsConfig
+from repro.experiments.runner import FailureScript, PolicyFactory, RunOutcome
+from repro.monitor.collector import ClusterMonitor
+from repro.obs.recorder import ObsConfig, RunObserver
 from repro.runtime import BACKENDS
-from repro.txn.api import TxnConfig
-from repro.txn.runner import TxnRunOutcome, _deploy_and_run_txn
-from repro.workload.workloads import TxnWorkloadSpec, WorkloadSpec
+from repro.txn.api import TransactionalStore, TxnConfig
+from repro.txn.runner import TxnRunner
+from repro.workload.client import WorkloadRunner
+from repro.workload.workloads import TxnWorkloadSpec, WorkloadSpec, heavy_read_update
 
 if TYPE_CHECKING:  # localhost imports are deferred (they pull asyncio/tempfile)
     from repro.runtime.localhost import LocalhostSpec
@@ -80,9 +77,7 @@ class LocalhostRunOutcome:
         return bool(self.result["timed_out"])
 
 
-AnyRunOutcome = Union[
-    RunOutcome, TxnRunOutcome, ElasticRunOutcome, LocalhostRunOutcome
-]
+AnyRunOutcome = Union[RunOutcome, LocalhostRunOutcome]
 
 
 @dataclass(kw_only=True)
@@ -241,15 +236,123 @@ def _run_asyncio(spec: RunSpec) -> LocalhostRunOutcome:
     return LocalhostRunOutcome(result=run_localhost(lspec), spec=lspec)
 
 
+def _run_sim(spec: RunSpec) -> RunOutcome:
+    """The deploy-run-bill pipeline every simulated run goes through.
+
+    One linear sequence; the transactional, elastic and observer steps run
+    only when the spec asks for them (the first two are mutually
+    exclusive). Store listeners register, RNG streams are named and
+    timers are armed in exactly this order, so do not reorder steps: the
+    golden-report tests pin the result. ``docs/ARCHITECTURE.md`` ("The run
+    facade") walks through the steps.
+    """
+    platform, seed, elastic = spec.platform, spec.seed, spec.elastic
+    sim, store = platform.build(seed=seed)
+    policy = spec.policy(store)
+
+    tstore: Optional[TransactionalStore] = None
+    if spec.txn_workload is not None:
+        txn_config = spec.txn_config
+        if spec.commit_protocol is not None:
+            txn_config = replace(
+                txn_config or TxnConfig(), commit_protocol=str(spec.commit_protocol)
+            )
+        tstore = TransactionalStore(store, policy=policy, config=txn_config)
+
+    cluster: Optional[ElasticCluster] = None
+    autoscaler: Optional[CostAwareAutoscaler] = None
+    if elastic is not None:
+        cluster = ElasticCluster(store, rebalance=elastic.rebalance)
+        if elastic.autoscaler is not None:
+            monitor = ClusterMonitor(window=2.0)
+            store.add_listener(monitor)
+            autoscaler = CostAwareAutoscaler(
+                cluster, monitor, platform.prices, elastic.autoscaler
+            )
+            autoscaler.start()
+        if elastic.script is not None:
+            elastic.script(cluster)
+
+    workload = spec.txn_workload if tstore is not None else spec.workload
+    if workload is None:
+        workload = heavy_read_update(record_count=platform.default_record_count)
+    biller = Biller(store, platform.prices, workload.data_size_bytes())
+    if spec.failure_script is not None:
+        # before the workload starts: script times are relative to run start
+        spec.failure_script(FailureInjector(store))
+    observer: Optional[RunObserver] = None
+    if spec.obs is not None:
+        observer = RunObserver(store, spec.obs, policy=policy, run_meta={"seed": seed})
+        if tstore is not None:
+            tstore.obs = observer
+
+    driver = dict(
+        n_clients=spec.clients if spec.clients is not None else platform.default_clients,
+        seed=seed,
+        warmup_fraction=spec.warmup_fraction,
+        target_throughput=spec.target_throughput,
+        biller=biller,
+    )
+    runner: Union[TxnRunner, WorkloadRunner]
+    if tstore is not None:
+        runner = TxnRunner(
+            tstore,
+            workload,
+            txns_total=(
+                spec.ops if spec.ops is not None else max(platform.default_ops // 10, 100)
+            ),
+            **driver,
+        )
+    else:
+        runner = WorkloadRunner(
+            store,
+            workload,
+            policy=policy,
+            ops_total=spec.ops if spec.ops is not None else platform.default_ops,
+            client_mode=spec.client_mode,
+            **driver,
+        )
+    if elastic is not None:
+        for t, rate in elastic.pacing_schedule:
+            sim.schedule_at(t, _repace, runner, float(rate))
+    report = runner.run()
+    # The bill covers the measurement window the report covers; the elastic
+    # drain below moves the clock (and streams bytes) past it.
+    bill = biller.bill()
+
+    if cluster is not None:
+        if autoscaler is not None:
+            autoscaler.stop()
+        # Let in-flight migrations finish (bounded): the workload window just
+        # ended first; the hand-off's in-flight-write gate in particular needs
+        # one more pump tick after the last write settles.
+        deadline = sim.now + 5.0
+        while cluster.rebalancer.active and sim.now < deadline:
+            sim.run(until=min(sim.now + 0.05, deadline))
+        report.elastic = _elastic_block(cluster, autoscaler)
+    if observer is not None:
+        observer.finish()
+    return RunOutcome(
+        report=report,
+        bill=bill,
+        policy=policy,
+        store=store,
+        obs=observer,
+        tstore=tstore,
+        cluster=cluster,
+        autoscaler=autoscaler,
+    )
+
+
 def run(spec: RunSpec) -> AnyRunOutcome:
     """Execute one run described by ``spec`` and return its outcome.
 
-    Dispatch: ``backend="asyncio"`` routes to the localhost runtime
-    (returns :class:`LocalhostRunOutcome`); on the sim backend the
-    workload shape picks the harness -- ``elastic`` set returns an
-    :class:`~repro.elastic.runner.ElasticRunOutcome`, ``txn_workload``
-    set a :class:`~repro.txn.runner.TxnRunOutcome`, otherwise a plain
-    :class:`~repro.experiments.runner.RunOutcome`.
+    ``backend="asyncio"`` routes to the localhost runtime and returns a
+    :class:`LocalhostRunOutcome`. The sim backend returns one
+    :class:`~repro.experiments.runner.RunOutcome` whatever the workload
+    shape: ``tstore`` is set for a transactional run (and ``report.txn``
+    filled), ``cluster`` / ``autoscaler`` for an elastic one (and
+    ``report.elastic`` filled), all three ``None`` for a plain run.
 
     >>> from repro.experiments import single_dc_platform, harmony_factory
     >>> from repro.facade import RunSpec, run
@@ -260,46 +363,4 @@ def run(spec: RunSpec) -> AnyRunOutcome:
     """
     if spec.backend == "asyncio":
         return _run_asyncio(spec)
-    if spec.elastic is not None:
-        return _deploy_and_run_elastic(
-            spec.platform,
-            spec.policy,
-            spec.elastic,
-            spec=spec.workload,
-            ops=spec.ops,
-            clients=spec.clients,
-            seed=spec.seed,
-            warmup_fraction=spec.warmup_fraction,
-            target_throughput=spec.target_throughput,
-            failure_script=spec.failure_script,
-            client_mode=spec.client_mode,
-            obs=spec.obs,
-        )
-    if spec.txn_workload is not None:
-        return _deploy_and_run_txn(
-            spec.platform,
-            spec.policy,
-            spec.txn_workload,
-            txns=spec.ops,
-            clients=spec.clients,
-            seed=spec.seed,
-            warmup_fraction=spec.warmup_fraction,
-            target_throughput=spec.target_throughput,
-            failure_script=spec.failure_script,
-            txn_config=spec.txn_config,
-            commit_protocol=spec.commit_protocol,
-            obs=spec.obs,
-        )
-    return _deploy_and_run(
-        spec.platform,
-        spec.policy,
-        spec=spec.workload,
-        ops=spec.ops,
-        clients=spec.clients,
-        seed=spec.seed,
-        warmup_fraction=spec.warmup_fraction,
-        target_throughput=spec.target_throughput,
-        failure_script=spec.failure_script,
-        client_mode=spec.client_mode,
-        obs=spec.obs,
-    )
+    return _run_sim(spec)

@@ -62,51 +62,20 @@ class FileWriteAheadLog(WriteAheadLog):
     def replay(cls, node_id: int, path: str) -> "FileWriteAheadLog":
         """Rebuild a log from its file (the daemon-restart recovery path).
 
-        Records re-append through the normal indexing machinery, so the
-        incremental in-doubt / unfinished-round sets come out identical to
-        the pre-crash log's -- asserted by the runtime tests.
+        Records re-append through :meth:`WriteAheadLog.append`, the one
+        indexer, so the incremental in-doubt / unfinished-round sets come
+        out identical to the pre-crash log's -- asserted by the runtime
+        tests.
         """
-        wal = cls(node_id, path)
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-            # Re-appending below would double-write the file; rebuild the
-            # in-memory index only, the file already holds the records.
-            for line in lines:
+        wal = cls(node_id, path)  # opening for append leaves the records in place
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
                 if not line.strip():
                     continue
                 obj = json.loads(line)
-                rec = WalRecord(
-                    len(wal.records),
-                    int(obj["txn"]),
-                    obj["kind"],
-                    float(obj["t"]),
-                    from_wire(obj["data"]),
+                # The base class's append, unbound: it indexes the record
+                # without re-persisting it (the file already holds it).
+                WriteAheadLog.append(
+                    wal, obj["kind"], obj["txn"], obj["t"], **from_wire(obj["data"])
                 )
-                wal._index(rec)
         return wal
-
-    def _index(self, rec: WalRecord) -> None:
-        """Install one replayed record into the in-memory index (no disk IO).
-
-        Mirrors :meth:`WriteAheadLog.append`'s indexing without re-persisting.
-        """
-        from repro.txn.wal import (
-            REC_PREPARE,
-            REC_TM_BEGIN,
-            REC_TM_END,
-            _DECISIONS,
-        )
-
-        self.records.append(rec)
-        self._by_txn.setdefault(rec.txn_id, []).append(rec)
-        if rec.kind == REC_PREPARE:
-            if not any(r.kind in _DECISIONS for r in self._by_txn[rec.txn_id]):
-                self._in_doubt.setdefault(rec.txn_id, None)
-        elif rec.kind in _DECISIONS:
-            self._in_doubt.pop(rec.txn_id, None)
-        elif rec.kind == REC_TM_BEGIN:
-            if REC_TM_END not in self.kinds_for(rec.txn_id)[:-1]:
-                self._tm_pending.setdefault(rec.txn_id, rec)
-        elif rec.kind == REC_TM_END:
-            self._tm_pending.pop(rec.txn_id, None)

@@ -1,12 +1,10 @@
-"""Closed-loop transactional clients and the deploy-run-bill harness.
+"""Closed-loop transactional clients and their run driver.
 
 Mirrors :class:`~repro.workload.client.WorkloadRunner` for multi-key
 transactions: N closed-loop clients each keep one transaction in flight
 (begin, fan out the mix's reads at the active policy's level, buffer the
-writes, commit via 2PC, repeat). :func:`deploy_and_run_txn` is the
-scenario registry's entry point -- same build/run/bill sequence as
-:func:`repro.experiments.runner.deploy_and_run`, with the store wrapped
-in a :class:`~repro.txn.api.TransactionalStore`.
+writes, commit via 2PC, repeat). :func:`repro.run` builds a
+:class:`TxnRunner` when the ``RunSpec`` carries a ``txn_workload``.
 
 The resulting :class:`~repro.workload.client.RunReport` carries the usual
 read-side metrics (the transactional reads go through the normal read
@@ -16,8 +14,6 @@ anomalies, and commit-latency percentiles.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -25,15 +21,12 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.rng import RngFactory
 from repro.cluster.coordinator import OpResult
-from repro.cluster.failures import FailureInjector
-from repro.cluster.store import ReplicatedStore
-from repro.cost.billing import Bill, Biller
-from repro.obs.recorder import ObsConfig, RunObserver
-from repro.txn.api import TransactionalStore, TxnConfig, TxnOutcome
+from repro.cost.billing import Biller
+from repro.txn.api import TransactionalStore, TxnOutcome
 from repro.workload.client import LevelUsage, RunReport
 from repro.workload.workloads import TxnWorkloadSpec
 
-__all__ = ["TxnClient", "TxnRunner", "TxnRunOutcome", "deploy_and_run_txn"]
+__all__ = ["TxnClient", "TxnRunner"]
 
 
 class TxnClient:
@@ -243,93 +236,3 @@ class TxnRunner:
         self._t_last = self.tstore.store.sim.now
         if self._finished_clients == self.n_clients:
             self.tstore.store.sim.stop()
-
-
-@dataclass
-class TxnRunOutcome:
-    """Everything one transactional deployment run produced."""
-
-    report: RunReport
-    bill: Bill
-    policy: Any
-    store: ReplicatedStore
-    tstore: TransactionalStore
-    obs: Optional[RunObserver] = None
-
-
-def deploy_and_run_txn(*args: Any, **kwargs: Any) -> TxnRunOutcome:
-    """Deprecated spelling of the transactional path of :func:`repro.run`.
-
-    Same signature and behaviour as before; new code should build a
-    :class:`repro.RunSpec` with ``txn_workload=`` and call
-    :func:`repro.run`.
-    """
-    warnings.warn(
-        "deploy_and_run_txn() is deprecated; build a repro.RunSpec with "
-        "txn_workload= and call repro.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _deploy_and_run_txn(*args, **kwargs)
-
-
-def _deploy_and_run_txn(
-    platform,
-    policy_factory: Callable[[ReplicatedStore], Any],
-    spec: TxnWorkloadSpec,
-    txns: Optional[int] = None,
-    clients: Optional[int] = None,
-    seed: int = 11,
-    warmup_fraction: float = 0.2,
-    target_throughput: Optional[float] = None,
-    failure_script: Optional[Callable[[FailureInjector], Any]] = None,
-    txn_config: Optional[TxnConfig] = None,
-    commit_protocol: Optional[str] = None,
-    obs: Optional[ObsConfig] = None,
-) -> TxnRunOutcome:
-    """One full transactional experiment run on a fresh deployment.
-
-    Same sequence as :func:`repro.experiments.runner.deploy_and_run`:
-    build the platform, attach the policy, wrap the store in a
-    :class:`TransactionalStore`, optionally schedule a failure script,
-    run the transactional workload with warmup, and bill the measurement
-    phase. ``commit_protocol`` (when given) overrides the protocol of
-    ``txn_config`` -- the knob scenario sweeps and the CLI turn without
-    rebuilding the whole config. An :class:`ObsConfig` additionally
-    attaches a :class:`RunObserver` wired into the commit phase hooks.
-    """
-    sim, store = platform.build(seed=seed)
-    policy = policy_factory(store)
-    if commit_protocol is not None:
-        txn_config = replace(
-            txn_config or TxnConfig(), commit_protocol=str(commit_protocol)
-        )
-    tstore = TransactionalStore(store, policy=policy, config=txn_config)
-    biller = Biller(store, platform.prices, spec.data_size_bytes())
-    if failure_script is not None:
-        failure_script(FailureInjector(store))
-    observer = None
-    if obs is not None:
-        observer = RunObserver(store, obs, policy=policy, run_meta={"seed": seed})
-        tstore.obs = observer
-    runner = TxnRunner(
-        tstore,
-        spec,
-        n_clients=clients if clients is not None else platform.default_clients,
-        txns_total=txns if txns is not None else max(platform.default_ops // 10, 100),
-        seed=seed,
-        warmup_fraction=warmup_fraction,
-        target_throughput=target_throughput,
-        biller=biller,
-    )
-    report = runner.run()
-    if observer is not None:
-        observer.finish()
-    return TxnRunOutcome(
-        report=report,
-        bill=biller.bill(),
-        policy=policy,
-        store=store,
-        tstore=tstore,
-        obs=observer,
-    )

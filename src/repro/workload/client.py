@@ -57,10 +57,6 @@ class LevelUsage:
         table[result.level_label] = table.get(result.level_label, 0) + 1
 
 
-#: Backwards-compatible private alias (pre-existing internal name).
-_LevelUsage = LevelUsage
-
-
 class ClosedLoopClient:
     """One-outstanding-op client bound to a coordinator datacenter.
 
@@ -402,7 +398,7 @@ class WorkloadRunner:
         #: optional repro.cost.Biller re-armed at the warmup boundary so the
         #: bill covers exactly the measurement phase.
         self.biller = biller
-        self._usage = _LevelUsage()
+        self._usage = LevelUsage()
         self._finished_clients = 0
         self._units = 0
         self._t_last_op = 0.0

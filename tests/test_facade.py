@@ -4,11 +4,11 @@ The facade's promises, each asserted here:
 
 - :class:`~repro.facade.RunSpec` rejects contradictory shapes loudly at
   construction time (not deep inside a harness);
-- dispatch picks the harness from the spec's shape and the backend knob,
-  returning the harness's native outcome type;
-- the three legacy entry points still work, emit a
-  :class:`DeprecationWarning`, and produce bit-identical reports to the
-  facade (they are thin wrappers, not forks);
+- every sim run returns the one :class:`RunOutcome`, whose optional
+  fields (``tstore`` / ``cluster`` / ``autoscaler``) and report blocks
+  (``txn`` / ``elastic``) follow the spec's shape; the asyncio backend
+  returns a :class:`LocalhostRunOutcome`;
+- no in-repo path through the facade emits a :class:`DeprecationWarning`;
 - the asyncio backend derives a faithful
   :class:`~repro.runtime.localhost.LocalhostSpec` from the sim-style
   spec (topology, RF, slots, keyspace, hotspot approximation);
@@ -23,7 +23,7 @@ import pytest
 
 import repro
 from repro.common.errors import ConfigError
-from repro.elastic.runner import ElasticRunOutcome, ElasticSpec, deploy_and_run_elastic
+from repro.elastic import AutoscalerConfig, ElasticSpec
 from repro.experiments import scenarios
 from repro.experiments.platforms import (
     ec2_harmony_platform,
@@ -32,7 +32,6 @@ from repro.experiments.platforms import (
 )
 from repro.experiments.runner import (
     RunOutcome,
-    deploy_and_run,
     harmony_factory,
     named_policy_factory,
     static_factory,
@@ -45,8 +44,8 @@ from repro.facade import (
     _hotspot_shape,
     run,
 )
+from repro.obs.recorder import ObsConfig
 from repro.txn.api import TxnConfig
-from repro.txn.runner import TxnRunOutcome, deploy_and_run_txn
 from repro.workload.workloads import TxnWorkloadSpec, bank_transfer_mix
 
 
@@ -103,9 +102,7 @@ class TestRunSpecValidation:
 
     def test_asyncio_backend_rejects_sim_only_knobs(self):
         with pytest.raises(ConfigError, match="sim-only"):
-            _txn_spec(backend="asyncio", obs=__import__(
-                "repro.obs.recorder", fromlist=["ObsConfig"]
-            ).ObsConfig())
+            _txn_spec(backend="asyncio", obs=ObsConfig())
         with pytest.raises(ConfigError, match="sim-only"):
             _txn_spec(backend="asyncio", failure_script=((0.1, "crash", 0),))
         with pytest.raises(ConfigError, match="closed-loop"):
@@ -133,32 +130,55 @@ class TestRunSpecValidation:
             )
 
 
-class TestDispatch:
+def _elastic_spec(**overrides):
+    base = dict(
+        platform=small_dc_platform(),
+        policy=static_factory(1, 1, name="one"),
+        elastic=ElasticSpec(),
+        ops=300,
+        clients=4,
+        seed=3,
+    )
+    base.update(overrides)
+    return RunSpec(**base)
+
+
+class TestOutcomeShape:
     def test_plain_run(self):
         out = run(_plain_spec())
         assert isinstance(out, RunOutcome)
+        assert out.tstore is None and out.cluster is None and out.autoscaler is None
+        assert out.report.txn is None and out.report.elastic is None
         # The report covers the measured window: 400 ops minus 20% warmup.
         assert out.report.ops_completed == 320
 
     def test_txn_run(self):
         out = run(_txn_spec())
-        assert isinstance(out, TxnRunOutcome)
+        assert isinstance(out, RunOutcome)
+        assert out.tstore is not None and out.tstore.store is out.store
+        assert out.cluster is None and out.autoscaler is None
+        assert out.report.elastic is None
         txn = out.report.txn
         assert txn["commits"] + sum(txn["aborts"].values()) == txn["txns"]
 
     def test_elastic_run(self):
-        out = run(
-            RunSpec(
-                platform=small_dc_platform(),
-                policy=static_factory(1, 1, name="one"),
-                elastic=ElasticSpec(),
-                ops=300,
-                clients=4,
-                seed=3,
-            )
-        )
-        assert isinstance(out, ElasticRunOutcome)
+        out = run(_elastic_spec())
+        assert isinstance(out, RunOutcome)
+        assert out.cluster is not None and out.cluster.store is out.store
+        assert out.autoscaler is None  # none configured
+        assert out.tstore is None and out.report.txn is None
         assert out.report.elastic is not None
+        assert "autoscaler" not in out.report.elastic
+
+    def test_elastic_run_with_autoscaler(self):
+        out = run(_elastic_spec(elastic=ElasticSpec(autoscaler=AutoscalerConfig())))
+        assert out.autoscaler is not None and out.autoscaler.cluster is out.cluster
+        assert out.report.elastic["autoscaler"] == out.autoscaler.summary()
+
+    def test_observer_is_wired_into_the_txn_store(self):
+        out = run(_txn_spec(obs=ObsConfig()))
+        assert out.obs is not None and out.tstore.obs is out.obs
+        assert run(_txn_spec()).obs is None
 
     def test_asyncio_run(self):
         out = run(_txn_spec(backend="asyncio", ops=10, clients=2))
@@ -168,44 +188,9 @@ class TestDispatch:
         assert 0.0 <= out.stale_rate <= 1.0
         assert out.spec.txns == 10
 
-
-class TestLegacyWrappers:
-    def test_deploy_and_run_warns_and_matches_facade(self):
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            legacy = deploy_and_run(
-                single_dc_platform(), harmony_factory(0.05), ops=400, seed=11
-            )
-        fresh = run(_plain_spec())
-        # Thin wrapper, deterministic backend: bit-identical reports.
-        assert legacy.report == fresh.report
-
-    def test_deploy_and_run_txn_warns_and_matches_facade(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = deploy_and_run_txn(
-                single_dc_platform(),
-                named_policy_factory("eventual"),
-                bank_transfer_mix(record_count=400),
-                txns=60,
-                clients=8,
-                seed=11,
-            )
-        fresh = run(_txn_spec())
-        assert legacy.report.txn == fresh.report.txn
-
-    def test_deploy_and_run_elastic_warns(self):
-        with pytest.warns(DeprecationWarning):
-            out = deploy_and_run_elastic(
-                small_dc_platform(),
-                static_factory(1, 1, name="one"),
-                ElasticSpec(),
-                ops=200,
-                clients=4,
-                seed=3,
-            )
-        assert isinstance(out, ElasticRunOutcome)
-
-    def test_facade_itself_does_not_warn(self, recwarn):
-        run(_plain_spec(ops=200))
+    @pytest.mark.parametrize("make_spec", [_plain_spec, _txn_spec, _elastic_spec])
+    def test_facade_itself_does_not_warn(self, make_spec, recwarn):
+        run(make_spec(ops=200))
         assert not [
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]

@@ -1,4 +1,4 @@
-"""Golden reports: pin three small runs' ``RunReport`` across commits.
+"""Golden reports: pin small runs' ``RunReport`` (and bill) across commits.
 
 The sweep determinism checks compare ``--jobs 1`` with ``--jobs 2`` inside
 one tree; nothing there notices a refactor that changes every report the
@@ -6,6 +6,12 @@ same way. These constants do: they are the crc32 of the canonical-JSON
 report, computed on the commit *before* the event-path refactor (PR 13)
 and to be changed only by a PR whose stated goal is to change simulated
 behaviour.
+
+The second group was computed on the commit before the run-pipeline
+collapse (PR 14) and hashes the bill (and, with an observer, the
+timeline) next to the report: it pins the warmup boundary, the
+elastic attach order, the observer wiring and the "bill is read before
+the elastic drain" rule, none of which the first three runs reach.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import zlib
 import pytest
 
 import repro
+from repro.obs import ObsConfig
+from repro.workload.workloads import read_mostly_latest
 
 _STORM_TXN_CONFIG = dict(
     prepare_timeout=0.5, client_timeout=2.0, retry_interval=0.25,
@@ -65,9 +73,62 @@ def _txn_storm_3pc() -> repro.RunSpec:
     )
 
 
-def report_crc32(report) -> int:
-    text = json.dumps(dataclasses.asdict(report), sort_keys=True, default=str)
+def _elastic_diurnal_cohort() -> repro.RunSpec:
+    # The ``elastic-diurnal-cohort`` shape at half size: the autoscaler is
+    # still streaming its last scale-out when the workload ends, so the
+    # post-run drain advances the clock past the billed window.
+    return repro.RunSpec(
+        platform=repro.small_dc_platform(),
+        policy=repro.harmony_factory(0.4),
+        workload=read_mostly_latest(record_count=800),
+        elastic=repro.ElasticSpec(
+            autoscaler=repro.AutoscalerConfig(
+                interval=0.02, consecutive=2, cooldown=0.08,
+                scale_out_util=0.55, scale_in_util=0.2,
+                queue_depth_high=3.0, max_nodes=24,
+            ),
+            rebalance=repro.RebalanceConfig(
+                pump_interval=0.005, attempt_timeout=0.1
+            ),
+            pacing_schedule=((0.3, 6000.0), (0.7, 1200.0)),
+        ),
+        ops=3000, clients=1_000_000, client_mode="cohort", seed=5,
+        warmup_fraction=0.2, target_throughput=800.0,
+    )
+
+
+def _txn_warmup_obs() -> repro.RunSpec:
+    return repro.RunSpec(
+        platform=repro.storm_txn_platform(),
+        policy=repro.named_policy_factory("quorum"),
+        txn_workload=repro.bank_transfer_mix(record_count=400),
+        ops=300, clients=8, seed=5, warmup_fraction=0.2,
+        obs=ObsConfig(sample_interval=0.05, trace_sample_every=4),
+    )
+
+
+def _partition_then_crash(injector) -> None:
+    injector.partition(0, 1, at=0.005, duration=0.01)
+    injector.crash_node(2, at=0.02, duration=0.01)
+
+
+def _geo_failure_script() -> repro.RunSpec:
+    return repro.RunSpec(
+        platform=repro.grid5000_harmony_platform(),
+        policy=repro.harmony_factory(0.2),
+        workload=repro.WORKLOADS["A"].scaled(2000),
+        ops=1500, seed=5, warmup_fraction=0.2,
+        failure_script=_partition_then_crash,
+    )
+
+
+def _crc32(payload) -> int:
+    text = json.dumps(payload, sort_keys=True, default=str)
     return zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
+
+
+def report_crc32(report) -> int:
+    return _crc32(dataclasses.asdict(report))
 
 
 @pytest.mark.parametrize(
@@ -83,6 +144,39 @@ def report_crc32(report) -> int:
 def test_report_is_byte_identical_to_the_pinned_commit(make_spec, golden):
     report = repro.run(make_spec()).report
     assert report_crc32(report) == golden
+
+
+def outcome_crc32(out) -> int:
+    """Report + bill (+ timeline when observed) as one canonical-JSON hash."""
+    return _crc32(
+        {
+            "report": dataclasses.asdict(out.report),
+            "bill_total": out.bill.total,
+            "bill_cost_per_kop": out.bill.cost_per_kop,
+            "timeline": out.obs.timeline_records() if out.obs is not None else None,
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "make_spec, golden",
+    [
+        (_elastic_diurnal_cohort, 4061023125),
+        (_txn_warmup_obs, 2562719220),
+        (_geo_failure_script, 507210977),
+    ],
+    ids=["elastic-diurnal-cohort", "txn-warmup-obs", "geo-failure-script"],
+)
+def test_report_and_bill_are_byte_identical_to_the_pinned_commit(make_spec, golden):
+    assert outcome_crc32(repro.run(make_spec())) == golden
+
+
+def test_elastic_bill_covers_the_report_window_not_the_drain():
+    # When pinned, this run billed at t=0.995 and drained until t=1.045.
+    out = repro.run(_elastic_diurnal_cohort())
+    assert out.report.elastic["scale_outs"] > 0
+    assert out.report.elastic["pending_final"] == 0
+    assert out.bill.duration == out.report.duration
 
 
 def test_storm_run_reaches_the_timeout_path():

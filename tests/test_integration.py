@@ -8,11 +8,8 @@ from repro.cluster.repair import AntiEntropyRepair
 from repro.cost.billing import Biller
 from repro.cost.pricing import EC2_US_EAST_2013
 from repro.experiments.platforms import ec2_harmony_platform, grid5000_bismar_platform
-from repro.experiments.runner import (
-    bismar_factory,
-    run_one,
-    static_factory,
-)
+from repro.experiments.runner import bismar_factory, static_factory
+from repro.facade import RunSpec, run
 from repro.harmony.engine import HarmonyEngine
 from repro.monitor.collector import ClusterMonitor
 from repro.policy import StaticPolicy
@@ -28,10 +25,12 @@ class TestConsistencySpectrum:
         plat = grid5000_bismar_platform()
         lat = {}
         for lv in (1, 3, 5):
-            rep, _ = run_one(
-                plat, static_factory(lv, lv, name=str(lv)),
-                ops=3000, clients=8, seed=2,
-            )
+            rep = run(
+                RunSpec(
+                    platform=plat, policy=static_factory(lv, lv, name=str(lv)),
+                    ops=3000, clients=8, seed=2,
+                )
+            ).report
             lat[lv] = rep.read_latency_mean
         assert lat[1] < lat[3] < lat[5]
 
@@ -39,31 +38,37 @@ class TestConsistencySpectrum:
         plat = grid5000_bismar_platform()
         stale = {}
         for lv in (1, 2, 5):
-            rep, _ = run_one(
-                plat, static_factory(lv, 1, name=str(lv)),
-                ops=4000, clients=16, seed=2,
-            )
+            rep = run(
+                RunSpec(
+                    platform=plat, policy=static_factory(lv, 1, name=str(lv)),
+                    ops=4000, clients=16, seed=2,
+                )
+            ).report
             stale[lv] = rep.stale_rate_strict
         assert stale[1] >= stale[2] >= stale[5]
         assert stale[1] > 0.0
 
     def test_quorum_read_write_never_stale_committed(self):
         plat = grid5000_bismar_platform()
-        rep, _ = run_one(
-            plat,
-            static_factory(ConsistencyLevel.QUORUM, ConsistencyLevel.QUORUM),
-            ops=4000, clients=16, seed=2,
-        )
+        rep = run(
+            RunSpec(
+                platform=plat,
+                policy=static_factory(ConsistencyLevel.QUORUM, ConsistencyLevel.QUORUM),
+                ops=4000, clients=16, seed=2,
+            )
+        ).report
         assert rep.stale_rate == 0.0
 
     def test_cost_ordering_across_levels(self):
         plat = grid5000_bismar_platform()
         bills = {}
         for lv in (1, 5):
-            _, bill = run_one(
-                plat, static_factory(lv, lv, name=str(lv)),
-                ops=3000, clients=8, seed=2,
-            )
+            bill = run(
+                RunSpec(
+                    platform=plat, policy=static_factory(lv, lv, name=str(lv)),
+                    ops=3000, clients=8, seed=2,
+                )
+            ).bill
             bills[lv] = bill.total
         assert bills[1] < bills[5]
 
@@ -212,11 +217,13 @@ class TestBillingIntegration:
             ("quorum", static_factory(ConsistencyLevel.QUORUM, ConsistencyLevel.QUORUM)),
             ("bismar", bismar_factory(plat.prices, stale_cap=0.05)),
         ):
-            rep, bill = run_one(
-                plat, factory, ops=6000, clients=16, seed=10,
-                target_throughput=4000.0,
+            out = run(
+                RunSpec(
+                    platform=plat, policy=factory, ops=6000, clients=16, seed=10,
+                    target_throughput=4000.0,
+                )
             )
-            results[name] = (rep, bill)
+            results[name] = (out.report, out.bill)
         bismar_rep, bismar_bill = results["bismar"]
         one_rep, _ = results["one"]
         _, quorum_bill = results["quorum"]

@@ -25,7 +25,18 @@ from repro.runtime.xval import (
     default_xval_spec,
     run_sim_twin,
 )
-from repro.txn.wal import REC_COMMIT, REC_PREPARE, REC_TM_BEGIN, WriteAheadLog
+from repro.txn.wal import (
+    REC_ABORT,
+    REC_COMMIT,
+    REC_PRECOMMIT,
+    REC_PREPARE,
+    REC_TM_ABORT,
+    REC_TM_BEGIN,
+    REC_TM_COMMIT,
+    REC_TM_END,
+    REC_TM_PRECOMMIT,
+    WriteAheadLog,
+)
 
 
 class TestWireCodec:
@@ -119,6 +130,48 @@ class TestFileWriteAheadLog:
         size_before = os.path.getsize(path)
         FileWriteAheadLog.replay(2, path).close()
         assert os.path.getsize(path) == size_before
+
+    def test_replay_indexes_every_record_kind_like_the_live_log(self, tmp_path):
+        path = str(tmp_path / "node3.wal")
+        wal = FileWriteAheadLog(3, path)
+        # txn 1: a full 3PC round on both roles, finished.
+        wal.append(REC_TM_BEGIN, 1, 0.10, participants=[3, 4])
+        wal.append(REC_PREPARE, 1, 0.11, tm_node=3, writes={}, co=[4])
+        wal.append(REC_TM_PRECOMMIT, 1, 0.12)
+        wal.append(REC_PRECOMMIT, 1, 0.13)
+        wal.append(REC_TM_COMMIT, 1, 0.14)
+        wal.append(REC_COMMIT, 1, 0.15)
+        wal.append(REC_TM_END, 1, 0.16)
+        # txn 2: a refusal pledge, then the late PREPARE it forbids.
+        wal.append(REC_ABORT, 2, 0.20, pledge=True)
+        wal.append(REC_PREPARE, 2, 0.21, tm_node=4, writes={}, co=[])
+        # txn 3: prepared and pre-committed, never decided (in doubt).
+        wal.append(REC_PREPARE, 3, 0.30, tm_node=4, writes={"k": Version(0.3, 3, 8)}, co=[4])
+        wal.append(REC_PRECOMMIT, 3, 0.31)
+        # txn 4: TM aborted, acks still outstanding (unfinished round).
+        wal.append(REC_TM_BEGIN, 4, 0.40, participants=[4])
+        wal.append(REC_TM_ABORT, 4, 0.41)
+        # txn 1 again: a second tm-begin after its tm-end stays finished.
+        wal.append(REC_TM_BEGIN, 1, 0.50, participants=[3])
+        # txn 5: an open 3PC round at the barrier.
+        wal.append(REC_TM_BEGIN, 5, 0.60, participants=[3, 4])
+        wal.append(REC_TM_PRECOMMIT, 5, 0.61)
+        wal.close()
+
+        replayed = FileWriteAheadLog.replay(3, path)
+        assert [(r.lsn, r.txn_id, r.kind, r.time, r.data) for r in replayed.records] == [
+            (r.lsn, r.txn_id, r.kind, r.time, r.data) for r in wal.records
+        ]
+        assert replayed.in_doubt() == wal.in_doubt() == replayed.in_doubt_scan() == [3]
+        for log in (wal, replayed):
+            assert [r.lsn for r in log.tm_unfinished()] == [
+                r.lsn for r in log.tm_unfinished_scan()
+            ]
+        assert [r.txn_id for r in replayed.tm_unfinished()] == [
+            r.txn_id for r in wal.tm_unfinished()
+        ] == [4, 5]
+        assert replayed.precommitted(3) and replayed.tm_precommitted(5)
+        replayed.close()
 
     def test_matches_in_memory_wal_semantics(self, tmp_path):
         # The file-backed log is the in-memory WriteAheadLog plus disk; the
