@@ -9,10 +9,14 @@ and never forked -- but executes them on an asyncio event loop:
   configured timeouts while the wall-clock run can be uniformly sped up;
 - **messages** -- every registered protocol handler crosses a JSON wire
   codec (:mod:`repro.runtime.codec`): the frame is encoded at the sender,
-  scheduled after a sampled link delay, and decoded into fresh objects at
-  the receiver. Unregistered callables (client completion callbacks,
+  held for a sampled link delay, and decoded into fresh objects at the
+  receiver. Unregistered callables (client completion callbacks,
   coordinator closures) deliver as local closures -- they are the
   client-side half of the run, not protocol traffic;
+- **delivery** -- messages in flight sit in one heap keyed by arrival
+  time, behind a single armed loop timer. Each pump pass delivers what was
+  due when the pass started; what its handlers send waits for the next
+  pass, so timers and client tasks interleave with message bursts;
 - **link model** -- delays are sampled from the same
   :class:`~repro.net.topology.Topology` latency models the simulator
   uses, and delivery per (src, dst) link is FIFO (a message never
@@ -32,16 +36,23 @@ seed differ in timing. Cross-backend comparison therefore happens at the
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, Optional, Tuple
+import math
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import spawn_rng
 from repro.net.topology import Topology
-from repro.net.transport import TrafficMatrix
+from repro.net.transport import _CLASS_CODE, TrafficMatrix
 from repro.runtime import codec
 from repro.runtime.interface import Transport
 
 __all__ = ["AsyncioTransport"]
+
+
+def _dc_pair(dc_a: int, dc_b: int) -> Tuple[int, int]:
+    """The order-free key of a datacenter pair (partitions are symmetric)."""
+    return (dc_a, dc_b) if dc_a <= dc_b else (dc_b, dc_a)
 
 
 class AsyncioTransport(Transport):
@@ -76,14 +87,22 @@ class AsyncioTransport(Transport):
         self.time_scale = float(time_scale)
         self.traffic = TrafficMatrix()
         self.dropped = 0
-        self.delivered = 0
         self._handlers: Dict[str, Callable[..., Any]] = {}
         self._names: Dict[Callable[..., Any], str] = {}
         self._partitioned: set = set()
-        #: per-(src, dst) protocol time of the latest scheduled arrival:
-        #: the FIFO floor that stops a later frame overtaking an earlier
-        #: one on the same link.
-        self._link_clock: Dict[Tuple[int, int], float] = {}
+        #: (src, dst) -> ``[traffic class code, latency model, ordered DC
+        #: pair, latest arrival]``: ``Network``'s route memo plus the FIFO
+        #: floor that stops a frame overtaking an earlier one on its link.
+        self._links: Dict[Tuple[int, int], list] = {}
+        #: messages in flight, ``(arrival, seq, deliver, payload)`` in loop
+        #: time; ``deliver`` is ``None`` for an encoded wire frame.
+        self._heap: List[Tuple[float, int, Any, Any]] = []
+        self._seq = 0
+        #: the one loop timer, armed for the heap head, and its loop time
+        #: (``inf``: nothing armed; ``-inf``: the pump is running and will
+        #: re-arm itself, so the sends its handlers make must not).
+        self._armed: Optional[asyncio.TimerHandle] = None
+        self._armed_at = math.inf
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
         self._closed = False
@@ -97,8 +116,13 @@ class AsyncioTransport(Transport):
         self._closed = False
 
     def close(self) -> None:
-        """Stop delivering; in-flight ``call_later`` callbacks become no-ops."""
+        """Disarm and drop every frame in flight; later sends and pending
+        ``set_timer`` callbacks become no-ops."""
         self._closed = True
+        if self._armed is not None:
+            self._armed.cancel()
+        self._armed, self._armed_at = None, math.inf
+        self._heap.clear()
 
     def _require_loop(self) -> asyncio.AbstractEventLoop:
         if self._loop is None:
@@ -121,6 +145,15 @@ class AsyncioTransport(Transport):
         self._handlers[name] = deliver
         self._names[deliver] = name
 
+    def _link(self, src: int, dst: int) -> list:
+        """Resolve and memoize a node pair (the miss path of :meth:`send`)."""
+        topo = self.topology
+        cls = topo.link_class(src, dst)
+        dcs = _dc_pair(topo.dc_of(src), topo.dc_of(dst))
+        link = [_CLASS_CODE[cls], topo.latency_models[cls], dcs, 0.0]
+        self._links[(src, dst)] = link
+        return link
+
     def send(
         self,
         src: int,
@@ -130,43 +163,57 @@ class AsyncioTransport(Transport):
         *args: Any,
     ) -> Optional[float]:
         loop = self._require_loop()
-        cls = self.topology.link_class(src, dst)
-        src_dc = self.topology.dc_of(src)
-        dst_dc = self.topology.dc_of(dst)
-        if self._is_cut(src_dc, dst_dc):
+        link = self._links.get((src, dst)) or self._link(src, dst)
+        code, model, dcs, floor = link
+        if self._closed or (self._partitioned and dcs in self._partitioned):
             self.dropped += 1
             return None
-        self.traffic.record(cls, int(nbytes))
-        delay = float(self.topology.latency_models[cls].sample(self.rng))
-
+        traffic = self.traffic
+        traffic._messages[code] += 1
+        traffic._bytes[code] += int(nbytes)
+        delay = model.sample(self.rng)
+        # FIFO per link: a frame arrives no earlier than its predecessor.
+        link[3] = arrival = max(loop.time() + delay * self.time_scale, floor)
         name = self._names.get(deliver)
         if name is not None:
-            # Registered protocol handler: genuinely cross the wire codec.
-            frame = codec.encode(name, args)
-            dispatch: Callable[[], None] = lambda: self._dispatch(frame)
-        else:
-            # Client-side closure (operation callbacks): local delivery.
-            dispatch = lambda: self._local(deliver, args)
-
-        # FIFO per link: a frame arrives no earlier than its predecessor.
-        link = (src, dst)
-        arrival = max(self.now + delay, self._link_clock.get(link, 0.0))
-        self._link_clock[link] = arrival
-        loop.call_later(
-            max(0.0, (arrival - self.now)) * self.time_scale, dispatch
-        )
+            # Registered protocol handler: genuinely cross the wire codec
+            # (client-side closures deliver locally, args as they are).
+            deliver, args = None, codec.encode(name, args)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (arrival, seq, deliver, args))
+        if arrival < self._armed_at:
+            if self._armed is not None:
+                self._armed.cancel()
+            self._armed = loop.call_at(arrival, self._pump)
+            self._armed_at = arrival
         return delay
 
-    def _dispatch(self, frame: bytes) -> None:
-        if self._closed:
-            return
-        name, args = codec.decode(frame)
-        self._handlers[name](*args)
+    def _pump(self) -> None:
+        """Deliver the frames due as the pass starts, then re-arm.
 
-    def _local(self, deliver: Callable[..., Any], args: tuple) -> None:
-        if self._closed:
-            return
-        deliver(*args)
+        A frame a handler sends during the pass waits for the next pass even
+        at zero delay: whatever else the loop has ready runs in between.
+        """
+        heap = self._heap
+        handlers = self._handlers
+        self._armed = None
+        self._armed_at = -math.inf
+        now = self._loop.time()
+        last = self._seq
+        try:
+            while heap and heap[0][0] <= now and heap[0][1] <= last:
+                _, _, deliver, payload = heappop(heap)
+                if deliver is None:
+                    name, args = codec.decode(payload)
+                    handlers[name](*args)
+                else:
+                    deliver(*payload)
+        finally:
+            if heap:
+                self._armed_at = heap[0][0]
+                self._armed = self._loop.call_at(self._armed_at, self._pump)
+            else:  # drained, or emptied by close()
+                self._armed_at = math.inf
 
     def sample_delay(self, src: int, dst: int) -> float:
         return float(self.topology.latency_model(src, dst).sample(self.rng))
@@ -191,24 +238,16 @@ class AsyncioTransport(Transport):
 
     # -- fault injection -----------------------------------------------------------
 
-    def _is_cut(self, dc_a: int, dc_b: int) -> bool:
-        if not self._partitioned:
-            return False
-        pair = (dc_a, dc_b) if dc_a <= dc_b else (dc_b, dc_a)
-        return pair in self._partitioned
-
     def partition_dcs(self, dc_a: int, dc_b: int) -> None:
         if dc_a == dc_b:
             raise ConfigError(f"cannot partition datacenter {dc_a} from itself")
-        pair = (dc_a, dc_b) if dc_a <= dc_b else (dc_b, dc_a)
-        self._partitioned.add(pair)
+        self._partitioned.add(_dc_pair(dc_a, dc_b))
 
     def heal_partition(self, dc_a: int, dc_b: int) -> None:
-        pair = (dc_a, dc_b) if dc_a <= dc_b else (dc_b, dc_a)
-        self._partitioned.discard(pair)
+        self._partitioned.discard(_dc_pair(dc_a, dc_b))
 
     def heal_all(self) -> None:
         self._partitioned.clear()
 
     def is_partitioned(self, dc_a: int, dc_b: int) -> bool:
-        return self._is_cut(dc_a, dc_b)
+        return _dc_pair(dc_a, dc_b) in self._partitioned

@@ -10,14 +10,21 @@ between sender and receiver state machines).
 
 The format is JSON (msgpack would work identically; the repository image
 carries no msgpack, and frames here are small control messages, not data
-planes). Non-JSON-native types are tagged:
+planes). One module-level encoder and one decoder do all the work
+(:data:`dumps` / :data:`loads`, shared with the file WAL): the C encoder
+walks lists, tuples and dicts itself and calls back into Python only for
+the types JSON does not know, and the decoder calls back once per JSON
+object --
 
 - :class:`~repro.cluster.versions.Version` ->
-  ``{"__v__": [timestamp, seq, size]}``;
-- ``None`` inside dict *values* survives natively; tuples decode as lists
-  (every protocol handler normalizes with ``list()``/``dict()`` already).
+  ``{"__v__": [timestamp, seq, size]}``, revived from any dict whose
+  *only* key is the tag;
+- sets -> sorted lists (deterministic frames);
+- anything else unknown -> :class:`~repro.common.errors.SimulationError`.
 
-Dict keys are strings on the wire; integer-keyed protocol dicts do not
+``None`` survives natively; tuples decode as lists (every protocol handler
+normalizes with ``list()``/``dict()`` already). Dict keys are strings on
+the wire (JSON stringifies int keys); integer-keyed protocol dicts do not
 occur in registered messages (writes and read-version maps are keyed by
 the string row key).
 """
@@ -30,50 +37,41 @@ from typing import Any, List, Tuple
 from repro.common.errors import SimulationError
 from repro.cluster.versions import Version
 
-__all__ = ["encode", "decode", "to_wire", "from_wire"]
+__all__ = ["encode", "decode", "dumps", "loads"]
 
 _VERSION_TAG = "__v__"
 
 
-def to_wire(value: Any) -> Any:
-    """Recursively convert ``value`` into JSON-serializable wire data."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+def _tag(value: Any) -> Any:
+    """The encoder's ``default`` hook: tag what JSON cannot carry natively."""
     if isinstance(value, Version):
         return {_VERSION_TAG: [value.timestamp, value.write_id, value.size]}
-    if isinstance(value, (list, tuple)):
-        return [to_wire(v) for v in value]
     if isinstance(value, (set, frozenset)):
-        return [to_wire(v) for v in sorted(value)]
-    if isinstance(value, dict):
-        return {str(k): to_wire(v) for k, v in value.items()}
+        return sorted(value)
     raise SimulationError(
         f"cannot encode {type(value).__name__} on the wire: {value!r}"
     )
 
 
-def from_wire(value: Any) -> Any:
-    """Invert :func:`to_wire` (lists stay lists; tagged Versions revive)."""
-    if isinstance(value, list):
-        return [from_wire(v) for v in value]
-    if isinstance(value, dict):
-        tagged = value.get(_VERSION_TAG)
-        if tagged is not None and len(value) == 1:
-            t, seq, size = tagged
-            return Version(float(t), int(seq), int(size))
-        return {k: from_wire(v) for k, v in value.items()}
-    return value
+def _revive(obj: dict) -> Any:
+    """The decoder's ``object_hook``: single-key tagged dicts become Versions."""
+    if len(obj) == 1 and _VERSION_TAG in obj:
+        t, seq, size = obj[_VERSION_TAG]
+        return Version(float(t), int(seq), int(size))
+    return obj
+
+
+#: value -> compact JSON text / JSON text -> fresh values, tags applied.
+dumps = json.JSONEncoder(separators=(",", ":"), default=_tag).encode
+loads = json.JSONDecoder(object_hook=_revive).decode
 
 
 def encode(name: str, args: Tuple[Any, ...]) -> bytes:
     """One wire frame: the registered handler name plus its arguments."""
-    return json.dumps(
-        {"h": name, "a": [to_wire(a) for a in args]},
-        separators=(",", ":"),
-    ).encode("utf-8")
+    return dumps({"h": name, "a": args}).encode("utf-8")
 
 
 def decode(frame: bytes) -> Tuple[str, List[Any]]:
     """Parse a frame back into ``(handler_name, args)`` with fresh objects."""
-    obj = json.loads(frame.decode("utf-8"))
-    return obj["h"], [from_wire(a) for a in obj["a"]]
+    obj = loads(frame.decode("utf-8"))
+    return obj["h"], obj["a"]

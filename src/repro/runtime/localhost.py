@@ -32,8 +32,11 @@ report, which is what :mod:`repro.runtime.xval` compares across backends.
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
+import shutil
 import tempfile
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -119,6 +122,12 @@ class LocalhostStore:
         self.read_failures = 0
         self._listeners: List[Any] = []
         self._node_listeners: List[Any] = []
+        # Static membership: placement per key and the mean delay per link
+        # (the read path's snitch order) are computed once.
+        self._placement: Dict[str, Tuple[List[int], Tuple[int, ...]]] = {}
+        self._mean_delay = functools.cache(
+            lambda src, dst: topology.latency_model(src, dst).mean()
+        )
 
     # -- placement ----------------------------------------------------------------
 
@@ -126,13 +135,15 @@ class LocalhostStore:
         """``(authoritative, extra)`` replicas; static hash placement.
 
         The localhost runtime has no elastic membership, so ``extra`` (the
-        in-migration owners the sim store reports) is always empty.
+        in-migration owners the sim store reports) is always empty, and a
+        key is hashed once (callers must not mutate the memoized lists).
         """
-        import zlib
-
-        n = len(self.nodes)
-        start = zlib.crc32(key.encode()) % n
-        return [(start + i) % n for i in range(self.rf)], ()
+        sets = self._placement.get(key)
+        if sets is None:
+            n = len(self.nodes)
+            start = zlib.crc32(key.encode()) % n
+            sets = self._placement[key] = ([(start + i) % n for i in range(self.rf)], ())
+        return sets
 
     def all_replicas(self, key: str) -> List[int]:
         authoritative, extra = self.replica_sets(key)
@@ -216,9 +227,7 @@ class LocalhostStore:
                 tr.set_timer(0.0, done, result)
             return
         # Nearest live replica (by mean link latency), as a snitch would route.
-        replica = min(
-            replicas, key=lambda r: (self.topology.latency_model(src, r).mean(), r)
-        )
+        replica = min(replicas, key=lambda r: (self._mean_delay(src, r), r))
         result.dc = self.topology.dc_of(src)
 
         def _respond() -> None:
@@ -272,7 +281,8 @@ class LocalhostSpec:
         Hard cap on the run's wall-clock seconds; expiry cancels the
         clients and reports whatever completed (the CI smoke guard).
     wal_dir:
-        Directory for per-node WAL files (``None`` = fresh temp dir).
+        Directory for per-node WAL files (``None`` = a fresh temp dir,
+        removed again when the deployment closes).
     crashes:
         ``(at, node_id, duration)`` failure script on the protocol clock;
         ``duration None`` crashes forever.
@@ -360,12 +370,28 @@ class LocalhostDeployment:
             ),
         )
 
+    def result(self, outcomes: int, timed_out: bool) -> Dict[str, Any]:
+        """The run's metrics so far (``wal_dir`` is ``None`` for a temp dir)."""
+        oracle = self.store.oracle
+        return {
+            "txn": self.tstore.txn_summary(),
+            "stale_rate": oracle.stale_rate,
+            "reads": oracle.reads,
+            "mean_propagation_s": oracle.mean_propagation_time(),
+            "outcomes": outcomes,
+            "protocol_seconds": self.transport.now,
+            "dropped_msgs": self.transport.dropped,
+            "wal_dir": self.spec.wal_dir,
+            "timed_out": timed_out,
+        }
+
     def close(self) -> None:
+        """Stop the transport, close the logs, remove a self-made WAL dir."""
         self.transport.close()
-        for wal in self.tstore.wals:
-            close = getattr(wal, "close", None)
-            if close is not None:
-                close()
+        for wal in self.tstore.wals:  # FileWriteAheadLogs, by the factory above
+            wal.close()
+        if self.spec.wal_dir is None:
+            shutil.rmtree(self.wal_dir, ignore_errors=True)
 
 
 def deploy_localhost(spec: LocalhostSpec) -> LocalhostDeployment:
@@ -406,16 +432,7 @@ async def _run_clients(dep: LocalhostDeployment) -> Dict[str, Any]:
             await one_txn()
 
     await asyncio.gather(*(client() for _ in range(spec.clients)))
-    return {
-        "txn": dep.tstore.txn_summary(),
-        "stale_rate": dep.store.oracle.stale_rate,
-        "reads": dep.store.oracle.reads,
-        "mean_propagation_s": dep.store.oracle.mean_propagation_time(),
-        "outcomes": len(outcomes),
-        "protocol_seconds": dep.transport.now,
-        "dropped_msgs": dep.transport.dropped,
-        "wal_dir": dep.wal_dir,
-    }
+    return dep.result(len(outcomes), timed_out=False)
 
 
 def run_localhost(spec: LocalhostSpec) -> Dict[str, Any]:
@@ -424,30 +441,20 @@ def run_localhost(spec: LocalhostSpec) -> Dict[str, Any]:
     Synchronous entry point: owns the event loop, enforces
     ``spec.wall_timeout`` as a hard wall-clock cap (on expiry the clients
     are cancelled and the partial run is reported with
-    ``"timed_out": True``), and always closes the transport so stray
-    ``call_later`` callbacks cannot outlive the run.
+    ``"timed_out": True``), and always closes the deployment, so no
+    frame, timer callback or temp WAL dir outlives the run.
     """
     dep = deploy_localhost(spec)
     try:
         async def _main() -> Dict[str, Any]:
             try:
-                result = await asyncio.wait_for(
+                return await asyncio.wait_for(
                     _run_clients(dep), timeout=spec.wall_timeout
                 )
-                result["timed_out"] = False
             except asyncio.TimeoutError:
-                result = {
-                    "txn": dep.tstore.txn_summary(),
-                    "stale_rate": dep.store.oracle.stale_rate,
-                    "reads": dep.store.oracle.reads,
-                    "mean_propagation_s": dep.store.oracle.mean_propagation_time(),
-                    "outcomes": dep.tstore.commits + dep.tstore.abort_count(),
-                    "protocol_seconds": dep.transport.now,
-                    "dropped_msgs": dep.transport.dropped,
-                    "wal_dir": dep.wal_dir,
-                    "timed_out": True,
-                }
-            return result
+                return dep.result(
+                    dep.tstore.commits + dep.tstore.abort_count(), timed_out=True
+                )
 
         return asyncio.run(_main())
     finally:

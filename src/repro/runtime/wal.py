@@ -4,24 +4,27 @@ The simulator models durability by keeping
 :class:`~repro.txn.wal.WriteAheadLog` records in memory across simulated
 crashes. On the asyncio backend durability is real:
 :class:`FileWriteAheadLog` appends every record as one JSON line to a
-per-node log file (flushed at append time -- the force-write the commit
-protocols assume), and :meth:`FileWriteAheadLog.replay` rebuilds a log
+per-node log file, and :meth:`FileWriteAheadLog.replay` rebuilds a log
 from disk exactly the way a restarted daemon would, re-deriving the
 in-doubt and unfinished-TM-round sets from the records alone.
 
-Record payloads pass through the wire codec's type tagging
-(:func:`repro.runtime.codec.to_wire`), so ``{key: Version}`` write maps
-survive the disk round-trip as real :class:`~repro.cluster.versions.Version`
-objects.
+The file is opened unbuffered and each record is a single ``write()`` of
+the whole line, so the bytes have reached the OS before ``append`` returns
+-- the force-write the commit protocols assume, at one syscall per record
+and with nothing left in a user-space buffer to flush or lose.
+
+Records are written and read with the wire codec's encoder and decoder
+(:data:`repro.runtime.codec.dumps` / :data:`~repro.runtime.codec.loads`),
+so ``{key: Version}`` write maps survive the disk round-trip as real
+:class:`~repro.cluster.versions.Version` objects.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any
 
-from repro.runtime.codec import from_wire, to_wire
+from repro.runtime.codec import dumps, loads
 from repro.txn.wal import WalRecord, WriteAheadLog
 
 __all__ = ["FileWriteAheadLog"]
@@ -34,24 +37,20 @@ class FileWriteAheadLog(WriteAheadLog):
         super().__init__(node_id)
         self.path = path
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = open(path, "ab", buffering=0)
 
     def append(self, kind: str, txn_id: int, time: float, **data: Any) -> WalRecord:
         rec = super().append(kind, txn_id, time, **data)
-        self._fh.write(
-            json.dumps(
-                {
-                    "lsn": rec.lsn,
-                    "txn": rec.txn_id,
-                    "kind": rec.kind,
-                    "t": rec.time,
-                    "data": to_wire(rec.data),
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
+        line = dumps(
+            {
+                "lsn": rec.lsn,
+                "txn": rec.txn_id,
+                "kind": rec.kind,
+                "t": rec.time,
+                "data": rec.data,
+            }
         )
-        self._fh.flush()
+        self._fh.write((line + "\n").encode("utf-8"))
         return rec
 
     def close(self) -> None:
@@ -72,10 +71,10 @@ class FileWriteAheadLog(WriteAheadLog):
             for line in fh:
                 if not line.strip():
                     continue
-                obj = json.loads(line)
+                obj = loads(line)
                 # The base class's append, unbound: it indexes the record
                 # without re-persisting it (the file already holds it).
                 WriteAheadLog.append(
-                    wal, obj["kind"], obj["txn"], obj["t"], **from_wire(obj["data"])
+                    wal, obj["kind"], obj["txn"], obj["t"], **obj["data"]
                 )
         return wal

@@ -11,11 +11,13 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError, SimulationError
 from repro.cluster.versions import Version
 from repro.runtime import codec
-from repro.runtime.localhost import LocalhostSpec, run_localhost
+from repro.runtime.localhost import LocalhostSpec, deploy_localhost, run_localhost
 from repro.runtime.wal import FileWriteAheadLog
 from repro.runtime.xval import (
     XvalCheck,
@@ -39,6 +41,60 @@ from repro.txn.wal import (
 )
 
 
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+    st.builds(
+        Version,
+        st.one_of(st.integers(0, 10**6), st.floats(0, 1e6)),
+        st.integers(0, 10**9),
+        st.integers(0, 10**6),
+    ),
+)
+#: everything a protocol message may carry, nested a few levels deep
+_wire_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6).filter("__v__".__ne__), inner, max_size=4),
+        st.sets(st.integers(), max_size=4),
+        st.frozensets(st.text(max_size=4), max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _canon(value):
+    """What ``value`` must look like after one hop, as plain comparable data."""
+    if isinstance(value, Version):
+        # Field types matter: a revived Version is (float, int, int).
+        return ("Version", float(value.timestamp), value.write_id, value.size)
+    if isinstance(value, (list, tuple)):
+        return [_canon(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, dict):
+        return {k: _canon(v) for k, v in value.items()}
+    return value
+
+
+def _identities(value):
+    """ids of every container and Version reachable from ``value``."""
+    if isinstance(value, Version):
+        return {id(value)}
+    if isinstance(value, dict):
+        children = value.values()
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        children = value
+    else:
+        return set()
+    return {id(value)}.union(*(_identities(child) for child in children))
+
+
 class TestWireCodec:
     def test_roundtrip_scalars_and_containers(self):
         name, args = codec.decode(
@@ -59,29 +115,50 @@ class TestWireCodec:
         assert revived["row1"] is not writes["row1"]
 
     def test_tuples_and_sets_become_lists(self):
-        assert codec.to_wire((1, 2)) == [1, 2]
-        assert codec.to_wire({3, 1, 2}) == [1, 2, 3]  # sorted for determinism
+        _, args = codec.decode(codec.encode("h", ((1, 2), {3, 1, 2}, frozenset("ba"))))
+        assert args == [[1, 2], [1, 2, 3], ["a", "b"]]  # sets sorted for determinism
 
     def test_dict_keys_are_stringified(self):
-        assert codec.to_wire({1: "a"}) == {"1": "a"}
+        _, args = codec.decode(codec.encode("h", ({1: "a"},)))
+        assert args == [{"1": "a"}]
 
     def test_version_tag_requires_exact_shape(self):
         # A dict that merely *contains* the tag key plus other keys is user
         # data, not a tagged Version.
-        wire = {"__v__": [1.0, 2, 3], "other": 1}
-        back = codec.from_wire(wire)
-        assert isinstance(back, dict)
-        assert not isinstance(back, Version)
-        assert back["other"] == 1
+        _, (back,) = codec.decode(
+            codec.encode("h", ({"__v__": [1.0, 2, 3], "other": 1},))
+        )
+        assert back == {"__v__": [1.0, 2, 3], "other": 1}
+        _, (alone,) = codec.decode(codec.encode("h", ({"__v__": [1, 2, 3]},)))
+        assert isinstance(alone, Version)
 
     def test_unencodable_object_is_rejected(self):
         with pytest.raises(SimulationError):
-            codec.to_wire(object())
+            codec.encode("h", (object(),))
+        with pytest.raises(SimulationError):
+            codec.encode("h", ({"k": [1, {"deep": 1j}]},))  # found at any depth
 
     def test_frames_are_compact_utf8_json(self):
         frame = codec.encode("h", (1,))
-        assert isinstance(frame, bytes)
+        assert frame == b'{"h":"h","a":[1]}'
         assert json.loads(frame.decode("utf-8")) == {"h": "h", "a": [1]}
+
+    def test_wal_lines_share_the_frame_tagging(self):
+        # One encoder, one decoder: what the file WAL writes and replays is
+        # tagged by the same two hooks as a wire frame.
+        line = codec.dumps({"data": {"writes": {"k": Version(1.0, 2, 3)}, "co": {2, 1}}})
+        assert line == '{"data":{"writes":{"k":{"__v__":[1.0,2,3]}},"co":[1,2]}}'
+        back = codec.loads(line)["data"]
+        assert isinstance(back["writes"]["k"], Version) and back["co"] == [1, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_wire_values, max_size=4))
+    def test_roundtrip_property(self, args):
+        name, back = codec.decode(codec.encode("p0.h", tuple(args)))
+        assert name == "p0.h"
+        assert _canon(back) == _canon(args)
+        # Fresh objects at the receiver: no container or Version is shared.
+        assert not (_identities(back) & _identities(args))
 
 
 class TestFileWriteAheadLog:
@@ -112,6 +189,29 @@ class TestFileWriteAheadLog:
         assert rec.data["writes"] == writes
         assert isinstance(rec.data["writes"]["k"], Version)
         replayed.close()
+
+    def test_each_append_is_on_disk_when_it_returns(self, tmp_path):
+        # The durability point is append() itself: one unbuffered write, so
+        # an independent reader sees the whole line with no flush or close.
+        path = str(tmp_path / "node0.wal")
+        wal = FileWriteAheadLog(0, path)
+        appends = [
+            (REC_TM_BEGIN, {"participants": [0, 1]}),
+            (REC_PREPARE, {"tm_node": 0, "writes": {"k": Version(0.5, 4, 64)}, "co": [1]}),
+            (REC_COMMIT, {}),
+            (REC_TM_END, {}),
+        ]
+        with open(path, "rb") as reader:
+            for i, (kind, data) in enumerate(appends):
+                rec = wal.append(kind, 9, 0.1 * i, **data)
+                line = reader.readline()
+                assert line.endswith(b"\n") and reader.read() == b""
+                obj = codec.loads(line.decode("utf-8"))
+                assert (obj["lsn"], obj["txn"], obj["kind"], obj["t"]) == (
+                    rec.lsn, 9, kind, rec.time,
+                )
+                assert obj["data"] == rec.data
+        wal.close()
 
     def test_replay_preserves_in_doubt_transactions(self, tmp_path):
         path = str(tmp_path / "node1.wal")
@@ -250,6 +350,17 @@ class TestRunLocalhost:
         wal_files = sorted(os.listdir(tmp_path))
         assert wal_files == [f"node{i}.wal" for i in range(3)]
         assert any(os.path.getsize(tmp_path / f) > 0 for f in wal_files)
+
+    def test_self_made_wal_dir_is_removed_on_close(self, tmp_path):
+        dep = deploy_localhost(_smoke_spec())
+        made = dep.wal_dir
+        assert os.path.isdir(made) and os.listdir(made)
+        dep.close()
+        assert not os.path.exists(made)
+        # The result names only a directory the caller can still open.
+        assert run_localhost(_smoke_spec())["wal_dir"] is None
+        kept = run_localhost(_smoke_spec(wal_dir=str(tmp_path)))["wal_dir"]
+        assert kept == str(tmp_path) and os.listdir(kept)
 
     def test_wall_timeout_reports_partial_run(self):
         # An absurdly small wall cap: the guard must fire, cancel the

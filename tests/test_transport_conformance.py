@@ -28,6 +28,7 @@ import pytest
 
 from repro.common.errors import ConfigError, SimulationError
 from repro.cluster.versions import Version
+from repro.net.latency import FixedLatency, UniformLatency
 from repro.net.topology import Datacenter, Topology, LinkClass
 from repro.net.transport import Network
 from repro.runtime.aio import AsyncioTransport
@@ -383,3 +384,198 @@ class TestAsyncioTransportSpecifics:
 
         asyncio.run(main())
         assert got == []
+
+
+def run_on_loop(transport, body):
+    """Start ``transport`` on a fresh loop and run ``await body(loop)`` on it."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        transport.start(loop)
+        try:
+            return await body(loop)
+        finally:
+            transport.close()
+
+    return asyncio.run(main())
+
+
+def pending_handles(loop, transport):
+    """Live loop timers whose callback is a method of ``transport``."""
+    return [
+        h
+        for h in loop._scheduled
+        if not h.cancelled() and getattr(h._callback, "__self__", None) is transport
+    ]
+
+
+class TestAsyncioDelivery:
+    """The delivery heap behind the one armed loop timer."""
+
+    def test_random_delays_keep_link_fifo(self):
+        # 1000 frames down one link whose delay is anything in 0-10 ms wall:
+        # the per-link floor plus the heap's sequence tie-break keep order.
+        topo = Topology(
+            [Datacenter("east", "us-east"), Datacenter("west", "eu-west")],
+            [3, 3],
+            latency={LinkClass.INTER_REGION: UniformLatency(0.0, 0.2)},
+        )
+        t = AsyncioTransport(topo, rng=3, time_scale=0.05)
+        got = []
+
+        async def body(loop):
+            t.register("sink", got.append)
+            for batch in range(10):
+                for i in range(100):
+                    assert t.send(0, 3, 64, got.append, 100 * batch + i) is not None
+                await asyncio.sleep(0.001)  # sends span many pump passes
+            await asyncio.sleep(0.1)
+
+        run_on_loop(t, body)
+        assert got == list(range(1000))
+
+    def test_earlier_arrival_rearms_the_timer(self):
+        # The timer is armed for a frame 1 s out; a LAN frame sent afterwards
+        # is due first and must not wait behind it.
+        topo = Topology(
+            [Datacenter("east", "us-east"), Datacenter("west", "eu-west")],
+            [3, 3],
+            latency={LinkClass.INTER_REGION: FixedLatency(1.0)},
+        )
+        t = AsyncioTransport(topo, time_scale=1.0)
+        got = {}
+
+        async def body(loop):
+            t.send(0, 3, 64, lambda: got.setdefault("wan", loop.time()))
+            armed_for_wan = t._armed
+            got["lan_due"] = loop.time() + t.send(
+                0, 1, 64, lambda: got.setdefault("lan", loop.time())
+            )
+            assert armed_for_wan.cancelled() and not t._armed.cancelled()
+            assert len(pending_handles(loop, t)) == 1  # re-armed, not a second timer
+            await asyncio.sleep(0.1)
+
+        run_on_loop(t, body)
+        assert "wan" not in got
+        # Late by loop jitter, not by the WAN frame's second.
+        assert 0.0 <= got["lan"] - got["lan_due"] < 0.05
+
+    def test_reply_waits_for_the_next_pass(self):
+        # Zero-delay (node-local) replies sent by handlers are due at once,
+        # yet whatever the loop had ready runs before the pump's next pass.
+        t = AsyncioTransport(two_dc_topology())
+        order = []
+
+        async def body(loop):
+            def ping(i):
+                order.append(("ping", i))
+                t.send(0, 0, 8, pong, i)
+                loop.call_soon(order.append, ("loop", i))
+
+            def pong(i):
+                order.append(("pong", i))
+
+            t.register("ping", ping)
+            t.register("pong", pong)
+            for i in range(3):
+                t.send(0, 0, 8, ping, i)
+            await asyncio.sleep(0.05)
+
+        run_on_loop(t, body)
+        assert order == [(kind, i) for kind in ("ping", "loop", "pong") for i in range(3)]
+
+    def test_partition_drops_at_send_time_not_at_delivery(self):
+        t = AsyncioTransport(two_dc_topology(), time_scale=0.05)
+        got = []
+
+        async def body(loop):
+            t.register("sink", got.append)
+            t.send(0, 3, 64, got.append, "in flight")  # queued before the cut
+            t.partition_dcs(1, 0)
+            queued = len(t._heap)
+            assert t.send(0, 3, 64, got.append, "cut") is None
+            assert t.send(3, 0, 64, got.append, "cut") is None  # symmetric
+            assert len(t._heap) == queued and t.dropped == 2
+            await asyncio.sleep(0.05)
+
+        run_on_loop(t, body)
+        assert got == ["in flight"]
+
+    def test_cancelled_timer_never_fires_while_messages_flow(self):
+        t = AsyncioTransport(two_dc_topology(), time_scale=0.05)
+        fired = []
+        hops = []
+
+        async def body(loop):
+            doomed = t.set_timer(0.5, fired.append, "cancelled")
+            t.set_timer(0.6, fired.append, "kept")
+
+            def bounce(n):
+                hops.append(n)
+                if n == 20:
+                    doomed.cancel()
+                t.send(n % 3, (n + 1) % 3, 16, bounce, n + 1)
+
+            t.register("bounce", bounce)
+            bounce(0)
+            await asyncio.sleep(1.0 * 0.05 + 0.05)
+
+        run_on_loop(t, body)
+        assert fired == ["kept"]
+        assert len(hops) > 100  # 0.25 ms LAN hops kept flowing past both deadlines
+
+    def test_close_mid_flight_stops_everything(self):
+        t = AsyncioTransport(two_dc_topology(), time_scale=0.05)
+        got = []
+
+        async def body(loop):
+            t.register("sink", got.append)
+            for i in range(50):
+                t.send(0, 3, 64, got.append, i)  # wire frames, 2 ms out
+                t.send(0, 1, 64, lambda: got.append("closure"))
+            assert len(pending_handles(loop, t)) == 1
+            t.close()
+            assert not t._heap and pending_handles(loop, t) == []
+            assert t.send(0, 1, 64, got.append, "after close") is None
+            assert not t._heap and pending_handles(loop, t) == []
+            await asyncio.sleep(0.05)
+
+        run_on_loop(t, body)
+        assert got == []
+
+    def test_handler_closing_the_transport_ends_the_pass(self):
+        t = AsyncioTransport(two_dc_topology())
+        got = []
+
+        async def body(loop):
+            def stop(i):
+                got.append(i)
+                t.close()
+
+            for i in range(5):
+                t.send(0, 0, 8, stop, i)  # all due in one pass
+            await asyncio.sleep(0.02)
+            assert pending_handles(loop, t) == []
+
+        run_on_loop(t, body)
+        assert got == [0]
+
+    def test_failing_handler_does_not_stall_delivery(self):
+        # The loop reports the exception; the frames behind it still arrive.
+        t = AsyncioTransport(two_dc_topology())
+        got = []
+        errors = []
+
+        async def body(loop):
+            loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx["exception"]))
+
+            def boom():
+                raise RuntimeError("handler bug")
+
+            t.send(0, 0, 8, boom)
+            t.send(0, 0, 8, got.append, "behind")
+            await asyncio.sleep(0.02)
+
+        run_on_loop(t, body)
+        assert got == ["behind"]
+        assert [type(e) for e in errors] == [RuntimeError]
