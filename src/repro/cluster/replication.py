@@ -1,6 +1,6 @@
 """Replica placement strategies.
 
-Given a key's clockwise node walk (from :class:`~repro.cluster.ring.TokenRing`)
+Given a clockwise node walk (from :class:`~repro.cluster.ring.TokenRing`)
 and the topology, a strategy picks the replica set:
 
 - :class:`SimpleStrategy` -- first ``rf`` distinct nodes clockwise,
@@ -9,20 +9,48 @@ and the topology, a strategy picks the replica set:
   walking the ring and taking nodes from each datacenter until its quota is
   filled (the placement the paper's two-AZ / two-site deployments use).
 
-Placement results are cached per key; the cache is valid for as long as the
-ring layout is -- live membership changes (elastic bootstrap/decommission)
-must call :meth:`ReplicationStrategy.clear_cache`.
+Which replicas hold a key is a property of the vnode arc the key hashes
+into, not of the key, so placement is resolved once per arc: the strategy
+keeps one shared :data:`Placement` record per ring slot. Slot indices are valid
+only for as long as the ring layout is -- live membership changes (elastic
+bootstrap/decommission) must call :meth:`ReplicationStrategy.clear_cache`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.common.errors import ConfigError, ConsistencyError
 from repro.cluster.ring import TokenRing
 from repro.net.topology import Topology
 
-__all__ = ["ReplicationStrategy", "SimpleStrategy", "NetworkTopologyStrategy"]
+__all__ = [
+    "Placement",
+    "make_placement",
+    "ReplicationStrategy",
+    "SimpleStrategy",
+    "NetworkTopologyStrategy",
+]
+
+
+#: ``(replicas, extra, by_dc)``: who holds the keys of one vnode arc.
+#: ``replicas`` are the nodes reads consult (primary first), ``extra`` the
+#: incoming owners of a pending migration (``()`` on every arc record) and
+#: ``by_dc`` the datacenter census of ``replicas``. One record serves every
+#: key of its arc: treat all of it as read-only.
+Placement = Tuple[List[int], Tuple[int, ...], Dict[int, int]]
+
+
+def make_placement(
+    replicas: List[int], extra: Tuple[int, ...], topology: Topology
+) -> Placement:
+    """Build a record; the one place replicas are counted per datacenter."""
+    by_dc: Dict[int, int] = {}
+    dc_of = topology.dc_of
+    for node in replicas:
+        dc = dc_of(node)
+        by_dc[dc] = by_dc.get(dc, 0) + 1
+    return replicas, extra, by_dc
 
 
 class ReplicationStrategy:
@@ -30,16 +58,30 @@ class ReplicationStrategy:
 
     #: Total replication factor (set by subclasses).
     rf_total: int
-    #: Per-key placement cache (populated by subclasses).
-    _cache: Dict[str, List[int]]
+    #: The arc table: ring slot -> shared record (created by subclasses).
+    _arcs: Dict[int, Placement]
+
+    def _place(self, slot: int, ring: TokenRing, topology: Topology) -> List[int]:
+        """Walk the ring from ``slot`` and pick the arc's replicas."""
+        raise NotImplementedError
+
+    def placement(self, key: str, ring: TokenRing, topology: Topology) -> Placement:
+        """The shared record of ``key``'s arc (walked on the arc's first use)."""
+        slot = ring.slot_of(key)
+        got = self._arcs.get(slot)
+        if got is None:
+            got = self._arcs[slot] = make_placement(
+                self._place(slot, ring, topology), (), topology
+            )
+        return got
 
     def replicas(self, key: str, ring: TokenRing, topology: Topology) -> List[int]:
         """Ordered replica node ids for ``key`` (primary first)."""
-        raise NotImplementedError
+        return self.placement(key, ring, topology)[0]
 
     def clear_cache(self) -> None:
-        """Invalidate cached placements after a ring membership change."""
-        self._cache.clear()
+        """Drop the arc table after a ring membership change."""
+        self._arcs.clear()
 
     def validate_membership(self, members: Sequence[int], topology: Topology) -> None:
         """Raise if this placement cannot be satisfied by ``members``.
@@ -56,11 +98,7 @@ class ReplicationStrategy:
         self, key: str, ring: TokenRing, topology: Topology
     ) -> Dict[int, int]:
         """Replica count per datacenter index for ``key``."""
-        counts: Dict[int, int] = {}
-        for node in self.replicas(key, ring, topology):
-            dc = topology.dc_of(node)
-            counts[dc] = counts.get(dc, 0) + 1
-        return counts
+        return dict(self.placement(key, ring, topology)[2])
 
 
 class SimpleStrategy(ReplicationStrategy):
@@ -70,22 +108,18 @@ class SimpleStrategy(ReplicationStrategy):
         if rf < 1:
             raise ConfigError(f"replication factor must be >= 1, got {rf}")
         self.rf_total = int(rf)
-        self._cache: Dict[str, List[int]] = {}
+        self._arcs = {}
 
-    def replicas(self, key: str, ring: TokenRing, topology: Topology) -> List[int]:
-        got = self._cache.get(key)
-        if got is not None:
-            return got
+    def _place(self, slot: int, ring: TokenRing, topology: Topology) -> List[int]:
         if self.rf_total > ring.n_nodes:
             raise ConsistencyError(
                 f"RF={self.rf_total} exceeds cluster size {ring.n_nodes}"
             )
         out: List[int] = []
-        for node in ring.walk_key(key):
+        for node in ring.walk_from(slot):
             out.append(node)
             if len(out) == self.rf_total:
                 break
-        self._cache[key] = out
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -113,12 +147,9 @@ class NetworkTopologyStrategy(ReplicationStrategy):
         if not self.rf_per_dc:
             raise ConfigError("all datacenter replica counts are zero")
         self.rf_total = sum(self.rf_per_dc.values())
-        self._cache: Dict[str, List[int]] = {}
+        self._arcs = {}
 
-    def replicas(self, key: str, ring: TokenRing, topology: Topology) -> List[int]:
-        got = self._cache.get(key)
-        if got is not None:
-            return got
+    def _place(self, slot: int, ring: TokenRing, topology: Topology) -> List[int]:
         for dc, need in self.rf_per_dc.items():
             if dc >= len(topology.datacenters):
                 raise ConfigError(f"rf_per_dc references unknown datacenter {dc}")
@@ -129,7 +160,7 @@ class NetworkTopologyStrategy(ReplicationStrategy):
                 )
         remaining = dict(self.rf_per_dc)
         out: List[int] = []
-        for node in ring.walk_key(key):
+        for node in ring.walk_from(slot):
             dc = topology.dc_of(node)
             need = remaining.get(dc, 0)
             if need > 0:
@@ -139,9 +170,8 @@ class NetworkTopologyStrategy(ReplicationStrategy):
                     break
         if len(out) != self.rf_total:  # pragma: no cover - guarded by checks above
             raise ConsistencyError(
-                f"could only place {len(out)}/{self.rf_total} replicas for {key!r}"
+                f"could only place {len(out)}/{self.rf_total} replicas for arc {slot}"
             )
-        self._cache[key] = out
         return out
 
     def validate_membership(self, members: Sequence[int], topology: Topology) -> None:

@@ -167,32 +167,41 @@ class TokenRing:
 
     # -- lookups -------------------------------------------------------------
 
+    def _slot(self, token: int) -> int:
+        return bisect_right(self._tokens, token) % len(self._owners)
+
+    def slot_of(self, key: str) -> int:
+        """Index of the vnode arc ``key`` hashes into: the unit of placement.
+
+        Every key of one arc shares one clockwise walk. Slot indices shift
+        on every membership change; drop anything keyed by them with it.
+        """
+        return self._slot(token_of(key))
+
     def primary_for_token(self, token: int) -> int:
         """Physical node owning the first vnode at or after ``token``."""
-        idx = bisect_right(self._tokens, token) % len(self._owners)
-        return self._owners[idx]
+        return self._owners[self._slot(token)]
 
-    def walk(self, token: int) -> Iterator[int]:
-        """Yield *distinct* physical nodes clockwise from ``token``.
+    def walk_from(self, slot: int) -> Iterator[int]:
+        """Yield *distinct* physical nodes clockwise from arc ``slot``.
 
         Terminates after all member nodes have been yielded.
         """
-        start = bisect_right(self._tokens, token) % len(self._owners)
         seen = set()
         owners = self._owners
         n = len(owners)
         n_members = len(self._members)
         for i in range(n):
-            node = owners[(start + i) % n]
+            node = owners[(slot + i) % n]
             if node not in seen:
                 seen.add(node)
                 yield node
                 if len(seen) == n_members:
                     return
 
-    def walk_key(self, key: str) -> Iterator[int]:
-        """Clockwise distinct-node walk starting at ``key``'s token."""
-        return self.walk(token_of(key))
+    def walk(self, token: int) -> Iterator[int]:
+        """Clockwise distinct-node walk starting at ``token``."""
+        return self.walk_from(self._slot(token))
 
     def ownership_fractions(self, sample: int = 20_000) -> np.ndarray:
         """Exact fraction of the token space owned by each node.

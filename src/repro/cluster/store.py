@@ -43,7 +43,12 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.hints import HintStore
 from repro.cluster.node import ServiceModel, StorageNode
-from repro.cluster.replication import ReplicationStrategy, SimpleStrategy
+from repro.cluster.replication import (
+    Placement,
+    ReplicationStrategy,
+    SimpleStrategy,
+    make_placement,
+)
 from repro.cluster.ring import MovedRange, TokenRing
 from repro.cluster.staleness import StalenessOracle
 from repro.cluster.versions import Version
@@ -215,13 +220,13 @@ class ReplicatedStore:
         # op, so the getattr probes happen once per add_listener, not per op.
         self._op_complete_hooks: List[Callable[[OpResult], Any]] = []
         self._propagated_hooks: List[Callable[[OpResult], Any]] = []
-        # Per-key placement memo: (authoritative, extra, replicas_by_dc) as
-        # resolved by replica_sets/replica_info. Invalidated wholesale on
-        # membership changes and per key when a migration hand-off completes
-        # (the rebalancer owns that signal).
-        self._placement_cache: Dict[
-            str, Tuple[List[int], Tuple[int, ...], Dict[int, int]]
-        ] = {}
+        # Per-key placement memo, the one dict hit of the per-op path. An
+        # entry *points at* the strategy's shared record of the key's arc;
+        # only a key with a pending migration owns a private record (old
+        # owners authoritative, incoming owners extra). Invalidated wholesale
+        # on membership changes and per key when a migration hand-off
+        # completes (the rebalancer owns that signal).
+        self._placement_cache: Dict[str, Placement] = {}
         # Resolved consistency requirements, keyed by the coordinator layer
         # on (level, rf, per-DC signature): Requirement objects are immutable
         # so one instance serves every operation with the same shape.
@@ -348,9 +353,7 @@ class ReplicatedStore:
             info = self.replica_info(key)
         return info[0], info[1]
 
-    def replica_info(
-        self, key: str
-    ) -> Tuple[List[int], Tuple[int, ...], Dict[int, int]]:
+    def replica_info(self, key: str) -> Placement:
         """``(authoritative, extra, replicas_by_dc)`` for ``key``, memoized.
 
         The per-operation placement resolve: one dict hit on the hot path
@@ -363,21 +366,12 @@ class ReplicatedStore:
         info = self._placement_cache.get(key)
         if info is not None:
             return info
-        new = self.strategy.replicas(key, self.ring, self.topology)
+        info = self.strategy.placement(key, self.ring, self.topology)
         reb = self.rebalancer
         old = reb.pending_old_replicas(key) if reb is not None else None
-        if old is None:
-            authoritative: List[int] = new
-            extra: Tuple[int, ...] = ()
-        else:
-            authoritative = list(old)
-            extra = tuple(n for n in new if n not in old)
-        by_dc: Dict[int, int] = {}
-        dc_of = self.topology.dc_of
-        for r in authoritative:
-            dc = dc_of(r)
-            by_dc[dc] = by_dc.get(dc, 0) + 1
-        info = (authoritative, extra, by_dc)
+        if old is not None:
+            extra = tuple(n for n in info[0] if n not in old)
+            info = make_placement(list(old), extra, self.topology)
         self._placement_cache[key] = info
         return info
 

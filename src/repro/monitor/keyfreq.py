@@ -40,17 +40,15 @@ class KeyFrequencyTracker:
         self._rotated_at = 0.0
 
     def _maybe_rotate(self, now: float) -> None:
-        if now - self._rotated_at >= self.window:
-            self._prev_reads = self._cur_reads
-            self._prev_writes = self._cur_writes
+        gap = now - self._rotated_at
+        if gap >= self.window:
+            # After two silent windows the outgoing bucket is stale too.
+            stale = gap >= 2 * self.window
+            self._prev_reads = {} if stale else self._cur_reads
+            self._prev_writes = {} if stale else self._cur_writes
             self._cur_reads = {}
             self._cur_writes = {}
             self._rotated_at = now
-            # If more than two windows elapsed silently, the previous bucket
-            # is stale too.
-            if now - self._rotated_at >= self.window:  # pragma: no cover
-                self._prev_reads = {}
-                self._prev_writes = {}
 
     def record_read(self, key: str, now: float) -> None:
         """Count one read of ``key`` at simulated time ``now``."""

@@ -40,12 +40,12 @@ class TestTokenRing:
 
     def test_walk_yields_distinct_nodes(self):
         ring = TokenRing(6, vnodes=8)
-        walked = list(ring.walk_key("user42"))
+        walked = list(ring.walk(token_of("user42")))
         assert sorted(walked) == list(range(6))  # all nodes, each once
 
     def test_walk_deterministic(self):
         ring = TokenRing(6, vnodes=8)
-        assert list(ring.walk_key("k")) == list(ring.walk_key("k"))
+        assert list(ring.walk(token_of("k"))) == list(ring.walk(token_of("k")))
 
     def test_two_rings_agree(self):
         # layout depends only on (n_nodes, vnodes), never on instance state
@@ -53,13 +53,13 @@ class TestTokenRing:
         b = TokenRing(5, vnodes=16)
         for i in range(50):
             key = f"user{i}"
-            assert list(a.walk_key(key)) == list(b.walk_key(key))
+            assert list(a.walk(token_of(key))) == list(b.walk(token_of(key)))
 
     def test_primary_matches_walk_head(self):
         ring = TokenRing(4, vnodes=16)
         for i in range(30):
             key = f"user{i}"
-            assert ring.primary_for_token(token_of(key)) == next(ring.walk_key(key))
+            assert ring.primary_for_token(token_of(key)) == next(ring.walk(token_of(key)))
 
     def test_balance(self):
         ring = TokenRing(8, vnodes=32)

@@ -61,6 +61,18 @@ class TestKeyFrequencyTracker:
         assert "old" not in t.write_shares()
         assert "new" in t.write_shares()
 
+    def test_long_silence_drops_both_buckets(self):
+        t = KeyFrequencyTracker(window=1.0)
+        t.record_read("before", 0.5)
+        t.record_write("before", 0.5)
+        t.record_read("after", 3.5)  # 3 windows later: "before" is stale
+        t.record_write("after", 3.5)
+        assert t.read_shares() == {"after": 1.0}
+        assert t.write_shares() == {"after": 1.0}
+        # One window of silence only ages the bucket, it does not drop it.
+        t.record_read("next", 4.9)
+        assert set(t.read_shares()) == {"after", "next"}
+
     def test_collision_profile_exact_when_small(self):
         t = KeyFrequencyTracker()
         t.record_read("a", 0.0)
