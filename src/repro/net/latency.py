@@ -100,6 +100,12 @@ class LogNormalLatency(LatencyModel):
 
     Construct from distribution parameters or, more conveniently, from the
     target mean and coefficient of variation via :meth:`from_mean_cv`.
+
+    :class:`~repro.net.transport.Network` computes the delay of a link of
+    exactly this class as ``floor + exp(mu + sigma * z)`` from a block of
+    the stream's standard normals -- the same value :meth:`sample` draws,
+    which stays the reference the tests compare against. A subclass that
+    overrides :meth:`sample` is sampled through it.
     """
 
     def __init__(self, mu: float, sigma: float, floor: float = 0.0):

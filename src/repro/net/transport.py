@@ -14,12 +14,14 @@ through. It does three jobs:
 
 from __future__ import annotations
 
+from math import exp
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.rng import spawn_rng
+from repro.net.latency import LogNormalLatency
 from repro.net.topology import LinkClass, Topology
 from repro.simcore.simulator import Simulator
 
@@ -30,6 +32,14 @@ __all__ = ["TrafficMatrix", "Network"]
 _CLASS_LIST = list(LinkClass)
 _CLASS_CODE: Dict[LinkClass, int] = {cls: i for i, cls in enumerate(_CLASS_LIST)}
 _LOCAL = LinkClass.LOCAL
+
+#: standard normals a network fetches from its stream per refill (the
+#: node-jitter block size: enough to amortize the numpy call)
+_NORMAL_BLOCK = 64
+
+#: (link class, its int code, latency model, DC pair, model is exactly
+#: :class:`LogNormalLatency`) -- one memoized record per (src, dst)
+_Route = Tuple[LinkClass, int, Any, Tuple[int, int], bool]
 
 
 class TrafficMatrix:
@@ -122,6 +132,19 @@ class Network:
     cannot be recalled). Reliability is modelled at
     this layer only through partitions; omission failures of individual
     nodes are modelled by the cluster layer marking nodes down.
+
+    Delays on links whose model is exactly :class:`LogNormalLatency` come
+    from one block of standard normals shared by all link classes:
+    ``rng.lognormal(mu, sigma)`` *is* ``exp(mu + sigma * z)`` with ``z``
+    the stream's next ``standard_normal()``, and a batch of normals is the
+    scalar stream element for element. A topology whose stochastic links
+    are all lognormal (every registered platform) therefore gets
+    ``model.sample(rng)`` bit for bit and in the same draw order (pinned by
+    ``tests/test_net.py``). Every other model, subclasses included, is
+    sampled through its own ``sample``; because up to 63 normals are
+    fetched ahead, a network that mixes such links with lognormal ones, or
+    a caller that also draws from a generator it passed in as ``rng``,
+    sees a different -- still seed-deterministic -- interleaving.
     """
 
     def __init__(
@@ -137,25 +160,31 @@ class Network:
         self.dropped: int = 0
         self._partitioned: Set[Tuple[int, int]] = set()  # (dc_a, dc_b) ordered pairs
         self._extra_delay: float = 0.0
-        # Per-(src, dst) route memo: (link class, its int code, latency
-        # model, DC pair). link_class + the enum-keyed dict lookups per
-        # message add up -- every replica fan-out crosses this path -- so
-        # the resolve happens once per node pair. Invalidated when the
-        # topology gains nodes (:meth:`clear_topology_cache`, called by the
-        # store's bootstrap).
-        self._route_cache: Dict[
-            Tuple[int, int], Tuple[LinkClass, int, Any, Tuple[int, int]]
-        ] = {}
+        # Per-(src, dst) route memo. link_class + the enum-keyed dict
+        # lookups per message add up -- every replica fan-out crosses this
+        # path -- so the resolve happens once per node pair. Invalidated
+        # when the topology gains nodes (:meth:`clear_topology_cache`,
+        # called by the store's bootstrap).
+        self._route_cache: Dict[Tuple[int, int], _Route] = {}
+        #: the stream's next standard normals, reversed: ``pop()`` serves
+        #: them in draw order
+        self._normals: List[float] = []
 
-    def _route(
-        self, src: int, dst: int
-    ) -> Tuple[LinkClass, int, Any, Tuple[int, int]]:
+    def _route(self, src: int, dst: int) -> _Route:
         """Resolve and memoize a node pair (the miss path of :meth:`send`)."""
         cls = self.topology.link_class(src, dst)
         dcs = (self.topology.dc_of(src), self.topology.dc_of(dst))
-        route = (cls, _CLASS_CODE[cls], self.topology.latency_models[cls], dcs)
+        model = self.topology.latency_models[cls]
+        # ``type() is``: a subclass may override ``sample``.
+        route = (cls, _CLASS_CODE[cls], model, dcs, type(model) is LogNormalLatency)
         self._route_cache[(src, dst)] = route
         return route
+
+    def _refill(self) -> List[float]:
+        """Fetch the next block of normals (the miss path of a lognormal draw)."""
+        normals = self._normals
+        normals.extend(self.rng.standard_normal(_NORMAL_BLOCK)[::-1].tolist())
+        return normals
 
     def clear_topology_cache(self) -> None:
         """Drop memoized routes after the topology changed (elastic growth)."""
@@ -213,7 +242,7 @@ class Network:
         route = self._route_cache.get((src, dst))
         if route is None:
             route = self._route(src, dst)
-        cls, code, model, dcs = route
+        cls, code, model, dcs, lognormal = route
         local = cls is _LOCAL
         if not local and self._partitioned and dcs in self._partitioned:
             self.dropped += 1
@@ -221,7 +250,11 @@ class Network:
         traffic = self.traffic
         traffic._messages[code] += 1
         traffic._bytes[code] += int(nbytes)
-        delay = model.sample(self.rng)
+        if lognormal:
+            normals = self._normals or self._refill()
+            delay = model.floor + exp(model.mu + model.sigma * normals.pop())
+        else:
+            delay = model.sample(self.rng)
         if not local:
             delay += self._extra_delay
         self.sim.post(delay, deliver, *args)
@@ -229,8 +262,12 @@ class Network:
 
     def sample_delay(self, src: int, dst: int) -> float:
         """Sample a delay without sending (used by monitors probing RTT)."""
-        cls = self.topology.link_class(src, dst)
-        return self.topology.latency_models[cls].sample(self.rng)
+        route = self._route_cache.get((src, dst)) or self._route(src, dst)
+        model = route[2]
+        if route[4]:
+            normals = self._normals or self._refill()
+            return model.floor + exp(model.mu + model.sigma * normals.pop())
+        return model.sample(self.rng)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -348,6 +348,8 @@ class TransactionalStore:
         wal_factory: Optional[Callable[[int], WriteAheadLog]] = None,
     ):
         self.store = store
+        #: The deployment's transport (clock, messaging, timers).
+        self.transport = store.transport
         self.policy = policy
         self.config = config or TxnConfig()
         n = len(store.nodes)
@@ -360,6 +362,10 @@ class TransactionalStore:
             TransactionManager(self, i, self.wals[i]) for i in range(n)
         ]
         store.add_node_listener(self)
+        #: the store listeners' ``on_txn_complete`` hooks, re-bound when the
+        #: listener list has grown (listeners are only ever added)
+        self._txn_hooks: List[Callable[[TxnOutcome], Any]] = []
+        self._n_listeners = 0
         #: observability sink for 2PC phase transitions; ``None`` (the
         #: default) keeps every TM hook a single attribute-load + branch.
         self.obs = None
@@ -369,15 +375,10 @@ class TransactionalStore:
         # Every commit waits the same ``config.client_timeout``, so one
         # armed timer serves them all; a delivered transaction needs none.
         self._client_deadlines = DeadlineQueue(
-            store.transport, self._client_timeout, done_attr="delivered"
+            self.transport, self._client_timeout, done_attr="delivered"
         )
         self._register_wire_handlers()
         self._reset_counters()
-
-    @property
-    def transport(self):
-        """The deployment's transport (clock, messaging, timers)."""
-        return self.store.transport
 
     def _register_wire_handlers(self) -> None:
         """Name every protocol handler on the transport.
@@ -388,7 +389,7 @@ class TransactionalStore:
         the registration here -- not in any backend harness -- is what
         guarantees both backends run the *same* wiring.
         """
-        tr = self.store.transport
+        tr = self.transport
         for p in self.participants:
             i = p.node_id
             tr.register(f"p{i}.on_prepare", p.on_prepare)
@@ -434,14 +435,18 @@ class TransactionalStore:
     def send(self, src: int, dst: int, nbytes: int, fn: Callable[..., Any], *args: Any):
         """Send one protocol message, counted toward the run's message cost.
 
-        Every TM/participant message (prepare, vote, pre-commit, decision,
-        ack, status query/reply, termination query/reply) goes through
-        here, so ``txn_summary()['msgs']``/``['msg_bytes']`` is the exact
-        per-protocol message bill the shootout compares.
+        Every TM/participant message is counted exactly once, so
+        ``txn_summary()['msgs']``/``['msg_bytes']`` is the exact
+        per-protocol message bill the shootout compares. The cold paths
+        (status query/reply, termination query/reply) go through here; the
+        commit round's own messages (prepare, vote, pre-commit, decision
+        and their acks) do the same two bumps at their send sites (the TM's
+        fan-out loops, the participant's ``_reply``) and call the transport
+        directly.
         """
         self.txn_msgs += 1
         self.txn_msg_bytes += int(nbytes)
-        return self.store.transport.send(src, dst, nbytes, fn, *args)
+        return self.transport.send(src, dst, nbytes, fn, *args)
 
     # -- client API ---------------------------------------------------------------
 
@@ -553,10 +558,16 @@ class TransactionalStore:
                 break
 
     def _notify_listeners(self, outcome: TxnOutcome) -> None:
-        for listener in self.store._listeners:
-            hook = getattr(listener, "on_txn_complete", None)
-            if hook is not None:
-                hook(outcome)
+        listeners = self.store._listeners
+        if len(listeners) != self._n_listeners:
+            self._n_listeners = len(listeners)
+            self._txn_hooks = [
+                listener.on_txn_complete
+                for listener in listeners
+                if hasattr(listener, "on_txn_complete")
+            ]
+        for hook in self._txn_hooks:
+            hook(outcome)
 
     def _deliver(self, txn: Transaction, status: str, reason: Optional[str]) -> None:
         txn.delivered = True

@@ -49,11 +49,18 @@ classical blocking case of termination protocols.
 classical limit of termination protocols and of 3PC itself, see
 docs/ARCHITECTURE.md.)
 
-**Crash/recovery** -- a crash wipes the lock table, the prepared-state
-mirror, the poll timers and the termination bookkeeping; only the WAL
-survives. Recovery rebuilds prepared state (including pre-commit status
-and the co-participant list) from in-doubt ``prepare`` records in LSN
-order and asks each transaction's TM for the verdict.
+**Crash/recovery** -- a crash wipes the lock table and the prepared-state
+mirror, and with it the poll timers and the termination bookkeeping; only
+the WAL survives. Recovery rebuilds prepared state (including pre-commit
+status and the co-participant list) from in-doubt ``prepare`` records in
+LSN order and asks each transaction's TM for the verdict.
+
+**State** -- everything volatile this role knows about one transaction is
+one :class:`_Prepared` record: the buffered writes, the poll timer and
+backoff position, the open termination round. It is created at prepare
+(or recovery) and dropped at the decision (or a crash); the timers carry
+the record itself, so one that outlives its entry finds
+``prepared.get(txn_id) is not p`` and does nothing.
 """
 
 from __future__ import annotations
@@ -86,6 +93,10 @@ class _Prepared:
         "precommitted",
         "recovered",
         "t_registered",
+        "poll_event",
+        "poll_attempts",
+        "term_uncertain",
+        "term_round",
     )
 
     def __init__(
@@ -112,6 +123,18 @@ class _Prepared:
         #: instant, or the recovery instant after a crash (downtime is
         #: dead, not blocked -- same rule as the in-doubt-dwell oracle).
         self.t_registered = t_registered
+        #: The pending status-poll timer.
+        self.poll_event: Any = None
+        #: Unanswered status polls since the last sign of TM life.
+        self.poll_attempts = 0
+        #: Peers that answered "uncertain" in the open termination round;
+        #: ``None`` while no round is open. Any sign of TM life closes the
+        #: round, which also voids its reply-window timer.
+        self.term_uncertain: Optional[Set[int]] = None
+        #: Rounds opened so far -- the open round's token. It only grows:
+        #: were it reset with the round, a later round would reuse a token
+        #: and an earlier round's timer, still pending, could conclude it.
+        self.term_round = 0
 
 
 class TxnParticipant:
@@ -121,18 +144,14 @@ class TxnParticipant:
         self.owner = owner
         self.node_id = int(node_id)
         self.wal = wal
+        #: This role's storage node and the deployment's transport, bound
+        #: once: neither is ever replaced for a node id.
+        self.node = owner.store.nodes[self.node_id]
+        self.tr = owner.store.transport
         #: key -> txn_id holding the prepare lock.
         self.locks: Dict[str, int] = {}
         #: txn_id -> prepared state awaiting a decision.
         self.prepared: Dict[int, _Prepared] = {}
-        self._poll_events: Dict[int, Any] = {}
-        #: txn_id -> unanswered status polls since the last sign of TM life.
-        self._poll_attempts: Dict[int, int] = {}
-        #: txn_id -> peers that answered "uncertain" in the current round.
-        self._term_uncertain: Dict[int, Set[int]] = {}
-        #: txn_id -> token of the open termination round; any sign of TM
-        #: life (or a resolution) invalidates the round and its timeout.
-        self._term_round: Dict[int, int] = {}
         # counters (never reset by a crash -- they are measurement surfaces)
         self.prepares_seen = 0
         self.votes_yes = 0
@@ -148,17 +167,6 @@ class TxnParticipant:
         #: semantics as the in-doubt-dwell oracle's recovery-restart rule).
         self.blocked_time = 0.0
 
-    # -- plumbing -----------------------------------------------------------------
-
-    def _node(self):
-        return self.owner.store.nodes[self.node_id]
-
-    def _transport(self):
-        return self.owner.transport
-
-    def _protocol(self) -> str:
-        return self.owner.config.commit_protocol
-
     # -- message handlers ---------------------------------------------------------
 
     def on_prepare(
@@ -170,44 +178,44 @@ class TxnParticipant:
         co_participants: Any = (),
     ) -> None:
         """PREPARE from the TM: vote, and on YES make the writes durable."""
-        if not self._node().up:
+        if not self.node.up:
             return  # message lost at a dead node; the TM's timeout handles it
         self.prepares_seen += 1
         if txn_id in self.prepared:
-            self._send_vote(tm_node, txn_id, True)  # duplicate (TM retry)
+            self._reply(tm_node, "on_vote", txn_id, True)  # duplicate (TM retry)
             return
-        kinds = self.wal.kinds_for(txn_id)
-        if REC_COMMIT in kinds or REC_ABORT in kinds:
+        if self.wal.decision_for(txn_id) is not None:
             # Already decided here -- or abort-pledged to a termination
             # query, in which case voting YES now would break the pledge.
             return
         vote = self._evaluate(txn_id, writes, read_versions)
         if vote:
             self.votes_yes += 1
+            now = self.tr.now
             self.wal.append(
                 REC_PREPARE,
                 txn_id,
-                self._transport().now,
+                now,
                 tm_node=tm_node,
                 writes=dict(writes),
                 co=list(co_participants),
             )
             for key in writes:
                 self.locks[key] = txn_id
-            self.prepared[txn_id] = _Prepared(
+            self.prepared[txn_id] = p = _Prepared(
                 txn_id,
                 tm_node,
                 dict(writes),
                 [int(c) for c in co_participants],
-                t_registered=self._transport().now,
+                t_registered=now,
             )
-            self._schedule_poll(txn_id)
+            self._schedule_poll(p)
             obs = self.owner.obs
             if obs is not None:
-                obs.on_txn_prepared(self.node_id, txn_id, self._transport().now)
+                obs.on_txn_prepared(self.node_id, txn_id, now)
         else:
             self.votes_no += 1
-        self._send_vote(tm_node, txn_id, vote)
+        self._reply(tm_node, "on_vote", txn_id, vote)
 
     def _evaluate(
         self,
@@ -220,7 +228,7 @@ class TxnParticipant:
             holder = self.locks.get(key)
             if holder is not None and holder != txn_id:
                 return False
-        node = self._node()
+        node = self.node
         for key in sorted(read_versions):
             seen = read_versions[key]
             local = node.data.get(key)
@@ -234,39 +242,38 @@ class TxnParticipant:
 
     def on_precommit(self, txn_id: int, tm_node: int) -> None:
         """PRE-COMMIT from a 3PC TM: log it and acknowledge."""
-        if not self._node().up:
+        if not self.node.up:
             return  # lost; the TM re-sends until acknowledged
         p = self.prepared.get(txn_id)
         if p is None:
             # Already resolved here (or never prepared); ack so a
             # recovering TM can close its pre-commit barrier and move on.
-            self._send_precommit_ack(tm_node, txn_id)
+            self._reply(tm_node, "on_precommit_ack", txn_id)
             return
         if not p.precommitted:
             p.precommitted = True
-            self.wal.append(REC_PRECOMMIT, txn_id, self._transport().now)
+            self.wal.append(REC_PRECOMMIT, txn_id, self.tr.now)
         # A pre-commit is proof of TM life: restart the backoff schedule.
-        self._poll_attempts[txn_id] = 0
-        self._term_uncertain.pop(txn_id, None)
-        self._term_round.pop(txn_id, None)
-        self._send_precommit_ack(tm_node, txn_id)
+        p.poll_attempts = 0
+        p.term_uncertain = None
+        self._reply(tm_node, "on_precommit_ack", txn_id)
 
     def on_decision(self, txn_id: int, tm_node: int, commit: bool) -> None:
         """COMMIT/ABORT from the TM (possibly a retry or a recovery reply)."""
-        if not self._node().up:
+        if not self.node.up:
             return  # lost; the TM keeps retrying until acknowledged
         p = self.prepared.get(txn_id)
         if p is None:
             # Never prepared here (presumed abort: nothing to undo) or
             # already decided (duplicate retry). Ack so the TM stops.
-            self._send_ack(tm_node, txn_id)
+            self._reply(tm_node, "on_ack", txn_id)
             return
         self._resolve(p, commit)
-        self._send_ack(tm_node, txn_id)
+        self._reply(tm_node, "on_ack", txn_id)
 
     def _resolve(self, p: _Prepared, commit: bool) -> None:
         """Log the verdict, apply or discard, release, account the dwell."""
-        now = self._transport().now
+        now = self.tr.now
         self.wal.append(REC_COMMIT if commit else REC_ABORT, p.txn_id, now)
         if commit:
             self._apply(p)
@@ -277,10 +284,8 @@ class TxnParticipant:
         for key in p.writes:
             if self.locks.get(key) == p.txn_id:
                 del self.locks[key]
-        self._cancel_poll(p.txn_id)
-        self._poll_attempts.pop(p.txn_id, None)
-        self._term_uncertain.pop(p.txn_id, None)
-        self._term_round.pop(p.txn_id, None)
+        if p.poll_event is not None:
+            p.poll_event.cancel()
         del self.prepared[p.txn_id]
         obs = self.owner.obs
         if obs is not None:
@@ -288,8 +293,8 @@ class TxnParticipant:
 
     def _apply(self, p: _Prepared) -> None:
         """Install the prepared writes (last-write-wins, oracle-visible)."""
-        node = self._node()
-        now = self._transport().now
+        node = self.node
+        now = self.tr.now
         oracle = self.owner.store.oracle
         for key in sorted(p.writes):
             version = p.writes[key]
@@ -305,15 +310,11 @@ class TxnParticipant:
         """Volatile state is lost; the WAL is all that survives."""
         # Close out the live in-doubt dwell of every prepared entry: the
         # node is dead from here until recovery, and dead is not blocked.
-        now = self._transport().now
+        now = self.tr.now
         for p in self.prepared.values():
             self.blocked_time += now - p.t_registered
-        for ev in self._poll_events.values():
-            ev.cancel()
-        self._poll_events.clear()
-        self._poll_attempts.clear()
-        self._term_uncertain.clear()
-        self._term_round.clear()
+            if p.poll_event is not None:
+                p.poll_event.cancel()
         self.locks.clear()
         self.prepared.clear()
 
@@ -335,7 +336,7 @@ class TxnParticipant:
                 # the table for this entry forever (sticky across any
                 # number of further crashes -- every rebuild re-sets it).
                 recovered=True,
-                t_registered=self._transport().now,
+                t_registered=self.tr.now,
             )
             self.prepared[txn_id] = p
             for key in p.writes:
@@ -348,84 +349,66 @@ class TxnParticipant:
                 # measures how long a *live* participant stays stuck.
                 # ``restart=True`` overwrites the pre-crash start time even
                 # when the crash+recovery fell between two sampler ticks.
-                obs.on_txn_prepared(
-                    self.node_id, txn_id, self._transport().now, restart=True
-                )
-            self._query_status(txn_id)
-            self._schedule_poll(txn_id)
+                obs.on_txn_prepared(self.node_id, txn_id, self.tr.now, restart=True)
+            self._query_status(p)
+            self._schedule_poll(p)
 
     # -- in-doubt polling (deterministic backoff) ---------------------------------
 
-    def _schedule_poll(self, txn_id: int) -> None:
+    def _schedule_poll(self, p: _Prepared) -> None:
         delay = self.owner.config.poll_delay(
-            self.owner.store.config.seed,
-            self.node_id,
-            txn_id,
-            self._poll_attempts.get(txn_id, 0),
+            self.owner.store.config.seed, self.node_id, p.txn_id, p.poll_attempts
         )
-        self._poll_events[txn_id] = self._transport().set_timer(delay, self._poll, txn_id)
+        p.poll_event = self.tr.set_timer(delay, self._poll, p)
 
-    def _cancel_poll(self, txn_id: int) -> None:
-        ev = self._poll_events.pop(txn_id, None)
-        if ev is not None:
-            ev.cancel()
-
-    def _poll(self, txn_id: int) -> None:
-        if txn_id not in self.prepared or not self._node().up:
-            self._poll_events.pop(txn_id, None)
+    def _poll(self, p: _Prepared) -> None:
+        p.poll_event = None
+        if self.prepared.get(p.txn_id) is not p or not self.node.up:
             return
-        self._poll_attempts[txn_id] = self._poll_attempts.get(txn_id, 0) + 1
-        self._query_status(txn_id)
+        p.poll_attempts += 1
+        self._query_status(p)
+        cfg = self.owner.config
         if (
-            self._protocol() in ("2pc-coop", "3pc")
-            and self._poll_attempts[txn_id] >= self.owner.config.termination_after
+            cfg.commit_protocol in ("2pc-coop", "3pc")
+            and p.poll_attempts >= cfg.termination_after
         ):
-            self._terminate(txn_id)
-            if txn_id not in self.prepared:
-                # Termination resolved the transaction (3PC pre-committed
-                # self-commit or unilateral abort): ``_resolve`` already
-                # cleaned the poll state -- don't recreate it.
-                return
-        self._schedule_poll(txn_id)
+            self._terminate(p)
+            if self.prepared.get(p.txn_id) is not p:
+                return  # termination resolved it (self-commit or abort)
+        self._schedule_poll(p)
 
-    def _query_status(self, txn_id: int) -> None:
+    def _query_status(self, p: _Prepared) -> None:
         """Ask the transaction's TM for the verdict (presumed-abort reply)."""
-        p = self.prepared.get(txn_id)
-        if p is None:
-            return
-        st = self.owner.store
         self.owner.send(
             self.node_id,
             p.tm_node,
-            st.sizes.digest,
+            self.owner.store.sizes.digest,
             self.owner.tms[p.tm_node].on_status_query,
-            txn_id,
+            p.txn_id,
             self.node_id,
         )
 
     def on_tm_working(self, txn_id: int) -> None:
         """The TM answered "still deciding": proof of life, reset backoff."""
-        if not self._node().up or txn_id not in self.prepared:
+        p = self.prepared.get(txn_id)
+        if p is None or not self.node.up:
             return
-        self._poll_attempts[txn_id] = 0
-        self._term_uncertain.pop(txn_id, None)
-        self._term_round.pop(txn_id, None)
+        p.poll_attempts = 0
+        p.term_uncertain = None
 
     # -- cooperative termination --------------------------------------------------
 
-    def _terminate(self, txn_id: int) -> None:
+    def _terminate(self, p: _Prepared) -> None:
         """One termination round: ask every co-participant for the verdict."""
-        p = self.prepared.get(txn_id)
-        if p is None:
-            return
-        if self._protocol() == "3pc" and p.precommitted:
+        txn_id = p.txn_id
+        if self.owner.config.commit_protocol == "3pc" and p.precommitted:
             # Pre-commit is proof every participant voted YES and the TM
             # passed its commit point barrier's threshold; after sustained
             # TM silence the round drives itself to commit (the 3PC
             # non-blocking rule under a single coordinator failure).
             self.termination_resolved += 1
             self._resolve(p, commit=True)
-            self._send_ack(p.tm_node, txn_id)
+            self._reply(p.tm_node, "on_ack", txn_id)
             return
         peers = [c for c in p.co_participants if c != self.node_id]
         if not peers:
@@ -437,9 +420,8 @@ class TxnParticipant:
             # recovered entry blocked.)
             self._unilateral_abort(p)
             return
-        token = self._term_round.get(txn_id, 0) + 1
-        self._term_round[txn_id] = token
-        self._term_uncertain[txn_id] = set()
+        p.term_round += 1
+        p.term_uncertain = set()
         st = self.owner.store
         for peer in peers:
             self.owner.send(
@@ -466,15 +448,17 @@ class TxnParticipant:
             if cfg.termination_timeout is not None
             else cfg.prepare_timeout
         )
-        self._transport().set_timer(window, self._termination_timeout, txn_id, token)
+        self.tr.set_timer(window, self._termination_timeout, p, p.term_round)
 
-    def _termination_timeout(self, txn_id: int, token: int) -> None:
+    def _termination_timeout(self, p: _Prepared, token: int) -> None:
         """The round's reply window closed: missing peers count uncertain."""
-        if not self._node().up or self._term_round.get(txn_id) != token:
-            return  # superseded by a newer round or a sign of TM life
-        p = self.prepared.get(txn_id)
-        if p is None:
-            return
+        if (
+            self.prepared.get(p.txn_id) is not p
+            or p.term_uncertain is None
+            or p.term_round != token
+            or not self.node.up
+        ):
+            return  # resolved, closed by a sign of TM life, or superseded
         self._unilateral_abort(p)
 
     def _unilateral_abort(self, p: _Prepared) -> None:
@@ -497,11 +481,11 @@ class TxnParticipant:
             return
         self.termination_resolved += 1
         self._resolve(p, commit=False)
-        self._send_ack(p.tm_node, p.txn_id)
+        self._reply(p.tm_node, "on_ack", p.txn_id)
 
     def on_termination_query(self, txn_id: int, from_node: int) -> None:
         """A blocked co-participant asks what this node knows."""
-        if not self._node().up:
+        if not self.node.up:
             return
         decision = self.wal.decision_for(txn_id)
         if decision is None:
@@ -517,9 +501,7 @@ class TxnParticipant:
                 # Never voted YES (and, having pledged, never will): the TM
                 # cannot have decided commit without this vote, so abort is
                 # authoritative. The pledge is the logged abort record.
-                self.wal.append(
-                    REC_ABORT, txn_id, self._transport().now, pledge=True
-                )
+                self.wal.append(REC_ABORT, txn_id, self.tr.now, pledge=True)
                 verdict = "abort"
         else:
             verdict = decision
@@ -536,20 +518,22 @@ class TxnParticipant:
 
     def on_termination_reply(self, txn_id: int, from_node: int, verdict: str) -> None:
         """A co-participant's answer to this node's termination query."""
-        if not self._node().up:
+        if not self.node.up:
             return
         p = self.prepared.get(txn_id)
         if p is None:
             return  # resolved meanwhile (TM retry or an earlier reply)
-        if verdict == "commit" or (verdict == "precommit" and self._protocol() == "3pc"):
+        if verdict == "commit" or (
+            verdict == "precommit" and self.owner.config.commit_protocol == "3pc"
+        ):
             self.termination_resolved += 1
             self._resolve(p, commit=True)
-            self._send_ack(p.tm_node, txn_id)
+            self._reply(p.tm_node, "on_ack", txn_id)
             return
         if verdict == "abort":
             self.termination_resolved += 1
             self._resolve(p, commit=False)
-            self._send_ack(p.tm_node, txn_id)
+            self._reply(p.tm_node, "on_ack", txn_id)
             return
         # "uncertain" (or a precommit report under plain 2pc-coop, where it
         # cannot occur): when every peer of the round is uncertain and the
@@ -558,9 +542,9 @@ class TxnParticipant:
         # presume abort, so aborting now is the unique consistent outcome
         # for a participant continuously up since its vote (a recovered
         # one stays blocked; see ``_unilateral_abort``).
-        pending = self._term_uncertain.get(txn_id)
+        pending = p.term_uncertain
         if pending is None:
-            return  # a stale reply from a superseded round
+            return  # a stale reply to a round closed by a sign of TM life
         pending.add(from_node)
         peers = {c for c in p.co_participants if c != self.node_id}
         if peers and pending >= peers:
@@ -568,38 +552,20 @@ class TxnParticipant:
 
     # -- outbound messages --------------------------------------------------------
 
-    def _send_vote(self, tm_node: int, txn_id: int, vote: bool) -> None:
-        st = self.owner.store
-        self.owner.send(
-            self.node_id,
-            tm_node,
-            st.sizes.ack,
-            self.owner.tms[tm_node].on_vote,
-            txn_id,
-            self.node_id,
-            vote,
-        )
+    def _reply(self, tm_node: int, handler: str, txn_id: int, *args: Any) -> None:
+        """Send a vote or an ack to ``handler`` of the transaction's TM.
 
-    def _send_precommit_ack(self, tm_node: int, txn_id: int) -> None:
-        st = self.owner.store
-        self.owner.send(
-            self.node_id,
-            tm_node,
-            st.sizes.ack,
-            self.owner.tms[tm_node].on_precommit_ack,
-            txn_id,
-            self.node_id,
-        )
-
-    def _send_ack(self, tm_node: int, txn_id: int) -> None:
-        st = self.owner.store
-        self.owner.send(
-            self.node_id,
-            tm_node,
-            st.sizes.ack,
-            self.owner.tms[tm_node].on_ack,
-            txn_id,
-            self.node_id,
+        These replies are most of a commit round's messages, so this does
+        ``TransactionalStore.send``'s accounting itself and hands the
+        message straight to the transport.
+        """
+        owner = self.owner
+        nbytes = owner.store.sizes.ack
+        owner.txn_msgs += 1
+        owner.txn_msg_bytes += nbytes
+        self.tr.send(
+            self.node_id, tm_node, nbytes, getattr(owner.tms[tm_node], handler),
+            txn_id, self.node_id, *args,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

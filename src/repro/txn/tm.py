@@ -108,6 +108,10 @@ class TransactionManager:
         self.owner = owner
         self.node_id = int(node_id)
         self.wal = wal
+        #: This role's storage node and the deployment's transport, bound
+        #: once: neither is ever replaced for a node id.
+        self.node = owner.store.nodes[self.node_id]
+        self.tr = owner.store.transport
         self._active: Dict[int, _TmTxn] = {}
         # counters
         self.rounds_started = 0
@@ -115,23 +119,13 @@ class TransactionManager:
         self.aborts_decided = 0
         self.recovery_resolved = 0
 
-    # -- plumbing -----------------------------------------------------------------
-
-    def _node(self):
-        return self.owner.store.nodes[self.node_id]
-
-    def _transport(self):
-        return self.owner.transport
-
-    def _three_phase(self) -> bool:
-        return self.owner.config.commit_protocol == "3pc"
-
     # -- the commit round ---------------------------------------------------------
 
     def begin_commit(self, txn: "Transaction") -> None:
         """Run the commit protocol for ``txn``'s buffered writes."""
-        st = self.owner.store
-        tr = self._transport()
+        owner = self.owner
+        st = owner.store
+        tr = self.tr
         now = tr.now
         writes_by_key: Dict[str, Version] = {}
         for key in sorted(txn.writes):
@@ -155,7 +149,7 @@ class TransactionManager:
         t.writes_by_key = writes_by_key
         t.t_start = now
         self._active[txn.txn_id] = t
-        obs = self.owner.obs
+        obs = owner.obs
         if obs is not None:
             obs.on_txn_phase(
                 txn.txn_id,
@@ -165,7 +159,9 @@ class TransactionManager:
                 participants=len(participants),
             )
 
-        validate = self.owner.config.validate_reads
+        validate = owner.config.validate_reads
+        send = tr.send
+        on = owner.participants
         for r in participants:
             node_writes = writes_by_node[r]
             read_versions = (
@@ -176,24 +172,19 @@ class TransactionManager:
             payload = st.sizes.request_overhead + sum(
                 v.size for v in node_writes.values()
             )
-            self.owner.send(
-                self.node_id,
-                r,
-                payload,
-                self.owner.participants[r].on_prepare,
-                txn.txn_id,
-                self.node_id,
-                node_writes,
-                read_versions,
-                participants,
+            owner.txn_msgs += 1
+            owner.txn_msg_bytes += payload
+            send(
+                self.node_id, r, payload, on[r].on_prepare,
+                txn.txn_id, self.node_id, node_writes, read_versions, participants,
             )
         t.timeout_event = tr.set_timer(
-            self.owner.config.prepare_timeout, self._on_prepare_timeout, txn.txn_id
+            owner.config.prepare_timeout, self._on_prepare_timeout, txn.txn_id
         )
 
     def on_vote(self, txn_id: int, node_id: int, vote: bool) -> None:
         """A participant's YES/NO vote."""
-        if not self._node().up:
+        if not self.node.up:
             return
         t = self._active.get(txn_id)
         if t is None or t.decision is not None or t.precommitted:
@@ -202,14 +193,14 @@ class TransactionManager:
         if not vote:
             self._decide(t, commit=False, reason="conflict")
         elif len(t.votes) == len(t.participants) and all(t.votes.values()):
-            if self._three_phase():
+            if self.owner.config.commit_protocol == "3pc":
                 self._precommit(t)
             else:
                 self._decide(t, commit=True)
 
     def _on_prepare_timeout(self, txn_id: int) -> None:
         t = self._active.get(txn_id)
-        if t is None or t.decision is not None or not self._node().up:
+        if t is None or t.decision is not None or not self.node.up:
             return
         if t.precommitted:
             return  # pragma: no cover - timeout is canceled at pre-commit
@@ -219,7 +210,7 @@ class TransactionManager:
 
     def _precommit(self, t: _TmTxn) -> None:
         """All voted YES under 3PC: log the barrier and fan out PRE-COMMIT."""
-        tr = self._transport()
+        tr = self.tr
         t.precommitted = True
         if t.timeout_event is not None:
             t.timeout_event.cancel()
@@ -240,26 +231,24 @@ class TransactionManager:
         )
 
     def _send_precommits(self, t: _TmTxn) -> None:
-        st = self.owner.store
+        owner = self.owner
+        nbytes = owner.store.sizes.digest
+        send = self.tr.send
+        on = owner.participants
         for r in t.participants:
             if r in t.precommit_acks:
                 continue
-            self.owner.send(
-                self.node_id,
-                r,
-                st.sizes.digest,
-                self.owner.participants[r].on_precommit,
-                t.txn_id,
-                self.node_id,
-            )
+            owner.txn_msgs += 1
+            owner.txn_msg_bytes += nbytes
+            send(self.node_id, r, nbytes, on[r].on_precommit, t.txn_id, self.node_id)
 
     def _retry_precommit(self, txn_id: int) -> None:
         t = self._active.get(txn_id)
         if t is None or not t.precommitted or t.decision is not None:
             return
-        if self._node().up:
+        if self.node.up:
             self._send_precommits(t)
-        t.retry_event = self._transport().set_timer(
+        t.retry_event = self.tr.set_timer(
             self.owner.config.retry_interval, self._retry_precommit, txn_id
         )
 
@@ -275,7 +264,7 @@ class TransactionManager:
         t = self._active.get(txn_id)
         if t is None or not t.precommitted or t.decision is not None:
             return
-        if not self._node().up:
+        if not self.node.up:
             return
         if t.retry_event is not None:
             t.retry_event.cancel()
@@ -284,7 +273,7 @@ class TransactionManager:
 
     def on_precommit_ack(self, txn_id: int, node_id: int) -> None:
         """A participant acknowledged the 3PC pre-commit."""
-        if not self._node().up:
+        if not self.node.up:
             return
         t = self._active.get(txn_id)
         if t is None or not t.precommitted or t.decision is not None:
@@ -300,7 +289,7 @@ class TransactionManager:
 
     def _decide(self, t: _TmTxn, commit: bool, reason: Optional[str] = None) -> None:
         """The decision point: force-log, answer the client, fan out."""
-        tr = self._transport()
+        tr = self.tr
         t.decision = "commit" if commit else "abort"
         if t.timeout_event is not None:
             t.timeout_event.cancel()
@@ -341,34 +330,34 @@ class TransactionManager:
         return len(st.replica_sets(key)[0])
 
     def _send_decisions(self, t: _TmTxn) -> None:
-        st = self.owner.store
+        owner = self.owner
+        nbytes = owner.store.sizes.digest
+        send = self.tr.send
+        on = owner.participants
         commit = t.decision == "commit"
         for r in t.participants:
             if r in t.acks:
                 continue
-            self.owner.send(
-                self.node_id,
-                r,
-                st.sizes.digest,
-                self.owner.participants[r].on_decision,
-                t.txn_id,
-                self.node_id,
-                commit,
+            owner.txn_msgs += 1
+            owner.txn_msg_bytes += nbytes
+            send(
+                self.node_id, r, nbytes, on[r].on_decision,
+                t.txn_id, self.node_id, commit,
             )
 
     def _retry_decision(self, txn_id: int) -> None:
         t = self._active.get(txn_id)
         if t is None or t.decision is None:
             return
-        if self._node().up:
+        if self.node.up:
             self._send_decisions(t)
-        t.retry_event = self._transport().set_timer(
+        t.retry_event = self.tr.set_timer(
             self.owner.config.retry_interval, self._retry_decision, txn_id
         )
 
     def on_ack(self, txn_id: int, node_id: int) -> None:
         """A participant acknowledged the decision."""
-        if not self._node().up:
+        if not self.node.up:
             return
         t = self._active.get(txn_id)
         if t is None or t.decision is None:
@@ -377,7 +366,7 @@ class TransactionManager:
         if len(t.acks) == len(t.participants):
             if t.retry_event is not None:
                 t.retry_event.cancel()
-            now = self._transport().now
+            now = self.tr.now
             self.wal.append(REC_TM_END, txn_id, now)
             del self._active[txn_id]
             obs = self.owner.obs
@@ -388,7 +377,7 @@ class TransactionManager:
 
     def on_status_query(self, txn_id: int, from_node: int) -> None:
         """A prepared participant asks for the verdict (presumed abort)."""
-        if not self._node().up:
+        if not self.node.up:
             return
         st = self.owner.store
         decision = self.wal.tm_decision(txn_id)
@@ -430,7 +419,7 @@ class TransactionManager:
 
     def on_recover(self) -> None:
         """Resume every unfinished WAL round until ``tm-end`` is durable."""
-        tr = self._transport()
+        tr = self.tr
         for rec in self.wal.tm_unfinished():
             txn_id = rec.txn_id
             if txn_id in self._active:

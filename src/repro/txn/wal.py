@@ -36,14 +36,19 @@ Record kinds (presumed-abort 2PC, plus the 3PC pre-commit phase):
 
 A participant is **in doubt** when its log holds a ``prepare`` without a
 matching ``commit``/``abort``; a TM round is **unfinished** when it holds a
-``tm-begin`` without ``tm-end``. Both queries used to be full log scans,
-which made :meth:`~repro.txn.api.TransactionalStore.in_doubt_now` (called
-once per report and per sampler tick in observed runs) O(log size). The
-log now maintains **incremental pending sets** updated in :meth:`append`;
-the scan variants (:meth:`in_doubt_scan`, :meth:`tm_unfinished_scan`)
-remain as the executable specification the tests assert against. Both
-views iterate in first-record LSN order, so recovery actions replay in a
-deterministic sequence either way.
+``tm-begin`` without ``tm-end``. The protocols ask the log such questions
+on almost every message, so it keeps a **derived index**, updated only in
+:meth:`append`: one int per transaction with a bit per record kind seen
+(of a role's two decision bits only the *first* decision logged is set --
+the first-in-LSN-order rule of :meth:`decision_for` / :meth:`tm_decision`),
+the transaction's first ``prepare`` record, and the **incremental pending
+sets** behind :meth:`in_doubt` / :meth:`tm_unfinished`, kept in
+first-record LSN order so recovery replays in a deterministic sequence.
+Every per-message query is one dict lookup and a mask. The scan variants
+(:meth:`in_doubt_scan`, :meth:`tm_unfinished_scan`) recompute the pending
+sets from the records alone and remain the executable specification the
+tests assert against; :meth:`records_for` / :meth:`kinds_for` filter the
+whole log and are audit/test API.
 """
 
 from __future__ import annotations
@@ -76,8 +81,22 @@ REC_TM_END = "tm-end"
 
 #: Participant-side records that resolve an in-doubt ``prepare``.
 _DECISIONS = (REC_COMMIT, REC_ABORT)
-#: TM-side decision records.
-_TM_DECISIONS = (REC_TM_COMMIT, REC_TM_ABORT)
+
+#: Record kind -> its bit in the per-transaction ``_seen`` mask.
+_BIT = {
+    kind: 1 << i
+    for i, kind in enumerate([
+        REC_PREPARE, REC_PRECOMMIT, REC_COMMIT, REC_ABORT, REC_TM_BEGIN,
+        REC_TM_PRECOMMIT, REC_TM_COMMIT, REC_TM_ABORT, REC_TM_END,
+    ])
+}
+_PRECOMMIT = _BIT[REC_PRECOMMIT]
+_COMMIT = _BIT[REC_COMMIT]
+_DECIDED = _COMMIT | _BIT[REC_ABORT]
+_TM_PRECOMMIT = _BIT[REC_TM_PRECOMMIT]
+_TM_COMMIT = _BIT[REC_TM_COMMIT]
+_TM_DECIDED = _TM_COMMIT | _BIT[REC_TM_ABORT]
+_TM_END = _BIT[REC_TM_END]
 
 
 class WalRecord:
@@ -97,19 +116,23 @@ class WalRecord:
 
 
 class WriteAheadLog:
-    """Append-only per-node log with per-transaction indexing.
+    """Append-only per-node log with a per-transaction bit index.
 
     ``append`` is the only mutator; there is no truncation (simulated runs
     are bounded, and keeping every record makes the end-of-run audit --
-    counting transactions still in doubt -- exact). The pending sets below
-    are pure derived state: every update happens inside ``append`` and the
-    scan methods recompute them from the records alone.
+    counting transactions still in doubt -- exact). The index and the
+    pending sets below are pure derived state: every update happens inside
+    ``append`` and the scan methods recompute them from the records alone.
     """
 
     def __init__(self, node_id: int):
         self.node_id = int(node_id)
         self.records: List[WalRecord] = []
-        self._by_txn: Dict[int, List[WalRecord]] = {}
+        #: txn_id -> mask of the record kinds logged for it (``_BIT``); per
+        #: role only the first decision's bit is ever set.
+        self._seen: Dict[int, int] = {}
+        #: txn_id -> its first ``prepare`` record.
+        self._prepare: Dict[int, WalRecord] = {}
         #: txn_id -> None; prepared-here-but-undecided, in prepare LSN order
         #: (dict preserves insertion order).
         self._in_doubt: Dict[int, None] = {}
@@ -118,35 +141,44 @@ class WriteAheadLog:
 
     def append(self, kind: str, txn_id: int, time: float, **data: Any) -> WalRecord:
         """Durably append one record and return it."""
-        rec = WalRecord(len(self.records), int(txn_id), kind, float(time), data)
+        bit = _BIT[kind]
+        txn_id = int(txn_id)
+        rec = WalRecord(len(self.records), txn_id, kind, float(time), data)
         self.records.append(rec)
-        self._by_txn.setdefault(rec.txn_id, []).append(rec)
+        seen = self._seen.get(txn_id, 0)
         if kind == REC_PREPARE:
-            if not any(r.kind in _DECISIONS for r in self._by_txn[rec.txn_id]):
-                self._in_doubt.setdefault(rec.txn_id, None)
-        elif kind in _DECISIONS:
-            self._in_doubt.pop(rec.txn_id, None)
+            self._prepare.setdefault(txn_id, rec)
+            if not seen & _DECIDED:
+                self._in_doubt.setdefault(txn_id, None)
+        elif bit & _DECIDED:
+            self._in_doubt.pop(txn_id, None)
+            if seen & _DECIDED:
+                bit = 0  # the first decision stands
+        elif bit & _TM_DECIDED:
+            if seen & _TM_DECIDED:
+                bit = 0  # the first decision stands
         elif kind == REC_TM_BEGIN:
-            if REC_TM_END not in self.kinds_for(rec.txn_id)[:-1]:
-                self._tm_pending.setdefault(rec.txn_id, rec)
+            if not seen & _TM_END:
+                self._tm_pending.setdefault(txn_id, rec)
         elif kind == REC_TM_END:
-            self._tm_pending.pop(rec.txn_id, None)
+            self._tm_pending.pop(txn_id, None)
+        self._seen[txn_id] = seen | bit
         return rec
 
     def records_for(self, txn_id: int) -> List[WalRecord]:
-        """All records of one transaction, in LSN order."""
-        return list(self._by_txn.get(int(txn_id), ()))
+        """All records of one transaction, in LSN order (audit/test API:
+        filters the whole log)."""
+        txn_id = int(txn_id)
+        return [r for r in self.records if r.txn_id == txn_id]
 
     def kinds_for(self, txn_id: int) -> Tuple[str, ...]:
-        """The record kinds logged for one transaction, in LSN order."""
-        return tuple(r.kind for r in self._by_txn.get(int(txn_id), ()))
+        """The record kinds logged for one transaction, in LSN order
+        (audit/test API: filters the whole log)."""
+        return tuple(r.kind for r in self.records_for(txn_id))
 
     def prepare_record(self, txn_id: int) -> Optional[WalRecord]:
         """The ``prepare`` record of a transaction, if one was logged."""
-        for rec in self._by_txn.get(int(txn_id), ()):
-            if rec.kind == REC_PREPARE:
-                return rec
-        return None
+        return self._prepare.get(int(txn_id))
 
     def decision_for(self, txn_id: int) -> Optional[str]:
         """``"commit"``/``"abort"`` if this *participant* decided, else ``None``.
@@ -155,16 +187,14 @@ class WriteAheadLog:
         termination query: a logged participant decision can only have come
         from the TM's (or a previously terminated peer's) verdict.
         """
-        for rec in self._by_txn.get(int(txn_id), ()):
-            if rec.kind == REC_COMMIT:
-                return "commit"
-            if rec.kind == REC_ABORT:
-                return "abort"
-        return None
+        decided = self._seen.get(int(txn_id), 0) & _DECIDED
+        if not decided:
+            return None
+        return "commit" if decided == _COMMIT else "abort"
 
     def precommitted(self, txn_id: int) -> bool:
         """True if this participant logged a 3PC ``precommit``."""
-        return REC_PRECOMMIT in self.kinds_for(txn_id)
+        return bool(self._seen.get(int(txn_id), 0) & _PRECOMMIT)
 
     def in_doubt(self) -> List[int]:
         """Transactions prepared here but never decided, in prepare order.
@@ -176,27 +206,23 @@ class WriteAheadLog:
 
     def in_doubt_scan(self) -> List[int]:
         """The full-scan specification of :meth:`in_doubt` (tests only)."""
-        out: List[int] = []
+        decided = {r.txn_id for r in self.records if r.kind in _DECISIONS}
+        out: Dict[int, None] = {}
         for rec in self.records:
-            if rec.kind != REC_PREPARE:
-                continue
-            kinds = self.kinds_for(rec.txn_id)
-            if not any(k in _DECISIONS for k in kinds) and rec.txn_id not in out:
-                out.append(rec.txn_id)
-        return out
+            if rec.kind == REC_PREPARE and rec.txn_id not in decided:
+                out.setdefault(rec.txn_id, None)
+        return list(out)
 
     def tm_decision(self, txn_id: int) -> Optional[str]:
         """``"commit"``/``"abort"`` if this node's TM decided, else ``None``."""
-        for rec in self._by_txn.get(int(txn_id), ()):
-            if rec.kind == REC_TM_COMMIT:
-                return "commit"
-            if rec.kind == REC_TM_ABORT:
-                return "abort"
-        return None
+        decided = self._seen.get(int(txn_id), 0) & _TM_DECIDED
+        if not decided:
+            return None
+        return "commit" if decided == _TM_COMMIT else "abort"
 
     def tm_precommitted(self, txn_id: int) -> bool:
         """True if this node's TM logged a 3PC ``tm-precommit``."""
-        return REC_TM_PRECOMMIT in self.kinds_for(txn_id)
+        return bool(self._seen.get(int(txn_id), 0) & _TM_PRECOMMIT)
 
     def tm_unfinished(self) -> List[WalRecord]:
         """``tm-begin`` records without a matching ``tm-end``, in LSN order.
@@ -208,13 +234,12 @@ class WriteAheadLog:
 
     def tm_unfinished_scan(self) -> List[WalRecord]:
         """The full-scan specification of :meth:`tm_unfinished` (tests only)."""
-        out: List[WalRecord] = []
-        for rec in self.records:
-            if rec.kind != REC_TM_BEGIN:
-                continue
-            if REC_TM_END not in self.kinds_for(rec.txn_id):
-                out.append(rec)
-        return out
+        ended = {r.txn_id for r in self.records if r.kind == REC_TM_END}
+        return [
+            rec
+            for rec in self.records
+            if rec.kind == REC_TM_BEGIN and rec.txn_id not in ended
+        ]
 
     def __len__(self) -> int:
         return len(self.records)

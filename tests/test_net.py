@@ -204,3 +204,89 @@ class TestNetwork:
         before = net.traffic.total_bytes()
         net.sample_delay(0, 3)
         assert net.traffic.total_bytes() == before
+
+
+def _stochastic_topology(**override) -> Topology:
+    """Three DCs (two sharing a region): all four link classes occur."""
+    latency = {
+        LinkClass.INTRA_DC: LogNormalLatency.from_mean_cv(0.0003, cv=0.4),
+        LinkClass.INTER_AZ: LogNormalLatency.from_mean_cv(0.001, cv=0.5),
+        LinkClass.INTER_REGION: LogNormalLatency.from_mean_cv(0.04, cv=0.6),
+    }
+    latency.update({LinkClass[name]: model for name, model in override.items()})
+    return Topology(
+        [Datacenter("a1", "ra"), Datacenter("a2", "ra"), Datacenter("b", "rb")],
+        [2, 2, 2],
+        latency=latency,
+    )
+
+
+class TestBlockDrawnDelays:
+    """Lognormal delays come from one shared block of the stream's normals
+    and must equal the scalar ``model.sample`` path bit for bit."""
+
+    def test_bit_equal_to_scalar_sampling_across_refills(self):
+        topo = _stochastic_topology()
+        sim = Simulator()
+        net = Network(sim, topo, rng=7)
+        twin = np.random.default_rng(7)
+        extra = 0.125
+        net.set_extra_delay(extra)
+        pick = np.random.default_rng(99)
+        pairs = pick.integers(0, topo.n_nodes, size=(100_000, 2)).tolist()
+        probes = pick.random(100_000) < 0.2
+        classes = set()
+        for (src, dst), probe in zip(pairs, probes.tolist()):
+            cls = topo.link_class(src, dst)
+            classes.add(cls)
+            want = topo.latency_models[cls].sample(twin)
+            if probe:
+                assert net.sample_delay(src, dst) == want
+            else:
+                if cls is not LinkClass.LOCAL:
+                    want += extra
+                assert net.send(src, dst, 1, int) == want
+        assert classes == set(LinkClass)
+
+    def test_partition_drop_consumes_no_draw(self):
+        topo = _stochastic_topology()
+        net = Network(Simulator(), topo, rng=3)
+        clean = Network(Simulator(), topo, rng=3)
+        net.partition_dcs(0, 2)
+        first = net.send(0, 1, 1, int)  # fills the block
+        assert net.send(0, 4, 1, int) is None
+        net.heal_all()
+        assert first == clean.send(0, 1, 1, int)
+        assert net.send(0, 4, 1, int) == clean.send(0, 4, 1, int)
+
+    def test_other_models_take_the_scalar_path(self):
+        class Doubled(LogNormalLatency):
+            def sample(self, rng):
+                return 2.0 * super().sample(rng)
+
+        base = LogNormalLatency.from_mean_cv(0.001, cv=0.5)
+        doubled = Doubled(base.mu, base.sigma, base.floor)
+        uniform = UniformLatency(0.01, 0.02)
+        topo = _stochastic_topology(
+            INTRA_DC=FixedLatency(0.0002), INTER_AZ=doubled, INTER_REGION=uniform
+        )
+        net = Network(Simulator(), topo, rng=5)
+        twin = np.random.default_rng(5)
+        for src, dst in [(0, 1), (0, 2), (0, 4), (2, 0), (4, 2), (0, 3)] * 50:
+            want = topo.latency_model(src, dst).sample(twin)
+            assert net.send(src, dst, 1, int) == want
+        # Nothing was fetched ahead: the network's stream stands where the
+        # scalar twin's does.
+        assert net.rng.random() == twin.random()
+
+    def test_mixed_topology_is_deterministic_for_a_seed(self):
+        topo = _stochastic_topology(INTER_REGION=UniformLatency(0.03, 0.05))
+
+        def run():
+            net = Network(Simulator(), topo, rng=11)
+            return [
+                net.send(src, dst, 1, int)
+                for src, dst in [(0, 1), (0, 4), (2, 5), (1, 2), (3, 3)] * 200
+            ]
+
+        assert run() == run()

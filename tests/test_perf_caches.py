@@ -149,8 +149,9 @@ class TestNetworkRouteCache:
         new_node = st.bootstrap_node(0)
         assert net._route_cache == {}  # invalidated by the bootstrap
         net.send(0, new_node, 100, fired.append, "y")
-        cls, _, _, dcs = net._route_cache[(0, new_node)]
+        cls, _, _, dcs, lognormal = net._route_cache[(0, new_node)]
         assert cls is LinkClass.INTRA_DC and dcs == (0, 0)
+        assert not lognormal  # the default links are FixedLatency
 
     def test_traffic_matrix_views_and_codes_agree(self):
         # Network.send bumps the counters in place with its route's int

@@ -9,9 +9,10 @@ sim twin, and the cross-validation trend checker's verdict logic.
 
 import json
 import os
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError, SimulationError
@@ -161,6 +162,17 @@ class TestWireCodec:
         assert not (_identities(back) & _identities(args))
 
 
+_WAL_KINDS = (
+    REC_PREPARE, REC_PRECOMMIT, REC_COMMIT, REC_ABORT, REC_TM_BEGIN,
+    REC_TM_PRECOMMIT, REC_TM_COMMIT, REC_TM_ABORT, REC_TM_END,
+)
+#: the payload the protocols log with a kind (the rest log none)
+_WAL_DATA = {
+    REC_PREPARE: {"tm_node": 0, "writes": {"k": Version(0.5, 4, 64)}, "co": [1]},
+    REC_TM_BEGIN: {"participants": [0, 1]},
+}
+
+
 class TestFileWriteAheadLog:
     def test_appends_persist_and_replay_identically(self, tmp_path):
         path = str(tmp_path / "node0.wal")
@@ -272,6 +284,67 @@ class TestFileWriteAheadLog:
         ] == [4, 5]
         assert replayed.precommitted(3) and replayed.tm_precommitted(5)
         replayed.close()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_WAL_KINDS), st.integers(1, 3)), max_size=30))
+    @example([(REC_ABORT, 1), (REC_PREPARE, 1)])  # a pledge, then the late PREPARE
+    @example([(REC_TM_BEGIN, 1), (REC_TM_END, 1), (REC_TM_BEGIN, 1)])
+    @example([(REC_TM_BEGIN, 1), (REC_TM_BEGIN, 1)])
+    @example([(REC_COMMIT, 1), (REC_ABORT, 1), (REC_TM_ABORT, 2), (REC_TM_COMMIT, 2)])
+    def test_index_equals_a_scan_of_the_records(self, appends):
+        # Every O(1) index answer, on the live log and on its replay, against
+        # a reference that only reads ``records``.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "node0.wal")
+            wal = FileWriteAheadLog(0, path)
+            for i, (kind, txn_id) in enumerate(appends):
+                wal.append(kind, txn_id, 0.1 * i, **_WAL_DATA.get(kind, {}))
+            wal.close()
+            replayed = FileWriteAheadLog.replay(0, path)
+            replayed.close()
+        records = wal.records
+        assert [(r.txn_id, r.kind) for r in replayed.records] == [
+            (txn_id, kind) for kind, txn_id in appends
+        ]
+
+        def first(txn_id, *kinds):
+            hits = (r for r in records if r.txn_id == txn_id and r.kind in kinds)
+            return next(hits, None)
+
+        def verdict(rec):
+            return None if rec is None else rec.kind.replace("tm-", "")
+
+        for log in (wal, replayed):
+            for txn_id in (1, 2, 3, 4):  # 4 is never logged
+                assert log.decision_for(txn_id) == verdict(
+                    first(txn_id, REC_COMMIT, REC_ABORT)
+                )
+                assert log.tm_decision(txn_id) == verdict(
+                    first(txn_id, REC_TM_COMMIT, REC_TM_ABORT)
+                )
+                assert log.precommitted(txn_id) is (
+                    first(txn_id, REC_PRECOMMIT) is not None
+                )
+                assert log.tm_precommitted(txn_id) is (
+                    first(txn_id, REC_TM_PRECOMMIT) is not None
+                )
+                prepare = first(txn_id, REC_PREPARE)
+                got = log.prepare_record(txn_id)
+                assert (got and got.lsn) == (prepare and prepare.lsn)
+            in_doubt = [
+                r.txn_id
+                for r in records
+                if r is first(r.txn_id, REC_PREPARE)
+                and first(r.txn_id, REC_COMMIT, REC_ABORT) is None
+            ]
+            assert log.in_doubt() == in_doubt == log.in_doubt_scan()
+            unfinished = [
+                r.lsn
+                for r in records
+                if r is first(r.txn_id, REC_TM_BEGIN)
+                and first(r.txn_id, REC_TM_END) is None
+            ]
+            assert [r.lsn for r in log.tm_unfinished()] == unfinished
 
     def test_matches_in_memory_wal_semantics(self, tmp_path):
         # The file-backed log is the in-memory WriteAheadLog plus disk; the

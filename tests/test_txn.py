@@ -580,6 +580,54 @@ class TestTxnScenarios:
         assert t["commits"] > 0
         assert t["commits"] + sum(t["aborts"].values()) == t["txns"]
 
+    def test_message_bill_counts_every_protocol_send(self, monkeypatch):
+        import repro
+        from repro.net.transport import Network
+        from repro.txn.participant import TxnParticipant
+        from repro.txn.tm import TransactionManager
+
+        # The commit round's send sites bump the bill themselves instead of
+        # going through TransactionalStore.send: count what really reaches
+        # the fabric, by the handler each message is addressed to.
+        seen = {}
+        real_send = Network.send
+
+        def send(self, src, dst, nbytes, deliver, *args):
+            role = getattr(deliver, "__self__", None)
+            if isinstance(role, (TxnParticipant, TransactionManager)):
+                n, size = seen.get(deliver.__name__, (0, 0))
+                seen[deliver.__name__] = (n + 1, size + nbytes)
+            return real_send(self, src, dst, nbytes, deliver, *args)
+
+        monkeypatch.setattr(Network, "send", send)
+        out = repro.run(
+            repro.RunSpec(
+                platform=repro.storm_txn_platform(),
+                policy=repro.named_policy_factory("quorum"),
+                txn_workload=read_modify_write_mix(record_count=400),
+                ops=300, clients=12, seed=3, warmup_fraction=0.0,
+                commit_protocol="3pc",
+                failure_script=lambda injector: injector.crash_storm(
+                    [0, 2, 5, 7], start=0.5, interval=0.5, downtime=1.5
+                ),
+                txn_config=TxnConfig(
+                    prepare_timeout=0.5, client_timeout=2.0, retry_interval=0.25,
+                    status_interval=0.1, status_interval_max=0.5,
+                    termination_timeout=0.25,
+                ),
+            )
+        )
+        # Every message kind flowed: the round, its 3PC barrier, the polls
+        # and the termination protocol.
+        assert set(seen) == {
+            "on_prepare", "on_vote", "on_precommit", "on_precommit_ack",
+            "on_decision", "on_ack", "on_status_query", "on_tm_working",
+            "on_termination_query", "on_termination_reply",
+        }
+        t = out.report.txn
+        assert t["msgs"] == sum(n for n, _ in seen.values())
+        assert t["msg_bytes"] == sum(size for _, size in seen.values())
+
     def test_sweep_parallel_matches_serial_byte_identical(self):
         from repro.experiments.sweep import SweepRunner, plan_sweep
 

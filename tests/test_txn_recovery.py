@@ -504,8 +504,10 @@ class TestCooperativeTermination:
         )
         live = [p for p in tstore.participants if store.nodes[p.node_id].up]
         assert all(not p.prepared for p in live)
-        assert all(not p._poll_events for p in live)
-        assert all(not p._poll_attempts for p in live)
+        # A poll that outlived its entry would query the TM again.
+        msgs = tstore.txn_msgs
+        store.sim.run(until=store.sim.now + 10.0)
+        assert tstore.txn_msgs == msgs
 
     def test_dead_peer_round_concludes_by_timeout(self):
         # TM *and* one participant die together: the survivors' termination
@@ -520,6 +522,62 @@ class TestCooperativeTermination:
         assert all(not p.prepared and not p.locks for p in live)
         assert not any(live_txn_flags(store, keys))
         assert any(p.termination_resolved for p in live)
+
+    def test_stale_round_timer_cannot_conclude_a_newer_round(self):
+        # Default-shaped timeouts (reply window = prepare_timeout = 5 s,
+        # polls 0.5 s doubling). Node 0's first poll is cut off from the TM
+        # and its second, which also opens round 1, gets through: the TM --
+        # still waiting for dead node 1's vote -- answers "working", which
+        # closes the round, and then dies. Polls 3 and 4 go unanswered and
+        # round 2 opens ~3.2 s after round 1, well inside round 1's window.
+        # Round 1's timer must not conclude it.
+        link = FixedLatency(0.0005)
+        topo = Topology(
+            [Datacenter("a", "ra"), Datacenter("b", "rb")],
+            [3, 1],
+            latency={LinkClass.INTRA_DC: link, LinkClass.INTER_REGION: link},
+        )
+        store = ReplicatedStore(
+            Simulator(),
+            topo,
+            strategy=SimpleStrategy(rf=3),
+            config=StoreConfig(seed=2, read_repair_chance=0.0),
+        )
+        config = TxnConfig(commit_protocol="2pc-coop")
+        tstore = TransactionalStore(store, config=config)
+        key = next(
+            k
+            for k in (f"user{i}" for i in range(200))
+            if sorted(store.strategy.replicas(k, store.ring, topo)) == [0, 1, 2]
+        )
+        store.preload([key], value_size=10)
+
+        def go():  # the TM (node 3, alone in DC b) is no participant
+            txn = tstore.begin(coordinator=3)
+            txn.write(key, 77)
+            txn.commit()
+
+        sim = store.sim
+        sim.schedule(0.0, go)
+        sim.schedule_at(0.0002, store.on_node_crash, 1)  # never votes
+        sim.schedule_at(0.1, store.transport.partition_dcs, 0, 1)
+        sim.schedule_at(1.0, store.transport.heal_all)
+        sim.schedule_at(2.5, store.on_node_crash, 3)
+
+        def delay(attempt):
+            return config.poll_delay(store.config.seed, 0, 1, attempt)
+
+        window = config.prepare_timeout
+        round1 = 0.0005 + delay(0) + delay(1)
+        round2 = round1 + delay(2) + delay(1)
+        assert round2 < round1 + window < round2 + window
+        p = tstore.participants[0]
+        sim.run(until=round1 + window + 0.01)  # round 1's timer has fired
+        assert list(p.prepared) == [1]
+        assert p.termination_resolved == 0
+        sim.run(until=60.0)
+        assert not p.prepared and p.wal.decision_for(1) == "abort"
+        assert p.wal.records[-1].time >= round2 + window
 
 
 class TestPollBackoff:
