@@ -8,7 +8,8 @@ Cassandra's data path:
 the client acknowledgement fires as soon as the consistency level's
 requirement is met. The window between those two moments is exactly the
 staleness window of Figure 1: level ONE acknowledges after the first replica
-(short ``T``), level ALL after the last (no window at all).
+(short ``T``), level ALL after the last (no window at all). An ack sent
+after the client has its answer is billed and timed but not delivered.
 
 **Read** -- the coordinator contacts exactly the level's replica count
 (snitch-ordered: local datacenter first), waits for all of them, and returns
@@ -126,6 +127,7 @@ class _WriteOp:
         "extra_acks",
         "done_cb",
         "finished",
+        "tail",
     )
 
     def __init__(self, coord, result, requirement, version, done_cb):
@@ -148,6 +150,8 @@ class _WriteOp:
         #: the client has its answer (ack or timeout); the store's
         #: DeadlineQueue reads this to know the op needs no timeout any more
         self.finished = False
+        #: latest ack arrival counted so far (where propagation completes)
+        self.tail = 0.0
 
 
 class _ReadOp:
@@ -312,7 +316,9 @@ class Coordinator:
         """Replica-side completion: record propagation, send the ack home.
 
         One closure serves every replica of the write (the replica names
-        itself through ``node_id``).
+        itself through ``node_id``). An ack sent after the op finished decides
+        nothing: it goes undelivered and is accounted here at its arrival
+        ``now + delay`` (see :meth:`Transport.send`).
         """
         st = self.store
         tr = st.transport
@@ -321,8 +327,22 @@ class Coordinator:
         ack, home, on_ack = st.sizes.ack, self.node_id, self._on_write_ack
 
         def applied(node_id: int, key: str, version: Version) -> None:
-            note_applied(version, tr.now)
-            send(node_id, home, ack, on_ack, op, node_id)
+            now = tr.now
+            note_applied(version, now)
+            if not op.finished:
+                send(node_id, home, ack, on_ack, op, node_id)
+                return
+            delay = send(node_id, home, ack, None)
+            if delay is None:
+                return  # dropped: never counted, so never propagated
+            arrival = now + delay
+            if arrival > op.tail:
+                op.tail = arrival
+            result = op.result
+            result.ack_delays.append(arrival - result.t_start)
+            op.acks_total += 1
+            if op.acks_total == result.replicas_contacted:
+                self._propagated(op, now)
 
         return applied
 
@@ -331,9 +351,9 @@ class Coordinator:
         st = self.store
 
         def applied(node_id: int, key: str, version: Version) -> None:
-            st.transport.send(
-                node_id, self.node_id, st.sizes.ack, self._on_extra_ack, op
-            )
+            # after the client ack an extra ack is a no-op: only billed
+            deliver = None if op.finished else self._on_extra_ack
+            st.transport.send(node_id, self.node_id, st.sizes.ack, deliver, op)
 
         return applied
 
@@ -353,12 +373,17 @@ class Coordinator:
             by_dc[dc] = by_dc.get(dc, 0) + 1
         result.ack_delays.append(now - result.t_start)
         if op.acks_total == result.replicas_contacted:
-            # Every live replica has acknowledged: the write is fully
-            # propagated as far as the coordinator can observe. This is the
-            # monitor's (observable) proxy for the paper's Tp.
-            st._notify_propagated(result)
+            self._propagated(op, now)
         if not op.finished:
             self._maybe_finish_write(op, now)
+
+    def _propagated(self, op: _WriteOp, now: float) -> None:
+        """Every live replica acked (the observable Tp): notify at the last arrival."""
+        st = self.store
+        if op.tail <= now:
+            st._notify_propagated(op.result)
+        else:
+            st.transport.post_at(op.tail, st._notify_propagated, op.result)
 
     def _maybe_finish_write(self, op: _WriteOp, now: float) -> None:
         """Ack the client once the level (and any migration extras) is met."""

@@ -10,16 +10,16 @@ this with *global* knowledge the real system lacks:
 - at read completion the returned version is compared against that capture;
   returning anything older is a **stale read**.
 
-The oracle also measures the propagation-time distribution (per-replica
-apply delay and per-write full-propagation time ``Tp``), which the analytical
-model consumes and the experiments report.
+The oracle also measures the per-write full-propagation time ``Tp`` (the
+last replica apply), which the experiments report, and counts replica
+applies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.common.stats import Histogram, OnlineStats
+from repro.common.stats import OnlineStats
 from repro.cluster.versions import NONE_VERSION, Version
 
 __all__ = ["StalenessOracle"]
@@ -33,8 +33,8 @@ class StalenessOracle:
         self._latest_started: Dict[str, Version] = {}
         #: newest *acknowledged* write per key (the committed bar).
         self._latest_acked: Dict[str, Version] = {}
-        #: write_id -> (remaining replica applies, write start time).
-        self._pending: Dict[int, Tuple[int, float]] = {}
+        #: write_id -> [remaining replica applies (counted down), start time].
+        self._pending: Dict[int, List] = {}
 
         self.reads = 0
         self.stale_reads = 0
@@ -43,11 +43,10 @@ class StalenessOracle:
         self.stale_reads_strict = 0
         #: seconds by which stale reads lagged the freshest version.
         self.staleness_age = OnlineStats()
-        #: per-replica apply delay (one sample per replica per write).
-        self.replica_apply_delay = OnlineStats()
+        #: replica applies seen (repairs and hint replays included).
+        self.replica_applies = 0
         #: per-write total propagation time Tp (max over replicas).
         self.full_propagation = OnlineStats()
-        self.propagation_hist = Histogram(lo=1e-6, hi=100.0)
 
     # -- write side ----------------------------------------------------------
 
@@ -57,7 +56,7 @@ class StalenessOracle:
         if current is None or version.newer_than(current):
             self._latest_started[key] = version
         if n_replicas > 0:
-            self._pending[version.write_id] = (n_replicas, version.timestamp)
+            self._pending[version.write_id] = [n_replicas, version.timestamp]
 
     def note_preload(self, key: str, version: Version) -> None:
         """Record a directly-placed (load-phase) version: both bars at once."""
@@ -78,20 +77,14 @@ class StalenessOracle:
 
     def note_replica_applied(self, version: Version, applied_at: float) -> None:
         """Record one replica applying ``version`` at simulated ``applied_at``."""
-        delay = applied_at - version.timestamp
-        self.replica_apply_delay.add(delay)
+        self.replica_applies += 1
         entry = self._pending.get(version.write_id)
         if entry is None:
             return
-        remaining, start = entry
-        remaining -= 1
-        if remaining <= 0:
+        entry[0] -= 1
+        if entry[0] <= 0:
             del self._pending[version.write_id]
-            tp = applied_at - start
-            self.full_propagation.add(tp)
-            self.propagation_hist.add(max(tp, 1e-9))
-        else:
-            self._pending[version.write_id] = (remaining, start)
+            self.full_propagation.add(applied_at - entry[1])
 
     # -- read side --------------------------------------------------------------
 
@@ -134,9 +127,8 @@ class StalenessOracle:
         self.stale_reads = 0
         self.stale_reads_strict = 0
         self.staleness_age = OnlineStats()
-        self.replica_apply_delay = OnlineStats()
+        self.replica_applies = 0
         self.full_propagation = OnlineStats()
-        self.propagation_hist = Histogram(lo=1e-6, hi=100.0)
 
     # -- reporting ----------------------------------------------------------------
 

@@ -176,6 +176,21 @@ class Ewma:
         self._value += a * (float(x) - self._value)
         return self._value
 
+    @staticmethod
+    def update_many(ewmas: List["Ewma"], xs: Iterable[float], t: float) -> None:
+        """``ewma.update(x, t=t)`` for each pair, bit for bit; halflife EWMAs
+        on the first one's clock and halflife share one decay factor."""
+        head = ewmas[0]
+        last, h, a = head._last_t, head.halflife, None
+        if h is not None and last is not None:  # update's decay rule, once
+            a = (1.0 - 0.5 ** ((t - last) / h) if t > last else 0.0) or 1e-3
+        for ewma, x in zip(ewmas, xs):
+            if a is not None and ewma._last_t == last and ewma.halflife == h:
+                ewma._last_t = t
+                ewma._value += a * (float(x) - ewma._value)
+            else:
+                ewma.update(x, t)
+
 
 class Histogram:
     """Log-bucketed histogram for positive values (latencies, delays).

@@ -243,10 +243,9 @@ class ClusterMonitor:
         while len(self._rank_stats) < len(ordered):
             self._rank_stats.append(OnlineStats())
             self._rank_ewma.append(Ewma(halflife=self._latency_halflife))
-        t = result.t_start
-        for rank, delay in enumerate(ordered):
-            self._rank_stats[rank].add(delay)
-            self._rank_ewma[rank].update(delay, t=t)
+        for stats, delay in zip(self._rank_stats, ordered):
+            stats.add(delay)
+        Ewma.update_many(self._rank_ewma, ordered, result.t_start)
 
     # -- queries --------------------------------------------------------------------
 

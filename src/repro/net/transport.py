@@ -14,6 +14,7 @@ through. It does three jobs:
 
 from __future__ import annotations
 
+from heapq import heappush
 from math import exp
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -128,8 +129,9 @@ class Network:
     Notes
     -----
     Delivery is fire-and-forget: :meth:`send` posts ``deliver(*args)`` on
-    the simulator after the sampled delay (no handle: a message in flight
-    cannot be recalled). Reliability is modelled at
+    the simulator after the sampled delay, inlining ``Simulator.post`` (the
+    heap-entry invariant in :mod:`repro.simcore.simulator`); no handle: a
+    message in flight cannot be recalled. Reliability is modelled at
     this layer only through partitions; omission failures of individual
     nodes are modelled by the cluster layer marking nodes down.
 
@@ -230,14 +232,15 @@ class Network:
         src: int,
         dst: int,
         nbytes: int,
-        deliver: Callable[..., Any],
+        deliver: Optional[Callable[..., Any]],
         *args: Any,
     ) -> Optional[float]:
         """Send ``nbytes`` from node ``src`` to node ``dst``.
 
         Returns the sampled one-way delay, or ``None`` if the message was
-        dropped by a partition. ``deliver(*args)`` fires at ``now + delay``.
-        Bytes are counted even for local messages (zero-priced link class).
+        dropped by a partition. ``deliver(*args)`` fires at ``now + delay``
+        (``deliver=None``: billed and timed, nothing scheduled). Bytes are
+        counted even for local messages (zero-priced link class).
         """
         route = self._route_cache.get((src, dst))
         if route is None:
@@ -257,7 +260,10 @@ class Network:
             delay = model.sample(self.rng)
         if not local:
             delay += self._extra_delay
-        self.sim.post(delay, deliver, *args)
+        if deliver is not None:
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim.now + delay, seq, deliver, args))
         return delay
 
     def sample_delay(self, src: int, dst: int) -> float:

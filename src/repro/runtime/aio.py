@@ -159,7 +159,7 @@ class AsyncioTransport(Transport):
         src: int,
         dst: int,
         nbytes: int,
-        deliver: Callable[..., Any],
+        deliver: Optional[Callable[..., Any]],
         *args: Any,
     ) -> Optional[float]:
         loop = self._require_loop()
@@ -172,6 +172,8 @@ class AsyncioTransport(Transport):
         traffic._messages[code] += 1
         traffic._bytes[code] += int(nbytes)
         delay = model.sample(self.rng)
+        if deliver is None:
+            return delay  # billed and timed; takes no FIFO slot
         # FIFO per link: a frame arrives no earlier than its predecessor.
         link[3] = arrival = max(loop.time() + delay * self.time_scale, floor)
         name = self._names.get(deliver)
@@ -230,6 +232,9 @@ class AsyncioTransport(Transport):
 
     def set_timer_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Any:
         return self.set_timer(max(0.0, when - self.now), fn, *args)
+
+    def post_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
+        self.set_timer_at(when, fn, *args)
 
     def _fire(self, fn: Callable[..., Any], args: tuple) -> None:
         if self._closed:

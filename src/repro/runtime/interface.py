@@ -4,14 +4,14 @@ Everything the commit protocols, the coordinator fan-out and the failure
 hooks need from their environment is five capabilities:
 
 - a **monotonic clock** (:attr:`Transport.now`),
-- **message send** with a per-message delivery callback
+- **message send** with a per-message delivery callback, or none
   (:meth:`Transport.send`),
 - **deliver-callback registration** (:meth:`Transport.register`) so
   backends that cross a wire codec can name a handler on the wire,
 - **delay sampling** (:meth:`Transport.sample_delay`) for estimators that
   want a latency draw without sending,
 - **timers** (:meth:`Transport.set_timer` / :meth:`Transport.set_timer_at`)
-  returning cancellable handles.
+  returning cancellable handles (:meth:`Transport.post_at`: no handle).
 
 The state machines in :mod:`repro.txn` and :mod:`repro.cluster` hold no
 reference to a :class:`~repro.simcore.simulator.Simulator` or a
@@ -29,8 +29,9 @@ What the sim backend guarantees that asyncio does not:
 
 Both backends guarantee the conformance contract asserted in
 ``tests/test_transport_conformance.py``: per-link FIFO delivery under a
-constant-latency model, partition drops at send time, cancelled timers
-never fire, and messages to a crashed node have no effect.
+constant-latency model, partition drops at send time, ``deliver=None``
+sends are billed but never delivered, cancelled timers never fire, and
+messages to a crashed node have no effect.
 """
 
 from __future__ import annotations
@@ -80,13 +81,17 @@ class Transport(ABC):
         src: int,
         dst: int,
         nbytes: int,
-        deliver: Callable[..., Any],
+        deliver: Optional[Callable[..., Any]],
         *args: Any,
     ) -> Optional[float]:
         """Send ``nbytes`` from ``src`` to ``dst``; ``deliver(*args)`` fires on arrival.
 
         Returns the sampled one-way delay, or ``None`` when the message is
-        dropped (a partition). Backends that serialize across a wire codec
+        dropped (a partition). ``deliver=None`` bills, times and drops the
+        message alike but queues nothing; the caller acts at ``now + delay``
+        itself (bit for bit the delivery time on the sim backend; asyncio's
+        per-link FIFO floor neither holds nor counts it). Backends that
+        serialize across a wire codec
         require ``deliver`` to have been :meth:`register`-ed so it can be
         named on the wire; unregistered callables are delivered as local
         closures (the client-side completion path).
@@ -116,6 +121,10 @@ class Transport(ABC):
     @abstractmethod
     def set_timer_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Any:
         """Call ``fn(*args)`` at absolute deployment time ``when``."""
+
+    @abstractmethod
+    def post_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Like :meth:`set_timer_at` for a call nobody cancels: no handle."""
 
     # -- fault injection -----------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Discrete-event :class:`Transport`: a pure view over ``(Simulator, Network)``.
 
 ``SimTransport`` owns nothing and adds nothing. ``send`` *is* the network's
-bound ``Network.send`` (taken once at construction, so a message hop costs
-no frame here); the clock and the timers are one-line delegations to the
-simulator (``set_timer`` -> ``Simulator.schedule``, the cancellable form,
-because the Transport contract returns a handle). A run through
+bound ``Network.send`` and ``post_at`` is ``Simulator.post_at`` (taken once
+at construction, so a message hop costs no frame here); ``now`` is a C-level
+``attrgetter``; the timers are one-line delegations to the simulator
+(``set_timer`` -> ``Simulator.schedule``, the cancellable form, because the
+Transport contract returns a handle). A run through
 ``SimTransport`` therefore performs exactly the ``Network.send`` and
 ``Simulator`` calls the protocol code asks for, in the same order, and
 seeded sweeps stay byte-identical (asserted by the determinism check in CI
@@ -13,6 +14,7 @@ and by ``tests/test_golden_reports.py``).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Dict
 
 from repro.runtime.interface import Transport
@@ -31,7 +33,7 @@ class SimTransport(Transport):
         The latency/partition/traffic model messages travel through.
     """
 
-    __slots__ = ("sim", "network", "send", "_handlers")
+    __slots__ = ("sim", "network", "send", "post_at", "_handlers")
 
     def __init__(self, sim: Any, network: Any):
         self.sim = sim
@@ -39,15 +41,14 @@ class SimTransport(Transport):
         #: :meth:`Transport.send` -- the network's own bound method (the
         #: slot also satisfies the abstract declaration).
         self.send = network.send
+        self.post_at = sim.post_at  # likewise
         #: name -> handler, kept for introspection/conformance only; sim
         #: delivery never consults it (callbacks are direct references).
         self._handlers: Dict[str, Callable[..., Any]] = {}
 
     # -- clock -------------------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        return self.sim.now
+    now = property(attrgetter("sim.now"))
 
     # -- messaging ---------------------------------------------------------------
 

@@ -37,7 +37,7 @@ class Event:
         self.args = args
         self.cancelled = False
         #: True while the event is scheduled and has neither fired nor been
-        #: cancelled; the owning simulator keeps a live-event counter in sync.
+        #: cancelled; a cancel while live is counted by the owning simulator.
         self.live = True
         self.owner = owner
 
@@ -52,7 +52,7 @@ class Event:
         self.fn = None
         self.args = ()
         if self.owner is not None:
-            self.owner._event_cancelled()
+            self.owner._cancelled += 1  # keeps Simulator.pending() O(1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "cancelled" if self.cancelled else "pending"

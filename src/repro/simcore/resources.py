@@ -14,6 +14,7 @@ the ``done`` callback fires when service completes.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Deque, Tuple
 
 from repro.common.errors import ConfigError
@@ -40,6 +41,10 @@ class Resource:
     Service times are supplied *per request* by the caller, which keeps the
     resource model-agnostic (deterministic, exponential, empirical -- the
     caller decides).
+
+    A service start pushes its completion itself (the heap-entry invariant
+    of :mod:`repro.simcore.simulator`); an idle-server start only counts a
+    zero wait, folded into :attr:`queue_wait` when read.
     """
 
     __slots__ = (
@@ -48,7 +53,8 @@ class Resource:
         "name",
         "_busy",
         "_queue",
-        "queue_wait",
+        "_waits",
+        "_zero_waits",
         "completed",
         "_busy_integral",
         "_last_change",
@@ -62,7 +68,8 @@ class Resource:
         self.name = name
         self._busy = 0
         self._queue: Deque[Tuple[float, float, Callable[..., Any], Tuple[Any, ...]]] = deque()
-        self.queue_wait = OnlineStats()
+        self._waits = OnlineStats()  # requests that queued
+        self._zero_waits = 0
         self.completed = 0
         # busy-time integral (server-seconds of actual work), the basis of
         # the dynamic part of the power model; brought up to date in place
@@ -92,10 +99,20 @@ class Resource:
             self._busy_integral += busy * (now - self._last_change)
             self._last_change = now
             self._busy = busy + 1
-            self.queue_wait.add(0.0)
-            sim.post(service, self._finish, done, args)
+            self._zero_waits += 1
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (now + service, seq, self._finish, (done, args)))
         else:
             self._queue.append((now, service, done, args))
+
+    @property
+    def queue_wait(self) -> OnlineStats:
+        """Queueing delay of every started request (a fresh snapshot)."""
+        stats = OnlineStats()
+        if self._zero_waits:
+            stats.n, stats.min, stats.max = self._zero_waits, 0.0, 0.0
+        stats.merge(self._waits)
+        return stats
 
     @property
     def busy(self) -> int:
@@ -127,8 +144,9 @@ class Resource:
             # The freed server goes straight to the longest-waiting request
             # (``_busy`` is unchanged), before ``done`` can submit more work.
             arrival, service, nxt_done, nxt_args = self._queue.popleft()
-            self.queue_wait.add(now - arrival)
-            sim.post(service, self._finish, nxt_done, nxt_args)
+            self._waits.add(now - arrival)
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (now + service, seq, self._finish, (nxt_done, nxt_args)))
         else:
             self._busy -= 1
         done(*args)

@@ -10,15 +10,19 @@ Design notes (hpc-parallel idioms):
   is unique, so slots 3 and 4 are never compared). They come in two
   shapes, told apart by one ``fn is None`` test:
 
-  * ``(time, seq, fn, args)`` -- pushed by :meth:`Simulator.post`, which
-    returns nothing. Message deliveries, service completions and client
-    hand-offs are never cancelled, so they allocate no :class:`Event`;
+  * ``(time, seq, fn, args)`` -- pushed by :meth:`Simulator.post` /
+    :meth:`Simulator.post_at`, which return nothing. Message deliveries,
+    service completions and client hand-offs are never cancelled, so they
+    allocate no :class:`Event`. **Invariant:** ``Network.send`` and
+    ``Resource`` push this entry themselves (``post``'s body, same
+    ``_seq``); change them with any change to its shape or tie-break;
   * ``(time, seq, None, event)`` -- pushed by :meth:`Simulator.schedule` /
     :meth:`Simulator.schedule_at`, which return the cancellable
     :class:`Event` handle. Use these only when the caller keeps the handle;
 
 - cancellation is lazy (flag + skip) so cancelling a timeout that did not
-  fire costs O(1);
+  fire costs O(1); the engine counts the cancelled entries still in the
+  heap, so ``pending()`` is O(1) without a counter on every push and pop;
 - determinism: equal-time events fire in scheduling order via one sequence
   counter shared by both entry shapes; no wall-clock or entropy anywhere in
   the engine.
@@ -55,7 +59,7 @@ class Simulator:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Optional[Callable[..., Any]], Any]] = []
         self._seq: int = 0
-        self._live: int = 0
+        self._cancelled: int = 0  # cancelled Events still in the heap
         self._running = False
         self._stop_requested = False
         self.events_processed: int = 0
@@ -82,7 +86,13 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (self.now + delay, seq, fn, args))
-        self._live += 1
+
+    def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulated time ``time``; no handle."""
+        if time < self.now:
+            raise SimulationError(f"cannot schedule at t={time} < now={self.now}")
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (time, seq, fn, args))
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` simulated seconds from now.
@@ -100,7 +110,6 @@ class Simulator:
         time = self.now + delay
         ev = Event(time, seq, fn, args, owner=self)
         heapq.heappush(self._heap, (time, seq, None, ev))
-        self._live += 1
         return ev
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -112,12 +121,7 @@ class Simulator:
         self._seq = seq = self._seq + 1
         ev = Event(time, seq, fn, args, owner=self)
         heapq.heappush(self._heap, (time, seq, None, ev))
-        self._live += 1
         return ev
-
-    def _event_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` so ``pending()`` stays O(1)."""
-        self._live -= 1
 
     # -- execution ------------------------------------------------------------
 
@@ -129,13 +133,13 @@ class Simulator:
             if fn is None:
                 ev = args
                 if ev.cancelled:
+                    self._cancelled -= 1
                     continue
                 fn, args = ev.fn, ev.args
                 ev.fn = None
                 ev.args = ()
                 ev.live = False
             self.now = time
-            self._live -= 1
             self.events_processed += 1
             fn(*args)
             return True
@@ -159,6 +163,7 @@ class Simulator:
                 time, _, fn, args = heap[0]
                 if fn is None and args.cancelled:
                     heappop(heap)
+                    self._cancelled -= 1
                     continue
                 if until is not None and time > until:
                     break
@@ -172,7 +177,6 @@ class Simulator:
                     ev.fn = None  # break cycles; callers may retain the handle
                     ev.args = ()
                     ev.live = False
-                self._live -= 1
                 self.events_processed += 1
                 fn(*args)
                 if budget > 0:
@@ -187,17 +191,18 @@ class Simulator:
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue.
 
-        O(1): a live-event counter is incremented on schedule and decremented
-        on fire/cancel, so monitors can poll this every tick without paying a
-        heap scan.
+        O(1): the heap's length less the cancelled entries still in it (the
+        engine counts those at cancel and at pop), so monitors can poll this
+        every tick without paying a heap scan.
         """
-        return self._live
+        return len(self._heap) - self._cancelled
 
     def peek_time(self) -> Optional[float]:
         """Firing time of the next live event, or ``None`` if idle."""
         heap = self._heap
         while heap and heap[0][2] is None and heap[0][3].cancelled:
             heapq.heappop(heap)
+            self._cancelled -= 1
         return heap[0][0] if heap else None
 
     def reset(self) -> None:
@@ -211,7 +216,7 @@ class Simulator:
                 ev.owner = None
         self._heap.clear()
         self._seq = 0
-        self._live = 0
+        self._cancelled = 0
         self.events_processed = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -61,13 +61,13 @@ class TestOraclePropagation:
         o.note_replica_applied(w, 1.05)
         assert o.full_propagation.n == 1
         assert o.mean_propagation_time() == pytest.approx(0.05)
-        assert o.replica_apply_delay.n == 3
+        assert o.replica_applies == 3
 
     def test_unknown_write_apply_ignored(self):
         o = StalenessOracle()
         o.note_replica_applied(v(1.0, 99), 1.5)  # never started (e.g. repair)
         assert o.full_propagation.n == 0
-        assert o.replica_apply_delay.n == 1
+        assert o.replica_applies == 1
 
 
 class TestOracleReads:

@@ -142,6 +142,36 @@ class TestEwma:
             e.update(7.0)
         assert e.value == pytest.approx(7.0)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),  # first EWMA updated
+                st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6),
+                st.floats(0.0, 3.0),  # clock step (0: same instant)
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_update_many_is_update_bit_for_bit(self, steps):
+        # Clocks drift apart when a step starts past rank 0 (like a hint
+        # replay on the tail rank) and agree again when one covers them all;
+        # mixed halflives and an alpha EWMA take update()'s path.
+        def make():
+            ewmas = [Ewma(halflife=h) for h in (5.0, 5.0, 5.0, 2.0, 5.0)]
+            return ewmas + [Ewma(alpha=0.3)]
+
+        batched, single = make(), make()
+        t = 0.0
+        for first, xs, dt in steps:
+            t += dt
+            Ewma.update_many(batched[first:], xs, t)
+            for e, x in zip(single[first:], xs):
+                e.update(x, t=t)
+            for a, b in zip(batched, single):
+                assert (a._value, a._last_t) == (b._value, b._last_t)
+                assert a.initialized == b.initialized
+
 
 class TestHistogram:
     def test_validation(self):

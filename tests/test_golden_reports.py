@@ -12,6 +12,9 @@ collapse (PR 14) and hashes the bill (and, with an observer, the
 timeline) next to the report: it pins the warmup boundary, the
 elastic attach order, the observer wiring and the "bill is read before
 the elastic drain" rule, none of which the first three runs reach.
+Its last two runs, the RF=5 write-heavy Bismar shape with and without a
+partition and a crash, were pinned on the commit before acks that land
+after the client ack stopped being delivered as events.
 """
 
 from __future__ import annotations
@@ -122,6 +125,33 @@ def _geo_failure_script() -> repro.RunSpec:
     )
 
 
+def _geo_bismar_write(failure_script=None) -> repro.RunSpec:
+    # The ``geo-bismar-write`` benchmark shape at 2 000 ops: RF=5 write
+    # fan-out where most acks land after the client already has its answer.
+    platform = repro.grid5000_bismar_platform()
+    return repro.RunSpec(
+        platform=platform,
+        policy=repro.bismar_factory(platform.prices),
+        workload=repro.WorkloadSpec(
+            name="write-heavy-20-80", read_proportion=0.2, update_proportion=0.8,
+            record_count=platform.default_record_count,
+        ),
+        ops=2000, seed=5, warmup_fraction=0.0, failure_script=failure_script,
+    )
+
+
+def _cut_then_crash_dc1(injector) -> None:
+    # Acks crossing the cut after the client ack are dropped; with twelve of
+    # DC 1's 25 nodes down, some DC-1 writes reach no replica and time out.
+    injector.partition(0, 1, at=0.01, duration=0.02)
+    for node in range(25, 37):
+        injector.crash_node(node, at=0.015, duration=0.01)
+
+
+def _geo_bismar_write_failures() -> repro.RunSpec:
+    return _geo_bismar_write(_cut_then_crash_dc1)
+
+
 def _crc32(payload) -> int:
     text = json.dumps(payload, sort_keys=True, default=str)
     return zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
@@ -164,11 +194,22 @@ def outcome_crc32(out) -> int:
         (_elastic_diurnal_cohort, 4061023125),
         (_txn_warmup_obs, 2562719220),
         (_geo_failure_script, 507210977),
+        (_geo_bismar_write, 3355711457),
+        (_geo_bismar_write_failures, 3092766192),
     ],
-    ids=["elastic-diurnal-cohort", "txn-warmup-obs", "geo-failure-script"],
+    ids=[
+        "elastic-diurnal-cohort", "txn-warmup-obs", "geo-failure-script",
+        "geo-bismar-write", "geo-bismar-write-failures",
+    ],
 )
 def test_report_and_bill_are_byte_identical_to_the_pinned_commit(make_spec, golden):
     assert outcome_crc32(repro.run(make_spec())) == golden
+
+
+def test_bismar_failure_run_drops_acks_and_times_out_writes():
+    out = repro.run(_geo_bismar_write_failures())
+    assert out.report.failures.get("write_timeout", 0) > 0
+    assert out.store.network.dropped > 0
 
 
 def test_elastic_bill_covers_the_report_window_not_the_drain():

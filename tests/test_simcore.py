@@ -1,7 +1,7 @@
 """Tests for the discrete-event engine: events, simulator, processes, resources."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError, SimulationError
@@ -213,6 +213,135 @@ class TestSimulator:
         assert len(times) == len(delays)
 
 
+_OPS = st.one_of(
+    st.tuples(
+        st.sampled_from(["post", "post_at", "schedule", "schedule_at"]), st.floats(0.0, 5.0)
+    ),
+    st.tuples(st.just("cancel"), st.integers(0, 50)),
+    st.tuples(st.just("run_until"), st.floats(0.0, 3.0)),
+    st.tuples(st.just("run_max"), st.integers(0, 4)),
+    st.tuples(st.sampled_from(["step", "peek", "run", "reset"]), st.just(0)),
+)
+
+
+class TestEngineContract:
+    """``pending()`` and ``events_processed`` against a brute-force model."""
+
+    @given(st.lists(_OPS, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    # a cancelled head popped by each of step / run(until) / run(max) / run()
+    @example([("schedule", 1.0), ("post", 2.0), ("cancel", 0), ("step", 0)])
+    @example([("schedule", 1.0), ("cancel", 0), ("run_until", 2.0)])
+    @example([("schedule", 1.0), ("post", 2.0), ("cancel", 0), ("run_max", 1)])
+    @example([("schedule", 1.0), ("cancel", 0), ("run", 0)])
+    def test_pending_matches_live_entries_over_any_interleaving(self, ops):
+        sim = Simulator()
+        live = {}  # id -> firing time, for every entry neither fired nor cancelled
+        handles = []  # (id, Event), kept after firing/cancel/reset
+        fired = []
+
+        def fire(i):
+            assert sim.now == live.pop(i)
+            assert not fired or fired[-1][1] <= sim.now
+            fired.append((i, sim.now))
+
+        for n, (op, x) in enumerate(ops):
+            if op == "post":
+                live[n] = sim.now + x
+                sim.post(x, fire, n)
+            elif op == "post_at":
+                live[n] = sim.now + x
+                sim.post_at(sim.now + x, fire, n)
+            elif op == "schedule":
+                live[n] = sim.now + x
+                handles.append((n, sim.schedule(x, fire, n)))
+            elif op == "schedule_at":
+                live[n] = sim.now + x
+                handles.append((n, sim.schedule_at(sim.now + x, fire, n)))
+            elif op == "cancel" and handles:
+                i, handle = handles[x % len(handles)]
+                handle.cancel()  # also after firing, twice, or across a reset
+                live.pop(i, None)
+            elif op == "step":
+                had_live = bool(live)
+                assert sim.step() is had_live
+            elif op == "run_until":
+                until = sim.now + x
+                sim.run(until=until)
+                assert all(t > until for t in live.values()) and sim.now == until
+            elif op == "run_max":
+                before, n_live = len(fired), len(live)
+                sim.run(max_events=x)
+                assert len(fired) - before == min(x, n_live)
+            elif op == "run":
+                sim.run()
+                assert not live
+            elif op == "peek":
+                assert sim.peek_time() == (min(live.values()) if live else None)
+            elif op == "reset":
+                sim.reset()
+                live.clear()
+                fired.clear()
+            brute = sum(1 for e in sim._heap if e[2] is not None or not e[3].cancelled)
+            assert sim.pending() == len(live) == brute
+            assert sim.events_processed == len(fired)
+
+    @pytest.mark.parametrize(
+        "bounds", [{}, {"until": 10.0}, {"max_events": 10}], ids=["unbounded", "until", "max"]
+    )
+    def test_events_processed_exact_after_stop_and_raise(self, bounds):
+        sim = Simulator()
+        fired = []
+
+        def boom():
+            fired.append("boom")
+            raise RuntimeError("callback bug")
+
+        sim.post(1.0, fired.append, 1)
+        sim.schedule(2.0, sim.stop)
+        sim.post(3.0, boom)
+        sim.schedule(4.0, fired.append, 4)
+        sim.schedule(4.5, fired.append, "cancelled").cancel()
+        sim.run(**bounds)
+        assert sim.events_processed == 2 and sim.now == 2.0
+        with pytest.raises(RuntimeError):
+            sim.run(**bounds)
+        assert sim.events_processed == 3 and fired == [1, "boom"]
+        assert sim.pending() == 1
+        sim.run(**bounds)  # not left marked running
+        assert sim.events_processed == 4 and fired == [1, "boom", 4]
+        assert sim.pending() == 0 and sim._heap == []
+
+    def test_inline_pushes_interleave_with_post_in_seq_order(self):
+        # Network.send and Resource write post's heap entry themselves (the
+        # engine invariant): at one instant everything fires in call order.
+        from repro.net.latency import FixedLatency
+        from repro.net.topology import Datacenter, LinkClass, Topology
+        from repro.net.transport import Network
+
+        sim = Simulator()
+        topo = Topology(
+            [Datacenter("a", "r")], [2], latency={LinkClass.INTRA_DC: FixedLatency(1.0)}
+        )
+        net = Network(sim, topo)
+        res = Resource(sim, servers=1)
+        log = []
+        sim.post(1.0, log.append, "post")
+        net.send(0, 1, 8, log.append, "send")
+        res.submit(1.0, log.append, "start")  # idle server: pushed by submit
+        res.submit(0.5, log.append, "queued")  # pushed by _finish at t=1.0
+        sim.schedule(1.0, log.append, "schedule")
+        sim.post_at(1.0, log.append, "post_at")
+        net.send(0, 1, 8, log.append, "send-2")
+        sim.post(1.5, log.append, "post-1.5")
+        sim.run()
+        assert log == [
+            "post", "send", "start", "schedule", "post_at", "send-2",
+            "post-1.5", "queued",
+        ]
+        assert sim.pending() == 0 and sim.events_processed == 8
+
+
 class TestProcess:
     def test_delay_sequencing(self, sim):
         log = []
@@ -351,6 +480,8 @@ class TestResource:
         # second request waited 2.0s
         assert r.queue_wait.max == pytest.approx(2.0)
         assert r.queue_wait.min == pytest.approx(0.0)
+        # the idle-server start is counted, then folded in when read
+        assert r.queue_wait.n == 2 and r.queue_wait.mean == pytest.approx(1.0)
 
     def test_busy_and_queued_counters(self, sim):
         r = Resource(sim, servers=1)

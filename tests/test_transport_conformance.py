@@ -9,6 +9,7 @@ how time advances. The protocol-visible behaviour asserted here is what
 
 - per-link FIFO delivery under the (default) constant-latency models;
 - partitions drop at send time (``send`` returns ``None``) and heal;
+- ``send(..., None)`` bills and times a message but queues nothing;
 - cancelled timers never fire, and cancelling twice is harmless;
 - ``set_timer_at`` never fires early on the protocol clock;
 - registered handlers receive *equal* argument values (and, on the
@@ -61,6 +62,10 @@ class SimHarness:
         setup(self.transport)
         self.sim.run(until=until)
 
+    def queued(self):
+        """Entries waiting in the engine (simulator heap)."""
+        return self.sim.pending()
+
 
 class AioHarness:
     """Conformance driver over the asyncio backend (scaled wall clock)."""
@@ -85,6 +90,11 @@ class AioHarness:
 
         asyncio.run(main())
         self.transport.close()
+
+    def queued(self):
+        """Entries waiting in the engine (delivery heap + armed loop timer)."""
+        t = self.transport
+        return len(t._heap) + (t._armed is not None)
 
 
 @pytest.fixture(params=["sim", "asyncio"])
@@ -160,6 +170,24 @@ class TestTransportContract:
         assert sent["healed"] is not None
         assert not sent["still_partitioned"]
         assert got == ["lan", "healed"]
+
+    def test_send_without_deliver_bills_and_times_only(self, harness):
+        h = harness()
+        seen = {}
+
+        def setup(t):
+            seen["delay"] = t.send(0, 3, 500, None)
+            seen["queued"] = h.queued()
+            t.partition_dcs(0, 1)
+            seen["cut"] = t.send(0, 3, 500, None)
+
+        h.run(setup, until=1.0)
+        src = h.network if h.backend == "sim" else h.transport
+        assert seen["delay"] == pytest.approx(0.040)
+        assert seen["queued"] == 0 and h.queued() == 0
+        assert seen["cut"] is None and src.dropped == 1
+        assert src.traffic.bytes[LinkClass.INTER_REGION] == 500
+        assert src.traffic.messages[LinkClass.INTER_REGION] == 1
 
     def test_heal_all_clears_every_partition(self, harness):
         topo = Topology(
@@ -459,6 +487,30 @@ class TestAsyncioDelivery:
         assert "wan" not in got
         # Late by loop jitter, not by the WAN frame's second.
         assert 0.0 <= got["lan"] - got["lan_due"] < 0.05
+
+    def test_undelivered_frame_takes_no_fifo_slot(self):
+        # send(..., None) returns the sampled delay and leaves the link's
+        # FIFO floor alone: a faster frame sent next is not held behind it.
+        model = FixedLatency(1.0)
+        topo = Topology(
+            [Datacenter("east", "us-east"), Datacenter("west", "eu-west")],
+            [3, 3],
+            latency={LinkClass.INTER_REGION: model},
+        )
+        t = AsyncioTransport(topo, time_scale=1.0)
+        got = {}
+
+        async def body(loop):
+            assert t.send(0, 3, 64, None) == 1.0
+            model.delay = 0.001
+            def arrived():
+                got["at"] = loop.time()
+
+            got["due"] = loop.time() + t.send(0, 3, 64, arrived)
+            await asyncio.sleep(0.1)
+
+        run_on_loop(t, body)
+        assert 0.0 <= got["at"] - got["due"] < 0.05
 
     def test_reply_waits_for_the_next_pass(self):
         # Zero-delay (node-local) replies sent by handlers are due at once,
