@@ -1,0 +1,535 @@
+"""Paper-direction checks: every experiment of §III-§V at its default scale.
+
+Each section regenerates one of the paper's tables or figures through the
+same functions the ``repro`` CLI verbs call, and asserts the *shape* the
+paper reports (direction and ordering, with the paper's number in the
+comment). One module-scoped fixture per experiment runs it once; the tests
+read its result. Not part of the tier-1 suite (``testpaths = ["tests"]``);
+run it with::
+
+    PYTHONPATH=src python -m pytest benchmarks -q
+
+Speed is measured by ``bench/run.py`` (see ``BENCHMARK.json``), not here.
+"""
+
+import pytest
+
+from repro.cost.power import PowerModel
+from repro.elastic import ElasticSpec, RebalanceConfig
+from repro.experiments.bismar_eval import run_bismar_eval, run_efficiency_samples
+from repro.experiments.cost_eval import run_cost_eval
+from repro.experiments.harmony_eval import run_harmony_eval
+from repro.experiments.model_eval import run_behavior_eval, run_fig1_validation
+from repro.experiments.platforms import (
+    ec2_cost_platform,
+    ec2_harmony_platform,
+    grid5000_bismar_platform,
+    grid5000_harmony_platform,
+    single_dc_platform,
+    small_dc_platform,
+)
+from repro.experiments.runner import (
+    harmony_factory,
+    named_policy_factory,
+    static_factory,
+)
+from repro.facade import RunSpec, run as run_spec
+from repro.monitor.collector import ClusterMonitor
+from repro.policy import StaticPolicy
+from repro.stale.dcmodel import DeploymentInfo, system_stale_rate_dc
+from repro.stale.model import params_from_snapshot, system_stale_rate
+from repro.workload.client import WorkloadRunner
+from repro.workload.workloads import bank_transfer_mix, heavy_read_update
+
+
+# -- E1-G5K: Harmony on the Grid'5000 preset (§IV-A) --------------------------
+#
+# Harmony at 20%/40% tolerated staleness vs static eventual/strong. Paper:
+# ~80% fewer stale reads than eventual, up to 45% more throughput than
+# strong. The closed-loop clients amplify the throughput ratio; direction
+# and ordering are the reproduced claims.
+
+
+@pytest.fixture(scope="module")
+def e1_g5k():
+    return run_harmony_eval(
+        grid5000_harmony_platform(),
+        tolerances=(0.2, 0.4),
+        ops=24_000,
+        seed=11,
+    )
+
+
+def test_e1_grid5000_harmony(e1_g5k):
+    res = e1_g5k
+    eventual = res.reports["eventual"]
+    strong = res.reports["strong"]
+
+    # each Harmony tolerance is respected (with sampling margin)
+    for tol in (0.2, 0.4):
+        rep = res.reports[f"harmony({tol:g})"]
+        assert rep.stale_rate_strict <= tol + 0.05
+
+    # ordering: eventual fastest+stalest, strong slowest+fresh
+    assert eventual.stale_rate_strict > 0.1
+    assert strong.stale_rate == 0.0
+    assert eventual.throughput > strong.throughput
+
+    # headline claims hold in direction
+    assert res.stale_reduction_vs_eventual > 0.4  # paper: ~80%
+    assert res.throughput_gain_vs_strong > 0.45  # paper: up to 45%
+
+
+def test_e1_harmony_latency_between_extremes(e1_g5k):
+    eventual = e1_g5k.reports["eventual"]
+    strong = e1_g5k.reports["strong"]
+    for tol in (0.2, 0.4):
+        rep = e1_g5k.reports[f"harmony({tol:g})"]
+        assert eventual.read_latency_mean <= rep.read_latency_mean * 1.05
+        assert rep.read_latency_mean <= strong.read_latency_mean * 1.05
+
+
+# -- E1-EC2: Harmony on the EC2 preset (§IV-A) --------------------------------
+#
+# Same claims at the EC2 latency scale, with the paper's looser 40%/60%
+# tolerances. A 200-key keyspace gives EC2's short propagation windows the
+# per-key pressure the paper's 5M-op runs had.
+
+
+@pytest.fixture(scope="module")
+def e1_ec2():
+    return run_harmony_eval(
+        ec2_harmony_platform(),
+        tolerances=(0.4, 0.6),
+        spec=heavy_read_update(record_count=200),
+        ops=24_000,
+        seed=11,
+    )
+
+
+def test_e1_ec2_harmony(e1_ec2):
+    res = e1_ec2
+    for tol in (0.4, 0.6):
+        rep = res.reports[f"harmony({tol:g})"]
+        assert rep.stale_rate_strict <= tol + 0.05
+    assert res.reports["strong"].stale_rate == 0.0
+    assert res.reports["eventual"].throughput > res.reports["strong"].throughput
+    assert res.throughput_gain_vs_strong > 0.45
+
+
+def test_e1_ec2_harmony_beats_eventual_on_staleness(e1_ec2):
+    eventual = e1_ec2.reports["eventual"].stale_rate_strict
+    tightest = e1_ec2.reports["harmony(0.4)"].stale_rate_strict
+    assert tightest <= eventual + 1e-9
+
+
+# -- E2-COST: consistency level vs the bill (§IV-B, first set) ----------------
+#
+# RF=5 over two us-east-1 AZs, one run per static level. Paper: the bill
+# falls as the level weakens (48% cheaper at ONE), QUORUM is always fresh
+# yet ~13% cheaper than ALL, and only ~21% of reads at ONE are estimated
+# fresh.
+
+
+@pytest.fixture(scope="module")
+def e2_cost():
+    return run_cost_eval(ec2_cost_platform(), ops=30_000, seed=11)
+
+
+def test_e2_cost_levels(e2_cost):
+    res = e2_cost
+    totals = [res.bills[name].total for name in ("ONE", "TWO", "QUORUM", "FOUR", "ALL")]
+    # cost decreases when degrading the consistency level
+    for weaker, stronger in zip(totals, totals[1:]):
+        assert weaker <= stronger * 1.02  # monotone within noise
+
+    # headline ratios in the paper's ballpark
+    assert 0.25 <= res.cost_reduction_one_vs_all <= 0.60  # paper: 48%
+    assert 0.05 <= res.cost_reduction_quorum_vs_all <= 0.30  # paper: 13%
+
+    # QUORUM always returns an up-to-date replica
+    assert res.reports["QUORUM"].stale_rate == 0.0
+
+    # estimated freshness at ONE collapses under heavy read-update
+    assert res.fresh_reads_at_one_estimated < 0.5  # paper: 21%
+
+
+def test_e2_bill_parts_all_positive(e2_cost):
+    for bill in e2_cost.bills.values():
+        assert bill.instance_cost > 0
+        assert bill.storage_cost > 0
+        assert bill.network_cost > 0
+
+
+def test_e2_measured_staleness_ordering(e2_cost):
+    stale = {k: r.stale_rate_strict for k, r in e2_cost.reports.items()}
+    assert stale["ONE"] >= stale["TWO"] >= stale["QUORUM"]
+    assert stale["ALL"] == pytest.approx(0.0, abs=1e-6)
+
+
+# -- E3-EFF: the consistency-cost efficiency metric (§IV-B) -------------------
+#
+# Paper: "the most efficient consistency levels are the ones that provide a
+# staleness rate smaller than 20%".
+
+
+@pytest.fixture(scope="module")
+def e3_samples():
+    return run_efficiency_samples(
+        grid5000_bismar_platform(),
+        levels=(1, 2, 3, 4, 5),
+        ops=15_000,
+        seed=11,
+        target_throughput=8_000.0,
+    )
+
+
+def _by_pattern(samples):
+    groups = {}
+    for s in samples:
+        groups.setdefault(s.pattern, []).append(s)
+    return groups
+
+
+def test_e3_efficiency_samples(e3_samples):
+    by_pattern = _by_pattern(e3_samples)
+    assert len(by_pattern) == 3  # zipfian / uniform / hotspot access patterns
+    for pattern, group in by_pattern.items():
+        assert len(group) == 5
+        winner = max(group, key=lambda s: s.efficiency)
+        # the efficient levels are the acceptably consistent ones
+        assert winner.stale_rate < 0.20, (
+            f"{pattern}: winner {winner.level} has {winner.stale_rate:.0%} stale"
+        )
+
+
+def test_e3_relative_cost_grows_with_level(e3_samples):
+    for group in _by_pattern(e3_samples).values():
+        by_level = {s.level: s for s in group}
+        assert by_level["n=5"].relative_cost >= by_level["n=1"].relative_cost
+
+
+def test_e3_heavily_stale_weak_levels_lose(e3_samples):
+    # wherever a weak level is badly stale, its efficiency must trail the
+    # best fresh level of the same pattern
+    for group in _by_pattern(e3_samples).values():
+        fresh_best = max(
+            (s.efficiency for s in group if s.stale_rate < 0.05), default=None
+        )
+        for s in group:
+            if s.stale_rate > 0.5 and fresh_best is not None:
+                assert s.efficiency < fresh_best
+
+
+# -- E4-BISMAR: Bismar vs static levels (§IV-B, second set) -------------------
+#
+# RF=5 over two Grid'5000 sites. Paper: only static ONE is cheaper than
+# Bismar, at up to 61% stale; Bismar undercuts QUORUM by up to 31% at 3.5%
+# stale.
+
+
+@pytest.fixture(scope="module")
+def e4_bismar():
+    return run_bismar_eval(
+        grid5000_bismar_platform(),
+        ops=40_000,
+        seed=11,
+        stale_cap=0.05,
+        target_throughput=10_000.0,
+    )
+
+
+def test_e4_bismar(e4_bismar):
+    res = e4_bismar
+    bismar = res.bills["bismar"]
+    one = res.bills["ONE"]
+    quorum = res.bills["QUORUM"]
+    all_ = res.bills["ALL"]
+
+    # only ONE costs less than Bismar
+    assert one.cost_per_kop <= bismar.cost_per_kop
+    assert bismar.cost_per_kop < quorum.cost_per_kop
+    assert bismar.cost_per_kop < all_.cost_per_kop
+
+    # cost reduction vs QUORUM in the paper's ballpark (paper: 31%)
+    assert 0.10 <= res.cost_reduction_vs_quorum <= 0.60
+
+    # consistency: Bismar keeps stale reads low while ONE does not
+    assert res.bismar_stale_rate <= 0.10  # paper: 3.5%
+    assert res.one_stale_rate > 0.15  # paper: up to 61%
+    assert res.bismar_stale_rate < res.one_stale_rate
+
+
+def test_e4_quorum_always_fresh(e4_bismar):
+    assert e4_bismar.reports["QUORUM"].stale_rate == 0.0
+    assert e4_bismar.reports["ALL"].stale_rate == 0.0
+
+
+def test_e4_bismar_adapts_levels(e4_bismar):
+    # Bismar must actually have exercised the adaptive dial (not sat on one
+    # static level the whole run) OR have chosen an intermediate level.
+    mix = e4_bismar.reports["bismar"].read_levels
+    assert mix, "bismar recorded no level usage"
+    labels = set(mix)
+    assert labels != {"n=1"}, "bismar degenerated to static ONE"
+
+
+# -- E5-BEHAVIOR: the behavior-modeling pipeline (§III-C) ---------------------
+#
+# The paper defers this evaluation: clustering must recover the planted
+# phases of a synthetic webshop trace, and the per-state policy must be
+# fresher than eventual and cheaper than strong.
+
+
+@pytest.fixture(scope="module")
+def e5_behavior():
+    return run_behavior_eval(
+        ec2_harmony_platform(), cycles=3, key_count=300, window=5.0, seed=7
+    )
+
+
+def test_e5_behavior_modeling(e5_behavior):
+    res = e5_behavior
+    # offline step: the planted phases are recovered
+    assert res.k >= 2
+    assert res.purity >= 0.85
+
+    b_stale, b_cost, _ = res.rows["behavior"]
+    e_stale, e_cost, _ = res.rows["eventual"]
+    s_stale, s_cost, _ = res.rows["strong"]
+
+    # fresher than eventual, cheaper than strong
+    assert b_stale <= e_stale + 1e-9
+    assert b_cost <= s_cost
+
+    # strong is fully fresh (sanity of the endpoint)
+    assert s_stale == pytest.approx(0.0, abs=1e-6)
+
+
+def test_e5_behavior_beats_every_static_on_pareto(e5_behavior):
+    """No static policy Pareto-dominates the behavior-modeled one."""
+    b_stale, b_cost, _ = e5_behavior.rows["behavior"]
+    for name, (stale, cost, _) in e5_behavior.rows.items():
+        if name == "behavior":
+            continue
+        dominated = stale < b_stale - 1e-9 and cost < b_cost * 0.98
+        assert not dominated, f"{name} Pareto-dominates behavior policy"
+
+
+# -- FIG1: the stale-read estimation model (Figure 1, §III-A) -----------------
+#
+# Closed form, Monte Carlo and the store simulator's oracle side by side
+# over write rates and read levels, on the Grid'5000 WAN preset. The model
+# is conservative by ~2x against the oracle: ack round-trips inflate the
+# windows a coordinator can observe.
+
+
+@pytest.fixture(scope="module")
+def fig1_rows():
+    return run_fig1_validation(
+        grid5000_harmony_platform(),
+        write_rates=(2.0, 8.0, 32.0),
+        read_levels=(1, 2, 3),
+        horizon=40.0,
+        seed=5,
+    )
+
+
+def test_fig1_model_validation(fig1_rows):
+    for row in fig1_rows:
+        assert 0.0 <= row.closed_form <= 1.0
+        assert 0.0 <= row.simulator <= 1.0
+        if row.simulator > 0.02:
+            # within a factor of ~2.5 of ground truth
+            assert row.closed_form == pytest.approx(row.simulator, rel=1.5)
+        # MC and closed form implement the same model: tight agreement
+        assert row.monte_carlo == pytest.approx(row.closed_form, abs=0.08)
+    by_rate = {}
+    for row in fig1_rows:
+        by_rate.setdefault(row.write_rate, []).append(row)
+    for rate_rows in by_rate.values():
+        rate_rows.sort(key=lambda r: r.read_level)
+        for a, b in zip(rate_rows, rate_rows[1:]):
+            assert a.closed_form >= b.closed_form - 1e-9
+
+
+def test_fig1_staleness_grows_with_write_rate(fig1_rows):
+    at_one = sorted(
+        (r for r in fig1_rows if r.read_level == 1), key=lambda r: r.write_rate
+    )
+    sims = [r.simulator for r in at_one]
+    assert sims == sorted(sims)
+    assert sims[-1] > sims[0]
+
+
+# -- ABL: ablations on the Grid'5000 Bismar preset ----------------------------
+
+
+@pytest.fixture(scope="module")
+def platform():
+    return grid5000_bismar_platform()
+
+
+@pytest.fixture(scope="module")
+def abl_definitions(platform):
+    rows = []
+    for lv in (1, 2, 3):
+        rep = run_spec(
+            RunSpec(
+                platform=platform,
+                policy=static_factory(lv, lv, name=f"n={lv}"),
+                ops=8000, clients=16, seed=3,
+            )
+        ).report
+        rows.append((lv, rep.stale_rate_strict, rep.stale_rate))
+    return rows
+
+
+def test_abl_staleness_definitions(abl_definitions):
+    # strict (Figure-1) bars dominate committed ones; quorum-intersecting
+    # levels are exactly fresh under the committed definition
+    for lv, strict, committed in abl_definitions:
+        assert strict >= committed - 1e-9
+        if lv == 3:  # r + w = 6 > RF=5: structurally fresh (committed)
+            assert committed == 0.0
+
+
+@pytest.fixture(scope="module")
+def abl_windows(platform):
+    rows = []
+    for window in (0.5, 2.0, 8.0):
+        rep = run_spec(
+            RunSpec(
+                platform=platform,
+                policy=harmony_factory(0.10, monitor_window=window),
+                ops=12_000, clients=16, seed=3,
+                target_throughput=8000.0,
+            )
+        ).report
+        rows.append((window, rep.stale_rate_strict, rep.level_mix()))
+    return rows
+
+
+def test_abl_monitoring_window(abl_windows):
+    for _, stale, _ in abl_windows:
+        assert stale <= 0.10 + 0.05  # tolerance honored at every window
+
+
+@pytest.fixture(scope="module")
+def abl_read_repair(platform):
+    out = {}
+    for chance in (0.0, 0.5):
+        sim, store = platform.build(seed=4)
+        store.read_repair_chance = chance
+        rep = WorkloadRunner(
+            store, heavy_read_update(record_count=120),
+            policy=StaticPolicy(1, 1), n_clients=16, ops_total=10_000,
+            seed=4, target_throughput=6000.0, warmup_fraction=0.2,
+        ).run()
+        out[chance] = (rep.stale_rate_strict, rep.total_bytes)
+    return out
+
+
+def test_abl_read_repair(abl_read_repair):
+    # repair costs traffic and buys freshness
+    out = abl_read_repair
+    assert out[0.5][0] <= out[0.0][0] + 0.02
+    assert out[0.5][1] > out[0.0][1]
+
+
+@pytest.fixture(scope="module")
+def abl_estimators(platform):
+    sim, store = platform.build(seed=5)
+    monitor = ClusterMonitor(window=2.0)
+    store.add_listener(monitor)
+    WorkloadRunner(
+        store, heavy_read_update(record_count=120),
+        policy=StaticPolicy(1, 1), n_clients=16, ops_total=10_000,
+        seed=5, target_throughput=6000.0,
+    ).run()
+    snap = monitor.snapshot()
+    params = params_from_snapshot(snap, write_level=1, fallback_rf=5, strict=True)
+    info = DeploymentInfo.from_store(store)
+    rows = []
+    for r in range(1, 6):
+        uniform = system_stale_rate(params, r, 1)
+        dc_aware = system_stale_rate_dc(info, snap.write_rate, snap.key_profile, r)
+        rows.append((r, uniform, dc_aware))
+    return rows
+
+
+def test_abl_estimator_family(abl_estimators):
+    rows = abl_estimators
+    # once the read provably contacts both DCs (r >= 4 on a {3,2} layout),
+    # the DC-aware model knows one contacted replica applied the write
+    # ~locally, so staleness collapses to zero -- while the uniform-subset
+    # model keeps charging for unlucky subsets snitch ordering rules out.
+    by_level = {r: (u, d) for r, u, d in rows}
+    assert by_level[4][1] == pytest.approx(0.0, abs=1e-6)
+    assert by_level[5][1] == pytest.approx(0.0, abs=1e-6)
+    assert by_level[4][0] > 0.0
+    # and for single-replica reads the two models agree on substance
+    assert by_level[1][1] == pytest.approx(by_level[1][0], rel=1.0)
+    # both families are monotone in the read level
+    for col in (1, 2):
+        vals = [row[col] for row in rows]
+        for a, b in zip(vals, vals[1:]):
+            assert a >= b - 1e-9
+
+
+# -- Harness shapes no tier-1 test pins at this scale -------------------------
+
+
+def test_ext_energy_grows_with_level(platform):
+    # §V direction 1: stronger levels cost more joules per operation
+    joules = {}
+    for lv in (1, 3, 5):
+        sim, store = platform.build(seed=2)
+        meter = PowerModel(store)
+        WorkloadRunner(
+            store, heavy_read_update(record_count=100),
+            policy=StaticPolicy(lv, lv), n_clients=16, ops_total=5000,
+            seed=2,
+        ).run()
+        joules[lv] = meter.report().joules_per_kop
+    assert joules[1] < joules[3] < joules[5]
+
+
+def test_txn_report_counts_the_measured_window():
+    txns = 1500
+    outcome = run_spec(
+        RunSpec(
+            platform=single_dc_platform(),
+            policy=named_policy_factory("eventual"),
+            txn_workload=bank_transfer_mix(record_count=800),
+            ops=txns,
+            clients=16,
+            seed=11,
+        )
+    )
+    txn = outcome.report.txn
+    assert txn["txns"] == int(txns * 0.8)  # post-warmup population
+    assert txn["commits"] > 0
+
+
+def test_scripted_scale_out_streams_and_drains():
+    def script(cluster):
+        cluster.store.sim.schedule_at(0.05, cluster.bootstrap_node, 0)
+
+    out = run_spec(
+        RunSpec(
+            platform=small_dc_platform(),
+            policy=harmony_factory(0.3),
+            elastic=ElasticSpec(
+                script=script,
+                rebalance=RebalanceConfig(pump_interval=0.005, attempt_timeout=0.1),
+            ),
+            ops=3000,
+            clients=24,
+            seed=3,
+        )
+    )
+    block = out.report.elastic
+    assert block["scale_outs"] == 1
+    assert block["pending_final"] == 0
+    assert block["keys_streamed"] > 0

@@ -18,7 +18,7 @@ Usage::
 Each experiment command builds the matching platform preset, runs the
 experiment harness, and prints the same table the paper's evaluation
 reports (plus the measured claim lines). This is the no-pytest path to the
-results; the benchmark suite wraps the same functions with assertions.
+results; ``benchmarks/test_paper_shapes.py`` asserts their paper shapes.
 
 ``sweep`` runs the declarative scenario registry instead: it expands the
 ``--grid`` axes over every registered (or ``--scenario``-selected)
@@ -270,47 +270,6 @@ def _elastic(args) -> None:
             )
 
 
-def _bench(args) -> None:
-    from repro.perf.compare import compare_reports, load_report
-    from repro.perf.runner import BenchRunner
-    from repro.perf.specs import REGISTRY, names
-
-    if args.list:
-        for name in names():
-            spec = REGISTRY[name]
-            tags = ",".join(spec.tags)
-            print(f"{name:22s} {spec.description}  [{tags}]")
-        return
-
-    runner = BenchRunner(repeats=args.repeat, quick=args.quick, seed=args.seed)
-    report = runner.run(
-        args.filter,
-        progress=lambda spec: print(f"  running {spec.name} ...", flush=True),
-    )
-    print(report.table().render())
-    paths = report.write(args.out)
-    print(f"wrote {paths['json']} and {paths['csv']}")
-    if args.baseline:
-        print(f"wrote baseline {report.write_baseline(args.baseline)}")
-    if args.compare:
-        comparison = compare_reports(
-            load_report(args.compare),
-            report,
-            tolerance=args.tolerance,
-            require_all=not args.filter,
-        )
-        print(comparison.table().render())
-        if not comparison.ok:
-            failed = comparison.regressions + comparison.missing
-            print(
-                f"perf gate FAILED: {', '.join(failed)} "
-                f"(tolerance ±{args.tolerance:.0%})",
-                file=sys.stderr,
-            )
-            raise SystemExit(1)
-        print("perf gate ok")
-
-
 def _report(args) -> None:
     import os
 
@@ -527,7 +486,6 @@ COMMANDS: Dict[str, Callable] = {
     "elastic": _elastic,
     "sweep": _sweep,
     "xval": _xval,
-    "bench": _bench,
     "report": _report,
     "diff": _diff,
 }
@@ -549,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep": "run registered scenarios over a parameter grid in parallel",
         "xval": "cross-validate sim predictions against the asyncio "
         "localhost runtime (exit 1 on tolerance breach)",
-        "bench": "run the performance benchmark suite (perf trajectory + gate)",
         "report": "render a run's observability timeline (text, CSV, "
         "validate, SLO verdicts)",
         "diff": "diff two runs' timelines: metric deltas and anomaly changes",
@@ -593,47 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default="elastic-flash-crowd",
                 metavar="NAME",
                 help="elastic scenario to run (default: elastic-flash-crowd)",
-            )
-        if name == "bench":
-            p.add_argument(
-                "--quick",
-                action="store_true",
-                help="seconds-scale variant of every benchmark (the CI gate)",
-            )
-            p.add_argument(
-                "--filter",
-                action="append",
-                default=None,
-                metavar="TERM",
-                help="select benchmarks whose name/tags contain TERM (repeatable)",
-            )
-            p.add_argument(
-                "--repeat", type=int, default=3,
-                help="wall-clock samples per benchmark (best-of-N, default 3)",
-            )
-            p.add_argument(
-                "--out", default="benchmarks", metavar="DIR",
-                help="perf-trajectory directory for BENCH_<n>.json/.csv "
-                "(default: benchmarks)",
-            )
-            p.add_argument(
-                "--baseline", default=None, metavar="PATH",
-                help="also write this run as the comparison baseline at PATH",
-            )
-            p.add_argument(
-                "--compare", default=None, metavar="PATH",
-                help="gate against the baseline at PATH (non-zero exit on "
-                "regression)",
-            )
-            p.add_argument(
-                "--tolerance", type=float, default=0.25,
-                help="allowed relative throughput loss before the gate trips "
-                "(default 0.25)",
-            )
-            p.add_argument(
-                "--list",
-                action="store_true",
-                help="list registered benchmarks and exit",
             )
         if name == "report":
             p.add_argument(

@@ -1,8 +1,8 @@
 """Plain-text table rendering for experiment reports.
 
-Every benchmark target prints its results as an aligned ASCII table with the
-same rows/series the paper reports; this module is the single formatter so
-all reports look alike and EXPERIMENTS.md can paste them verbatim.
+Every experiment command prints its results as an aligned ASCII table with
+the same rows/series the paper reports; this module is the single formatter
+so all reports look alike.
 """
 
 from __future__ import annotations

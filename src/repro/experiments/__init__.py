@@ -1,7 +1,7 @@
 """Experiment harness: platform presets and per-experiment reproductions.
 
-One module per experiment family of the paper's §IV (the benchmark targets
-in ``benchmarks/`` are thin wrappers around these):
+One module per experiment family of the paper's §IV (the ``repro`` CLI
+verbs and ``benchmarks/test_paper_shapes.py`` call these):
 
 - :mod:`repro.experiments.platforms` -- the two evaluation platforms as
   simulated presets (Amazon EC2 / Grid'5000 deployments);

@@ -27,8 +27,8 @@ single pooled generator:
   through the exact listener hooks per-client traffic uses.
 
 The memory and setup cost of a cohort is O(1) in the member count, which
-is what moves the client-count ceiling from ~10^4 to 10^6+ (see the
-``cohort-million-clients`` benchmark).  ``tests/test_cohort_fidelity.py``
+is what moves the client-count ceiling from ~10^4 to 10^6+ (the two
+``*-cohort`` scenarios run 10^6 clients).  ``tests/test_cohort_fidelity.py``
 is the equivalence evidence: per-client and cohort mode agree on
 staleness / latency / cost within documented tolerances on real scenarios.
 """

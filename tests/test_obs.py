@@ -555,12 +555,3 @@ class TestMonitorMetricsBridge:
         assert elastic["scale_outs"] > 0
         assert final["scale_outs"] == elastic["scale_outs"]
         assert final["scale_ins"] == elastic["scale_ins"]
-
-
-class TestObsBench:
-    def test_obs_overhead_registered_and_runs(self):
-        from repro.perf.specs import REGISTRY
-
-        spec = REGISTRY["obs-overhead"]
-        assert "obs" in spec.tags
-        assert spec.fn({"ops": 300, "seed": 3}) > 0
