@@ -16,8 +16,8 @@ after the client has its answer is billed and timed but not delivered.
 the newest version seen. Optionally a read-repair pass contacts the
 remaining replicas in the background and patches stale ones.
 
-Operation objects use ``__slots__`` and plain callbacks -- these are the two
-hottest allocation sites of the whole simulation.
+Operation objects use ``__slots__``; replies reach bound handlers that take the op
+as an argument; no per-op closure -- the two hottest allocation sites of all.
 """
 
 from __future__ import annotations
@@ -194,12 +194,16 @@ class Coordinator:
     run on the asyncio backend.
     """
 
-    __slots__ = ("store", "node_id", "dc")
+    __slots__ = ("store", "node_id", "dc", "_orders", "_last_level", "_last_rf",
+                 "_last_req")
 
     def __init__(self, store, node_id: int):
         self.store = store
         self.node_id = int(node_id)
         self.dc = store.topology.dc_of(node_id)
+        self._orders = store._snitch_orders[self.dc]  # the store clears it
+        # the last non-DC-aware requirement, served without hashing the enum
+        self._last_level, self._last_rf, self._last_req = None, -1, None
 
     def _requirement(
         self, level: LevelSpec, replicas: Sequence[int], by_dc: Dict[int, int]
@@ -210,26 +214,29 @@ class Coordinator:
         every operation with the same (level, RF) shape -- which on a stable
         cluster is *all* of them. The datacenter census and coordinator DC
         join the key only for the DC-aware levels that actually depend on
-        them; numeric and count-based levels key on (level, RF) alone.
+        them; numeric/count levels key on (level, RF), the last served by identity.
         """
-        if type(level) is int:
-            key = (level, len(replicas))
-        elif (
+        rf = len(replicas)
+        if level is self._last_level and rf == self._last_rf:
+            return self._last_req
+        if (
             level is ConsistencyLevel.LOCAL_QUORUM
             or level is ConsistencyLevel.EACH_QUORUM
         ):
-            key = (level, len(replicas), tuple(sorted(by_dc.items())), self.dc)
-        elif isinstance(level, ConsistencyLevel):
-            key = (level, len(replicas))
+            key = (level, rf, tuple(sorted(by_dc.items())), self.dc)
+        elif type(level) is int or isinstance(level, ConsistencyLevel):
+            key = (level, rf)
         else:
             # Unhashable/unknown specs fall through to the full resolver,
             # which raises the proper ConfigError.
-            return resolve_level(level, len(replicas), by_dc, self.dc)
+            return resolve_level(level, rf, by_dc, self.dc)
         cache = self.store._requirement_cache
         requirement = cache.get(key)
         if requirement is None:
-            requirement = resolve_level(level, len(replicas), by_dc, self.dc)
+            requirement = resolve_level(level, rf, by_dc, self.dc)
             cache[key] = requirement
+        if len(key) == 2:
+            self._last_level, self._last_rf, self._last_req = level, rf, requirement
         return requirement
 
     # ------------------------------------------------------------------ write
@@ -277,19 +284,20 @@ class Coordinator:
         st.oracle.note_write_start(key, version, n_replicas=len(alive))
         # Mark the write in flight until it settles (ack or timeout): the
         # rebalancer must not hand this key's ownership off underneath it.
-        st._note_write_dispatched(key)
+        if st.rebalancer is not None:
+            st._note_write_dispatched(key)
 
         op = _WriteOp(self, result, requirement, version, done)
         result.replicas_contacted = len(alive)
         msg = st.sizes.request_overhead + value_size
         send = tr.send
         me = self.node_id
-        applied = self._make_write_applied(op)
+        applied = self._on_write_applied
 
         for r in replicas:
             node = nodes[r]
             if node.up:
-                send(me, r, msg, node.handle_write, key, version, applied)
+                send(me, r, msg, node.handle_write, key, version, applied, op)
             elif st.hints is not None:
                 st.hints.add(r, key, version)
         # Forward to incoming owners of a pending migration. Live incoming
@@ -300,62 +308,55 @@ class Coordinator:
         # stay out of the monitor's ack-delay profile -- the authoritative
         # set alone defines the observable propagation structure.
         if extra:
-            extra_applied = self._make_extra_applied(op)
+            extra_applied = self._on_extra_applied
             for r in extra:
                 node = nodes[r]
                 if node.up:
                     op.extra_needed += 1
-                    send(me, r, msg, node.handle_write, key, version, extra_applied)
+                    send(me, r, msg, node.handle_write, key, version, extra_applied, op)
                 elif st.hints is not None:
                     st.hints.add(r, key, version)
 
         if st.write_timeout > 0:
             st._write_deadlines.add(now + st.write_timeout, op)
 
-    def _make_write_applied(self, op: _WriteOp):
+    def _on_write_applied(self, node_id: int, key: str, version: Version,
+                          op: _WriteOp) -> None:
         """Replica-side completion: record propagation, send the ack home.
 
-        One closure serves every replica of the write (the replica names
-        itself through ``node_id``). An ack sent after the op finished decides
-        nothing: it goes undelivered and is accounted here at its arrival
-        ``now + delay`` (see :meth:`Transport.send`).
+        An ack sent after the op finished decides nothing: it goes undelivered
+        and is accounted here at its arrival ``now + delay`` (see ``send``).
         """
         st = self.store
-        tr = st.transport
-        send = tr.send
-        note_applied = st.oracle.note_replica_applied
-        ack, home, on_ack = st.sizes.ack, self.node_id, self._on_write_ack
+        send = st.transport.send
+        now = st.transport.now
+        st.oracle.note_replica_applied(version, now)
+        if not op.finished:
+            send(node_id, self.node_id, st.sizes.ack, self._on_write_ack, op, node_id)
+            return
+        delay = send(node_id, self.node_id, st.sizes.ack, None)
+        if delay is None:
+            return  # dropped: never counted, so never propagated
+        arrival = now + delay
+        if arrival > op.tail:
+            op.tail = arrival
+        result = op.result
+        result.ack_delays.append(arrival - result.t_start)
+        op.acks_total += 1
+        if op.acks_total == result.replicas_contacted:
+            # every live replica acked (the observable Tp): notify at the tail
+            if op.tail <= now:
+                st._notify_propagated(result)
+            else:
+                st.transport.post_at(op.tail, st._notify_propagated, result)
 
-        def applied(node_id: int, key: str, version: Version) -> None:
-            now = tr.now
-            note_applied(version, now)
-            if not op.finished:
-                send(node_id, home, ack, on_ack, op, node_id)
-                return
-            delay = send(node_id, home, ack, None)
-            if delay is None:
-                return  # dropped: never counted, so never propagated
-            arrival = now + delay
-            if arrival > op.tail:
-                op.tail = arrival
-            result = op.result
-            result.ack_delays.append(arrival - result.t_start)
-            op.acks_total += 1
-            if op.acks_total == result.replicas_contacted:
-                self._propagated(op, now)
-
-        return applied
-
-    def _make_extra_applied(self, op: _WriteOp):
+    def _on_extra_applied(self, node_id: int, key: str, version: Version,
+                          op: _WriteOp) -> None:
         """Incoming-owner completion: ack home, outside the oracle's count."""
         st = self.store
-
-        def applied(node_id: int, key: str, version: Version) -> None:
-            # after the client ack an extra ack is a no-op: only billed
-            deliver = None if op.finished else self._on_extra_ack
-            st.transport.send(node_id, self.node_id, st.sizes.ack, deliver, op)
-
-        return applied
+        # after the client ack an extra ack is a no-op: only billed
+        deliver = None if op.finished else self._on_extra_ack
+        st.transport.send(node_id, self.node_id, st.sizes.ack, deliver, op)
 
     def _on_extra_ack(self, op: _WriteOp) -> None:
         op.extra_acks += 1
@@ -373,17 +374,24 @@ class Coordinator:
             by_dc[dc] = by_dc.get(dc, 0) + 1
         result.ack_delays.append(now - result.t_start)
         if op.acks_total == result.replicas_contacted:
-            self._propagated(op, now)
-        if not op.finished:
+            # every live replica acked (the observable Tp): notify at the tail
+            if op.tail <= now:
+                st._notify_propagated(result)
+            else:
+                st.transport.post_at(op.tail, st._notify_propagated, result)
+        if op.finished:
+            return
+        if by_dc is not None or op.extra_needed:
             self._maybe_finish_write(op, now)
-
-    def _propagated(self, op: _WriteOp, now: float) -> None:
-        """Every live replica acked (the observable Tp): notify at the last arrival."""
-        st = self.store
-        if op.tail <= now:
-            st._notify_propagated(op.result)
-        else:
-            st.transport.post_at(op.tail, st._notify_propagated, op.result)
+        elif op.acks_total >= op.requirement.total:  # _maybe_finish_write, inline
+            op.finished = True
+            st._write_deadlines.settle()
+            st.oracle.note_write_acked(result.key, op.version)
+            if st.rebalancer is not None:
+                st._note_write_settled(result.key)
+            result.t_end = now
+            result.ok = True
+            st._op_done(result, op.done_cb)
 
     def _maybe_finish_write(self, op: _WriteOp, now: float) -> None:
         """Ack the client once the level (and any migration extras) is met."""
@@ -400,7 +408,8 @@ class Coordinator:
         op.finished = True
         st._write_deadlines.settle()
         st.oracle.note_write_acked(result.key, op.version)
-        st._note_write_settled(result.key)
+        if st.rebalancer is not None:
+            st._note_write_settled(result.key)
         result.t_end = now
         result.ok = True
         st._op_done(result, op.done_cb)
@@ -450,21 +459,17 @@ class Coordinator:
             ]
             op.pending += len(op.repair_targets)
 
-        req_size = st.sizes.request_overhead
+        req_size, digest = st.sizes.request_overhead, st.sizes.digest
         send = tr.send
         me = self.node_id
-        for i, r in enumerate(targets):
-            # first target returns full data, the rest return digests
-            resp = st.default_value_size if i == 0 else st.sizes.digest
-            send(
-                me, r, req_size, nodes[r].handle_read, key,
-                self._make_read_response(op, resp, foreground=True),
-            )
+        served = self._on_read_served
+        # first target returns full data, the rest return digests
+        resp = st.default_value_size
+        for r in targets:
+            send(me, r, req_size, nodes[r].handle_read, key, served, op, resp, True)
+            resp = digest
         for r in op.repair_targets:
-            send(
-                me, r, req_size, nodes[r].handle_read, key,
-                self._make_read_response(op, st.sizes.digest, foreground=False),
-            )
+            send(me, r, req_size, nodes[r].handle_read, key, served, op, digest, False)
 
         if st.read_timeout > 0:
             st._read_deadlines.add(now + st.read_timeout, op)
@@ -478,17 +483,25 @@ class Coordinator:
         ``None`` when not enough live replicas exist.
         """
         st = self.store
-        alive = [r for r in replicas if st.nodes[r].up]
+        nodes = st.nodes
+        if not requirement.per_dc:
+            got = self._orders.get(id(replicas))
+            if got is None or got[0] is not replicas:
+                dc_of, dc = st.topology.dc_of, self.dc
+                got = (replicas, sorted(replicas, key=lambda r: (dc_of(r) != dc, r)))
+                self._orders[id(replicas)] = got
+            chosen = [r for r in got[1] if nodes[r].up][: requirement.total]
+            return chosen if len(chosen) == requirement.total else None
+        alive = [r for r in replicas if nodes[r].up]
         chosen: List[int] = []
-        if requirement.per_dc:
-            by_dc: Dict[int, List[int]] = {}
-            for r in alive:
-                by_dc.setdefault(st.topology.dc_of(r), []).append(r)
-            for dc, need in requirement.per_dc.items():
-                pool = by_dc.get(dc, [])
-                if len(pool) < need:
-                    return None
-                chosen.extend(pool[:need])
+        by_dc: Dict[int, List[int]] = {}
+        for r in alive:
+            by_dc.setdefault(st.topology.dc_of(r), []).append(r)
+        for dc, need in requirement.per_dc.items():
+            pool = by_dc.get(dc, [])
+            if len(pool) < need:
+                return None
+            chosen.extend(pool[:need])
         remaining = [r for r in alive if r not in chosen]
         remaining.sort(key=lambda r: (st.topology.dc_of(r) != self.dc, r))
         while len(chosen) < requirement.total and remaining:
@@ -497,17 +510,13 @@ class Coordinator:
             return None
         return chosen
 
-    def _make_read_response(self, op: _ReadOp, resp_bytes: int, foreground: bool):
-        send = self.store.transport.send
-        home, on_response = self.node_id, self._on_read_response
-
-        def served(node_id: int, key: str, version: Optional[Version]) -> None:
-            send(
-                node_id, home, resp_bytes,
-                on_response, op, node_id, key, version, foreground,
-            )
-
-        return served
+    def _on_read_served(self, node_id: int, key: str, version: Optional[Version],
+                        op: _ReadOp, resp_bytes: int, foreground: bool) -> None:
+        """A replica served the read: send its response home."""
+        self.store.transport.send(
+            node_id, self.node_id, resp_bytes,
+            self._on_read_response, op, node_id, key, version, foreground,
+        )
 
     def _on_read_response(
         self,
@@ -572,7 +581,7 @@ def op_timed_out(op: "_ReadOp | _WriteOp") -> None:
     op.finished = True
     result.t_end = st.transport.now
     result.error = "timeout"
-    if result.kind == "write":
+    if result.kind == "write" and st.rebalancer is not None:
         st._note_write_settled(result.key)
     st._count_failure(result.kind, "timeout")
     st._op_done(result, op.done_cb)

@@ -187,10 +187,13 @@ class StorageNode:
         self,
         key: str,
         version: Version,
-        done: Callable[[int, str, Version], Any],
+        done: Callable[..., Any],
+        *ctx: Any,
     ) -> None:
-        """Apply a replica mutation, then call ``done(node_id, key, applied)``.
+        """Apply a replica mutation, then call ``done(node_id, key, version, *ctx)``.
 
+        ``version`` is the incoming one; ``ctx`` passes through untouched, so
+        a coordinator hands over a bound handler and its op, not a closure.
         Reconciliation is last-write-wins: an older incoming version never
         overwrites a newer local one (it still acknowledges -- the write *is*
         durable, it just lost the race, exactly like Cassandra).
@@ -200,10 +203,12 @@ class StorageNode:
             return
         model = self.service
         service = self._service_time(model.write_base, model.write_jitter)
-        self.mutation_resource.submit(service, self._apply_write, key, version, done)
+        self.mutation_resource.submit(
+            service, self._apply_write, key, version, done, *ctx
+        )
 
     def _apply_write(
-        self, key: str, version: Version, done: Callable[[int, str, Version], Any]
+        self, key: str, version: Version, done: Callable[..., Any], *ctx: Any
     ) -> None:
         if not self.up:
             self.dropped_while_down += 1
@@ -212,34 +217,29 @@ class StorageNode:
         if current is None or version.newer_than(current):
             self.data[key] = version
         self.writes_applied += 1
-        done(self.node_id, key, version)
+        done(self.node_id, key, version, *ctx)
 
-    def handle_read(
-        self,
-        key: str,
-        done: Callable[[int, str, Optional[Version]], Any],
-    ) -> None:
-        """Serve a replica read, then call ``done(node_id, key, version)``.
+    def handle_read(self, key: str, done: Callable[..., Any], *ctx: Any) -> None:
+        """Serve a replica read, then call ``done(node_id, key, version, *ctx)``.
 
-        The version returned is the node's newest *at serve time* (after
-        queueing), matching a real replica that applies a racing mutation
-        just before serving the read.
+        ``version`` is the node's newest *at serve time* (after queueing;
+        ``None`` if missing), matching a real replica that applies a racing
+        mutation just before serving the read. ``ctx`` is as in
+        :meth:`handle_write`.
         """
         if not self.up:
             self.dropped_while_down += 1
             return
         model = self.service
         service = self._service_time(model.read_base, model.read_jitter)
-        self.resource.submit(service, self._serve_read, key, done)
+        self.resource.submit(service, self._serve_read, key, done, *ctx)
 
-    def _serve_read(
-        self, key: str, done: Callable[[int, str, Optional[Version]], Any]
-    ) -> None:
+    def _serve_read(self, key: str, done: Callable[..., Any], *ctx: Any) -> None:
         if not self.up:
             self.dropped_while_down += 1
             return
         self.reads_served += 1
-        done(self.node_id, key, self.data.get(key))
+        done(self.node_id, key, self.data.get(key), *ctx)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "up" if self.up else "DOWN"

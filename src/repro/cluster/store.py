@@ -182,6 +182,9 @@ class ReplicatedStore:
             )
             for i in range(topology.n_nodes)
         ]
+        # Snitch order per placement record (keyed by the replica list's id),
+        # one table per DC shared by its coordinators; cleared with the memo.
+        self._snitch_orders: List[Dict[int, Any]] = [{} for _ in topology.datacenters]
         self.coordinators: List[Coordinator] = [
             Coordinator(self, i) for i in range(topology.n_nodes)
         ]
@@ -247,7 +250,7 @@ class ReplicatedStore:
         # timed out). The rebalancer defers a migration hand-off while one
         # is outstanding: a write racing the stream must land on the old
         # owners before they stop being the read-visible set, or an acked
-        # write could vanish behind the ownership switch.
+        # write could vanish behind the switch. Kept only with a rebalancer.
         self._inflight_writes: Dict[str, int] = {}
         # per-DC coordinator pools (invalidated on membership changes) so
         # clients route through current members: bootstrapped nodes start
@@ -265,7 +268,10 @@ class ReplicatedStore:
         coordinator: Optional[int] = None,
     ) -> None:
         """Issue one write at ``level``; ``done(result)`` fires on completion."""
-        coord = self._pick_coordinator(coordinator)
+        if coordinator is not None and not self.nodes[coordinator].retired:
+            coord = self.coordinators[coordinator]  # a crashed one still fronts
+        else:
+            coord = self._pick_coordinator()
         size = value_size if value_size is not None else self.default_value_size
         if coord is None:
             self._fail_without_coordinator("write", key, done)
@@ -283,7 +289,10 @@ class ReplicatedStore:
         coordinator: Optional[int] = None,
     ) -> None:
         """Issue one read at ``level``; ``done(result)`` fires with the result."""
-        coord = self._pick_coordinator(coordinator)
+        if coordinator is not None and not self.nodes[coordinator].retired:
+            coord = self.coordinators[coordinator]
+        else:
+            coord = self._pick_coordinator()
         if coord is None:
             self._fail_without_coordinator("read", key, done)
             return
@@ -385,8 +394,12 @@ class ReplicatedStore:
         """
         if key is None:
             self._placement_cache.clear()
+            for orders in self._snitch_orders:
+                orders.clear()
         else:
-            self._placement_cache.pop(key, None)
+            replicas = self._placement_cache.pop(key, (None,))[0]
+            for orders in self._snitch_orders:
+                orders.pop(id(replicas), None)
 
     def coordinator_pool(self, dc_index: int) -> List[int]:
         """Non-retired nodes of ``dc_index`` that can front client requests.
@@ -631,15 +644,19 @@ class ReplicatedStore:
         """
         size = value_size if value_size is not None else self.default_value_size
         t = self.sim.now
+        placement, ring, topology = self.strategy.placement, self.ring, self.topology
+        data = [node.data for node in self.nodes]
+        seq = self.write_seq
         for key in keys:
-            self.write_seq += 1
-            version = Version(t, self.write_seq, size)
-            for r in self.strategy.replicas(key, self.ring, self.topology):
-                self.nodes[r].data[key] = version
+            seq += 1
+            version = Version(t, seq, size)
+            for r in placement(key, ring, topology)[0]:
+                data[r][key] = version
             self.oracle.note_preload(key, version)
             if key not in self._written_set:
                 self._written_set.add(key)
                 self._written_keys.append(key)
+        self.write_seq = seq
 
     def written_keys(self) -> List[str]:
         """Keys ever written (repair daemon's candidate population)."""
@@ -696,12 +713,8 @@ class ReplicatedStore:
 
     # -- internals ---------------------------------------------------------------
 
-    def _pick_coordinator(self, preferred: Optional[int]) -> Optional[Coordinator]:
+    def _pick_coordinator(self) -> Optional[Coordinator]:
         """Pick a live coordinator; ``None`` when the whole cluster is down."""
-        if preferred is not None and not self.nodes[preferred].retired:
-            # A crashed-but-not-retired coordinator still fronts requests
-            # (transient downtime); a retired one is a terminated VM.
-            return self.coordinators[preferred]
         # Random live node, as a client-side load balancer would pick.
         for _ in range(4):
             idx = int(self.rng.integers(0, len(self.nodes)))

@@ -151,10 +151,8 @@ class LocalhostStore:
 
     # -- coordinator picking ------------------------------------------------------
 
-    def _pick_coordinator(self, preferred: Optional[int]):
+    def _pick_coordinator(self):
         """A live node to front a transaction (``None`` = cluster down)."""
-        if preferred is not None and not self.nodes[preferred].retired:
-            return self.nodes[preferred]
         for _ in range(4):
             idx = int(self.rng.integers(0, len(self.nodes)))
             if self.nodes[idx].up:

@@ -457,7 +457,7 @@ class TransactionalStore:
         if coordinator is not None and self.store.nodes[coordinator].up:
             coord = int(coordinator)
         else:
-            picked = self.store._pick_coordinator(None)
+            picked = self.store._pick_coordinator()
             coord = picked.node_id if picked is not None else None
         self.txns_begun += 1
         return Transaction(self, self._txn_seq, coord)

@@ -47,14 +47,16 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _fnv1a64(value: int) -> int:
-    """FNV-1a over the 8 little-endian bytes of ``value`` (YCSB's ``fnvhash64``)."""
-    h = _FNV_OFFSET
-    for _ in range(8):
-        octet = value & 0xFF
-        value >>= 8
-        h = h ^ octet
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
+    """FNV-1a over the 8 little-endian bytes of ``value`` (YCSB's ``fnvhash64``),
+    one straight-line xor-multiply step per byte, low byte first."""
+    h = ((_FNV_OFFSET ^ (value & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 8) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 16) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 24) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 32) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 40) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 48) & 0xFF)) * _FNV_PRIME) & _MASK64
+    return ((h ^ ((value >> 56) & 0xFF)) * _FNV_PRIME) & _MASK64
 
 
 class KeyChooser:

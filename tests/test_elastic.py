@@ -319,6 +319,59 @@ class TestStreamingRebalance:
         assert kinds[0] == "migration-start" and kinds[-1] == "migration-complete"
 
 
+class TestInFlightWrites:
+    """The hand-off gate's table exists only while a rebalancer is attached."""
+
+    @pytest.mark.parametrize("attached", [False, True])
+    def test_table_is_kept_only_with_a_rebalancer(self, attached):
+        store = build_streaming()[0] if attached else build_store()
+        sizes = []
+
+        class Probe:
+            def on_op_complete(self, result):
+                sizes.append(len(store._inflight_writes))
+
+        store.add_listener(Probe())
+        sim = store.sim
+        for i in range(2000):
+            key = f"user{i % 37}"
+            if i % 5:
+                sim.schedule_at(0.0001 * i, store.write, key, 1 + i % 2)
+            else:
+                sim.schedule_at(0.0001 * i, store.read, key, 1)
+        sim.run(until=5.0)
+        assert len(sizes) == 2000 and store.writes_ok == 1600
+        assert (max(sizes) > 0) is attached  # overlapping writes, when kept
+        assert not store._inflight_writes
+
+    def test_write_in_flight_spans_dispatch_to_ack(self):
+        store, _ = build_streaming()
+        store.preload(["k"])
+        seen = []
+
+        def done(result):
+            seen.append((result.ok, store.write_in_flight("k")))
+
+        store.write("k", 3, done, coordinator=0)
+        store.write("k", 3, done, coordinator=0)
+        assert store.write_in_flight("k")
+        store.sim.run(until=1.0)
+        assert seen == [(True, True), (True, False)]
+
+    def test_write_in_flight_spans_dispatch_to_timeout(self):
+        store, _ = build_streaming()
+        store.preload(["k"])
+        coordinator, victim = store.replica_sets("k")[0][:2]
+        results, probes = [], []
+        store.write("k", 3, results.append, coordinator=coordinator)
+        store.on_node_crash(victim)  # the mutation is already on the wire
+        store.sim.schedule_at(0.25, lambda: probes.append(store.write_in_flight("k")))
+        store.sim.run(until=1.0)
+        assert probes == [True]
+        assert [(r.error, r.t_end) for r in results] == [("timeout", 0.5)]
+        assert not store.write_in_flight("k")
+
+
 def _wrap_notify(inner, log):
     def notify(event):
         log.append(event)

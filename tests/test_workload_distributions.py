@@ -13,6 +13,7 @@ from repro.workload.distributions import (
     ScrambledZipfianChooser,
     UniformChooser,
     ZipfianChooser,
+    _fnv1a64,
     make_chooser,
 )
 
@@ -175,3 +176,25 @@ class TestFactory:
         c = make_chooser(name, count, rng=0)
         for _ in range(50):
             assert 0 <= c.next_index() < count
+
+
+def reference_fnv1a64(value):
+    """YCSB's ``fnvhash64`` as a byte loop: FNV-1a over 8 little-endian octets."""
+    h = 0xCBF29CE484222325
+    for _ in range(8):
+        h ^= value & 0xFF
+        value >>= 8
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+class TestFnv1a64:
+    @given(st.integers(0, 2**64 - 1))
+    @settings(max_examples=500, deadline=None)
+    def test_unrolled_hash_equals_the_byte_loop(self, value):
+        assert _fnv1a64(value) == reference_fnv1a64(value)
+
+    def test_fixed_vectors(self):
+        assert _fnv1a64(0) == 0xA8C7F832281A39C5
+        assert _fnv1a64(2**40 + 7) == 0x54811E170C345A0D
+        assert reference_fnv1a64(2**40 + 7) == 0x54811E170C345A0D
