@@ -24,7 +24,7 @@ from typing import List
 
 from repro.common.errors import ConfigError
 from repro.cluster.consistency import LevelSpec
-from repro.monitor.collector import ClusterMonitor
+from repro.monitor.collector import ClusterMonitor, MonitorSnapshot
 from repro.stale.dcmodel import DeploymentInfo, system_stale_rate_dc
 from repro.stale.model import params_from_snapshot, system_stale_rate
 
@@ -126,7 +126,9 @@ class HarmonyEngine:
 
     def estimate_all_levels(self, now: float) -> List[float]:
         """Estimated stale rate for each read level ``1..rf`` right now."""
-        snapshot = self.monitor.snapshot(now)
+        return self._estimates(self.monitor.snapshot(now))
+
+    def _estimates(self, snapshot: MonitorSnapshot) -> List[float]:
         if self.deployment is not None and self.strict:
             profile = snapshot.key_profile or [(1.0, 1.0, 1)]
             return [
@@ -158,20 +160,21 @@ class HarmonyEngine:
 
     def _refresh(self, now: float) -> None:
         self._last_update = now
-        estimates = self.estimate_all_levels(now)
+        # One snapshot feeds both the estimates and the recorded rates.
+        snapshot = self.monitor.snapshot(now)
+        estimates = self._estimates(snapshot)
         chosen = self.rf  # strongest, if nothing meets tolerance
         for r, est in enumerate(estimates, start=1):
             if est <= self.tolerance:
                 chosen = r
                 break
         self._current = chosen
-        snap_rates = self.monitor.snapshot(now)
         decision = LevelDecision(
             t=now,
             read_level=chosen,
             estimates=estimates,
-            write_rate=snap_rates.write_rate,
-            read_rate=snap_rates.read_rate,
+            write_rate=snapshot.write_rate,
+            read_rate=snapshot.read_rate,
         )
         self.decisions.append(decision)
         if self.on_decision is not None:

@@ -14,6 +14,8 @@ more stale data at the same aggregate write rate.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import truediv
 from typing import Dict, List, Tuple
 
 from repro.common.errors import ConfigError
@@ -103,24 +105,26 @@ class KeyFrequencyTracker:
         function once per entry and weight by ``read_share * multiplicity``,
         bounding cost on huge keyspaces.
         """
-        r = self.read_shares()
-        w = self.write_shares()
-        keys = set(r) | set(w)
-        # Sort on the full (read, write) pair: ordering only by read share
-        # leaves ties in set-iteration order, which depends on the string
-        # hash seed and perturbs the estimator's summation order across
-        # interpreter invocations.
+        rc = self._merged(self._cur_reads, self._prev_reads)
+        wc = self._merged(self._cur_writes, self._prev_writes)
+        rt = sum(rc.values()) or 1
+        wt = sum(wc.values()) or 1
+        keys = rc.keys() | wc.keys()
+        # Sort on the full (read, write) count pair, descending: the order by
+        # (read share, write share), as a share is its count over a fixed
+        # total. Ordering by reads alone would leave ties in hash-seed set
+        # order (the estimator's summation order); tied rows are equal here.
         rows = sorted(
-            ((r.get(k, 0.0), w.get(k, 0.0)) for k in keys),
-            key=lambda rw: (-rw[0], -rw[1]),
+            zip(map(rc.get, keys, repeat(0)), map(wc.get, keys, repeat(0))),
+            reverse=True,
         )
+        head = [(r / rt, w / wt, 1) for r, w in rows[:max_keys]]
         if len(rows) <= max_keys:
-            return [(rs, ws, 1) for rs, ws in rows]
-        head = [(rs, ws, 1) for rs, ws in rows[:max_keys]]
-        tail = rows[max_keys:]
-        n = len(tail)
-        tr = sum(x for x, _ in tail) / n
-        tw = sum(y for _, y in tail) / n
+            return head
+        tail_r, tail_w = zip(*rows[max_keys:])
+        n = len(tail_r)
+        tr = sum(map(truediv, tail_r, repeat(rt))) / n
+        tw = sum(map(truediv, tail_w, repeat(wt))) / n
         head.append((tr, tw, n))
         return head
 

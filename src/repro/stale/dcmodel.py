@@ -147,23 +147,11 @@ def _contacted_dcs(info: DeploymentInfo, reader_dc: int, read_level: int) -> Lis
     return contacted
 
 
-def per_key_stale_dc(
-    info: DeploymentInfo,
-    write_rate: float,
-    read_level: int,
-) -> float:
-    """Strict (Figure-1) stale probability of one key, DC-aware.
-
-    ``write_rate`` is the key's Poisson write rate; ``read_level`` the
-    number of replicas contacted.
-    """
-    if write_rate < 0:
-        raise ConfigError(f"write_rate must be >= 0, got {write_rate}")
+def _window_terms(info: DeploymentInfo, read_level: int) -> List[Tuple[float, float]]:
+    """``(p_d * p_d', V(d, d'))`` per DC pair at level ``r``, for every key."""
     if not (1 <= read_level <= info.rf_total):
         raise ConfigError(f"read_level {read_level} outside 1..{info.rf_total}")
-    if write_rate == 0.0:
-        return 0.0
-    acc = 0.0
+    terms = []
     for d, p_read in enumerate(info.coordinator_share):
         if p_read <= 0:
             continue
@@ -176,8 +164,21 @@ def per_key_stale_dc(
                 apply_at = info.delay[d2][e] + info.write_service
                 read_arrives = info.delay[d][e] + info.read_service
                 window = min(window, max(apply_at - read_arrives, 0.0))
-            acc += p_read * p_write * (-math.expm1(-write_rate * window))
-    return min(acc, 1.0)
+            terms.append((p_read * p_write, window))
+    return terms
+
+
+def per_key_stale_dc(
+    info: DeploymentInfo,
+    write_rate: float,
+    read_level: int,
+) -> float:
+    """Strict (Figure-1) stale probability of one key, DC-aware.
+
+    ``write_rate`` is the key's Poisson write rate; ``read_level`` the
+    number of replicas contacted.
+    """
+    return system_stale_rate_dc(info, write_rate, ((1.0, 1.0, 1),), read_level)
 
 
 def system_stale_rate_dc(
@@ -187,12 +188,21 @@ def system_stale_rate_dc(
     read_level: int,
 ) -> float:
     """Workload-wide DC-aware strict staleness (read-share-weighted)."""
-    if not key_profile:
-        return 0.0
+    expm1 = math.expm1
+    terms = None
     acc = 0.0
     for read_share, write_share, mult in key_profile:
         if read_share <= 0:
             continue
-        p = per_key_stale_dc(info, write_rate * write_share, read_level)
-        acc += read_share * mult * p
+        rate = write_rate * write_share
+        if rate < 0:
+            raise ConfigError(f"write_rate must be >= 0, got {rate}")
+        if terms is None:
+            terms = _window_terms(info, read_level)
+        if rate == 0.0:
+            continue
+        p = 0.0
+        for pw, window in terms:
+            p += pw * -expm1(-rate * window)
+        acc += read_share * mult * min(p, 1.0)
     return min(acc, 1.0)

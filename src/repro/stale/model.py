@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.cluster.consistency import quorum_intersects
@@ -95,33 +95,8 @@ def per_key_stale_probability(
         Residual staleness windows per replica (``rf`` entries; the
         synchronous ranks contribute zeros). Order does not matter.
     """
-    rf = len(windows)
-    _check_levels(read_level, write_level, rf)
-    if write_rate < 0:
-        raise ConfigError(f"write_rate must be >= 0, got {write_rate}")
-    if write_rate == 0.0:
-        return 0.0
-    r, w = read_level, write_level
-    if quorum_intersects(r, w, rf):
-        return 0.0
-
-    # Laggard windows: drop the w smallest (the synchronous ranks).
-    laggards = sorted(windows)[w:]
-    m = len(laggards)
-    if r > m:  # cannot even pick r laggards -> some contacted replica is sync
-        return 0.0
-
-    avoid = math.comb(rf - w, r) / math.comb(rf, r)
-
-    total_subsets = math.comb(m, r)
-    acc = 0.0
-    lam = write_rate
-    for j, v in enumerate(laggards, start=1):  # v ascending; j is 1-based rank
-        weight = math.comb(m - j, r - 1) / total_subsets
-        if weight == 0.0:
-            continue
-        acc += weight * (-math.expm1(-lam * v))
-    return avoid * acc
+    params = StaleModelParams(write_rate, windows, _ONE_KEY, strict=False)
+    return _stale_sum(params, read_level, write_level)
 
 
 def per_key_stale_probability_strict(
@@ -143,24 +118,64 @@ def per_key_stale_probability_strict(
     paper's Figure 1 draws and the conservative quantity its estimator
     reports ("X% of reads are estimated to be up-to-date").
     """
-    rf = len(windows)
-    if rf < 1:
+    return _stale_sum(StaleModelParams(write_rate, windows, _ONE_KEY), read_level, 1)
+
+
+_ONE_KEY = ((1.0, 1.0, 1),)  # a single key taking all traffic
+
+
+def _rank_terms(
+    read_level: int, write_level: int, windows: Sequence[float], strict: bool
+) -> Tuple[float, List[Tuple[float, float]]]:
+    """Check the levels; ``(avoid, [(weight_j, V_j)])``, zero weights dropped.
+
+    ``avoid`` is 1 in the strict form. Rate-free: one call serves every key.
+    """
+    rf, r, w = len(windows), read_level, write_level
+    if strict and rf < 1:
         raise ConfigError("need at least one window")
-    if not (1 <= read_level <= rf):
-        raise ConfigError(f"read_level {read_level} outside 1..{rf}")
-    if write_rate < 0:
-        raise ConfigError(f"write_rate must be >= 0, got {write_rate}")
-    if write_rate == 0.0:
-        return 0.0
-    r = read_level
-    ordered = sorted(windows)
-    total_subsets = math.comb(rf, r)
+    _check_levels(r, 1 if strict else w, rf)
+    if strict:
+        avoid, ordered = 1.0, sorted(windows)
+    elif quorum_intersects(r, w, rf):  # every read meets a synchronous replica
+        return 1.0, []
+    else:  # laggard windows: drop the w smallest (the synchronous ranks)
+        avoid, ordered = math.comb(rf - w, r) / math.comb(rf, r), sorted(windows)[w:]
+    m = len(ordered)
+    total_subsets = math.comb(m, r)
+    terms = []
+    for j, v in enumerate(ordered, start=1):  # v ascending; j is 1-based rank
+        weight = math.comb(m - j, r - 1) / total_subsets
+        if weight != 0.0:
+            terms.append((weight, v))
+    return avoid, terms
+
+
+def _stale_sum(params: "StaleModelParams", read_level: int, write_level: int) -> float:
+    """Unclamped ``sum_k read_share_k * mult_k * P_stale(lambda_w * write_share_k)``.
+
+    The one body of both definitions: levels are checked at the first row
+    with a positive read share, then each such row's rate.
+    """
+    expm1 = math.expm1
+    terms = None
     acc = 0.0
-    for j, v in enumerate(ordered, start=1):
-        weight = math.comb(rf - j, r - 1) / total_subsets
-        if weight == 0.0:
+    for read_share, write_share, mult in params.key_profile:
+        if read_share <= 0.0:
             continue
-        acc += weight * (-math.expm1(-write_rate * v))
+        if terms is None:
+            avoid, terms = _rank_terms(
+                read_level, write_level, params.windows, params.strict
+            )
+        lam = params.write_rate * write_share
+        if lam < 0:
+            raise ConfigError(f"write_rate must be >= 0, got {lam}")
+        if lam == 0.0:
+            continue
+        p = 0.0
+        for weight, v in terms:
+            p += weight * -expm1(-lam * v)
+        acc += read_share * mult * (avoid * p)
     return acc
 
 
@@ -236,23 +251,7 @@ def system_stale_rate(
     profile. Profiles not summing exactly to one (truncation) are used
     as-is: missing mass means unobserved cold keys, which contribute ~0.
     """
-    if not params.key_profile:
-        return 0.0
-    acc = 0.0
-    for read_share, write_share, mult in params.key_profile:
-        if read_share <= 0.0:
-            continue
-        lam_key = params.write_rate * write_share
-        if params.strict:
-            p = per_key_stale_probability_strict(
-                lam_key, read_level, params.windows
-            )
-        else:
-            p = per_key_stale_probability(
-                lam_key, read_level, write_level, params.windows
-            )
-        acc += read_share * mult * p
-    return min(acc, 1.0)
+    return min(_stale_sum(params, read_level, write_level), 1.0)
 
 
 def params_from_snapshot(

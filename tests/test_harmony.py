@@ -190,3 +190,31 @@ class TestEndToEnd:
         ).run()
         assert rep.stale_rate_strict <= 0.10 + 0.05  # tolerance + margin
         assert len(eng.decisions) > 3
+
+    def test_one_snapshot_per_decision(self, monkeypatch):
+        """Each decision's estimates and rates come from one monitor snapshot."""
+        import repro
+
+        taken = []
+        snapshot = ClusterMonitor.snapshot
+
+        def counted(monitor, now=None):
+            taken.append(snapshot(monitor, now))
+            return taken[-1]
+
+        monkeypatch.setattr(ClusterMonitor, "snapshot", counted)
+        out = repro.run(repro.RunSpec(
+            platform=repro.grid5000_harmony_platform(),
+            policy=repro.harmony_factory(0.02, update_interval=0.01),
+            ops=2000,
+            seed=5,
+        ))
+        eng = out.policy
+        assert len(eng.decisions) > 3
+        assert len(taken) == len(eng.decisions)
+        for decision, snap in zip(eng.decisions, taken):
+            assert snap.t == decision.t
+            assert decision.read_rate == snap.read_rate
+            assert decision.write_rate == snap.write_rate
+            assert decision.estimates == eng._estimates(snap)
+        assert len(taken) == len(eng.decisions)  # re-estimating took none

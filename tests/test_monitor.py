@@ -1,6 +1,8 @@
 """Tests for the monitoring module (rates, ack profile, key frequencies)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
 from repro.cluster.coordinator import OpResult
@@ -96,6 +98,58 @@ class TestKeyFrequencyTracker:
         assert tail[2] == 500  # multiplicity of the folded tail
         total_read = sum(r * m for r, _, m in rows)
         assert total_read == pytest.approx(1.0, rel=1e-6)
+
+    @given(
+        kinds=st.sampled_from([("read",), ("write",), ("read", "write")]),
+        events=st.lists(
+            st.tuples(
+                st.integers(0, 1),  # which of the allowed kinds
+                st.integers(0, 40),  # key (a small keyspace forces heavy ties)
+                st.floats(0.0, 2.5),  # gap in windows: 0, 1 or 2 rotations
+            ),
+            max_size=300,
+        ),
+        extra_keys=st.integers(-2, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_collision_profile_is_the_share_sort_bit_for_bit(
+        self, kinds, events, extra_keys
+    ):
+        t = KeyFrequencyTracker(window=1.0)
+        now = 0.0
+        for which, key, gap in events:
+            now += gap
+            kind = kinds[which % len(kinds)]
+            if kind == "read":
+                t.record_read(f"k{key}", now)
+            else:
+                t.record_write(f"k{key}", now)
+        n_keys = len(set(t.read_shares()) | set(t.write_shares()))
+        for max_keys in [*range(1, n_keys + 2 + max(extra_keys, 0)), 512]:
+            got = t.collision_profile(max_keys)
+            want = _share_sort_profile(t, max_keys)
+            # repr also tells 0 from 0.0 and 0.0 from -0.0
+            assert got == want and repr(got) == repr(want)
+
+
+def _share_sort_profile(t, max_keys):
+    """The key profile as first written: share dicts and a lambda sort."""
+    r = t.read_shares()
+    w = t.write_shares()
+    keys = set(r) | set(w)
+    rows = sorted(
+        ((r.get(k, 0.0), w.get(k, 0.0)) for k in keys),
+        key=lambda rw: (-rw[0], -rw[1]),
+    )
+    if len(rows) <= max_keys:
+        return [(rs, ws, 1) for rs, ws in rows]
+    head = [(rs, ws, 1) for rs, ws in rows[:max_keys]]
+    tail = rows[max_keys:]
+    n = len(tail)
+    tr = sum(x for x, _ in tail) / n
+    tw = sum(y for _, y in tail) / n
+    head.append((tr, tw, n))
+    return head
 
 
 class TestClusterMonitor:

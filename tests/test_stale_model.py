@@ -266,6 +266,246 @@ class TestDeploymentInfo:
             per_key_stale_dc(info, 1.0, 9)
 
 
+# -- the estimators as first written: one per-key call per profile row ----------
+
+
+def _old_per_key_committed(write_rate, read_level, write_level, windows):
+    rf = len(windows)
+    if rf < 1:
+        raise ConfigError(f"rf must be >= 1, got {rf}")
+    if not (1 <= read_level <= rf):
+        raise ConfigError(f"read_level {read_level} outside 1..{rf}")
+    if not (1 <= write_level <= rf):
+        raise ConfigError(f"write_level {write_level} outside 1..{rf}")
+    if write_rate < 0:
+        raise ConfigError(f"write_rate must be >= 0, got {write_rate}")
+    if write_rate == 0.0:
+        return 0.0
+    r, w = read_level, write_level
+    if r + w > rf:
+        return 0.0
+    laggards = sorted(windows)[w:]
+    m = len(laggards)
+    if r > m:
+        return 0.0
+    avoid = math.comb(rf - w, r) / math.comb(rf, r)
+    total_subsets = math.comb(m, r)
+    acc = 0.0
+    for j, v in enumerate(laggards, start=1):
+        weight = math.comb(m - j, r - 1) / total_subsets
+        if weight == 0.0:
+            continue
+        acc += weight * (-math.expm1(-write_rate * v))
+    return avoid * acc
+
+
+def _old_per_key_strict(write_rate, read_level, windows):
+    rf = len(windows)
+    if rf < 1:
+        raise ConfigError("need at least one window")
+    if not (1 <= read_level <= rf):
+        raise ConfigError(f"read_level {read_level} outside 1..{rf}")
+    if write_rate < 0:
+        raise ConfigError(f"write_rate must be >= 0, got {write_rate}")
+    if write_rate == 0.0:
+        return 0.0
+    r = read_level
+    ordered = sorted(windows)
+    total_subsets = math.comb(rf, r)
+    acc = 0.0
+    for j, v in enumerate(ordered, start=1):
+        weight = math.comb(rf - j, r - 1) / total_subsets
+        if weight == 0.0:
+            continue
+        acc += weight * (-math.expm1(-write_rate * v))
+    return acc
+
+
+def _old_system(params, read_level, write_level):
+    if not params.key_profile:
+        return 0.0
+    acc = 0.0
+    for read_share, write_share, mult in params.key_profile:
+        if read_share <= 0.0:
+            continue
+        lam_key = params.write_rate * write_share
+        if params.strict:
+            p = _old_per_key_strict(lam_key, read_level, params.windows)
+        else:
+            p = _old_per_key_committed(lam_key, read_level, write_level, params.windows)
+        acc += read_share * mult * p
+    return min(acc, 1.0)
+
+
+def _old_per_key_dc(info, write_rate, read_level):
+    if write_rate < 0:
+        raise ConfigError(f"write_rate must be >= 0, got {write_rate}")
+    if not (1 <= read_level <= info.rf_total):
+        raise ConfigError(f"read_level {read_level} outside 1..{info.rf_total}")
+    if write_rate == 0.0:
+        return 0.0
+    acc = 0.0
+    for d, p_read in enumerate(info.coordinator_share):
+        if p_read <= 0:
+            continue
+        remaining = read_level
+        order = sorted(
+            range(info.n_dcs), key=lambda e: (e != d, info.delay[d][e])
+        )
+        contacted = []
+        for e in order:
+            take = min(remaining, info.rf_per_dc[e])
+            if take > 0:
+                contacted.append(e)
+                remaining -= take
+            if remaining == 0:
+                break
+        for d2, p_write in enumerate(info.coordinator_share):
+            if p_write <= 0:
+                continue
+            window = math.inf
+            for e in contacted:
+                apply_at = info.delay[d2][e] + info.write_service
+                read_arrives = info.delay[d][e] + info.read_service
+                window = min(window, max(apply_at - read_arrives, 0.0))
+            acc += p_read * p_write * (-math.expm1(-write_rate * window))
+    return min(acc, 1.0)
+
+
+def _old_system_dc(info, write_rate, key_profile, read_level):
+    if not key_profile:
+        return 0.0
+    acc = 0.0
+    for read_share, write_share, mult in key_profile:
+        if read_share <= 0:
+            continue
+        p = _old_per_key_dc(info, write_rate * write_share, read_level)
+        acc += read_share * mult * p
+    return min(acc, 1.0)
+
+
+def _same_outcome(new, old):
+    """``new()`` returns exactly what ``old()`` returns, or both raise."""
+    try:
+        want = old()
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            new()
+        return
+    got = new()
+    assert got == want and repr(got) == repr(want)
+
+
+# Hypothesis draws a seed and a generator draws the case from it: hypothesis'
+# own float and index draws crowd onto range ends (zero windows, level 1),
+# where almost every estimate is 0.
+
+
+def _signed(rng, scale):
+    """Mostly uniform below ``scale``; one draw in ten 0, one in ten negative."""
+    u = rng.random()
+    if u < 0.1:
+        return 0.0
+    return -0.25 * scale if u < 0.2 else float(rng.uniform(0.0, scale))
+
+
+def _profile(rng):
+    rows = int(rng.choice([0, 1, 2, 3, 5, 8]))
+    return [
+        (_signed(rng, 1.0), _signed(rng, 1.0), int(rng.integers(1, 600)))
+        for _ in range(rows)
+    ]
+
+
+def _level(rng, rf):
+    """Mostly in ``1..rf``; one draw in five anywhere in ``0..rf+1``."""
+    if rng.random() < 0.2:
+        return int(rng.integers(0, rf + 2))
+    return int(rng.integers(1, max(rf, 1) + 1))
+
+
+def _deployment(rng):
+    n = int(rng.integers(1, 5))
+    shares = rng.choice([0.0, 0.0, 0.1, 0.5, 1.0, 3.0], n).tolist()
+    if sum(shares) <= 0:
+        shares[int(rng.integers(n))] = 1.0
+    rf = rng.integers(0, 4, n).tolist()
+    if sum(rf) == 0:
+        rf[int(rng.integers(n))] = 1
+    delay = rng.uniform(0.0, 0.02, (n, n))
+    np.fill_diagonal(delay, rng.uniform(0.0, 0.001, n))
+    return DeploymentInfo(
+        coordinator_share=shares,
+        rf_per_dc=rf,
+        delay=delay.tolist(),
+        write_service=float(rng.uniform(0.0, 0.002)),
+        read_service=float(rng.uniform(0.0, 0.002)),
+    )
+
+
+_seeds = st.integers(0, 2**32 - 1)
+
+
+class TestEstimatorsAreTheirPerKeyLoops:
+    @given(_seeds)
+    @settings(max_examples=500, deadline=None)
+    def test_dc_model(self, seed):
+        rng = np.random.default_rng(seed)
+        info = _deployment(rng)
+        write_rate = _signed(rng, 500.0)
+        profile = _profile(rng)
+        level = _level(rng, info.rf_total)
+        _same_outcome(
+            lambda: system_stale_rate_dc(info, write_rate, profile, level),
+            lambda: _old_system_dc(info, write_rate, profile, level),
+        )
+        _same_outcome(
+            lambda: per_key_stale_dc(info, write_rate, level),
+            lambda: _old_per_key_dc(info, write_rate, level),
+        )
+
+    @given(_seeds, st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_single_dc_model(self, seed, strict):
+        rng = np.random.default_rng(seed)
+        rf = int(rng.integers(0, 8))
+        windows = rng.uniform(0.0, 0.02, rf)
+        windows[rng.random(rf) < 0.2] = 0.0  # synchronous ranks
+        windows = windows.tolist()
+        write_rate = _signed(rng, 500.0)
+        profile = _profile(rng)
+        r, w = _level(rng, rf), _level(rng, rf)
+        params = StaleModelParams(write_rate, windows, profile, strict=strict)
+        _same_outcome(
+            lambda: system_stale_rate(params, r, w),
+            lambda: _old_system(params, r, w),
+        )
+        _same_outcome(
+            lambda: per_key_stale_probability(write_rate, r, w, windows),
+            lambda: _old_per_key_committed(write_rate, r, w, windows),
+        )
+        _same_outcome(
+            lambda: per_key_stale_probability_strict(write_rate, r, windows),
+            lambda: _old_per_key_strict(write_rate, r, windows),
+        )
+
+    def test_all_zero_or_empty_profile_is_zero_even_at_a_bad_level(self):
+        info = TestDeploymentInfo()._info()
+        zero = [(0.0, 0.5, 3), (-0.1, 1.0, 1)]
+        assert system_stale_rate_dc(info, 10.0, zero, 99) == 0.0
+        assert system_stale_rate_dc(info, -10.0, [], 99) == 0.0
+        params = StaleModelParams(10.0, WINDOWS5, zero)
+        assert system_stale_rate(params, 99, 99) == 0.0
+
+    def test_errors_follow_the_first_positive_row(self):
+        info = TestDeploymentInfo()._info()
+        rows = [(0.0, 1.0, 1), (0.5, -1.0, 1)]
+        with pytest.raises(ConfigError, match="write_rate"):
+            system_stale_rate_dc(info, 10.0, rows, 99)  # rate before level
+        with pytest.raises(ConfigError, match="read_level"):
+            system_stale_rate(StaleModelParams(10.0, WINDOWS5, rows), 99, 1)
+
+
 class TestMonteCarloAgreement:
     def test_deterministic_windows_match_closed_form(self):
         base = np.array([0.001, 0.01, 0.02, 0.05, 0.08])
