@@ -1,6 +1,6 @@
 """Failure injection: node crashes, recoveries and WAN partitions.
 
-The injector schedules failure scripts on the store's transport clock. It
+The injector posts failure scripts on the store's transport clock. It
 goes through the store so recovery triggers hint replay, and through the
 transport so partitions drop messages -- exercising exactly the
 availability/staleness behaviour the integration tests assert on.
@@ -41,11 +41,11 @@ class FailureInjector:
         """Crash ``node_id`` at time ``at``; recover after ``duration`` if given."""
         if at < self.store.transport.now:
             raise ConfigError(f"cannot schedule a crash in the past (at={at})")
-        self.store.transport.set_timer_at(at, self._do_crash, node_id)
+        if duration is not None and duration <= 0:
+            raise ConfigError(f"duration must be positive, got {duration}")
+        self.store.transport.post_at(at, self._do_crash, node_id)
         if duration is not None:
-            if duration <= 0:
-                raise ConfigError(f"duration must be positive, got {duration}")
-            self.store.transport.set_timer_at(at + duration, self._do_recover, node_id)
+            self.store.transport.post_at(at + duration, self._do_recover, node_id)
 
     def crash_storm(
         self,
@@ -88,11 +88,11 @@ class FailureInjector:
         """Cut DCs ``dc_a``/``dc_b`` at ``at``; heal after ``duration`` if given."""
         if at < self.store.transport.now:
             raise ConfigError(f"cannot schedule a partition in the past (at={at})")
-        self.store.transport.set_timer_at(at, self._do_partition, dc_a, dc_b)
+        if duration is not None and duration <= 0:
+            raise ConfigError(f"duration must be positive, got {duration}")
+        self.store.transport.post_at(at, self._do_partition, dc_a, dc_b)
         if duration is not None:
-            if duration <= 0:
-                raise ConfigError(f"duration must be positive, got {duration}")
-            self.store.transport.set_timer_at(at + duration, self._do_heal, dc_a, dc_b)
+            self.store.transport.post_at(at + duration, self._do_heal, dc_a, dc_b)
 
     def _do_partition(self, dc_a: int, dc_b: int) -> None:
         self.store.transport.partition_dcs(dc_a, dc_b)

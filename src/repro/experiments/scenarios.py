@@ -778,10 +778,10 @@ def _churn_script(cluster: ElasticCluster, p: Params) -> None:
         if candidate is not None:
             cluster.decommission_node(candidate)
 
-    sim.schedule_at(t, cluster.bootstrap_node, 0)
-    sim.schedule_at(t + dt, cluster.bootstrap_node, (1 % n_dcs))
-    sim.schedule_at(t + 2 * dt, drain)
-    sim.schedule_at(t + 3 * dt, drain)
+    sim.post_at(t, cluster.bootstrap_node, 0)
+    sim.post_at(t + dt, cluster.bootstrap_node, (1 % n_dcs))
+    sim.post_at(t + 2 * dt, drain)
+    sim.post_at(t + 3 * dt, drain)
 
 
 register(

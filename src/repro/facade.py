@@ -314,7 +314,7 @@ def _run_sim(spec: RunSpec) -> RunOutcome:
         )
     if elastic is not None:
         for t, rate in elastic.pacing_schedule:
-            sim.schedule_at(t, _repace, runner, float(rate))
+            sim.post_at(t, _repace, runner, float(rate))
     report = runner.run()
     # The bill covers the measurement window the report covers; the elastic
     # drain below moves the clock (and streams bytes) past it.

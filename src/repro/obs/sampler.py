@@ -53,7 +53,7 @@ class TimeSeriesSampler:
             return
         self._running = True
         first = at if at is not None else self.sim.now + self.interval
-        self.sim.schedule_at(first, self._tick)
+        self.sim.post_at(first, self._tick)
 
     def stop(self) -> None:
         """Disarm; an already-queued tick becomes a no-op."""
@@ -73,7 +73,7 @@ class TimeSeriesSampler:
         if len(self.samples) >= self.max_samples:
             self._running = False
             return
-        self.sim.schedule_at(now + self.interval, self._tick)
+        self.sim.post_at(now + self.interval, self._tick)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,11 +1,10 @@
 """Discrete-event :class:`Transport`: a pure view over ``(Simulator, Network)``.
 
 ``SimTransport`` owns nothing and adds nothing. ``send`` *is* the network's
-bound ``Network.send`` and ``post_at`` is ``Simulator.post_at`` (taken once
-at construction, so a message hop costs no frame here); ``now`` is a C-level
-``attrgetter``; the timers are one-line delegations to the simulator
-(``set_timer`` -> ``Simulator.schedule``, the cancellable form, because the
-Transport contract returns a handle). A run through
+bound ``Network.send`` and ``post_at`` / ``set_timer`` / ``set_timer_at`` are
+``Simulator.post_at`` / ``schedule`` / ``schedule_at`` (taken once at
+construction, so a message hop or a timer costs no frame here); ``now`` is a
+C-level ``attrgetter``. A run through
 ``SimTransport`` therefore performs exactly the ``Network.send`` and
 ``Simulator`` calls the protocol code asks for, in the same order, and
 seeded sweeps stay byte-identical (asserted by the determinism check in CI
@@ -33,7 +32,9 @@ class SimTransport(Transport):
         The latency/partition/traffic model messages travel through.
     """
 
-    __slots__ = ("sim", "network", "send", "post_at", "_handlers")
+    __slots__ = (
+        "sim", "network", "send", "post_at", "set_timer", "set_timer_at", "_handlers"
+    )
 
     def __init__(self, sim: Any, network: Any):
         self.sim = sim
@@ -41,7 +42,9 @@ class SimTransport(Transport):
         #: :meth:`Transport.send` -- the network's own bound method (the
         #: slot also satisfies the abstract declaration).
         self.send = network.send
-        self.post_at = sim.post_at  # likewise
+        self.post_at = sim.post_at  # likewise, and the two timers below
+        self.set_timer = sim.schedule
+        self.set_timer_at = sim.schedule_at
         #: name -> handler, kept for introspection/conformance only; sim
         #: delivery never consults it (callbacks are direct references).
         self._handlers: Dict[str, Callable[..., Any]] = {}
@@ -57,14 +60,6 @@ class SimTransport(Transport):
 
     def sample_delay(self, src: int, dst: int) -> float:
         return self.network.sample_delay(src, dst)
-
-    # -- timers ------------------------------------------------------------------
-
-    def set_timer(self, delay: float, fn: Callable[..., Any], *args: Any) -> Any:
-        return self.sim.schedule(delay, fn, *args)
-
-    def set_timer_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Any:
-        return self.sim.schedule_at(when, fn, *args)
 
     # -- fault injection -----------------------------------------------------------
 

@@ -25,7 +25,7 @@ import os
 from typing import Any
 
 from repro.runtime.codec import dumps, loads
-from repro.txn.wal import WalRecord, WriteAheadLog
+from repro.txn.wal import WriteAheadLog
 
 __all__ = ["FileWriteAheadLog"]
 
@@ -39,19 +39,12 @@ class FileWriteAheadLog(WriteAheadLog):
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         self._fh = open(path, "ab", buffering=0)
 
-    def append(self, kind: str, txn_id: int, time: float, **data: Any) -> WalRecord:
-        rec = super().append(kind, txn_id, time, **data)
-        line = dumps(
-            {
-                "lsn": rec.lsn,
-                "txn": rec.txn_id,
-                "kind": rec.kind,
-                "t": rec.time,
-                "data": rec.data,
-            }
-        )
+    def append(self, kind: str, txn_id: int, time: float, **data: Any) -> int:
+        lsn = super().append(kind, txn_id, time, **data)
+        line = dumps({"lsn": lsn, "txn": self.txn_ids[lsn], "kind": kind,
+                      "t": self.times[lsn], "data": data})
         self._fh.write((line + "\n").encode("utf-8"))
-        return rec
+        return lsn
 
     def close(self) -> None:
         if not self._fh.closed:

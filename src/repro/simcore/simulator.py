@@ -20,6 +20,12 @@ Design notes (hpc-parallel idioms):
     :meth:`Simulator.schedule_at`, which return the cancellable
     :class:`Event` handle. Use these only when the caller keeps the handle;
 
+- the **far tier**: ``post_at`` entries more than ``_FAR`` ahead (crash
+  storms, trace arrivals) stay out of the hot heap. One, while none is
+  armed, is pushed as the *gate*; entries due at or after it wait in a side
+  heap. The firing gate admits the side minimum, with its original
+  ``(time, seq)`` key, as the next gate. A gate precedes every side entry, so
+  the hot heap's head is the global minimum: the one-heap order, any ``_FAR``;
 - cancellation is lazy (flag + skip) so cancelling a timeout that did not
   fire costs O(1); the engine counts the cancelled entries still in the
   heap, so ``pending()`` is O(1) without a counter on every push and pop;
@@ -37,6 +43,9 @@ from repro.common.errors import SimulationError
 from repro.simcore.events import Event
 
 __all__ = ["Simulator"]
+
+#: ``post_at`` entries due further ahead than this (seconds) go to the far tier.
+_FAR = 1.0
 
 
 class Simulator:
@@ -58,6 +67,8 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Optional[Callable[..., Any]], Any]] = []
+        self._far: List[Tuple[float, int, Callable[..., Any], Any]] = []  # side heap
+        self._gate: Optional[float] = None  # the armed far entry's time
         self._seq: int = 0
         self._cancelled: int = 0  # cancelled Events still in the heap
         self._running = False
@@ -89,10 +100,27 @@ class Simulator:
 
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated time ``time``; no handle."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule at t={time} < now={self.now}")
+        now = self.now
+        if time < now:
+            raise SimulationError(f"cannot schedule at t={time} < now={now}")
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (time, seq, fn, args))
+        if time <= now + _FAR:
+            heapq.heappush(self._heap, (time, seq, fn, args))
+        elif self._gate is None:
+            self._gate = time
+            heapq.heappush(self._heap, (time, seq, self._open_gate, (fn, args)))
+        else:
+            far = self._far if time >= self._gate else self._heap
+            heapq.heappush(far, (time, seq, fn, args))
+
+    def _open_gate(self, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+        """The armed far entry fires: admit the next one as the gate, then run."""
+        self._gate = None
+        if self._far:
+            entry = heapq.heappop(self._far)  # (time, seq, fn, args)
+            self._gate = entry[0]
+            heapq.heappush(self._heap, entry[:2] + (self._open_gate, entry[2:]))
+        fn(*args)
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` simulated seconds from now.
@@ -195,7 +223,7 @@ class Simulator:
         engine counts those at cancel and at pop), so monitors can poll this
         every tick without paying a heap scan.
         """
-        return len(self._heap) - self._cancelled
+        return len(self._heap) + len(self._far) - self._cancelled
 
     def peek_time(self) -> Optional[float]:
         """Firing time of the next live event, or ``None`` if idle."""
@@ -215,12 +243,14 @@ class Simulator:
                 ev.live = False
                 ev.owner = None
         self._heap.clear()
+        self._far.clear()
+        self._gate = None
         self._seq = 0
         self._cancelled = 0
         self.events_processed = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Simulator(now={self.now:.6f}, pending={len(self._heap)}, "
+            f"Simulator(now={self.now:.6f}, pending={self.pending()}, "
             f"processed={self.events_processed})"
         )

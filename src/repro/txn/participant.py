@@ -192,22 +192,16 @@ class TxnParticipant:
         if vote:
             self.votes_yes += 1
             now = self.tr.now
+            # The TM's own write map and participant list, kept as sent:
+            # nothing mutates them after the send.
             self.wal.append(
-                REC_PREPARE,
-                txn_id,
-                now,
-                tm_node=tm_node,
-                writes=dict(writes),
-                co=list(co_participants),
+                REC_PREPARE, txn_id, now,
+                tm_node=tm_node, writes=writes, co=co_participants,
             )
             for key in writes:
                 self.locks[key] = txn_id
             self.prepared[txn_id] = p = _Prepared(
-                txn_id,
-                tm_node,
-                dict(writes),
-                [int(c) for c in co_participants],
-                t_registered=now,
+                txn_id, tm_node, writes, co_participants, t_registered=now
             )
             self._schedule_poll(p)
             obs = self.owner.obs

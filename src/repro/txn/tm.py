@@ -141,9 +141,7 @@ class TransactionManager:
         participants = sorted(writes_by_node)
 
         self.rounds_started += 1
-        self.wal.append(
-            REC_TM_BEGIN, txn.txn_id, now, participants=list(participants)
-        )
+        self.wal.append(REC_TM_BEGIN, txn.txn_id, now, participants=participants)
         t = _TmTxn(txn.txn_id, participants)
         t.writes_by_node = writes_by_node
         t.writes_by_key = writes_by_key

@@ -49,6 +49,11 @@ Every per-message query is one dict lookup and a mask. The scan variants
 sets from the records alone and remain the executable specification the
 tests assert against; :meth:`records_for` / :meth:`kinds_for` filter the
 whole log and are audit/test API.
+
+The log is **columnar**: ``txn_ids`` / ``kinds`` / ``times`` lists indexed
+by LSN, plus LSN -> payload for the records that carry one. An append
+allocates no record object for the garbage collector to traverse; the read
+APIs build :class:`WalRecord` views on demand.
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ _TM_END = _BIT[REC_TM_END]
 
 
 class WalRecord:
-    """One durable log entry."""
+    """One durable log entry (a view over a :class:`WriteAheadLog` row)."""
 
     __slots__ = ("lsn", "txn_id", "kind", "time", "data")
 
@@ -127,27 +132,36 @@ class WriteAheadLog:
 
     def __init__(self, node_id: int):
         self.node_id = int(node_id)
-        self.records: List[WalRecord] = []
+        #: The records, one column per field; row ``lsn`` is record ``lsn``.
+        self.txn_ids: List[int] = []
+        self.kinds: List[str] = []
+        self.times: List[float] = []
+        #: lsn -> payload, for the records logged with one.
+        self._data: Dict[int, Dict[str, Any]] = {}
         #: txn_id -> mask of the record kinds logged for it (``_BIT``); per
         #: role only the first decision's bit is ever set.
         self._seen: Dict[int, int] = {}
-        #: txn_id -> its first ``prepare`` record.
-        self._prepare: Dict[int, WalRecord] = {}
+        #: txn_id -> the LSN of its first ``prepare`` record.
+        self._prepare: Dict[int, int] = {}
         #: txn_id -> None; prepared-here-but-undecided, in prepare LSN order
         #: (dict preserves insertion order).
         self._in_doubt: Dict[int, None] = {}
-        #: txn_id -> its ``tm-begin`` record, without ``tm-end``, in order.
-        self._tm_pending: Dict[int, WalRecord] = {}
+        #: txn_id -> its ``tm-begin`` LSN, without ``tm-end``, in order.
+        self._tm_pending: Dict[int, int] = {}
 
-    def append(self, kind: str, txn_id: int, time: float, **data: Any) -> WalRecord:
-        """Durably append one record and return it."""
+    def append(self, kind: str, txn_id: int, time: float, **data: Any) -> int:
+        """Durably append one record and return its LSN."""
         bit = _BIT[kind]
         txn_id = int(txn_id)
-        rec = WalRecord(len(self.records), txn_id, kind, float(time), data)
-        self.records.append(rec)
+        lsn = len(self.kinds)
+        self.kinds.append(kind)
+        self.txn_ids.append(txn_id)
+        self.times.append(float(time))
+        if data:
+            self._data[lsn] = data
         seen = self._seen.get(txn_id, 0)
         if kind == REC_PREPARE:
-            self._prepare.setdefault(txn_id, rec)
+            self._prepare.setdefault(txn_id, lsn)
             if not seen & _DECIDED:
                 self._in_doubt.setdefault(txn_id, None)
         elif bit & _DECIDED:
@@ -159,17 +173,26 @@ class WriteAheadLog:
                 bit = 0  # the first decision stands
         elif kind == REC_TM_BEGIN:
             if not seen & _TM_END:
-                self._tm_pending.setdefault(txn_id, rec)
+                self._tm_pending.setdefault(txn_id, lsn)
         elif kind == REC_TM_END:
             self._tm_pending.pop(txn_id, None)
         self._seen[txn_id] = seen | bit
-        return rec
+        return lsn
+
+    def _view(self, lsn: int) -> WalRecord:
+        return WalRecord(lsn, self.txn_ids[lsn], self.kinds[lsn], self.times[lsn],
+                         self._data.get(lsn, {}))
+
+    @property
+    def records(self) -> List[WalRecord]:
+        """Every record, in LSN order (audit/test API: one view per row)."""
+        return list(map(self._view, range(len(self.kinds))))
 
     def records_for(self, txn_id: int) -> List[WalRecord]:
         """All records of one transaction, in LSN order (audit/test API:
         filters the whole log)."""
         txn_id = int(txn_id)
-        return [r for r in self.records if r.txn_id == txn_id]
+        return [self._view(lsn) for lsn, t in enumerate(self.txn_ids) if t == txn_id]
 
     def kinds_for(self, txn_id: int) -> Tuple[str, ...]:
         """The record kinds logged for one transaction, in LSN order
@@ -178,7 +201,8 @@ class WriteAheadLog:
 
     def prepare_record(self, txn_id: int) -> Optional[WalRecord]:
         """The ``prepare`` record of a transaction, if one was logged."""
-        return self._prepare.get(int(txn_id))
+        lsn = self._prepare.get(int(txn_id))
+        return None if lsn is None else self._view(lsn)
 
     def decision_for(self, txn_id: int) -> Optional[str]:
         """``"commit"``/``"abort"`` if this *participant* decided, else ``None``.
@@ -230,7 +254,7 @@ class WriteAheadLog:
         O(pending) from the incremental set; equal to
         :meth:`tm_unfinished_scan` by construction (asserted in the tests).
         """
-        return list(self._tm_pending.values())
+        return list(map(self._view, self._tm_pending.values()))
 
     def tm_unfinished_scan(self) -> List[WalRecord]:
         """The full-scan specification of :meth:`tm_unfinished` (tests only)."""
@@ -242,7 +266,7 @@ class WriteAheadLog:
         ]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.kinds)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"WriteAheadLog(node={self.node_id}, records={len(self.records)})"
+        return f"WriteAheadLog(node={self.node_id}, records={len(self.kinds)})"

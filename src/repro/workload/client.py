@@ -249,13 +249,13 @@ class OpenLoopSource:
         removing ``n - 1`` generator round-trips from the schedule loop.
         """
         sim = self.store.sim
-        schedule_at = sim.schedule_at
+        post_at = sim.post_at
         issue = self._issue_one
         t = sim.now
         if self.remaining:
             for gap in self.rng.exponential(1.0 / self.rate, size=self.remaining):
                 t += float(gap)
-                schedule_at(t, issue)
+                post_at(t, issue)
         self.remaining = 0
 
     def _coordinator(self) -> Optional[int]:

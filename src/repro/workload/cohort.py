@@ -196,7 +196,7 @@ class CohortPopulation:
             sim = self.store.sim
             base = sim.now
             for t, kind, key in self._script:
-                sim.schedule_at(base + t, self._scripted_arrival, kind, key)
+                sim.post_at(base + t, self._scripted_arrival, kind, key)
             return
         if self.rate is None:
             # Pooled closed loop: fill the member window, completions refill.

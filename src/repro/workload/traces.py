@@ -191,15 +191,8 @@ def replay_trace(
     n = 0
     base = store.sim.now
     for rec in trace:
-        t = base + rec.t * time_scale
-        if rec.kind == "read":
-            store.sim.schedule_at(
-                t, _replay_read, store, rec.key, policy
-            )
-        else:
-            store.sim.schedule_at(
-                t, _replay_write, store, rec.key, policy
-            )
+        replay = _replay_read if rec.kind == "read" else _replay_write
+        store.sim.post_at(base + rec.t * time_scale, replay, store, rec.key, policy)
         n += 1
     return n
 

@@ -96,6 +96,23 @@ class TestFailureInjector:
         with pytest.raises(ConfigError):
             inj.partition(0, 1, at=0.0, duration=-1.0)
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_rejected_calls_arm_nothing(self, store, duration):
+        # A bad duration used to be caught only after the crash (or the cut)
+        # was already posted, leaving it armed without its recovery (heal).
+        inj = FailureInjector(store)
+        before = store.sim.pending()
+        with pytest.raises(ConfigError):
+            inj.crash_node(0, at=10.0, duration=duration)
+        with pytest.raises(ConfigError):
+            inj.partition(0, 1, at=10.0, duration=duration)
+        with pytest.raises(ConfigError):
+            inj.crash_storm([0, 2], start=10.0, interval=1.0, downtime=duration)
+        assert store.sim.pending() == before
+        store.sim.run(until=20.0)
+        assert inj.events == [] and all(node.up for node in store.nodes)
+        assert not store.network.is_partitioned(0, 3)
+
     def test_recovery_hint_replay_notifies_propagation_listeners(self, store):
         # A write whose replica was down propagates for real only when the
         # hint replays at recovery; monitors must see that completion

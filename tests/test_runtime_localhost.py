@@ -215,10 +215,11 @@ class TestFileWriteAheadLog:
         ]
         with open(path, "rb") as reader:
             for i, (kind, data) in enumerate(appends):
-                rec = wal.append(kind, 9, 0.1 * i, **data)
+                lsn = wal.append(kind, 9, 0.1 * i, **data)
                 line = reader.readline()
                 assert line.endswith(b"\n") and reader.read() == b""
                 obj = codec.loads(line.decode("utf-8"))
+                rec = wal.records[lsn]
                 assert (obj["lsn"], obj["txn"], obj["kind"], obj["t"]) == (
                     rec.lsn, 9, kind, rec.time,
                 )

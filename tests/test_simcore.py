@@ -1,10 +1,14 @@
 """Tests for the discrete-event engine: events, simulator, processes, resources."""
 
+import heapq
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError, SimulationError
+from repro.simcore import simulator as simulator_module
 from repro.simcore.events import Event
 from repro.simcore.process import Delay, Process, WaitEvent
 from repro.simcore.resources import Resource
@@ -213,10 +217,16 @@ class TestSimulator:
         assert len(times) == len(delays)
 
 
+#: bit-equal instants shared by absolute ``*_abs`` entries, so that ties
+#: across the queue's tiers come up often (2.5 / 3.0: the storm's shape)
+_INSTANTS = st.sampled_from([0.5, 1.0, 2.5, 3.0, 4.0, 40.0])
+
 _OPS = st.one_of(
     st.tuples(
         st.sampled_from(["post", "post_at", "schedule", "schedule_at"]), st.floats(0.0, 5.0)
     ),
+    st.tuples(st.just("post_at"), st.floats(0.0, 60.0)),  # far-tier entries
+    st.tuples(st.sampled_from(["post_at_abs", "schedule_at_abs"]), _INSTANTS),
     st.tuples(st.just("cancel"), st.integers(0, 50)),
     st.tuples(st.just("run_until"), st.floats(0.0, 3.0)),
     st.tuples(st.just("run_max"), st.integers(0, 4)),
@@ -225,39 +235,84 @@ _OPS = st.one_of(
 
 
 class TestEngineContract:
-    """``pending()`` and ``events_processed`` against a brute-force model."""
+    """The engine against a one-heap reference model.
 
-    @given(st.lists(_OPS, max_size=60))
+    ``pending()``, ``peek_time()``, ``events_processed`` and the fired
+    sequence must match a single ``(time, seq)`` heap that holds every
+    entry, whatever the far-tier horizon ``_FAR`` is.
+    """
+
+    @pytest.mark.parametrize("far", [0.0, 1.0, float("inf")], ids=["far0", "far1", "farinf"])
+    @given(ops=st.lists(_OPS, max_size=60))
     @settings(max_examples=150, deadline=None)
     # a cancelled head popped by each of step / run(until) / run(max) / run()
-    @example([("schedule", 1.0), ("post", 2.0), ("cancel", 0), ("step", 0)])
-    @example([("schedule", 1.0), ("cancel", 0), ("run_until", 2.0)])
-    @example([("schedule", 1.0), ("post", 2.0), ("cancel", 0), ("run_max", 1)])
-    @example([("schedule", 1.0), ("cancel", 0), ("run", 0)])
-    def test_pending_matches_live_entries_over_any_interleaving(self, ops):
+    @example(ops=[("schedule", 1.0), ("post", 2.0), ("cancel", 0), ("step", 0)])
+    @example(ops=[("schedule", 1.0), ("cancel", 0), ("run_until", 2.0)])
+    @example(ops=[("schedule", 1.0), ("post", 2.0), ("cancel", 0), ("run_max", 1)])
+    @example(ops=[("schedule", 1.0), ("cancel", 0), ("run", 0)])
+    # the crash storm's ties: recover@2.5 before crash@2.5, a crash far behind
+    # the gate, and a timer armed at 2.5 for 3.0 beside a recover@3.0
+    @example(ops=[
+        ("post_at_abs", 1.0), ("post_at_abs", 2.5), ("post_at_abs", 2.5),
+        ("post_at_abs", 40.0), ("post_at_abs", 3.0), ("post_at_abs", 4.0),
+        ("run_until", 2.5), ("schedule", 0.5), ("post_at_abs", 3.0), ("run", 0),
+    ])
+    # a far entry due before the armed gate, and one tied with it
+    @example(ops=[("post_at", 50.0), ("post_at", 20.0), ("post_at", 50.0), ("run", 0)])
+    # a side entry admitted after a younger hot entry at its instant: it
+    # must keep its own (older) key and still fire first
+    @example(ops=[
+        ("post_at_abs", 2.5), ("post_at_abs", 3.0), ("schedule_at_abs", 3.0), ("run", 0),
+    ])
+    def test_pending_matches_live_entries_over_any_interleaving(self, far, ops):
+        with mock.patch.object(simulator_module, "_FAR", far):
+            self._check_against_one_heap(ops)
+
+    @staticmethod
+    def _check_against_one_heap(ops):
         sim = Simulator()
         live = {}  # id -> firing time, for every entry neither fired nor cancelled
         handles = []  # (id, Event), kept after firing/cancel/reset
         fired = []
+        ref = []  # the one-heap reference: (time, seq, id) of every entry
+        ref_seq = [0]
+
+        def push(n, t):
+            live[n] = t
+            ref_seq[0] += 1
+            heapq.heappush(ref, (t, ref_seq[0], n))
+
+        def ref_head():
+            while ref and ref[0][2] not in live:
+                heapq.heappop(ref)  # fired or cancelled
+            return ref[0] if ref else None
 
         def fire(i):
+            t, _, expected = ref_head()
+            assert (sim.now, i) == (t, expected)  # the one-heap order, ties too
             assert sim.now == live.pop(i)
             assert not fired or fired[-1][1] <= sim.now
             fired.append((i, sim.now))
 
         for n, (op, x) in enumerate(ops):
             if op == "post":
-                live[n] = sim.now + x
+                push(n, sim.now + x)
                 sim.post(x, fire, n)
             elif op == "post_at":
-                live[n] = sim.now + x
+                push(n, sim.now + x)
                 sim.post_at(sim.now + x, fire, n)
             elif op == "schedule":
-                live[n] = sim.now + x
+                push(n, sim.now + x)
                 handles.append((n, sim.schedule(x, fire, n)))
             elif op == "schedule_at":
-                live[n] = sim.now + x
+                push(n, sim.now + x)
                 handles.append((n, sim.schedule_at(sim.now + x, fire, n)))
+            elif op == "post_at_abs" and x >= sim.now:
+                push(n, x)
+                sim.post_at(x, fire, n)
+            elif op == "schedule_at_abs" and x >= sim.now:
+                push(n, x)
+                handles.append((n, sim.schedule_at(x, fire, n)))
             elif op == "cancel" and handles:
                 i, handle = handles[x % len(handles)]
                 handle.cancel()  # also after firing, twice, or across a reset
@@ -277,12 +332,16 @@ class TestEngineContract:
                 sim.run()
                 assert not live
             elif op == "peek":
+                head = ref_head()
+                assert sim.peek_time() == (head[0] if head else None)
                 assert sim.peek_time() == (min(live.values()) if live else None)
             elif op == "reset":
                 sim.reset()
                 live.clear()
                 fired.clear()
-            brute = sum(1 for e in sim._heap if e[2] is not None or not e[3].cancelled)
+                ref.clear()
+            queued = sim._heap + sim._far
+            brute = sum(1 for e in queued if e[2] is not None or not e[3].cancelled)
             assert sim.pending() == len(live) == brute
             assert sim.events_processed == len(fired)
 
