@@ -76,7 +76,7 @@ class FreshnessDeadline:
         _, strict = st.oracle.expected_version(key)
         tr = st.transport
         remaining = self.deadline - (tr.now - result.t_start)
-        tr.set_timer(max(remaining, 0.0), self._enforce, key, strict)
+        tr.set_timer_at(tr.now + max(remaining, 0.0), self._enforce, key, strict)
 
     # -- enforcement ---------------------------------------------------------------
 
@@ -96,7 +96,8 @@ class FreshnessDeadline:
         if source is None:
             # no live replica holds it yet (e.g. full partition): re-check
             # one deadline later rather than giving up.
-            st.transport.set_timer(self.deadline, self._enforce, key, version)
+            tr = st.transport
+            tr.set_timer_at(tr.now + self.deadline, self._enforce, key, version)
             return
         for r in replicas:
             node = st.nodes[r]

@@ -60,7 +60,8 @@ class AntiEntropyRepair:
 
     def start(self) -> None:
         """Schedule the first sweep."""
-        self.store.sim.post(self.interval, self._sweep)
+        tr = self.store.transport
+        tr.post_at(tr.now + self.interval, self._sweep)
 
     def stop(self) -> None:
         """Stop after the current sweep (no further sweeps are scheduled)."""
@@ -79,7 +80,7 @@ class AntiEntropyRepair:
                 self._repair_key(key)
             self.keys_examined += len(sample)
         self.sweeps += 1
-        st.sim.post(self.interval, self._sweep)
+        st.transport.post_at(st.transport.now + self.interval, self._sweep)
 
     def _repair_key(self, key: str) -> None:
         """Stream the newest replica version to every lagging live replica.

@@ -242,9 +242,9 @@ class ReplicatedStore:
         # per-instance lifetimes back the hourly-rounded price books.
         self._instance_count = topology.n_nodes
         self._instance_seconds = 0.0
-        self._instance_last_t = sim.now
+        self._instance_last_t = self.transport.now
         self._instance_spans: List[List[Optional[float]]] = [
-            [sim.now, None] for _ in range(topology.n_nodes)
+            [self._instance_last_t, None] for _ in range(topology.n_nodes)
         ]
         # per-key count of writes dispatched but not yet settled (acked or
         # timed out). The rebalancer defers a migration hand-off while one
@@ -443,7 +443,7 @@ class ReplicatedStore:
         self._coord_pools = None
         node_id = self.topology.add_node(dc_index)
         self.network.clear_topology_cache()
-        self._instance_spans.append([self.sim.now, None])
+        self._instance_spans.append([self.transport.now, None])
         self.nodes.append(
             StorageNode(
                 self.sim,
@@ -542,11 +542,11 @@ class ReplicatedStore:
         self._instances_tick()
         self._instance_count -= 1
         self._coord_pools = None
-        self._instance_spans[node_id][1] = self.sim.now
+        self._instance_spans[node_id][1] = self.transport.now
         self.nodes[node_id].retire()
 
     def _instances_tick(self) -> None:
-        now = self.sim.now
+        now = self.transport.now
         self._instance_seconds += self._instance_count * (now - self._instance_last_t)
         self._instance_last_t = now
 
@@ -627,10 +627,10 @@ class ReplicatedStore:
         """
         result = OpResult("write", key, version.timestamp, "hint-replay")
         result.ok = True
-        result.t_end = self.sim.now
+        result.t_end = self.transport.now
         result.value_size = version.size
         result.replicas_contacted = 1
-        result.ack_delays = [self.sim.now - version.timestamp]
+        result.ack_delays = [self.transport.now - version.timestamp]
         self._notify_propagated(result)
 
     def preload(self, keys: List[str], value_size: Optional[int] = None) -> None:
@@ -643,7 +643,7 @@ class ReplicatedStore:
         without simulating millions of load-phase operations.
         """
         size = value_size if value_size is not None else self.default_value_size
-        t = self.sim.now
+        t = self.transport.now
         placement, ring, topology = self.strategy.placement, self.ring, self.topology
         data = [node.data for node in self.nodes]
         seq = self.write_seq
@@ -727,7 +727,7 @@ class ReplicatedStore:
 
     def _fail_without_coordinator(self, kind, key, user_done) -> None:
         """Total outage: fail the operation as unavailable, don't raise."""
-        result = OpResult(kind, key, self.sim.now, "n/a")
+        result = OpResult(kind, key, self.transport.now, "n/a")
         result.error = "unavailable"
         self._count_failure(kind, "unavailable")
         self._op_done(result, user_done)

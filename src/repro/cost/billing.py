@@ -88,7 +88,7 @@ class Biller:
 
     def arm(self) -> None:
         """Start (or restart) the metering interval at the current clock."""
-        self._t0 = self.store.sim.now
+        self._t0 = self.store.transport.now
         self._io0 = self._io_count()
         self._ops0 = self.store.ops_completed()
         self._inst0 = self.store.instance_seconds()
@@ -97,7 +97,7 @@ class Biller:
     def bill(self) -> Bill:
         """Price the interval since :meth:`arm`."""
         store, prices = self.store, self.prices
-        duration = max(store.sim.now - self._t0, 0.0)
+        duration = max(store.transport.now - self._t0, 0.0)
         # Billable capacity is integrated over the interval (instance-
         # seconds of live, non-retired nodes), so elastic scale-outs bill
         # from their bootstrap and scale-ins stop billing at retirement.
@@ -108,7 +108,7 @@ class Biller:
         if prices.round_up_instance_hours:
             # 2013-era AWS granularity: each instance's own hours round up
             # individually, so elastic lifetimes are priced per span.
-            t_end = store.sim.now
+            t_end = store.transport.now
             instance_cost = 0.0
             for start, end in store.instance_spans():
                 overlap = min(end if end is not None else t_end, t_end) - max(

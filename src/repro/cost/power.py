@@ -70,9 +70,7 @@ class PowerModel:
         self.store = store
         self.idle_watts = float(idle_watts)
         self.peak_watts = float(peak_watts)
-        self._t0 = store.sim.now
-        self._busy0 = self._busy_seconds()
-        self._ops0 = store.ops_completed()
+        self.arm()
 
     def _busy_seconds(self) -> float:
         total = 0.0
@@ -86,13 +84,13 @@ class PowerModel:
 
     def arm(self) -> None:
         """Restart the metering interval at the current clock."""
-        self._t0 = self.store.sim.now
+        self._t0 = self.store.transport.now
         self._busy0 = self._busy_seconds()
         self._ops0 = self.store.ops_completed()
 
     def report(self) -> EnergyReport:
         """Energy consumed since :meth:`arm` (or construction)."""
-        duration = max(self.store.sim.now - self._t0, 0.0)
+        duration = max(self.store.transport.now - self._t0, 0.0)
         n_nodes = self.store.topology.n_nodes
         idle = self.idle_watts * n_nodes * duration
         # busy_seconds is normalized per stage to "fraction-of-node busy";

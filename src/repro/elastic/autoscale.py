@@ -134,7 +134,8 @@ class CostAwareAutoscaler:
             raise ConfigError("autoscaler already started")
         self._started = True
         self._stopped = False
-        self.cluster.store.sim.post(self.config.interval, self._tick)
+        tr = self.cluster.store.transport
+        tr.post_at(tr.now + self.config.interval, self._tick)
 
     def stop(self) -> None:
         """Stop polling (the workload ended; no more capacity decisions)."""
@@ -150,7 +151,7 @@ class CostAwareAutoscaler:
         model involved.
         """
         st = self.cluster.store
-        now = st.sim.now
+        now = st.transport.now
         busy = 0.0
         capacity_rate = 0.0
         for node_id in st.ring.members:
@@ -205,7 +206,7 @@ class CostAwareAutoscaler:
         cfg = self.config
         cluster = self.cluster
         st = cluster.store
-        now = st.sim.now
+        now = st.transport.now
         self.ticks += 1
         util = self.observed_utilization()
         self._last_tick_t = now
@@ -235,7 +236,7 @@ class CostAwareAutoscaler:
         else:
             self._streak_out = 0
             self._streak_in = 0
-        st.sim.post(cfg.interval, self._tick)
+        st.transport.post_at(now + cfg.interval, self._tick)
 
     def _scale_out(self, now, n, util, queue, snapshot) -> None:
         cluster = self.cluster

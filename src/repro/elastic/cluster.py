@@ -46,7 +46,7 @@ class ElasticCluster:
         self.scale_outs += 1
         event = {
             "kind": "scale-out",
-            "t": st.sim.now,
+            "t": st.transport.now,
             "node": node_id,
             "dc": dc_index,
             "reason": reason,
@@ -62,7 +62,7 @@ class ElasticCluster:
         self.scale_ins += 1
         event = {
             "kind": "scale-in",
-            "t": st.sim.now,
+            "t": st.transport.now,
             "node": int(node_id),
             "dc": st.topology.dc_of(node_id),
             "reason": reason,

@@ -161,7 +161,7 @@ class StreamingRebalancer:
         st._notify_elastic(
             {
                 "kind": "migration-start",
-                "t": st.sim.now,
+                "t": st.transport.now,
                 "ranges": len(change.moved_ranges),
                 "keys": len(change.pending),
                 "joining": change.joining,
@@ -179,7 +179,8 @@ class StreamingRebalancer:
         if self._pump_scheduled:
             return
         self._pump_scheduled = True
-        self.store.sim.post(delay, self._pump)
+        tr = self.store.transport
+        tr.post_at(tr.now + delay, self._pump)
 
     def _pump(self) -> None:
         self._pump_scheduled = False
@@ -187,7 +188,7 @@ class StreamingRebalancer:
             self._settle()
             return
         st = self.store
-        now = st.sim.now
+        now = st.transport.now
         started = 0
         for key in sorted(self._pending):
             if started >= self.config.batch_size:
@@ -300,7 +301,7 @@ class StreamingRebalancer:
             st._notify_elastic(
                 {
                     "kind": "migration-complete",
-                    "t": st.sim.now,
+                    "t": st.transport.now,
                     "keys_streamed": self.keys_streamed,
                     "bytes_streamed": self.bytes_streamed,
                     "retired": list(retired),

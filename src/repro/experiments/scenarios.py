@@ -768,7 +768,7 @@ def _diurnal_elastic(p: Params) -> ElasticSpec:
 
 def _churn_script(cluster: ElasticCluster, p: Params) -> None:
     """Rolling membership churn: two joins, then two drains, back to back."""
-    sim = cluster.store.sim
+    tr = cluster.store.transport
     dt = float(p["churn_interval"])
     t = float(p.get("churn_start", 0.03))
     n_dcs = len(cluster.store.topology.datacenters)
@@ -778,10 +778,10 @@ def _churn_script(cluster: ElasticCluster, p: Params) -> None:
         if candidate is not None:
             cluster.decommission_node(candidate)
 
-    sim.post_at(t, cluster.bootstrap_node, 0)
-    sim.post_at(t + dt, cluster.bootstrap_node, (1 % n_dcs))
-    sim.post_at(t + 2 * dt, drain)
-    sim.post_at(t + 3 * dt, drain)
+    tr.post_at(t, cluster.bootstrap_node, 0)
+    tr.post_at(t + dt, cluster.bootstrap_node, (1 % n_dcs))
+    tr.post_at(t + 2 * dt, drain)
+    tr.post_at(t + 3 * dt, drain)
 
 
 register(

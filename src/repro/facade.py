@@ -314,7 +314,7 @@ def _run_sim(spec: RunSpec) -> RunOutcome:
         )
     if elastic is not None:
         for t, rate in elastic.pacing_schedule:
-            sim.post_at(t, _repace, runner, float(rate))
+            store.transport.post_at(t, _repace, runner, float(rate))
     report = runner.run()
     # The bill covers the measurement window the report covers; the elastic
     # drain below moves the clock (and streams bytes) past it.
@@ -326,9 +326,10 @@ def _run_sim(spec: RunSpec) -> RunOutcome:
         # Let in-flight migrations finish (bounded): the workload window just
         # ended first; the hand-off's in-flight-write gate in particular needs
         # one more pump tick after the last write settles.
-        deadline = sim.now + 5.0
-        while cluster.rebalancer.active and sim.now < deadline:
-            sim.run(until=min(sim.now + 0.05, deadline))
+        tr = store.transport
+        deadline = tr.now + 5.0
+        while cluster.rebalancer.active and tr.now < deadline:
+            sim.run(until=min(tr.now + 0.05, deadline))
         report.elastic = _elastic_block(cluster, autoscaler)
     if observer is not None:
         observer.finish()

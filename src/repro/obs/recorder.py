@@ -149,7 +149,7 @@ class RunObserver:
         self._ops_since_tick = 0
         self._ops_seen = 0
         self._trace_every = config.trace_sample_every
-        self._last_tick_t = store.sim.now
+        self._last_tick_t = store.transport.now
 
         # ground-truth read/stale counters at the last tick, for windowed
         # deltas (feeds the per-sample window fields and the burst oracle)
@@ -179,7 +179,7 @@ class RunObserver:
         self._monitor_metrics = self._find_monitor_metrics()
 
         self.sampler = TimeSeriesSampler(
-            store.sim,
+            store.transport,
             config.sample_interval,
             self._collect,
             max_samples=config.max_samples,
@@ -254,7 +254,7 @@ class RunObserver:
 
     def on_elastic_event(self, event: Dict[str, Any]) -> None:
         kind = event.get("kind")
-        t = float(event.get("t", self.store.sim.now))
+        t = float(event.get("t", self.store.transport.now))
         record: Dict[str, Any] = {"type": "event", "t": t, "kind": kind}
         for k, v in event.items():
             if k not in ("kind", "t"):
@@ -476,7 +476,7 @@ class RunObserver:
             return
         self._finished = True
         self.sampler.stop()
-        now = self.store.sim.now
+        now = self.store.transport.now
         last_t = self._records[-1]["t"] if self._records else -1.0
         if now > last_t or not any(
             r["type"] == "sample" for r in self._records

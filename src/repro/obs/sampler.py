@@ -1,6 +1,7 @@
-"""Periodic time-series snapshots on the simulated clock.
+"""Periodic time-series snapshots on the deployment clock.
 
-The sampler schedules itself every ``interval`` simulated seconds and
+The sampler schedules itself every ``interval`` seconds of its transport's
+clock (:attr:`Transport.now` / :meth:`Transport.post_at`) and
 asks a caller-supplied ``collect(now)`` function for a flat JSON-safe
 dict, which it stamps into a ``{"type": "sample", "t": ...}`` record.
 It owns none of the semantics -- the run observer decides *what* to
@@ -25,13 +26,13 @@ __all__ = ["TimeSeriesSampler"]
 
 
 class TimeSeriesSampler:
-    """Re-arming sim event that appends one sample record per tick."""
+    """Re-arming timer that appends one sample record per tick."""
 
-    __slots__ = ("sim", "interval", "collect", "max_samples", "samples", "_running")
+    __slots__ = ("tr", "interval", "collect", "max_samples", "samples", "_running")
 
     def __init__(
         self,
-        sim,
+        tr,
         interval: float,
         collect: Callable[[float], Dict[str, object]],
         max_samples: int = 20_000,
@@ -40,7 +41,7 @@ class TimeSeriesSampler:
             raise ConfigError(f"sample interval must be > 0, got {interval}")
         if max_samples < 1:
             raise ConfigError(f"max_samples must be >= 1, got {max_samples}")
-        self.sim = sim
+        self.tr = tr
         self.interval = float(interval)
         self.collect = collect
         self.max_samples = int(max_samples)
@@ -52,8 +53,8 @@ class TimeSeriesSampler:
         if self._running:
             return
         self._running = True
-        first = at if at is not None else self.sim.now + self.interval
-        self.sim.post_at(first, self._tick)
+        first = at if at is not None else self.tr.now + self.interval
+        self.tr.post_at(first, self._tick)
 
     def stop(self) -> None:
         """Disarm; an already-queued tick becomes a no-op."""
@@ -66,14 +67,14 @@ class TimeSeriesSampler:
     def _tick(self) -> None:
         if not self._running:
             return
-        now = self.sim.now
+        now = self.tr.now
         record: Dict[str, object] = {"type": "sample", "t": now}
         record.update(self.collect(now))
         self.samples.append(record)
         if len(self.samples) >= self.max_samples:
             self._running = False
             return
-        self.sim.post_at(now + self.interval, self._tick)
+        self.tr.post_at(now + self.interval, self._tick)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -22,8 +22,9 @@ and never forked -- but executes them on an asyncio event loop:
   uses, and delivery per (src, dst) link is FIFO (a message never
   overtakes an earlier one on the same link -- the TCP-like guarantee the
   conformance suite asserts for both backends);
-- **timers** -- ``loop.call_later`` handles, cancellable exactly like sim
-  events;
+- **timers** -- ``loop.call_at`` handles at absolute protocol times,
+  cancellable exactly like sim events; no order among equal deadlines is
+  promised;
 - **partitions** -- dropped at send time by datacenter pair, mirroring
   :meth:`repro.net.transport.Network.send`.
 
@@ -117,7 +118,7 @@ class AsyncioTransport(Transport):
 
     def close(self) -> None:
         """Disarm and drop every frame in flight; later sends and pending
-        ``set_timer`` callbacks become no-ops."""
+        timer callbacks become no-ops."""
         self._closed = True
         if self._armed is not None:
             self._armed.cancel()
@@ -222,16 +223,12 @@ class AsyncioTransport(Transport):
 
     # -- timers ------------------------------------------------------------------
 
-    def set_timer(self, delay: float, fn: Callable[..., Any], *args: Any) -> Any:
-        if delay < 0:
-            raise SimulationError(f"cannot set a timer in the past ({delay})")
-        loop = self._require_loop()
-        return loop.call_later(
-            delay * self.time_scale, self._fire, fn, args
-        )
-
     def set_timer_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Any:
-        return self.set_timer(max(0.0, when - self.now), fn, *args)
+        # ``when`` in loop time, without reading the clock; a past ``when``
+        # fires on the loop's next pass.
+        return self._require_loop().call_at(
+            self._t0 + when * self.time_scale, self._fire, fn, args
+        )
 
     def post_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         self.set_timer_at(when, fn, *args)

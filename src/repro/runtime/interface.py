@@ -10,8 +10,9 @@ hooks need from their environment is five capabilities:
   backends that cross a wire codec can name a handler on the wire,
 - **delay sampling** (:meth:`Transport.sample_delay`) for estimators that
   want a latency draw without sending,
-- **timers** (:meth:`Transport.set_timer` / :meth:`Transport.set_timer_at`)
-  returning cancellable handles (:meth:`Transport.post_at`: no handle).
+- **timers at absolute deployment times**: :meth:`Transport.set_timer_at`
+  returns a cancellable handle, :meth:`Transport.post_at` returns none. There
+  is no relative form; a caller wanting a delay writes ``now + delay``.
 
 The state machines in :mod:`repro.txn` and :mod:`repro.cluster` hold no
 reference to a :class:`~repro.simcore.simulator.Simulator` or a
@@ -25,7 +26,11 @@ What the sim backend guarantees that asyncio does not:
 
 - **determinism** -- same seed, same event order, byte-identical output;
 - **zero-cost time** -- ``now`` advances only through the event queue;
-- **global ordering** -- ties broken by a deterministic sequence number.
+- **global ordering** -- the tie rule: entries due at a bit-equal time fire
+  in the order they were pushed onto the engine, whichever verb pushed them
+  (``post_at``, ``set_timer_at``, a message ``send``, a
+  :class:`~repro.runtime.deadlines.DeadlineQueue`'s timer as of when it was
+  armed). On asyncio no order among equal deadlines is promised.
 
 Both backends guarantee the conformance contract asserted in
 ``tests/test_transport_conformance.py``: per-link FIFO delivery under a
@@ -43,7 +48,7 @@ __all__ = ["TimerHandle", "Transport"]
 
 
 class TimerHandle:
-    """The handle contract for :meth:`Transport.set_timer`.
+    """The handle contract for :meth:`Transport.set_timer_at`.
 
     Only :meth:`cancel` is part of the contract; a cancelled timer never
     fires and cancelling twice is harmless. Backends return their native
@@ -115,12 +120,9 @@ class Transport(ABC):
     # -- timers ------------------------------------------------------------------
 
     @abstractmethod
-    def set_timer(self, delay: float, fn: Callable[..., Any], *args: Any) -> Any:
-        """Call ``fn(*args)`` after ``delay`` seconds; returns a cancellable handle."""
-
-    @abstractmethod
     def set_timer_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Any:
-        """Call ``fn(*args)`` at absolute deployment time ``when``."""
+        """Call ``fn(*args)`` at absolute deployment time ``when``; returns a
+        cancellable handle."""
 
     @abstractmethod
     def post_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:

@@ -222,7 +222,7 @@ class LocalhostStore:
             result.error = "unavailable"
             self.read_failures += 1
             if done is not None:
-                tr.set_timer(0.0, done, result)
+                tr.post_at(t_start, done, result)
             return
         # Nearest live replica (by mean link latency), as a snitch would route.
         replica = min(replicas, key=lambda r: (self._mean_delay(src, r), r))
@@ -242,7 +242,7 @@ class LocalhostStore:
 
         # Request out, response back: two sampled one-way delays.
         delay = tr.sample_delay(src, replica) + tr.sample_delay(replica, src)
-        tr.set_timer(delay, _respond)
+        tr.post_at(tr.now + delay, _respond)
 
     # -- metrics ------------------------------------------------------------------
 

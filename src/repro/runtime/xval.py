@@ -106,12 +106,12 @@ def run_sim_twin(spec: LocalhostSpec) -> Dict[str, Any]:
 
         def done(outcome) -> None:
             state["outcomes"] += 1
-            sim.post(0.0, issue_next)
+            transport.post_at(transport.now, issue_next)
 
         txn.commit(done)
 
     for _ in range(spec.clients):
-        sim.post(0.0, issue_next)
+        transport.post_at(transport.now, issue_next)
     # The protocol-time analogue of the asyncio side's wall cap.
     sim.run(until=spec.wall_timeout / spec.time_scale)
 
@@ -121,7 +121,7 @@ def run_sim_twin(spec: LocalhostSpec) -> Dict[str, Any]:
         "reads": store.oracle.reads,
         "mean_propagation_s": store.oracle.mean_propagation_time(),
         "outcomes": state["outcomes"],
-        "protocol_seconds": sim.now,
+        "protocol_seconds": transport.now,
         "dropped_msgs": network.dropped,
         "wal_dir": None,
         "timed_out": state["running"] > 0,

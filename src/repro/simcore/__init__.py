@@ -4,19 +4,17 @@ A minimal, fast event-driven core purpose-built for the replicated-store
 simulator:
 
 - :class:`~repro.simcore.simulator.Simulator` -- binary-heap event queue with
-  a simulated clock, callback scheduling and cancellation;
-- :class:`~repro.simcore.process.Process` -- optional generator-based
-  coroutine layer for sequential behaviours (clients, repair daemons);
+  a simulated clock, callback scheduling (``post_at`` / ``schedule_at``) and
+  cancellation;
 - :class:`~repro.simcore.resources.Resource` -- FIFO service stations used to
   model node service times and queueing delay.
 
-The hot path is callback-based (no coroutine overhead for message delivery);
-processes are sugar on top for code that reads better sequentially.
+Everything is callback-based. Code outside the engine schedules through
+:class:`~repro.runtime.interface.Transport`, never through the simulator.
 """
 
 from repro.simcore.events import Event
 from repro.simcore.simulator import Simulator
-from repro.simcore.process import Process, Delay, WaitEvent
 from repro.simcore.resources import Resource
 
-__all__ = ["Event", "Simulator", "Process", "Delay", "WaitEvent", "Resource"]
+__all__ = ["Event", "Simulator", "Resource"]

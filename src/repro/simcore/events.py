@@ -1,9 +1,9 @@
 """Cancellable event handles for the discrete-event engine.
 
-An :class:`Event` is what :meth:`Simulator.schedule` hands back to a caller
-that may want to cancel. Ordering lives in the simulator's heap tuples
+An :class:`Event` is what :meth:`Simulator.schedule_at` hands back to a
+caller that may want to cancel. Ordering lives in the simulator's heap tuples
 (``(time, seq, ...)``), not here; callbacks nobody cancels go through
-:meth:`Simulator.post` and never allocate one.
+:meth:`Simulator.post_at` and never allocate one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ __all__ = ["Event"]
 class Event:
     """A scheduled callback that can be cancelled before it fires.
 
-    Do not construct directly; use :meth:`repro.simcore.Simulator.schedule`.
+    Do not construct directly; use :meth:`repro.simcore.Simulator.schedule_at`.
     Cancellation is lazy: :meth:`cancel` marks the event and the simulator
     skips it when popped (O(1) cancel, no heap surgery).
     """

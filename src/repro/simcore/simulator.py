@@ -10,15 +10,15 @@ Design notes (hpc-parallel idioms):
   is unique, so slots 3 and 4 are never compared). They come in two
   shapes, told apart by one ``fn is None`` test:
 
-  * ``(time, seq, fn, args)`` -- pushed by :meth:`Simulator.post` /
-    :meth:`Simulator.post_at`, which return nothing. Message deliveries,
-    service completions and client hand-offs are never cancelled, so they
-    allocate no :class:`Event`. **Invariant:** ``Network.send`` and
-    ``Resource`` push this entry themselves (``post``'s body, same
-    ``_seq``); change them with any change to its shape or tie-break;
-  * ``(time, seq, None, event)`` -- pushed by :meth:`Simulator.schedule` /
-    :meth:`Simulator.schedule_at`, which return the cancellable
-    :class:`Event` handle. Use these only when the caller keeps the handle;
+  * ``(time, seq, fn, args)`` -- pushed by :meth:`Simulator.post_at`, which
+    returns nothing (deliveries, service completions and client hand-offs
+    are never cancelled, so they allocate no :class:`Event`). **Invariant:**
+    ``Network.send`` and ``Resource`` push this entry themselves, a frame
+    fewer per message and service start (2.8 % of store throughput); change
+    them with any change to its shape or tie-break;
+  * ``(time, seq, None, event)`` -- pushed by :meth:`Simulator.schedule_at`
+    (``schedule`` is its relative form), which returns the cancellable
+    :class:`Event` handle. Use it only when the caller keeps the handle;
 
 - the **far tier**: ``post_at`` entries more than ``_FAR`` ahead (crash
   storms, trace arrivals) stay out of the hot heap. One, while none is
@@ -29,9 +29,12 @@ Design notes (hpc-parallel idioms):
 - cancellation is lazy (flag + skip) so cancelling a timeout that did not
   fire costs O(1); the engine counts the cancelled entries still in the
   heap, so ``pending()`` is O(1) without a counter on every push and pop;
-- determinism: equal-time events fire in scheduling order via one sequence
-  counter shared by both entry shapes; no wall-clock or entropy anywhere in
-  the engine.
+- the **tie rule**: entries due at a bit-equal time fire in the order they
+  were pushed, whoever pushed them (every verb, ``Transport.set_timer_at``,
+  the inline pushes, a ``DeadlineQueue`` timer as of when it is armed, a far
+  entry under the key ``post_at`` gave it): one sequence counter serves both
+  entry shapes. No wall-clock or entropy anywhere in the engine. Code
+  outside it schedules through :class:`~repro.runtime.interface.Transport`.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> fired = []
-    >>> sim.post(2.0, fired.append, "b")
+    >>> sim.post_at(2.0, fired.append, "b")
     >>> handle = sim.schedule(1.0, fired.append, "a")
     >>> sim.run()
     >>> fired
@@ -85,19 +88,6 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
 
-    def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` ``delay`` simulated seconds from now; no handle.
-
-        The hottest entry point of the engine (every message hop and service
-        completion lands here): one tuple, one heap push. Ordering, the
-        ``pending()`` count and the negative-delay check are exactly those
-        of :meth:`schedule`; what is given up is the ability to cancel.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (self.now + delay, seq, fn, args))
-
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute simulated time ``time``; no handle."""
         now = self.now
@@ -123,55 +113,24 @@ class Simulator:
         fn(*args)
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` simulated seconds from now.
-
-        Returns the :class:`Event` handle (cancellable); callers that would
-        discard it use :meth:`post`. ``delay`` must be non-negative;
-        scheduling into the past is a harness bug and raises
-        :class:`~repro.common.errors.SimulationError`.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        # Same body as schedule_at, inlined: protocol timers land here by
-        # the million and the extra call layer is measurable.
-        self._seq = seq = self._seq + 1
-        time = self.now + delay
-        ev = Event(time, seq, fn, args, owner=self)
-        heapq.heappush(self._heap, (time, seq, None, ev))
-        return ev
+        """:meth:`schedule_at` ``now + delay``: the one relative convenience."""
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulated time ``time``."""
+        """Schedule ``fn(*args)`` at absolute simulated time ``time``.
+
+        Returns the cancellable :class:`Event` handle; callers that would
+        discard it use :meth:`post_at`. Scheduling into the past is a harness
+        bug and raises :class:`~repro.common.errors.SimulationError`.
+        """
         if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time} < now={self.now}"
-            )
+            raise SimulationError(f"cannot schedule at t={time} < now={self.now}")
         self._seq = seq = self._seq + 1
         ev = Event(time, seq, fn, args, owner=self)
         heapq.heappush(self._heap, (time, seq, None, ev))
         return ev
 
     # -- execution ------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Fire the next pending event. Returns ``False`` if the queue is empty."""
-        heap = self._heap
-        while heap:
-            time, _, fn, args = heapq.heappop(heap)
-            if fn is None:
-                ev = args
-                if ev.cancelled:
-                    self._cancelled -= 1
-                    continue
-                fn, args = ev.fn, ev.args
-                ev.fn = None
-                ev.args = ()
-                ev.live = False
-            self.now = time
-            self.events_processed += 1
-            fn(*args)
-            return True
-        return False
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
@@ -224,14 +183,6 @@ class Simulator:
         every tick without paying a heap scan.
         """
         return len(self._heap) + len(self._far) - self._cancelled
-
-    def peek_time(self) -> Optional[float]:
-        """Firing time of the next live event, or ``None`` if idle."""
-        heap = self._heap
-        while heap and heap[0][2] is None and heap[0][3].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return heap[0][0] if heap else None
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""

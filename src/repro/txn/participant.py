@@ -353,7 +353,7 @@ class TxnParticipant:
         delay = self.owner.config.poll_delay(
             self.owner.store.config.seed, self.node_id, p.txn_id, p.poll_attempts
         )
-        p.poll_event = self.tr.set_timer(delay, self._poll, p)
+        p.poll_event = self.tr.set_timer_at(self.tr.now + delay, self._poll, p)
 
     def _poll(self, p: _Prepared) -> None:
         p.poll_event = None
@@ -442,7 +442,8 @@ class TxnParticipant:
             if cfg.termination_timeout is not None
             else cfg.prepare_timeout
         )
-        self.tr.set_timer(window, self._termination_timeout, p, p.term_round)
+        tr = self.tr
+        tr.set_timer_at(tr.now + window, self._termination_timeout, p, p.term_round)
 
     def _termination_timeout(self, p: _Prepared, token: int) -> None:
         """The round's reply window closed: missing peers count uncertain."""

@@ -56,12 +56,13 @@ class TxnClient:
         self._dc = dc
 
     def start(self) -> None:
-        """Begin issuing transactions (call before ``sim.run``)."""
-        self._deadline = self.tstore.store.sim.now
+        """Begin issuing transactions (call before the simulator runs)."""
+        tr = self.tstore.store.transport
+        self._deadline = tr.now
         if self.remaining == 0:
             self._finish()
             return
-        self.tstore.store.sim.post(0.0, self._issue_next)
+        tr.post_at(tr.now, self._issue_next)
 
     # -- internals ---------------------------------------------------------------
 
@@ -89,13 +90,13 @@ class TxnClient:
         txn.commit(self._txn_done)
 
     def _txn_done(self, outcome: TxnOutcome) -> None:
-        now = self.tstore.store.sim.now
+        tr = self.tstore.store.transport
+        now = tr.now
+        delay = 0.0
         if self.interval > 0.0:
             self._deadline = max(now, self._deadline + self.interval)
             delay = self._deadline - now
-        else:
-            delay = 0.0
-        self.tstore.store.sim.post(delay, self._issue_next)
+        tr.post_at(now + delay, self._issue_next)
 
     def _finish(self) -> None:
         if self.on_finished is not None:
@@ -166,7 +167,7 @@ class TxnRunner:
             self.target_throughput / self.n_clients if self.target_throughput else None
         )
         n_dcs = len(store.topology.datacenters)
-        t_start = store.sim.now
+        t_start = store.transport.now
         for i in range(self.n_clients):
             txns = per_client + (1 if i < extra else 0)
             TxnClient(
@@ -180,9 +181,8 @@ class TxnRunner:
             ).start()
 
         store.sim.run(until=t_start + self.max_time)
-        t_end = (
-            self._t_last if self._finished_clients == self.n_clients else store.sim.now
-        )
+        done = self._finished_clients == self.n_clients
+        t_end = self._t_last if done else store.transport.now
         duration = max(t_end - max(t_start, self._t_measure_start), 1e-9)
 
         summary = store.summary()
@@ -227,12 +227,12 @@ class TxnRunner:
         if self._warmup_remaining == 0:
             self.tstore.reset_metrics()
             self._usage.read_levels.clear()
-            self._t_measure_start = self.tstore.store.sim.now
+            self._t_measure_start = self.tstore.store.transport.now
             if self.biller is not None:
                 self.biller.arm()
 
     def _client_finished(self, client: TxnClient) -> None:
         self._finished_clients += 1
-        self._t_last = self.tstore.store.sim.now
+        self._t_last = self.tstore.store.transport.now
         if self._finished_clients == self.n_clients:
             self.tstore.store.sim.stop()

@@ -176,8 +176,8 @@ class TransactionManager:
                 self.node_id, r, payload, on[r].on_prepare,
                 txn.txn_id, self.node_id, node_writes, read_versions, participants,
             )
-        t.timeout_event = tr.set_timer(
-            owner.config.prepare_timeout, self._on_prepare_timeout, txn.txn_id
+        t.timeout_event = tr.set_timer_at(
+            tr.now + owner.config.prepare_timeout, self._on_prepare_timeout, txn.txn_id
         )
 
     def on_vote(self, txn_id: int, node_id: int, vote: bool) -> None:
@@ -221,11 +221,13 @@ class TransactionManager:
                 participants=len(t.participants),
             )
         self._send_precommits(t)
-        t.retry_event = tr.set_timer(
-            self.owner.config.retry_interval, self._retry_precommit, t.txn_id
+        t.retry_event = tr.set_timer_at(
+            tr.now + self.owner.config.retry_interval, self._retry_precommit, t.txn_id
         )
-        t.timeout_event = tr.set_timer(
-            self.owner.config.prepare_timeout, self._on_precommit_timeout, t.txn_id
+        t.timeout_event = tr.set_timer_at(
+            tr.now + self.owner.config.prepare_timeout,
+            self._on_precommit_timeout,
+            t.txn_id,
         )
 
     def _send_precommits(self, t: _TmTxn) -> None:
@@ -246,8 +248,10 @@ class TransactionManager:
             return
         if self.node.up:
             self._send_precommits(t)
-        t.retry_event = self.tr.set_timer(
-            self.owner.config.retry_interval, self._retry_precommit, txn_id
+        t.retry_event = self.tr.set_timer_at(
+            self.tr.now + self.owner.config.retry_interval,
+            self._retry_precommit,
+            txn_id,
         )
 
     def _on_precommit_timeout(self, txn_id: int) -> None:
@@ -319,8 +323,8 @@ class TransactionManager:
             )
         self.owner.txn_decided(t.txn_id, commit, reason)
         self._send_decisions(t)
-        t.retry_event = tr.set_timer(
-            self.owner.config.retry_interval, self._retry_decision, t.txn_id
+        t.retry_event = tr.set_timer_at(
+            tr.now + self.owner.config.retry_interval, self._retry_decision, t.txn_id
         )
 
     def _replica_count(self, key: str) -> int:
@@ -349,8 +353,8 @@ class TransactionManager:
             return
         if self.node.up:
             self._send_decisions(t)
-        t.retry_event = self.tr.set_timer(
-            self.owner.config.retry_interval, self._retry_decision, txn_id
+        t.retry_event = self.tr.set_timer_at(
+            self.tr.now + self.owner.config.retry_interval, self._retry_decision, txn_id
         )
 
     def on_ack(self, txn_id: int, node_id: int) -> None:
@@ -441,11 +445,13 @@ class TransactionManager:
                     )
                 self._active[txn_id] = t
                 self._send_precommits(t)
-                t.retry_event = tr.set_timer(
-                    self.owner.config.retry_interval, self._retry_precommit, txn_id
+                t.retry_event = tr.set_timer_at(
+                    tr.now + self.owner.config.retry_interval,
+                    self._retry_precommit,
+                    txn_id,
                 )
-                t.timeout_event = tr.set_timer(
-                    self.owner.config.prepare_timeout,
+                t.timeout_event = tr.set_timer_at(
+                    tr.now + self.owner.config.prepare_timeout,
                     self._on_precommit_timeout,
                     txn_id,
                 )
@@ -470,8 +476,8 @@ class TransactionManager:
             # ``tm-end`` finally lands in the log.
             self._active[txn_id] = t
             self._send_decisions(t)
-            t.retry_event = tr.set_timer(
-                self.owner.config.retry_interval, self._retry_decision, txn_id
+            t.retry_event = tr.set_timer_at(
+                tr.now + self.owner.config.retry_interval, self._retry_decision, txn_id
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

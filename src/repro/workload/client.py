@@ -120,12 +120,13 @@ class ClosedLoopClient:
         self._dc = dc
 
     def start(self) -> None:
-        """Begin issuing operations (call before ``sim.run``)."""
-        self._deadline = self.store.sim.now
+        """Begin issuing operations (call before the simulator runs)."""
+        tr = self.store.transport
+        self._deadline = tr.now
         if self.remaining == 0:
             self._finish()
             return
-        self.store.sim.post(0.0, self._issue_next)
+        tr.post_at(tr.now, self._issue_next)
 
     # -- internals ---------------------------------------------------------------
 
@@ -145,7 +146,7 @@ class ClosedLoopClient:
             return
         self.remaining -= 1
         self.issued += 1
-        now = self.store.sim.now
+        now = self.store.transport.now
         op = self.spec.sample_op(self.rng)
         if op == "insert":
             index = self.spec.record_count + self.inserted
@@ -174,7 +175,7 @@ class ClosedLoopClient:
 
     def _rmw_read_done(self, key: str):
         def then_write(result: OpResult) -> None:
-            now = self.store.sim.now
+            now = self.store.transport.now
             self.store.write(
                 key, self.policy.write_level(now), self._op_done,
                 value_size=self.spec.value_size,
@@ -190,16 +191,16 @@ class ClosedLoopClient:
         clamped to now so a rate drop never produces a catch-up burst.
         """
         self.interval = 1.0 / target_rate if target_rate else 0.0
-        self._deadline = max(self._deadline, self.store.sim.now)
+        self._deadline = max(self._deadline, self.store.transport.now)
 
     def _op_done(self, result: OpResult) -> None:
-        now = self.store.sim.now
+        tr = self.store.transport
+        now = tr.now
+        delay = 0.0
         if self.interval > 0.0:
             self._deadline = max(now, self._deadline + self.interval)
             delay = self._deadline - now
-        else:
-            delay = 0.0
-        self.store.sim.post(delay, self._issue_next)
+        tr.post_at(now + delay, self._issue_next)
 
     def _finish(self) -> None:
         if self.on_finished is not None:
@@ -248,10 +249,10 @@ class OpenLoopSource:
         and ``n`` scalar calls, so batching changes nothing observable while
         removing ``n - 1`` generator round-trips from the schedule loop.
         """
-        sim = self.store.sim
-        post_at = sim.post_at
+        tr = self.store.transport
+        post_at = tr.post_at
         issue = self._issue_one
-        t = sim.now
+        t = tr.now
         if self.remaining:
             for gap in self.rng.exponential(1.0 / self.rate, size=self.remaining):
                 t += float(gap)
@@ -267,7 +268,7 @@ class OpenLoopSource:
         return coords[int(self.rng.integers(0, len(coords)))]
 
     def _issue_one(self) -> None:
-        now = self.store.sim.now
+        now = self.store.transport.now
         op = self.spec.sample_op(self.rng)
         key = self.spec.key_of(self.chooser.next_index())
         if op == "read":
@@ -423,7 +424,7 @@ class WorkloadRunner:
 
         rngs = RngFactory(self.seed)
         n_dcs = len(store.topology.datacenters)
-        t_start = store.sim.now
+        t_start = store.transport.now
         clients = self.clients
         if self.client_mode == "cohort":
             self._start_cohorts(rngs, n_dcs)
@@ -455,7 +456,8 @@ class WorkloadRunner:
         # Duration is measured from the end of warmup to the last client
         # completion, not to the safety horizon (background chatter may keep
         # the queue non-empty).
-        t_end = self._t_last_op if self._finished_clients == self._units else store.sim.now
+        done = self._finished_clients == self._units
+        t_end = self._t_last_op if done else store.transport.now
         duration = max(t_end - max(t_start, self._t_measure_start), 1e-9)
 
         summary = store.summary()
@@ -532,13 +534,13 @@ class WorkloadRunner:
             self.store.reset_metrics()
             self._usage.read_levels.clear()
             self._usage.write_levels.clear()
-            self._t_measure_start = self.store.sim.now
+            self._t_measure_start = self.store.transport.now
             if self.biller is not None:
                 self.biller.arm()
 
     def _client_finished(self, client) -> None:
         self._finished_clients += 1
-        self._t_last_op = self.store.sim.now
+        self._t_last_op = self.store.transport.now
         if self._finished_clients == self._units:
             # All workload ops done: stop simulating background chatter
             # (monitor ticks, repair sweeps) so runs end promptly.

@@ -188,15 +188,15 @@ class CohortPopulation:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Begin generating operations (call before ``sim.run``)."""
+        """Begin generating operations (call before the simulator runs)."""
         if self.remaining == 0:
             self._finish()
             return
         if self._script is not None:
-            sim = self.store.sim
-            base = sim.now
+            tr = self.store.transport
+            base = tr.now
             for t, kind, key in self._script:
-                sim.post_at(base + t, self._scripted_arrival, kind, key)
+                tr.post_at(base + t, self._scripted_arrival, kind, key)
             return
         if self.rate is None:
             # Pooled closed loop: fill the member window, completions refill.
@@ -249,8 +249,8 @@ class CohortPopulation:
                 self.remaining -= 1
                 self._issue()
             return
-        delay = self._next_gap() / self.rate
-        self.store.sim.post(delay, self._arrival)
+        tr = self.store.transport
+        tr.post_at(tr.now + self._next_gap() / self.rate, self._arrival)
 
     def _arrival(self) -> None:
         if self.remaining > 0:
@@ -281,7 +281,7 @@ class CohortPopulation:
     def _issue(self) -> None:
         self.in_flight += 1
         self.issued += 1
-        now = self.store.sim.now
+        now = self.store.transport.now
         op = self.spec.sample_op(self.rng)
         if op == "insert":
             index = self.spec.record_count + self.inserted
@@ -310,7 +310,7 @@ class CohortPopulation:
     def _issue_scripted(self, kind: str, key: str) -> None:
         self.in_flight += 1
         self.issued += 1
-        now = self.store.sim.now
+        now = self.store.transport.now
         if kind == "read":
             self.store.read(
                 key, self.policy.read_level(now), self._op_done,
@@ -325,7 +325,7 @@ class CohortPopulation:
 
     def _rmw_read_done(self, key: str):
         def then_write(result: OpResult) -> None:
-            now = self.store.sim.now
+            now = self.store.transport.now
             self.store.write(
                 key, self.policy.write_level(now), self._op_done,
                 value_size=self.spec.value_size,

@@ -189,20 +189,21 @@ def replay_trace(
     if time_scale <= 0:
         raise ConfigError(f"time_scale must be positive, got {time_scale}")
     n = 0
-    base = store.sim.now
+    tr = store.transport
+    base = tr.now
     for rec in trace:
         replay = _replay_read if rec.kind == "read" else _replay_write
-        store.sim.post_at(base + rec.t * time_scale, replay, store, rec.key, policy)
+        tr.post_at(base + rec.t * time_scale, replay, store, rec.key, policy)
         n += 1
     return n
 
 
 def _replay_read(store, key: str, policy) -> None:
-    store.read(key, policy.read_level(store.sim.now))
+    store.read(key, policy.read_level(store.transport.now))
 
 
 def _replay_write(store, key: str, policy) -> None:
-    store.write(key, policy.write_level(store.sim.now))
+    store.write(key, policy.write_level(store.transport.now))
 
 
 # -- persistence ---------------------------------------------------------------

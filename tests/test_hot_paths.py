@@ -71,7 +71,7 @@ class TestTimeoutPairs:
         assert fired == []
         assert sim.events_processed == self.PAIRS
         assert sim.now == pytest.approx((self.PAIRS - 1) * 0.001 + 0.0005)
-        assert sim.pending() == 0 and sim.peek_time() is None
+        assert sim.pending() == 0 and sim._heap == []
 
     def test_pending_counts_only_live_timers_mid_run(self):
         sim = Simulator()

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event engine: events, simulator, processes, resources."""
+"""Tests for the discrete-event engine: events, simulator, resources."""
 
 import heapq
 from unittest import mock
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigError, SimulationError
 from repro.simcore import simulator as simulator_module
 from repro.simcore.events import Event
-from repro.simcore.process import Delay, Process, WaitEvent
 from repro.simcore.resources import Resource
 from repro.simcore.simulator import Simulator
 
@@ -95,6 +94,19 @@ class TestSimulator:
         sim.run(max_events=4)
         assert fired == [0, 1, 2, 3]
 
+    def test_run_max_events_one_is_a_single_step(self, sim):
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        sim.post_at(2.0, fired.append, 2)
+        sim.run(max_events=0)
+        assert fired == [] and sim.now == 0.0
+        sim.run(max_events=1)
+        assert fired == [1] and sim.now == 1.0
+        sim.run(max_events=1)
+        assert fired == [1, 2] and sim.now == 2.0
+        sim.run(max_events=1)  # empty queue: nothing fires, the clock stays
+        assert fired == [1, 2] and sim.now == 2.0 and sim.events_processed == 2
+
     def test_stop_from_callback(self, sim):
         fired = []
         sim.schedule(1.0, fired.append, 1)
@@ -103,13 +115,6 @@ class TestSimulator:
         sim.run(until=100.0)
         assert fired == [1]
         assert sim.now == 2.0  # stop prevents clock advance to `until`
-
-    def test_step(self, sim):
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        assert sim.step() is True
-        assert fired == [1]
-        assert sim.step() is False
 
     def test_pending_counter_tracks_cancel_and_fire(self, sim):
         events = [sim.schedule(float(i), lambda: None) for i in range(4)]
@@ -149,61 +154,67 @@ class TestSimulator:
         sim.schedule(0.0, nested)
         sim.run()
 
-    def test_peek_time_skips_cancelled(self, sim):
-        ev = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        ev.cancel()
-        assert sim.peek_time() == 2.0
-
     def test_post_and_schedule_share_one_order(self, sim):
         # handle-free and cancellable entries interleave by call order at
         # equal times: one sequence counter serves both heap-entry shapes
         fired = []
-        sim.post(1.0, fired.append, "a")
+        sim.post_at(1.0, fired.append, "a")
         sim.schedule(1.0, fired.append, "b")
-        sim.post(1.0, fired.append, "c")
+        sim.post_at(1.0, fired.append, "c")
         sim.schedule_at(1.0, fired.append, "d")
-        sim.post(0.5, fired.append, "first")
+        sim.post_at(0.5, fired.append, "first")
         sim.run()
         assert fired == ["first", "a", "b", "c", "d"]
         assert sim.events_processed == 5
 
     def test_post_returns_no_handle_and_rejects_the_past(self, sim):
-        assert sim.post(0.0, lambda: None) is None
+        assert sim.post_at(0.0, lambda: None) is None
         with pytest.raises(SimulationError):
-            sim.post(-1e-9, lambda: None)
+            sim.post_at(-1e-9, lambda: None)
         assert sim.pending() == 1  # the rejected post left nothing behind
 
     def test_introspection_over_mixed_entries(self, sim):
         fired = []
-        sim.post(2.0, fired.append, "p2")
+        sim.post_at(2.0, fired.append, "p2")
         early = sim.schedule(1.0, fired.append, "s1")
-        sim.post(3.0, fired.append, "p3")
+        sim.post_at(3.0, fired.append, "p3")
         late = sim.schedule(4.0, fired.append, "s4")
         assert sim.pending() == 4
-        assert sim.peek_time() == 1.0
         early.cancel()
         assert sim.pending() == 3
-        assert sim.peek_time() == 2.0  # skips the cancelled head, keeps the post
-        sim.run(max_events=1)
+        sim.run(max_events=1)  # skips the cancelled head, fires the post
         assert fired == ["p2"] and sim.now == 2.0
         sim.run(until=3.5)
         assert fired == ["p2", "p3"] and sim.now == 3.5
-        assert sim.pending() == 1 and sim.peek_time() == 4.0
-        assert sim.step() is True and fired[-1] == "s4"
+        assert sim.pending() == 1
+        sim.run(max_events=1)
+        assert fired[-1] == "s4" and sim.now == 4.0
         assert not late.live and sim.pending() == 0
 
     def test_reset_over_mixed_entries(self, sim):
         fired = []
-        sim.post(1.0, fired.append, "post")
+        sim.post_at(1.0, fired.append, "post")
         handle = sim.schedule(1.0, fired.append, "event")
         sim.reset()
-        assert sim.pending() == 0 and sim.peek_time() is None
+        assert sim.pending() == 0
         handle.cancel()  # a handle from before the reset must not corrupt the count
         assert sim.pending() == 0
-        sim.post(1.0, fired.append, "fresh")
+        sim.post_at(1.0, fired.append, "fresh")
         sim.run()
         assert fired == ["fresh"] and sim.now == 1.0
+
+    def test_reset_clears_the_far_tier(self, sim):
+        # far entries count as pending; a reset drops them and disarms the
+        # gate, so a far entry posted afterwards is armed afresh and fires
+        fired = []
+        for t in (5.0, 6.0, 7.0):  # the first is the gate, two wait aside
+            sim.post_at(t, fired.append, t)
+        assert sim.pending() == 3
+        sim.reset()
+        assert sim.pending() == 0
+        sim.post_at(6.0, fired.append, "fresh")
+        sim.run()
+        assert fired == ["fresh"] and sim.now == 6.0
 
     @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
@@ -223,32 +234,32 @@ _INSTANTS = st.sampled_from([0.5, 1.0, 2.5, 3.0, 4.0, 40.0])
 
 _OPS = st.one_of(
     st.tuples(
-        st.sampled_from(["post", "post_at", "schedule", "schedule_at"]), st.floats(0.0, 5.0)
+        st.sampled_from(["post_at", "schedule", "schedule_at"]), st.floats(0.0, 5.0)
     ),
     st.tuples(st.just("post_at"), st.floats(0.0, 60.0)),  # far-tier entries
     st.tuples(st.sampled_from(["post_at_abs", "schedule_at_abs"]), _INSTANTS),
     st.tuples(st.just("cancel"), st.integers(0, 50)),
     st.tuples(st.just("run_until"), st.floats(0.0, 3.0)),
     st.tuples(st.just("run_max"), st.integers(0, 4)),
-    st.tuples(st.sampled_from(["step", "peek", "run", "reset"]), st.just(0)),
+    st.tuples(st.sampled_from(["step", "run", "reset"]), st.just(0)),
 )
 
 
 class TestEngineContract:
     """The engine against a one-heap reference model.
 
-    ``pending()``, ``peek_time()``, ``events_processed`` and the fired
-    sequence must match a single ``(time, seq)`` heap that holds every
-    entry, whatever the far-tier horizon ``_FAR`` is.
+    ``pending()``, ``events_processed`` and the fired sequence must match a
+    single ``(time, seq)`` heap that holds every entry, whatever the
+    far-tier horizon ``_FAR`` is. ``step`` is ``run(max_events=1)``.
     """
 
     @pytest.mark.parametrize("far", [0.0, 1.0, float("inf")], ids=["far0", "far1", "farinf"])
     @given(ops=st.lists(_OPS, max_size=60))
     @settings(max_examples=150, deadline=None)
     # a cancelled head popped by each of step / run(until) / run(max) / run()
-    @example(ops=[("schedule", 1.0), ("post", 2.0), ("cancel", 0), ("step", 0)])
+    @example(ops=[("schedule", 1.0), ("post_at", 2.0), ("cancel", 0), ("step", 0)])
     @example(ops=[("schedule", 1.0), ("cancel", 0), ("run_until", 2.0)])
-    @example(ops=[("schedule", 1.0), ("post", 2.0), ("cancel", 0), ("run_max", 1)])
+    @example(ops=[("schedule", 1.0), ("post_at", 2.0), ("cancel", 0), ("run_max", 1)])
     @example(ops=[("schedule", 1.0), ("cancel", 0), ("run", 0)])
     # the crash storm's ties: recover@2.5 before crash@2.5, a crash far behind
     # the gate, and a timer armed at 2.5 for 3.0 beside a recover@3.0
@@ -295,10 +306,7 @@ class TestEngineContract:
             fired.append((i, sim.now))
 
         for n, (op, x) in enumerate(ops):
-            if op == "post":
-                push(n, sim.now + x)
-                sim.post(x, fire, n)
-            elif op == "post_at":
+            if op == "post_at":
                 push(n, sim.now + x)
                 sim.post_at(sim.now + x, fire, n)
             elif op == "schedule":
@@ -318,8 +326,9 @@ class TestEngineContract:
                 handle.cancel()  # also after firing, twice, or across a reset
                 live.pop(i, None)
             elif op == "step":
-                had_live = bool(live)
-                assert sim.step() is had_live
+                before, had_live = len(fired), bool(live)
+                sim.run(max_events=1)
+                assert len(fired) - before == had_live
             elif op == "run_until":
                 until = sim.now + x
                 sim.run(until=until)
@@ -331,10 +340,6 @@ class TestEngineContract:
             elif op == "run":
                 sim.run()
                 assert not live
-            elif op == "peek":
-                head = ref_head()
-                assert sim.peek_time() == (head[0] if head else None)
-                assert sim.peek_time() == (min(live.values()) if live else None)
             elif op == "reset":
                 sim.reset()
                 live.clear()
@@ -356,9 +361,9 @@ class TestEngineContract:
             fired.append("boom")
             raise RuntimeError("callback bug")
 
-        sim.post(1.0, fired.append, 1)
+        sim.post_at(1.0, fired.append, 1)
         sim.schedule(2.0, sim.stop)
-        sim.post(3.0, boom)
+        sim.post_at(3.0, boom)
         sim.schedule(4.0, fired.append, 4)
         sim.schedule(4.5, fired.append, "cancelled").cancel()
         sim.run(**bounds)
@@ -372,137 +377,50 @@ class TestEngineContract:
         assert sim.pending() == 0 and sim._heap == []
 
     def test_inline_pushes_interleave_with_post_in_seq_order(self):
-        # Network.send and Resource write post's heap entry themselves (the
-        # engine invariant): at one instant everything fires in call order.
+        # The tie rule: entries due at one bit-equal instant fire in the order
+        # they were pushed onto the engine, whoever pushed them -- post_at (a
+        # far-tier entry admitted later keeps its original key), schedule_at,
+        # SimTransport.set_timer_at, a DeadlineQueue's timer (placed when
+        # armed), and the inline pushes of Network.send and Resource.
+        from types import SimpleNamespace
+
         from repro.net.latency import FixedLatency
         from repro.net.topology import Datacenter, LinkClass, Topology
         from repro.net.transport import Network
+        from repro.runtime.deadlines import DeadlineQueue
+        from repro.runtime.sim import SimTransport
 
         sim = Simulator()
         topo = Topology(
-            [Datacenter("a", "r")], [2], latency={LinkClass.INTRA_DC: FixedLatency(1.0)}
+            [Datacenter("a", "r")], [2], latency={LinkClass.INTRA_DC: FixedLatency(2.0)}
         )
         net = Network(sim, topo)
+        tr = SimTransport(sim, net)
         res = Resource(sim, servers=1)
         log = []
-        sim.post(1.0, log.append, "post")
+
+        def expire(op):
+            op.finished = True
+            log.append("deadline")
+
+        deadlines = DeadlineQueue(tr, expire)
+        sim.post_at(1.5, log.append, "gate")  # far: armed as the gate
+        sim.post_at(2.0, log.append, "far")  # far: side heap, admitted at 1.5
         net.send(0, 1, 8, log.append, "send")
-        res.submit(1.0, log.append, "start")  # idle server: pushed by submit
-        res.submit(0.5, log.append, "queued")  # pushed by _finish at t=1.0
-        sim.schedule(1.0, log.append, "schedule")
-        sim.post_at(1.0, log.append, "post_at")
+        res.submit(2.0, log.append, "start")  # idle server: pushed by submit
+        res.submit(0.5, log.append, "queued")  # pushed by _finish at t=2.0
+        tr.set_timer_at(2.0, log.append, "set_timer_at")
+        deadlines.add(2.0, SimpleNamespace(finished=False))  # arms its timer
+        tr.post_at(2.0, log.append, "far-2")
+        sim.schedule_at(2.0, log.append, "schedule_at")
         net.send(0, 1, 8, log.append, "send-2")
-        sim.post(1.5, log.append, "post-1.5")
+        sim.post_at(2.5, log.append, "far-2.5")  # older than the queued start
         sim.run()
         assert log == [
-            "post", "send", "start", "schedule", "post_at", "send-2",
-            "post-1.5", "queued",
+            "gate", "far", "send", "start", "set_timer_at", "deadline", "far-2",
+            "schedule_at", "send-2", "far-2.5", "queued",
         ]
-        assert sim.pending() == 0 and sim.events_processed == 8
-
-
-class TestProcess:
-    def test_delay_sequencing(self, sim):
-        log = []
-
-        def proc():
-            log.append(("start", sim.now))
-            yield Delay(1.5)
-            log.append(("mid", sim.now))
-            yield Delay(0.5)
-            log.append(("end", sim.now))
-
-        Process(sim, proc())
-        sim.run()
-        assert log == [("start", 0.0), ("mid", 1.5), ("end", 2.0)]
-
-    def test_wait_event_value(self, sim):
-        got = []
-        we = WaitEvent()
-
-        def waiter():
-            value = yield we
-            got.append(value)
-
-        Process(sim, waiter())
-        sim.schedule(2.0, we.succeed, "payload")
-        sim.run()
-        assert got == ["payload"]
-        assert we.done and we.value == "payload"
-
-    def test_wait_event_already_done(self, sim):
-        we = WaitEvent()
-        we.succeed(7)
-        got = []
-
-        def waiter():
-            got.append((yield we))
-
-        Process(sim, waiter())
-        sim.run()
-        assert got == [7]
-
-    def test_wait_event_failure_raises_in_process(self, sim):
-        we = WaitEvent()
-        caught = []
-
-        def waiter():
-            try:
-                yield we
-            except RuntimeError as e:
-                caught.append(str(e))
-
-        Process(sim, waiter())
-        sim.schedule(1.0, we.fail, RuntimeError("boom"))
-        sim.run()
-        assert caught == ["boom"]
-
-    def test_double_complete_rejected(self, sim):
-        we = WaitEvent()
-        we.succeed(1)
-        with pytest.raises(SimulationError):
-            we.succeed(2)
-        with pytest.raises(SimulationError):
-            we.fail(RuntimeError())
-
-    def test_process_waits_on_process(self, sim):
-        order = []
-
-        def child():
-            yield Delay(2.0)
-            order.append("child-done")
-            return 42
-
-        def parent():
-            c = Process(sim, child(), name="child")
-            result = yield c
-            order.append(("parent-got", result))
-
-        Process(sim, parent(), name="parent")
-        sim.run()
-        assert order == ["child-done", ("parent-got", 42)]
-
-    def test_finished_event(self, sim):
-        def proc():
-            yield Delay(1.0)
-            return "done"
-
-        p = Process(sim, proc())
-        sim.run()
-        assert p.finished.done
-        assert p.finished.value == "done"
-
-    def test_bad_yield_raises(self, sim):
-        def proc():
-            yield "not an instruction"
-
-        Process(sim, proc())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Delay(-1.0)
+        assert sim.pending() == 0 and sim.events_processed == 11 and not deadlines
 
 
 class TestResource:

@@ -161,7 +161,7 @@ class TestTransportContract:
                 sent["healed"] = t.send(0, 3, 64, sink, "healed")
                 sent["still_partitioned"] = t.is_partitioned(0, 1)
 
-            t.set_timer(0.5, heal_and_resend)
+            t.set_timer_at(t.now + 0.5, heal_and_resend)
 
         h.run(setup, until=2.0)
         assert sent["cut"] is None
@@ -211,10 +211,10 @@ class TestTransportContract:
         fired = []
 
         def setup(t):
-            doomed = t.set_timer(0.2, fired.append, "cancelled")
+            doomed = t.set_timer_at(t.now + 0.2, fired.append, "cancelled")
             doomed.cancel()
             doomed.cancel()  # idempotent per the TimerHandle contract
-            t.set_timer(0.4, fired.append, "kept")
+            t.set_timer_at(t.now + 0.4, fired.append, "kept")
 
         h.run(setup, until=1.0)
         assert fired == ["kept"]
@@ -229,6 +229,19 @@ class TestTransportContract:
 
         h.run(setup, until=2.0)
         assert seen["fire"] >= seen["t0"] + 0.5 - 1e-9
+
+    def test_post_at_fires_once_at_its_time_without_a_handle(self, harness):
+        h = harness()
+        seen = {}
+
+        def setup(t):
+            seen["handle"] = t.post_at(0.5, lambda: seen.setdefault("fire", []).append(t.now))
+
+        h.run(setup, until=2.0)
+        assert seen["handle"] is None
+        assert len(seen["fire"]) == 1 and seen["fire"][0] >= 0.5 - 1e-9
+        if h.backend == "sim":
+            assert seen["fire"] == [0.5]
 
     def test_deadline_queue_expires_open_ops_in_order(self, harness):
         # One armed timer for a FIFO of same-timeout ops: done ops never
@@ -263,10 +276,10 @@ class TestTransportContract:
                 queue.settle()
 
             for i, op in enumerate(ops):
-                t.set_timer(0.1 * i, start, op)
-            t.set_timer(0.15, finish, ops[0])  # the head: its timer goes stale
-            t.set_timer(0.45, finish, ops[3])  # done behind open heads
-            t.set_timer(0.35, finish, ops[2])
+                t.set_timer_at(0.1 * i, start, op)
+            t.set_timer_at(0.15, finish, ops[0])  # the head: its timer goes stale
+            t.set_timer_at(0.45, finish, ops[3])  # done behind open heads
+            t.set_timer_at(0.35, finish, ops[2])
 
         h.run(setup, until=2.0)
         assert [tag for tag, _ in expired] == [1, 4, "late"]
@@ -357,7 +370,7 @@ class TestTransportContract:
                     store.recover_node(r)
                 store.read("key1", None, results.append)
 
-            t.set_timer(0.5, recover_and_read)
+            t.set_timer_at(t.now + 0.5, recover_and_read)
 
         h.run(setup, until=2.0)
         assert len(results) == 2
@@ -386,12 +399,48 @@ class TestAsyncioTransportSpecifics:
         with pytest.raises(SimulationError):
             t.send(0, 1, 10, lambda: None)
         with pytest.raises(SimulationError):
-            t.set_timer(0.1, lambda: None)
-
-    def test_negative_timer_is_rejected(self):
-        t = AsyncioTransport(two_dc_topology())
+            t.set_timer_at(0.1, lambda: None)
         with pytest.raises(SimulationError):
-            t.set_timer(-0.1, lambda: None)
+            t.post_at(0.1, lambda: None)
+
+    def test_past_timer_fires_at_once(self):
+        # A deadline read off the wall clock is already past when it is set:
+        # asyncio fires it on the next loop pass (the sim rejects the past).
+        t = AsyncioTransport(two_dc_topology(), time_scale=0.01)
+        got = []
+
+        async def body(loop):
+            t.set_timer_at(t.now - 0.1, got.append, "timer")
+            t.post_at(t.now - 0.1, got.append, "post")
+            await asyncio.sleep(0.01)
+
+        run_on_loop(t, body)
+        assert got == ["timer", "post"]
+
+    def test_timer_at_is_one_call_at_without_a_clock_read(self):
+        # ``when`` maps straight onto loop time from the start instant; the
+        # loop clock is read once, by start(), and never per timer.
+        class Loop:
+            def __init__(self):
+                self.clock_reads = 0
+                self.calls = []
+
+            def time(self):
+                self.clock_reads += 1
+                return 100.0
+
+            def call_at(self, when, fn, *args):
+                self.calls.append(when)
+                return object()
+
+        loop = Loop()
+        t = AsyncioTransport(two_dc_topology(), time_scale=0.5)
+        t.start(loop)
+        assert loop.clock_reads == 1
+        t.set_timer_at(3.0, lambda: None)
+        t.post_at(0.25, lambda: None)
+        assert loop.calls == [100.0 + 3.0 * 0.5, 100.0 + 0.25 * 0.5]
+        assert loop.clock_reads == 1
 
     def test_self_partition_is_rejected(self):
         t = AsyncioTransport(two_dc_topology())
@@ -406,7 +455,7 @@ class TestAsyncioTransportSpecifics:
             t.start(asyncio.get_running_loop())
             t.register("sink", got.append)
             t.send(0, 3, 64, got.append, "late")
-            t.set_timer(0.5, got.append, "timer")
+            t.set_timer_at(t.now + 0.5, got.append, "timer")
             t.close()
             await asyncio.sleep(0.1)
 
@@ -554,27 +603,28 @@ class TestAsyncioDelivery:
         assert got == ["in flight"]
 
     def test_cancelled_timer_never_fires_while_messages_flow(self):
-        t = AsyncioTransport(two_dc_topology(), time_scale=0.05)
+        t = AsyncioTransport(two_dc_topology(), time_scale=0.1)
         fired = []
-        hops = []
+        hops = []  # protocol time of every hop
 
         async def body(loop):
-            doomed = t.set_timer(0.5, fired.append, "cancelled")
-            t.set_timer(0.6, fired.append, "kept")
+            doomed = t.set_timer_at(t.now + 0.5, fired.append, "cancelled")
+            t.set_timer_at(t.now + 0.6, fired.append, "kept")
 
             def bounce(n):
-                hops.append(n)
+                hops.append(t.now)
                 if n == 20:
                     doomed.cancel()
                 t.send(n % 3, (n + 1) % 3, 16, bounce, n + 1)
 
             t.register("bounce", bounce)
             bounce(0)
-            await asyncio.sleep(1.0 * 0.05 + 0.05)
+            await asyncio.sleep(1.0 * 0.1 + 0.05)
 
         run_on_loop(t, body)
         assert fired == ["kept"]
-        assert len(hops) > 100  # 0.25 ms LAN hops kept flowing past both deadlines
+        # 0.25 ms LAN hops kept flowing on both sides of both deadlines
+        assert min(hops) < 0.5 and max(hops) > 0.6
 
     def test_close_mid_flight_stops_everything(self):
         t = AsyncioTransport(two_dc_topology(), time_scale=0.05)

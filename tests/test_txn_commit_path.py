@@ -221,9 +221,9 @@ class TestCrashStormAllocations:
 
             def sample():
                 depths.append((len(sim._heap), len(sim._far)))
-                sim.post(0.25, sample)
+                sim.post_at(sim.now + 0.25, sample)
 
-            sim.post(0.0, sample)
+            sim.post_at(sim.now, sample)
 
         with mock.patch.object(TxnParticipant, "on_prepare", spy):
             outcome = run(RunSpec(
