@@ -112,7 +112,7 @@ class AsyncioTransport(Transport):
 
     def start(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
         """Bind to the running loop and rebase the protocol clock to 0."""
-        self._loop = loop or asyncio.get_event_loop()
+        self._loop = loop or asyncio.get_running_loop()
         self._t0 = self._loop.time()
         self._closed = False
 

@@ -399,7 +399,7 @@ def deploy_localhost(spec: LocalhostSpec) -> LocalhostDeployment:
 
 async def _run_clients(dep: LocalhostDeployment) -> Dict[str, Any]:
     spec = dep.spec
-    loop = asyncio.get_event_loop()
+    loop = asyncio.get_running_loop()
     dep.transport.start(loop)
     for at, node_id, duration in spec.crashes:
         dep.transport.set_timer_at(at, dep.store.crash_node, node_id)

@@ -13,21 +13,48 @@ the whole line, so the bytes have reached the OS before ``append`` returns
 -- the force-write the commit protocols assume, at one syscall per record
 and with nothing left in a user-space buffer to flush or lose.
 
-Records are written and read with the wire codec's encoder and decoder
-(:data:`repro.runtime.codec.dumps` / :data:`~repro.runtime.codec.loads`),
-so ``{key: Version}`` write maps survive the disk round-trip as real
-:class:`~repro.cluster.versions.Version` objects.
+A line is ``{"lsn":…,"txn":…,"kind":…,"t":…,"data":{…}}``, the wire
+codec's compact JSON (:func:`repro.runtime.codec.dumps`). Most records
+carry no payload (every kind but ``prepare`` and ``tm-begin``), and for
+those, when the time is finite, ``append`` writes the same bytes from one
+f-string -- a per-kind fragment plus ``float.__repr__``, the encoder's own
+float text -- without calling the encoder. Payload records and non-finite
+times go through ``dumps``, so ``{key: Version}`` write maps survive the
+disk round-trip as real :class:`~repro.cluster.versions.Version` objects
+when :meth:`~FileWriteAheadLog.replay` reads them back with
+:data:`~repro.runtime.codec.loads`.
 """
 
 from __future__ import annotations
 
 import os
+from math import isfinite
 from typing import Any
 
 from repro.runtime.codec import dumps, loads
-from repro.txn.wal import WriteAheadLog
+from repro.txn.wal import (
+    REC_ABORT,
+    REC_COMMIT,
+    REC_PRECOMMIT,
+    REC_PREPARE,
+    REC_TM_ABORT,
+    REC_TM_BEGIN,
+    REC_TM_COMMIT,
+    REC_TM_END,
+    REC_TM_PRECOMMIT,
+    WriteAheadLog,
+)
 
 __all__ = ["FileWriteAheadLog"]
+
+#: kind -> the text of a payload-free line between its txn id and its time.
+_KIND_T = {
+    kind: f',"kind":{dumps(kind)},"t":'
+    for kind in (
+        REC_PREPARE, REC_PRECOMMIT, REC_COMMIT, REC_ABORT, REC_TM_BEGIN,
+        REC_TM_PRECOMMIT, REC_TM_COMMIT, REC_TM_ABORT, REC_TM_END,
+    )
+}
 
 
 class FileWriteAheadLog(WriteAheadLog):
@@ -41,9 +68,14 @@ class FileWriteAheadLog(WriteAheadLog):
 
     def append(self, kind: str, txn_id: int, time: float, **data: Any) -> int:
         lsn = super().append(kind, txn_id, time, **data)
-        line = dumps({"lsn": lsn, "txn": self.txn_ids[lsn], "kind": kind,
-                      "t": self.times[lsn], "data": data})
-        self._fh.write((line + "\n").encode("utf-8"))
+        t = self.times[lsn]
+        if data or not isfinite(t):
+            line = dumps({"lsn": lsn, "txn": self.txn_ids[lsn], "kind": kind,
+                          "t": t, "data": data}) + "\n"
+        else:
+            line = (f'{{"lsn":{lsn},"txn":{self.txn_ids[lsn]}{_KIND_T[kind]}'
+                    f'{t!r},"data":{{}}}}\n')
+        self._fh.write(line.encode("utf-8"))
         return lsn
 
     def close(self) -> None:

@@ -7,7 +7,9 @@ replay, end-to-end :func:`~repro.runtime.localhost.run_localhost` runs
 sim twin, and the cross-validation trend checker's verdict logic.
 """
 
+import functools
 import json
+import math
 import os
 import tempfile
 
@@ -55,18 +57,63 @@ _scalars = st.one_of(
         st.integers(0, 10**6),
     ),
 )
-#: everything a protocol message may carry, nested a few levels deep
-_wire_values = st.recursive(
-    _scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=6).filter("__v__".__ne__), inner, max_size=4),
-        st.sets(st.integers(), max_size=4),
-        st.frozensets(st.text(max_size=4), max_size=4),
-    ),
-    max_leaves=12,
+def _nested(scalars):
+    """``scalars`` in the containers a protocol message may carry, a few
+    levels deep."""
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=6).filter("__v__".__ne__), inner, max_size=4),
+            st.sets(st.integers(), max_size=4),
+            st.frozensets(st.text(max_size=4), max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+#: everything a protocol message may carry
+_wire_values = _nested(_scalars)
+#: ... plus what does not survive ``==``: nan and the infinities (and,
+#: drawn on purpose, non-ASCII text, which the encoder escapes)
+_any_wire_values = _nested(
+    st.one_of(
+        _scalars,
+        st.floats(),
+        st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=4),
+    )
 )
+
+
+def _reference_dumps(value):
+    """The stdlib encoder the codec must match byte for byte."""
+    return json.JSONEncoder(separators=(",", ":"), default=codec._tag).encode(value)
+
+
+def _exact(value):
+    """``value`` as data whose ``==`` also tells apart what plain ``==``
+    conflates: int / float / bool, a Version / its fields, and nan."""
+    if isinstance(value, Version):
+        return ("Version", repr(value.timestamp), repr(value.write_id), repr(value.size))
+    if isinstance(value, list):
+        return ("list", [_exact(v) for v in value])
+    if isinstance(value, dict):
+        return ("dict", [(k, _exact(v)) for k, v in value.items()])
+    return (type(value).__name__, repr(value))
+
+
+@functools.lru_cache(maxsize=None)
+def _node0_handler_names():
+    """Every handler name a ``TransactionalStore`` registers for node 0's
+    participant and TM, read off a real deployment."""
+    dep = deploy_localhost(_smoke_spec())
+    try:
+        return tuple(sorted(
+            name for name in dep.transport._handlers if name.split(".")[0] in ("p0", "tm0")
+        ))
+    finally:
+        dep.close()
 
 
 def _canon(value):
@@ -162,6 +209,84 @@ class TestWireCodec:
         assert not (_identities(back) & _identities(args))
 
 
+class TestCodecByteIdentity:
+    """The prebuilt encoder and the direct scanner against the stdlib
+    encoder and decoder the codec must match exactly."""
+
+    def test_every_registered_handler_is_covered(self):
+        names = _node0_handler_names()
+        assert len(names) == 10
+        assert {"p0.on_prepare", "tm0.on_ack", "tm0.on_status_query"} <= set(names)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_any_wire_values)
+    @example(float("nan"))
+    @example([float("inf"), -float("inf"), -0.0, 1e22, 1e-7])
+    @example({"ké": ["☃", "\U0001f600"], "v": Version(1.5, 2, 3)})
+    @example([True, False, None, 1, 1.0, {3, 1, 2}, frozenset("ba")])
+    def test_dumps_matches_the_reference_encoder(self, value):
+        assert codec.dumps(value) == _reference_dumps(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_any_wire_values, max_size=4))
+    @example([7, {"key1": Version(0.5, 4, 64)}, {}, [1, 2]])
+    @example([float("nan"), "é"])
+    def test_frames_match_the_reference_encoder_for_every_handler(self, args):
+        for name in _node0_handler_names():
+            frame = codec.encode(name, tuple(args))
+            assert frame == _reference_dumps({"h": name, "a": tuple(args)}).encode("utf-8")
+            # The direct scanner returns exactly what the full decoder does.
+            obj = codec.loads(frame.decode("utf-8"))
+            assert _exact(list(codec.decode(frame))) == _exact([obj["h"], obj["a"]])
+
+    def test_an_escaped_tag_is_revived_like_a_literal_one(self):
+        frame = b'{"h":"h","a":[{"\\u005f_v__":[1.5,2,3]}]}'
+        _, (back,) = codec.decode(frame)
+        assert isinstance(back, Version) and (back.timestamp, back.write_id) == (1.5, 2)
+
+    def test_surrounding_whitespace_decodes_like_the_full_decoder(self):
+        assert codec.decode(b' {"h":"h","a":[1]}\n') == ("h", [1])
+
+    @pytest.mark.parametrize("frame", [
+        b'{"h":"h","a":[1]}x',
+        b'{"h":"h","a":[1]}{}',
+        b"",
+        b"nope",
+        b'{"h":',
+        b'{"h":"h","a":[1]',
+    ])
+    def test_trailing_data_or_a_malformed_frame_is_a_decode_error(self, frame):
+        with pytest.raises(json.JSONDecodeError):
+            codec.decode(frame)
+
+    def test_a_failed_encode_leaves_the_encoder_usable(self):
+        # The C encoder marks each container it enters and leaves the marks
+        # behind when it raises; the same list, re-encoded after the bad
+        # element is gone, must not read as a circular reference.
+        payload = [1, {"x": object()}]
+        with pytest.raises(SimulationError):
+            codec.encode("h", (payload,))
+        payload[1] = {"x": 2}
+        assert codec.encode("h", (payload,)) == b'{"h":"h","a":[[1,{"x":2}]]}'
+        payload.append(1j)  # and the same through dumps, the WAL's path
+        with pytest.raises(SimulationError):
+            codec.dumps({"k": payload})
+        payload.pop()
+        assert codec.dumps({"k": payload}) == '{"k":[1,{"x":2}]}'
+
+    def test_a_circular_structure_is_a_value_error(self):
+        loop = [1]
+        loop.append(loop)
+        nest = {"a": {}}
+        nest["a"]["b"] = nest
+        for value in (loop, nest):
+            with pytest.raises(ValueError, match="Circular reference"):
+                codec.encode("h", (value,))
+            with pytest.raises(ValueError, match="Circular reference"):
+                codec.dumps(value)
+        assert codec.encode("h", (1,)) == b'{"h":"h","a":[1]}'
+
+
 _WAL_KINDS = (
     REC_PREPARE, REC_PRECOMMIT, REC_COMMIT, REC_ABORT, REC_TM_BEGIN,
     REC_TM_PRECOMMIT, REC_TM_COMMIT, REC_TM_ABORT, REC_TM_END,
@@ -225,6 +350,42 @@ class TestFileWriteAheadLog:
                 )
                 assert obj["data"] == rec.data
         wal.close()
+
+    def test_lines_are_the_reference_encoders_bytes(self, tmp_path):
+        # Every kind, with and without a payload, at finite and non-finite
+        # times: the format-string line and the encoder's line are one text.
+        path = str(tmp_path / "node0.wal")
+        wal = FileWriteAheadLog(0, path)
+        times = (0.25, 3, 1e-7, 1e22, -0.0, 0.1 + 0.2, math.nan, math.inf, -math.inf)
+        expected = []
+        for kind in _WAL_KINDS:
+            for data in ({}, _WAL_DATA.get(kind, {"pledge": True})):
+                for t in times:
+                    txn = len(expected) % 7 + 1  # each txn sees a mix of kinds
+                    lsn = wal.append(kind, txn, t, **data)
+                    expected.append(_reference_dumps(
+                        {"lsn": lsn, "txn": txn, "kind": kind, "t": float(t), "data": data}
+                    ) + "\n")
+        wal.close()
+        with open(path, "rb") as fh:
+            written = fh.read()
+        assert written == "".join(expected).encode("utf-8")
+        assert written.startswith(b'{"lsn":0,"txn":1,"kind":"prepare","t":0.25,"data":{}}\n')
+
+        replayed = FileWriteAheadLog.replay(0, path)
+        replayed.close()
+        assert _exact([[r.lsn, r.txn_id, r.kind, r.time, r.data] for r in replayed.records]) == (
+            _exact([[r.lsn, r.txn_id, r.kind, r.time, r.data] for r in wal.records])
+        )
+        assert replayed.in_doubt() == wal.in_doubt() == wal.in_doubt_scan()
+        assert [r.lsn for r in replayed.tm_unfinished()] == [
+            r.lsn for r in wal.tm_unfinished()
+        ]
+        for txn_id in range(1, 8):
+            for query in ("decision_for", "tm_decision", "precommitted", "tm_precommitted"):
+                assert getattr(replayed, query)(txn_id) == getattr(wal, query)(txn_id)
+            got, want = replayed.prepare_record(txn_id), wal.prepare_record(txn_id)
+            assert (got and got.lsn) == (want and want.lsn)
 
     def test_replay_preserves_in_doubt_transactions(self, tmp_path):
         path = str(tmp_path / "node1.wal")
