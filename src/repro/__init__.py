@@ -36,7 +36,8 @@ True
 The same spec shape covers transactional runs (``txn_workload=``),
 elastic runs (``elastic=``) and the execution engine
 (``backend="sim"`` deterministic simulator, the default, or
-``backend="asyncio"`` for the wall-clock localhost runtime).
+``backend="asyncio"`` for the wall-clock localhost deployment); every
+run returns one :class:`~repro.experiments.runner.RunOutcome`.
 """
 
 from repro.policy import ConsistencyPolicy, StaticPolicy, EVENTUAL, QUORUM, STRONG
@@ -85,6 +86,7 @@ from repro.experiments.platforms import (
     storm_txn_platform,
 )
 from repro.experiments.runner import (
+    RunOutcome,
     bismar_factory,
     harmony_factory,
     named_policy_factory,
@@ -92,7 +94,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import ScenarioSpec
 from repro.experiments.sweep import SweepRunner
-from repro.facade import AnyRunOutcome, LocalhostRunOutcome, RunSpec, run
+from repro.facade import RunSpec, run
 
 __version__ = "1.0.0"
 
@@ -140,8 +142,7 @@ __all__ = [
     # the unified run facade and its building blocks
     "RunSpec",
     "run",
-    "AnyRunOutcome",
-    "LocalhostRunOutcome",
+    "RunOutcome",
     "BACKENDS",
     "ScenarioSpec",
     "SweepRunner",

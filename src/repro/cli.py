@@ -378,11 +378,8 @@ def _diff(args) -> None:
 
 def _xval(args) -> None:
     """Cross-validate the sim backend against the asyncio localhost runtime."""
-    from dataclasses import replace
-
     from repro.common.tables import Table
     from repro.runtime.xval import cross_validate, default_xval_spec
-    from repro.txn.api import TxnConfig
 
     spec = default_xval_spec(
         txns=args.txns,
@@ -390,11 +387,8 @@ def _xval(args) -> None:
         seed=args.seed,
         time_scale=args.time_scale,
         wall_timeout=args.timeout,
+        commit_protocol=args.protocol or None,
     )
-    if args.protocol:
-        spec = replace(
-            spec, txn_config=replace(TxnConfig(), commit_protocol=args.protocol)
-        )
     try:
         levels = tuple(float(x) for x in args.levels.split(","))
     except ValueError:
@@ -408,33 +402,23 @@ def _xval(args) -> None:
 
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
+        columns = {
+            "hot_frac": "{c.hot_fraction:.2f}",
+            "abort sim": "{c.sim_abort_rate:.3f}",
+            "abort aio": "{c.aio_abort_rate:.3f}",
+            "stale sim": "{c.sim_stale_rate:.3f}",
+            "stale aio": "{c.aio_stale_rate:.3f}",
+            "commit sim ms": "{c.sim_commit_ms:.1f}",
+            "commit aio ms": "{c.aio_commit_ms:.1f}",
+        }
         table = Table(
             f"sim vs asyncio cross-validation "
-            f"({spec.txn_config.commit_protocol}, {args.txns} txns/level)",
-            [
-                "hot_frac",
-                "abort sim",
-                "abort aio",
-                "stale sim",
-                "stale aio",
-                "commit sim ms",
-                "commit aio ms",
-                "verdict",
-            ],
+            f"({spec.resolved_txn_config().commit_protocol}, {args.txns} txns/level)",
+            [*columns, "verdict"],
         )
         for c in report.checks:
-            table.add_row(
-                [
-                    f"{c.hot_fraction:.2f}",
-                    f"{c.sim_abort_rate:.3f}",
-                    f"{c.aio_abort_rate:.3f}",
-                    f"{c.sim_stale_rate:.3f}",
-                    f"{c.aio_stale_rate:.3f}",
-                    f"{c.sim_commit_ms:.1f}",
-                    f"{c.aio_commit_ms:.1f}",
-                    "ok" if c.ok else "; ".join(c.failures),
-                ]
-            )
+            verdict = "ok" if c.ok else "; ".join(c.failures)
+            table.add_row([fmt.format(c=c) for fmt in columns.values()] + [verdict])
         print(table.render())
         for failure in report.trend_failures:
             print(f"  trend: {failure}")

@@ -69,7 +69,7 @@ def _simulate_single_key(
     seed: int,
 ) -> float:
     """Ground-truth staleness of a single hot key on the full simulator."""
-    sim, store = platform.build(seed=seed)
+    _, store = platform.build(seed=seed)
     spec = WorkloadSpec(
         name="single-key",
         read_proportion=read_rate / (read_rate + write_rate),
@@ -87,7 +87,7 @@ def _simulate_single_key(
         rng=np.random.default_rng(seed),
     )
     source.start()
-    sim.run()
+    store.transport.run()
     return store.oracle.stale_rate
 
 
@@ -107,7 +107,7 @@ def run_fig1_validation(
     for lam in write_rates:
         # Calibrate the model/MC inputs from the platform's own latency
         # structure by measuring one simulator run's ack profile.
-        sim, store = platform.build(seed=seed)
+        _, store = platform.build(seed=seed)
         monitor = ClusterMonitor(window=10.0)
         store.add_listener(monitor)
         store.preload(["user0"], store.default_value_size)
@@ -123,7 +123,7 @@ def run_fig1_validation(
             rng=np.random.default_rng(seed + 1),
         )
         probe.start()
-        sim.run()
+        store.transport.run()
         ranks = monitor.ack_rank_means(recent=False)
         while len(ranks) < rf:
             ranks.append(ranks[-1] if ranks else 0.001)
@@ -224,12 +224,12 @@ def _replay_with_policy(
     seed: int,
 ) -> Tuple[float, float, float]:
     """Replay the trace under a policy; return (stale, $/kop, p99 ms)."""
-    sim, store = platform.build(seed=seed)
+    _, store = platform.build(seed=seed)
     policy = policy_factory(store)
     store.preload([f"user{i}" for i in range(key_count)], store.default_value_size)
     biller = Biller(store, platform.prices, key_count * store.default_value_size)
     replay_trace(store, trace, policy)
-    sim.run()
+    store.transport.run()
     bill = biller.bill()
     return (
         store.oracle.stale_rate,

@@ -165,21 +165,26 @@ def rwratio_factory(threshold: float = 4.0) -> PolicyFactory:
 
 @dataclass
 class RunOutcome:
-    """Everything one simulated run produced, whatever its shape.
+    """Everything one run produced, whatever its shape or engine.
 
     ``policy`` and ``store`` are the live objects from the run, so adaptive
     policies can be asked for their decision timelines
     (``policy.level_time_fractions()``) and the store for post-run summaries.
     ``tstore`` is set only by a transactional run, ``cluster`` (and
     ``autoscaler``, when one was configured) only by an elastic run; the
-    report's ``txn`` / ``elastic`` blocks are filled to match.
+    report's ``txn`` / ``elastic`` blocks are filled to match. A localhost
+    deployment (``backend="asyncio"``, or xval's sim twin) has no policy,
+    no ``ReplicatedStore`` (its ``LocalhostStore`` is ``tstore.store``) and
+    a zero bill. ``timed_out`` is true when the run's time guard ended it
+    before every client finished.
     """
 
     report: RunReport
     bill: Bill
-    policy: ConsistencyPolicy
-    store: ReplicatedStore
+    policy: Optional[ConsistencyPolicy]
+    store: Optional[ReplicatedStore]
     obs: Optional[RunObserver] = None
     tstore: Optional[TransactionalStore] = None
     cluster: Optional[ElasticCluster] = None
     autoscaler: Optional[CostAwareAutoscaler] = None
+    timed_out: bool = False

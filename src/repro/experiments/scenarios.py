@@ -188,8 +188,9 @@ class ScenarioSpec:
         ignore it. ``obs`` attaches a run observer (timeline + trace);
         observability never changes the run's results, only records them.
         ``backend`` picks the execution engine (``"sim"`` default;
-        ``"asyncio"`` runs transactional scenarios on the localhost
-        runtime -- wall clock, no billing, protocol metrics only).
+        ``"asyncio"`` runs transactional scenarios, failure scripts and
+        pacing included, on the localhost deployment -- wall clock, reads
+        at ONE, nothing billed).
         """
         # Deferred: the facade imports this package's runner module, so a
         # top-level import here would close an import cycle.
@@ -241,8 +242,6 @@ class ScenarioSpec:
             backend=engine,
         )
         outcome = facade.run(spec)
-        if engine == "asyncio":
-            return self._localhost_scenario_run(outcome, params, seed)
         if outcome.obs is not None:
             # Stamp scenario identity, cost and the SLO into the timeline
             # header so artifacts are self-contained for `report --slo`.
@@ -265,56 +264,6 @@ class ScenarioSpec:
             cost_per_kop=outcome.bill.cost_per_kop,
             level_fractions={str(k): float(v) for k, v in level_fractions.items()},
             obs=outcome.obs,
-        )
-
-    def _localhost_scenario_run(
-        self, outcome: Any, params: Dict[str, Any], seed: int
-    ) -> "ScenarioRun":
-        """Flatten an asyncio-backend outcome into a :class:`ScenarioRun`.
-
-        The localhost runtime reports the protocol surface only: the
-        ``txn`` block, oracle staleness and throughput are real; the
-        single-op latency columns are zero (the wall-clock path has no
-        per-op latency model) and nothing is billed. Rows produced this
-        way carry ``policy="localhost"`` so they cannot be mistaken for
-        simulator results in aggregated tables.
-        """
-        res = outcome.result
-        completed = int(res["outcomes"])
-        duration = float(res["protocol_seconds"])
-        report = RunReport(
-            policy="localhost",
-            workload=(
-                self.txn_workload(params).name
-                if self.txn_workload is not None
-                else "localhost"
-            ),
-            ops_completed=completed,
-            duration=duration,
-            throughput=completed / duration if duration > 0 else 0.0,
-            read_latency_mean=0.0,
-            read_latency_p99=0.0,
-            write_latency_mean=0.0,
-            write_latency_p99=0.0,
-            stale_rate=float(res["stale_rate"]),
-            stale_rate_strict=float(res["stale_rate"]),
-            failures={},
-            billable_bytes=0,
-            total_bytes=0,
-            mean_propagation=float(res["mean_propagation_s"] or 0.0),
-            txn=dict(res["txn"]),
-            client_mode="per_client",
-            n_clients=int(outcome.spec.clients),
-        )
-        return ScenarioRun(
-            scenario=self.name,
-            params=dict(params),
-            seed=seed,
-            report=report,
-            cost_total=0.0,
-            cost_per_kop=0.0,
-            level_fractions={},
-            obs=None,
         )
 
 

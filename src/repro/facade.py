@@ -12,18 +12,20 @@ engine:
   ``txn_workload`` / ``elastic`` is set) only switches optional steps of
   that pipeline on, and the result is always one
   :class:`~repro.experiments.runner.RunOutcome`.
-- ``backend="asyncio"``: the localhost runtime
+- ``backend="asyncio"``: the localhost deployment
   (:mod:`repro.runtime.localhost`) -- the *same* transaction-protocol
   classes on real asyncio timers, a JSON wire codec and file-backed
-  WALs. Wall-clock, hence not deterministic; supported for
-  transactional workloads, and cross-validated against the simulator by
-  ``repro xval`` (:mod:`repro.runtime.xval`).
+  WALs, driven by the same :class:`~repro.txn.runner.TxnRunner` and
+  returning the same ``RunOutcome``. Wall-clock, hence not
+  deterministic; supported for transactional workloads, and
+  cross-validated against the simulator by ``repro xval``
+  (:mod:`repro.runtime.xval`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.cluster.failures import FailureInjector
 from repro.common.errors import ConfigError
@@ -44,40 +46,7 @@ from repro.workload.workloads import TxnWorkloadSpec, WorkloadSpec, heavy_read_u
 if TYPE_CHECKING:  # localhost imports are deferred (they pull asyncio/tempfile)
     from repro.runtime.localhost import LocalhostSpec
 
-__all__ = ["RunSpec", "LocalhostRunOutcome", "AnyRunOutcome", "run"]
-
-
-@dataclass
-class LocalhostRunOutcome:
-    """What one asyncio-backend run produced.
-
-    The localhost runtime reports the protocol surface (the
-    ``txn_summary()`` block, oracle staleness, WAL directory) rather
-    than a billed :class:`~repro.workload.client.RunReport` -- wall-clock
-    runs are not priced, and single-op latency modelling is sim-only.
-    """
-
-    #: the raw result dict from :func:`repro.runtime.localhost.run_localhost`.
-    result: Dict[str, Any]
-    #: the fully resolved spec the run executed (auto-derived or explicit).
-    spec: "LocalhostSpec"
-
-    @property
-    def txn(self) -> Dict[str, Any]:
-        """The transaction summary block (commit/abort counts, latency)."""
-        return self.result["txn"]
-
-    @property
-    def stale_rate(self) -> float:
-        return float(self.result["stale_rate"])
-
-    @property
-    def timed_out(self) -> bool:
-        """True if the wall-clock guard expired before all txns finished."""
-        return bool(self.result["timed_out"])
-
-
-AnyRunOutcome = Union[RunOutcome, LocalhostRunOutcome]
+__all__ = ["RunSpec", "run"]
 
 
 @dataclass(kw_only=True)
@@ -105,12 +74,14 @@ class RunSpec:
         ``None`` uses the platform default.
     backend:
         ``"sim"`` (deterministic, default) or ``"asyncio"`` (localhost
-        runtime; transactional only).
+        deployment; transactional only). An asyncio run takes the
+        platform's topology and RF, reads at level ONE (``policy`` is not
+        consulted), applies no warmup window and defaults to 50
+        transactions over at most 8 clients.
     localhost:
-        Optional explicit :class:`~repro.runtime.localhost.LocalhostSpec`
-        for the asyncio backend. When ``None`` one is derived from
-        ``platform`` + ``txn_workload`` (topology and RF verbatim;
-        keyspace skew approximated as a hotspot mix).
+        The wall-clock knobs of an asyncio run
+        (:class:`~repro.runtime.localhost.LocalhostSpec`: time scale, wall
+        guard, WAL directory); ``None`` takes their defaults.
     """
 
     platform: Platform
@@ -153,87 +124,24 @@ class RunSpec:
                 "txn_config / commit_protocol require a txn_workload"
             )
         if self.backend == "asyncio":
-            if self.txn_workload is None and self.localhost is None:
-                raise ConfigError(
-                    "the asyncio backend runs transactional workloads only: "
-                    "set txn_workload (or an explicit localhost spec)"
-                )
             if self.elastic is not None:
                 raise ConfigError("elasticity is sim-only; use backend='sim'")
+            if self.txn_workload is None:
+                raise ConfigError(
+                    "the asyncio backend runs transactional workloads only: "
+                    "set txn_workload"
+                )
             if self.obs is not None:
                 raise ConfigError(
                     "run observability is sim-only; use backend='sim'"
                 )
-            if self.failure_script is not None:
-                raise ConfigError(
-                    "failure scripts are sim-only; script crashes via "
-                    "LocalhostSpec.crashes on the asyncio backend"
-                )
-            if self.target_throughput is not None:
-                raise ConfigError(
-                    "the asyncio backend is closed-loop; "
-                    "target_throughput is sim-only"
-                )
 
-
-def _hotspot_shape(w: TxnWorkloadSpec) -> Tuple[int, float]:
-    """Map a txn workload's key distribution onto the localhost hotspot dial.
-
-    The localhost driver samples keys from a two-level hotspot mix
-    (``hot_fraction`` of draws over the first ``hot_keys`` keys); this
-    translates the declared distribution into that shape -- exact for
-    ``uniform`` and ``hotspot``, an explicit approximation for the
-    skewed families (zipfian/latest/exponential), whose head mass is
-    modelled as a 5%-of-keyspace hot set taking half the draws.
-    """
-    if w.distribution == "uniform":
-        return 0, 0.0
-    if w.distribution == "hotspot":
-        kw = w.distribution_kwargs
-        hot_set = float(kw.get("hot_set_fraction", 0.2))
-        hot_opn = float(kw.get("hot_opn_fraction", 0.8))
-        return max(1, int(w.record_count * hot_set)), hot_opn
-    return max(1, int(w.record_count * 0.05)), 0.5
-
-
-def _derive_localhost_spec(spec: RunSpec) -> "LocalhostSpec":
-    """Build the asyncio run's :class:`LocalhostSpec` from the sim-style spec."""
-    from repro.runtime.localhost import LocalhostSpec
-
-    w = spec.txn_workload
-    topology = spec.platform.topology_factory()
-    config = spec.txn_config or TxnConfig()
-    if spec.commit_protocol is not None:
-        config = replace(config, commit_protocol=str(spec.commit_protocol))
-    hot_keys, hot_fraction = _hotspot_shape(w)
-    return LocalhostSpec(
-        topology=topology,
-        replication_factor=min(spec.platform.rf, topology.n_nodes),
-        # Platform defaults are sized for the simulator (tens of
-        # thousands of ops in virtual time); a wall-clock run defaults
-        # to a smoke-sized workload unless the caller asks for more.
-        txns=spec.ops if spec.ops is not None else 50,
-        clients=(
-            spec.clients
-            if spec.clients is not None
-            else min(spec.platform.default_clients, 8)
-        ),
-        writes_per_txn=max(len(w.write_slots), 1),
-        reads_per_txn=len(w.read_slots),
-        n_keys=w.record_count,
-        hot_keys=hot_keys,
-        hot_fraction=hot_fraction,
-        value_size=w.value_size,
-        seed=spec.seed,
-        txn_config=config,
-    )
-
-
-def _run_asyncio(spec: RunSpec) -> LocalhostRunOutcome:
-    from repro.runtime.localhost import run_localhost
-
-    lspec = spec.localhost if spec.localhost is not None else _derive_localhost_spec(spec)
-    return LocalhostRunOutcome(result=run_localhost(lspec), spec=lspec)
+    def resolved_txn_config(self) -> TxnConfig:
+        """``txn_config`` (or the defaults) with ``commit_protocol`` applied."""
+        config = self.txn_config or TxnConfig()
+        if self.commit_protocol is not None:
+            config = replace(config, commit_protocol=str(self.commit_protocol))
+        return config
 
 
 def _run_sim(spec: RunSpec) -> RunOutcome:
@@ -247,11 +155,13 @@ def _run_sim(spec: RunSpec) -> RunOutcome:
     facade") walks through the steps.
     """
     platform, seed, elastic = spec.platform, spec.seed, spec.elastic
-    sim, store = platform.build(seed=seed)
+    _, store = platform.build(seed=seed)
     policy = spec.policy(store)
 
     tstore: Optional[TransactionalStore] = None
     if spec.txn_workload is not None:
+        # resolved_txn_config() spelled out: one frame fewer per run keeps
+        # the benchmark's exact per-layer call counts where they were
         txn_config = spec.txn_config
         if spec.commit_protocol is not None:
             txn_config = replace(
@@ -329,7 +239,7 @@ def _run_sim(spec: RunSpec) -> RunOutcome:
         tr = store.transport
         deadline = tr.now + 5.0
         while cluster.rebalancer.active and tr.now < deadline:
-            sim.run(until=min(tr.now + 0.05, deadline))
+            tr.run(until=min(tr.now + 0.05, deadline))
         report.elastic = _elastic_block(cluster, autoscaler)
     if observer is not None:
         observer.finish()
@@ -342,18 +252,20 @@ def _run_sim(spec: RunSpec) -> RunOutcome:
         tstore=tstore,
         cluster=cluster,
         autoscaler=autoscaler,
+        timed_out=runner.timed_out,
     )
 
 
-def run(spec: RunSpec) -> AnyRunOutcome:
+def run(spec: RunSpec) -> RunOutcome:
     """Execute one run described by ``spec`` and return its outcome.
 
-    ``backend="asyncio"`` routes to the localhost runtime and returns a
-    :class:`LocalhostRunOutcome`. The sim backend returns one
-    :class:`~repro.experiments.runner.RunOutcome` whatever the workload
-    shape: ``tstore`` is set for a transactional run (and ``report.txn``
-    filled), ``cluster`` / ``autoscaler`` for an elastic one (and
-    ``report.elastic`` filled), all three ``None`` for a plain run.
+    Every run returns one :class:`~repro.experiments.runner.RunOutcome`
+    whatever the engine or workload shape: ``tstore`` is set for a
+    transactional run (and ``report.txn`` filled), ``cluster`` /
+    ``autoscaler`` for an elastic one (and ``report.elastic`` filled), all
+    three ``None`` for a plain run. ``backend="asyncio"`` runs the
+    transactional workload on the localhost deployment
+    (:func:`repro.runtime.localhost.run_asyncio`).
 
     >>> from repro.experiments import single_dc_platform, harmony_factory
     >>> from repro.facade import RunSpec, run
@@ -363,5 +275,7 @@ def run(spec: RunSpec) -> AnyRunOutcome:
     320
     """
     if spec.backend == "asyncio":
-        return _run_asyncio(spec)
+        from repro.runtime.localhost import run_asyncio
+
+        return run_asyncio(spec)
     return _run_sim(spec)

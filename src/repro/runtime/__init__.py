@@ -5,7 +5,8 @@
 - :class:`~repro.runtime.sim.SimTransport` -- the deterministic
   discrete-event backend (a pure view over ``Simulator`` + ``Network``);
 - :class:`~repro.runtime.aio.AsyncioTransport` -- the localhost asyncio
-  backend: real timers, a JSON wire codec, file-backed WALs.
+  backend: real timers, a JSON wire codec, file-backed WALs; what runs on
+  it is :mod:`repro.runtime.localhost`'s deployment.
 - :class:`~repro.runtime.deadlines.DeadlineQueue` -- one armed timer for
   all operations that share a timeout (on either backend).
 
@@ -28,9 +29,6 @@ __all__ = [
     "FileWriteAheadLog",
     "LocalhostSpec",
     "LocalhostStore",
-    "LocalhostDeployment",
-    "deploy_localhost",
-    "run_localhost",
 ]
 
 #: Valid values of the ``backend`` knob.
@@ -45,9 +43,6 @@ _LAZY = {
     "FileWriteAheadLog": "repro.runtime.wal",
     "LocalhostSpec": "repro.runtime.localhost",
     "LocalhostStore": "repro.runtime.localhost",
-    "LocalhostDeployment": "repro.runtime.localhost",
-    "deploy_localhost": "repro.runtime.localhost",
-    "run_localhost": "repro.runtime.localhost",
 }
 
 

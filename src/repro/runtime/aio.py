@@ -4,7 +4,11 @@
 -- the TM, participant and coordinator state machines are imported once
 and never forked -- but executes them on an asyncio event loop:
 
-- **clock** -- ``loop.time()``, rebased to 0 at :meth:`start` and divided
+- **driver** -- the transport owns its event loop from construction;
+  :meth:`~AsyncioTransport.run` runs it until :meth:`~AsyncioTransport.stop`
+  or protocol time ``until`` (the wall guard), and an exception a callback
+  raises stops the loop and propagates out of ``run``, as on the simulator;
+- **clock** -- ``loop.time()``, rebased to 0 at construction and divided
   by ``time_scale``, so protocol-visible seconds match the scenario's
   configured timeouts while the wall-clock run can be uniformly sped up;
 - **messages** -- every registered protocol handler crosses a JSON wire
@@ -16,7 +20,7 @@ and never forked -- but executes them on an asyncio event loop:
 - **delivery** -- messages in flight sit in one heap keyed by arrival
   time, behind a single armed loop timer. Each pump pass delivers what was
   due when the pass started; what its handlers send waits for the next
-  pass, so timers and client tasks interleave with message bursts;
+  pass, so timer callbacks interleave with message bursts;
 - **link model** -- delays are sampled from the same
   :class:`~repro.net.topology.Topology` latency models the simulator
   uses, and delivery per (src, dst) link is FIFO (a message never
@@ -41,7 +45,7 @@ import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import ConfigError, SimulationError
+from repro.common.errors import ConfigError
 from repro.common.rng import spawn_rng
 from repro.net.topology import Topology
 from repro.net.transport import _CLASS_CODE, TrafficMatrix
@@ -104,38 +108,53 @@ class AsyncioTransport(Transport):
         #: re-arm itself, so the sends its handlers make must not).
         self._armed: Optional[asyncio.TimerHandle] = None
         self._armed_at = math.inf
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._t0 = 0.0
         self._closed = False
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        """Bind to the running loop and rebase the protocol clock to 0."""
-        self._loop = loop or asyncio.get_running_loop()
+        #: the first exception a callback raised, re-raised by :meth:`run`
+        self._error: Optional[BaseException] = None
+        self._loop = asyncio.new_event_loop()
+        self._loop.set_exception_handler(self._on_error)
         self._t0 = self._loop.time()
-        self._closed = False
+
+    # -- driver ------------------------------------------------------------------
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Run the loop until :meth:`stop` or protocol time ``until`` passes."""
+        loop = self._loop
+        guard = None
+        if until is not None:
+            guard = loop.call_at(self._t0 + until * self.time_scale, loop.stop)
+        try:
+            loop.run_forever()
+        finally:
+            if guard is not None:
+                guard.cancel()
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
+
+    def stop(self) -> None:
+        self._loop.stop()
+
+    def _on_error(self, loop: asyncio.AbstractEventLoop, context: Dict[str, Any]) -> None:
+        if self._error is None:
+            self._error = context.get("exception") or RuntimeError(context["message"])
+        loop.stop()
 
     def close(self) -> None:
-        """Disarm and drop every frame in flight; later sends and pending
-        timer callbacks become no-ops."""
+        """Disarm and drop every frame in flight, then close the loop; later
+        sends and pending timer callbacks become no-ops."""
         self._closed = True
         if self._armed is not None:
             self._armed.cancel()
         self._armed, self._armed_at = None, math.inf
         self._heap.clear()
-
-    def _require_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            raise SimulationError("AsyncioTransport.start() was never called")
-        return self._loop
+        if not self._loop.is_running():  # a callback closing it: the loop lives on
+            self._loop.close()
 
     # -- clock -------------------------------------------------------------------
 
     @property
     def now(self) -> float:
-        if self._loop is None:
-            return 0.0
         return (self._loop.time() - self._t0) / self.time_scale
 
     # -- messaging ---------------------------------------------------------------
@@ -163,7 +182,7 @@ class AsyncioTransport(Transport):
         deliver: Optional[Callable[..., Any]],
         *args: Any,
     ) -> Optional[float]:
-        loop = self._require_loop()
+        loop = self._loop
         link = self._links.get((src, dst)) or self._link(src, dst)
         code, model, dcs, floor = link
         if self._closed or (self._partitioned and dcs in self._partitioned):
@@ -226,7 +245,7 @@ class AsyncioTransport(Transport):
     def set_timer_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Any:
         # ``when`` in loop time, without reading the clock; a past ``when``
         # fires on the loop's next pass.
-        return self._require_loop().call_at(
+        return self._loop.call_at(
             self._t0 + when * self.time_scale, self._fire, fn, args
         )
 

@@ -14,6 +14,12 @@ hooks need from their environment is five capabilities:
   returns a cancellable handle, :meth:`Transport.post_at` returns none. There
   is no relative form; a caller wanting a delay writes ``now + delay``.
 
+Whoever owns a run drives it through the **driver pair**:
+:meth:`Transport.run` executes due callbacks until :meth:`Transport.stop`
+is called or deployment time ``until`` passes, and leaves later timers
+pending for the next ``run``. :attr:`Transport.traffic` is the
+per-link-class message and byte count of everything sent.
+
 The state machines in :mod:`repro.txn` and :mod:`repro.cluster` hold no
 reference to a :class:`~repro.simcore.simulator.Simulator` or a
 :class:`~repro.net.transport.Network` directly -- they go through a
@@ -42,7 +48,10 @@ messages to a crashed node have no effect.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
+
+if TYPE_CHECKING:
+    from repro.net.transport import TrafficMatrix
 
 __all__ = ["TimerHandle", "Transport"]
 
@@ -70,6 +79,19 @@ class Transport(ABC):
     single logical thread (the event loop), so protocol code never needs
     locks on either backend.
     """
+
+    #: per-link-class message and byte counts of everything sent
+    traffic: "TrafficMatrix"
+
+    # -- driver ------------------------------------------------------------------
+
+    @abstractmethod
+    def run(self, until: Optional[float] = None) -> None:
+        """Execute callbacks until :meth:`stop` or deployment time ``until``."""
+
+    @abstractmethod
+    def stop(self) -> None:
+        """End the current :meth:`run` after the callback that calls this."""
 
     # -- clock -------------------------------------------------------------------
 

@@ -1,62 +1,67 @@
-"""The asyncio localhost deployment: real protocol classes, real clock.
+"""The localhost deployment: real protocol classes on either engine.
 
-This module is the asyncio backend's answer to
-:func:`repro.txn.runner.deploy_txn`: it stands up the *unmodified*
+This module stands up the *unmodified*
 :class:`~repro.txn.api.TransactionalStore` --- the same
 :class:`~repro.txn.tm.TransactionManager` and
 :class:`~repro.txn.participant.TxnParticipant` state machines the
-simulator runs, imported from the same modules --- on an
-:class:`~repro.runtime.aio.AsyncioTransport`:
+simulator runs, imported from the same modules --- on a
+:class:`LocalhostStore` over any :class:`~repro.runtime.interface.Transport`,
+and drives it with :class:`~repro.txn.runner.TxnRunner`, the one
+transactional driver:
 
-- protocol messages cross a JSON wire codec with sampled link delays and
-  per-link FIFO delivery;
-- timers are ``loop.call_later`` handles on the wall clock;
-- per-node write-ahead logs are real files
-  (:class:`~repro.runtime.wal.FileWriteAheadLog`) under ``wal_dir``;
-- staleness is judged by the same global
-  :class:`~repro.cluster.staleness.StalenessOracle`.
+- :func:`run_asyncio` is ``repro.run(RunSpec(backend="asyncio"))``: an
+  :class:`~repro.runtime.aio.AsyncioTransport` (JSON wire codec, sampled
+  link delays, timers on the wall clock) and per-node write-ahead logs
+  that are real files (:class:`~repro.runtime.wal.FileWriteAheadLog`);
+- :func:`repro.runtime.xval.run_sim_twin` is the same deployment on a
+  :class:`~repro.runtime.sim.SimTransport` with in-memory logs.
 
-What stands in for the simulator's :class:`~repro.cluster.store.ReplicatedStore`
-is :class:`LocalhostStore`, a deliberately thin node/placement facade: it
-owns node liveness, hash placement, the oracle and a local read path, but
-contains **no protocol logic** --- every prepare/vote/decision/recovery
-rule executes inside the shared txn classes. (The simulator's storage
-nodes model service-time queues, which are meaningless on a wall clock;
-the facade reads straight from replica state after a sampled round trip.)
-
-:func:`run_localhost` drives a closed-loop transactional workload over
-the deployment and returns the same ``txn_summary()`` surface sim runs
-report, which is what :mod:`repro.runtime.xval` compares across backends.
+:class:`LocalhostStore` stands in for the simulator's
+:class:`~repro.cluster.store.ReplicatedStore`: a deliberately thin
+node/placement facade that owns node liveness, hash placement, the
+staleness oracle and a level-ONE read path, and offers the subset of the
+store's surface that ``TxnRunner`` and
+:class:`~repro.cluster.failures.FailureInjector` call, under the same
+names. It contains **no protocol logic** --- every
+prepare/vote/decision/recovery rule executes inside the shared txn
+classes. (The simulator's storage nodes model service-time queues, which
+are meaningless on a wall clock; the facade reads straight from replica
+state after a sampled round trip.)
 """
 
 from __future__ import annotations
 
-import asyncio
 import functools
 import os
 import shutil
 import tempfile
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.rng import spawn_rng
+from repro.common.stats import Histogram
 from repro.cluster.coordinator import MessageSizes, OpResult
+from repro.cluster.failures import FailureInjector
 from repro.cluster.staleness import StalenessOracle
 from repro.cluster.versions import Version
-from repro.net.topology import Datacenter, Topology
+from repro.cost.billing import Bill
+from repro.experiments.runner import RunOutcome
+from repro.net.topology import Topology
+from repro.obs.events import EventBus
 from repro.runtime.aio import AsyncioTransport
+from repro.runtime.interface import Transport
 from repro.runtime.wal import FileWriteAheadLog
-from repro.txn.api import TransactionalStore, TxnConfig, TxnOutcome
+from repro.txn.api import TransactionalStore
+from repro.txn.runner import TxnRunner
+from repro.txn.wal import WriteAheadLog
 
-__all__ = [
-    "LocalhostStore",
-    "LocalhostSpec",
-    "LocalhostDeployment",
-    "deploy_localhost",
-    "run_localhost",
-]
+if TYPE_CHECKING:
+    from repro.facade import RunSpec
+
+__all__ = ["LocalhostStore", "LocalhostSpec", "run_deployment", "run_asyncio"]
 
 
 class _RuntimeNode:
@@ -72,29 +77,23 @@ class _RuntimeNode:
         self.writes_applied = 0
 
 
-class _StoreKnobs:
-    """The slice of ``StoreConfig`` the transaction classes consult."""
-
-    __slots__ = ("seed",)
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-
-
 class LocalhostStore:
     """Node, placement and read facade backing a real ``TransactionalStore``.
 
-    Exposes exactly the surface the shared protocol classes touch on a
-    deployment: ``transport``, ``nodes``, ``sizes``, ``oracle``,
-    ``write_seq``, ``config.seed``, replica placement, coordinator
-    picking, node-event fan-out and a read path. No commit-protocol logic
-    lives here.
+    Exposes the surface the shared protocol classes touch on a deployment
+    (``transport``, ``nodes``, ``sizes``, ``oracle``, ``write_seq``,
+    ``config.seed``, replica placement, coordinator picking, node-event
+    fan-out and a read path) plus what the run driver and the failure
+    injector call: ``preload``, ``coordinator_pool``, ``add_listener``
+    (read-completion hooks), ``events``, ``on_node_crash`` /
+    ``on_node_recover``, ``ops_completed``, ``summary`` and
+    ``reset_metrics``. No commit-protocol logic lives here.
     """
 
     def __init__(
         self,
         topology: Topology,
-        transport: AsyncioTransport,
+        transport: Transport,
         replication_factor: int = 3,
         seed: int = 0,
         default_value_size: int = 1000,
@@ -111,20 +110,27 @@ class LocalhostStore:
         self.topology = topology
         self.transport = transport
         self.rf = int(replication_factor)
-        self.config = _StoreKnobs(seed)
+        #: the slice of ``StoreConfig`` the transaction classes consult
+        self.config = SimpleNamespace(seed=int(seed))
         self.rng = spawn_rng(seed)
         self.sizes = MessageSizes()
         self.oracle = StalenessOracle()
         self.default_value_size = int(default_value_size)
         self.nodes: List[_RuntimeNode] = [_RuntimeNode(i) for i in range(n)]
         self.write_seq = 0
-        self.reads_ok = 0
-        self.read_failures = 0
+        #: structured run-event bus (the failure injector publishes here)
+        self.events = EventBus()
         self._listeners: List[Any] = []
+        self._op_complete_hooks: List[Callable[[OpResult], Any]] = []
         self._node_listeners: List[Any] = []
-        # Static membership: placement per key and the mean delay per link
-        # (the read path's snitch order) are computed once.
+        self.reset_metrics()
+        # Static membership: placement per key, the coordinator pool per
+        # datacenter and the mean delay per link (the read path's snitch
+        # order) are computed once.
         self._placement: Dict[str, Tuple[List[int], Tuple[int, ...]]] = {}
+        self._coord_pools = [
+            topology.nodes_in_dc(dc) for dc in range(len(topology.datacenters))
+        ]
         self._mean_delay = functools.cache(
             lambda src, dst: topology.latency_model(src, dst).mean()
         )
@@ -146,10 +152,26 @@ class LocalhostStore:
         return sets
 
     def all_replicas(self, key: str) -> List[int]:
-        authoritative, extra = self.replica_sets(key)
-        return list(authoritative) + list(extra)
+        return list(self.replica_sets(key)[0])
+
+    def preload(self, keys: List[str], value_size: Optional[int] = None) -> None:
+        """Install one version per key on every replica (the load phase)."""
+        size = value_size if value_size is not None else self.default_value_size
+        t = self.transport.now
+        seq = self.write_seq
+        for key in keys:
+            seq += 1
+            version = Version(t, seq, size)
+            for r in self.replica_sets(key)[0]:
+                self.nodes[r].data[key] = version
+            self.oracle.note_preload(key, version)
+        self.write_seq = seq
 
     # -- coordinator picking ------------------------------------------------------
+
+    def coordinator_pool(self, dc_index: int) -> List[int]:
+        """The nodes of ``dc_index`` that can front client requests."""
+        return self._coord_pools[dc_index]
 
     def _pick_coordinator(self):
         """A live node to front a transaction (``None`` = cluster down)."""
@@ -166,15 +188,17 @@ class LocalhostStore:
                 return node.node_id
         return None
 
-    # -- node lifecycle -----------------------------------------------------------
+    # -- listeners and node lifecycle ---------------------------------------------
 
     def add_listener(self, listener: Any) -> None:
+        """Register an observer: ``on_op_complete`` hears every read."""
         self._listeners.append(listener)
+        self._op_complete_hooks.append(listener.on_op_complete)
 
     def add_node_listener(self, listener: Any) -> None:
         self._node_listeners.append(listener)
 
-    def crash_node(self, node_id: int) -> None:
+    def on_node_crash(self, node_id: int) -> None:
         """Fail-stop ``node_id``: volatile state dies, handlers go silent."""
         node = self.nodes[node_id]
         if not node.up:
@@ -183,7 +207,7 @@ class LocalhostStore:
         for listener in self._node_listeners:
             listener.on_node_crash(node_id)
 
-    def recover_node(self, node_id: int) -> None:
+    def on_node_recover(self, node_id: int) -> None:
         """Bring ``node_id`` back; listeners run their WAL recovery passes."""
         node = self.nodes[node_id]
         if node.up:
@@ -209,251 +233,201 @@ class LocalhostStore:
         the sim coordinator, whose service-queue model has no wall-clock
         counterpart here. The oracle captures the freshness bar at read
         *start* and judges the returned version at completion, exactly as
-        the sim read path does.
+        the sim read path does. A replica that crashes before its answer
+        is due never answers (fail-stop): the read fails ``unavailable``.
         """
         tr = self.transport
         t_start = tr.now
-        expected = self.oracle.expected_version(key)
         result = OpResult("read", key, t_start, "ONE")
-
         replicas = [r for r in self.replica_sets(key)[0] if self.nodes[r].up]
         src = coordinator if coordinator is not None else self._any_live_node()
         if not replicas or src is None:
             result.error = "unavailable"
-            self.read_failures += 1
-            if done is not None:
-                tr.post_at(t_start, done, result)
+            tr.post_at(t_start, self._read_done, result, done)
             return
         # Nearest live replica (by mean link latency), as a snitch would route.
         replica = min(replicas, key=lambda r: (self._mean_delay(src, r), r))
         result.dc = self.topology.dc_of(src)
+        expected = self.oracle.expected_version(key)
+        # Request out, response back: two sampled one-way delays.
+        delay = tr.sample_delay(src, replica) + tr.sample_delay(replica, src)
+        tr.post_at(t_start + delay, self._respond, result, replica, expected, done)
 
-        def _respond() -> None:
-            version = self.nodes[replica].data.get(key)
+    def _respond(
+        self,
+        result: OpResult,
+        replica: int,
+        expected: Any,
+        done: Optional[Callable[[OpResult], Any]],
+    ) -> None:
+        node = self.nodes[replica]
+        if node.up:
+            version = node.data.get(result.key)
             result.version = version
             result.value_size = version.size if version is not None else 0
             result.replicas_contacted = 1
             result.ok = True
             result.stale = self.oracle.note_read(expected, version)
-            result.t_end = tr.now
-            self.reads_ok += 1
-            if done is not None:
-                done(result)
+        else:
+            result.error = "unavailable"
+        self._read_done(result, done)
 
-        # Request out, response back: two sampled one-way delays.
-        delay = tr.sample_delay(src, replica) + tr.sample_delay(replica, src)
-        tr.post_at(tr.now + delay, _respond)
+    def _read_done(
+        self, result: OpResult, done: Optional[Callable[[OpResult], Any]]
+    ) -> None:
+        """Every read ends here: metrics, listeners, then the caller."""
+        result.t_end = self.transport.now
+        if result.ok:
+            self.reads_ok += 1
+            self.read_latency.add(max(result.t_end - result.t_start, 1e-9))
+        else:
+            self.failures["read_unavailable"] = self.failures.get("read_unavailable", 0) + 1
+        for hook in self._op_complete_hooks:
+            hook(result)
+        if done is not None:
+            done(result)
 
     # -- metrics ------------------------------------------------------------------
 
     def reset_metrics(self) -> None:
+        """Zero the read counters and the oracle's (traffic counts on)."""
         self.oracle.reset_counters()
         self.reads_ok = 0
-        self.read_failures = 0
+        self.failures: Dict[str, int] = {}
+        self.read_latency = Histogram(lo=1e-5, hi=60.0)
+
+    def ops_completed(self) -> int:
+        """Successful reads (writes happen only inside transactions)."""
+        return self.reads_ok
+
+    def summary(self) -> Dict[str, Any]:
+        """The ``ReplicatedStore.summary`` keys a run report reads."""
+        traffic = self.transport.traffic
+        return {
+            "failures": dict(self.failures),
+            "stale_rate": self.oracle.stale_rate,
+            "read_latency_mean": self.read_latency.mean,
+            "read_latency_p99": self.read_latency.percentile(99),
+            "write_latency_mean": 0.0,
+            "write_latency_p99": 0.0,
+            "mean_propagation": self.oracle.mean_propagation_time(),
+            "billable_bytes": traffic.billable_bytes(),
+            "total_bytes": traffic.total_bytes(),
+        }
 
 
 @dataclass
 class LocalhostSpec:
-    """One closed-loop transactional run on the asyncio backend.
+    """The wall-clock half of an asyncio run (``RunSpec.localhost``).
 
     Attributes
     ----------
-    topology:
-        Node placement and link latency models (the same object a sim run
-        would deploy); ``None`` builds ``n_dcs`` x ``nodes_per_dc``.
-    txns:
-        Transactions to complete (across all clients).
-    clients:
-        Concurrent closed-loop clients; more clients on fewer hot keys is
-        the contention dial cross-validation sweeps.
-    writes_per_txn / reads_per_txn:
-        Operations per transaction; reads go through the oracle-judged
-        local read path, writes buffer until commit.
-    n_keys / hot_keys / hot_fraction:
-        Keyspace size and hotspot shape: with probability ``hot_fraction``
-        a key is drawn from the first ``hot_keys`` keys.
     time_scale:
         Wall seconds per protocol second (see
         :class:`~repro.runtime.aio.AsyncioTransport`).
     wall_timeout:
-        Hard cap on the run's wall-clock seconds; expiry cancels the
-        clients and reports whatever completed (the CI smoke guard).
+        Hard cap on the run's wall-clock seconds: the run ends at protocol
+        time ``wall_timeout / time_scale`` (:attr:`max_time`, the same
+        bound on xval's sim twin) and reports what completed, with
+        ``RunOutcome.timed_out`` set.
     wal_dir:
         Directory for per-node WAL files (``None`` = a fresh temp dir,
-        removed again when the deployment closes).
-    crashes:
-        ``(at, node_id, duration)`` failure script on the protocol clock;
-        ``duration None`` crashes forever.
+        removed again when the run ends).
     """
 
-    topology: Optional[Topology] = None
-    n_dcs: int = 1
-    nodes_per_dc: int = 3
-    replication_factor: int = 3
-    txns: int = 50
-    clients: int = 4
-    writes_per_txn: int = 2
-    reads_per_txn: int = 1
-    n_keys: int = 100
-    hot_keys: int = 4
-    hot_fraction: float = 0.5
-    value_size: int = 200
-    seed: int = 0
     time_scale: float = 0.05
     wall_timeout: float = 60.0
     wal_dir: Optional[str] = None
-    txn_config: TxnConfig = field(default_factory=TxnConfig)
-    crashes: Tuple[Tuple[float, int, Optional[float]], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("txns", "clients", "writes_per_txn", "n_keys"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.reads_per_txn < 0:
-            raise ConfigError(f"reads_per_txn must be >= 0, got {self.reads_per_txn}")
-        if not 0.0 <= self.hot_fraction <= 1.0:
-            raise ConfigError(
-                f"hot_fraction must be in [0, 1], got {self.hot_fraction}"
-            )
-        if self.wall_timeout <= 0:
-            raise ConfigError(
-                f"wall_timeout must be positive, got {self.wall_timeout}"
-            )
+        for name in ("time_scale", "wall_timeout"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
-    def sample_key(self, rng: Any) -> str:
-        """Draw one key from the hotspot mix.
-
-        Shared by the asyncio driver and the sim twin
-        (:func:`repro.runtime.xval.run_sim_twin`): both backends sample
-        the workload through this one method, so cross-validation compares
-        execution engines, not workload generators.
-        """
-        if self.hot_keys and float(rng.random()) < self.hot_fraction:
-            return f"key{int(rng.integers(0, min(self.hot_keys, self.n_keys)))}"
-        return f"key{int(rng.integers(0, self.n_keys))}"
-
-    def build_topology(self) -> Topology:
-        """The run's topology: explicit, or ``n_dcs`` x ``nodes_per_dc``."""
-        if self.topology is not None:
-            return self.topology
-        return Topology(
-            [Datacenter(f"dc{i}", f"region{i}") for i in range(self.n_dcs)],
-            [self.nodes_per_dc] * self.n_dcs,
-        )
+    @property
+    def max_time(self) -> float:
+        """The wall guard on the protocol clock."""
+        return self.wall_timeout / self.time_scale
 
 
-class LocalhostDeployment:
-    """A wired localhost deployment: transport + facade store + txn store."""
+def run_deployment(
+    spec: "RunSpec",
+    topology: Topology,
+    transport: Transport,
+    wal_factory: Optional[Callable[[int], WriteAheadLog]] = None,
+) -> RunOutcome:
+    """Run ``spec``'s transactional workload on a localhost deployment.
 
-    def __init__(self, spec: LocalhostSpec):
-        self.spec = spec
-        self.topology = spec.build_topology()
-        self.transport = AsyncioTransport(
-            self.topology, rng=spec.seed, time_scale=spec.time_scale
-        )
-        self.wal_dir = spec.wal_dir or tempfile.mkdtemp(prefix="repro-wal-")
-        self.store = LocalhostStore(
-            self.topology,
-            self.transport,
-            replication_factor=min(spec.replication_factor, self.topology.n_nodes),
-            seed=spec.seed,
-            default_value_size=spec.value_size,
-        )
-        self.tstore = TransactionalStore(
-            self.store,
-            policy=None,
-            config=spec.txn_config,
-            wal_factory=lambda i: FileWriteAheadLog(
-                i, os.path.join(self.wal_dir, f"node{i}.wal")
-            ),
-        )
-
-    def result(self, outcomes: int, timed_out: bool) -> Dict[str, Any]:
-        """The run's metrics so far (``wal_dir`` is ``None`` for a temp dir)."""
-        oracle = self.store.oracle
-        return {
-            "txn": self.tstore.txn_summary(),
-            "stale_rate": oracle.stale_rate,
-            "reads": oracle.reads,
-            "mean_propagation_s": oracle.mean_propagation_time(),
-            "outcomes": outcomes,
-            "protocol_seconds": self.transport.now,
-            "dropped_msgs": self.transport.dropped,
-            "wal_dir": self.spec.wal_dir,
-            "timed_out": timed_out,
-        }
-
-    def close(self) -> None:
-        """Stop the transport, close the logs, remove a self-made WAL dir."""
-        self.transport.close()
-        for wal in self.tstore.wals:  # FileWriteAheadLogs, by the factory above
-            wal.close()
-        if self.spec.wal_dir is None:
-            shutil.rmtree(self.wal_dir, ignore_errors=True)
-
-
-def deploy_localhost(spec: LocalhostSpec) -> LocalhostDeployment:
-    """Build (but do not start) a localhost deployment for ``spec``."""
-    return LocalhostDeployment(spec)
-
-
-async def _run_clients(dep: LocalhostDeployment) -> Dict[str, Any]:
-    spec = dep.spec
-    loop = asyncio.get_running_loop()
-    dep.transport.start(loop)
-    for at, node_id, duration in spec.crashes:
-        dep.transport.set_timer_at(at, dep.store.crash_node, node_id)
-        if duration is not None:
-            dep.transport.set_timer_at(
-                at + duration, dep.store.recover_node, node_id
-            )
-
-    rng = spawn_rng(spec.seed + 1)
-    remaining = spec.txns
-    outcomes: List[TxnOutcome] = []
-
-    async def one_txn() -> None:
-        txn = dep.tstore.begin()
-        keys = sorted({spec.sample_key(rng) for _ in range(spec.writes_per_txn)})
-        for _ in range(spec.reads_per_txn):
-            txn.read(spec.sample_key(rng))
-        for key in keys:
-            txn.write(key, spec.value_size)
-        fut: asyncio.Future = loop.create_future()
-        txn.commit(lambda outcome: fut.done() or fut.set_result(outcome))
-        outcomes.append(await fut)
-
-    async def client() -> None:
-        nonlocal remaining
-        while remaining > 0:
-            remaining -= 1
-            await one_txn()
-
-    await asyncio.gather(*(client() for _ in range(spec.clients)))
-    return dep.result(len(outcomes), timed_out=False)
-
-
-def run_localhost(spec: LocalhostSpec) -> Dict[str, Any]:
-    """Run ``spec`` on the asyncio backend and return its metrics.
-
-    Synchronous entry point: owns the event loop, enforces
-    ``spec.wall_timeout`` as a hard wall-clock cap (on expiry the clients
-    are cancelled and the partial run is reported with
-    ``"timed_out": True``), and always closes the deployment, so no
-    frame, timer callback or temp WAL dir outlives the run.
+    Builds a :class:`LocalhostStore` over ``transport`` and a
+    :class:`~repro.txn.api.TransactionalStore` with no policy (reads at
+    ONE) and ``wal_factory``'s logs, arms ``spec.failure_script``, then
+    drives the clients with :class:`~repro.txn.runner.TxnRunner` --- no
+    warmup window, bounded by ``LocalhostSpec.max_time``. The outcome
+    carries a zero bill: localhost runs are not priced.
     """
-    dep = deploy_localhost(spec)
-    try:
-        async def _main() -> Dict[str, Any]:
-            try:
-                return await asyncio.wait_for(
-                    _run_clients(dep), timeout=spec.wall_timeout
-                )
-            except asyncio.TimeoutError:
-                return dep.result(
-                    dep.tstore.commits + dep.tstore.abort_count(), timed_out=True
-                )
+    lspec = spec.localhost or LocalhostSpec()
+    platform, workload = spec.platform, spec.txn_workload
+    store = LocalhostStore(
+        topology,
+        transport,
+        replication_factor=min(platform.rf, topology.n_nodes),
+        seed=spec.seed,
+        default_value_size=workload.value_size,
+    )
+    tstore = TransactionalStore(
+        store, config=spec.resolved_txn_config(), wal_factory=wal_factory
+    )
+    if spec.failure_script is not None:
+        spec.failure_script(FailureInjector(store))
+    runner = TxnRunner(
+        tstore,
+        workload,
+        # Platform defaults are sized for the simulator (tens of thousands
+        # of ops in virtual time); a wall-clock run defaults to a
+        # smoke-sized workload unless the caller asks for more.
+        n_clients=(
+            spec.clients
+            if spec.clients is not None
+            else min(platform.default_clients, 8)
+        ),
+        txns_total=spec.ops if spec.ops is not None else 50,
+        target_throughput=spec.target_throughput,
+        max_time=lspec.max_time,
+        seed=spec.seed,
+    )
+    report = runner.run()
+    return RunOutcome(
+        report=report,
+        bill=Bill(0.0, 0.0, 0.0, duration=report.duration, ops=report.ops_completed),
+        policy=None,
+        store=None,
+        tstore=tstore,
+        timed_out=runner.timed_out,
+    )
 
-        return asyncio.run(_main())
+
+def run_asyncio(spec: "RunSpec") -> RunOutcome:
+    """``spec`` on the asyncio backend, with file WALs and the wall guard.
+
+    Always closes the transport (and its event loop) and the logs, and
+    removes a self-made WAL directory, so no frame, timer callback or
+    temp file outlives the run.
+    """
+    lspec = spec.localhost or LocalhostSpec()
+    topology = spec.platform.topology_factory()
+    transport = AsyncioTransport(topology, rng=spec.seed, time_scale=lspec.time_scale)
+    wal_dir = lspec.wal_dir or tempfile.mkdtemp(prefix="repro-wal-")
+    wals: List[FileWriteAheadLog] = []
+
+    def file_wal(node_id: int) -> FileWriteAheadLog:
+        wals.append(FileWriteAheadLog(node_id, os.path.join(wal_dir, f"node{node_id}.wal")))
+        return wals[-1]
+
+    try:
+        return run_deployment(spec, topology, transport, wal_factory=file_wal)
     finally:
-        dep.close()
+        transport.close()
+        for wal in wals:
+            wal.close()
+        if lspec.wal_dir is None:
+            shutil.rmtree(wal_dir, ignore_errors=True)

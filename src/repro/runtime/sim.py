@@ -1,10 +1,11 @@
 """Discrete-event :class:`Transport`: a pure view over ``(Simulator, Network)``.
 
 ``SimTransport`` owns nothing and adds nothing. ``send`` *is* the network's
-bound ``Network.send`` and ``post_at`` / ``set_timer_at`` are
-``Simulator.post_at`` / ``schedule_at`` (taken once at construction, so a
-message hop or a timer costs no frame here); ``now`` is a C-level
-``attrgetter``. A run through
+bound ``Network.send``, ``post_at`` / ``set_timer_at`` are
+``Simulator.post_at`` / ``schedule_at`` and the driver pair ``run`` /
+``stop`` is ``Simulator.run`` / ``stop`` (taken once at construction, so a
+message hop or a timer costs no frame here); ``now`` and ``traffic`` are
+C-level ``attrgetter`` properties. A run through
 ``SimTransport`` therefore performs exactly the ``Network.send`` and
 ``Simulator`` calls the protocol code asks for, in the same order, and
 seeded sweeps stay byte-identical (asserted by the determinism check in CI
@@ -32,7 +33,9 @@ class SimTransport(Transport):
         The latency/partition/traffic model messages travel through.
     """
 
-    __slots__ = ("sim", "network", "send", "post_at", "set_timer_at", "_handlers")
+    __slots__ = (
+        "sim", "network", "send", "post_at", "set_timer_at", "run", "stop", "_handlers",
+    )
 
     def __init__(self, sim: Any, network: Any):
         self.sim = sim
@@ -42,6 +45,8 @@ class SimTransport(Transport):
         self.send = network.send
         self.post_at = sim.post_at  # likewise, and the timer below
         self.set_timer_at = sim.schedule_at
+        self.run = sim.run  # the driver pair, likewise
+        self.stop = sim.stop
         #: name -> handler, kept for introspection/conformance only; sim
         #: delivery never consults it (callbacks are direct references).
         self._handlers: Dict[str, Callable[..., Any]] = {}
@@ -49,6 +54,9 @@ class SimTransport(Transport):
     # -- clock -------------------------------------------------------------------
 
     now = property(attrgetter("sim.now"))
+
+    #: the network's traffic matrix (a store's ``reset_metrics`` replaces it)
+    traffic = property(attrgetter("network.traffic"))
 
     # -- messaging ---------------------------------------------------------------
 

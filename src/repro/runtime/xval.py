@@ -4,18 +4,16 @@ The repository's claims rest on the discrete-event simulator; this module
 checks that the *same protocol classes* produce the *same qualitative
 behaviour* when executed on real asyncio timers and a real wire codec.
 Both sides of the comparison share everything except the execution
-engine:
+engine: one :class:`~repro.facade.RunSpec` (platform, transactional
+workload, protocol config, seed), one deployment
+(:func:`~repro.runtime.localhost.run_deployment`: a
+:class:`~repro.runtime.localhost.LocalhostStore` and a
+:class:`~repro.txn.api.TransactionalStore`) and one driver
+(:class:`~repro.txn.runner.TxnRunner`).
 
-- one :class:`~repro.runtime.localhost.LocalhostSpec` (workload, keyspace
-  hotspot, topology, protocol config, seed);
-- one :class:`~repro.runtime.localhost.LocalhostStore` facade (placement,
-  liveness, the staleness oracle, the level-ONE read path);
-- one :class:`~repro.txn.api.TransactionalStore` with the shared TM and
-  participant state machines.
-
-:func:`run_sim_twin` drives that stack over a
+:func:`run_sim_twin` runs that deployment over a
 :class:`~repro.runtime.sim.SimTransport` (deterministic virtual time);
-:func:`~repro.runtime.localhost.run_localhost` drives it over an
+``repro.run(spec)`` with ``backend="asyncio"`` runs it over an
 :class:`~repro.runtime.aio.AsyncioTransport` (wall clock). The asyncio
 side is **not deterministic** -- OS scheduling jitters every delivery --
 so the comparison is a *trend contract*, not an equality check:
@@ -41,16 +39,21 @@ distortion second-order, which is why :func:`default_xval_spec` uses a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.cluster.replication import SimpleStrategy
 from repro.common.errors import ConfigError
-from repro.common.rng import spawn_rng
+from repro.cost.pricing import FREE_PRIVATE_CLOUD
+from repro.experiments.platforms import Platform
+from repro.experiments.runner import RunOutcome, static_factory
+from repro.facade import RunSpec, run
+from repro.net.topology import Datacenter, Topology
 from repro.net.transport import Network
-from repro.runtime.localhost import LocalhostSpec, LocalhostStore, run_localhost
+from repro.runtime.localhost import LocalhostSpec, run_deployment
 from repro.runtime.sim import SimTransport
 from repro.simcore.simulator import Simulator
-from repro.txn.api import TransactionalStore
+from repro.workload.workloads import TxnWorkloadSpec
 
 __all__ = [
     "run_sim_twin",
@@ -61,99 +64,74 @@ __all__ = [
 ]
 
 
-def run_sim_twin(spec: LocalhostSpec) -> Dict[str, Any]:
-    """Run ``spec`` on the deterministic sim backend; same result shape.
+def run_sim_twin(spec: RunSpec) -> RunOutcome:
+    """Run ``spec``'s asyncio deployment on the deterministic simulator.
 
-    The exact stack :func:`~repro.runtime.localhost.run_localhost` builds,
-    with :class:`~repro.runtime.sim.SimTransport` swapped in for the
-    asyncio transport and a callback-driven closed loop standing in for
-    the client coroutines. In-memory WALs (the sim models durability; the
-    asyncio side's files are the real thing).
+    The deployment ``backend="asyncio"`` builds, with a
+    :class:`~repro.runtime.sim.SimTransport` swapped in for the asyncio
+    transport and in-memory WALs (the sim models durability; the asyncio
+    side's files are the real thing). The time bound is the asyncio wall
+    guard on the protocol clock.
     """
-    topology = spec.build_topology()
+    topology = spec.platform.topology_factory()
     sim = Simulator()
-    network = Network(sim, topology, rng=spec.seed)
-    transport = SimTransport(sim, network)
-    store = LocalhostStore(
-        topology,
-        transport,
-        replication_factor=min(spec.replication_factor, topology.n_nodes),
-        seed=spec.seed,
-        default_value_size=spec.value_size,
+    return run_deployment(
+        spec, topology, SimTransport(sim, Network(sim, topology, rng=spec.seed))
     )
-    tstore = TransactionalStore(store, policy=None, config=spec.txn_config)
-    for at, node_id, duration in spec.crashes:
-        transport.set_timer_at(at, store.crash_node, node_id)
-        if duration is not None:
-            transport.set_timer_at(at + duration, store.recover_node, node_id)
-
-    rng = spawn_rng(spec.seed + 1)
-    state = {"remaining": spec.txns, "outcomes": 0, "running": spec.clients}
-
-    def issue_next() -> None:
-        if state["remaining"] <= 0:
-            state["running"] -= 1
-            if state["running"] == 0:
-                sim.stop()
-            return
-        state["remaining"] -= 1
-        txn = tstore.begin()
-        keys = sorted({spec.sample_key(rng) for _ in range(spec.writes_per_txn)})
-        for _ in range(spec.reads_per_txn):
-            txn.read(spec.sample_key(rng))
-        for key in keys:
-            txn.write(key, spec.value_size)
-
-        def done(outcome) -> None:
-            state["outcomes"] += 1
-            transport.post_at(transport.now, issue_next)
-
-        txn.commit(done)
-
-    for _ in range(spec.clients):
-        transport.post_at(transport.now, issue_next)
-    # The protocol-time analogue of the asyncio side's wall cap.
-    sim.run(until=spec.wall_timeout / spec.time_scale)
-
-    return {
-        "txn": tstore.txn_summary(),
-        "stale_rate": store.oracle.stale_rate,
-        "reads": store.oracle.reads,
-        "mean_propagation_s": store.oracle.mean_propagation_time(),
-        "outcomes": state["outcomes"],
-        "protocol_seconds": transport.now,
-        "dropped_msgs": network.dropped,
-        "wal_dir": None,
-        "timed_out": state["running"] > 0,
-    }
 
 
-def default_xval_spec(**overrides: Any) -> LocalhostSpec:
+def _xval_platform() -> Platform:
+    """2 datacenters x 3 nodes, RF 3, 40 ms one-way between the regions."""
+    return Platform(
+        name="xval-2dc",
+        topology_factory=lambda: Topology(
+            [Datacenter(f"dc{i}", f"region{i}") for i in range(2)], [3, 3]
+        ),
+        strategy_factory=lambda: SimpleStrategy(rf=3),
+        prices=FREE_PRIVATE_CLOUD,
+        default_record_count=60,
+        default_ops=40,
+        default_clients=6,
+    )
+
+
+def default_xval_spec(
+    txns: int = 40,
+    clients: int = 6,
+    seed: int = 13,
+    time_scale: float = 0.25,
+    wall_timeout: float = 120.0,
+    commit_protocol: Optional[str] = None,
+) -> RunSpec:
     """The stock cross-validation scenario: a 2-DC WAN transactional mix.
 
-    Inter-region link delays (40 ms one-way) dominate asyncio scheduling
-    jitter, so protocol-visible timing distortion stays second-order; the
-    contention dial (``hot_fraction``) is what :func:`cross_validate`
+    Each transaction reads and rewrites one key and blind-writes a second,
+    drawn from 60 keys whose first 3 are hot. Inter-region link delays
+    (40 ms one-way) dominate asyncio scheduling jitter, so
+    protocol-visible timing distortion stays second-order; the contention
+    dial (the hot keys' share of draws) is what :func:`cross_validate`
     sweeps.
     """
-    base = dict(
-        n_dcs=2,
-        nodes_per_dc=3,
-        replication_factor=3,
-        txns=40,
-        clients=6,
-        writes_per_txn=2,
-        reads_per_txn=1,
-        n_keys=60,
-        hot_keys=3,
-        hot_fraction=0.5,
-        value_size=200,
-        seed=13,
-        time_scale=0.25,
-        wall_timeout=120.0,
+    return RunSpec(
+        platform=_xval_platform(),
+        policy=static_factory(1, 1, name="one"),  # not consulted: reads at ONE
+        txn_workload=TxnWorkloadSpec(
+            name="xval-mix",
+            n_keys=2,
+            read_slots=(0,),
+            write_slots=(0, 1),
+            record_count=60,
+            value_size=200,
+            distribution="hotspot",
+            distribution_kwargs={"hot_set_fraction": 0.05, "hot_opn_fraction": 0.5},
+        ),
+        ops=txns,
+        clients=clients,
+        seed=seed,
+        commit_protocol=commit_protocol,
+        backend="asyncio",
+        localhost=LocalhostSpec(time_scale=time_scale, wall_timeout=wall_timeout),
     )
-    base.update(overrides)
-    return LocalhostSpec(**base)
 
 
 @dataclass
@@ -196,20 +174,7 @@ class XvalReport:
             "stale_tolerance": self.stale_tolerance,
             "trend_deadband": self.trend_deadband,
             "trend_failures": list(self.trend_failures),
-            "levels": [
-                {
-                    "hot_fraction": c.hot_fraction,
-                    "sim_abort_rate": c.sim_abort_rate,
-                    "aio_abort_rate": c.aio_abort_rate,
-                    "sim_stale_rate": c.sim_stale_rate,
-                    "aio_stale_rate": c.aio_stale_rate,
-                    "sim_commit_ms": c.sim_commit_ms,
-                    "aio_commit_ms": c.aio_commit_ms,
-                    "aio_timed_out": c.aio_timed_out,
-                    "failures": list(c.failures),
-                }
-                for c in self.checks
-            ],
+            "levels": [asdict(c) for c in self.checks],
         }
 
 
@@ -237,7 +202,7 @@ def _trend_failures(
 
 
 def cross_validate(
-    spec: Optional[LocalhostSpec] = None,
+    spec: Optional[RunSpec] = None,
     hot_fractions: Sequence[float] = (0.0, 0.5, 0.95),
     abort_tolerance: float = 0.20,
     stale_tolerance: float = 0.25,
@@ -245,63 +210,63 @@ def cross_validate(
 ) -> XvalReport:
     """Sweep the contention dial on both backends and check the contract.
 
-    For each ``hot_fraction`` the same spec runs once per backend; the
-    report carries per-level metrics, pointwise tolerance verdicts and
+    ``spec`` is an asyncio :class:`~repro.facade.RunSpec` over a
+    ``hotspot`` transactional workload (default :func:`default_xval_spec`).
+    For each ``hot_fraction`` -- the hot set's share of key draws -- it
+    runs once on :func:`run_sim_twin` and once on asyncio; the report
+    carries per-level metrics, pointwise tolerance verdicts and
     trend-direction verdicts (see the module docstring for the contract).
     """
     if len(hot_fractions) < 2:
         raise ConfigError("cross-validation needs at least 2 contention levels")
     base = spec or default_xval_spec()
+    workload = base.txn_workload
+    if base.backend != "asyncio" or workload is None or workload.distribution != "hotspot":
+        raise ConfigError(
+            "cross-validation needs an asyncio spec with a hotspot txn_workload"
+        )
+    tolerances = (("abort_rate", abort_tolerance), ("stale_rate", stale_tolerance))
     checks: List[XvalCheck] = []
     for hf in hot_fractions:
-        level_spec = replace(base, hot_fraction=float(hf))
-        sim_result = run_sim_twin(level_spec)
-        aio_result = run_localhost(level_spec)
+        kwargs = dict(workload.distribution_kwargs, hot_opn_fraction=float(hf))
+        level_spec = replace(
+            base, txn_workload=replace(workload, distribution_kwargs=kwargs)
+        )
+        sim, aio = run_sim_twin(level_spec).report, run(level_spec)
         check = XvalCheck(
             hot_fraction=float(hf),
-            sim_abort_rate=sim_result["txn"]["abort_rate"],
-            aio_abort_rate=aio_result["txn"]["abort_rate"],
-            sim_stale_rate=sim_result["stale_rate"],
-            aio_stale_rate=aio_result["stale_rate"],
-            sim_commit_ms=sim_result["txn"]["commit_latency_mean_ms"],
-            aio_commit_ms=aio_result["txn"]["commit_latency_mean_ms"],
-            aio_timed_out=bool(aio_result["timed_out"]),
+            sim_abort_rate=sim.txn["abort_rate"],
+            aio_abort_rate=aio.report.txn["abort_rate"],
+            sim_stale_rate=sim.stale_rate,
+            aio_stale_rate=aio.report.stale_rate,
+            sim_commit_ms=sim.txn["commit_latency_mean_ms"],
+            aio_commit_ms=aio.report.txn["commit_latency_mean_ms"],
+            aio_timed_out=aio.timed_out,
         )
         if check.aio_timed_out:
-            check.failures.append(
-                f"asyncio run hit the {level_spec.wall_timeout}s wall timeout"
-            )
-        d_abort = abs(check.sim_abort_rate - check.aio_abort_rate)
-        if d_abort > abort_tolerance:
-            check.failures.append(
-                f"abort_rate gap {d_abort:.3f} exceeds tolerance "
-                f"{abort_tolerance} (sim {check.sim_abort_rate:.3f}, "
-                f"asyncio {check.aio_abort_rate:.3f})"
-            )
-        d_stale = abs(check.sim_stale_rate - check.aio_stale_rate)
-        if d_stale > stale_tolerance:
-            check.failures.append(
-                f"stale_rate gap {d_stale:.3f} exceeds tolerance "
-                f"{stale_tolerance} (sim {check.sim_stale_rate:.3f}, "
-                f"asyncio {check.aio_stale_rate:.3f})"
-            )
+            wall = (base.localhost or LocalhostSpec()).wall_timeout
+            check.failures.append(f"asyncio run hit the {wall}s wall timeout")
+        for metric, tolerance in tolerances:
+            sim_v, aio_v = getattr(check, f"sim_{metric}"), getattr(check, f"aio_{metric}")
+            if abs(sim_v - aio_v) > tolerance:
+                check.failures.append(
+                    f"{metric} gap {abs(sim_v - aio_v):.3f} exceeds tolerance "
+                    f"{tolerance} (sim {sim_v:.3f}, asyncio {aio_v:.3f})"
+                )
         checks.append(check)
 
     levels = [c.hot_fraction for c in checks]
-    trend = _trend_failures(
-        "abort_rate",
-        levels,
-        [c.sim_abort_rate for c in checks],
-        [c.aio_abort_rate for c in checks],
-        trend_deadband,
-    )
-    trend += _trend_failures(
-        "stale_rate",
-        levels,
-        [c.sim_stale_rate for c in checks],
-        [c.aio_stale_rate for c in checks],
-        trend_deadband,
-    )
+    trend = [
+        failure
+        for metric, _ in tolerances
+        for failure in _trend_failures(
+            metric,
+            levels,
+            [getattr(c, f"sim_{metric}") for c in checks],
+            [getattr(c, f"aio_{metric}") for c in checks],
+            trend_deadband,
+        )
+    ]
     return XvalReport(
         checks=checks,
         abort_tolerance=abort_tolerance,

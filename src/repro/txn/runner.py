@@ -148,6 +148,8 @@ class TxnRunner:
         self._t_last = 0.0
         self._warmup_remaining = int(self.txns_total * self.warmup_fraction)
         self._t_measure_start = 0.0
+        #: set by :meth:`run`: the ``max_time`` guard ended the run first
+        self.timed_out = False
 
     def run(self) -> RunReport:
         """Execute the transactional workload and return the report."""
@@ -180,9 +182,9 @@ class TxnRunner:
                 on_finished=self._client_finished,
             ).start()
 
-        store.sim.run(until=t_start + self.max_time)
-        done = self._finished_clients == self.n_clients
-        t_end = self._t_last if done else store.transport.now
+        store.transport.run(until=t_start + self.max_time)
+        self.timed_out = self._finished_clients < self.n_clients
+        t_end = store.transport.now if self.timed_out else self._t_last
         duration = max(t_end - max(t_start, self._t_measure_start), 1e-9)
 
         summary = store.summary()
@@ -235,4 +237,4 @@ class TxnRunner:
         self._finished_clients += 1
         self._t_last = self.tstore.store.transport.now
         if self._finished_clients == self.n_clients:
-            self.tstore.store.sim.stop()
+            self.tstore.store.transport.stop()

@@ -405,6 +405,8 @@ class WorkloadRunner:
         self._t_last_op = 0.0
         self._warmup_remaining = int(self.ops_total * self.warmup_fraction)
         self._t_measure_start = 0.0
+        #: set by :meth:`run`: the ``max_time`` guard ended the run first
+        self.timed_out = False
         #: the live client units of the current run (populated by
         #: :meth:`run`): ClosedLoopClients in per-client mode, one
         #: CohortPopulation per datacenter in cohort mode.  The elastic
@@ -452,12 +454,12 @@ class WorkloadRunner:
                 clients.append(client)
                 client.start()
 
-        store.sim.run(until=t_start + self.max_time)
+        store.transport.run(until=t_start + self.max_time)
         # Duration is measured from the end of warmup to the last client
         # completion, not to the safety horizon (background chatter may keep
         # the queue non-empty).
-        done = self._finished_clients == self._units
-        t_end = self._t_last_op if done else store.transport.now
+        self.timed_out = self._finished_clients < self._units
+        t_end = store.transport.now if self.timed_out else self._t_last_op
         duration = max(t_end - max(t_start, self._t_measure_start), 1e-9)
 
         summary = store.summary()
@@ -544,4 +546,4 @@ class WorkloadRunner:
         if self._finished_clients == self._units:
             # All workload ops done: stop simulating background chatter
             # (monitor ticks, repair sweeps) so runs end promptly.
-            self.store.sim.stop()
+            self.store.transport.stop()

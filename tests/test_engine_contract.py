@@ -1,9 +1,10 @@
-"""The engine contract: one clock, two timer verbs, no reach-through.
+"""The engine contract: one clock, two timer verbs, one driver pair.
 
 Code outside the engine reads time and schedules through
 :class:`~repro.runtime.interface.Transport` (``now``, ``post_at``,
-``set_timer_at``); only ``simcore/`` and the sim transport touch the
-simulator's clock and scheduling verbs. The one sanctioned exception is
+``set_timer_at``) and drives a run through it (``run``, ``stop``); only
+``simcore/`` and the sim transport touch the simulator's clock,
+scheduling verbs and driver. The one sanctioned exception is
 ``Network.send``'s inline heap push, which reads ``sim.now`` to stamp the
 entry (a measured frame per message; see ``simcore/simulator.py``).
 """
@@ -25,24 +26,45 @@ from repro.simcore.simulator import Simulator
 
 SRC = Path(repro.__file__).resolve().parent
 REACH = re.compile(r"\bsim\.(now|post|post_at|schedule|schedule_at)\b")
+DRIVE = re.compile(r"\bsim\.(run|stop)\(")
 #: (file relative to src/repro, stripped line) of every allowed hit
 ALLOWED = {
     ("net/transport.py", "heappush(sim._heap, (sim.now + delay, seq, deliver, args))"),
 }
 
 
-def _hits():
+def _hits(pattern):
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         if rel.startswith("simcore/") or rel == "runtime/sim.py":
             continue
         for line in path.read_text().splitlines():
-            if REACH.search(line):
+            if pattern.search(line):
                 yield rel, line.strip()
 
 
 def test_no_clock_or_timer_reach_through_outside_the_engine():
-    assert set(_hits()) == ALLOWED
+    assert set(_hits(REACH)) == ALLOWED
+
+
+def test_runs_are_driven_through_the_transport():
+    assert list(_hits(DRIVE)) == []
+
+
+@pytest.mark.parametrize("cls", [Transport, SimTransport, AsyncioTransport])
+def test_every_transport_has_the_driver_pair(cls):
+    assert hasattr(cls, "run") and hasattr(cls, "stop")
+
+
+def test_both_transports_count_traffic():
+    topology = Topology([Datacenter("a", "r")], [2])
+    sim = Simulator()
+    t = SimTransport(sim, Network(sim, topology))
+    assert t.run == sim.run and t.stop == sim.stop
+    assert t.traffic is t.network.traffic
+    aio = AsyncioTransport(topology)
+    aio.close()
+    assert aio.traffic.total_bytes() == 0
 
 
 def test_simulator_exposes_only_the_driver_and_absolute_verbs():

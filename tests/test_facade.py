@@ -4,14 +4,12 @@ The facade's promises, each asserted here:
 
 - :class:`~repro.facade.RunSpec` rejects contradictory shapes loudly at
   construction time (not deep inside a harness);
-- every sim run returns the one :class:`RunOutcome`, whose optional
-  fields (``tstore`` / ``cluster`` / ``autoscaler``) and report blocks
-  (``txn`` / ``elastic``) follow the spec's shape; the asyncio backend
-  returns a :class:`LocalhostRunOutcome`;
+- every run, on either engine, returns the one :class:`RunOutcome`, whose
+  optional fields (``tstore`` / ``cluster`` / ``autoscaler``) and report
+  blocks (``txn`` / ``elastic``) follow the spec's shape;
 - no in-repo path through the facade emits a :class:`DeprecationWarning`;
-- the asyncio backend derives a faithful
-  :class:`~repro.runtime.localhost.LocalhostSpec` from the sim-style
-  spec (topology, RF, slots, keyspace, hotspot approximation);
+- the asyncio backend runs the spec as declared (platform topology and
+  RF, the transactional workload, protocol, failure script and pacing);
 - the backend knob threads through scenarios and sweep planning without
   entering a job's identity (sim seeds are reused verbatim);
 - the package's public ``__all__`` surface actually resolves.
@@ -37,16 +35,12 @@ from repro.experiments.runner import (
     static_factory,
 )
 from repro.experiments.sweep import plan_sweep
-from repro.facade import (
-    LocalhostRunOutcome,
-    RunSpec,
-    _derive_localhost_spec,
-    _hotspot_shape,
-    run,
-)
+from repro.experiments.sweep import SweepRunner
+from repro.facade import RunSpec, run
 from repro.obs.recorder import ObsConfig
+from repro.runtime.localhost import LocalhostSpec
 from repro.txn.api import TxnConfig
-from repro.workload.workloads import TxnWorkloadSpec, bank_transfer_mix
+from repro.workload.workloads import bank_transfer_mix
 
 
 def _plain_spec(**overrides):
@@ -104,30 +98,28 @@ class TestRunSpecValidation:
         with pytest.raises(ConfigError, match="sim-only"):
             _txn_spec(backend="asyncio", obs=ObsConfig())
         with pytest.raises(ConfigError, match="sim-only"):
-            _txn_spec(backend="asyncio", failure_script=((0.1, "crash", 0),))
-        with pytest.raises(ConfigError, match="closed-loop"):
-            _txn_spec(backend="asyncio", target_throughput=500.0)
-
-    def test_asyncio_elastic_is_rejected(self):
-        from repro.runtime.localhost import LocalhostSpec
-
-        # Without a localhost spec the transactional-shape check fires first;
-        # with one, the elastic rejection is the active guard.
-        with pytest.raises(ConfigError, match="transactional"):
             RunSpec(
                 platform=single_dc_platform(),
                 policy=harmony_factory(0.05),
                 elastic=ElasticSpec(),
                 backend="asyncio",
             )
-        with pytest.raises(ConfigError, match="sim-only"):
-            RunSpec(
-                platform=single_dc_platform(),
-                policy=harmony_factory(0.05),
-                elastic=ElasticSpec(),
-                backend="asyncio",
-                localhost=LocalhostSpec(txns=2),
-            )
+
+    def test_asyncio_backend_takes_failure_scripts_and_pacing(self):
+        spec = _txn_spec(
+            backend="asyncio", failure_script=lambda inj: None, target_throughput=50.0
+        )
+        assert spec.failure_script is not None and spec.target_throughput == 50.0
+
+    def test_localhost_spec_is_the_wall_clock_half_only(self):
+        assert {f.name for f in dataclasses.fields(LocalhostSpec)} == {
+            "time_scale", "wall_timeout", "wal_dir",
+        }
+        with pytest.raises(ConfigError):
+            LocalhostSpec(wall_timeout=0.0)
+        with pytest.raises(ConfigError):
+            LocalhostSpec(time_scale=-1.0)
+        assert LocalhostSpec(time_scale=0.5, wall_timeout=3.0).max_time == 6.0
 
 
 def _elastic_spec(**overrides):
@@ -182,11 +174,21 @@ class TestOutcomeShape:
 
     def test_asyncio_run(self):
         out = run(_txn_spec(backend="asyncio", ops=10, clients=2))
-        assert isinstance(out, LocalhostRunOutcome)
+        assert isinstance(out, RunOutcome)
         assert not out.timed_out
-        assert out.txn["commits"] + sum(out.txn["aborts"].values()) == 10
-        assert 0.0 <= out.stale_rate <= 1.0
-        assert out.spec.txns == 10
+        txn = out.report.txn
+        assert txn["commits"] + sum(txn["aborts"].values()) == txn["txns"] == 10
+        assert 0.0 <= out.report.stale_rate <= 1.0
+        # Reads at ONE with no policy; wall-clock runs are not billed.
+        assert out.policy is None and out.report.policy == "one"
+        assert set(out.report.read_levels) == {"ONE"}
+        assert out.bill.total == 0.0
+        assert out.store is None and out.tstore is not None
+
+    def test_txn_block_has_the_same_keys_on_both_engines(self):
+        sim = run(_txn_spec(ops=20, clients=2)).report.txn
+        aio = run(_txn_spec(backend="asyncio", ops=20, clients=2)).report.txn
+        assert set(sim) == set(aio)
 
     @pytest.mark.parametrize("make_spec", [_plain_spec, _txn_spec, _elastic_spec])
     def test_facade_itself_does_not_warn(self, make_spec, recwarn):
@@ -196,30 +198,12 @@ class TestOutcomeShape:
         ]
 
 
-class TestLocalhostDerivation:
-    def test_hotspot_shapes(self):
-        def mix(distribution, **kwargs):
-            return TxnWorkloadSpec(
-                name="m",
-                n_keys=2,
-                read_slots=(0,),
-                write_slots=(0, 1),
-                record_count=1000,
-                distribution=distribution,
-                distribution_kwargs=kwargs,
-            )
+class TestAsyncioBackend:
+    """The asyncio run executes the spec the caller declared."""
 
-        assert _hotspot_shape(mix("uniform")) == (0, 0.0)
-        assert _hotspot_shape(
-            mix("hotspot", hot_set_fraction=0.1, hot_opn_fraction=0.9)
-        ) == (100, 0.9)
-        # Skewed families approximate as a 5% hot set taking half the draws.
-        assert _hotspot_shape(mix("zipfian")) == (50, 0.5)
-        assert _hotspot_shape(mix("latest")) == (50, 0.5)
-
-    def test_derived_spec_mirrors_platform_and_workload(self):
+    def test_run_mirrors_platform_and_workload(self):
         platform = ec2_harmony_platform()
-        spec = _derive_localhost_spec(
+        out = run(
             _txn_spec(
                 platform=platform,
                 ops=30,
@@ -229,54 +213,89 @@ class TestLocalhostDerivation:
                 backend="asyncio",
             )
         )
-        assert spec.topology.n_nodes == platform.topology_factory().n_nodes
-        assert spec.txns == 30
-        assert spec.clients == 5
-        assert spec.seed == 77
-        assert spec.writes_per_txn == 2  # bank transfer writes both slots
-        assert spec.reads_per_txn == 2
-        assert spec.n_keys == 400
-        assert spec.txn_config.commit_protocol == "3pc"
+        store = out.tstore.store
+        assert store.topology.n_nodes == platform.topology_factory().n_nodes
+        assert store.rf == platform.rf
+        assert out.tstore.config.commit_protocol == "3pc"
+        assert out.report.txn["txns"] == 30
+        assert out.report.workload == "bank-transfer"
 
-    def test_derived_spec_defaults_are_smoke_sized(self):
-        spec = _derive_localhost_spec(_txn_spec(ops=None, clients=None))
-        assert spec.txns == 50  # not the platform's simulator-scale default
-        assert spec.clients <= 8
+    def test_defaults_are_smoke_sized(self):
+        out = run(_txn_spec(ops=None, clients=None, backend="asyncio"))
+        assert out.report.txn["txns"] == 50  # not the platform's simulator scale
 
-    def test_explicit_localhost_spec_wins(self):
-        from repro.runtime.localhost import LocalhostSpec
-
-        explicit = LocalhostSpec(txns=4, clients=1, time_scale=0.02)
+    def test_localhost_spec_places_the_wals(self, tmp_path):
         out = run(
-            RunSpec(
-                platform=single_dc_platform(),
-                policy=named_policy_factory("eventual"),
+            _txn_spec(
                 backend="asyncio",
-                localhost=explicit,
+                ops=8,
+                clients=2,
+                localhost=LocalhostSpec(time_scale=0.02, wal_dir=str(tmp_path)),
             )
         )
-        assert out.spec is explicit
-        assert out.result["outcomes"] == 4
+        assert out.report.txn["txns"] == 8
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"node{i}.wal" for i in range(12)
+        )
+
+    def test_failure_script_crashes_and_recovers_a_node(self):
+        # Paced so the run outlasts the script: the crash and the recovery
+        # (with its WAL recovery pass) both land inside it.
+        injectors = []
+
+        def script(injector):
+            injectors.append(injector)
+            injector.crash_node(0, at=0.3, duration=0.4)
+
+        out = run(
+            _txn_spec(
+                backend="asyncio",
+                ops=16,
+                clients=2,
+                target_throughput=16.0,
+                failure_script=script,
+            )
+        )
+        assert [e.kind for e in injectors[0].events] == ["node-crash", "node-recover"]
+        assert out.tstore.store.nodes[0].up
+        assert not out.timed_out
+        assert out.report.txn["lost_updates"] == 0
+
+    def test_target_throughput_paces_the_clients(self):
+        out = run(
+            _txn_spec(backend="asyncio", ops=16, clients=2, target_throughput=20.0)
+        )
+        # 8 txns per client at 10/s: the last one issues at 0.7 s.
+        assert out.report.txn["txns"] == 16
+        assert out.report.duration >= 0.7
+        assert out.report.txn["txns_per_s"] < 25.0
 
 
 class TestBackendKnobThreading:
-    def test_scenario_run_on_asyncio_labels_rows_localhost(self):
+    def test_scenario_run_on_asyncio(self):
         spec = scenarios.get("txn-shootout")
-        result = spec.run(seed=11, overrides={}, ops=8, backend="asyncio")
-        assert result.report.policy == "localhost"
+        result = spec.run(seed=11, overrides={}, ops=16, backend="asyncio")
+        assert result.report.policy == "one"  # reads at ONE, no policy
         txn = result.report.txn
-        assert txn["commits"] + sum(txn["aborts"].values()) == 8
+        assert txn["commits"] + sum(txn["aborts"].values()) == 16
         assert result.cost_total == 0.0  # wall-clock runs are not billed
 
-    def test_scenario_failures_are_sim_only_on_asyncio(self):
-        flagged = [
-            scenarios.get(n)
-            for n in scenarios.names()
-            if scenarios.get(n).failures is not None
-        ]
-        assert flagged  # the registry carries chaos scenarios
-        with pytest.raises(ConfigError, match="sim-only|transactional"):
-            flagged[0].run(seed=1, overrides={}, ops=4, backend="asyncio")
+    def test_txn_scenario_failures_run_on_asyncio(self):
+        result = scenarios.get("txn-crash-storm").run(
+            seed=1, overrides={}, ops=24, backend="asyncio"
+        )
+        assert result.report.txn["lost_updates"] == 0
+
+    def test_asyncio_sweep_rows_have_the_sim_row_shape(self):
+        def row(backend):
+            plan = plan_sweep(["txn-shootout"], ops=16, backend=backend)
+            (only,) = SweepRunner(jobs=1).run(plan).rows
+            return only
+
+        sim, aio = row(None), row("asyncio")
+        assert set(aio) == set(sim) | {"backend"}
+        assert set(aio["txn"]) == set(sim["txn"])
+        assert aio["policy"] == "one" and aio["cost_total_usd"] == 0.0
 
     def test_plan_sweep_validates_backend(self):
         with pytest.raises(ConfigError, match="backend"):

@@ -2,25 +2,35 @@
 
 Covers the pieces the transport-conformance suite does not: the JSON wire
 codec's type tagging, :class:`~repro.runtime.wal.FileWriteAheadLog` disk
-replay, end-to-end :func:`~repro.runtime.localhost.run_localhost` runs
-(including the wall-timeout guard and crash scripts), the deterministic
-sim twin, and the cross-validation trend checker's verdict logic.
+replay, end-to-end ``backend="asyncio"`` runs (WAL files, the wall-clock
+guard), the deterministic sim twin (fail-stop reads included), and the
+cross-validation trend checker's verdict logic.
 """
 
+import dataclasses
 import functools
 import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.cluster.replication import SimpleStrategy
 from repro.common.errors import ConfigError, SimulationError
 from repro.cluster.versions import Version
+from repro.cost.pricing import FREE_PRIVATE_CLOUD
+from repro.experiments.platforms import Platform
+from repro.net.topology import Datacenter, Topology
+from repro.net.transport import Network
 from repro.runtime import codec
-from repro.runtime.localhost import LocalhostSpec, deploy_localhost, run_localhost
+from repro.runtime.aio import AsyncioTransport
+from repro.runtime.localhost import LocalhostSpec, LocalhostStore
+from repro.runtime.sim import SimTransport
 from repro.runtime.wal import FileWriteAheadLog
 from repro.runtime.xval import (
     XvalCheck,
@@ -42,6 +52,8 @@ from repro.txn.wal import (
     REC_TM_PRECOMMIT,
     WriteAheadLog,
 )
+from repro.simcore.simulator import Simulator
+from repro.txn.api import TransactionalStore
 
 
 _scalars = st.one_of(
@@ -107,13 +119,15 @@ def _exact(value):
 def _node0_handler_names():
     """Every handler name a ``TransactionalStore`` registers for node 0's
     participant and TM, read off a real deployment."""
-    dep = deploy_localhost(_smoke_spec())
+    topology = _topology(1)
+    transport = AsyncioTransport(topology)
     try:
+        TransactionalStore(LocalhostStore(topology, transport, replication_factor=2))
         return tuple(sorted(
-            name for name in dep.transport._handlers if name.split(".")[0] in ("p0", "tm0")
+            name for name in transport._handlers if name.split(".")[0] in ("p0", "tm0")
         ))
     finally:
-        dep.close()
+        transport.close()
 
 
 def _canon(value):
@@ -522,121 +536,102 @@ class TestFileWriteAheadLog:
         disk.close()
 
 
-class TestLocalhostSpec:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            LocalhostSpec(txns=0)
-        with pytest.raises(ConfigError):
-            LocalhostSpec(reads_per_txn=-1)
-        with pytest.raises(ConfigError):
-            LocalhostSpec(hot_fraction=1.5)
-        with pytest.raises(ConfigError):
-            LocalhostSpec(wall_timeout=0.0)
-
-    def test_build_topology_shape(self):
-        topo = LocalhostSpec(n_dcs=2, nodes_per_dc=3).build_topology()
-        assert topo.n_nodes == 6
-        assert len(topo.datacenters) == 2
-
-    def test_sample_key_respects_hotspot(self):
-        from repro.common.rng import spawn_rng
-
-        spec = LocalhostSpec(n_keys=100, hot_keys=2, hot_fraction=1.0)
-        rng = spawn_rng(5)
-        keys = {spec.sample_key(rng) for _ in range(50)}
-        assert keys <= {"key0", "key1"}
-
-        uniform = LocalhostSpec(n_keys=100, hot_keys=2, hot_fraction=0.0)
-        rng = spawn_rng(5)
-        keys = {uniform.sample_key(rng) for _ in range(200)}
-        assert len(keys) > 10  # draws cover the whole keyspace
-
-
-def _smoke_spec(**overrides):
-    base = dict(
-        n_dcs=1,
-        nodes_per_dc=3,
-        replication_factor=2,
-        txns=8,
-        clients=2,
-        writes_per_txn=2,
-        reads_per_txn=1,
-        n_keys=20,
-        hot_keys=2,
-        hot_fraction=0.5,
-        seed=5,
-        time_scale=0.02,
-        wall_timeout=30.0,
+def _topology(n_dcs):
+    return Topology(
+        [Datacenter(f"dc{i}", f"region{i}") for i in range(n_dcs)], [3] * n_dcs
     )
-    base.update(overrides)
-    return LocalhostSpec(**base)
 
 
-class TestRunLocalhost:
+def _smoke_spec(n_dcs=1, time_scale=0.02, wall_timeout=30.0, wal_dir=None, **overrides):
+    """A small asyncio spec: 3 nodes per DC, RF 2, 20 keys with 2 hot."""
+    spec = default_xval_spec(
+        txns=8, clients=2, seed=5, time_scale=time_scale, wall_timeout=wall_timeout
+    )
+    platform = Platform(
+        name="smoke",
+        topology_factory=lambda: _topology(n_dcs),
+        strategy_factory=lambda: SimpleStrategy(rf=2),
+        prices=FREE_PRIVATE_CLOUD,
+        default_record_count=20,
+        default_ops=8,
+        default_clients=2,
+    )
+    return replace(
+        spec,
+        platform=platform,
+        txn_workload=replace(spec.txn_workload, record_count=20,
+                             distribution_kwargs={"hot_set_fraction": 0.1,
+                                                  "hot_opn_fraction": 0.5}),
+        localhost=LocalhostSpec(time_scale=time_scale, wall_timeout=wall_timeout,
+                                wal_dir=wal_dir),
+        **overrides,
+    )
+
+
+class TestAsyncioRuns:
     def test_smoke_run_completes_every_txn(self, tmp_path):
-        result = run_localhost(_smoke_spec(wal_dir=str(tmp_path)))
-        assert not result["timed_out"]
-        assert result["outcomes"] == 8
-        txn = result["txn"]
+        out = repro.run(_smoke_spec(wal_dir=str(tmp_path)))
+        assert not out.timed_out
+        txn = out.report.txn
         assert txn["txns"] == 8
         assert txn["commits"] + sum(txn["aborts"].values()) == 8
-        assert result["protocol_seconds"] > 0
+        assert out.report.duration > 0
         # Real per-node WAL files were written and carry protocol records.
         wal_files = sorted(os.listdir(tmp_path))
         assert wal_files == [f"node{i}.wal" for i in range(3)]
         assert any(os.path.getsize(tmp_path / f) > 0 for f in wal_files)
 
-    def test_self_made_wal_dir_is_removed_on_close(self, tmp_path):
-        dep = deploy_localhost(_smoke_spec())
-        made = dep.wal_dir
-        assert os.path.isdir(made) and os.listdir(made)
-        dep.close()
-        assert not os.path.exists(made)
-        # The result names only a directory the caller can still open.
-        assert run_localhost(_smoke_spec())["wal_dir"] is None
-        kept = run_localhost(_smoke_spec(wal_dir=str(tmp_path)))["wal_dir"]
-        assert kept == str(tmp_path) and os.listdir(kept)
+    def test_self_made_wal_dir_is_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        repro.run(_smoke_spec())
+        assert os.listdir(tmp_path) == []
 
     def test_wall_timeout_reports_partial_run(self):
-        # An absurdly small wall cap: the guard must fire, cancel the
-        # clients and still hand back a well-formed partial result.
-        result = run_localhost(
-            _smoke_spec(txns=500, wall_timeout=0.05, time_scale=1.0)
+        # An absurdly small wall cap: the guard must fire and still hand
+        # back a well-formed partial report.
+        out = repro.run(
+            _smoke_spec(ops=500, wall_timeout=0.05, time_scale=1.0)
         )
-        assert result["timed_out"] is True
-        assert result["txn"]["txns"] <= 500
-
-    def test_crash_script_runs_to_completion(self, tmp_path):
-        # Crash one replica mid-run, recover it later: the run must still
-        # terminate (WAL recovery and the cooperative paths absorb it).
-        result = run_localhost(
-            _smoke_spec(
-                wal_dir=str(tmp_path),
-                txns=6,
-                crashes=((0.2, 0, 1.0),),
-            )
-        )
-        assert not result["timed_out"]
-        assert result["outcomes"] == 6
+        assert out.timed_out is True
+        assert out.report.txn["txns"] < 500
 
 
 class TestSimTwin:
     def test_twin_is_deterministic(self):
         spec = _smoke_spec()
-        a = run_sim_twin(spec)
-        b = run_sim_twin(spec)
-        assert a["txn"] == b["txn"]
-        assert a["stale_rate"] == b["stale_rate"]
-        assert a["protocol_seconds"] == b["protocol_seconds"]
+        a, b = run_sim_twin(spec), run_sim_twin(spec)
+        assert dataclasses.asdict(a.report) == dataclasses.asdict(b.report)
 
-    def test_twin_completes_and_reports_same_shape(self):
-        result = run_sim_twin(_smoke_spec())
-        assert result["timed_out"] is False
-        assert result["outcomes"] == 8
-        assert result["txn"]["commits"] + sum(result["txn"]["aborts"].values()) == 8
-        # Same keys as the asyncio result: xval can compare them blindly.
-        aio_keys = set(run_localhost(_smoke_spec()).keys())
-        assert set(result.keys()) == aio_keys
+    def test_twin_completes_and_reports_the_asyncio_shape(self):
+        twin = run_sim_twin(_smoke_spec())
+        assert twin.timed_out is False
+        assert twin.report.txn["txns"] == 8
+        # The same report fields and txn keys: xval compares them blindly.
+        aio = repro.run(_smoke_spec())
+        assert set(twin.report.txn) == set(aio.report.txn)
+        assert twin.report.policy == aio.report.policy == "one"
+
+    def test_replica_crashing_mid_read_fails_the_read(self):
+        # Fail-stop: the only replica of the key dies while the read's round
+        # trip is on the WAN; it must not answer, so the transaction aborts
+        # read-failed and the store counts an unavailable read.
+        topology = _topology(2)
+        sim = Simulator()
+        transport = SimTransport(sim, Network(sim, topology, rng=1))
+        store = LocalhostStore(topology, transport, replication_factor=1)
+        tstore = TransactionalStore(store)
+        (replica,) = store.replica_sets("k")[0]
+        remote = next(n for n in range(6) if topology.dc_of(n) != topology.dc_of(replica))
+        outcomes = []
+        txn = tstore.begin(coordinator=remote)
+        txn.read("k")
+        txn.write("k", 10)
+        txn.commit(outcomes.append)
+        transport.post_at(0.01, store.on_node_crash, replica)  # RTT is 80 ms
+        transport.run(until=1.0)
+        assert [(o.status, o.reason) for o in outcomes] == [("aborted", "read-failed")]
+        assert store.summary()["failures"] == {"read_unavailable": 1}
+        assert store.ops_completed() == 0
 
 
 class TestXvalVerdicts:
@@ -691,19 +686,28 @@ class TestXvalVerdicts:
         with pytest.raises(ConfigError):
             cross_validate(hot_fractions=(0.5,))
 
+    def test_cross_validate_needs_an_asyncio_hotspot_spec(self):
+        spec = default_xval_spec()
+        with pytest.raises(ConfigError, match="hotspot"):
+            cross_validate(replace(spec, backend="sim"))
+        zipf = replace(spec.txn_workload, distribution="zipfian", distribution_kwargs={})
+        with pytest.raises(ConfigError, match="hotspot"):
+            cross_validate(replace(spec, txn_workload=zipf))
+
     def test_default_spec_is_wan_and_overridable(self):
         spec = default_xval_spec()
-        assert spec.n_dcs == 2
-        assert spec.time_scale >= 0.2  # WAN delays must dwarf loop jitter
-        assert default_xval_spec(txns=7).txns == 7
+        assert len(spec.platform.topology_factory().datacenters) == 2
+        assert spec.localhost.time_scale >= 0.2  # WAN delays must dwarf loop jitter
+        assert default_xval_spec(txns=7).ops == 7
+        assert default_xval_spec(commit_protocol="3pc").resolved_txn_config(
+        ).commit_protocol == "3pc"
 
     def test_cross_validate_small_sweep(self):
         # A tiny two-level sweep end to end: both backends run, the report
         # carries one check per level. (Verdicts may legitimately vary with
         # wall-clock jitter at this size; the structure may not.)
         report = cross_validate(
-            spec=_smoke_spec(n_dcs=2, nodes_per_dc=2, replication_factor=2, txns=6),
-            hot_fractions=(0.0, 0.9),
+            spec=_smoke_spec(n_dcs=2, ops=6), hot_fractions=(0.0, 0.9)
         )
         assert len(report.checks) == 2
         assert [c.hot_fraction for c in report.checks] == [0.0, 0.9]

@@ -3,9 +3,13 @@
 Each test in :class:`TestTransportContract` runs twice -- once over
 :class:`~repro.runtime.sim.SimTransport` (discrete-event virtual time)
 and once over :class:`~repro.runtime.aio.AsyncioTransport` (real asyncio
-timers and a JSON wire codec) -- through a tiny harness that hides *only*
-how time advances. The protocol-visible behaviour asserted here is what
-:class:`~repro.runtime.interface.Transport` promises both engines honour:
+timers and a JSON wire codec) -- through one harness: ``setup(transport)``,
+then ``transport.run(until)``. The protocol-visible behaviour asserted
+here is what :class:`~repro.runtime.interface.Transport` promises both
+engines honour:
+
+- the driver pair: ``stop()`` from a callback ends ``run`` early, and
+  ``run(until)`` leaves later timers pending for the next ``run``;
 
 - per-link FIFO delivery under the (default) constant-latency models;
 - partitions drop at send time (``send`` returns ``None``) and heal;
@@ -15,6 +19,7 @@ how time advances. The protocol-visible behaviour asserted here is what
 - registered handlers receive *equal* argument values (and, on the
   asyncio backend, *fresh* objects -- the wire codec forbids shared
   references);
+- ``transport.traffic`` counts the same messages per link class;
 - a crashed :class:`~repro.runtime.localhost.LocalhostStore` replica set
   makes reads unavailable until recovery, on either transport.
 
@@ -27,7 +32,7 @@ import asyncio
 
 import pytest
 
-from repro.common.errors import ConfigError, SimulationError
+from repro.common.errors import ConfigError
 from repro.cluster.versions import Version
 from repro.net.latency import FixedLatency, UniformLatency
 from repro.net.topology import Datacenter, Topology, LinkClass
@@ -46,71 +51,106 @@ def two_dc_topology() -> Topology:
     )
 
 
-class SimHarness:
-    """Conformance driver over the discrete-event backend."""
+class Harness:
+    """One conformance driver over either backend."""
 
-    backend = "sim"
-
-    def __init__(self, topology, seed=7):
-        self.topology = topology
-        self.sim = Simulator()
-        self.network = Network(self.sim, topology, rng=seed)
-        self.transport = SimTransport(self.sim, self.network)
-
-    def run(self, setup, until):
-        """Call ``setup(transport)`` at t=0, then advance to ``until``."""
-        setup(self.transport)
-        self.sim.run(until=until)
-
-    def queued(self):
-        """Entries waiting in the engine (simulator heap)."""
-        return self.sim.pending()
-
-
-class AioHarness:
-    """Conformance driver over the asyncio backend (scaled wall clock)."""
-
-    backend = "asyncio"
-    #: wall seconds per protocol second; keeps each test well under 1s of
-    #: wall time while protocol timers still span a meaningful range.
+    #: wall seconds per protocol second on asyncio; keeps each test well
+    #: under 1s of wall time while protocol timers still span a
+    #: meaningful range.
     TIME_SCALE = 0.05
 
-    def __init__(self, topology, seed=7):
+    def __init__(self, backend, topology, seed=7):
+        self.backend = backend
         self.topology = topology
-        self.transport = AsyncioTransport(
-            topology, rng=seed, time_scale=self.TIME_SCALE
-        )
+        if backend == "sim":
+            sim = Simulator()
+            self.network = Network(sim, topology, rng=seed)
+            self.transport = SimTransport(sim, self.network)
+        else:
+            self.transport = AsyncioTransport(
+                topology, rng=seed, time_scale=self.TIME_SCALE
+            )
 
     def run(self, setup, until):
-        async def main():
-            self.transport.start(asyncio.get_running_loop())
-            setup(self.transport)
-            # Margin over the scaled horizon absorbs call_later jitter.
-            await asyncio.sleep(until * self.TIME_SCALE + 0.1)
-
-        asyncio.run(main())
-        self.transport.close()
+        """Call ``setup(transport)`` at t=0, then run to ``until``."""
+        setup(self.transport)
+        self.transport.run(until=until)
 
     def queued(self):
-        """Entries waiting in the engine (delivery heap + armed loop timer)."""
+        """Entries waiting in the engine."""
         t = self.transport
-        return len(t._heap) + (t._armed is not None)
+        if self.backend == "sim":
+            return t.sim.pending()
+        return len(t._heap) + (t._armed is not None)  # heap + armed loop timer
 
 
 @pytest.fixture(params=["sim", "asyncio"])
 def harness(request):
     """Factory for a fresh backend harness; ``harness.backend`` names it."""
+    made = []
 
     def make(topology=None, seed=7):
         topo = topology if topology is not None else two_dc_topology()
-        cls = SimHarness if request.param == "sim" else AioHarness
-        return cls(topo, seed=seed)
+        made.append(Harness(request.param, topo, seed=seed))
+        return made[-1]
 
     make.backend = request.param
-    return make
+    yield make
+    for h in made:
+        if h.backend == "asyncio":
+            h.transport.close()
 
 
 class TestTransportContract:
+    def test_stop_from_a_callback_ends_run_early(self, harness):
+        h = harness()
+        fired = []
+
+        def setup(t):
+            def halt():
+                fired.append("halt")
+                t.stop()
+
+            t.set_timer_at(0.2, halt)
+            t.post_at(1.0, fired.append, "late")
+
+        h.run(setup, until=2.0)
+        assert fired == ["halt"]
+        assert h.transport.now < 1.0
+
+    def test_run_until_leaves_later_timers_pending(self, harness):
+        h = harness()
+        fired = []
+
+        def setup(t):
+            t.post_at(0.2, fired.append, "early")
+            t.set_timer_at(1.0, fired.append, "later")
+
+        h.run(setup, until=0.5)
+        assert fired == ["early"]
+        assert h.transport.now >= 0.5 - 1e-9
+        h.transport.run(until=1.5)
+        assert fired == ["early", "later"]
+
+    def test_traffic_counts_the_same_messages(self, harness):
+        # Delivered, undelivered (deliver=None) and cut sends, counted
+        # alike on both engines: the cut one never reaches the matrix.
+        h = harness()
+
+        def setup(t):
+            t.send(0, 3, 500, lambda: None)
+            t.send(0, 4, 300, None)
+            t.send(0, 1, 100, lambda: None)
+            t.partition_dcs(0, 1)
+            t.send(1, 5, 700, lambda: None)
+
+        h.run(setup, until=1.0)
+        traffic = h.transport.traffic
+        assert traffic.messages[LinkClass.INTER_REGION] == 2
+        assert traffic.messages[LinkClass.INTRA_DC] == 1
+        assert traffic.bytes[LinkClass.INTER_REGION] == 800
+        assert traffic.total_bytes() == 900
+
     def test_per_link_delivery_is_fifo(self, harness):
         # 25 frames down one WAN link, registered so the asyncio side
         # genuinely crosses the codec: arrival order == send order.
@@ -182,12 +222,12 @@ class TestTransportContract:
             seen["cut"] = t.send(0, 3, 500, None)
 
         h.run(setup, until=1.0)
-        src = h.network if h.backend == "sim" else h.transport
+        dropped = (h.network if h.backend == "sim" else h.transport).dropped
         assert seen["delay"] == pytest.approx(0.040)
         assert seen["queued"] == 0 and h.queued() == 0
-        assert seen["cut"] is None and src.dropped == 1
-        assert src.traffic.bytes[LinkClass.INTER_REGION] == 500
-        assert src.traffic.messages[LinkClass.INTER_REGION] == 1
+        assert seen["cut"] is None and dropped == 1
+        assert h.transport.traffic.bytes[LinkClass.INTER_REGION] == 500
+        assert h.transport.traffic.messages[LinkClass.INTER_REGION] == 1
 
     def test_heal_all_clears_every_partition(self, harness):
         topo = Topology(
@@ -341,9 +381,7 @@ class TestTransportContract:
             t.send(0, 1, 100, lambda: None)  # intra-DC
 
         h.run(setup, until=1.0)
-        traffic = (
-            h.network.traffic if h.backend == "sim" else h.transport.traffic
-        )
+        traffic = h.transport.traffic
         assert traffic.bytes[LinkClass.INTER_REGION] == 500
         assert traffic.bytes[LinkClass.INTRA_DC] == 100
 
@@ -362,12 +400,12 @@ class TestTransportContract:
             state["store"] = store
             replicas, _ = store.replica_sets("key1")
             for r in replicas:
-                store.crash_node(r)
+                store.on_node_crash(r)
             store.read("key1", None, results.append)
 
             def recover_and_read():
                 for r in replicas:
-                    store.recover_node(r)
+                    store.on_node_recover(r)
                 store.read("key1", None, results.append)
 
             t.set_timer_at(t.now + 0.5, recover_and_read)
@@ -377,8 +415,8 @@ class TestTransportContract:
         assert not results[0].ok
         assert results[0].error == "unavailable"
         assert results[1].ok
-        assert state["store"].read_failures == 1
-        assert state["store"].reads_ok == 1
+        assert state["store"].summary()["failures"] == {"read_unavailable": 1}
+        assert state["store"].ops_completed() == 1
 
 
 class TestAsyncioTransportSpecifics:
@@ -393,15 +431,36 @@ class TestAsyncioTransportSpecifics:
         t.register("h", lambda: None)
         with pytest.raises(ConfigError):
             t.register("h", lambda: None)
+        t.close()
 
-    def test_send_before_start_is_an_error(self):
-        t = AsyncioTransport(two_dc_topology())
-        with pytest.raises(SimulationError):
-            t.send(0, 1, 10, lambda: None)
-        with pytest.raises(SimulationError):
-            t.set_timer_at(0.1, lambda: None)
-        with pytest.raises(SimulationError):
-            t.post_at(0.1, lambda: None)
+    def test_the_transport_owns_its_loop_from_construction(self):
+        # Timers and sends work before the first run; close() closes the loop.
+        t = AsyncioTransport(two_dc_topology(), time_scale=0.01)
+        got = []
+        t.register("sink", got.append)
+        t.send(0, 3, 64, got.append, "frame")
+        t.set_timer_at(0.5, got.append, "timer")
+        t.run(until=1.0)
+        t.close()
+        assert got == ["frame", "timer"]
+        assert t._loop.is_closed()
+        assert t.send(0, 1, 10, got.append, "after close") is None
+
+    def test_a_failing_callback_propagates_out_of_run(self):
+        t = AsyncioTransport(two_dc_topology(), time_scale=0.01)
+        fired = []
+
+        def boom():
+            raise RuntimeError("handler bug")
+
+        t.post_at(0.1, boom)
+        t.post_at(5.0, fired.append, "later")
+        try:
+            with pytest.raises(RuntimeError, match="handler bug"):
+                t.run(until=10.0)
+        finally:
+            t.close()
+        assert fired == []
 
     def test_past_timer_fires_at_once(self):
         # A deadline read off the wall clock is already past when it is set:
@@ -418,8 +477,8 @@ class TestAsyncioTransportSpecifics:
         assert got == ["timer", "post"]
 
     def test_timer_at_is_one_call_at_without_a_clock_read(self):
-        # ``when`` maps straight onto loop time from the start instant; the
-        # loop clock is read once, by start(), and never per timer.
+        # ``when`` maps straight onto loop time from the construction
+        # instant; the loop clock is never read per timer.
         class Loop:
             def __init__(self):
                 self.clock_reads = 0
@@ -435,46 +494,41 @@ class TestAsyncioTransportSpecifics:
 
         loop = Loop()
         t = AsyncioTransport(two_dc_topology(), time_scale=0.5)
-        t.start(loop)
-        assert loop.clock_reads == 1
+        t._loop.close()
+        t._loop, t._t0 = loop, 100.0
         t.set_timer_at(3.0, lambda: None)
         t.post_at(0.25, lambda: None)
         assert loop.calls == [100.0 + 3.0 * 0.5, 100.0 + 0.25 * 0.5]
-        assert loop.clock_reads == 1
+        assert loop.clock_reads == 0
 
     def test_self_partition_is_rejected(self):
         t = AsyncioTransport(two_dc_topology())
         with pytest.raises(ConfigError):
             t.partition_dcs(1, 1)
+        t.close()
 
     def test_closed_transport_swallows_inflight_callbacks(self):
         t = AsyncioTransport(two_dc_topology(), time_scale=0.01)
         got = []
 
-        async def main():
-            t.start(asyncio.get_running_loop())
+        async def body(loop):
             t.register("sink", got.append)
             t.send(0, 3, 64, got.append, "late")
             t.set_timer_at(t.now + 0.5, got.append, "timer")
             t.close()
             await asyncio.sleep(0.1)
 
-        asyncio.run(main())
+        run_on_loop(t, body)
         assert got == []
 
 
 def run_on_loop(transport, body):
-    """Start ``transport`` on a fresh loop and run ``await body(loop)`` on it."""
-
-    async def main():
-        loop = asyncio.get_running_loop()
-        transport.start(loop)
-        try:
-            return await body(loop)
-        finally:
-            transport.close()
-
-    return asyncio.run(main())
+    """Run ``await body(loop)`` on ``transport``'s own loop, then close it."""
+    loop = transport._loop
+    try:
+        return loop.run_until_complete(body(loop))
+    finally:
+        transport.close()
 
 
 def pending_handles(loop, transport):
