@@ -450,7 +450,7 @@ class Coordinator:
 
         do_repair = (
             st.read_repair_chance > 0.0
-            and st.rng.random() < st.read_repair_chance
+            and st.uniforms.random() < st.read_repair_chance
         )
         nodes = st.nodes
         if do_repair:

@@ -109,7 +109,6 @@ class StorageNode:
         "writes_applied",
         "dropped_while_down",
         "_unit_jitter",
-        "_unit_jitter_at",
     )
 
     def __init__(
@@ -132,8 +131,9 @@ class StorageNode:
         m = mutation_servers if mutation_servers is not None else servers
         self.mutation_resource = Resource(sim, servers=m, name=f"node{node_id}.mut")
         self.rng = spawn_rng(rng)
+        #: the stream's next unit exponentials, reversed: ``pop()`` serves
+        #: them in draw order
         self._unit_jitter: List[float] = []
-        self._unit_jitter_at = 0
         self.data: Dict[str, Version] = {}
         self.up = True
         self.retired = False
@@ -162,26 +162,14 @@ class StorageNode:
 
     # -- request handling -------------------------------------------------------
 
-    def _service_time(self, base: float, jitter: float) -> float:
-        """``base + Exp(jitter)``, drawn as the :class:`ServiceModel` draws it.
+    def _refill_jitter(self) -> List[float]:
+        """Fetch the next block of unit exponentials (the handlers' miss path).
 
-        numpy's ``rng.exponential(scale)`` *is* ``scale * standard_exponential()``
-        and a batch of standard draws is the scalar stream element for
-        element, so scaling a block entry at use reproduces
-        ``ServiceModel.sample_read/sample_write`` bit for bit (pinned by a
-        test) at a list index instead of a numpy scalar call per request.
-        Valid because nothing else consumes this node's stream.
-        """
-        if jitter <= 0:
-            return base  # like the model, no draw at all
-        at = self._unit_jitter_at
-        block = self._unit_jitter
-        if at == len(block):
-            block = self.rng.standard_exponential(_JITTER_BLOCK).tolist()
-            self._unit_jitter = block
-            at = 0
-        self._unit_jitter_at = at + 1
-        return base + jitter * block[at]
+        A handler scales the next one by its jitter: ``ServiceModel``'s draw
+        bit for bit (ARCHITECTURE.md, "block-served streams")."""
+        units = self._unit_jitter
+        units.extend(self.rng.standard_exponential(_JITTER_BLOCK)[::-1].tolist())
+        return units
 
     def handle_write(
         self,
@@ -202,7 +190,9 @@ class StorageNode:
             self.dropped_while_down += 1
             return
         model = self.service
-        service = self._service_time(model.write_base, model.write_jitter)
+        service, jitter = model.write_base, model.write_jitter
+        if jitter > 0:  # like the model: no jitter, no draw
+            service += jitter * (self._unit_jitter or self._refill_jitter()).pop()
         self.mutation_resource.submit(
             service, self._apply_write, key, version, done, *ctx
         )
@@ -231,7 +221,9 @@ class StorageNode:
             self.dropped_while_down += 1
             return
         model = self.service
-        service = self._service_time(model.read_base, model.read_jitter)
+        service, jitter = model.read_base, model.read_jitter
+        if jitter > 0:  # like the model: no jitter, no draw
+            service += jitter * (self._unit_jitter or self._refill_jitter()).pop()
         self.resource.submit(service, self._serve_read, key, done, *ctx)
 
     def _serve_read(self, key: str, done: Callable[..., Any], *ctx: Any) -> None:

@@ -28,11 +28,12 @@ offline rebalance), which keeps bare-store membership tests simple.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.rng import RngFactory
+from repro.common.rng import BlockUniforms, RngFactory, block_uniforms
 from repro.common.stats import Histogram
 from repro.cluster.consistency import LevelSpec
 from repro.cluster.coordinator import (
@@ -43,6 +44,7 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.hints import HintStore
 from repro.cluster.node import ServiceModel, StorageNode
+from repro.cluster.partitioner import token_of
 from repro.cluster.replication import (
     Placement,
     ReplicationStrategy,
@@ -59,7 +61,7 @@ from repro.runtime.deadlines import DeadlineQueue
 from repro.runtime.sim import SimTransport
 from repro.simcore.simulator import Simulator
 
-__all__ = ["StoreConfig", "ReplicatedStore", "MembershipChange"]
+__all__ = ["StoreConfig", "ReplicatedStore", "MembershipChange", "draw_coordinator"]
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ class ReplicatedStore:
 
         rngs = RngFactory(self.config.seed)
         self._rngs = rngs  # kept: bootstrapped nodes derive their streams here
-        self.rng = rngs.stream("store.coordinator")
+        self.uniforms = block_uniforms(rngs.stream("store.coordinator"))
         self.network = Network(sim, topology, rng=rngs.stream("store.network"))
         #: the transport every protocol layer (coordinators, 2PC, failure
         #: hooks) speaks; a pure view over ``(sim, network)`` here, so the
@@ -644,13 +646,16 @@ class ReplicatedStore:
         """
         size = value_size if value_size is not None else self.default_value_size
         t = self.transport.now
-        placement, ring, topology = self.strategy.placement, self.ring, self.topology
+        strategy, ring, topology = self.strategy, self.ring, self.topology
+        # ring.slot_of inlined; strategy.placement walks an arc's first key
+        tokens, n_arcs, arcs = ring._tokens, len(ring._owners), strategy._arcs
         data = [node.data for node in self.nodes]
         seq = self.write_seq
         for key in keys:
             seq += 1
             version = Version(t, seq, size)
-            for r in placement(key, ring, topology)[0]:
+            arc = arcs.get(bisect_right(tokens, token_of(key)) % n_arcs)
+            for r in (arc or strategy.placement(key, ring, topology))[0]:
                 data[r][key] = version
             self.oracle.note_preload(key, version)
             if key not in self._written_set:
@@ -717,7 +722,7 @@ class ReplicatedStore:
         """Pick a live coordinator; ``None`` when the whole cluster is down."""
         # Random live node, as a client-side load balancer would pick.
         for _ in range(4):
-            idx = int(self.rng.integers(0, len(self.nodes)))
+            idx = self.uniforms.integers(0, len(self.nodes))
             if self.nodes[idx].up:
                 return self.coordinators[idx]
         live = self._any_live_node()
@@ -765,3 +770,10 @@ class ReplicatedStore:
             f"rf={self.strategy.rf_total}, ops={self.ops_completed()}, "
             f"stale_rate={self.stale_rate:.4f})"
         )
+
+
+def draw_coordinator(store, dc: "int | None", uniforms: BlockUniforms) -> "int | None":
+    """Every client driver's per-op coordinator: one draw from the live pool
+    (elastic membership reshapes it); ``None`` (the store picks) if empty."""
+    coords = store.coordinator_pool(dc) if dc is not None else None
+    return coords[uniforms.integers(0, len(coords))] if coords else None

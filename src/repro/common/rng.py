@@ -17,11 +17,13 @@ runs and across unrelated code changes.
 from __future__ import annotations
 
 import zlib
-from typing import Dict
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["RngFactory", "spawn_rng"]
+__all__ = ["RngFactory", "spawn_rng", "BlockUniforms", "block_uniforms"]
+
+_LOW32, _TWO32 = 0xFFFFFFFF, 1 << 32
 
 
 def _name_key(name: str) -> int:
@@ -95,3 +97,84 @@ def spawn_rng(seed_or_rng: "int | np.random.Generator | None") -> np.random.Gene
     raise TypeError(
         f"expected int, numpy Generator or None, got {type(seed_or_rng).__name__}"
     )
+
+
+class BlockUniforms:
+    """A PCG64 generator's ``random()`` and ``integers(lo, hi)`` at list-pop cost.
+
+    Served from ``random_raw(64)`` blocks, bit for bit and in stream order
+    what numpy 2.4's scalar calls (0.7--2.7 us) return: ``next_double``, and
+    Lemire's draw on ``next_uint32`` with its buffered upper half
+    (``has_uint32``/``uinteger``). Any other draw goes through
+    :meth:`handback` (ARCHITECTURE.md, "block-served streams").
+    """
+
+    __slots__ = ("generator", "_raws", "_half")
+
+    def __init__(self, generator: np.random.Generator):
+        if type(generator.bit_generator) is not np.random.PCG64:
+            raise TypeError(f"BlockUniforms needs PCG64, got {generator.bit_generator}")
+        self.generator = generator
+        #: the block's unused outputs, reversed: ``pop()`` serves draw order
+        self._raws: List[int] = []
+        #: buffered upper half while owned (-1: none); ``None``: handed back
+        self._half: Optional[int] = None
+
+    def _refill(self) -> List[int]:
+        """Fetch the next block, taking the stream over after a hand-back."""
+        bg = self.generator.bit_generator
+        if self._half is None:
+            state = bg.state
+            self._half = state["uinteger"] if state["has_uint32"] else -1
+        self._raws.extend(bg.random_raw(64)[::-1].tolist())
+        return self._raws
+
+    def _next32(self) -> int:
+        if self._half is None:  # handed back, so the block is empty too
+            self._refill()
+        half = self._half
+        if half >= 0:
+            self._half = -1
+            return half
+        raw = (self._raws or self._refill()).pop()
+        self._half = raw >> 32
+        return raw & _LOW32
+
+    def random(self) -> float:
+        """``generator.random()``."""
+        return ((self._raws or self._refill()).pop() >> 11) * (1.0 / (1 << 53))
+
+    def integers(self, lo: int, hi: int) -> int:
+        """``int(generator.integers(lo, hi))`` for Python ints."""
+        n = hi - lo
+        if n == 1:
+            return lo  # numpy draws nothing
+        if not 1 < n <= _TWO32:
+            return int(self.handback().integers(lo, hi))
+        m = self._next32() * n
+        if m & _LOW32 < n:
+            threshold = _TWO32 % n  # numpy's (UINT32_MAX - rng) % rng_excl
+            while m & _LOW32 < threshold:
+                m = self._next32() * n
+        return lo + (m >> 32)
+
+    def handback(self) -> np.random.Generator:
+        """The generator, stepped back over the unused outputs (exact)."""
+        half = self._half
+        if half is not None:
+            bg = self.generator.bit_generator
+            if self._raws:
+                bg.advance((1 << 128) - len(self._raws))  # modulo 2**128
+                self._raws.clear()
+            state = bg.state
+            state["has_uint32"], state["uinteger"] = (1, half) if half >= 0 else (0, 0)
+            bg.state = state
+            self._half = None
+        return self.generator
+
+
+def block_uniforms(seed_or_rng: Any) -> BlockUniforms:
+    """Coerce like :func:`spawn_rng`; a :class:`BlockUniforms` passes through."""
+    if isinstance(seed_or_rng, BlockUniforms):
+        return seed_or_rng
+    return BlockUniforms(spawn_rng(seed_or_rng))

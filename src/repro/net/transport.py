@@ -15,6 +15,7 @@ through. It does three jobs:
 from __future__ import annotations
 
 from heapq import heappush
+from itertools import repeat
 from math import exp
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -38,9 +39,9 @@ _LOCAL = LinkClass.LOCAL
 #: node-jitter block size: enough to amortize the numpy call)
 _NORMAL_BLOCK = 64
 
-#: (link class, its int code, latency model, DC pair, model is exactly
-#: :class:`LogNormalLatency`) -- one memoized record per (src, dst)
-_Route = Tuple[LinkClass, int, Any, Tuple[int, int], bool]
+#: (link class, int code, DC pair, model, floor, mu, sigma) per (src, dst);
+#: ``sigma`` is ``None`` unless the model is exactly a LogNormalLatency
+_Route = Tuple[LinkClass, int, Tuple[int, int], Any, float, float, Optional[float]]
 
 
 class TrafficMatrix:
@@ -136,18 +137,9 @@ class Network:
     this layer only through partitions; omission failures of individual
     nodes are modelled by the cluster layer marking nodes down.
 
-    Delays on links whose model is exactly :class:`LogNormalLatency` come
-    from one block of standard normals shared by all link classes:
-    ``rng.lognormal(mu, sigma)`` *is* ``exp(mu + sigma * z)`` with ``z``
-    the stream's next ``standard_normal()``, and a batch of normals is the
-    scalar stream element for element. A topology whose stochastic links
-    are all lognormal (every registered platform) therefore gets
-    ``model.sample(rng)`` bit for bit and in the same draw order (pinned by
-    ``tests/test_net.py``). Every other model, subclasses included, is
-    sampled through its own ``sample``; because up to 63 normals are
-    fetched ahead, a network that mixes such links with lognormal ones, or
-    a caller that also draws from a generator it passed in as ``rng``,
-    sees a different -- still seed-deterministic -- interleaving.
+    ``rng`` is block-served (ARCHITECTURE.md, "block-served streams"): an
+    exactly-:class:`LogNormalLatency` link's delay is ``model.sample(rng)``
+    bit for bit from one block of normals; other models draw via ``sample``.
     """
 
     def __init__(
@@ -163,12 +155,11 @@ class Network:
         self.dropped: int = 0
         self._partitioned: Set[Tuple[int, int]] = set()  # (dc_a, dc_b) ordered pairs
         self._extra_delay: float = 0.0
-        # Per-(src, dst) route memo. link_class + the enum-keyed dict
-        # lookups per message add up -- every replica fan-out crosses this
-        # path -- so the resolve happens once per node pair. Invalidated
-        # when the topology gains nodes (:meth:`clear_topology_cache`,
-        # called by the store's bootstrap).
-        self._route_cache: Dict[Tuple[int, int], _Route] = {}
+        # Route table, ``[src][dst]``: link_class and the enum-keyed dict
+        # lookups resolve once per node pair, not per message. Rebuilt
+        # empty when the topology gains nodes (:meth:`clear_topology_cache`).
+        n = topology.n_nodes
+        self._routes: List[List[Any]] = list(map(list, repeat([None] * n, n)))
         #: the stream's next standard normals, reversed: ``pop()`` serves
         #: them in draw order
         self._normals: List[float] = []
@@ -179,8 +170,9 @@ class Network:
         dcs = (self.topology.dc_of(src), self.topology.dc_of(dst))
         model = self.topology.latency_models[cls]
         # ``type() is``: a subclass may override ``sample``.
-        route = (cls, _CLASS_CODE[cls], model, dcs, type(model) is LogNormalLatency)
-        self._route_cache[(src, dst)] = route
+        lognormal = type(model) is LogNormalLatency
+        shape = (model.floor, model.mu, model.sigma) if lognormal else (0.0, 0.0, None)
+        self._routes[src][dst] = route = (cls, _CLASS_CODE[cls], dcs, model) + shape
         return route
 
     def _refill(self) -> List[float]:
@@ -191,7 +183,8 @@ class Network:
 
     def clear_topology_cache(self) -> None:
         """Drop memoized routes after the topology changed (elastic growth)."""
-        self._route_cache.clear()
+        n = self.topology.n_nodes
+        self._routes = list(map(list, repeat([None] * n, n)))
 
     # -- fault injection --------------------------------------------------------
 
@@ -243,10 +236,10 @@ class Network:
         (``deliver=None``: billed and timed, nothing scheduled). Bytes are
         counted even for local messages (zero-priced link class).
         """
-        route = self._route_cache.get((src, dst))
+        route = self._routes[src][dst]
         if route is None:
             route = self._route(src, dst)
-        cls, code, model, dcs, lognormal = route
+        cls, code, dcs, model, floor, mu, sigma = route
         local = cls is _LOCAL
         if not local and self._partitioned and dcs in self._partitioned:
             self.dropped += 1
@@ -254,9 +247,8 @@ class Network:
         traffic = self.traffic
         traffic._messages[code] += 1
         traffic._bytes[code] += int(nbytes)
-        if lognormal:
-            normals = self._normals or self._refill()
-            delay = model.floor + exp(model.mu + model.sigma * normals.pop())
+        if sigma is not None:
+            delay = floor + exp(mu + sigma * (self._normals or self._refill()).pop())
         else:
             delay = model.sample(self.rng)
         if not local:
@@ -269,11 +261,10 @@ class Network:
 
     def sample_delay(self, src: int, dst: int) -> float:
         """Sample a delay without sending (used by monitors probing RTT)."""
-        route = self._route_cache.get((src, dst)) or self._route(src, dst)
-        model = route[2]
-        if route[4]:
-            normals = self._normals or self._refill()
-            return model.floor + exp(model.mu + model.sigma * normals.pop())
+        route = self._routes[src][dst] or self._route(src, dst)
+        model, floor, mu, sigma = route[3:]
+        if sigma is not None:
+            return floor + exp(mu + sigma * (self._normals or self._refill()).pop())
         return model.sample(self.rng)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

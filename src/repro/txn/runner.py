@@ -14,13 +14,15 @@ anomalies, and commit-latency percentiles.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.common.rng import RngFactory
+from repro.common.rng import RngFactory, block_uniforms
 from repro.cluster.coordinator import OpResult
+from repro.cluster.store import draw_coordinator
 from repro.cost.billing import Biller
 from repro.txn.api import TransactionalStore, TxnOutcome
 from repro.workload.client import LevelUsage, RunReport
@@ -47,13 +49,13 @@ class TxnClient:
         self.tstore = tstore
         self.spec = spec
         self.remaining = int(txns)
-        self.rng = rng
+        self.uniforms = block_uniforms(rng)
         self.interval = 1.0 / target_rate if target_rate else 0.0
         self._deadline = 0.0
-        self.chooser = spec.make_chooser(rng=rng)
+        self.chooser = spec.make_chooser(rng=self.uniforms)
         self.on_finished = on_finished
         self.issued = 0
-        self._dc = dc
+        self._coordinator = partial(draw_coordinator, tstore.store, dc, self.uniforms)
 
     def start(self) -> None:
         """Begin issuing transactions (call before the simulator runs)."""
@@ -65,14 +67,6 @@ class TxnClient:
         tr.post_at(tr.now, self._issue_next)
 
     # -- internals ---------------------------------------------------------------
-
-    def _coordinator(self) -> Optional[int]:
-        if self._dc is None:
-            return None
-        coords = self.tstore.store.coordinator_pool(self._dc)
-        if not coords:
-            return None
-        return coords[int(self.rng.integers(0, len(coords)))]
 
     def _issue_next(self) -> None:
         if self.remaining <= 0:

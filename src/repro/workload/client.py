@@ -19,14 +19,15 @@ staleness / traffic numbers every experiment consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.common.rng import RngFactory
+from repro.common.rng import RngFactory, block_uniforms
 from repro.cluster.coordinator import OpResult
-from repro.cluster.store import ReplicatedStore
+from repro.cluster.store import ReplicatedStore, draw_coordinator
 from repro.policy import ConsistencyPolicy, StaticPolicy
 from repro.workload.workloads import WorkloadSpec
 
@@ -79,14 +80,14 @@ class ClosedLoopClient:
         "spec",
         "policy",
         "remaining",
-        "rng",
+        "uniforms",
         "interval",
         "_deadline",
         "chooser",
         "inserted",
         "on_finished",
         "issued",
-        "_dc",
+        "_coordinator",
     )
 
     #: Pacing weight relative to a single client (cohorts report their
@@ -110,14 +111,14 @@ class ClosedLoopClient:
         self.spec = spec
         self.policy = policy
         self.remaining = int(ops)
-        self.rng = rng
+        self.uniforms = block_uniforms(rng)
         self.interval = 1.0 / target_rate if target_rate else 0.0
         self._deadline = 0.0
-        self.chooser = spec.make_chooser(rng=rng)
+        self.chooser = spec.make_chooser(rng=self.uniforms)
         self.inserted = 0
         self.on_finished = on_finished
         self.issued = 0
-        self._dc = dc
+        self._coordinator = partial(draw_coordinator, store, dc, self.uniforms)
 
     def start(self) -> None:
         """Begin issuing operations (call before the simulator runs)."""
@@ -130,16 +131,6 @@ class ClosedLoopClient:
 
     # -- internals ---------------------------------------------------------------
 
-    def _coordinator(self) -> Optional[int]:
-        # Drawn from the store's live pool per operation (not a list frozen
-        # at construction) so elastic membership reshapes coordinator load.
-        if self._dc is None:
-            return None
-        coords = self.store.coordinator_pool(self._dc)
-        if not coords:
-            return None
-        return coords[int(self.rng.integers(0, len(coords)))]
-
     def _issue_next(self) -> None:
         if self.remaining <= 0:
             self._finish()
@@ -147,7 +138,7 @@ class ClosedLoopClient:
         self.remaining -= 1
         self.issued += 1
         now = self.store.transport.now
-        op = self.spec.sample_op(self.rng)
+        op = self.spec.sample_op(self.uniforms)
         if op == "insert":
             index = self.spec.record_count + self.inserted
             self.inserted += 1
@@ -216,7 +207,8 @@ class OpenLoopSource:
     assumption of the analytical staleness model holds by construction.
     """
 
-    __slots__ = ("store", "spec", "policy", "rate", "remaining", "rng", "chooser", "_dc")
+    __slots__ = ("store", "spec", "policy", "rate", "remaining", "uniforms", "chooser",
+                 "_coordinator")
 
     def __init__(
         self,
@@ -237,9 +229,14 @@ class OpenLoopSource:
         self.policy = policy
         self.rate = float(rate)
         self.remaining = int(ops)
-        self.rng = rng
-        self.chooser = spec.make_chooser(rng=rng)
-        self._dc = dc
+        self.uniforms = block_uniforms(rng)
+        self.chooser = spec.make_chooser(rng=self.uniforms)
+        self._coordinator = partial(draw_coordinator, store, dc, self.uniforms)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The source's stream, handed back by its per-op block (exact)."""
+        return self.uniforms.handback()
 
     def start(self) -> None:
         """Schedule all arrivals up front (exact Poisson process).
@@ -259,17 +256,9 @@ class OpenLoopSource:
                 post_at(t, issue)
         self.remaining = 0
 
-    def _coordinator(self) -> Optional[int]:
-        if self._dc is None:
-            return None
-        coords = self.store.coordinator_pool(self._dc)
-        if not coords:
-            return None
-        return coords[int(self.rng.integers(0, len(coords)))]
-
     def _issue_one(self) -> None:
         now = self.store.transport.now
-        op = self.spec.sample_op(self.rng)
+        op = self.spec.sample_op(self.uniforms)
         key = self.spec.key_of(self.chooser.next_index())
         if op == "read":
             self.store.read(

@@ -35,14 +35,16 @@ staleness / latency / cost within documented tolerances on real scenarios.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigError
+from repro.common.rng import block_uniforms
 from repro.common.stats import OnlineStats
 from repro.cluster.coordinator import OpResult
-from repro.cluster.store import ReplicatedStore
+from repro.cluster.store import ReplicatedStore, draw_coordinator
 from repro.policy import ConsistencyPolicy
 from repro.workload.traces import TraceRecord
 from repro.workload.workloads import WorkloadSpec
@@ -74,8 +76,8 @@ class CohortPopulation:
         Generator for inter-arrival gaps.  Kept separate from ``rng`` so
         batched gap refills never perturb the op-sampling stream; defaults
         to ``rng`` being split is **not** done implicitly -- pass one
-        (the runner derives ``cohort.<dc>.arrivals``) or arrivals fall
-        back to ``rng`` with gap draws interleaving op draws.
+        (the runner derives ``cohort.<dc>.arrivals``) or arrivals fall back
+        to ``rng``, handed back per refill, gap draws interleaving op draws.
     target_rate:
         Aggregate offered rate of the whole cohort (ops/sec), or ``None``
         for the unpaced pooled closed loop.
@@ -122,12 +124,13 @@ class CohortPopulation:
         self.members = int(members)
         self.remaining = int(ops)
         self.ops_total = int(ops)
-        self.rng = rng
-        self.arrival_rng = arrival_rng if arrival_rng is not None else rng
+        self.uniforms = block_uniforms(rng)
+        self.arrival_rng = arrival_rng
         self.rate = float(target_rate) if target_rate else None
         self.dc = dc
+        self._coordinator = partial(draw_coordinator, store, dc, self.uniforms)
         self.on_finished = on_finished
-        self.chooser = spec.make_chooser(rng=rng)
+        self.chooser = spec.make_chooser(rng=self.uniforms)
         self.inserted = 0
         self.issued = 0
         self.in_flight = 0
@@ -230,7 +233,8 @@ class CohortPopulation:
         (property-tested).
         """
         if self._gaps is None or self._gap_pos >= len(self._gaps):
-            self._gaps = self.arrival_rng.standard_exponential(
+            rng = self.arrival_rng or self.uniforms.handback()
+            self._gaps = rng.standard_exponential(
                 size=min(self._batch, max(1, self._arrivals_left))
             )
             self._gap_pos = 0
@@ -270,19 +274,11 @@ class CohortPopulation:
 
     # -- operation emission ------------------------------------------------------
 
-    def _coordinator(self) -> Optional[int]:
-        if self.dc is None:
-            return None
-        coords = self.store.coordinator_pool(self.dc)
-        if not coords:
-            return None
-        return coords[int(self.rng.integers(0, len(coords)))]
-
     def _issue(self) -> None:
         self.in_flight += 1
         self.issued += 1
         now = self.store.transport.now
-        op = self.spec.sample_op(self.rng)
+        op = self.spec.sample_op(self.uniforms)
         if op == "insert":
             index = self.spec.record_count + self.inserted
             self.inserted += 1

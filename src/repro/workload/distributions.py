@@ -20,11 +20,12 @@ are formed by the workload layer (``user<index>`` like YCSB).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.common.rng import spawn_rng
+from repro.common.rng import block_uniforms
 
 __all__ = [
     "KeyChooser",
@@ -46,6 +47,7 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+@lru_cache(maxsize=1 << 11)  # one shared memo: zipfian ranks repeat
 def _fnv1a64(value: int) -> int:
     """FNV-1a over the 8 little-endian bytes of ``value`` (YCSB's ``fnvhash64``),
     one straight-line xor-multiply step per byte, low byte first."""
@@ -80,10 +82,10 @@ class UniformChooser(KeyChooser):
         if item_count < 1:
             raise ConfigError(f"item_count must be >= 1, got {item_count}")
         self.item_count = int(item_count)
-        self.rng = spawn_rng(rng)
+        self.uniforms = block_uniforms(rng)
 
     def next_index(self) -> int:
-        return int(self.rng.integers(0, self.item_count))
+        return self.uniforms.integers(0, self.item_count)
 
 
 class ZipfianChooser(KeyChooser):
@@ -106,7 +108,7 @@ class ZipfianChooser(KeyChooser):
             raise ConfigError(f"theta must be in (0, 1), got {theta}")
         self.item_count = int(item_count)
         self.theta = float(theta)
-        self.rng = spawn_rng(rng)
+        self.uniforms = block_uniforms(rng)
         self._alpha = 1.0 / (1.0 - theta)
         self._zeta2 = self._zeta_static(2, theta)
         self._zetan = self._zeta_static(self.item_count, theta)
@@ -144,7 +146,7 @@ class ZipfianChooser(KeyChooser):
         n = self.item_count
         if n == 1:
             return 0
-        u = float(self.rng.random())
+        u = self.uniforms.random()
         uz = u * self._zetan
         if uz < 1.0:
             return 0
@@ -227,15 +229,15 @@ class HotSpotChooser(KeyChooser):
         self.item_count = int(item_count)
         self.hot_set_fraction = float(hot_set_fraction)
         self.hot_opn_fraction = float(hot_opn_fraction)
-        self.rng = spawn_rng(rng)
+        self.uniforms = block_uniforms(rng)
 
     def next_index(self) -> int:
         hot_items = max(1, int(self.item_count * self.hot_set_fraction))
-        if self.rng.random() < self.hot_opn_fraction:
-            return int(self.rng.integers(0, hot_items))
+        if self.uniforms.random() < self.hot_opn_fraction:
+            return self.uniforms.integers(0, hot_items)
         if hot_items >= self.item_count:
-            return int(self.rng.integers(0, self.item_count))
-        return int(self.rng.integers(hot_items, self.item_count))
+            return self.uniforms.integers(0, self.item_count)
+        return self.uniforms.integers(hot_items, self.item_count)
 
 
 class ExponentialChooser(KeyChooser):
@@ -256,11 +258,12 @@ class ExponentialChooser(KeyChooser):
             raise ConfigError(f"item_count must be >= 1, got {item_count}")
         self.item_count = int(item_count)
         self.gamma = -math.log(1.0 - percentile / 100.0) / (item_count * frac)
-        self.rng = spawn_rng(rng)
+        self.uniforms = block_uniforms(rng)
 
     def next_index(self) -> int:
+        rng = self.uniforms.handback()
         while True:
-            x = self.rng.exponential(1.0 / self.gamma)
+            x = rng.exponential(1.0 / self.gamma)
             idx = int(x)
             if idx < self.item_count:
                 return idx

@@ -87,13 +87,21 @@ class TestServiceModel:
         model = ServiceModel()
         node = StorageNode(sim, 0, service=model, rng=np.random.default_rng(9))
         reference = np.random.default_rng(9)
+        submitted = []
+
+        class Recorder:  # stands in for both stages: keeps each service time
+            def submit(self, service, *_):
+                submitted.append(service)
+
+        node.resource = node.mutation_resource = Recorder()
         for i in range(1000):  # crosses several block refills
             if i % 3:
-                got = node._service_time(model.read_base, model.read_jitter)
-                assert got == model.sample_read(reference)
+                node.handle_read("k", None)
+                assert submitted[-1] == model.sample_read(reference)
             else:
-                got = node._service_time(model.write_base, model.write_jitter)
-                assert got == model.sample_write(reference)
+                node.handle_write("k", None, None)
+                assert submitted[-1] == model.sample_write(reference)
+        assert len(submitted) == 1000
 
 
 class TestStorageNode:

@@ -145,13 +145,14 @@ class TestNetworkRouteCache:
         assert net.topology.link_class(0, 1) is LinkClass.INTRA_DC
         fired = []
         net.send(0, 1, 100, fired.append, "x")
-        assert (0, 1) in net._route_cache
+        assert net._routes[0][1] is not None
         new_node = st.bootstrap_node(0)
-        assert net._route_cache == {}  # invalidated by the bootstrap
+        # invalidated by the bootstrap: one empty row and slot per node
+        assert net._routes == [[None] * (new_node + 1)] * (new_node + 1)
         net.send(0, new_node, 100, fired.append, "y")
-        cls, _, _, dcs, lognormal = net._route_cache[(0, new_node)]
+        cls, _, dcs, _, _, _, sigma = net._routes[0][new_node]
         assert cls is LinkClass.INTRA_DC and dcs == (0, 0)
-        assert not lognormal  # the default links are FixedLatency
+        assert sigma is None  # the default links are FixedLatency, not lognormal
 
     def test_traffic_matrix_views_and_codes_agree(self):
         # Network.send bumps the counters in place with its route's int
