@@ -99,7 +99,9 @@ def _fig1(args) -> None:
     from repro.experiments.model_eval import fig1_table, run_fig1_validation
     from repro.experiments.platforms import grid5000_harmony_platform
 
-    rows = run_fig1_validation(grid5000_harmony_platform(), seed=args.seed)
+    rows = run_fig1_validation(
+        grid5000_harmony_platform(), ops=args.ops, seed=args.seed
+    )
     print(fig1_table(rows))
 
 
@@ -114,7 +116,7 @@ def _e5_behavior(args) -> None:
 def _scenarios(args) -> None:
     from repro.experiments import scenarios
 
-    if getattr(args, "json", False):
+    if args.json:
         import json
 
         doc = []
@@ -173,7 +175,7 @@ def _txn(args) -> None:
     factories = {name: named_policy_factory(name) for name in selected}
 
     txns = args.ops if args.ops is not None else 2000
-    protocol = getattr(args, "protocol", None)
+    protocol = args.protocol
     label = (protocol or "2pc").upper().replace("COOP", "coop")
     table = Table(
         f"atomic {spec.name} transactions, {label} over two EC2 AZs ({txns} txns)",
@@ -457,6 +459,11 @@ def _sweep(args) -> None:
         print(f"wrote {paths['json']} and {paths['csv']}")
 
 
+#: Verbs whose handler reads ``--ops`` / ``--seed``; no other verb takes them.
+TAKES_OPS = {"e1-g5k", "e1-ec2", "e2-cost", "e3-efficiency", "e4-bismar", "fig1",
+             "txn", "elastic", "sweep"}
+TAKES_SEED = TAKES_OPS | {"e5-behavior", "xval"}
+
 COMMANDS: Dict[str, Callable] = {
     "e1-g5k": _e1_g5k,
     "e1-ec2": _e1_ec2,
@@ -497,8 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name in COMMANDS:
         p = sub.add_parser(name, help=helps.get(name, f"run experiment {name}"))
-        p.add_argument("--ops", type=int, default=None, help="operation count")
-        p.add_argument("--seed", type=int, default=11, help="root seed")
+        if name in TAKES_OPS:
+            p.add_argument("--ops", type=int, default=None, help="operation count")
+        if name in TAKES_SEED:
+            p.add_argument("--seed", type=int, default=11, help="root seed")
         if name == "txn":
             p.add_argument(
                 "--mix",

@@ -16,8 +16,8 @@ study:
   (:mod:`node`);
 - ground-truth staleness measurement per the paper's Figure 1
   (:mod:`staleness`);
-- read repair, hinted handoff and failure injection
-  (:mod:`repair`, :mod:`hints`, :mod:`failures`);
+- read repair in the coordinator, hinted handoff and failure injection
+  (:mod:`hints`, :mod:`failures`);
 - the client-facing facade (:mod:`store`).
 """
 

@@ -664,7 +664,7 @@ class ReplicatedStore:
         self.write_seq = seq
 
     def written_keys(self) -> List[str]:
-        """Keys ever written (repair daemon's candidate population)."""
+        """Keys ever written (the keys a membership change re-places)."""
         return self._written_keys
 
     # -- metrics -----------------------------------------------------------------

@@ -6,7 +6,6 @@ other subsystem:
 - :mod:`repro.common.errors` -- the exception hierarchy;
 - :mod:`repro.common.rng` -- deterministic, hierarchical random-stream
   management built on :class:`numpy.random.SeedSequence`;
-- :mod:`repro.common.units` -- readable time/size/money unit helpers;
 - :mod:`repro.common.stats` -- online statistics (mean/variance, EWMA,
   histograms, sliding-window rate estimators) used by the monitoring module;
 - :mod:`repro.common.tables` -- plain-text table rendering for experiment
@@ -27,11 +26,8 @@ from repro.common.stats import (
     Ewma,
     Histogram,
     RateEstimator,
-    SlidingWindow,
-    ReservoirSample,
 )
 from repro.common.tables import Table, format_float
-from repro.common import units
 
 __all__ = [
     "ReproError",
@@ -46,9 +42,6 @@ __all__ = [
     "Ewma",
     "Histogram",
     "RateEstimator",
-    "SlidingWindow",
-    "ReservoirSample",
     "Table",
     "format_float",
-    "units",
 ]

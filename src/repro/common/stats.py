@@ -1,46 +1,33 @@
 """Online statistics used by the monitoring and reporting subsystems.
 
 Everything here is *streaming*: O(1) (or O(window)) memory, one pass, no
-storing of the full sample unless explicitly asked for (reservoir). These
-are the primitives Harmony's monitoring module is built from:
+storing of the full sample. These are the primitives Harmony's monitoring
+module is built from:
 
 - :class:`OnlineStats` -- Welford mean/variance/min/max;
 - :class:`Ewma` -- exponentially weighted moving average (rate smoothing);
 - :class:`Histogram` -- log-scaled latency histogram with quantile queries;
-- :class:`SlidingWindow` -- time-stamped event window;
-- :class:`RateEstimator` -- arrival-rate estimation over a sliding window;
-- :class:`ReservoirSample` -- uniform fixed-size sample of a stream.
+- :class:`RateEstimator` -- arrival-rate estimation over a sliding window.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import Deque, Iterable, List, Optional
 
 import numpy as np
 
 from repro.common.errors import ConfigError
 
-__all__ = [
-    "OnlineStats",
-    "Ewma",
-    "Histogram",
-    "SlidingWindow",
-    "RateEstimator",
-    "ReservoirSample",
-    "ks_distance",
-    "relative_error",
-    "within_tolerance",
-]
+__all__ = ["OnlineStats", "Ewma", "Histogram", "RateEstimator"]
 
 
 class OnlineStats:
     """Welford's online mean/variance with min/max tracking.
 
     Numerically stable for long streams (no sum-of-squares catastrophic
-    cancellation), mergeable (:meth:`merge`) so per-node statistics can be
-    combined into cluster-wide ones.
+    cancellation).
     """
 
     __slots__ = ("n", "_mean", "_m2", "min", "max")
@@ -63,20 +50,6 @@ class OnlineStats:
         if x > self.max:
             self.max = x
 
-    def add_many(self, xs: Iterable[float]) -> None:
-        """Fold an iterable of observations (vectorized for ndarray input)."""
-        if isinstance(xs, np.ndarray) and xs.size:
-            other = OnlineStats()
-            other.n = int(xs.size)
-            other._mean = float(xs.mean())
-            other._m2 = float(((xs - other._mean) ** 2).sum())
-            other.min = float(xs.min())
-            other.max = float(xs.max())
-            self.merge(other)
-            return
-        for x in xs:
-            self.add(x)
-
     @property
     def mean(self) -> float:
         """Sample mean (0.0 when empty)."""
@@ -91,27 +64,6 @@ class OnlineStats:
     def std(self) -> float:
         """Unbiased sample standard deviation."""
         return math.sqrt(self.variance)
-
-    @property
-    def sum(self) -> float:
-        """Sum of all observations."""
-        return self._mean * self.n
-
-    def merge(self, other: "OnlineStats") -> None:
-        """Fold another :class:`OnlineStats` into this one (Chan's formula)."""
-        if other.n == 0:
-            return
-        if self.n == 0:
-            self.n, self._mean, self._m2 = other.n, other._mean, other._m2
-            self.min, self.max = other.min, other.max
-            return
-        n = self.n + other.n
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.n * other.n / n
-        self._mean += delta * other.n / n
-        self.n = n
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OnlineStats(n={self.n}, mean={self.mean:.6g}, std={self.std:.6g})"
@@ -145,11 +97,6 @@ class Ewma:
     def value(self) -> float:
         """Current smoothed value (0.0 before the first update)."""
         return self._value if self._initialized else 0.0
-
-    @property
-    def initialized(self) -> bool:
-        """Whether at least one observation has been folded in."""
-        return self._initialized
 
     def update(self, x: float, t: float | None = None) -> float:
         """Fold in observation ``x`` (at simulated time ``t`` for halflife mode).
@@ -265,23 +212,6 @@ class Histogram:
                 idx += 1
             self._counts[idx] += 1
 
-    def add_many(self, xs: np.ndarray) -> None:
-        """Record a batch of observations (vectorized)."""
-        xs = np.asarray(xs, dtype=float)
-        self.n += int(xs.size)
-        self._sum += float(xs.sum())
-        self._below += int((xs < self.lo).sum())
-        self._above += int((xs >= self.hi).sum())
-        inside = xs[(xs >= self.lo) & (xs < self.hi)]
-        if inside.size:
-            idx = np.searchsorted(self._edges, inside, side="right") - 1
-            binc = np.bincount(
-                np.clip(idx, 0, self.nbuckets - 1), minlength=self.nbuckets
-            )
-            counts = self._counts
-            for i in np.nonzero(binc)[0]:
-                counts[i] += int(binc[i])
-
     @property
     def mean(self) -> float:
         """Exact mean of all recorded observations."""
@@ -308,55 +238,6 @@ class Histogram:
     def percentile(self, p: float) -> float:
         """Convenience: ``percentile(99)`` == ``quantile(0.99)``."""
         return self.quantile(p / 100.0)
-
-
-class SlidingWindow:
-    """Timestamped value window: keeps ``(t, value)`` pairs newer than ``span``.
-
-    Used for "what happened in the last W seconds" queries. Eviction is
-    amortized O(1) per insertion.
-    """
-
-    __slots__ = ("span", "_items")
-
-    def __init__(self, span: float):
-        if span <= 0:
-            raise ConfigError(f"window span must be positive, got {span}")
-        self.span = float(span)
-        self._items: Deque[Tuple[float, float]] = deque()
-
-    def add(self, t: float, value: float = 1.0) -> None:
-        """Record ``value`` at simulated time ``t`` and evict expired items."""
-        self._items.append((t, value))
-        self._evict(t)
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.span
-        items = self._items
-        while items and items[0][0] < cutoff:
-            items.popleft()
-
-    def count(self, now: float) -> int:
-        """Number of items within the window ending at ``now``."""
-        self._evict(now)
-        return len(self._items)
-
-    def sum(self, now: float) -> float:
-        """Sum of item values within the window ending at ``now``."""
-        self._evict(now)
-        return sum(v for _, v in self._items)
-
-    def mean(self, now: float) -> float:
-        """Mean item value within the window (0.0 when empty)."""
-        self._evict(now)
-        if not self._items:
-            return 0.0
-        return sum(v for _, v in self._items) / len(self._items)
-
-    def values(self, now: float) -> List[float]:
-        """Copy of the values currently inside the window."""
-        self._evict(now)
-        return [v for _, v in self._items]
 
 
 class RateEstimator:
@@ -398,105 +279,3 @@ class RateEstimator:
             ev.popleft()
         span = min(self.window, max(now - self._t0, 1e-9))
         return len(ev) / span
-
-
-class ReservoirSample:
-    """Uniform fixed-size sample of an unbounded stream (Vitter's algorithm R).
-
-    Used where an experiment wants a representative latency/staleness sample
-    without retaining millions of values.
-    """
-
-    __slots__ = ("capacity", "_rng", "_items", "n")
-
-    def __init__(self, capacity: int, rng: np.random.Generator | int | None = None):
-        if capacity <= 0:
-            raise ConfigError(f"capacity must be positive, got {capacity}")
-        from repro.common.rng import spawn_rng
-
-        self.capacity = int(capacity)
-        self._rng = spawn_rng(rng)
-        self._items: List[float] = []
-        self.n = 0
-
-    def add(self, x: float) -> None:
-        """Offer one stream element to the reservoir."""
-        self.n += 1
-        if len(self._items) < self.capacity:
-            self._items.append(x)
-        else:
-            j = int(self._rng.integers(0, self.n))
-            if j < self.capacity:
-                self._items[j] = x
-
-    @property
-    def sample(self) -> List[float]:
-        """Copy of the current reservoir contents."""
-        return list(self._items)
-
-
-# -- equivalence / fidelity helpers -------------------------------------------
-#
-# The cohort-vs-per-client fidelity suite (tests/test_cohort_fidelity.py)
-# needs distribution- and scalar-level agreement measures with explicit,
-# documented semantics; these are them.
-
-
-def ks_distance(a: Iterable[float], b: Iterable[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic: sup |F_a(x) - F_b(x)|.
-
-    The maximum vertical distance between the two empirical CDFs, in
-    [0, 1]; 0 means the samples have identical empirical distributions.
-    Either sample being empty is a :class:`ConfigError` -- an empty side
-    would make any tolerance vacuously pass.
-
-    Examples
-    --------
-    >>> ks_distance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    0.0
-    >>> ks_distance([0.0, 0.0], [1.0, 1.0])
-    1.0
-    """
-    xs = np.sort(np.asarray(list(a), dtype=float))
-    ys = np.sort(np.asarray(list(b), dtype=float))
-    if xs.size == 0 or ys.size == 0:
-        raise ConfigError("ks_distance requires two non-empty samples")
-    grid = np.concatenate([xs, ys])
-    cdf_x = np.searchsorted(xs, grid, side="right") / xs.size
-    cdf_y = np.searchsorted(ys, grid, side="right") / ys.size
-    return float(np.abs(cdf_x - cdf_y).max())
-
-
-def relative_error(measured: float, reference: float, floor: float = 0.0) -> float:
-    """|measured - reference| / max(|reference|, floor).
-
-    ``floor`` guards near-zero references (a 0.1% vs 0.2% stale rate is a
-    2x relative error but a negligible absolute one; compare against
-    ``max(reference, floor)`` with the floor set at the scale below which
-    differences stop mattering).  A zero denominator with a zero numerator
-    is 0.0; with a non-zero numerator it is ``inf``.
-    """
-    denom = max(abs(float(reference)), float(floor))
-    diff = abs(float(measured) - float(reference))
-    if denom == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / denom
-
-
-def within_tolerance(
-    measured: float, reference: float, rel: float, abs_floor: float = 0.0
-) -> bool:
-    """True when ``measured`` agrees with ``reference`` within ``rel``.
-
-    The tolerance contract of the fidelity suite: the relative error
-    (with ``abs_floor`` as the near-zero guard, see
-    :func:`relative_error`) must not exceed ``rel``.
-
-    Examples
-    --------
-    >>> within_tolerance(105.0, 100.0, rel=0.10)
-    True
-    >>> within_tolerance(0.002, 0.001, rel=0.25, abs_floor=0.01)
-    True
-    """
-    return relative_error(measured, reference, floor=abs_floor) <= float(rel)

@@ -13,12 +13,20 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.common.units import fmt_usd
 from repro.cost.pricing import PriceBook
 from repro.net.topology import LinkClass
 from repro.net.transport import TrafficMatrix
 
 __all__ = ["Bill", "Biller"]
+
+
+def fmt_usd(x: float) -> str:
+    """Dollar amount with sensible precision for small per-run bills."""
+    if abs(x) >= 100:
+        return f"${x:,.2f}"
+    if abs(x) >= 1:
+        return f"${x:.3f}"
+    return f"${x:.5f}"
 
 
 @dataclass(frozen=True)

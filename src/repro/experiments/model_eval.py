@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.common.tables import Table
 from repro.cluster.consistency import ConsistencyLevel
 from repro.behavior.features import extract_features
 from repro.behavior.manager import BehaviorModel, BehaviorPolicy
-from repro.cost.billing import Bill, Biller
+from repro.cost.billing import Biller
 from repro.experiments.platforms import Platform
 from repro.experiments.runner import static_factory
 from repro.monitor.collector import ClusterMonitor
@@ -99,8 +99,14 @@ def run_fig1_validation(
     read_rate: float = 200.0,
     horizon: float = 60.0,
     seed: int = 5,
+    ops: Optional[int] = None,
 ) -> List[Fig1Row]:
-    """Sweep (write rate, read level); return all three estimates per point."""
+    """Sweep (write rate, read level); return all three estimates per point.
+
+    ``ops``, when given, sets ``horizon`` to ``ops / read_rate``.
+    """
+    if ops is not None:
+        horizon = ops / read_rate
     rows: List[Fig1Row] = []
     rf = platform.rf
 

@@ -5,7 +5,7 @@ across datacenter links (Fig. 1), so the network layer is a first-class
 substrate here:
 
 - :mod:`repro.net.latency` -- one-way delay models (lognormal heavy-tail WAN,
-  deterministic for tests, empirical from samples);
+  deterministic for tests and LANs);
 - :mod:`repro.net.topology` -- datacenters and node placement, with
   per-link-class tagging (intra-DC / inter-AZ / inter-region) used by the
   billing model;
@@ -14,22 +14,14 @@ substrate here:
   supports fault injection (partitions, extra delay).
 """
 
-from repro.net.latency import (
-    LatencyModel,
-    FixedLatency,
-    UniformLatency,
-    LogNormalLatency,
-    EmpiricalLatency,
-)
+from repro.net.latency import LatencyModel, FixedLatency, LogNormalLatency
 from repro.net.topology import Datacenter, Topology, LinkClass
 from repro.net.transport import Network, TrafficMatrix
 
 __all__ = [
     "LatencyModel",
     "FixedLatency",
-    "UniformLatency",
     "LogNormalLatency",
-    "EmpiricalLatency",
     "Datacenter",
     "Topology",
     "LinkClass",

@@ -4,45 +4,29 @@ Latency models map a random stream to per-message one-way delays. The WAN
 model of record is :class:`LogNormalLatency`: wide-area RTT distributions are
 well described by a lognormal body with a heavy right tail, and that tail is
 precisely what creates long update-propagation windows -- the paper's stale
-reads. Deterministic and empirical models exist for tests and trace replay.
-
-Batch sampling (``sample_batch``) is provided for vectorized consumers
-(Monte-Carlo estimator), per the hpc-parallel guide's "vectorize the hot
-loop" rule.
+reads. The deterministic model serves tests and default link delays.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from repro.common.errors import ConfigError
 
-__all__ = [
-    "LatencyModel",
-    "FixedLatency",
-    "UniformLatency",
-    "LogNormalLatency",
-    "EmpiricalLatency",
-]
+__all__ = ["LatencyModel", "FixedLatency", "LogNormalLatency"]
 
 
 class LatencyModel:
     """Abstract one-way delay model.
 
-    Subclasses implement :meth:`sample` (one delay) and may override
-    :meth:`sample_batch` (vectorized) and :meth:`mean`.
+    Subclasses implement :meth:`sample` (one delay) and :meth:`mean`.
     """
 
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one one-way delay in seconds."""
         raise NotImplementedError
-
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` delays; default loops, subclasses vectorize."""
-        return np.array([self.sample(rng) for _ in range(n)], dtype=float)
 
     def mean(self) -> float:
         """Expected delay in seconds (used by analytical estimators)."""
@@ -60,35 +44,11 @@ class FixedLatency(LatencyModel):
     def sample(self, rng: np.random.Generator) -> float:
         return self.delay
 
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, self.delay)
-
     def mean(self) -> float:
         return self.delay
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FixedLatency({self.delay})"
-
-
-class UniformLatency(LatencyModel):
-    """Uniform delay on ``[lo, hi]``; useful for bounded-jitter scenarios."""
-
-    def __init__(self, lo: float, hi: float):
-        if not (0 <= lo <= hi):
-            raise ConfigError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
-        self.lo, self.hi = float(lo), float(hi)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.lo, self.hi))
-
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=n)
-
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"UniformLatency({self.lo}, {self.hi})"
 
 
 class LogNormalLatency(LatencyModel):
@@ -140,9 +100,6 @@ class LogNormalLatency(LatencyModel):
     def sample(self, rng: np.random.Generator) -> float:
         return self.floor + float(rng.lognormal(self.mu, self.sigma))
 
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.floor + rng.lognormal(self.mu, self.sigma, size=n)
-
     def mean(self) -> float:
         return self.floor + math.exp(self.mu + 0.5 * self.sigma * self.sigma)
 
@@ -152,31 +109,3 @@ class LogNormalLatency(LatencyModel):
             f"floor={self.floor:.6f})"
         )
 
-
-class EmpiricalLatency(LatencyModel):
-    """Resample delays from a measured sample (trace replay).
-
-    Sampling is with replacement from the provided observations, which
-    preserves the full empirical shape including the tail.
-    """
-
-    def __init__(self, samples: Sequence[float]):
-        arr = np.asarray(samples, dtype=float)
-        if arr.size == 0:
-            raise ConfigError("empirical latency needs at least one sample")
-        if (arr < 0).any():
-            raise ConfigError("latency samples must be non-negative")
-        self.samples = arr
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.samples[rng.integers(0, self.samples.size)])
-
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = rng.integers(0, self.samples.size, size=n)
-        return self.samples[idx]
-
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"EmpiricalLatency(n={self.samples.size}, mean={self.mean():.6f})"

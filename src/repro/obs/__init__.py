@@ -2,7 +2,7 @@
 
 Harmony's loop is *observe -> estimate -> adapt*; this package makes every
 run inspectable the same way: a :class:`~repro.obs.metrics.MetricsRegistry`
-holds labelled counters/gauges/histograms, an
+holds labelled counters and gauges, an
 :class:`~repro.obs.events.EventBus` carries structured run events
 (crashes, partitions, scale events, level switches), a
 :class:`~repro.obs.trace.Tracer` builds spans from the existing listener
@@ -34,7 +34,7 @@ byte-identical with observability on or off.
 """
 
 from repro.obs.events import EventBus, ObsEvent
-from repro.obs.metrics import Counter, Gauge, HistogramMetric, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.oracles import AnomalyOracles, OracleConfig
 from repro.obs.recorder import ObsConfig, RunObserver
 from repro.obs.sampler import TimeSeriesSampler
@@ -46,7 +46,6 @@ __all__ = [
     "Counter",
     "EventBus",
     "Gauge",
-    "HistogramMetric",
     "MetricsRegistry",
     "ObsConfig",
     "ObsEvent",

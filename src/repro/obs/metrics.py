@@ -1,11 +1,9 @@
-"""The metrics registry: labelled counters, gauges and histograms.
+"""The metrics registry: labelled counters and gauges.
 
 One :class:`MetricsRegistry` per owner (the cluster monitor, a run
 observer). Instruments are created once via the get-or-create accessors
 and then updated through plain attribute methods -- no string lookup on
-the hot path. ``snapshot()`` renders everything as a JSON-safe dict with
-deterministic (sorted) ordering, which is what keeps the timeline and
-sweep artifacts byte-identical across worker layouts.
+the hot path.
 
 Counters accept negative increments: a few protocol signals are
 *net* counts (e.g. transactions currently in doubt, which a late verdict
@@ -15,12 +13,11 @@ would push bookkeeping onto every consumer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.stats import Histogram
 
-__all__ = ["Counter", "Gauge", "HistogramMetric", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
 #: Canonical instrument key: name plus sorted label items.
 _Key = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -68,45 +65,6 @@ class Gauge:
         return f"Gauge({self.name}{dict(self.labels)}={self.value})"
 
 
-class HistogramMetric:
-    """Distribution instrument backed by the shared log-bucket histogram."""
-
-    __slots__ = ("name", "labels", "hist", "total")
-
-    def __init__(
-        self,
-        name: str,
-        labels: Tuple[Tuple[str, str], ...] = (),
-        lo: float = 1e-5,
-        hi: float = 100.0,
-    ):
-        self.name = name
-        self.labels = labels
-        self.hist = Histogram(lo=lo, hi=hi)
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        self.total += value
-        self.hist.add(max(value, self.hist.lo))
-
-    @property
-    def count(self) -> int:
-        return self.hist.n
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.hist.n if self.hist.n else 0.0
-
-    def percentile(self, p: float) -> float:
-        return self.hist.percentile(p)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"HistogramMetric({self.name}{dict(self.labels)}, "
-            f"n={self.count}, mean={self.mean:.6g})"
-        )
-
-
 class MetricsRegistry:
     """Get-or-create home for a family of instruments.
 
@@ -125,9 +83,6 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: str) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(self, name: str, **labels: str) -> HistogramMetric:
-        return self._get(HistogramMetric, name, labels)
-
     def _get(self, cls, name: str, labels: Dict[str, str]):
         key = _key(name, labels)
         instrument = self._instruments.get(key)
@@ -140,40 +95,6 @@ class MetricsRegistry:
                 f"{type(instrument).__name__}"
             )
         return instrument
-
-    def instruments(self) -> List[object]:
-        """All instruments in canonical (sorted-key) order."""
-        return [self._instruments[k] for k in sorted(self._instruments)]
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-safe dump: ``name{label=value,...}`` -> scalar or summary.
-
-        Ordering is canonical, so two registries fed the same updates
-        serialize to identical bytes regardless of insertion order.
-        """
-        out: Dict[str, object] = {}
-        for key in sorted(self._instruments):
-            name, labels = key
-            rendered = name
-            if labels:
-                rendered += "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
-            instrument = self._instruments[key]
-            if isinstance(instrument, Counter):
-                out[rendered] = int(instrument.value)
-            elif isinstance(instrument, Gauge):
-                out[rendered] = float(instrument.value)
-            else:
-                hist: HistogramMetric = instrument  # type: ignore[assignment]
-                out[rendered] = {
-                    "count": int(hist.count),
-                    "mean": float(hist.mean),
-                    "p50": float(hist.percentile(50)),
-                    "p99": float(hist.percentile(99)),
-                }
-        return out
-
-    def __len__(self) -> int:
-        return len(self._instruments)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MetricsRegistry({len(self._instruments)} instruments)"

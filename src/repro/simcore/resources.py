@@ -18,7 +18,6 @@ from heapq import heappush
 from typing import Any, Callable, Deque, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.stats import OnlineStats
 from repro.simcore.simulator import Simulator
 
 __all__ = ["Resource"]
@@ -43,8 +42,7 @@ class Resource:
     caller decides).
 
     A service start pushes its completion itself (the heap-entry invariant
-    of :mod:`repro.simcore.simulator`); an idle-server start only counts a
-    zero wait, folded into :attr:`queue_wait` when read.
+    of :mod:`repro.simcore.simulator`).
     """
 
     __slots__ = (
@@ -53,8 +51,6 @@ class Resource:
         "name",
         "_busy",
         "_queue",
-        "_waits",
-        "_zero_waits",
         "completed",
         "_busy_integral",
         "_last_change",
@@ -67,9 +63,7 @@ class Resource:
         self.servers = int(servers)
         self.name = name
         self._busy = 0
-        self._queue: Deque[Tuple[float, float, Callable[..., Any], Tuple[Any, ...]]] = deque()
-        self._waits = OnlineStats()  # requests that queued
-        self._zero_waits = 0
+        self._queue: Deque[Tuple[float, Callable[..., Any], Tuple[Any, ...]]] = deque()
         self.completed = 0
         # busy-time integral (server-seconds of actual work), the basis of
         # the dynamic part of the power model; brought up to date in place
@@ -99,20 +93,10 @@ class Resource:
             self._busy_integral += busy * (now - self._last_change)
             self._last_change = now
             self._busy = busy + 1
-            self._zero_waits += 1
             sim._seq = seq = sim._seq + 1
             heappush(sim._heap, (now + service, seq, self._finish, (done, args)))
         else:
-            self._queue.append((now, service, done, args))
-
-    @property
-    def queue_wait(self) -> OnlineStats:
-        """Queueing delay of every started request (a fresh snapshot)."""
-        stats = OnlineStats()
-        if self._zero_waits:
-            stats.n, stats.min, stats.max = self._zero_waits, 0.0, 0.0
-        stats.merge(self._waits)
-        return stats
+            self._queue.append((service, done, args))
 
     @property
     def busy(self) -> int:
@@ -143,8 +127,7 @@ class Resource:
         if self._queue:
             # The freed server goes straight to the longest-waiting request
             # (``_busy`` is unchanged), before ``done`` can submit more work.
-            arrival, service, nxt_done, nxt_args = self._queue.popleft()
-            self._waits.add(now - arrival)
+            service, nxt_done, nxt_args = self._queue.popleft()
             sim._seq = seq = sim._seq + 1
             heappush(sim._heap, (now + service, seq, self._finish, (nxt_done, nxt_args)))
         else:

@@ -5,7 +5,7 @@ package rebuilds the parts the evaluation needs:
 
 - :mod:`repro.workload.distributions` -- YCSB's key choosers (uniform,
   zipfian with Gray's algorithm and the 0.99 constant, scrambled zipfian,
-  latest, hotspot, exponential);
+  latest, hotspot);
 - :mod:`repro.workload.workloads` -- workload mixes: the standard core
   workloads A-F plus the paper's "heavy read-update" mix;
 - :mod:`repro.workload.client` -- closed-loop and open-loop clients plus the
@@ -13,9 +13,9 @@ package rebuilds the parts the evaluation needs:
   against a store and collects throughput/latency/staleness;
 - :mod:`repro.workload.cohort` -- the cohort-mode engine: millions of
   clients per (DC, mix) pooled into one vectorized generator;
-- :mod:`repro.workload.traces` -- operation trace recording, replay,
-  JSONL persistence, and synthetic multi-phase application traces for
-  the behavior-modeling pipeline.
+- :mod:`repro.workload.traces` -- operation trace recording, replay, and
+  synthetic multi-phase application traces for the behavior-modeling
+  pipeline.
 """
 
 from repro.workload.distributions import (
@@ -25,7 +25,6 @@ from repro.workload.distributions import (
     ScrambledZipfianChooser,
     LatestChooser,
     HotSpotChooser,
-    ExponentialChooser,
     make_chooser,
 )
 from repro.workload.workloads import (
@@ -44,8 +43,6 @@ from repro.workload.traces import (
     TraceRecord,
     TraceRecorder,
     PhasedTraceGenerator,
-    save_trace,
-    load_trace,
 )
 
 __all__ = [
@@ -55,7 +52,6 @@ __all__ = [
     "ScrambledZipfianChooser",
     "LatestChooser",
     "HotSpotChooser",
-    "ExponentialChooser",
     "make_chooser",
     "WorkloadSpec",
     "WORKLOADS",
@@ -73,6 +69,4 @@ __all__ = [
     "TraceRecord",
     "TraceRecorder",
     "PhasedTraceGenerator",
-    "save_trace",
-    "load_trace",
 ]

@@ -36,7 +36,7 @@ staleness / latency / cost within documented tolerances on real scenarios.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from repro.common.stats import OnlineStats
 from repro.cluster.coordinator import OpResult
 from repro.cluster.store import ReplicatedStore, draw_coordinator
 from repro.policy import ConsistencyPolicy
-from repro.workload.traces import TraceRecord
 from repro.workload.workloads import WorkloadSpec
 
 __all__ = ["CohortPopulation"]
@@ -140,9 +139,6 @@ class CohortPopulation:
         self._gaps: Optional[np.ndarray] = None
         self._gap_pos = 0
         self._arrivals_left = 0
-        self._script: Optional[List[Tuple[float, str, str]]] = None
-        #: scripted ops that found every member busy ((kind, key) FIFO).
-        self._script_backlog: List[Tuple[str, str]] = []
         # -- aggregate per-cohort accounting (fed to RunReport.cohorts) ----
         self.read_latency = OnlineStats()
         self.write_latency = OnlineStats()
@@ -150,56 +146,12 @@ class CohortPopulation:
         self.failed_ops = 0
         self.completed = 0
 
-    # -- construction from a recorded trace ------------------------------------
-
-    @classmethod
-    def from_trace(
-        cls,
-        store: ReplicatedStore,
-        trace: Sequence[TraceRecord],
-        policy: ConsistencyPolicy,
-        members: Optional[int] = None,
-        time_scale: float = 1.0,
-        dc: Optional[int] = None,
-        on_finished=None,
-    ) -> "CohortPopulation":
-        """A cohort that replays a trace instead of sampling a mix.
-
-        Arrival times, op kinds and keys come from the records (scaled by
-        ``time_scale``); the member window and aggregate accounting work as
-        for synthetic cohorts.  ``members`` defaults to the trace length,
-        i.e. an unbounded window.
-        """
-        if time_scale <= 0:
-            raise ConfigError(f"time_scale must be positive, got {time_scale}")
-        records = list(trace)
-        cohort = cls(
-            store,
-            WorkloadSpec(name="trace-replay", record_count=max(1, len(records))),
-            policy,
-            members=members if members is not None else max(1, len(records)),
-            ops=len(records),
-            rng=np.random.default_rng(0),
-            dc=dc,
-            on_finished=on_finished,
-        )
-        cohort._script = [
-            (float(rec.t) * float(time_scale), rec.kind, rec.key) for rec in records
-        ]
-        return cohort
-
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
         """Begin generating operations (call before the simulator runs)."""
         if self.remaining == 0:
             self._finish()
-            return
-        if self._script is not None:
-            tr = self.store.transport
-            base = tr.now
-            for t, kind, key in self._script:
-                tr.post_at(base + t, self._scripted_arrival, kind, key)
             return
         if self.rate is None:
             # Pooled closed loop: fill the member window, completions refill.
@@ -265,13 +217,6 @@ class CohortPopulation:
                 self.backlog += 1
         self._schedule_next_arrival()
 
-    def _scripted_arrival(self, kind: str, key: str) -> None:
-        self.remaining -= 1
-        if self.in_flight >= self.members:
-            self._script_backlog.append((kind, key))
-            return
-        self._issue_scripted(kind, key)
-
     # -- operation emission ------------------------------------------------------
 
     def _issue(self) -> None:
@@ -303,22 +248,6 @@ class CohortPopulation:
                 coordinator=self._coordinator(),
             )
 
-    def _issue_scripted(self, kind: str, key: str) -> None:
-        self.in_flight += 1
-        self.issued += 1
-        now = self.store.transport.now
-        if kind == "read":
-            self.store.read(
-                key, self.policy.read_level(now), self._op_done,
-                coordinator=self._coordinator(),
-            )
-        else:
-            self.store.write(
-                key, self.policy.write_level(now), self._op_done,
-                value_size=self.spec.value_size,
-                coordinator=self._coordinator(),
-            )
-
     def _rmw_read_done(self, key: str):
         def then_write(result: OpResult) -> None:
             now = self.store.transport.now
@@ -342,13 +271,10 @@ class CohortPopulation:
                 self.write_latency.add(result.latency)
         else:
             self.failed_ops += 1
-        if self._script_backlog:
-            kind, key = self._script_backlog.pop(0)
-            self._issue_scripted(kind, key)
-        elif self.backlog > 0:
+        if self.backlog > 0:
             self.backlog -= 1
             self._issue()
-        elif self.rate is None and self._script is None and self.remaining > 0:
+        elif self.rate is None and self.remaining > 0:
             self.remaining -= 1
             self._issue()
         elif self.remaining <= 0 and self.in_flight == 0 and self._arrivals_left <= 0:

@@ -9,9 +9,7 @@ Faithful ports of the generators in YCSB's ``com.yahoo.ycsb.generator``:
   space with an FNV hash (so "popular" keys are not ring neighbours);
 - :class:`LatestChooser` skews towards recently inserted items (workload D);
 - :class:`HotSpotChooser` draws ``hot_opn_fraction`` of operations from a
-  ``hot_set_fraction`` of the items;
-- :class:`ExponentialChooser` is YCSB's exponential generator (workload E's
-  alternative).
+  ``hot_set_fraction`` of the items.
 
 All choosers return integer item indices in ``[0, item_count)``; key strings
 are formed by the workload layer (``user<index>`` like YCSB).
@@ -19,7 +17,6 @@ are formed by the workload layer (``user<index>`` like YCSB).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +31,6 @@ __all__ = [
     "ScrambledZipfianChooser",
     "LatestChooser",
     "HotSpotChooser",
-    "ExponentialChooser",
     "make_chooser",
 ]
 
@@ -240,35 +236,6 @@ class HotSpotChooser(KeyChooser):
         return self.uniforms.integers(hot_items, self.item_count)
 
 
-class ExponentialChooser(KeyChooser):
-    """YCSB's exponential generator: item ~ Exp, truncated to the population.
-
-    ``percentile`` of the mass falls in the first ``frac`` of items
-    (defaults: 95% of draws in the first 10%, YCSB's defaults).
-    """
-
-    def __init__(
-        self,
-        item_count: int,
-        percentile: float = 95.0,
-        frac: float = 0.1,
-        rng: "np.random.Generator | int | None" = None,
-    ):
-        if item_count < 1:
-            raise ConfigError(f"item_count must be >= 1, got {item_count}")
-        self.item_count = int(item_count)
-        self.gamma = -math.log(1.0 - percentile / 100.0) / (item_count * frac)
-        self.uniforms = block_uniforms(rng)
-
-    def next_index(self) -> int:
-        rng = self.uniforms.handback()
-        while True:
-            x = rng.exponential(1.0 / self.gamma)
-            idx = int(x)
-            if idx < self.item_count:
-                return idx
-
-
 def make_chooser(
     name: str,
     item_count: int,
@@ -283,7 +250,6 @@ def make_chooser(
         "rawzipfian": ZipfianChooser,
         "latest": LatestChooser,
         "hotspot": HotSpotChooser,
-        "exponential": ExponentialChooser,
     }
     if name not in table:
         raise ConfigError(f"unknown distribution {name!r}; choose from {sorted(table)}")

@@ -9,17 +9,13 @@ to obtain such traces:
 - :func:`replay_trace` -- drive a store with a previously captured trace;
 - :class:`PhasedTraceGenerator` -- synthesize traces with *planted phases*
   (e.g. a webshop's browse / checkout-rush / nightly-batch regimes), the
-  ground truth against which the clustering step is evaluated;
-- :func:`save_trace` / :func:`load_trace` -- JSONL persistence so traces
-  survive across runs (and can be fed to a cohort population via
-  :meth:`repro.workload.cohort.CohortPopulation.from_trace`).
+  ground truth against which the clustering step is evaluated.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import IO, Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +29,6 @@ __all__ = [
     "TracePhase",
     "PhasedTraceGenerator",
     "replay_trace",
-    "save_trace",
-    "load_trace",
 ]
 
 
@@ -205,72 +199,3 @@ def _replay_read(store, key: str, policy) -> None:
 def _replay_write(store, key: str, policy) -> None:
     store.write(key, policy.write_level(store.transport.now))
 
-
-# -- persistence ---------------------------------------------------------------
-
-_VALID_KINDS = ("read", "write")
-
-
-def save_trace(trace: Iterable[TraceRecord], dest: Union[str, IO[str]]) -> int:
-    """Write a trace as JSONL (one record per line); returns the line count.
-
-    ``dest`` is a path or an open text file.  Records serialize all fields
-    (``None`` values included) so :func:`load_trace` round-trips exactly.
-    """
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8") as f:
-            return save_trace(trace, f)
-    n = 0
-    for rec in trace:
-        dest.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
-        n += 1
-    return n
-
-
-def load_trace(src: Union[str, IO[str]]) -> List[TraceRecord]:
-    """Read a JSONL trace written by :func:`save_trace`.
-
-    Malformed input -- invalid JSON, a non-object line, missing required
-    fields, an unknown op kind, a negative timestamp -- raises
-    :class:`~repro.common.errors.ConfigError` naming the offending line,
-    so a truncated or hand-edited trace fails loudly instead of silently
-    replaying garbage.
-    """
-    if isinstance(src, str):
-        with open(src, "r", encoding="utf-8") as f:
-            return load_trace(f)
-    records: List[TraceRecord] = []
-    for lineno, line in enumerate(src, start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"trace line {lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"trace line {lineno}: expected an object, got {type(doc).__name__}")
-        missing = [k for k in ("t", "kind", "key") if k not in doc]
-        if missing:
-            raise ConfigError(f"trace line {lineno}: missing fields {missing}")
-        if doc["kind"] not in _VALID_KINDS:
-            raise ConfigError(
-                f"trace line {lineno}: kind must be one of {list(_VALID_KINDS)}, "
-                f"got {doc['kind']!r}"
-            )
-        try:
-            t = float(doc["t"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"trace line {lineno}: t is not a number") from None
-        if t < 0 or t != t:
-            raise ConfigError(f"trace line {lineno}: t must be >= 0, got {doc['t']}")
-        records.append(
-            TraceRecord(
-                t=t,
-                kind=str(doc["kind"]),
-                key=str(doc["key"]),
-                latency=float(doc.get("latency") or 0.0),
-                stale=doc.get("stale"),
-                phase=doc.get("phase"),
-            )
-        )
-    return records

@@ -1,4 +1,4 @@
-"""Tests for failure injection, hinted handoff and anti-entropy repair."""
+"""Tests for failure injection and hinted handoff."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.common.errors import ConfigError
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.failures import FailureInjector
 from repro.cluster.hints import HintStore
-from repro.cluster.repair import AntiEntropyRepair
 from repro.cluster.versions import Version
 
 
@@ -199,90 +198,3 @@ class TestFailureInjector:
         assert not results[0].ok
         assert results[0].error == "timeout"
 
-
-class TestAntiEntropyRepair:
-    def test_validation(self, store):
-        with pytest.raises(ConfigError):
-            AntiEntropyRepair(store, interval=0.0)
-        with pytest.raises(ConfigError):
-            AntiEntropyRepair(store, sample_fraction=0.0)
-        with pytest.raises(ConfigError):
-            AntiEntropyRepair(store, sample_fraction=1.5)
-
-    def test_repairs_partition_divergence(self, store):
-        # write during a partition, heal, then repair must reconverge replicas
-        store.network.partition_dcs(0, 1)
-        store.sim.schedule_at(0.0, store.write, "k", 1, None, None, 0)
-        store.sim.run()
-        store.network.heal_all()
-
-        repair = AntiEntropyRepair(store, interval=1.0, sample_fraction=1.0, rng=0)
-        repair.start()
-        store.sim.run(until=3.0)
-        repair.stop()
-        store.sim.run(until=4.0)
-
-        replicas = store.strategy.replicas("k", store.ring, store.topology)
-        versions = {store.nodes[r].data.get("k") for r in replicas}
-        assert len(versions) == 1  # converged
-        assert repair.repairs_streamed >= 1
-        assert repair.sweeps >= 2
-
-    def test_no_keys_no_crash(self, store):
-        repair = AntiEntropyRepair(store, interval=0.5, sample_fraction=0.5)
-        repair.start()
-        store.sim.run(until=2.0)
-        assert repair.sweeps >= 3
-        assert repair.keys_examined == 0
-
-    def test_all_replicas_down_mid_sweep_is_a_no_op(self, store):
-        # The crash-window path: every replica of the sampled key is down
-        # when the sweep fires. Nothing may stream and nothing may crash.
-        store.sim.schedule_at(0.0, store.write, "k", 1, None, None, 0)
-        store.sim.run()
-        replicas = store.strategy.replicas("k", store.ring, store.topology)
-        for r in replicas:
-            store.nodes[r].crash()
-        repair = AntiEntropyRepair(store, interval=0.5, sample_fraction=1.0, rng=0)
-        repair.start()
-        store.sim.run(until=1.2)
-        repair.stop()
-        store.sim.run(until=2.0)
-        assert repair.sweeps >= 2
-        assert repair.keys_examined >= 1  # the key was sampled...
-        assert repair.repairs_streamed == 0  # ...but nothing was streamed
-        # Replica data is untouched (no half-repair while down).
-        before = {r: store.nodes[r].data.get("k") for r in replicas}
-        for r in replicas:
-            store.on_node_recover(r)
-        assert {r: store.nodes[r].data.get("k") for r in replicas} == before
-
-    def test_key_vanished_from_all_replicas_mid_sweep(self, store):
-        # Even harder crash-window shape: the key is in the written-key
-        # population but no replica holds any version (e.g. the write was
-        # dropped everywhere). _repair_key must bail out cleanly.
-        store._written_set.add("ghost")
-        store._written_keys.append("ghost")
-        repair = AntiEntropyRepair(store, interval=0.5, sample_fraction=1.0, rng=0)
-        repair.start()
-        store.sim.run(until=1.2)
-        repair.stop()
-        assert repair.keys_examined >= 1
-        assert repair.repairs_streamed == 0
-
-    def test_skips_down_replicas(self, store):
-        store.network.partition_dcs(0, 1)
-        store.sim.schedule_at(0.0, store.write, "k", 1, None, None, 0)
-        store.sim.run()
-        store.network.heal_all()
-        # crash the lagging replica: repair must not stream to it
-        replicas = store.strategy.replicas("k", store.ring, store.topology)
-        lagging = [r for r in replicas if "k" not in store.nodes[r].data]
-        for r in lagging:
-            store.nodes[r].crash()
-        repair = AntiEntropyRepair(store, interval=0.5, sample_fraction=1.0)
-        repair.start()
-        store.sim.run(until=1.2)
-        repair.stop()
-        for r in lagging:
-            assert "k" not in store.nodes[r].data

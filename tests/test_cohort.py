@@ -16,7 +16,6 @@ from repro.common.errors import ConfigError
 from repro.policy import StaticPolicy
 from repro.workload.client import ClosedLoopClient, WorkloadRunner
 from repro.workload.cohort import CohortPopulation
-from repro.workload.traces import TraceRecord
 from repro.workload.workloads import WorkloadSpec, heavy_read_update
 
 
@@ -30,19 +29,15 @@ def _cohort(store, **kw):
 
 
 def _track_peak_in_flight(cohort):
-    """Wrap the issue paths to record the high-water mark of in-flight ops."""
+    """Wrap the issue path to record the high-water mark of in-flight ops."""
     state = {"peak": 0}
-    orig_issue, orig_scripted = cohort._issue, cohort._issue_scripted
+    orig_issue = cohort._issue
 
     def spy_issue():
         orig_issue()
         state["peak"] = max(state["peak"], cohort.in_flight)
 
-    def spy_scripted(kind, key):
-        orig_scripted(kind, key)
-        state["peak"] = max(state["peak"], cohort.in_flight)
-
-    cohort._issue, cohort._issue_scripted = spy_issue, spy_scripted
+    cohort._issue = spy_issue
     return state
 
 
@@ -65,13 +60,6 @@ class TestValidation:
     def test_batch_positive(self, simple_store):
         with pytest.raises(ConfigError):
             _cohort(simple_store, batch=0)
-
-    def test_from_trace_time_scale(self, simple_store):
-        trace = [TraceRecord(t=0.0, kind="read", key="a")]
-        with pytest.raises(ConfigError):
-            CohortPopulation.from_trace(
-                simple_store, trace, StaticPolicy(1, 1), time_scale=0.0
-            )
 
 
 class TestPooledClosedLoop:
@@ -282,48 +270,6 @@ class TestRngBitIdentity:
         reference = arrival_times(batch=1)
         assert len(reference) == 200
         assert arrival_times(batch=4096) == reference  # exact, not approx
-
-
-class TestFromTrace:
-    def test_replays_kinds_and_schedule(self, simple_store):
-        trace = [
-            TraceRecord(t=0.0, kind="write", key="a"),
-            TraceRecord(t=0.1, kind="read", key="a"),
-            TraceRecord(t=0.2, kind="read", key="b"),
-        ]
-        cohort = CohortPopulation.from_trace(
-            simple_store, trace, StaticPolicy(1, 1)
-        )
-        cohort.start()
-        simple_store.sim.run()
-        assert cohort.completed == 3
-        assert simple_store.reads_ok == 2
-        assert simple_store.writes_ok == 1
-        assert simple_store.sim.now >= 0.2
-
-    def test_member_window_keeps_scripted_kinds(self, simple_store):
-        # Five simultaneous writes through a 1-member window: the backlog
-        # must replay the recorded kinds, not resample from a mix.
-        trace = [TraceRecord(t=0.0, kind="write", key=f"k{i}") for i in range(5)]
-        cohort = CohortPopulation.from_trace(
-            simple_store, trace, StaticPolicy(1, 1), members=1
-        )
-        state = _track_peak_in_flight(cohort)
-        cohort.start()
-        simple_store.sim.run()
-        assert simple_store.writes_ok == 5
-        assert simple_store.reads_ok == 0
-        assert state["peak"] == 1
-
-    def test_time_scale_compresses(self, simple_store):
-        trace = [TraceRecord(t=10.0, kind="write", key="a")]
-        cohort = CohortPopulation.from_trace(
-            simple_store, trace, StaticPolicy(1, 1), time_scale=0.1
-        )
-        cohort.start()
-        simple_store.sim.run()
-        assert cohort.completed == 1
-        assert simple_store.sim.now < 2.0
 
 
 class TestRunnerCohortMode:

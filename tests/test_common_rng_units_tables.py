@@ -1,9 +1,8 @@
-"""Tests for repro.common.rng / units / tables / errors."""
+"""Tests for repro.common.rng / tables / errors."""
 
 import numpy as np
 import pytest
 
-from repro.common import units
 from repro.common.errors import (
     ConfigError,
     ReproError,
@@ -69,46 +68,6 @@ class TestSpawnRng:
     def test_invalid_type(self):
         with pytest.raises(TypeError):
             spawn_rng("x")  # type: ignore[arg-type]
-
-
-class TestUnits:
-    def test_time_conversions(self):
-        assert units.us(1) == pytest.approx(1e-6)
-        assert units.ms(2) == pytest.approx(2e-3)
-        assert units.seconds(3) == 3.0
-        assert units.minutes(2) == 120.0
-        assert units.hours(1) == 3600.0
-
-    def test_size_conversions(self):
-        assert units.KiB(1) == 1024
-        assert units.MiB(1) == 1024**2
-        assert units.GiB(1) == 1024**3
-        assert units.KB(1) == 1000
-        assert units.MB(1) == 10**6
-        assert units.GB(1.5) == int(1.5e9)
-
-    def test_fmt_duration(self):
-        assert units.fmt_duration(5e-7).endswith("us")
-        assert units.fmt_duration(0.005).endswith("ms")
-        assert units.fmt_duration(5).endswith("s")
-        assert "m" in units.fmt_duration(90)
-        assert "h" in units.fmt_duration(7200)
-        assert units.fmt_duration(-5).startswith("-")
-
-    def test_fmt_bytes(self):
-        assert units.fmt_bytes(10) == "10B"
-        assert units.fmt_bytes(1500).endswith("KB")
-        assert units.fmt_bytes(2.5e9).endswith("GB")
-
-    def test_fmt_usd(self):
-        assert units.fmt_usd(123.456) == "$123.46"
-        assert units.fmt_usd(1.5) == "$1.500"
-        assert units.fmt_usd(0.00012) == "$0.00012"
-
-    def test_fmt_rate(self):
-        assert "M" in units.fmt_rate(2e6)
-        assert "k" in units.fmt_rate(2e3)
-        assert units.fmt_rate(10.0) == "10.0 ops/s"
 
 
 class TestTables:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.cost.billing import Bill, Biller
+from repro.cost.billing import Bill, Biller, fmt_usd
 from repro.cost.estimator import CostEstimator
 from repro.cost.pricing import EC2_US_EAST_2013, FREE_PRIVATE_CLOUD, PriceBook
 from repro.monitor.collector import MonitorSnapshot
@@ -44,6 +44,11 @@ class TestBill:
     def test_zero_ops(self):
         b = Bill(1.0, 0.0, 0.0, duration=1.0, ops=0)
         assert b.cost_per_kop == 0.0
+
+    def test_fmt_usd(self):
+        assert fmt_usd(123.456) == "$123.46"
+        assert fmt_usd(1.5) == "$1.500"
+        assert fmt_usd(0.00012) == "$0.00012"
 
 
 class TestBiller:

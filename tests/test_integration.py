@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.failures import FailureInjector
-from repro.cluster.repair import AntiEntropyRepair
 from repro.cost.billing import Biller
 from repro.cost.pricing import EC2_US_EAST_2013
 from repro.experiments.platforms import ec2_harmony_platform, grid5000_bismar_platform
@@ -146,24 +145,6 @@ class TestFailureScenarios:
             n_clients=4, ops_total=1000, seed=6, max_time=30.0,
         ).run()
         assert rep.failures.get("read_unavailable", 0) > 0
-
-    def test_partition_heals_and_repair_converges(self):
-        plat = ec2_harmony_platform()
-        sim, store = plat.build(seed=7)
-        store.preload(["k"], 1000)
-        inj = FailureInjector(store)
-        inj.partition(0, 1, at=0.0, duration=1.0)
-        # writes land only in dc0 during the partition
-        for i in range(50):
-            sim.schedule_at(0.01 * i, store.write, "k", 1, None, None, 0)
-        repair = AntiEntropyRepair(store, interval=0.5, sample_fraction=1.0)
-        repair.start()
-        sim.run(until=4.0)
-        repair.stop()
-        sim.run(until=6.0)
-        replicas = store.strategy.replicas("k", store.ring, store.topology)
-        versions = {store.nodes[r].data["k"].write_id for r in replicas}
-        assert len(versions) == 1
 
     def test_staleness_spikes_during_partition_window(self):
         plat = ec2_harmony_platform()

@@ -6,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
-from repro.net.latency import (
-    EmpiricalLatency,
-    FixedLatency,
-    LogNormalLatency,
-    UniformLatency,
-)
+from repro.net.latency import FixedLatency, LatencyModel, LogNormalLatency
 from repro.net.topology import Datacenter, LinkClass, Topology
 from repro.net.transport import Network, TrafficMatrix
 from repro.simcore.simulator import Simulator
+
+
+class _Uniform(LatencyModel):
+    """A model outside the network's lognormal and fixed fast paths."""
+
+    def __init__(self, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
+
+    def sample(self, rng):
+        return float(rng.uniform(self.lo, self.hi))
 
 
 class TestLatencyModels:
@@ -23,23 +28,13 @@ class TestLatencyModels:
         rng = np.random.default_rng(0)
         assert m.sample(rng) == 0.01
         assert m.mean() == 0.01
-        assert np.all(m.sample_batch(rng, 5) == 0.01)
         with pytest.raises(ConfigError):
             FixedLatency(-1.0)
-
-    def test_uniform(self):
-        m = UniformLatency(0.01, 0.02)
-        rng = np.random.default_rng(0)
-        xs = m.sample_batch(rng, 1000)
-        assert np.all((xs >= 0.01) & (xs <= 0.02))
-        assert m.mean() == pytest.approx(0.015)
-        with pytest.raises(ConfigError):
-            UniformLatency(0.02, 0.01)
 
     def test_lognormal_from_mean_cv(self):
         m = LogNormalLatency.from_mean_cv(0.010, cv=0.5)
         rng = np.random.default_rng(1)
-        xs = m.sample_batch(rng, 100_000)
+        xs = np.array([m.sample(rng) for _ in range(100_000)])
         assert xs.mean() == pytest.approx(0.010, rel=0.03)
         assert m.mean() == pytest.approx(0.010, rel=1e-9)
         assert np.all(xs >= m.floor)
@@ -48,7 +43,7 @@ class TestLatencyModels:
         m = LogNormalLatency.from_mean_cv(0.010, cv=0.5, floor_fraction=0.8)
         assert m.floor == pytest.approx(0.008)
         rng = np.random.default_rng(2)
-        assert np.all(m.sample_batch(rng, 1000) >= 0.008)
+        assert all(m.sample(rng) >= 0.008 for _ in range(1000))
 
     def test_lognormal_validation(self):
         with pytest.raises(ConfigError):
@@ -59,17 +54,6 @@ class TestLatencyModels:
             LogNormalLatency.from_mean_cv(1.0, floor_fraction=1.0)
         with pytest.raises(ConfigError):
             LogNormalLatency(0.0, sigma=-1.0)
-
-    def test_empirical(self):
-        m = EmpiricalLatency([0.01, 0.02, 0.03])
-        rng = np.random.default_rng(0)
-        xs = m.sample_batch(rng, 500)
-        assert set(np.round(xs, 6)) <= {0.01, 0.02, 0.03}
-        assert m.mean() == pytest.approx(0.02)
-        with pytest.raises(ConfigError):
-            EmpiricalLatency([])
-        with pytest.raises(ConfigError):
-            EmpiricalLatency([-0.1])
 
     @given(st.floats(1e-4, 1.0), st.floats(0.1, 2.0))
     @settings(max_examples=30, deadline=None)
@@ -266,7 +250,7 @@ class TestBlockDrawnDelays:
 
         base = LogNormalLatency.from_mean_cv(0.001, cv=0.5)
         doubled = Doubled(base.mu, base.sigma, base.floor)
-        uniform = UniformLatency(0.01, 0.02)
+        uniform = _Uniform(0.01, 0.02)
         topo = _stochastic_topology(
             INTRA_DC=FixedLatency(0.0002), INTER_AZ=doubled, INTER_REGION=uniform
         )
@@ -280,7 +264,7 @@ class TestBlockDrawnDelays:
         assert net.rng.random() == twin.random()
 
     def test_mixed_topology_is_deterministic_for_a_seed(self):
-        topo = _stochastic_topology(INTER_REGION=UniformLatency(0.03, 0.05))
+        topo = _stochastic_topology(INTER_REGION=_Uniform(0.03, 0.05))
 
         def run():
             net = Network(Simulator(), topo, rng=11)

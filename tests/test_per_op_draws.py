@@ -40,8 +40,6 @@ ALLOWED = {
     ("workload/client.py", "OpenLoopSource.start", "exponential"),
     # the stream handed back: a block of rate-free unit gaps per refill
     ("workload/cohort.py", "CohortPopulation._next_gap", "standard_exponential"),
-    # YCSB's exponential generator draws on the handed-back stream
-    ("workload/distributions.py", "ExponentialChooser.next_index", "exponential"),
 }
 
 

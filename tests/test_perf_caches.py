@@ -213,13 +213,3 @@ class TestHistogramFastPath:
         assert h._counts[-1] == 1
         assert h.n == 1
 
-    def test_add_many_matches_add(self):
-        xs = np.random.default_rng(10).exponential(0.01, size=2000)
-        one = Histogram(lo=1e-5, hi=1.0, nbuckets=32)
-        many = Histogram(lo=1e-5, hi=1.0, nbuckets=32)
-        for x in xs:
-            one.add(float(x))
-        many.add_many(xs)
-        assert one._counts == many._counts
-        assert one.n == many.n
-        assert one.percentile(99) == many.percentile(99)

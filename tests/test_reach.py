@@ -1,0 +1,108 @@
+"""The reachability census's accounting, and its allow-list against the tree.
+
+The census itself runs every CLI verb (``python tools/reach.py``, a CI
+job); these checks need no verb run.
+"""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+reach = sys.modules["reach"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach)
+
+FIXTURE = '''\
+def called():
+    def inner_called():
+        return 1
+
+    def inner_missed():
+        return 2
+
+    return inner_called()
+
+
+def missed():
+    def inner():
+        return 3
+
+    return inner()
+
+
+class Box:
+    @staticmethod
+    def made(x):
+        return x
+
+    def never(self):
+        return 0
+
+
+async def coro():
+    return 4
+
+
+class Base:
+    def hook(self):
+        """Subclasses override this."""
+        raise NotImplementedError
+'''
+
+
+@pytest.fixture
+def fixture_module(tmp_path):
+    path = tmp_path / "fixture.py"
+    path.write_text(FIXTURE)
+    spec = importlib.util.spec_from_file_location("fixture", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return path, module
+
+
+class TestAccounting:
+    def test_spans_and_qualnames_match_the_code_objects(self, fixture_module):
+        path, module = fixture_module
+        funcs = {f.qualname: f for f in reach.functions(FIXTURE, "fixture")}
+        assert set(funcs) == {
+            "called", "called.<locals>.inner_called", "called.<locals>.inner_missed",
+            "missed", "missed.<locals>.inner", "Box.made", "Box.never", "coro",
+        }  # Base.hook is an interface stub: nothing to reach
+        for obj in (module.called, module.missed, module.Box.made, module.coro):
+            f = funcs[obj.__qualname__]
+            assert f.first == obj.__code__.co_firstlineno  # decorator line
+        assert (funcs["Box.made"].first, funcs["Box.made"].last) == (19, 21)
+        assert funcs["missed.<locals>.inner"].parent == "missed"
+
+    def test_unreached_reports_outermost_missed_defs(self, fixture_module):
+        path, module = fixture_module
+        with reach.record() as seen:
+            module.called()
+            module.Box.made(1)
+        entered = reach.entered_by_file(seen)[os.path.realpath(path)]
+        found = reach.unreached(reach.functions(FIXTURE, "fixture"), entered)
+        # missed's inner def is covered by missed's own entry, not listed
+        assert [f.entry for f in found] == [
+            "fixture:called.<locals>.inner_missed", "fixture:missed",
+            "fixture:Box.never", "fixture:coro",
+        ]
+        assert [f.lines for f in found] == [2, 5, 2, 2]
+
+    def test_entry_without_a_reason_is_rejected(self, tmp_path):
+        path = tmp_path / "allow.txt"
+        path.write_text("repro.cli:main\n")
+        with pytest.raises(ValueError, match="no reason"):
+            reach.load_allow(path)
+        path.write_text("# fault path\nrepro.cli:main\n")
+        assert reach.load_allow(path) == {"repro.cli:main": "fault path"}
+
+
+def test_every_allow_list_entry_names_a_function():
+    known = {f.entry for _, funcs in reach.index().values() for f in funcs}
+    allow = reach.load_allow()
+    assert allow
+    assert sorted(set(allow) - known) == []

@@ -34,7 +34,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.cluster.versions import Version
-from repro.net.latency import FixedLatency, UniformLatency
+from repro.net.latency import FixedLatency, LogNormalLatency
 from repro.net.topology import Datacenter, Topology, LinkClass
 from repro.net.transport import Network
 from repro.runtime.aio import AsyncioTransport
@@ -544,12 +544,16 @@ class TestAsyncioDelivery:
     """The delivery heap behind the one armed loop timer."""
 
     def test_random_delays_keep_link_fifo(self):
-        # 1000 frames down one link whose delay is anything in 0-10 ms wall:
+        # 1000 frames down one link whose delay spreads over ~1-20 ms wall:
         # the per-link floor plus the heap's sequence tie-break keep order.
         topo = Topology(
             [Datacenter("east", "us-east"), Datacenter("west", "eu-west")],
             [3, 3],
-            latency={LinkClass.INTER_REGION: UniformLatency(0.0, 0.2)},
+            latency={
+                LinkClass.INTER_REGION: LogNormalLatency.from_mean_cv(
+                    0.1, cv=0.5, floor_fraction=0.0
+                )
+            },
         )
         t = AsyncioTransport(topo, rng=3, time_scale=0.05)
         got = []

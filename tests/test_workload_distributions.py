@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
 from repro.workload.distributions import (
-    ExponentialChooser,
     HotSpotChooser,
     LatestChooser,
     ScrambledZipfianChooser,
@@ -138,18 +137,6 @@ class TestHotSpot:
             HotSpotChooser(10, hot_opn_fraction=1.5)
 
 
-class TestExponential:
-    def test_mass_concentration(self):
-        c = ExponentialChooser(1000, percentile=95.0, frac=0.1, rng=0)
-        xs = draw(c, 20_000)
-        assert np.mean(xs < 100) == pytest.approx(0.95, abs=0.02)
-
-    def test_range(self):
-        c = ExponentialChooser(50, rng=1)
-        xs = draw(c, 5000)
-        assert xs.max() < 50
-
-
 class TestFactory:
     def test_known_names(self):
         for name, cls in [
@@ -158,7 +145,6 @@ class TestFactory:
             ("rawzipfian", ZipfianChooser),
             ("latest", LatestChooser),
             ("hotspot", HotSpotChooser),
-            ("exponential", ExponentialChooser),
         ]:
             assert isinstance(make_chooser(name, 10, rng=0), cls)
 
