@@ -190,6 +190,13 @@ class TestStatesAndRules:
         fracs = sorted(s["read_fraction"] for s in model.summaries)
         assert fracs[0] < 0.3 and fracs[1] > 0.8
 
+    def test_summary_by_state_id(self):
+        model = self._model()
+        for i, s in enumerate(model.summaries):
+            assert model.summary(i) is s
+            assert s.state_id == i
+        assert sum(s.n_windows for s in model.summaries) == model.timeline.n_windows
+
     def test_transition_matrix_stochastic(self):
         model = self._model()
         sums = model.transition_matrix.sum(axis=1)
@@ -294,6 +301,13 @@ class TestBehaviorModelAndPolicy:
         states_seen = {s for _, s in policy.state_history}
         assert len(states_seen) == 2  # both planted regimes classified
         assert store.ops_completed() > 0
+
+    def test_policy_name_and_state_before_first_decision(self):
+        model = BehaviorModel.fit(make_trace(), window=10.0, k=2)
+        policy = BehaviorPolicy(model, ClusterMonitor(), rf=3)
+        assert policy.name == "behavior(k=2)"
+        assert policy.current_state == -1
+        assert policy.state_history == []
 
     def test_policy_validation(self):
         model = BehaviorModel.fit(make_trace(), window=10.0, k=2)

@@ -7,7 +7,8 @@ import inspect
 import pytest
 
 from repro import cli
-from repro.cli import COMMANDS, build_parser, main
+from repro.cli import COMMANDS, TAKES_OPS, TAKES_SEED, build_parser, main
+from repro.experiments.platforms import grid5000_harmony_platform
 
 
 def _args_read(handler: str) -> set:
@@ -38,6 +39,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_all_commands_parse(self):
+        parser = build_parser()
+        for name in COMMANDS:
+            argv = [name]
+            if name == "report":
+                argv.append("some/path")  # report takes a positional PATH
+            elif name == "diff":
+                argv += ["run/a", "run/b"]  # diff takes two positionals
+            if name in TAKES_OPS:
+                argv += ["--ops", "100"]
+            if name in TAKES_SEED:
+                argv += ["--seed", "3"]
+            args = parser.parse_args(argv)
+            assert args.command == name
+            assert getattr(args, "ops", None) == (100 if name in TAKES_OPS else None)
+            assert getattr(args, "seed", None) == (3 if name in TAKES_SEED else None)
+
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_options_are_what_the_handler_reads(self, name):
         # An option the handler never reads is accepted and silently
@@ -48,6 +66,26 @@ class TestParser:
         ).choices[name]
         accepted = {a.dest for a in sub._actions if a.dest != "help"}
         assert accepted == _args_read(COMMANDS[name].__name__)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenarios", "--ops", "100"],
+            ["scenarios", "--seed", "3"],
+            ["report", "some/path", "--ops", "100"],
+            ["report", "some/path", "--seed", "3"],
+            ["diff", "run/a", "run/b", "--ops", "100"],
+            ["diff", "run/a", "run/b", "--seed", "3"],
+            ["xval", "--ops", "100"],
+            ["e5-behavior", "--ops", "100"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_option_the_handler_ignores_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -90,6 +128,61 @@ class TestMain:
         out = capsys.readouterr().out
         assert "FIG1" in out
         assert "simulator" in out
+
+    @pytest.mark.parametrize(
+        "verb, heading, rows",
+        [
+            pytest.param(
+                "e1-ec2", "E1: Harmony vs static consistency on ec2-harmony",
+                ["eventual", "harmony(0.4)", "harmony(0.6)", "strong"], id="e1-ec2",
+            ),
+            pytest.param(
+                "e2-cost", "E2: consistency level vs monetary cost",
+                ["ONE", "TWO", "QUORUM", "FOUR", "ALL"], id="e2-cost",
+            ),
+            pytest.param(
+                "e3-efficiency", "E3: consistency-cost efficiency samples",
+                ["zipfian", "uniform", "hotspot"], id="e3-efficiency",
+            ),
+            pytest.param(
+                "e4-bismar", "E4: Bismar vs static levels",
+                ["ONE", "QUORUM", "ALL", "bismar"], id="e4-bismar",
+            ),
+        ],
+    )
+    def test_experiment_small_run(self, capsys, verb, heading, rows):
+        assert main([verb, "--ops", "600", "--seed", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(heading)
+        firsts = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert set(rows) <= firsts
+
+    def test_fig1_ops_sets_the_horizon(self, monkeypatch):
+        from repro.experiments import model_eval
+
+        seen = []
+        monkeypatch.setattr(
+            model_eval, "_simulate_single_key",
+            lambda *a: seen.append(a[5]) or 0.0,
+        )
+        rows = model_eval.run_fig1_validation(
+            grid5000_harmony_platform(), write_rates=(2.0,), read_levels=(1, 2),
+            read_rate=200.0, ops=500,
+        )
+        assert len(rows) == 2
+        assert seen == [2.5, 2.5]  # 500 ops / 200 reads per second
+        seen.clear()
+        model_eval.run_fig1_validation(
+            grid5000_harmony_platform(), write_rates=(2.0,), read_levels=(1,),
+            horizon=7.0,
+        )
+        assert seen == [7.0]  # without ops the horizon is untouched
+
+    def test_xval_bad_levels_is_clean_error(self, capsys):
+        assert main(["xval", "--levels", "0.1,lots"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--levels" in err
 
     def test_sweep_bad_input_is_clean_error(self, capsys):
         assert main(["sweep", "--grid", "tolerence=0.2"]) == 2

@@ -223,6 +223,15 @@ class TestReplicatedStore:
         assert results[0].error == "unavailable"
         assert store.failures.get("write_unavailable") == 1
 
+    def test_total_outage_fails_every_op_without_raising(self, store):
+        for node in store.nodes:
+            node.crash()
+        results = run_ops(store, [(0.0, "r", "k", 1), (0.1, "w", "k", 1)])
+        assert [r.error for r in results] == ["unavailable", "unavailable"]
+        assert [r.kind for r in results] == ["read", "write"]
+        assert store.failures == {"read_unavailable": 1, "write_unavailable": 1}
+        assert store.failure_count() == 2
+
     def test_unavailable_read(self, store):
         replicas = store.strategy.replicas("k", store.ring, store.topology)
         for r in replicas:

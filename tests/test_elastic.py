@@ -239,6 +239,19 @@ class TestStreamingRebalance:
         assert reb.bytes_streamed > 0
         assert len(store.nodes[5].data) > 0
 
+    def test_progress_signature_advances_while_streaming(self):
+        store, reb = build_streaming()
+        store.preload(KEYS, value_size=10)
+        assert reb.progress_signature() == (0, 0, 0, 0)
+        store.bootstrap_node(0)
+        store.sim.run(until=1.0)
+        assert reb.progress_signature() == (
+            reb.keys_streamed, reb.bytes_streamed, reb.restreams,
+            reb.migrations_completed,
+        )
+        assert reb.progress_signature()[0] > 0
+        assert reb.migrations_completed == 1
+
     def test_reads_during_migration_hit_old_owners(self):
         store, reb = build_streaming()
         store.preload(KEYS, value_size=10)

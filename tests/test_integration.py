@@ -146,6 +146,28 @@ class TestFailureScenarios:
         ).run()
         assert rep.failures.get("read_unavailable", 0) > 0
 
+    def test_partition_heals_and_repair_converges(self):
+        plat = ec2_harmony_platform()
+        sim, store = plat.build(seed=7)
+        store.preload(["k"], 1000)
+        inj = FailureInjector(store)
+        inj.partition(0, 1, at=0.0, duration=1.0)
+        # writes land only in dc0 during the partition
+        for i in range(50):
+            sim.schedule_at(0.01 * i, store.write, "k", 1, None, None, 0)
+        sim.run(until=2.0)
+        replicas = store.strategy.replicas("k", store.ring, store.topology)
+        versions = {store.nodes[r].data["k"].write_id for r in replicas}
+        assert len(versions) > 1  # dc1 missed the writes
+        # after the heal, one read with read repair writes the newest
+        # version back to every lagging replica
+        store.read_repair_chance = 1.0
+        sim.schedule_at(2.0, store.read, "k", 1, None, 0)
+        sim.run(until=4.0)
+        versions = {store.nodes[r].data["k"].write_id for r in replicas}
+        assert len(versions) == 1
+        assert store.repairs_issued > 0
+
     def test_staleness_spikes_during_partition_window(self):
         plat = ec2_harmony_platform()
         sim, store = plat.build(seed=8)

@@ -224,6 +224,23 @@ class TestClusterMonitor:
         assert snap.replication_factor() == 0
         assert snap.propagation_windows(1) == []
 
+    def test_elastic_events_fold_into_counters(self):
+        m = ClusterMonitor()
+        for event in (
+            {"kind": "scale-out"},
+            {"kind": "scale-out"},
+            {"kind": "scale-in"},
+            {"kind": "migration-start", "ranges": 3},
+            {"kind": "migration-start", "ranges": 2},
+            {"kind": "migration-complete", "keys_streamed": 10, "bytes_streamed": 900},
+            {"kind": "migration-complete", "keys_streamed": 14, "bytes_streamed": 1200},
+            {"kind": "something-else"},
+        ):
+            m.on_elastic_event(event)
+        assert (m.scale_outs, m.scale_ins, m.ranges_moved) == (2, 1, 5)
+        # streaming counters are cumulative snapshots: the last one wins
+        assert (m.keys_streamed, m.bytes_streamed) == (14, 1200)
+
     def test_live_against_store(self, store):
         m = ClusterMonitor(window=5.0)
         store.add_listener(m)

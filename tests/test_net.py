@@ -161,6 +161,16 @@ class TestNetwork:
         net.heal_partition(1, 0)
         assert not net.is_partitioned(0, 3)
 
+    def test_dcs_partitioned_names_dc_pairs(self, small_topology):
+        _, net = self._net(small_topology)
+        assert not net.dcs_partitioned(0, 1)
+        net.partition_dcs(0, 1)
+        assert net.dcs_partitioned(0, 1) and net.dcs_partitioned(1, 0)
+        # node 1 and node 3 are in dc0 and dc1: dc and node indices differ
+        assert net.is_partitioned(1, 3)
+        net.heal_partition(0, 1)
+        assert not net.dcs_partitioned(1, 0)
+
     def test_heal_all(self, small_topology):
         sim, net = self._net(small_topology)
         net.partition_dcs(0, 1)

@@ -150,6 +150,14 @@ class TestTimeSeriesSampler:
         sim.run()
         assert len(sampler.samples) == 2
 
+    def test_running_follows_start_and_stop(self):
+        sampler = TimeSeriesSampler(Simulator(), 0.5, lambda now: {})
+        assert not sampler.running
+        sampler.start()
+        assert sampler.running
+        sampler.stop()
+        assert not sampler.running
+
     def test_max_samples_cap(self):
         sim = Simulator()
         sampler = TimeSeriesSampler(sim, 0.1, lambda now: {}, max_samples=3)

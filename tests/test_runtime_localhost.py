@@ -157,6 +157,39 @@ def _identities(value):
     return {id(value)}.union(*(_identities(child) for child in children))
 
 
+class TestLazyExports:
+    """``repro.runtime`` resolves the localhost names on first access."""
+
+    @pytest.mark.parametrize(
+        "name, module",
+        [
+            ("FileWriteAheadLog", "repro.runtime.wal"),
+            ("LocalhostSpec", "repro.runtime.localhost"),
+            ("LocalhostStore", "repro.runtime.localhost"),
+        ],
+    )
+    def test_lazy_name_is_the_defining_modules_object(self, name, module):
+        import importlib
+
+        import repro.runtime as runtime
+
+        assert getattr(runtime, name) is getattr(importlib.import_module(module), name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        import repro.runtime as runtime
+
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            runtime.Nope
+        assert not hasattr(runtime, "Nope")
+
+    def test_star_import_binds_every_export(self):
+        import repro.runtime as runtime
+
+        ns = {}
+        exec("from repro.runtime import *", ns)
+        assert set(runtime.__all__) <= set(ns)
+
+
 class TestWireCodec:
     def test_roundtrip_scalars_and_containers(self):
         name, args = codec.decode(

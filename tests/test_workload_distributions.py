@@ -102,6 +102,21 @@ class TestScrambledZipfian:
         xa, xb = draw(a, 5000), draw(b, 5000)
         assert np.argmax(np.bincount(xa)) == np.argmax(np.bincount(xb))
 
+    def test_notify_insert_widens_the_range(self):
+        c = ScrambledZipfianChooser(50, rng=0)
+        c.notify_insert(500)
+        assert c.item_count == 500
+        xs = draw(c, 20_000)
+        assert xs.min() >= 0 and xs.max() < 500
+        assert (xs >= 50).mean() > 0.5  # most draws land on the new items
+
+    def test_notify_insert_matches_a_fresh_chooser(self):
+        grown = ScrambledZipfianChooser(50, rng=4)
+        grown.notify_insert(200)
+        fresh = ScrambledZipfianChooser(200, rng=4)
+        assert grown._zipf._zetan == pytest.approx(fresh._zipf._zetan)
+        assert list(draw(grown, 500)) == list(draw(fresh, 500))
+
 
 class TestLatest:
     def test_newest_most_popular(self):
