@@ -34,7 +34,6 @@ from repro import (
     LogNormalLatency,
     NetworkTopologyStrategy,
     ReplicatedStore,
-    Simulator,
     StaticPolicy,
     StoreConfig,
     Topology,
@@ -42,6 +41,7 @@ from repro import (
     TxnConfig,
     TxnRunner,
     bank_transfer_mix,
+    SimTransport,
 )
 from repro.common.tables import Table
 from repro.workload.client import OpenLoopSource
@@ -68,7 +68,7 @@ def build_store(seed: int) -> ReplicatedStore:
         },
     )
     return ReplicatedStore(
-        Simulator(),
+        SimTransport(topology),
         topology,
         strategy=NetworkTopologyStrategy({0: 2, 1: 1}),
         config=StoreConfig(

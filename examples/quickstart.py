@@ -19,13 +19,13 @@ from repro import (
     LogNormalLatency,
     NetworkTopologyStrategy,
     ReplicatedStore,
-    Simulator,
     StoreConfig,
     Topology,
     EVENTUAL,
     STRONG,
     WorkloadRunner,
     heavy_read_update,
+    SimTransport,
 )
 from repro.common.tables import Table
 from repro.stale import DeploymentInfo
@@ -42,7 +42,7 @@ def build_store(seed: int) -> ReplicatedStore:
         },
     )
     return ReplicatedStore(
-        Simulator(),
+        SimTransport(topology),
         topology,
         strategy=NetworkTopologyStrategy({0: 2, 1: 1}),
         config=StoreConfig(seed=seed),

@@ -29,9 +29,9 @@ from repro import (
     LogNormalLatency,
     NetworkTopologyStrategy,
     ReplicatedStore,
-    Simulator,
     StoreConfig,
     Topology,
+    SimTransport,
 )
 from repro.common.tables import Table
 from repro.stale import DeploymentInfo
@@ -56,7 +56,7 @@ def build_store() -> ReplicatedStore:
         },
     )
     return ReplicatedStore(
-        Simulator(),
+        SimTransport(topology),
         topology,
         strategy=NetworkTopologyStrategy({0: 2, 1: 1}),
         config=StoreConfig(seed=1, read_repair_chance=0.0),

@@ -74,7 +74,7 @@ from repro.workload import (
     bank_transfer_mix,
 )
 from repro.obs.slo import SLOSpec
-from repro.runtime import BACKENDS
+from repro.runtime import BACKENDS, SimTransport
 from repro.experiments.platforms import (
     Platform,
     ec2_cost_platform,
@@ -115,6 +115,7 @@ __all__ = [
     "LinkClass",
     "LogNormalLatency",
     "Simulator",
+    "SimTransport",
     "ClusterMonitor",
     "HarmonyEngine",
     "BismarEngine",

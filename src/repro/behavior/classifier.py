@@ -12,9 +12,6 @@ to the nearest state centroid.
 
 from __future__ import annotations
 
-
-import numpy as np
-
 from repro.behavior.clustering import KMeansResult
 from repro.behavior.features import WindowFeatures
 from repro.behavior.timeline import Timeline
@@ -75,8 +72,3 @@ class StateClassifier:
     def classify_monitor(self, monitor: ClusterMonitor, now: float) -> int:
         """State id for the monitor's current window."""
         return self.classify_features(features_from_monitor(monitor, now))
-
-    def classify_matrix(self, raw: np.ndarray) -> np.ndarray:
-        """Vectorized classification of raw feature rows (offline eval)."""
-        scaled = self.timeline.standardize(np.atleast_2d(raw))
-        return self.clustering.predict(scaled)

@@ -93,13 +93,6 @@ class StateModel:
         """Profile of one state."""
         return self._summaries[state_id]
 
-    def dwell_expectation(self, state_id: int) -> float:
-        """Expected consecutive windows spent in a state (geometric estimate)."""
-        p_stay = float(self.transition_matrix[state_id, state_id])
-        if p_stay >= 1.0:
-            return float("inf")
-        return 1.0 / (1.0 - p_stay)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(
             f"s{s.state_id}:{s.time_fraction:.0%}" for s in self._summaries

@@ -48,10 +48,6 @@ class Timeline:
         raw = np.asarray(raw, dtype=float)
         return (raw - self.mean) / self.std
 
-    def window_times(self) -> np.ndarray:
-        """Midpoint time of each window (plot axis / transition analysis)."""
-        return np.array([(w.t_start + w.t_end) / 2.0 for w in self.windows])
-
 
 def build_timeline(
     trace: Sequence[TraceRecord], window: float

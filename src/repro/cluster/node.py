@@ -18,8 +18,8 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.rng import spawn_rng
 from repro.cluster.versions import Version
+from repro.runtime.interface import Transport
 from repro.simcore.resources import Resource
-from repro.simcore.simulator import Simulator
 
 __all__ = ["ServiceModel", "StorageNode"]
 
@@ -83,8 +83,9 @@ class StorageNode:
 
     Parameters
     ----------
-    sim:
-        Owning simulator.
+    transport:
+        The deployment's transport; the service queues push their
+        completions onto its engine.
     node_id:
         Dense id matching the topology's placement.
     service:
@@ -96,7 +97,6 @@ class StorageNode:
     """
 
     __slots__ = (
-        "sim",
         "node_id",
         "service",
         "resource",
@@ -113,23 +113,23 @@ class StorageNode:
 
     def __init__(
         self,
-        sim: Simulator,
+        transport: Transport,
         node_id: int,
         service: Optional[ServiceModel] = None,
         servers: int = 4,
         mutation_servers: Optional[int] = None,
         rng: "np.random.Generator | int | None" = None,
     ):
-        self.sim = sim
         self.node_id = int(node_id)
         self.service = service or ServiceModel()
         # Separate read and mutation stages, as in Cassandra's SEDA design:
         # under write-heavy overload the mutation stage backs up (replica
         # applies lag) while reads keep being served -- which is exactly how
         # heavy load amplifies staleness on the real system.
-        self.resource = Resource(sim, servers=servers, name=f"node{node_id}.read")
+        engine = transport.engine
+        self.resource = Resource(engine, servers=servers, name=f"node{node_id}.read")
         m = mutation_servers if mutation_servers is not None else servers
-        self.mutation_resource = Resource(sim, servers=m, name=f"node{node_id}.mut")
+        self.mutation_resource = Resource(engine, servers=m, name=f"node{node_id}.mut")
         self.rng = spawn_rng(rng)
         #: the stream's next unit exponentials, reversed: ``pop()`` serves
         #: them in draw order

@@ -1,7 +1,7 @@
 """The client-facing replicated store facade.
 
-:class:`ReplicatedStore` wires together the simulator, topology, network,
-ring, replication strategy, nodes, coordinators, oracle and hint store, and
+:class:`ReplicatedStore` wires together a transport, topology, ring,
+replication strategy, nodes, coordinators, oracle and hint store, and
 exposes the two operations clients issue:
 
     store.read(key, level, callback)
@@ -24,6 +24,11 @@ over the simulated network while foreground traffic continues -- reads
 consult the *old* owners until a key's new owners are caught up, and writes
 are forwarded to both. Without one, the diff is applied instantly (an
 offline rebalance), which keeps bare-store membership tests simple.
+
+The store runs on any :class:`~repro.runtime.interface.Transport` over its
+topology: on the simulator (:class:`~repro.runtime.sim.SimTransport`) or on
+the asyncio localhost transport (:mod:`repro.runtime.localhost`) -- the
+same nodes, coordinators and read path on both engines.
 """
 
 from __future__ import annotations
@@ -55,11 +60,9 @@ from repro.cluster.ring import MovedRange, TokenRing
 from repro.cluster.staleness import StalenessOracle
 from repro.cluster.versions import Version
 from repro.net.topology import Topology
-from repro.net.transport import Network
 from repro.obs.events import EventBus
 from repro.runtime.deadlines import DeadlineQueue
-from repro.runtime.sim import SimTransport
-from repro.simcore.simulator import Simulator
+from repro.runtime.interface import Transport
 
 __all__ = ["StoreConfig", "ReplicatedStore", "MembershipChange", "draw_coordinator"]
 
@@ -134,12 +137,13 @@ class StoreConfig:
 
 
 class ReplicatedStore:
-    """A deployed, running, simulated geo-replicated store.
+    """A deployed, running geo-replicated store.
 
     Parameters
     ----------
-    sim:
-        The simulator that owns the clock.
+    transport:
+        Clock, messaging and timers of the deployment, built over
+        ``topology``; the store seeds its link delays (see ``config.seed``).
     topology:
         Datacenters and node placement.
     strategy:
@@ -150,12 +154,18 @@ class ReplicatedStore:
 
     def __init__(
         self,
-        sim: Simulator,
+        transport: Transport,
         topology: Topology,
         strategy: Optional[ReplicationStrategy] = None,
         config: Optional[StoreConfig] = None,
     ):
-        self.sim = sim
+        #: every protocol layer (coordinators, 2PC, failure hooks) speaks it
+        self.transport = transport
+        #: the engine and the fabric under it, for readers of their counters
+        #: (``events_processed``, ``traffic``): the simulator and its network
+        #: on the sim backend, the transport itself on asyncio
+        self.sim = transport.engine
+        self.network = transport.network
         self.topology = topology
         self.config = config or StoreConfig()
         self.strategy = strategy or SimpleStrategy(rf=min(3, topology.n_nodes))
@@ -167,15 +177,13 @@ class ReplicatedStore:
         rngs = RngFactory(self.config.seed)
         self._rngs = rngs  # kept: bootstrapped nodes derive their streams here
         self.uniforms = block_uniforms(rngs.stream("store.coordinator"))
-        self.network = Network(sim, topology, rng=rngs.stream("store.network"))
-        #: the transport every protocol layer (coordinators, 2PC, failure
-        #: hooks) speaks; a pure view over ``(sim, network)`` here, so the
-        #: indirection costs one attribute hop and changes no behavior.
-        self.transport = SimTransport(sim, self.network)
+        # The root seed fixes every draw of the deployment, the transport's
+        # link delays included (set before any message is sent).
+        self.network.rng = rngs.stream("store.network")
         self.ring = TokenRing(topology.n_nodes, vnodes=self.config.vnodes)
         self.nodes: List[StorageNode] = [
             StorageNode(
-                sim,
+                transport,
                 node_id=i,
                 service=self.config.service,
                 servers=self.config.servers_per_node,
@@ -448,7 +456,7 @@ class ReplicatedStore:
         self._instance_spans.append([self.transport.now, None])
         self.nodes.append(
             StorageNode(
-                self.sim,
+                self.transport,
                 node_id=node_id,
                 service=self.config.service,
                 servers=self.config.servers_per_node,

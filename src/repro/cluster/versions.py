@@ -11,8 +11,6 @@ Reconciliation is Cassandra's: last-write-wins on ``(timestamp, write_id)``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 __all__ = ["Version", "NONE_VERSION"]
 
 
@@ -52,12 +50,3 @@ class Version:
 
 #: Sentinel "no value ever written": older than every real version.
 NONE_VERSION = Version(timestamp=-1.0, write_id=-1, size=0)
-
-
-def max_version(a: Optional[Version], b: Optional[Version]) -> Optional[Version]:
-    """Return the newer of two possibly-``None`` versions."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a.newer_than(b) else b

@@ -69,13 +69,6 @@ class RngFactory:
             self._streams[name] = got
         return got
 
-    def fork(self, name: str) -> "RngFactory":
-        """Return a child factory rooted at ``(seed, crc32(name))``.
-
-        Useful to hand a whole subsystem its own namespace of streams.
-        """
-        return RngFactory(int((self.seed * 1_000_003 + _name_key(name)) % 2**63))
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"RngFactory(seed={self.seed}, streams={sorted(self._streams)})"
 

@@ -4,7 +4,7 @@ Everything here is *streaming*: O(1) (or O(window)) memory, one pass, no
 storing of the full sample. These are the primitives Harmony's monitoring
 module is built from:
 
-- :class:`OnlineStats` -- Welford mean/variance/min/max;
+- :class:`OnlineStats` -- Welford mean/min/max;
 - :class:`Ewma` -- exponentially weighted moving average (rate smoothing);
 - :class:`Histogram` -- log-scaled latency histogram with quantile queries;
 - :class:`RateEstimator` -- arrival-rate estimation over a sliding window.
@@ -24,27 +24,24 @@ __all__ = ["OnlineStats", "Ewma", "Histogram", "RateEstimator"]
 
 
 class OnlineStats:
-    """Welford's online mean/variance with min/max tracking.
+    """Welford's online mean with min/max tracking.
 
-    Numerically stable for long streams (no sum-of-squares catastrophic
-    cancellation).
+    Numerically stable for long streams (an incremental mean, not a
+    running sum divided at the end).
     """
 
-    __slots__ = ("n", "_mean", "_m2", "min", "max")
+    __slots__ = ("n", "_mean", "min", "max")
 
     def __init__(self) -> None:
         self.n = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
 
     def add(self, x: float) -> None:
         """Fold one observation into the statistics."""
         self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
+        self._mean += (x - self._mean) / self.n
         if x < self.min:
             self.min = x
         if x > self.max:
@@ -55,18 +52,11 @@ class OnlineStats:
         """Sample mean (0.0 when empty)."""
         return self._mean if self.n else 0.0
 
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 for n < 2)."""
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        """Unbiased sample standard deviation."""
-        return math.sqrt(self.variance)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"OnlineStats(n={self.n}, mean={self.mean:.6g}, std={self.std:.6g})"
+        return (
+            f"OnlineStats(n={self.n}, mean={self.mean:.6g}, "
+            f"min={self.min:.6g}, max={self.max:.6g})"
+        )
 
 
 class Ewma:

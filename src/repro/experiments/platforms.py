@@ -18,7 +18,7 @@ Latency calibration (one-way, lognormal with heavy tail):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Tuple
 
 from repro.cluster.replication import (
@@ -30,6 +30,7 @@ from repro.cluster.store import ReplicatedStore, StoreConfig
 from repro.cost.pricing import EC2_US_EAST_2013, FREE_PRIVATE_CLOUD, PriceBook
 from repro.net.latency import LogNormalLatency
 from repro.net.topology import Datacenter, LinkClass, Topology
+from repro.runtime.sim import SimTransport
 from repro.simcore.simulator import Simulator
 
 __all__ = [
@@ -50,7 +51,8 @@ class Platform:
 
     ``build()`` returns a fresh ``(simulator, store)`` pair; every
     experiment run gets an independent deployment so runs never share
-    state.
+    state. The localhost deployment builds the same store on the asyncio
+    transport (:func:`repro.runtime.localhost.run_deployment`).
     """
 
     name: str
@@ -63,28 +65,16 @@ class Platform:
     store_config: StoreConfig = field(default_factory=StoreConfig)
 
     def build(self, seed: int = 0) -> Tuple[Simulator, ReplicatedStore]:
-        """Deploy a fresh instance of this platform."""
-        sim = Simulator()
-        cfg = StoreConfig(
-            vnodes=self.store_config.vnodes,
-            servers_per_node=self.store_config.servers_per_node,
-            mutation_servers_per_node=self.store_config.mutation_servers_per_node,
-            default_value_size=self.store_config.default_value_size,
-            read_repair_chance=self.store_config.read_repair_chance,
-            read_timeout=self.store_config.read_timeout,
-            write_timeout=self.store_config.write_timeout,
-            hinted_handoff=self.store_config.hinted_handoff,
-            seed=seed,
-            service=self.store_config.service,
-            sizes=self.store_config.sizes,
-        )
+        """Deploy a fresh instance of this platform on a fresh simulator."""
+        topology = self.topology_factory()
+        transport = SimTransport(topology)
         store = ReplicatedStore(
-            sim,
-            self.topology_factory(),
+            transport,
+            topology,
             strategy=self.strategy_factory(),
-            config=cfg,
+            config=replace(self.store_config, seed=seed),
         )
-        return sim, store
+        return transport.sim, store
 
     @property
     def rf(self) -> int:

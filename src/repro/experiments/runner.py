@@ -172,9 +172,9 @@ class RunOutcome:
     (``policy.level_time_fractions()``) and the store for post-run summaries.
     ``tstore`` is set only by a transactional run, ``cluster`` (and
     ``autoscaler``, when one was configured) only by an elastic run; the
-    report's ``txn`` / ``elastic`` blocks are filled to match. A localhost
-    deployment (``backend="asyncio"``, or xval's sim twin) has no policy,
-    no ``ReplicatedStore`` (its ``LocalhostStore`` is ``tstore.store``) and
+    report's ``txn`` / ``elastic`` blocks are filled to match. ``store`` is
+    the store every operation ran on, on either engine; a localhost
+    deployment (``backend="asyncio"``, or xval's sim twin) has no policy and
     a zero bill. ``timed_out`` is true when the run's time guard ended it
     before every client finished.
     """
@@ -182,7 +182,7 @@ class RunOutcome:
     report: RunReport
     bill: Bill
     policy: Optional[ConsistencyPolicy]
-    store: Optional[ReplicatedStore]
+    store: ReplicatedStore
     obs: Optional[RunObserver] = None
     tstore: Optional[TransactionalStore] = None
     cluster: Optional[ElasticCluster] = None

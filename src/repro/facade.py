@@ -13,7 +13,8 @@ engine:
   that pipeline on, and the result is always one
   :class:`~repro.experiments.runner.RunOutcome`.
 - ``backend="asyncio"``: the localhost deployment
-  (:mod:`repro.runtime.localhost`) -- the *same* transaction-protocol
+  (:mod:`repro.runtime.localhost`) -- the platform's *same*
+  :class:`~repro.cluster.store.ReplicatedStore` and transaction-protocol
   classes on real asyncio timers, a JSON wire codec and file-backed
   WALs, driven by the same :class:`~repro.txn.runner.TxnRunner` and
   returning the same ``RunOutcome``. Wall-clock, hence not
@@ -74,8 +75,9 @@ class RunSpec:
         ``None`` uses the platform default.
     backend:
         ``"sim"`` (deterministic, default) or ``"asyncio"`` (localhost
-        deployment; transactional only). An asyncio run takes the
-        platform's topology and RF, reads at level ONE (``policy`` is not
+        deployment; transactional only). An asyncio run builds the
+        platform's store -- topology, replica placement, store config --
+        on the asyncio transport, reads at level ONE (``policy`` is not
         consulted), applies no warmup window and defaults to 50
         transactions over at most 8 clients.
     localhost:
@@ -263,9 +265,10 @@ def run(spec: RunSpec) -> RunOutcome:
     whatever the engine or workload shape: ``tstore`` is set for a
     transactional run (and ``report.txn`` filled), ``cluster`` /
     ``autoscaler`` for an elastic one (and ``report.elastic`` filled), all
-    three ``None`` for a plain run. ``backend="asyncio"`` runs the
-    transactional workload on the localhost deployment
-    (:func:`repro.runtime.localhost.run_asyncio`).
+    three ``None`` for a plain run. ``store`` is the store the run's
+    operations went to on either backend: ``backend="asyncio"`` runs the
+    transactional workload on the platform's store over the asyncio
+    transport (:func:`repro.runtime.localhost.run_asyncio`).
 
     >>> from repro.experiments import single_dc_platform, harmony_factory
     >>> from repro.facade import RunSpec, run

@@ -259,14 +259,6 @@ class Network:
             heappush(sim._heap, (sim.now + delay, seq, deliver, args))
         return delay
 
-    def sample_delay(self, src: int, dst: int) -> float:
-        """Sample a delay without sending (used by monitors probing RTT)."""
-        route = self._routes[src][dst] or self._route(src, dst)
-        model, floor, mu, sigma = route[3:]
-        if sigma is not None:
-            return floor + exp(mu + sigma * (self._normals or self._refill()).pop())
-        return model.sample(self.rng)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Network(nodes={self.topology.n_nodes}, "

@@ -6,7 +6,8 @@
   discrete-event backend (a pure view over ``Simulator`` + ``Network``);
 - :class:`~repro.runtime.aio.AsyncioTransport` -- the localhost asyncio
   backend: real timers, a JSON wire codec, file-backed WALs; what runs on
-  it is :mod:`repro.runtime.localhost`'s deployment.
+  it is :mod:`repro.runtime.localhost`'s deployment of the platform's
+  store.
 - :class:`~repro.runtime.deadlines.DeadlineQueue` -- one armed timer for
   all operations that share a timeout (on either backend).
 
@@ -28,7 +29,6 @@ __all__ = [
     "DeadlineQueue",
     "FileWriteAheadLog",
     "LocalhostSpec",
-    "LocalhostStore",
 ]
 
 #: Valid values of the ``backend`` knob.
@@ -36,13 +36,12 @@ BACKENDS = ("sim", "asyncio")
 
 #: Lazily-resolved exports: the localhost harness (and its file-backed
 #: WAL) import the txn package, which imports the cluster package, which
-#: imports :mod:`repro.runtime.sim` -- eager imports here would close
+#: imports :mod:`repro.runtime.interface` -- eager imports here would close
 #: that cycle. PEP 562 attribute access keeps this package importable
 #: from anywhere in the stack.
 _LAZY = {
     "FileWriteAheadLog": "repro.runtime.wal",
     "LocalhostSpec": "repro.runtime.localhost",
-    "LocalhostStore": "repro.runtime.localhost",
 }
 
 

@@ -17,18 +17,25 @@ and never forked -- but executes them on an asyncio event loop:
   receiver. Unregistered callables (client completion callbacks,
   coordinator closures) deliver as local closures -- they are the
   client-side half of the run, not protocol traffic;
-- **delivery** -- messages in flight sit in one heap keyed by arrival
-  time, behind a single armed loop timer. Each pump pass delivers what was
-  due when the pass started; what its handlers send waits for the next
-  pass, so timer callbacks interleave with message bursts;
+- **delivery** -- messages in flight, ``post_at`` calls and service
+  completions sit in one heap keyed by protocol time, behind a single
+  armed loop timer. Each pump pass delivers what was due when the pass
+  started; what its handlers push waits for the next pass, so timer
+  callbacks interleave with message bursts;
+- **engine** -- the heap takes the simulator's entry shape ``(time, seq,
+  fn, args)``, so the transport is its own :attr:`~AsyncioTransport.engine`:
+  a :class:`~repro.simcore.resources.Resource` pushes its completions
+  onto it inline, as on the simulator, and the transport arms its timer
+  for them when control returns to it (after a pump pass or a timer
+  callback, and when :meth:`~AsyncioTransport.run` starts);
 - **link model** -- delays are sampled from the same
   :class:`~repro.net.topology.Topology` latency models the simulator
   uses, and delivery per (src, dst) link is FIFO (a message never
   overtakes an earlier one on the same link -- the TCP-like guarantee the
   conformance suite asserts for both backends);
-- **timers** -- ``loop.call_at`` handles at absolute protocol times,
-  cancellable exactly like sim events; no order among equal deadlines is
-  promised;
+- **timers** -- ``set_timer_at`` is a ``loop.call_at`` handle at an
+  absolute protocol time, cancellable exactly like a sim event; no order
+  among equal deadlines is promised;
 - **partitions** -- dropped at send time by datacenter pair, mirroring
   :meth:`repro.net.transport.Network.send`.
 
@@ -69,7 +76,8 @@ class AsyncioTransport(Transport):
         Datacenters, node placement and per-link-class latency models --
         the identical object a sim deployment would use.
     rng:
-        Seed or generator for link-delay sampling (protocol timing on this
+        Seed or generator for link-delay sampling (a store running on the
+        transport reseeds it from its own seed; protocol timing on this
         backend is wall-clock, so the seed shapes delays but cannot make
         the run deterministic).
     time_scale:
@@ -99,13 +107,16 @@ class AsyncioTransport(Transport):
         #: pair, latest arrival]``: ``Network``'s route memo plus the FIFO
         #: floor that stops a frame overtaking an earlier one on its link.
         self._links: Dict[Tuple[int, int], list] = {}
-        #: messages in flight, ``(arrival, seq, deliver, payload)`` in loop
-        #: time; ``deliver`` is ``None`` for an encoded wire frame.
+        #: due entries, ``(time, seq, fn, args)`` in protocol time: frames
+        #: in flight (``fn`` is ``None`` for an encoded wire frame, ``args``
+        #: the frame), ``post_at`` calls and inline-pushed completions
         self._heap: List[Tuple[float, int, Any, Any]] = []
         self._seq = 0
-        #: the one loop timer, armed for the heap head, and its loop time
-        #: (``inf``: nothing armed; ``-inf``: the pump is running and will
-        #: re-arm itself, so the sends its handlers make must not).
+        #: callbacks run so far: heap entries and timers
+        self.events_processed = 0
+        #: the one loop timer, armed for the heap head, and its protocol
+        #: time (``inf``: nothing armed; ``-inf``: the pump is running and
+        #: re-arms itself when the pass ends, so pushes made in it need not).
         self._armed: Optional[asyncio.TimerHandle] = None
         self._armed_at = math.inf
         self._closed = False
@@ -120,6 +131,7 @@ class AsyncioTransport(Transport):
     def run(self, until: Optional[float] = None) -> None:
         """Run the loop until :meth:`stop` or protocol time ``until`` passes."""
         loop = self._loop
+        self._arm()
         guard = None
         if until is not None:
             guard = loop.call_at(self._t0 + until * self.time_scale, loop.stop)
@@ -156,6 +168,17 @@ class AsyncioTransport(Transport):
     @property
     def now(self) -> float:
         return (self._loop.time() - self._t0) / self.time_scale
+
+    @property
+    def engine(self) -> "AsyncioTransport":
+        """The transport itself: its heap is the one a completion goes on."""
+        return self
+
+    @property
+    def network(self) -> "AsyncioTransport":
+        """The transport itself: it samples link delays, drops partitioned
+        frames and counts :attr:`traffic`."""
+        return self
 
     # -- messaging ---------------------------------------------------------------
 
@@ -195,7 +218,7 @@ class AsyncioTransport(Transport):
         if deliver is None:
             return delay  # billed and timed; takes no FIFO slot
         # FIFO per link: a frame arrives no earlier than its predecessor.
-        link[3] = arrival = max(loop.time() + delay * self.time_scale, floor)
+        link[3] = arrival = max((loop.time() - self._t0) / self.time_scale + delay, floor)
         name = self._names.get(deliver)
         if name is not None:
             # Registered protocol handler: genuinely cross the wire codec
@@ -204,10 +227,7 @@ class AsyncioTransport(Transport):
         self._seq = seq = self._seq + 1
         heappush(self._heap, (arrival, seq, deliver, args))
         if arrival < self._armed_at:
-            if self._armed is not None:
-                self._armed.cancel()
-            self._armed = loop.call_at(arrival, self._pump)
-            self._armed_at = arrival
+            self._arm()
         return delay
 
     def _pump(self) -> None:
@@ -220,25 +240,33 @@ class AsyncioTransport(Transport):
         handlers = self._handlers
         self._armed = None
         self._armed_at = -math.inf
-        now = self._loop.time()
+        now = (self._loop.time() - self._t0) / self.time_scale
         last = self._seq
+        done = 0
         try:
             while heap and heap[0][0] <= now and heap[0][1] <= last:
                 _, _, deliver, payload = heappop(heap)
+                done += 1
                 if deliver is None:
                     name, args = codec.decode(payload)
                     handlers[name](*args)
                 else:
                     deliver(*payload)
         finally:
-            if heap:
-                self._armed_at = heap[0][0]
-                self._armed = self._loop.call_at(self._armed_at, self._pump)
-            else:  # drained, or emptied by close()
-                self._armed_at = math.inf
+            self.events_processed += done
+            self._armed_at = math.inf
+            self._arm()
 
-    def sample_delay(self, src: int, dst: int) -> float:
-        return float(self.topology.latency_model(src, dst).sample(self.rng))
+    def _arm(self) -> None:
+        """Arm the loop timer for the heap head if it is due before the
+        armed one (the check every push ends with; inline pushes get it
+        when control returns to the transport)."""
+        heap = self._heap
+        if heap and heap[0][0] < self._armed_at and not self._closed:
+            if self._armed is not None:
+                self._armed.cancel()
+            self._armed_at = due = heap[0][0]
+            self._armed = self._loop.call_at(self._t0 + due * self.time_scale, self._pump)
 
     # -- timers ------------------------------------------------------------------
 
@@ -250,12 +278,23 @@ class AsyncioTransport(Transport):
         )
 
     def post_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
-        self.set_timer_at(when, fn, *args)
+        # onto the delivery heap: no loop timer of its own, and like a
+        # timer, no clock read
+        if self._closed:
+            return
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (when, seq, fn, args))
+        if when < self._armed_at:
+            self._arm()
 
     def _fire(self, fn: Callable[..., Any], args: tuple) -> None:
         if self._closed:
             return
-        fn(*args)
+        self.events_processed += 1
+        try:
+            fn(*args)
+        finally:
+            self._arm()
 
     # -- fault injection -----------------------------------------------------------
 

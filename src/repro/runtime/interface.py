@@ -1,15 +1,13 @@
 """The transport/clock/timer contract the protocol core speaks.
 
 Everything the commit protocols, the coordinator fan-out and the failure
-hooks need from their environment is five capabilities:
+hooks need from their environment is four capabilities:
 
 - a **monotonic clock** (:attr:`Transport.now`),
 - **message send** with a per-message delivery callback, or none
   (:meth:`Transport.send`),
 - **deliver-callback registration** (:meth:`Transport.register`) so
   backends that cross a wire codec can name a handler on the wire,
-- **delay sampling** (:meth:`Transport.sample_delay`) for estimators that
-  want a latency draw without sending,
 - **timers at absolute deployment times**: :meth:`Transport.set_timer_at`
   returns a cancellable handle, :meth:`Transport.post_at` returns none. There
   is no relative form; a caller wanting a delay writes ``now + delay``.
@@ -82,6 +80,17 @@ class Transport(ABC):
 
     #: per-link-class message and byte counts of everything sent
     traffic: "TrafficMatrix"
+    #: the event engine under the transport: its ``now``, its
+    #: ``events_processed`` and its heap of ``(time, seq, fn, args)``
+    #: entries, onto which a :class:`~repro.simcore.resources.Resource`
+    #: pushes its completions inline. The ``Simulator`` on the sim backend;
+    #: the asyncio transport is its own.
+    engine: Any
+    #: the message fabric (link delays, partitions, :attr:`traffic`): the
+    #: ``Network`` on the sim backend; the asyncio transport is its own.
+    #: Its ``rng`` draws the link delays; a store built on the transport
+    #: seeds it.
+    network: Any
 
     # -- driver ------------------------------------------------------------------
 
@@ -134,10 +143,6 @@ class Transport(ABC):
         protocol harnesses register anyway so the same wiring code drives
         every backend.
         """
-
-    @abstractmethod
-    def sample_delay(self, src: int, dst: int) -> float:
-        """Draw one link delay without sending (estimator support)."""
 
     # -- timers ------------------------------------------------------------------
 

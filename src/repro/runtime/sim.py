@@ -1,6 +1,6 @@
 """Discrete-event :class:`Transport`: a pure view over ``(Simulator, Network)``.
 
-``SimTransport`` owns nothing and adds nothing. ``send`` *is* the network's
+``SimTransport(topology)`` builds the two and adds nothing. ``send`` *is* the network's
 bound ``Network.send``, ``post_at`` / ``set_timer_at`` are
 ``Simulator.post_at`` / ``schedule_at`` and the driver pair ``run`` /
 ``stop`` is ``Simulator.run`` / ``stop`` (taken once at construction, so a
@@ -15,9 +15,12 @@ and by ``tests/test_golden_reports.py``).
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
+from repro.net.topology import Topology
+from repro.net.transport import Network
 from repro.runtime.interface import Transport
+from repro.simcore.simulator import Simulator
 
 __all__ = ["SimTransport"]
 
@@ -27,19 +30,27 @@ class SimTransport(Transport):
 
     Parameters
     ----------
+    topology:
+        Node placement and latency models of the deployment.
+    rng:
+        Seed or generator for link delays (a store running on the
+        transport reseeds it from its own seed).
     sim:
-        The simulator that owns the clock and event queue.
-    network:
-        The latency/partition/traffic model messages travel through.
+        The simulator that owns the clock and event queue (default: a new
+        one).
     """
 
     __slots__ = (
-        "sim", "network", "send", "post_at", "set_timer_at", "run", "stop", "_handlers",
+        "sim", "engine", "network", "send", "post_at", "set_timer_at", "run", "stop",
+        "_handlers",
     )
 
-    def __init__(self, sim: Any, network: Any):
-        self.sim = sim
-        self.network = network
+    def __init__(
+        self, topology: Topology, rng: Any = None, sim: Optional[Simulator] = None
+    ):
+        self.sim = self.engine = sim = sim if sim is not None else Simulator()
+        #: the latency/partition/traffic model messages travel through
+        self.network = network = Network(sim, topology, rng=rng)
         #: :meth:`Transport.send` -- the network's own bound method (the
         #: slot also satisfies the abstract declaration).
         self.send = network.send
@@ -63,9 +74,6 @@ class SimTransport(Transport):
     def register(self, name: str, deliver: Callable[..., Any]) -> None:
         self._handlers[name] = deliver
 
-    def sample_delay(self, src: int, dst: int) -> float:
-        return self.network.sample_delay(src, dst)
-
     # -- fault injection -----------------------------------------------------------
 
     def partition_dcs(self, dc_a: int, dc_b: int) -> None:
@@ -81,3 +89,4 @@ class SimTransport(Transport):
         # Not Network.is_partitioned, which takes *node* ids: the Transport
         # contract (and the asyncio backend) speak datacenter indices.
         return self.network.dcs_partitioned(dc_a, dc_b)
+

@@ -1,19 +1,19 @@
 """Cross-validation: the simulator's predictions vs. the asyncio runtime.
 
 The repository's claims rest on the discrete-event simulator; this module
-checks that the *same protocol classes* produce the *same qualitative
-behaviour* when executed on real asyncio timers and a real wire codec.
-Both sides of the comparison share everything except the execution
-engine: one :class:`~repro.facade.RunSpec` (platform, transactional
-workload, protocol config, seed), one deployment
-(:func:`~repro.runtime.localhost.run_deployment`: a
-:class:`~repro.runtime.localhost.LocalhostStore` and a
-:class:`~repro.txn.api.TransactionalStore`) and one driver
+checks that the *same store and protocol classes* produce the *same
+qualitative behaviour* when executed on real asyncio timers and a real
+wire codec. Both sides of the comparison share everything except the
+execution engine: one :class:`~repro.facade.RunSpec` (platform,
+transactional workload, protocol config, seed), one deployment
+(:func:`~repro.runtime.localhost.run_deployment`: the platform's
+:class:`~repro.cluster.store.ReplicatedStore` and a
+:class:`~repro.txn.api.TransactionalStore` on it) and one driver
 (:class:`~repro.txn.runner.TxnRunner`).
 
-:func:`run_sim_twin` runs that deployment over a
-:class:`~repro.runtime.sim.SimTransport` (deterministic virtual time);
-``repro.run(spec)`` with ``backend="asyncio"`` runs it over an
+:func:`run_sim_twin` runs that deployment on a simulator-built store
+(deterministic virtual time); ``repro.run(spec)`` with
+``backend="asyncio"`` runs it on an
 :class:`~repro.runtime.aio.AsyncioTransport` (wall clock). The asyncio
 side is **not deterministic** -- OS scheduling jitters every delivery --
 so the comparison is a *trend contract*, not an equality check:
@@ -49,10 +49,8 @@ from repro.experiments.platforms import Platform
 from repro.experiments.runner import RunOutcome, static_factory
 from repro.facade import RunSpec, run
 from repro.net.topology import Datacenter, Topology
-from repro.net.transport import Network
 from repro.runtime.localhost import LocalhostSpec, run_deployment
 from repro.runtime.sim import SimTransport
-from repro.simcore.simulator import Simulator
 from repro.workload.workloads import TxnWorkloadSpec
 
 __all__ = [
@@ -67,17 +65,13 @@ __all__ = [
 def run_sim_twin(spec: RunSpec) -> RunOutcome:
     """Run ``spec``'s asyncio deployment on the deterministic simulator.
 
-    The deployment ``backend="asyncio"`` builds, with a
-    :class:`~repro.runtime.sim.SimTransport` swapped in for the asyncio
-    transport and in-memory WALs (the sim models durability; the asyncio
-    side's files are the real thing). The time bound is the asyncio wall
-    guard on the protocol clock.
+    The deployment ``backend="asyncio"`` builds, on a
+    :class:`~repro.runtime.sim.SimTransport` with in-memory WALs
+    (the sim models durability; the asyncio side's files are the real
+    thing). The time bound is the asyncio wall guard on the protocol clock.
     """
     topology = spec.platform.topology_factory()
-    sim = Simulator()
-    return run_deployment(
-        spec, topology, SimTransport(sim, Network(sim, topology, rng=spec.seed))
-    )
+    return run_deployment(spec, topology, SimTransport(topology))
 
 
 def _xval_platform() -> Platform:

@@ -8,7 +8,10 @@ consistency levels slower at high throughput in the reproduction, exactly
 the mechanism the paper's evaluation exercises.
 
 The implementation is callback-based: ``submit()`` returns immediately and
-the ``done`` callback fires when service completes.
+the ``done`` callback fires when service completes. A resource runs on
+either engine: it pushes its completions onto the heap of the engine under
+a store's transport (``Transport.engine``) -- the simulator's, or the
+asyncio transport's delivery heap, which takes the same entries.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from heapq import heappush
 from typing import Any, Callable, Deque, Tuple
 
 from repro.common.errors import ConfigError
-from repro.simcore.simulator import Simulator
 
 __all__ = ["Resource"]
 
@@ -28,8 +30,9 @@ class Resource:
 
     Parameters
     ----------
-    sim:
-        Owning simulator.
+    engine:
+        The event engine that owns the clock and the heap
+        (:attr:`repro.runtime.interface.Transport.engine`).
     servers:
         Degree of service parallelism (e.g. CPU threads of a node).
     name:
@@ -42,11 +45,12 @@ class Resource:
     caller decides).
 
     A service start pushes its completion itself (the heap-entry invariant
-    of :mod:`repro.simcore.simulator`).
+    of :mod:`repro.simcore.simulator`): no frame on the simulator, one heap
+    for both engines.
     """
 
     __slots__ = (
-        "sim",
+        "engine",
         "servers",
         "name",
         "_busy",
@@ -56,10 +60,10 @@ class Resource:
         "_last_change",
     )
 
-    def __init__(self, sim: Simulator, servers: int = 1, name: str = "resource"):
+    def __init__(self, engine: Any, servers: int = 1, name: str = "resource"):
         if servers < 1:
             raise ConfigError(f"servers must be >= 1, got {servers}")
-        self.sim = sim
+        self.engine = engine
         self.servers = int(servers)
         self.name = name
         self._busy = 0
@@ -69,7 +73,7 @@ class Resource:
         # the dynamic part of the power model; brought up to date in place
         # at every change of ``_busy``.
         self._busy_integral = 0.0
-        self._last_change = sim.now
+        self._last_change = engine.now
 
     # -- public API -------------------------------------------------------------
 
@@ -85,16 +89,16 @@ class Resource:
         """
         if service < 0:
             raise ConfigError(f"negative service time {service}")
-        sim = self.sim
-        now = sim.now
+        engine = self.engine
+        now = engine.now
         busy = self._busy
         if busy < self.servers:
             # A server is idle: service starts at once, with zero wait.
             self._busy_integral += busy * (now - self._last_change)
             self._last_change = now
             self._busy = busy + 1
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (now + service, seq, self._finish, (done, args)))
+            engine._seq = seq = engine._seq + 1
+            heappush(engine._heap, (now + service, seq, self._finish, (done, args)))
         else:
             self._queue.append((service, done, args))
 
@@ -114,13 +118,13 @@ class Resource:
 
     def busy_seconds(self) -> float:
         """Cumulative server-seconds spent serving (the energy meter)."""
-        return self._busy_integral + self._busy * (self.sim.now - self._last_change)
+        return self._busy_integral + self._busy * (self.engine.now - self._last_change)
 
     # -- internals ---------------------------------------------------------------
 
     def _finish(self, done: Callable[..., Any], args: Tuple[Any, ...]) -> None:
-        sim = self.sim
-        now = sim.now
+        engine = self.engine
+        now = engine.now
         self._busy_integral += self._busy * (now - self._last_change)
         self._last_change = now
         self.completed += 1
@@ -128,8 +132,8 @@ class Resource:
             # The freed server goes straight to the longest-waiting request
             # (``_busy`` is unchanged), before ``done`` can submit more work.
             service, nxt_done, nxt_args = self._queue.popleft()
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (now + service, seq, self._finish, (nxt_done, nxt_args)))
+            engine._seq = seq = engine._seq + 1
+            heappush(engine._heap, (now + service, seq, self._finish, (nxt_done, nxt_args)))
         else:
             self._busy -= 1
         done(*args)

@@ -184,22 +184,6 @@ class Simulator:
         """
         return len(self._heap) + len(self._far) - self._cancelled
 
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        if self._running:
-            raise SimulationError("cannot reset a running simulator")
-        self.now = 0.0
-        for _, _, fn, ev in self._heap:
-            if fn is None:
-                ev.live = False
-                ev.owner = None
-        self._heap.clear()
-        self._far.clear()
-        self._gate = None
-        self._seq = 0
-        self._cancelled = 0
-        self.events_processed = 0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Simulator(now={self.now:.6f}, pending={self.pending()}, "

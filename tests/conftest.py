@@ -8,7 +8,13 @@ from repro.cluster.replication import NetworkTopologyStrategy, SimpleStrategy
 from repro.cluster.store import ReplicatedStore, StoreConfig
 from repro.net.latency import FixedLatency
 from repro.net.topology import Datacenter, LinkClass, Topology
+from repro.runtime.sim import SimTransport
 from repro.simcore.simulator import Simulator
+
+
+def sim_store(sim, topology, strategy=None, config=None) -> ReplicatedStore:
+    """A store on a transport over ``sim``, as ``Platform.build`` makes one."""
+    return ReplicatedStore(SimTransport(topology, sim=sim), topology, strategy, config)
 
 
 @pytest.fixture
@@ -45,7 +51,7 @@ def az_topology() -> Topology:
 @pytest.fixture
 def store(sim, small_topology) -> ReplicatedStore:
     """RF=3 over {2 east, 1 south}, fixed latencies, no read repair."""
-    return ReplicatedStore(
+    return sim_store(
         sim,
         small_topology,
         strategy=NetworkTopologyStrategy({0: 2, 1: 1}),
@@ -61,7 +67,7 @@ def simple_store(sim) -> ReplicatedStore:
         [5],
         latency={LinkClass.INTRA_DC: FixedLatency(0.0005)},
     )
-    return ReplicatedStore(
+    return sim_store(
         sim,
         topo,
         strategy=SimpleStrategy(rf=3),

@@ -5,8 +5,16 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.node import ServiceModel, StorageNode
-from repro.cluster.store import ReplicatedStore, StoreConfig
-from repro.cluster.versions import NONE_VERSION, Version, max_version
+from repro.cluster.store import StoreConfig
+from repro.cluster.versions import NONE_VERSION, Version
+from repro.net.topology import Datacenter, Topology
+from repro.runtime.sim import SimTransport
+from tests.conftest import sim_store
+
+
+def _transport(sim):
+    """A one-node deployment's transport on ``sim`` (a node needs its engine)."""
+    return SimTransport(Topology([Datacenter("dc", "r")], [1]), sim=sim)
 
 
 class TestVersion:
@@ -31,14 +39,6 @@ class TestVersion:
     def test_none_version_older_than_everything(self):
         v = Version(0.0, 0, 1)
         assert v.newer_than(NONE_VERSION)
-
-    def test_max_version(self):
-        a = Version(1.0, 1, 1)
-        b = Version(2.0, 2, 1)
-        assert max_version(a, b) is b
-        assert max_version(None, a) is a
-        assert max_version(a, None) is a
-        assert max_version(None, None) is None
 
 
 class TestServiceModel:
@@ -85,7 +85,7 @@ class TestServiceModel:
         import numpy as np
 
         model = ServiceModel()
-        node = StorageNode(sim, 0, service=model, rng=np.random.default_rng(9))
+        node = StorageNode(_transport(sim), 0, service=model, rng=np.random.default_rng(9))
         reference = np.random.default_rng(9)
         submitted = []
 
@@ -106,7 +106,7 @@ class TestServiceModel:
 
 class TestStorageNode:
     def test_write_then_read(self, sim):
-        node = StorageNode(sim, 0, rng=0)
+        node = StorageNode(_transport(sim), 0, rng=0)
         v = Version(1.0, 1, 100)
         got = []
         node.handle_write("k", v, lambda nid, k, ver: got.append(("applied", nid)))
@@ -118,7 +118,7 @@ class TestStorageNode:
         assert got[-1] is v
 
     def test_lww_reconciliation(self, sim):
-        node = StorageNode(sim, 0, rng=0)
+        node = StorageNode(_transport(sim), 0, rng=0)
         newer = Version(2.0, 2, 100)
         older = Version(1.0, 1, 100)
         node.handle_write("k", newer, lambda *a: None)
@@ -128,7 +128,7 @@ class TestStorageNode:
         assert node.data["k"] is newer  # older write lost the race but applied
 
     def test_down_node_drops_requests(self, sim):
-        node = StorageNode(sim, 0, rng=0)
+        node = StorageNode(_transport(sim), 0, rng=0)
         node.crash()
         got = []
         node.handle_write("k", Version(1.0, 1, 1), lambda *a: got.append("w"))
@@ -138,7 +138,7 @@ class TestStorageNode:
         assert node.dropped_while_down == 2
 
     def test_recover_keeps_data(self, sim):
-        node = StorageNode(sim, 0, rng=0)
+        node = StorageNode(_transport(sim), 0, rng=0)
         v = Version(1.0, 1, 1)
         node.handle_write("k", v, lambda *a: None)
         sim.run()
@@ -147,7 +147,7 @@ class TestStorageNode:
         assert node.data["k"] is v
 
     def test_read_missing_key_returns_none(self, sim):
-        node = StorageNode(sim, 0, rng=0)
+        node = StorageNode(_transport(sim), 0, rng=0)
         got = []
         node.handle_read("nope", lambda nid, k, ver: got.append(ver))
         sim.run()
@@ -312,7 +312,7 @@ class TestReplicatedStore:
         from repro.cluster.replication import SimpleStrategy
 
         with pytest.raises(ConfigError):
-            ReplicatedStore(
+            sim_store(
                 sim, small_topology, strategy=SimpleStrategy(rf=6)
             )
 
@@ -325,7 +325,7 @@ class TestReplicatedStore:
     def test_read_repair_patches_lagging_replica(self, sim, small_topology):
         from repro.cluster.replication import NetworkTopologyStrategy
 
-        st = ReplicatedStore(
+        st = sim_store(
             sim,
             small_topology,
             strategy=NetworkTopologyStrategy({0: 2, 1: 1}),

@@ -17,6 +17,7 @@ from repro.policy import StaticPolicy
 from repro.workload.client import ClosedLoopClient, WorkloadRunner
 from repro.workload.cohort import CohortPopulation
 from repro.workload.workloads import WorkloadSpec, heavy_read_update
+from tests.conftest import sim_store
 
 
 def _cohort(store, **kw):
@@ -233,7 +234,7 @@ class TestRngBitIdentity:
     def test_arrival_times_independent_of_batch(self):
         def arrival_times(batch):
             from tests.conftest import Simulator
-            from repro.cluster.store import ReplicatedStore, StoreConfig
+            from repro.cluster.store import StoreConfig
             from repro.net.latency import FixedLatency
             from repro.net.topology import Datacenter, LinkClass, Topology
 
@@ -241,7 +242,7 @@ class TestRngBitIdentity:
                 [Datacenter("dc", "r")], [4],
                 latency={LinkClass.INTRA_DC: FixedLatency(0.0003)},
             )
-            store = ReplicatedStore(
+            store = sim_store(
                 Simulator(), topo, config=StoreConfig(seed=3)
             )
             cohort = CohortPopulation(
@@ -275,7 +276,7 @@ class TestRngBitIdentity:
 class TestRunnerCohortMode:
     def _store(self):
         from tests.conftest import Simulator
-        from repro.cluster.store import ReplicatedStore, StoreConfig
+        from repro.cluster.store import StoreConfig
         from repro.net.latency import FixedLatency
         from repro.net.topology import Datacenter, LinkClass, Topology
 
@@ -286,7 +287,7 @@ class TestRunnerCohortMode:
                 LinkClass.INTER_AZ: FixedLatency(0.001),
             },
         )
-        return ReplicatedStore(
+        return sim_store(
             Simulator(), topo, config=StoreConfig(seed=3, read_repair_chance=0.0)
         )
 

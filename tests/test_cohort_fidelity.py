@@ -26,6 +26,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from repro.experiments import scenarios
+from tests.conftest import sim_store
 
 #: The equivalence contract: relative tolerance per metric.  Staleness
 #: rates use an absolute floor of 0.1 in the denominator, i.e. near-zero
@@ -117,7 +118,7 @@ class TestLatencyDistribution:
 
     def _latencies(self, mode):
         from tests.conftest import Simulator
-        from repro.cluster.store import ReplicatedStore, StoreConfig
+        from repro.cluster.store import StoreConfig
         from repro.net.latency import FixedLatency
         from repro.net.topology import Datacenter, LinkClass, Topology
         from repro.policy import StaticPolicy
@@ -129,7 +130,7 @@ class TestLatencyDistribution:
             [Datacenter("dc", "r")], [4],
             latency={LinkClass.INTRA_DC: FixedLatency(0.0003)},
         )
-        store = ReplicatedStore(
+        store = sim_store(
             Simulator(), topo, config=StoreConfig(seed=3, read_repair_chance=0.0)
         )
         recorder = TraceRecorder()

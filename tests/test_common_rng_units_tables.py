@@ -37,17 +37,6 @@ class TestRngFactory:
         v2 = f2.stream("second").random(4)  # requested without "first"
         assert np.array_equal(v1, v2)
 
-    def test_fork_namespaces(self):
-        f = RngFactory(3)
-        child_a = f.fork("sub")
-        child_b = f.fork("sub")
-        assert np.array_equal(
-            child_a.stream("x").random(4), child_b.stream("x").random(4)
-        )
-        assert not np.array_equal(
-            f.stream("x").random(4), RngFactory(3).fork("other").stream("x").random(4)
-        )
-
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):
             RngFactory("seed")  # type: ignore[arg-type]

@@ -19,15 +19,12 @@ class TestOnlineStats:
         s = OnlineStats()
         assert s.n == 0
         assert s.mean == 0.0
-        assert s.variance == 0.0
-        assert s.std == 0.0
 
     def test_single_value(self):
         s = OnlineStats()
         s.add(5.0)
         assert s.n == 1
         assert s.mean == 5.0
-        assert s.variance == 0.0
         assert s.min == 5.0
         assert s.max == 5.0
 
@@ -37,7 +34,6 @@ class TestOnlineStats:
         for x in xs:
             s.add(x)
         assert s.mean == pytest.approx(np.mean(xs))
-        assert s.variance == pytest.approx(np.var(xs, ddof=1))
         assert s.min == min(xs)
         assert s.max == max(xs)
 

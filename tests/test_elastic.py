@@ -24,7 +24,7 @@ from repro.common.errors import ConfigError, ConsistencyError
 from repro.cluster.partitioner import token_of
 from repro.cluster.replication import NetworkTopologyStrategy, SimpleStrategy
 from repro.cluster.ring import TokenRing
-from repro.cluster.store import ReplicatedStore, StoreConfig
+from repro.cluster.store import StoreConfig
 from repro.elastic import (
     AutoscalerConfig,
     CostAwareAutoscaler,
@@ -42,6 +42,7 @@ from repro.monitor.collector import ClusterMonitor
 from repro.net.latency import FixedLatency
 from repro.net.topology import Datacenter, LinkClass, Topology
 from repro.simcore.simulator import Simulator
+from tests.conftest import sim_store
 
 KEYS = [f"user{i}" for i in range(60)]
 
@@ -54,7 +55,7 @@ def build_store(n_nodes=5, rf=3, seed=2):
     )
     # Short op timeouts so reads/writes racing an injected crash resolve
     # within the property tests' horizon instead of hanging to 5s.
-    return ReplicatedStore(
+    return sim_store(
         Simulator(),
         topo,
         strategy=SimpleStrategy(rf=rf),
@@ -196,7 +197,7 @@ class TestStoreMembership:
         assert not store.nodes[1].up
 
     def test_per_dc_quota_protected(self, az_topology):
-        store = ReplicatedStore(
+        store = sim_store(
             Simulator(),
             az_topology,
             strategy=NetworkTopologyStrategy({0: 2, 1: 1}),

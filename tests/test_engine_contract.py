@@ -6,7 +6,9 @@ Code outside the engine reads time and schedules through
 ``simcore/`` and the sim transport touch the simulator's clock,
 scheduling verbs and driver. The one sanctioned exception is
 ``Network.send``'s inline heap push, which reads ``sim.now`` to stamp the
-entry (a measured frame per message; see ``simcore/simulator.py``).
+entry (a measured frame per message; see ``simcore/simulator.py``). The
+store layer (``cluster/``) is built on a transport and never names the
+simulator at all.
 """
 
 import importlib
@@ -58,8 +60,8 @@ def test_every_transport_has_the_driver_pair(cls):
 
 def test_both_transports_count_traffic():
     topology = Topology([Datacenter("a", "r")], [2])
-    sim = Simulator()
-    t = SimTransport(sim, Network(sim, topology))
+    t = SimTransport(topology)
+    sim = t.sim
     assert t.run == sim.run and t.stop == sim.stop
     assert t.traffic is t.network.traffic
     aio = AsyncioTransport(topology)
@@ -68,9 +70,9 @@ def test_both_transports_count_traffic():
 
 
 def test_simulator_exposes_only_the_driver_and_absolute_verbs():
-    for gone in ("post", "step", "peek_time"):
+    for gone in ("post", "step", "peek_time", "reset"):
         assert not hasattr(Simulator, gone), gone
-    for kept in ("post_at", "schedule_at", "schedule", "run", "stop", "pending", "reset"):
+    for kept in ("post_at", "schedule_at", "schedule", "run", "stop", "pending"):
         assert callable(getattr(Simulator, kept)), kept
 
 
@@ -82,8 +84,8 @@ def test_schedule_is_schedule_at_from_now():
 
 
 def test_sim_transport_timers_reject_the_past():
-    sim = Simulator()
-    t = SimTransport(sim, Network(sim, Topology([Datacenter("a", "r")], [2])))
+    t = SimTransport(Topology([Datacenter("a", "r")], [2]))
+    sim = t.sim
     sim.run(until=1.0)
     for verb in (t.set_timer_at, t.post_at):
         with pytest.raises(SimulationError):
@@ -95,6 +97,15 @@ def test_sim_transport_timers_reject_the_past():
 def test_transport_has_no_relative_timer(cls):
     assert not hasattr(cls, "set_timer")
     assert hasattr(cls, "set_timer_at") and hasattr(cls, "post_at")
+
+
+def test_the_store_never_names_the_simulator():
+    # The replicated store runs on any Transport: no module under cluster/
+    # imports the simulator's module or names its class, even in prose.
+    for path in sorted((SRC / "cluster").rglob("*.py")):
+        text = path.read_text()
+        assert "Simulator" not in text, path.name
+        assert "simcore.simulator" not in text, path.name
 
 
 def test_generator_processes_are_gone():

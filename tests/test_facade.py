@@ -20,6 +20,7 @@ import dataclasses
 import pytest
 
 import repro
+from repro.cluster.store import ReplicatedStore
 from repro.common.errors import ConfigError
 from repro.elastic import AutoscalerConfig, ElasticSpec
 from repro.experiments import scenarios
@@ -181,9 +182,11 @@ class TestOutcomeShape:
         assert 0.0 <= out.report.stale_rate <= 1.0
         # Reads at ONE with no policy; wall-clock runs are not billed.
         assert out.policy is None and out.report.policy == "one"
-        assert set(out.report.read_levels) == {"ONE"}
+        assert set(out.report.read_levels) == {"n=1"}
         assert out.bill.total == 0.0
-        assert out.store is None and out.tstore is not None
+        # The transactions ran on the platform's replicated store.
+        assert isinstance(out.store, ReplicatedStore)
+        assert out.tstore.store is out.store
 
     def test_txn_block_has_the_same_keys_on_both_engines(self):
         sim = run(_txn_spec(ops=20, clients=2)).report.txn
@@ -213,9 +216,10 @@ class TestAsyncioBackend:
                 backend="asyncio",
             )
         )
-        store = out.tstore.store
+        store = out.store
         assert store.topology.n_nodes == platform.topology_factory().n_nodes
-        assert store.rf == platform.rf
+        assert store.strategy.rf_total == platform.rf
+        assert store.config.seed == 77
         assert out.tstore.config.commit_protocol == "3pc"
         assert out.report.txn["txns"] == 30
         assert out.report.workload == "bank-transfer"

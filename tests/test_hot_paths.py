@@ -31,6 +31,7 @@ from repro.simcore.simulator import Simulator
 from repro.txn.api import TxnConfig
 from repro.workload.client import OpenLoopSource, WorkloadRunner
 from repro.workload.workloads import WORKLOADS, bank_transfer_mix, read_modify_write_mix
+from tests.conftest import sim_store
 
 
 def _queued_times(sim: Simulator) -> list:
@@ -40,7 +41,7 @@ def _queued_times(sim: Simulator) -> list:
 
 def _small_store(seed: int = 11) -> ReplicatedStore:
     """One DC of four nodes, RF=3, default latencies, 10 % read repair."""
-    return ReplicatedStore(
+    return sim_store(
         Simulator(),
         Topology([Datacenter("dc0", "region0")], [4]),
         strategy=SimpleStrategy(rf=3),

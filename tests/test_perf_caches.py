@@ -15,12 +15,13 @@ import pytest
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.replication import SimpleStrategy
 from repro.cluster.ring import TokenRing
-from repro.cluster.store import ReplicatedStore, StoreConfig
+from repro.cluster.store import StoreConfig
 from repro.common.stats import Histogram
 from repro.elastic.rebalance import RebalanceConfig, StreamingRebalancer
 from repro.net.topology import Datacenter, LinkClass, Topology
 from repro.net.transport import Network
 from repro.simcore.simulator import Simulator
+from tests.conftest import sim_store
 
 
 def _fresh_placement(store, key):
@@ -33,7 +34,7 @@ def _fresh_placement(store, key):
 def elastic_store():
     sim = Simulator()
     topo = Topology([Datacenter("dc", "r")], [5])
-    return ReplicatedStore(
+    return sim_store(
         sim,
         topo,
         strategy=SimpleStrategy(rf=3),
@@ -116,7 +117,7 @@ class TestRequirementCache:
     def test_local_quorum_keys_on_coordinator_dc(self):
         sim = Simulator()
         topo = Topology([Datacenter("a", "r"), Datacenter("b", "r")], [3, 3])
-        st = ReplicatedStore(
+        st = sim_store(
             sim, topo, strategy=SimpleStrategy(rf=4), config=StoreConfig(seed=4)
         )
         st.preload(["user0"])

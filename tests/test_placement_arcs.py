@@ -19,12 +19,13 @@ import repro
 from repro.cluster.partitioner import token_of
 from repro.cluster.replication import NetworkTopologyStrategy, SimpleStrategy
 from repro.cluster.ring import TokenRing
-from repro.cluster.store import ReplicatedStore, StoreConfig
+from repro.cluster.store import StoreConfig
 from repro.cluster.versions import Version
 from repro.common.errors import ConfigError, ConsistencyError
 from repro.net.topology import Datacenter, Topology
 from repro.simcore.simulator import Simulator
 from repro.workload.workloads import heavy_read_update
+from tests.conftest import sim_store
 
 
 def reference_replicas(strategy, walk, topology):
@@ -159,7 +160,7 @@ class TestArcLookup:
 
 def geo_store():
     """Two datacenters (4 + 3 nodes), two replicas in each."""
-    return ReplicatedStore(
+    return sim_store(
         Simulator(),
         make_topology([4, 3]),
         strategy=NetworkTopologyStrategy({0: 2, 1: 2}),

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from repro.cluster.consistency import ConsistencyLevel as CL
 from repro.cluster.replication import NetworkTopologyStrategy, SimpleStrategy
-from repro.cluster.store import ReplicatedStore, StoreConfig
+from repro.cluster.store import StoreConfig
 from repro.common.errors import ConfigError, ConsistencyError
 from repro.elastic import RebalanceConfig, StreamingRebalancer
 from repro.net.topology import Datacenter, Topology
 from repro.simcore.simulator import Simulator
+from tests.conftest import sim_store
 
 LEVELS = [
     1, 2, 3, 5,
@@ -55,7 +56,7 @@ def reference_targets(store, coord_dc, replicas, requirement):
 
 
 def make_store(nodes_per_dc, strategy, rebalancer=False):
-    store = ReplicatedStore(
+    store = sim_store(
         Simulator(),
         Topology(
             [Datacenter(f"dc{i}", f"r{i}") for i in range(len(nodes_per_dc))],

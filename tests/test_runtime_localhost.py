@@ -21,15 +21,15 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cluster.replication import SimpleStrategy
+from repro.cluster.store import ReplicatedStore
 from repro.common.errors import ConfigError, SimulationError
 from repro.cluster.versions import Version
 from repro.cost.pricing import FREE_PRIVATE_CLOUD
 from repro.experiments.platforms import Platform
 from repro.net.topology import Datacenter, Topology
-from repro.net.transport import Network
 from repro.runtime import codec
 from repro.runtime.aio import AsyncioTransport
-from repro.runtime.localhost import LocalhostSpec, LocalhostStore
+from repro.runtime.localhost import LocalhostSpec
 from repro.runtime.sim import SimTransport
 from repro.runtime.wal import FileWriteAheadLog
 from repro.runtime.xval import (
@@ -52,7 +52,6 @@ from repro.txn.wal import (
     REC_TM_PRECOMMIT,
     WriteAheadLog,
 )
-from repro.simcore.simulator import Simulator
 from repro.txn.api import TransactionalStore
 
 
@@ -122,7 +121,7 @@ def _node0_handler_names():
     topology = _topology(1)
     transport = AsyncioTransport(topology)
     try:
-        TransactionalStore(LocalhostStore(topology, transport, replication_factor=2))
+        TransactionalStore(ReplicatedStore(transport, topology, SimpleStrategy(rf=2)))
         return tuple(sorted(
             name for name in transport._handlers if name.split(".")[0] in ("p0", "tm0")
         ))
@@ -165,7 +164,6 @@ class TestLazyExports:
         [
             ("FileWriteAheadLog", "repro.runtime.wal"),
             ("LocalhostSpec", "repro.runtime.localhost"),
-            ("LocalhostStore", "repro.runtime.localhost"),
         ],
     )
     def test_lazy_name_is_the_defining_modules_object(self, name, module):
@@ -646,12 +644,11 @@ class TestSimTwin:
 
     def test_replica_crashing_mid_read_fails_the_read(self):
         # Fail-stop: the only replica of the key dies while the read's round
-        # trip is on the WAN; it must not answer, so the transaction aborts
-        # read-failed and the store counts an unavailable read.
+        # trip is on the WAN; it must not answer, so the read times out, the
+        # transaction aborts read-failed and the store counts the failure.
         topology = _topology(2)
-        sim = Simulator()
-        transport = SimTransport(sim, Network(sim, topology, rng=1))
-        store = LocalhostStore(topology, transport, replication_factor=1)
+        transport = SimTransport(topology)
+        store = ReplicatedStore(transport, topology, SimpleStrategy(rf=1))
         tstore = TransactionalStore(store)
         (replica,) = store.replica_sets("k")[0]
         remote = next(n for n in range(6) if topology.dc_of(n) != topology.dc_of(replica))
@@ -661,9 +658,10 @@ class TestSimTwin:
         txn.write("k", 10)
         txn.commit(outcomes.append)
         transport.post_at(0.01, store.on_node_crash, replica)  # RTT is 80 ms
-        transport.run(until=1.0)
+        transport.run(until=store.read_timeout + 1.0)
         assert [(o.status, o.reason) for o in outcomes] == [("aborted", "read-failed")]
-        assert store.summary()["failures"] == {"read_unavailable": 1}
+        assert store.summary()["failures"] == {"read_timeout": 1}
+        assert store.nodes[replica].dropped_while_down == 1
         assert store.ops_completed() == 0
 
 

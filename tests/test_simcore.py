@@ -138,14 +138,6 @@ class TestSimulator:
         # at t=1: the t=2, t=3 and t=5 events remain; at t=3: none.
         assert seen == [3, 0]
 
-    def test_reset(self, sim):
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.pending() == 0
-        assert sim.events_processed == 0
-
     def test_not_reentrant(self, sim):
         def nested():
             with pytest.raises(SimulationError):
@@ -191,31 +183,6 @@ class TestSimulator:
         assert fired[-1] == "s4" and sim.now == 4.0
         assert not late.live and sim.pending() == 0
 
-    def test_reset_over_mixed_entries(self, sim):
-        fired = []
-        sim.post_at(1.0, fired.append, "post")
-        handle = sim.schedule(1.0, fired.append, "event")
-        sim.reset()
-        assert sim.pending() == 0
-        handle.cancel()  # a handle from before the reset must not corrupt the count
-        assert sim.pending() == 0
-        sim.post_at(1.0, fired.append, "fresh")
-        sim.run()
-        assert fired == ["fresh"] and sim.now == 1.0
-
-    def test_reset_clears_the_far_tier(self, sim):
-        # far entries count as pending; a reset drops them and disarms the
-        # gate, so a far entry posted afterwards is armed afresh and fires
-        fired = []
-        for t in (5.0, 6.0, 7.0):  # the first is the gate, two wait aside
-            sim.post_at(t, fired.append, t)
-        assert sim.pending() == 3
-        sim.reset()
-        assert sim.pending() == 0
-        sim.post_at(6.0, fired.append, "fresh")
-        sim.run()
-        assert fired == ["fresh"] and sim.now == 6.0
-
     @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_property_monotone_clock(self, delays):
@@ -241,7 +208,7 @@ _OPS = st.one_of(
     st.tuples(st.just("cancel"), st.integers(0, 50)),
     st.tuples(st.just("run_until"), st.floats(0.0, 3.0)),
     st.tuples(st.just("run_max"), st.integers(0, 4)),
-    st.tuples(st.sampled_from(["step", "run", "reset"]), st.just(0)),
+    st.tuples(st.sampled_from(["step", "run"]), st.just(0)),
 )
 
 
@@ -283,7 +250,7 @@ class TestEngineContract:
     def _check_against_one_heap(ops):
         sim = Simulator()
         live = {}  # id -> firing time, for every entry neither fired nor cancelled
-        handles = []  # (id, Event), kept after firing/cancel/reset
+        handles = []  # (id, Event), kept after firing/cancel
         fired = []
         ref = []  # the one-heap reference: (time, seq, id) of every entry
         ref_seq = [0]
@@ -323,7 +290,7 @@ class TestEngineContract:
                 handles.append((n, sim.schedule_at(x, fire, n)))
             elif op == "cancel" and handles:
                 i, handle = handles[x % len(handles)]
-                handle.cancel()  # also after firing, twice, or across a reset
+                handle.cancel()  # also after firing, or twice
                 live.pop(i, None)
             elif op == "step":
                 before, had_live = len(fired), bool(live)
@@ -340,11 +307,6 @@ class TestEngineContract:
             elif op == "run":
                 sim.run()
                 assert not live
-            elif op == "reset":
-                sim.reset()
-                live.clear()
-                fired.clear()
-                ref.clear()
             queued = sim._heap + sim._far
             brute = sum(1 for e in queued if e[2] is not None or not e[3].cancelled)
             assert sim.pending() == len(live) == brute
@@ -386,7 +348,6 @@ class TestEngineContract:
 
         from repro.net.latency import FixedLatency
         from repro.net.topology import Datacenter, LinkClass, Topology
-        from repro.net.transport import Network
         from repro.runtime.deadlines import DeadlineQueue
         from repro.runtime.sim import SimTransport
 
@@ -394,8 +355,8 @@ class TestEngineContract:
         topo = Topology(
             [Datacenter("a", "r")], [2], latency={LinkClass.INTRA_DC: FixedLatency(2.0)}
         )
-        net = Network(sim, topo)
-        tr = SimTransport(sim, net)
+        tr = SimTransport(topo, sim=sim)
+        net = tr.network
         res = Resource(sim, servers=1)
         log = []
 

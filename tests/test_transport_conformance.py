@@ -19,29 +19,39 @@ engines honour:
 - registered handlers receive *equal* argument values (and, on the
   asyncio backend, *fresh* objects -- the wire codec forbids shared
   references);
-- ``transport.traffic`` counts the same messages per link class;
-- a crashed :class:`~repro.runtime.localhost.LocalhostStore` replica set
-  makes reads unavailable until recovery, on either transport.
+- ``transport.traffic`` counts the same messages per link class.
+
+:class:`TestStoreOnBothEngines` runs the real
+:class:`~repro.cluster.store.ReplicatedStore` on each backend the same way:
+reads and writes at ONE, QUORUM and ALL, a crashed replica set that makes
+reads unavailable until recovery, hinted handoff replayed on recovery,
+read repair converging the replicas, and a platform store running a YCSB-A
+workload with no failed operation.
 
 Because the test body is identical per backend, a divergence pinpoints an
 engine bug rather than a protocol bug -- this suite is the safety net for
-the "same protocol classes on both backends" claim.
+the "same store and protocol classes on both backends" claim.
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.cluster.consistency import ConsistencyLevel
+from repro.cluster.replication import SimpleStrategy
+from repro.cluster.store import ReplicatedStore, StoreConfig
 from repro.cluster.versions import Version
+from repro.experiments.platforms import single_dc_platform
 from repro.net.latency import FixedLatency, LogNormalLatency
 from repro.net.topology import Datacenter, Topology, LinkClass
-from repro.net.transport import Network
+from repro.policy import StaticPolicy
 from repro.runtime.aio import AsyncioTransport
-from repro.runtime.localhost import LocalhostStore
 from repro.runtime.deadlines import DeadlineQueue
 from repro.runtime.sim import SimTransport
-from repro.simcore.simulator import Simulator
+from repro.workload.client import WorkloadRunner
+from repro.workload.workloads import WORKLOADS
 
 
 def two_dc_topology() -> Topology:
@@ -63,9 +73,8 @@ class Harness:
         self.backend = backend
         self.topology = topology
         if backend == "sim":
-            sim = Simulator()
-            self.network = Network(sim, topology, rng=seed)
-            self.transport = SimTransport(sim, self.network)
+            self.transport = SimTransport(topology, rng=seed)
+            self.network = self.transport.network
         else:
             self.transport = AsyncioTransport(
                 topology, rng=seed, time_scale=self.TIME_SCALE
@@ -329,11 +338,6 @@ class TestTransportContract:
                 assert at == pytest.approx(deadline, abs=1e-12)
         assert len(h.queue) == 0 and h.queue._timer is None
 
-    def test_sample_delay_matches_link_class(self, harness):
-        t = harness().transport
-        assert t.sample_delay(0, 1) == pytest.approx(0.00025)  # intra-DC
-        assert t.sample_delay(0, 3) == pytest.approx(0.040)  # inter-region
-
     def test_unregistered_callable_delivers_locally(self, harness):
         # Client-side completion closures are not protocol traffic: they
         # deliver without a codec round-trip, payload passed through as-is.
@@ -385,28 +389,68 @@ class TestTransportContract:
         assert traffic.bytes[LinkClass.INTER_REGION] == 500
         assert traffic.bytes[LinkClass.INTRA_DC] == 100
 
+
+def _store(h, rf=3, **config):
+    """The real store on ``h``'s transport and topology."""
+    return ReplicatedStore(
+        h.transport, h.topology, SimpleStrategy(rf=rf), StoreConfig(seed=3, **config)
+    )
+
+
+class TestStoreOnBothEngines:
+    """The replicated store itself, run identically on each backend."""
+
+    @pytest.mark.parametrize(
+        "level", [ConsistencyLevel.ONE, ConsistencyLevel.QUORUM, ConsistencyLevel.ALL]
+    )
+    def test_write_then_read_at_each_level(self, harness, level):
+        h = harness()
+        state = {}
+
+        def setup(t):
+            store = state["store"] = _store(h, read_repair_chance=0.0)
+            store.preload(["k"])
+
+            def read_back(written):
+                state["write"] = written
+                store.read("k", level, lambda r: state.setdefault("read", r))
+
+            store.write("k", level, read_back)
+
+        h.run(setup, until=2.0)
+        store, written, read = state["store"], state["write"], state["read"]
+        need = {"ONE": 1, "QUORUM": 2, "ALL": 3}[level.name]
+        assert written.ok and read.ok
+        assert written.level_label == read.level_label == level.name
+        assert read.replicas_contacted == need
+        assert written.replicas_contacted == 3  # a write goes to every replica
+        if need > 1:  # R + W > N: the read sees the write
+            assert read.version.write_id == store.write_seq and not read.stale
+        # the write reached every replica, whatever its level
+        assert {store.nodes[r].data["k"].write_id for r in store.all_replicas("k")} == {
+            store.write_seq
+        }
+        assert store.summary()["failures"] == {}
+
     def test_crashed_replicas_silence_reads_until_recovery(self, harness):
-        # The LocalhostStore facade runs over either transport (that is
-        # how repro.runtime.xval compares backends); crashing the whole
-        # replica set of a key must fail reads, recovery must restore them.
+        # Crashing the whole replica set of a key must fail reads at once;
+        # recovery must restore them.
         h = harness()
         results = []
         state = {}
 
         def setup(t):
-            store = LocalhostStore(
-                h.topology, t, replication_factor=2, seed=3
-            )
-            state["store"] = store
+            store = state["store"] = _store(h, rf=2, read_repair_chance=0.0)
+            store.preload(["key1"])
             replicas, _ = store.replica_sets("key1")
             for r in replicas:
                 store.on_node_crash(r)
-            store.read("key1", None, results.append)
+            store.read("key1", 1, results.append)
 
             def recover_and_read():
                 for r in replicas:
                     store.on_node_recover(r)
-                store.read("key1", None, results.append)
+                store.read("key1", 1, results.append)
 
             t.set_timer_at(t.now + 0.5, recover_and_read)
 
@@ -417,6 +461,76 @@ class TestTransportContract:
         assert results[1].ok
         assert state["store"].summary()["failures"] == {"read_unavailable": 1}
         assert state["store"].ops_completed() == 1
+
+    def test_hints_replay_to_a_recovered_replica(self, harness):
+        h = harness()
+        state = {}
+
+        def setup(t):
+            store = state["store"] = _store(h, read_repair_chance=0.0)
+            store.preload(["k"])
+            down = state["down"] = store.all_replicas("k")[0]
+            store.on_node_crash(down)
+            store.write("k", ConsistencyLevel.ONE, lambda r: state.setdefault("write", r))
+            t.set_timer_at(t.now + 0.5, store.on_node_recover, down)
+
+        h.run(setup, until=2.0)
+        store, down = state["store"], state["down"]
+        assert state["write"].ok and state["write"].replicas_contacted == 2
+        assert store.hints.pending_for(down) == 0
+        assert store.nodes[down].data["k"].write_id == store.write_seq
+
+    def test_read_repair_converges_the_replicas(self, harness):
+        # A replica misses a write (down, no hints); a read after its
+        # recovery repairs it, although the read itself asks only one.
+        h = harness()
+        state = {}
+
+        def setup(t):
+            store = state["store"] = _store(h, read_repair_chance=1.0, hinted_handoff=False)
+            store.preload(["k"])
+            lagging = state["lagging"] = store.all_replicas("k")[0]
+            store.on_node_crash(lagging)
+            store.write("k", ConsistencyLevel.QUORUM)
+
+            def recover_and_read():
+                store.on_node_recover(lagging)
+                assert store.nodes[lagging].data["k"].write_id < store.write_seq
+                store.read("k", ConsistencyLevel.ONE, lambda r: state.setdefault("read", r))
+
+            t.set_timer_at(t.now + 0.5, recover_and_read)
+
+        h.run(setup, until=2.0)
+        store = state["store"]
+        assert state["read"].ok and state["read"].replicas_contacted == 1
+        assert store.repairs_issued >= 1
+        assert {store.nodes[r].data["k"].write_id for r in store.all_replicas("k")} == {
+            store.write_seq
+        }
+
+    @pytest.mark.parametrize("level", [ConsistencyLevel.ONE, ConsistencyLevel.QUORUM])
+    def test_platform_store_runs_ycsb_a_without_failures(self, harness, level):
+        platform = single_dc_platform()
+        h = harness(platform.topology_factory())
+        store = ReplicatedStore(
+            h.transport,
+            h.topology,
+            platform.strategy_factory(),
+            replace(platform.store_config, seed=11),
+        )
+        report = WorkloadRunner(
+            store,
+            WORKLOADS["A"].scaled(1_000),
+            policy=StaticPolicy(level, level),
+            n_clients=16,
+            ops_total=1_000,
+            seed=11,
+        ).run()
+        assert report.ops_completed == 1_000
+        assert report.failures == {}
+        assert set(report.read_levels) == {level.name}
+        assert store.sim.events_processed > 0
+        assert store.network.traffic.total_bytes() > 0
 
 
 class TestAsyncioTransportSpecifics:

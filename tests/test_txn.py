@@ -25,6 +25,7 @@ from repro.workload.workloads import (
     order_checkout_mix,
     read_modify_write_mix,
 )
+from tests.conftest import sim_store
 
 
 #: Small timeouts so failure-path tests settle in simulated milliseconds.
@@ -521,7 +522,7 @@ class TestTxnRunner:
 
     def test_identical_runs_are_deterministic(self):
         from repro.cluster.replication import SimpleStrategy
-        from repro.cluster.store import ReplicatedStore, StoreConfig
+        from repro.cluster.store import StoreConfig
         from repro.net.latency import FixedLatency
         from repro.net.topology import Datacenter, LinkClass, Topology
         from repro.simcore.simulator import Simulator
@@ -532,7 +533,7 @@ class TestTxnRunner:
                 [5],
                 latency={LinkClass.INTRA_DC: FixedLatency(0.0005)},
             )
-            store = ReplicatedStore(
+            store = sim_store(
                 Simulator(),
                 topo,
                 strategy=SimpleStrategy(rf=3),

@@ -23,11 +23,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.replication import SimpleStrategy
-from repro.cluster.store import ReplicatedStore, StoreConfig
+from repro.cluster.store import StoreConfig
 from repro.net.latency import FixedLatency
 from repro.net.topology import Datacenter, LinkClass, Topology
 from repro.simcore.simulator import Simulator
 from repro.txn.api import PROTOCOLS, TransactionalStore, TxnConfig
+from tests.conftest import sim_store
 
 
 def fast_config(protocol: str = "2pc") -> TxnConfig:
@@ -61,7 +62,7 @@ def build(config: TxnConfig = FAST):
         [5],
         latency={LinkClass.INTRA_DC: FixedLatency(0.0005)},
     )
-    store = ReplicatedStore(
+    store = sim_store(
         Simulator(),
         topo,
         strategy=SimpleStrategy(rf=3),
@@ -537,7 +538,7 @@ class TestCooperativeTermination:
             [3, 1],
             latency={LinkClass.INTRA_DC: link, LinkClass.INTER_REGION: link},
         )
-        store = ReplicatedStore(
+        store = sim_store(
             Simulator(),
             topo,
             strategy=SimpleStrategy(rf=3),

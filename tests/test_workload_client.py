@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.cluster.store import ReplicatedStore, StoreConfig
+from repro.cluster.store import StoreConfig
 from repro.policy import StaticPolicy
 from repro.workload.client import ClosedLoopClient, OpenLoopSource, WorkloadRunner
 from repro.workload.traces import (
@@ -15,6 +15,7 @@ from repro.workload.traces import (
     replay_trace,
 )
 from repro.workload.workloads import WORKLOADS, WorkloadSpec, heavy_read_update
+from tests.conftest import sim_store
 
 
 class TestWorkloadSpec:
@@ -190,7 +191,7 @@ class TestWorkloadRunner:
             [Datacenter("dc", "r")], [4],
             latency={LinkClass.INTRA_DC: FixedLatency(0.0003)},
         )
-        return ReplicatedStore(
+        return sim_store(
             Simulator(), topo, config=StoreConfig(seed=3, read_repair_chance=0.0)
         )
 

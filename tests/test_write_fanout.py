@@ -14,10 +14,11 @@ import pytest
 
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.replication import NetworkTopologyStrategy, make_placement
-from repro.cluster.store import ReplicatedStore, StoreConfig
+from repro.cluster.store import StoreConfig
 from repro.net.latency import LogNormalLatency
 from repro.net.topology import Datacenter, LinkClass, Topology
 from repro.simcore.simulator import Simulator
+from tests.conftest import sim_store
 
 
 @pytest.fixture
@@ -32,7 +33,7 @@ def rf5():
             LinkClass.INTER_REGION: LogNormalLatency.from_mean_cv(0.010, 0.5),
         },
     )
-    store = ReplicatedStore(
+    store = sim_store(
         sim, topo, strategy=NetworkTopologyStrategy({0: 4, 1: 1}),
         config=StoreConfig(seed=4, read_repair_chance=0.0),
     )
