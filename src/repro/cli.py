@@ -415,7 +415,7 @@ def _xval(args) -> None:
         }
         table = Table(
             f"sim vs asyncio cross-validation "
-            f"({spec.resolved_txn_config().commit_protocol}, {args.txns} txns/level)",
+            f"({args.protocol or '2pc'}, {args.txns} txns/level)",
             [*columns, "verdict"],
         )
         for c in report.checks:
@@ -655,7 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=("sim", "asyncio"),
                 default=None,
                 help="force every run's execution engine (default: sim; "
-                "asyncio runs txn scenarios on the localhost runtime)",
+                "asyncio runs on the localhost runtime, elastic scenarios "
+                "excepted)",
             )
             p.add_argument(
                 "--out", default=None, metavar="DIR",

@@ -19,7 +19,7 @@ Latency calibration (one-way, lognormal with heavy tail):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.cluster.replication import (
     NetworkTopologyStrategy,
@@ -30,8 +30,8 @@ from repro.cluster.store import ReplicatedStore, StoreConfig
 from repro.cost.pricing import EC2_US_EAST_2013, FREE_PRIVATE_CLOUD, PriceBook
 from repro.net.latency import LogNormalLatency
 from repro.net.topology import Datacenter, LinkClass, Topology
+from repro.runtime.interface import Transport
 from repro.runtime.sim import SimTransport
-from repro.simcore.simulator import Simulator
 
 __all__ = [
     "Platform",
@@ -51,8 +51,7 @@ class Platform:
 
     ``build()`` returns a fresh ``(simulator, store)`` pair; every
     experiment run gets an independent deployment so runs never share
-    state. The localhost deployment builds the same store on the asyncio
-    transport (:func:`repro.runtime.localhost.run_deployment`).
+    state. An asyncio run builds the same store on the asyncio transport.
     """
 
     name: str
@@ -64,17 +63,25 @@ class Platform:
     default_clients: int
     store_config: StoreConfig = field(default_factory=StoreConfig)
 
-    def build(self, seed: int = 0) -> Tuple[Simulator, ReplicatedStore]:
-        """Deploy a fresh instance of this platform on a fresh simulator."""
+    def build(
+        self,
+        seed: int = 0,
+        transport: Callable[[Topology], Transport] = SimTransport,
+    ) -> Tuple[Any, ReplicatedStore]:
+        """Deploy a fresh instance of this platform on a fresh transport.
+
+        ``transport`` makes the transport from the platform's topology (by
+        default one over a fresh simulator). Returns the transport's event
+        engine -- the ``Simulator`` on the sim backend -- and the store.
+        """
         topology = self.topology_factory()
-        transport = SimTransport(topology)
         store = ReplicatedStore(
-            transport,
+            transport(topology),
             topology,
             strategy=self.strategy_factory(),
             config=replace(self.store_config, seed=seed),
         )
-        return transport.sim, store
+        return store.sim, store
 
     @property
     def rf(self) -> int:

@@ -173,15 +173,13 @@ class RunOutcome:
     ``tstore`` is set only by a transactional run, ``cluster`` (and
     ``autoscaler``, when one was configured) only by an elastic run; the
     report's ``txn`` / ``elastic`` blocks are filled to match. ``store`` is
-    the store every operation ran on, on either engine; a localhost
-    deployment (``backend="asyncio"``, or xval's sim twin) has no policy and
-    a zero bill. ``timed_out`` is true when the run's time guard ended it
-    before every client finished.
+    the store every operation ran on, on either engine. ``timed_out`` is
+    true when the run's time guard ended it before every client finished.
     """
 
     report: RunReport
     bill: Bill
-    policy: Optional[ConsistencyPolicy]
+    policy: ConsistencyPolicy
     store: ReplicatedStore
     obs: Optional[RunObserver] = None
     tstore: Optional[TransactionalStore] = None

@@ -188,9 +188,8 @@ class ScenarioSpec:
         ignore it. ``obs`` attaches a run observer (timeline + trace);
         observability never changes the run's results, only records them.
         ``backend`` picks the execution engine (``"sim"`` default;
-        ``"asyncio"`` runs transactional scenarios, failure scripts and
-        pacing included, on the localhost deployment -- wall clock, reads
-        at ONE, nothing billed).
+        ``"asyncio"`` runs the same spec on the wall clock -- every
+        scenario but the elastic ones).
         """
         # Deferred: the facade imports this package's runner module, so a
         # top-level import here would close an import cycle.

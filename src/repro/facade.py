@@ -1,32 +1,28 @@
 """One front door for every experiment run: ``repro.run(RunSpec)``.
 
 :class:`RunSpec` is one keyword-only declarative description of a run,
-and :func:`run` executes it. The ``backend`` field picks the execution
-engine:
+and :func:`run` executes it. Every run -- plain, transactional or elastic,
+on either engine -- goes through the *one* deploy-run-bill pipeline in
+:func:`_pipeline`; the *shape* of the spec (which of ``workload`` /
+``txn_workload`` / ``elastic`` is set) only switches optional steps of
+that pipeline on, and the result is always one
+:class:`~repro.experiments.runner.RunOutcome`. The ``backend`` field
+picks the engine the pipeline's store runs on:
 
 - ``backend="sim"`` (default): the deterministic discrete-event
   simulator. Bit-for-bit reproducible; this is what every result table
-  in the repository is built from. Every sim run -- plain, transactional
-  or elastic -- goes through the *one* deploy-run-bill pipeline in
-  :func:`_run_sim`; the *shape* of the spec (which of ``workload`` /
-  ``txn_workload`` / ``elastic`` is set) only switches optional steps of
-  that pipeline on, and the result is always one
-  :class:`~repro.experiments.runner.RunOutcome`.
-- ``backend="asyncio"``: the localhost deployment
-  (:mod:`repro.runtime.localhost`) -- the platform's *same*
-  :class:`~repro.cluster.store.ReplicatedStore` and transaction-protocol
-  classes on real asyncio timers, a JSON wire codec and file-backed
-  WALs, driven by the same :class:`~repro.txn.runner.TxnRunner` and
-  returning the same ``RunOutcome``. Wall-clock, hence not
-  deterministic; supported for transactional workloads, and
+  in the repository is built from.
+- ``backend="asyncio"``: real asyncio timers, a JSON wire codec and
+  file-backed WALs (:func:`repro.runtime.localhost.run_asyncio` sets them
+  up and tears them down). Wall-clock, hence not deterministic, and
   cross-validated against the simulator by ``repro xval``
-  (:mod:`repro.runtime.xval`).
+  (:mod:`repro.runtime.xval`). Elastic runs are sim-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.cluster.failures import FailureInjector
 from repro.common.errors import ConfigError
@@ -38,9 +34,11 @@ from repro.experiments.platforms import Platform
 from repro.experiments.runner import FailureScript, PolicyFactory, RunOutcome
 from repro.monitor.collector import ClusterMonitor
 from repro.obs.recorder import ObsConfig, RunObserver
-from repro.runtime import BACKENDS
+from repro.net.topology import Topology
+from repro.runtime import BACKENDS, SimTransport, Transport
 from repro.txn.api import TransactionalStore, TxnConfig
 from repro.txn.runner import TxnRunner
+from repro.txn.wal import WriteAheadLog
 from repro.workload.client import WorkloadRunner
 from repro.workload.workloads import TxnWorkloadSpec, WorkloadSpec, heavy_read_update
 
@@ -74,12 +72,10 @@ class RunSpec:
         Total operations (plain/elastic) or transactions (txn);
         ``None`` uses the platform default.
     backend:
-        ``"sim"`` (deterministic, default) or ``"asyncio"`` (localhost
-        deployment; transactional only). An asyncio run builds the
-        platform's store -- topology, replica placement, store config --
-        on the asyncio transport, reads at level ONE (``policy`` is not
-        consulted), applies no warmup window and defaults to 50
-        transactions over at most 8 clients.
+        ``"sim"`` (deterministic, default) or ``"asyncio"`` (the wall
+        clock; not elastic). Both run the same pipeline; an asyncio run
+        applies no warmup window, ends at the ``localhost`` wall guard and
+        defaults to 50 operations or transactions over at most 8 clients.
     localhost:
         The wall-clock knobs of an asyncio run
         (:class:`~repro.runtime.localhost.LocalhostSpec`: time scale, wall
@@ -125,51 +121,41 @@ class RunSpec:
             raise ConfigError(
                 "txn_config / commit_protocol require a txn_workload"
             )
-        if self.backend == "asyncio":
-            if self.elastic is not None:
-                raise ConfigError("elasticity is sim-only; use backend='sim'")
-            if self.txn_workload is None:
-                raise ConfigError(
-                    "the asyncio backend runs transactional workloads only: "
-                    "set txn_workload"
-                )
-            if self.obs is not None:
-                raise ConfigError(
-                    "run observability is sim-only; use backend='sim'"
-                )
-
-    def resolved_txn_config(self) -> TxnConfig:
-        """``txn_config`` (or the defaults) with ``commit_protocol`` applied."""
-        config = self.txn_config or TxnConfig()
-        if self.commit_protocol is not None:
-            config = replace(config, commit_protocol=str(self.commit_protocol))
-        return config
+        if self.backend == "asyncio" and self.elastic is not None:
+            raise ConfigError("elasticity is sim-only; use backend='sim'")
 
 
-def _run_sim(spec: RunSpec) -> RunOutcome:
-    """The deploy-run-bill pipeline every simulated run goes through.
+def _pipeline(
+    spec: RunSpec,
+    transport: Callable[[Topology], Transport] = SimTransport,
+    wal_factory: Optional[Callable[[int], WriteAheadLog]] = None,
+    max_time: float = 3600.0,
+) -> RunOutcome:
+    """The deploy-run-bill pipeline every run goes through, on either engine.
 
     One linear sequence; the transactional, elastic and observer steps run
     only when the spec asks for them (the first two are mutually
     exclusive). Store listeners register, RNG streams are named and
     timers are armed in exactly this order, so do not reorder steps: the
     golden-report tests pin the result. ``docs/ARCHITECTURE.md`` ("The run
-    facade") walks through the steps.
+    facade") walks through the steps. The engine supplies the store's
+    ``transport``, the participants' ``wal_factory`` (``None``: in-memory
+    logs) and the runners' ``max_time`` guard.
     """
     platform, seed, elastic = spec.platform, spec.seed, spec.elastic
-    _, store = platform.build(seed=seed)
+    _, store = platform.build(seed, transport)
     policy = spec.policy(store)
 
     tstore: Optional[TransactionalStore] = None
     if spec.txn_workload is not None:
-        # resolved_txn_config() spelled out: one frame fewer per run keeps
-        # the benchmark's exact per-layer call counts where they were
         txn_config = spec.txn_config
         if spec.commit_protocol is not None:
             txn_config = replace(
                 txn_config or TxnConfig(), commit_protocol=str(spec.commit_protocol)
             )
-        tstore = TransactionalStore(store, policy=policy, config=txn_config)
+        tstore = TransactionalStore(
+            store, policy=policy, config=txn_config, wal_factory=wal_factory
+        )
 
     cluster: Optional[ElasticCluster] = None
     autoscaler: Optional[CostAwareAutoscaler] = None
@@ -203,6 +189,7 @@ def _run_sim(spec: RunSpec) -> RunOutcome:
         seed=seed,
         warmup_fraction=spec.warmup_fraction,
         target_throughput=spec.target_throughput,
+        max_time=max_time,
         biller=biller,
     )
     runner: Union[TxnRunner, WorkloadRunner]
@@ -265,10 +252,10 @@ def run(spec: RunSpec) -> RunOutcome:
     whatever the engine or workload shape: ``tstore`` is set for a
     transactional run (and ``report.txn`` filled), ``cluster`` /
     ``autoscaler`` for an elastic one (and ``report.elastic`` filled), all
-    three ``None`` for a plain run. ``store`` is the store the run's
-    operations went to on either backend: ``backend="asyncio"`` runs the
-    transactional workload on the platform's store over the asyncio
-    transport (:func:`repro.runtime.localhost.run_asyncio`).
+    three ``None`` for a plain run. Both backends run the same pipeline
+    on the platform's store -- policy, bill and observer included;
+    ``backend="asyncio"`` puts it on the asyncio transport
+    (:func:`repro.runtime.localhost.run_asyncio`).
 
     >>> from repro.experiments import single_dc_platform, harmony_factory
     >>> from repro.facade import RunSpec, run
@@ -281,4 +268,4 @@ def run(spec: RunSpec) -> RunOutcome:
         from repro.runtime.localhost import run_asyncio
 
         return run_asyncio(spec)
-    return _run_sim(spec)
+    return _pipeline(spec)

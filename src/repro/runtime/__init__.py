@@ -5,9 +5,9 @@
 - :class:`~repro.runtime.sim.SimTransport` -- the deterministic
   discrete-event backend (a pure view over ``Simulator`` + ``Network``);
 - :class:`~repro.runtime.aio.AsyncioTransport` -- the localhost asyncio
-  backend: real timers, a JSON wire codec, file-backed WALs; what runs on
-  it is :mod:`repro.runtime.localhost`'s deployment of the platform's
-  store.
+  backend: real timers and a JSON wire codec, under the run facade's one
+  pipeline (:mod:`repro.runtime.localhost` adds file-backed WALs and the
+  wall guard).
 - :class:`~repro.runtime.deadlines.DeadlineQueue` -- one armed timer for
   all operations that share a timeout (on either backend).
 

@@ -1,21 +1,15 @@
-"""The localhost deployment: the platform's store on either engine.
+"""The wall-clock engine under ``repro.run(RunSpec(backend="asyncio"))``.
 
-:func:`run_deployment` builds the platform's own
-:class:`~repro.cluster.store.ReplicatedStore` --- its replica placement,
-its :class:`~repro.cluster.store.StoreConfig`, the workload's row size ---
-on any :class:`~repro.runtime.interface.Transport`, puts the *unmodified*
-:class:`~repro.txn.api.TransactionalStore` on it, and drives it with
-:class:`~repro.txn.runner.TxnRunner`, the one transactional driver. The
-store's nodes, service queues, coordinators, read repair and hinted
-handoff are the simulator's, imported from the same modules:
-
-- :func:`run_asyncio` is ``repro.run(RunSpec(backend="asyncio"))``: an
-  :class:`~repro.runtime.aio.AsyncioTransport` (JSON wire codec, sampled
-  link delays, timers and service queues on the wall clock) and per-node
-  write-ahead logs that are real files
-  (:class:`~repro.runtime.wal.FileWriteAheadLog`);
-- :func:`repro.runtime.xval.run_sim_twin` is the same deployment on a
-  simulator-built store with in-memory logs.
+An asyncio run goes through the same pipeline as a simulated one
+(:func:`repro.facade.run`): the platform's
+:class:`~repro.cluster.store.ReplicatedStore`, the spec's policy, the
+transactional or plain workload driver, the bill and the observer. What
+:func:`run_asyncio` adds is the engine around it: an
+:class:`~repro.runtime.aio.AsyncioTransport` (JSON wire codec, sampled
+link delays, timers and service queues on the wall clock), per-node
+write-ahead logs that are real files
+(:class:`~repro.runtime.wal.FileWriteAheadLog`), the
+:class:`LocalhostSpec` wall guard and smoke-sized defaults.
 """
 
 from __future__ import annotations
@@ -24,25 +18,18 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.errors import ConfigError
-from repro.cluster.failures import FailureInjector
-from repro.cluster.store import ReplicatedStore
-from repro.cost.billing import Bill
 from repro.experiments.runner import RunOutcome
 from repro.net.topology import Topology
 from repro.runtime.aio import AsyncioTransport
-from repro.runtime.interface import Transport
 from repro.runtime.wal import FileWriteAheadLog
-from repro.txn.api import TransactionalStore
-from repro.txn.runner import TxnRunner
-from repro.txn.wal import WriteAheadLog
 
 if TYPE_CHECKING:
     from repro.facade import RunSpec
 
-__all__ = ["LocalhostSpec", "run_deployment", "run_asyncio"]
+__all__ = ["LocalhostSpec", "run_asyncio"]
 
 
 @dataclass
@@ -79,81 +66,46 @@ class LocalhostSpec:
         return self.wall_timeout / self.time_scale
 
 
-def run_deployment(
-    spec: "RunSpec",
-    topology: Topology,
-    transport: Transport,
-    wal_factory: Optional[Callable[[int], WriteAheadLog]] = None,
-) -> RunOutcome:
-    """Run ``spec``'s transactional workload on a localhost deployment.
+def run_asyncio(spec: "RunSpec") -> RunOutcome:
+    """Run ``spec`` through the one run pipeline on the wall clock.
 
-    Builds the platform's store on ``transport`` (which runs over
-    ``topology``) and a :class:`~repro.txn.api.TransactionalStore` with no
-    policy (reads at ONE) and ``wal_factory``'s logs, arms
-    ``spec.failure_script``, then drives the clients with
-    :class:`~repro.txn.runner.TxnRunner` --- no warmup window, bounded by
-    ``LocalhostSpec.max_time``. The outcome carries a zero bill: localhost
-    runs are not priced.
+    Platform defaults are sized for the simulator (tens of thousands of
+    operations in virtual time), so an unset ``ops`` is 50 operations or
+    transactions and unset ``clients`` at most 8. There is no warmup
+    window. Always closes the transport (and its event loop) and the
+    logs, and removes a self-made WAL directory, so no frame, timer
+    callback or temp file outlives the run.
     """
+    from repro.facade import _pipeline  # the facade imports this module lazily
+
     lspec = spec.localhost or LocalhostSpec()
-    platform, workload = spec.platform, spec.txn_workload
-    config = replace(
-        platform.store_config, seed=spec.seed, default_value_size=workload.value_size
-    )
-    store = ReplicatedStore(transport, topology, platform.strategy_factory(), config)
-    tstore = TransactionalStore(
-        store, config=spec.resolved_txn_config(), wal_factory=wal_factory
-    )
-    if spec.failure_script is not None:
-        spec.failure_script(FailureInjector(store))
-    runner = TxnRunner(
-        tstore,
-        workload,
-        # Platform defaults are sized for the simulator (tens of thousands
-        # of ops in virtual time); a wall-clock run defaults to a
-        # smoke-sized workload unless the caller asks for more.
-        n_clients=(
+    spec = replace(
+        spec,
+        ops=spec.ops if spec.ops is not None else 50,
+        clients=(
             spec.clients
             if spec.clients is not None
-            else min(platform.default_clients, 8)
+            else min(spec.platform.default_clients, 8)
         ),
-        txns_total=spec.ops if spec.ops is not None else 50,
-        target_throughput=spec.target_throughput,
-        max_time=lspec.max_time,
-        seed=spec.seed,
+        warmup_fraction=0.0,
     )
-    report = runner.run()
-    return RunOutcome(
-        report=report,
-        bill=Bill(0.0, 0.0, 0.0, duration=report.duration, ops=report.ops_completed),
-        policy=None,
-        store=store,
-        tstore=tstore,
-        timed_out=runner.timed_out,
-    )
-
-
-def run_asyncio(spec: "RunSpec") -> RunOutcome:
-    """``spec`` on the asyncio backend, with file WALs and the wall guard.
-
-    Always closes the transport (and its event loop) and the logs, and
-    removes a self-made WAL directory, so no frame, timer callback or
-    temp file outlives the run.
-    """
-    lspec = spec.localhost or LocalhostSpec()
-    topology = spec.platform.topology_factory()
-    transport = AsyncioTransport(topology, time_scale=lspec.time_scale)
+    transports: List[AsyncioTransport] = []
     wal_dir = lspec.wal_dir or tempfile.mkdtemp(prefix="repro-wal-")
     wals: List[FileWriteAheadLog] = []
+
+    def wall_clock(topology: Topology) -> AsyncioTransport:
+        transports.append(AsyncioTransport(topology, time_scale=lspec.time_scale))
+        return transports[-1]
 
     def file_wal(node_id: int) -> FileWriteAheadLog:
         wals.append(FileWriteAheadLog(node_id, os.path.join(wal_dir, f"node{node_id}.wal")))
         return wals[-1]
 
     try:
-        return run_deployment(spec, topology, transport, wal_factory=file_wal)
+        return _pipeline(spec, wall_clock, file_wal, lspec.max_time)
     finally:
-        transport.close()
+        for transport in transports:
+            transport.close()
         for wal in wals:
             wal.close()
         if lspec.wal_dir is None:

@@ -4,19 +4,12 @@ The repository's claims rest on the discrete-event simulator; this module
 checks that the *same store and protocol classes* produce the *same
 qualitative behaviour* when executed on real asyncio timers and a real
 wire codec. Both sides of the comparison share everything except the
-execution engine: one :class:`~repro.facade.RunSpec` (platform,
-transactional workload, protocol config, seed), one deployment
-(:func:`~repro.runtime.localhost.run_deployment`: the platform's
-:class:`~repro.cluster.store.ReplicatedStore` and a
-:class:`~repro.txn.api.TransactionalStore` on it) and one driver
-(:class:`~repro.txn.runner.TxnRunner`).
-
-:func:`run_sim_twin` runs that deployment on a simulator-built store
-(deterministic virtual time); ``repro.run(spec)`` with
-``backend="asyncio"`` runs it on an
-:class:`~repro.runtime.aio.AsyncioTransport` (wall clock). The asyncio
-side is **not deterministic** -- OS scheduling jitters every delivery --
-so the comparison is a *trend contract*, not an equality check:
+execution engine: one :class:`~repro.facade.RunSpec` (platform, policy,
+transactional workload, protocol config, seed) run through one pipeline,
+:func:`repro.run` -- once with ``backend="sim"`` (deterministic virtual
+time) and once with ``backend="asyncio"`` (wall clock). The asyncio side
+is **not deterministic** -- OS scheduling jitters every delivery -- so
+the comparison is a *trend contract*, not an equality check:
 
 **Tolerance contract** (documented in ``docs/ARCHITECTURE.md``; the
 defaults below are the contract's numbers):
@@ -46,32 +39,18 @@ from repro.cluster.replication import SimpleStrategy
 from repro.common.errors import ConfigError
 from repro.cost.pricing import FREE_PRIVATE_CLOUD
 from repro.experiments.platforms import Platform
-from repro.experiments.runner import RunOutcome, static_factory
+from repro.experiments.runner import static_factory
 from repro.facade import RunSpec, run
 from repro.net.topology import Datacenter, Topology
-from repro.runtime.localhost import LocalhostSpec, run_deployment
-from repro.runtime.sim import SimTransport
+from repro.runtime.localhost import LocalhostSpec
 from repro.workload.workloads import TxnWorkloadSpec
 
 __all__ = [
-    "run_sim_twin",
     "default_xval_spec",
     "XvalCheck",
     "XvalReport",
     "cross_validate",
 ]
-
-
-def run_sim_twin(spec: RunSpec) -> RunOutcome:
-    """Run ``spec``'s asyncio deployment on the deterministic simulator.
-
-    The deployment ``backend="asyncio"`` builds, on a
-    :class:`~repro.runtime.sim.SimTransport` with in-memory WALs
-    (the sim models durability; the asyncio side's files are the real
-    thing). The time bound is the asyncio wall guard on the protocol clock.
-    """
-    topology = spec.platform.topology_factory()
-    return run_deployment(spec, topology, SimTransport(topology))
 
 
 def _xval_platform() -> Platform:
@@ -108,7 +87,7 @@ def default_xval_spec(
     """
     return RunSpec(
         platform=_xval_platform(),
-        policy=static_factory(1, 1, name="one"),  # not consulted: reads at ONE
+        policy=static_factory(1, 1, name="one"),  # reads and writes at ONE
         txn_workload=TxnWorkloadSpec(
             name="xval-mix",
             n_keys=2,
@@ -122,6 +101,7 @@ def default_xval_spec(
         ops=txns,
         clients=clients,
         seed=seed,
+        warmup_fraction=0.0,  # as on asyncio, which has no warmup window
         commit_protocol=commit_protocol,
         backend="asyncio",
         localhost=LocalhostSpec(time_scale=time_scale, wall_timeout=wall_timeout),
@@ -205,9 +185,9 @@ def cross_validate(
     """Sweep the contention dial on both backends and check the contract.
 
     ``spec`` is an asyncio :class:`~repro.facade.RunSpec` over a
-    ``hotspot`` transactional workload (default :func:`default_xval_spec`).
-    For each ``hot_fraction`` -- the hot set's share of key draws -- it
-    runs once on :func:`run_sim_twin` and once on asyncio; the report
+    ``hotspot`` transactional workload with no warmup window (default
+    :func:`default_xval_spec`). For each ``hot_fraction`` -- the hot set's
+    share of key draws -- it runs once on each backend; the report
     carries per-level metrics, pointwise tolerance verdicts and
     trend-direction verdicts (see the module docstring for the contract).
     """
@@ -219,6 +199,9 @@ def cross_validate(
         raise ConfigError(
             "cross-validation needs an asyncio spec with a hotspot txn_workload"
         )
+    if base.warmup_fraction:
+        # the asyncio side measures whole runs; the sim side must too
+        raise ConfigError("cross-validation needs warmup_fraction=0")
     tolerances = (("abort_rate", abort_tolerance), ("stale_rate", stale_tolerance))
     checks: List[XvalCheck] = []
     for hf in hot_fractions:
@@ -226,7 +209,7 @@ def cross_validate(
         level_spec = replace(
             base, txn_workload=replace(workload, distribution_kwargs=kwargs)
         )
-        sim, aio = run_sim_twin(level_spec).report, run(level_spec)
+        sim, aio = run(replace(level_spec, backend="sim")).report, run(level_spec)
         check = XvalCheck(
             hot_fraction=float(hf),
             sim_abort_rate=sim.txn["abort_rate"],

@@ -9,7 +9,8 @@ The facade's promises, each asserted here:
   blocks (``txn`` / ``elastic``) follow the spec's shape;
 - no in-repo path through the facade emits a :class:`DeprecationWarning`;
 - the asyncio backend runs the spec as declared (platform topology and
-  RF, the transactional workload, protocol, failure script and pacing);
+  RF, plain or transactional workload, policy, bill, observer, protocol,
+  failure script and pacing);
 - the backend knob threads through scenarios and sweep planning without
   entering a job's identity (sim seeds are reused verbatim);
 - the package's public ``__all__`` surface actually resolves.
@@ -26,6 +27,7 @@ from repro.elastic import AutoscalerConfig, ElasticSpec
 from repro.experiments import scenarios
 from repro.experiments.platforms import (
     ec2_harmony_platform,
+    grid5000_harmony_platform,
     single_dc_platform,
     small_dc_platform,
 )
@@ -39,9 +41,10 @@ from repro.experiments.sweep import plan_sweep
 from repro.experiments.sweep import SweepRunner
 from repro.facade import RunSpec, run
 from repro.obs.recorder import ObsConfig
+from repro.obs.report import load_timeline, validate_timeline
 from repro.runtime.localhost import LocalhostSpec
 from repro.txn.api import TxnConfig
-from repro.workload.workloads import bank_transfer_mix
+from repro.workload.workloads import bank_transfer_mix, heavy_read_update
 
 
 def _plain_spec(**overrides):
@@ -91,13 +94,12 @@ class TestRunSpecValidation:
         with pytest.raises(ConfigError, match="txn_workload"):
             _plain_spec(commit_protocol="3pc")
 
-    def test_asyncio_backend_needs_a_transactional_shape(self):
-        with pytest.raises(ConfigError, match="transactional"):
-            _plain_spec(backend="asyncio")
+    def test_asyncio_backend_takes_a_plain_workload(self):
+        assert _plain_spec(backend="asyncio").txn_workload is None
 
     def test_asyncio_backend_rejects_sim_only_knobs(self):
-        with pytest.raises(ConfigError, match="sim-only"):
-            _txn_spec(backend="asyncio", obs=ObsConfig())
+        # Only elasticity is sim-only; observers run on either engine.
+        assert _txn_spec(backend="asyncio", obs=ObsConfig()).obs is not None
         with pytest.raises(ConfigError, match="sim-only"):
             RunSpec(
                 platform=single_dc_platform(),
@@ -180,10 +182,10 @@ class TestOutcomeShape:
         txn = out.report.txn
         assert txn["commits"] + sum(txn["aborts"].values()) == txn["txns"] == 10
         assert 0.0 <= out.report.stale_rate <= 1.0
-        # Reads at ONE with no policy; wall-clock runs are not billed.
-        assert out.policy is None and out.report.policy == "one"
+        # The spec's policy sets the read level, and the run is billed.
+        assert out.policy.name == out.report.policy == "eventual"
         assert set(out.report.read_levels) == {"n=1"}
-        assert out.bill.total == 0.0
+        assert out.bill.total > 0.0
         # The transactions ran on the platform's replicated store.
         assert isinstance(out.store, ReplicatedStore)
         assert out.tstore.store is out.store
@@ -274,15 +276,59 @@ class TestAsyncioBackend:
         assert out.report.duration >= 0.7
         assert out.report.txn["txns_per_s"] < 25.0
 
+    def test_adaptive_policy_and_bill_on_the_wall_clock(self):
+        # Harmony on a plain workload: the monitored WAN staleness must move
+        # reads off ONE, and the run is billed at the platform's prices.
+        out = run(
+            RunSpec(
+                platform=grid5000_harmony_platform(),
+                policy=harmony_factory(0.05),
+                workload=heavy_read_update(),
+                ops=4_000,
+                clients=16,
+                backend="asyncio",
+                localhost=LocalhostSpec(time_scale=0.25),
+            )
+        )
+        assert not out.timed_out
+        assert len(out.report.read_levels) > 1, out.report.read_levels
+        assert out.bill.total > 0.0
+        assert sum(out.report.failures.values()) == 0
+
+    def test_observer_writes_a_valid_timeline(self, tmp_path):
+        out = run(
+            _txn_spec(
+                backend="asyncio",
+                ops=16,
+                clients=2,
+                obs=ObsConfig(out_dir=str(tmp_path)),
+            )
+        )
+        assert out.obs is not None and out.tstore.obs is out.obs
+        records = load_timeline(str(tmp_path / "timeline.jsonl"))
+        assert validate_timeline(records) == []
+        assert any(r["type"] == "sample" for r in records)
+
+    def test_one_spec_reports_the_same_shape_on_both_engines(self):
+        spec = _txn_spec(ops=20, clients=2)
+        sim = run(spec)
+        aio = run(dataclasses.replace(spec, backend="asyncio"))
+        def filled(report):
+            return {k for k, v in dataclasses.asdict(report).items() if v is not None}
+
+        assert filled(sim.report) == filled(aio.report)
+        assert set(sim.report.txn) == set(aio.report.txn)
+        assert sim.report.policy == aio.report.policy == "eventual"
+
 
 class TestBackendKnobThreading:
     def test_scenario_run_on_asyncio(self):
         spec = scenarios.get("txn-shootout")
         result = spec.run(seed=11, overrides={}, ops=16, backend="asyncio")
-        assert result.report.policy == "one"  # reads at ONE, no policy
+        assert result.report.policy == "harmony(0.4)"  # the scenario's policy
         txn = result.report.txn
         assert txn["commits"] + sum(txn["aborts"].values()) == 16
-        assert result.cost_total == 0.0  # wall-clock runs are not billed
+        assert result.cost_total > 0.0  # billed on the priced EC2 platform
 
     def test_txn_scenario_failures_run_on_asyncio(self):
         result = scenarios.get("txn-crash-storm").run(
@@ -299,7 +345,7 @@ class TestBackendKnobThreading:
         sim, aio = row(None), row("asyncio")
         assert set(aio) == set(sim) | {"backend"}
         assert set(aio["txn"]) == set(sim["txn"])
-        assert aio["policy"] == "one" and aio["cost_total_usd"] == 0.0
+        assert aio["policy"] == sim["policy"] and aio["cost_total_usd"] > 0.0
 
     def test_plan_sweep_validates_backend(self):
         with pytest.raises(ConfigError, match="backend"):

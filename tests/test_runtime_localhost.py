@@ -3,8 +3,8 @@
 Covers the pieces the transport-conformance suite does not: the JSON wire
 codec's type tagging, :class:`~repro.runtime.wal.FileWriteAheadLog` disk
 replay, end-to-end ``backend="asyncio"`` runs (WAL files, the wall-clock
-guard), the deterministic sim twin (fail-stop reads included), and the
-cross-validation trend checker's verdict logic.
+guard), the same spec on the deterministic sim backend (fail-stop reads
+included), and the cross-validation trend checker's verdict logic.
 """
 
 import dataclasses
@@ -38,7 +38,6 @@ from repro.runtime.xval import (
     _trend_failures,
     cross_validate,
     default_xval_spec,
-    run_sim_twin,
 )
 from repro.txn.wal import (
     REC_ABORT,
@@ -629,12 +628,12 @@ class TestAsyncioRuns:
 
 class TestSimTwin:
     def test_twin_is_deterministic(self):
-        spec = _smoke_spec()
-        a, b = run_sim_twin(spec), run_sim_twin(spec)
+        spec = replace(_smoke_spec(), backend="sim")
+        a, b = repro.run(spec), repro.run(spec)
         assert dataclasses.asdict(a.report) == dataclasses.asdict(b.report)
 
     def test_twin_completes_and_reports_the_asyncio_shape(self):
-        twin = run_sim_twin(_smoke_spec())
+        twin = repro.run(replace(_smoke_spec(), backend="sim"))
         assert twin.timed_out is False
         assert twin.report.txn["txns"] == 8
         # The same report fields and txn keys: xval compares them blindly.
@@ -725,13 +724,17 @@ class TestXvalVerdicts:
         with pytest.raises(ConfigError, match="hotspot"):
             cross_validate(replace(spec, txn_workload=zipf))
 
+    def test_cross_validate_needs_whole_runs_on_both_sides(self):
+        # asyncio runs have no warmup window, so the sim side may not have one
+        with pytest.raises(ConfigError, match="warmup_fraction"):
+            cross_validate(replace(default_xval_spec(), warmup_fraction=0.2))
+
     def test_default_spec_is_wan_and_overridable(self):
         spec = default_xval_spec()
         assert len(spec.platform.topology_factory().datacenters) == 2
         assert spec.localhost.time_scale >= 0.2  # WAN delays must dwarf loop jitter
         assert default_xval_spec(txns=7).ops == 7
-        assert default_xval_spec(commit_protocol="3pc").resolved_txn_config(
-        ).commit_protocol == "3pc"
+        assert default_xval_spec(commit_protocol="3pc").commit_protocol == "3pc"
 
     def test_cross_validate_small_sweep(self):
         # A tiny two-level sweep end to end: both backends run, the report
