@@ -25,8 +25,10 @@ def token_of(key: str) -> int:
     """Map a key to its ring token (stable across processes and runs).
 
     The cache makes repeated hashing of a zipfian-skewed key population
-    (YCSB's hot keys are hit millions of times) effectively free; 200k
-    entries comfortably covers the default record counts.
+    (YCSB's hot keys are hit millions of times) effectively free. It holds
+    only the keys a run touched: the load phase hashes a key at its first
+    placement resolve, not when it is preloaded, so 200k entries cover far
+    larger record counts than the default ones.
     """
     digest = hashlib.md5(key.encode("utf-8")).digest()
     return int.from_bytes(digest, "big") % TOKEN_SPACE

@@ -33,7 +33,6 @@ same nodes, coordinators and read path on both engines.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -49,7 +48,6 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.hints import HintStore
 from repro.cluster.node import ServiceModel, StorageNode
-from repro.cluster.partitioner import token_of
 from repro.cluster.replication import (
     Placement,
     ReplicationStrategy,
@@ -223,6 +221,11 @@ class ReplicatedStore:
         self.write_seq = 0
         self._written_keys: List[str] = []
         self._written_set: set = set()
+        # The recorded load phase: preloaded keys no placement resolve has
+        # reached yet (key -> write id), and the batch's clock and row size.
+        self._unloaded: Dict[str, int] = {}
+        self._load_t = 0.0
+        self._load_size = 0
         self._listeners: List[Any] = []
         self._node_listeners: List[Any] = []
         #: structured run-event bus (crashes, partitions, heals, ...).
@@ -386,6 +389,8 @@ class ReplicatedStore:
         if info is not None:
             return info
         info = self.strategy.placement(key, self.ring, self.topology)
+        if key in self._unloaded:
+            self._install(key, info[0])
         reb = self.rebalancer
         old = reb.pending_old_replicas(key) if reb is not None else None
         if old is not None:
@@ -498,6 +503,7 @@ class ReplicatedStore:
         leaving: Optional[int] = None,
     ) -> MembershipChange:
         """Mutate the ring, diff every written key's placement, rebalance."""
+        self._install_all()
         old_sets = {
             key: tuple(self.strategy.replicas(key, self.ring, self.topology))
             for key in self._written_keys
@@ -651,25 +657,45 @@ class ReplicatedStore:
         standard shortcut for the benchmark load phase -- the transaction
         phase starts from the same state a real loaded cluster would be in,
         without simulating millions of load-phase operations.
+
+        The load is recorded, not performed: write ids, ``write_seq`` and
+        :meth:`written_keys` advance now, but a key's version reaches its
+        replicas and the oracle the first time :meth:`replica_info`
+        resolves it, which every operation on the key does first. A
+        membership change, or a batch at another clock or row size,
+        installs every key still pending; a key already resolved or
+        written is installed at once. Results equal installing every key
+        here.
         """
         size = value_size if value_size is not None else self.default_value_size
         t = self.transport.now
-        strategy, ring, topology = self.strategy, self.ring, self.topology
-        # ring.slot_of inlined; strategy.placement walks an arc's first key
-        tokens, n_arcs, arcs = ring._tokens, len(ring._owners), strategy._arcs
-        data = [node.data for node in self.nodes]
+        if (t, size) != (self._load_t, self._load_size):
+            self._install_all()
+            self._load_t, self._load_size = t, size
         seq = self.write_seq
-        for key in keys:
-            seq += 1
-            version = Version(t, seq, size)
-            arc = arcs.get(bisect_right(tokens, token_of(key)) % n_arcs)
-            for r in (arc or strategy.placement(key, ring, topology))[0]:
-                data[r][key] = version
-            self.oracle.note_preload(key, version)
-            if key not in self._written_set:
-                self._written_set.add(key)
-                self._written_keys.append(key)
-        self.write_seq = seq
+        batch = dict(zip(keys, range(seq + 1, seq + 1 + len(keys))))
+        self.write_seq = seq + len(keys)
+        written, cached = self._written_set, self._placement_cache
+        # A resolved key never misses again, and a written one may be mid
+        # migration (the rebalancer reads replicas directly): load those now.
+        known = [k for k in batch if k in written or k in cached]
+        self._written_keys.extend([key for key in batch if key not in written])
+        written.update(batch)
+        self._unloaded.update(batch)
+        for key in known:
+            self._install(key, self.strategy.replicas(key, self.ring, self.topology))
+
+    def _install(self, key: str, replicas: List[int]) -> None:
+        """Place ``key``'s recorded load version on ``replicas`` and the oracle."""
+        version = Version(self._load_t, self._unloaded.pop(key), self._load_size)
+        for r in replicas:
+            self.nodes[r].data[key] = version
+        self.oracle.note_preload(key, version)
+
+    def _install_all(self) -> None:
+        """Install every recorded load version no resolve has reached yet."""
+        for key in list(self._unloaded):
+            self._install(key, self.strategy.replicas(key, self.ring, self.topology))
 
     def written_keys(self) -> List[str]:
         """Keys ever written (the keys a membership change re-places)."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -424,6 +423,8 @@ class SweepRunner:
             # The platform-default start method: fork on Linux (cheap, shares
             # the warm registry), spawn on macOS/Windows where fork is unsafe
             # (workers re-import this module, repopulating the registry).
+            import multiprocessing  # only a pooled sweep pays for the import
+
             ctx = multiprocessing.get_context()
             with ctx.Pool(processes=min(self.jobs, len(pending))) as pool:
                 rows = pool.map(_run_job, pending, chunksize=1)

@@ -11,13 +11,16 @@
 - :class:`~repro.runtime.deadlines.DeadlineQueue` -- one armed timer for
   all operations that share a timeout (on either backend).
 
+``AsyncioTransport``, ``FileWriteAheadLog`` and ``LocalhostSpec`` are
+lazy exports: the first attribute access imports their module, so an
+``import repro`` that only simulates never loads asyncio.
+
 ``BACKENDS`` lists the valid values of the ``backend=`` knob threaded
 through :class:`repro.RunSpec`, scenarios, sweeps and the CLI.
 """
 
 from repro.runtime.interface import TimerHandle, Transport
 from repro.runtime.sim import SimTransport
-from repro.runtime.aio import AsyncioTransport
 from repro.runtime.deadlines import DeadlineQueue
 
 __all__ = [
@@ -38,8 +41,10 @@ BACKENDS = ("sim", "asyncio")
 #: WAL) import the txn package, which imports the cluster package, which
 #: imports :mod:`repro.runtime.interface` -- eager imports here would close
 #: that cycle. PEP 562 attribute access keeps this package importable
-#: from anywhere in the stack.
+#: from anywhere in the stack, and keeps asyncio (with ssl, socket and
+#: subprocess) out of every run on the simulator.
 _LAZY = {
+    "AsyncioTransport": "repro.runtime.aio",
     "FileWriteAheadLog": "repro.runtime.wal",
     "LocalhostSpec": "repro.runtime.localhost",
 }

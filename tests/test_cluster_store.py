@@ -249,7 +249,7 @@ class TestReplicatedStore:
     def test_preload_installs_everywhere(self, store):
         store.preload(["a", "b"], 500)
         for key in ("a", "b"):
-            for r in store.strategy.replicas(key, store.ring, store.topology):
+            for r in store.replica_sets(key)[0]:  # the resolve installs the key
                 assert key in store.nodes[r].data
                 assert store.nodes[r].data[key].size == 500
         assert set(store.written_keys()) == {"a", "b"}

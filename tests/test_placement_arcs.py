@@ -24,6 +24,7 @@ from repro.cluster.versions import Version
 from repro.common.errors import ConfigError, ConsistencyError
 from repro.net.topology import Datacenter, Topology
 from repro.simcore.simulator import Simulator
+from repro.txn.api import TransactionalStore, TxnConfig
 from repro.workload.workloads import heavy_read_update
 from tests.conftest import sim_store
 
@@ -350,11 +351,18 @@ def load_state(store):
     }
 
 
+def touch(store, keys):
+    """Resolve each key's placement, as its first operation would."""
+    for key in keys:
+        store.replica_sets(key)
+
+
 class TestLoadPhase:
     def test_preload_equals_the_per_key_loop(self):
         got, want = geo_store(), geo_store()
         got.preload(KEYS)
         reference_preload(want, KEYS)
+        touch(got, KEYS)
         assert load_state(got) == load_state(want)
         assert got.write_seq == len(KEYS)
         # a second load over an overlapping, reordered key set at a later clock
@@ -363,6 +371,7 @@ class TestLoadPhase:
             store.sim.run(until=1.5)
         got.preload(again, value_size=77)
         reference_preload(want, again, value_size=77)
+        touch(got, again)
         assert load_state(got) == load_state(want)
         assert got.written_keys()[: len(KEYS)] == KEYS
         assert got.nodes[got.replica_sets("user200")[0][0]].data["user200"].size == 77
@@ -385,9 +394,147 @@ class TestLoadPhase:
 
         monkeypatch.setattr(TokenRing, "walk_from", counting)
         _, store = repro.grid5000_harmony_platform().build(seed=1)
-        store.preload([f"user{i}" for i in range(20_000)])
+        keys = [f"user{i}" for i in range(20_000)]
+        store.preload(keys)
+        assert starts == []  # recorded, not yet placed
+        touch(store, keys)
         n_arcs = len(store.ring._tokens)
         assert n_arcs == 84 * 16
         assert 0 < len(starts) <= n_arcs
         assert len(set(starts)) == len(starts)  # no arc walked twice
         assert sum(len(node.data) for node in store.nodes) == 3 * 20_000
+
+
+# -- the recorded load against the eager one ------------------------------------
+
+POOL = [f"user{i}" for i in range(24)]
+POOL_KEY = st.sampled_from(POOL)
+PRELOADS = st.tuples(
+    st.just("preload"), st.lists(POOL_KEY, max_size=24), st.sampled_from([None, 77]),
+)
+LOAD_STEPS = st.one_of(
+    PRELOADS,
+    PRELOADS,
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.05, 0.4])),
+    st.tuples(st.just("write"), POOL_KEY),
+    st.tuples(st.just("read"), POOL_KEY),
+    st.tuples(st.just("txn"), POOL_KEY),
+    st.tuples(st.just("bootstrap"), st.integers(0, 1)),
+    st.tuples(st.just("decommission"), st.integers(0, 20)),
+    st.tuples(st.just("crash"), st.integers(0, 6)),
+)
+
+
+def lazy_load_state(store):
+    """What a load leaves behind, once every pool key has been resolved."""
+    touch(store, POOL)
+    state = load_state(store)
+    del state["data_order"]  # a lazy key joins a replica's dict at its touch
+    state["traffic"] = (
+        store.sim.events_processed,
+        store.network.traffic.total_bytes(),
+        store.oracle.stale_reads,
+    )
+    return state
+
+
+class TestRecordedLoad:
+    """``preload`` records the load; the first resolve of a key installs it.
+
+    Two stores run one script: one loads through ``preload``, the other
+    through :func:`reference_preload`, which places every key at once.
+    """
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        streaming=st.booleans(), load=PRELOADS, steps=st.lists(LOAD_STEPS, max_size=12)
+    )
+    def test_equals_the_eager_load(self, streaming, load, steps):
+        lazy, eager = run_both(streaming, [load] + steps)
+        assert lazy_load_state(lazy) == lazy_load_state(eager)
+        assert lazy._unloaded == {}
+
+    def test_a_key_reloaded_mid_migration_streams_its_new_version(self):
+        keys = KEYS[:80]
+        steps = [("preload", keys, None), ("bootstrap", 0), ("preload", keys, 77)]
+        lazy, eager = run_both(True, steps)
+        assert lazy.rebalancer.keys_streamed > 0
+        assert lazy_load_state(lazy) == lazy_load_state(eager)
+
+    def test_a_written_key_loads_again(self):
+        store = geo_store()
+        store.write("a", 1, coordinator=0)
+        store.sim.run(until=1.0)
+        store.preload(["a"], 777)
+        results = []
+        store.read("a", 1, results.append, coordinator=0)
+        store.sim.run(until=2.0)
+        assert results[0].version.size == 777 and not results[0].stale
+
+    def test_a_key_read_before_its_load_loads_at_once(self):
+        store = geo_store()
+        results = []
+        store.read("a", 1, results.append, coordinator=0)
+        store.sim.run(until=1.0)
+        store.preload(["a"], 777)  # "a" has a memo entry: it never misses again
+        store.read("a", 1, results.append, coordinator=0)
+        store.sim.run(until=2.0)
+        assert results[0].version is None and results[1].version.size == 777
+
+    def test_a_membership_change_installs_every_pending_key(self):
+        store = geo_store()
+        store.preload(KEYS)
+        store.bootstrap_node(1)
+        assert store._unloaded == {}
+        held = {k for node in store.nodes for k in node.data}
+        assert held == set(KEYS) and store._placement_cache == {}
+
+
+def run_both(streaming, steps):
+    """Run ``steps`` on a lazily and an eagerly loaded store; drain both."""
+    lazy, eager = geo_store(), geo_store()
+    for store in (lazy, eager):
+        if streaming:
+            repro.StreamingRebalancer(
+                store, repro.RebalanceConfig(pump_interval=0.005, attempt_timeout=0.1)
+            )
+        config = TxnConfig(
+            validate_reads=False, prepare_timeout=0.05, client_timeout=0.2,
+            retry_interval=0.01, status_interval=0.01,
+        )
+        tstore = TransactionalStore(store, config=config)
+        for step in steps:
+            apply_step(store, tstore, step, store is lazy)
+        store.sim.run(until=store.sim.now + 5.0)
+    return lazy, eager
+
+
+def apply_step(store, tstore, step, lazy):
+    kind, arg = step[0], step[1]
+    if kind == "preload":
+        if lazy:
+            store.preload(arg, step[2])
+        else:
+            reference_preload(store, arg, step[2])
+    elif kind == "advance":
+        store.sim.run(until=store.sim.now + arg)
+    elif kind == "write":
+        store.write(arg, 2, coordinator=0)
+    elif kind == "read":
+        store.read(arg, 1, coordinator=0)
+    elif kind == "txn" and len(tstore.participants) == len(store.nodes):
+        # a blind write (the 2PC fan-out resolves the key); transactions
+        # serve a fixed membership, so none after a join
+        txn = tstore.begin()
+        txn.write(arg, 300)
+        txn.commit()
+    elif kind == "bootstrap":
+        store.bootstrap_node(arg)
+    elif kind == "decommission":
+        members = store.ring.members
+        try:
+            store.decommission_node(members[arg % len(members)])
+        except (ConfigError, ConsistencyError):
+            pass
+    elif kind == "crash":
+        store.nodes[arg].crash()

@@ -12,6 +12,8 @@ import functools
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -161,6 +163,7 @@ class TestLazyExports:
     @pytest.mark.parametrize(
         "name, module",
         [
+            ("AsyncioTransport", "repro.runtime.aio"),
             ("FileWriteAheadLog", "repro.runtime.wal"),
             ("LocalhostSpec", "repro.runtime.localhost"),
         ],
@@ -178,6 +181,23 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no attribute 'Nope'"):
             runtime.Nope
         assert not hasattr(runtime, "Nope")
+
+    def test_importing_repro_leaves_the_wall_clock_machinery_out(self):
+        # A fresh interpreter: this one has long since imported asyncio.
+        probe = (
+            "import sys, repro, repro.runtime\n"
+            "heavy = ['asyncio', 'ssl', 'socket', 'subprocess', 'multiprocessing']\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "print(repro.runtime.AsyncioTransport.__module__)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert done.stdout.split("\n")[:2] == ["[]", "repro.runtime.aio"]
 
     def test_star_import_binds_every_export(self):
         import repro.runtime as runtime
