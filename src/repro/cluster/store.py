@@ -34,6 +34,7 @@ same nodes, coordinators and read path on both engines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, filterfalse
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -219,13 +220,14 @@ class ReplicatedStore:
         self.failures: Dict[str, int] = {}
         self.repairs_issued = 0
         self.write_seq = 0
-        self._written_keys: List[str] = []
+        self._written_keys: List[str] = []  # by operations, in first-write order
         self._written_set: set = set()
-        # The recorded load phase: preloaded keys no placement resolve has
-        # reached yet (key -> write id), and the batch's clock and row size.
-        self._unloaded: Dict[str, int] = {}
-        self._load_t = 0.0
-        self._load_size = 0
+        # The load phase: each batch as (key -> position, first write id, clock,
+        # row size, len(_written_keys) then). A key of a batch from _pending on
+        # installs at its first placement resolve and then joins _loaded.
+        self._loads: List[Tuple[Mapping[str, int], int, float, int, int]] = []
+        self._pending = 0
+        self._loaded: set = set()
         self._listeners: List[Any] = []
         self._node_listeners: List[Any] = []
         #: structured run-event bus (crashes, partitions, heals, ...).
@@ -389,7 +391,7 @@ class ReplicatedStore:
         if info is not None:
             return info
         info = self.strategy.placement(key, self.ring, self.topology)
-        if key in self._unloaded:
+        if self._pending < len(self._loads) and key not in self._loaded:
             self._install(key, info[0])
         reb = self.rebalancer
         old = reb.pending_old_replicas(key) if reb is not None else None
@@ -504,15 +506,16 @@ class ReplicatedStore:
     ) -> MembershipChange:
         """Mutate the ring, diff every written key's placement, rebalance."""
         self._install_all()
+        written = self.written_keys()
         old_sets = {
             key: tuple(self.strategy.replicas(key, self.ring, self.topology))
-            for key in self._written_keys
+            for key in written
         }
         moved = mutate_ring()
         self.strategy.clear_cache()
         self.invalidate_placement()
         pending: Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-        for key in self._written_keys:
+        for key in written:
             new = tuple(self.strategy.replicas(key, self.ring, self.topology))
             old = old_sets[key]
             if set(new) != set(old):
@@ -649,7 +652,9 @@ class ReplicatedStore:
         result.ack_delays = [self.transport.now - version.timestamp]
         self._notify_propagated(result)
 
-    def preload(self, keys: List[str], value_size: Optional[int] = None) -> None:
+    def preload(
+        self, keys: Mapping[str, int] | List[str], value_size: Optional[int] = None
+    ) -> None:
         """Install an initial, fully consistent data set (YCSB's load phase).
 
         Placement is direct (no simulated traffic): every replica of every
@@ -658,48 +663,62 @@ class ReplicatedStore:
         phase starts from the same state a real loaded cluster would be in,
         without simulating millions of load-phase operations.
 
-        The load is recorded, not performed: write ids, ``write_seq`` and
-        :meth:`written_keys` advance now, but a key's version reaches its
-        replicas and the oracle the first time :meth:`replica_info`
-        resolves it, which every operation on the key does first. A
-        membership change, or a batch at another clock or row size,
-        installs every key still pending; a key already resolved or
-        written is installed at once. Results equal installing every key
-        here.
+        ``keys`` maps key to position (a list is read as ``key -> index``,
+        :class:`~repro.workload.workloads.KeyRange` is the YCSB keyspace) and
+        is kept as given: a key's write id is the batch's first id plus its
+        position, and its version reaches its replicas and the oracle at the
+        key's first :meth:`replica_info` resolve. A membership change, or a
+        batch at another clock or row size, installs every key still
+        pending; a key already resolved, written or loaded is installed at
+        once. Results equal installing every key here.
         """
         size = value_size if value_size is not None else self.default_value_size
         t = self.transport.now
-        if (t, size) != (self._load_t, self._load_size):
+        if self._pending < len(self._loads) and self._loads[-1][2:4] != (t, size):
             self._install_all()
-            self._load_t, self._load_size = t, size
-        seq = self.write_seq
-        batch = dict(zip(keys, range(seq + 1, seq + 1 + len(keys))))
-        self.write_seq = seq + len(keys)
-        written, cached = self._written_set, self._placement_cache
-        # A resolved key never misses again, and a written one may be mid
-        # migration (the rebalancer reads replicas directly): load those now.
-        known = [k for k in batch if k in written or k in cached]
-        self._written_keys.extend([key for key in batch if key not in written])
-        written.update(batch)
-        self._unloaded.update(batch)
-        for key in known:
+        n = len(keys)
+        if not isinstance(keys, Mapping):
+            keys = dict(zip(keys, range(n)))
+        # A resolved key never misses again, and a written or loaded one
+        # may be mid migration (the rebalancer reads replicas directly).
+        get, touched = keys.get, chain(self._placement_cache, self._written_set)
+        known = {k for k in touched if get(k) is not None}
+        for earlier, *_ in self._loads:
+            small, large = sorted((earlier, keys), key=len)
+            known.update(k for k in small if large.get(k) is not None)
+        self._loads.append((keys, self.write_seq + 1, t, size, len(self._written_keys)))
+        self.write_seq += n
+        for key in sorted(known, key=get):
             self._install(key, self.strategy.replicas(key, self.ring, self.topology))
 
     def _install(self, key: str, replicas: List[int]) -> None:
-        """Place ``key``'s recorded load version on ``replicas`` and the oracle."""
-        version = Version(self._load_t, self._unloaded.pop(key), self._load_size)
-        for r in replicas:
-            self.nodes[r].data[key] = version
-        self.oracle.note_preload(key, version)
+        """Place ``key``'s newest pending load version on ``replicas``, oracle too."""
+        for keys, first, t, size, _ in reversed(self._loads[self._pending :]):
+            if (position := keys.get(key)) is not None:
+                version = Version(t, first + position, size)
+                for r in replicas:
+                    self.nodes[r].data[key] = version
+                self.oracle.note_preload(key, version)
+                self._loaded.add(key)
+                return
 
     def _install_all(self) -> None:
         """Install every recorded load version no resolve has reached yet."""
-        for key in list(self._unloaded):
+        pending = chain.from_iterable(b[0] for b in self._loads[self._pending :])
+        for key in filterfalse(self._loaded.__contains__, pending):
             self._install(key, self.strategy.replicas(key, self.ring, self.topology))
+        self._pending = len(self._loads)
+        self._loaded.clear()
 
     def written_keys(self) -> List[str]:
-        """Keys ever written (the keys a membership change re-places)."""
-        return self._written_keys
+        """Keys ever written or loaded, in first-write order (the keys a
+        membership change re-places), rebuilt from the batches on each call."""
+        parts, done = [], 0
+        for keys, *_, mark in self._loads:
+            parts += (self._written_keys[done:mark], keys)
+            done = mark
+        parts.append(self._written_keys[done:])
+        return list(dict.fromkeys(chain.from_iterable(parts)))
 
     # -- metrics -----------------------------------------------------------------
 

@@ -33,7 +33,7 @@ from repro.stale.model import per_key_stale_probability
 from repro.stale.montecarlo import MonteCarloStaleEstimator
 from repro.workload.client import OpenLoopSource
 from repro.workload.traces import PhasedTraceGenerator, TracePhase, replay_trace
-from repro.workload.workloads import WorkloadSpec
+from repro.workload.workloads import KeyRange, WorkloadSpec
 
 __all__ = [
     "Fig1Row",
@@ -77,7 +77,7 @@ def _simulate_single_key(
         record_count=1,
         distribution="uniform",
     )
-    store.preload(["user0"], spec.value_size)
+    store.preload(KeyRange(1), spec.value_size)
     source = OpenLoopSource(
         store,
         spec,
@@ -116,7 +116,7 @@ def run_fig1_validation(
         _, store = platform.build(seed=seed)
         monitor = ClusterMonitor(window=10.0)
         store.add_listener(monitor)
-        store.preload(["user0"], store.default_value_size)
+        store.preload(KeyRange(1), store.default_value_size)
         probe = OpenLoopSource(
             store,
             WorkloadSpec(
@@ -232,7 +232,7 @@ def _replay_with_policy(
     """Replay the trace under a policy; return (stale, $/kop, p99 ms)."""
     _, store = platform.build(seed=seed)
     policy = policy_factory(store)
-    store.preload([f"user{i}" for i in range(key_count)], store.default_value_size)
+    store.preload(KeyRange(key_count), store.default_value_size)
     biller = Biller(store, platform.prices, key_count * store.default_value_size)
     replay_trace(store, trace, policy)
     store.transport.run()

@@ -26,7 +26,7 @@ from repro.cluster.store import draw_coordinator
 from repro.cost.billing import Biller
 from repro.txn.api import TransactionalStore, TxnOutcome
 from repro.workload.client import LevelUsage, RunReport
-from repro.workload.workloads import TxnWorkloadSpec
+from repro.workload.workloads import KeyRange, TxnWorkloadSpec
 
 __all__ = ["TxnClient", "TxnRunner"]
 
@@ -150,9 +150,7 @@ class TxnRunner:
         tstore, spec = self.tstore, self.spec
         store = tstore.store
         if self.do_preload:
-            store.preload(
-                [spec.key_of(i) for i in range(spec.record_count)], spec.value_size
-            )
+            store.preload(KeyRange(spec.record_count), spec.value_size)
         store.add_listener(self._usage)
         store.add_listener(self)
 

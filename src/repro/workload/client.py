@@ -29,7 +29,7 @@ from repro.common.rng import RngFactory, block_uniforms
 from repro.cluster.coordinator import OpResult
 from repro.cluster.store import ReplicatedStore, draw_coordinator
 from repro.policy import ConsistencyPolicy, StaticPolicy
-from repro.workload.workloads import WorkloadSpec
+from repro.workload.workloads import KeyRange, WorkloadSpec
 
 __all__ = [
     "ClosedLoopClient",
@@ -406,9 +406,7 @@ class WorkloadRunner:
         """Execute the workload and return the report."""
         store, spec = self.store, self.spec
         if self.do_preload:
-            store.preload(
-                [spec.key_of(i) for i in range(spec.record_count)], spec.value_size
-            )
+            store.preload(KeyRange(spec.record_count), spec.value_size)
         store.add_listener(self._usage)
         if self._warmup_remaining > 0:
             store.add_listener(self)

@@ -57,6 +57,15 @@ def _fnv1a64(value: int) -> int:
     return ((h ^ ((value >> 56) & 0xFF)) * _FNV_PRIME) & _MASK64
 
 
+@lru_cache(maxsize=64)  # every client of a population builds a chooser
+def _zeta(n: int, theta: float) -> float:
+    """``sum(1 / i**theta for i in 1..n)``, O(n) in one array, in place."""
+    terms = np.arange(1, n + 1, dtype=float)
+    np.power(terms, theta, out=terms)
+    np.divide(1.0, terms, out=terms)
+    return float(np.sum(terms))
+
+
 class KeyChooser:
     """Abstract integer item chooser over ``[0, item_count)``."""
 
@@ -106,15 +115,10 @@ class ZipfianChooser(KeyChooser):
         self.theta = float(theta)
         self.uniforms = block_uniforms(rng)
         self._alpha = 1.0 / (1.0 - theta)
-        self._zeta2 = self._zeta_static(2, theta)
-        self._zetan = self._zeta_static(self.item_count, theta)
+        self._zeta2 = _zeta(2, self.theta)
+        self._zetan = _zeta(self.item_count, self.theta)
         self._zetan_for = self.item_count
         self._recompute_eta()
-
-    @staticmethod
-    def _zeta_static(n: int, theta: float) -> float:
-        # O(n) once at construction; incremental afterwards.
-        return float(np.sum(1.0 / np.power(np.arange(1, n + 1, dtype=float), theta)))
 
     def _recompute_eta(self) -> None:
         n = self.item_count

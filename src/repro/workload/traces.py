@@ -22,6 +22,7 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.rng import spawn_rng
 from repro.cluster.coordinator import OpResult
+from repro.workload.workloads import KEY_PREFIX
 
 __all__ = [
     "TraceRecord",
@@ -160,7 +161,7 @@ class PhasedTraceGenerator:
                 TraceRecord(
                     t=float(t),
                     kind="read" if is_read else "write",
-                    key=f"user{idx}",
+                    key=f"{KEY_PREFIX}{idx}",
                     phase=phase.name,
                 )
             )

@@ -12,7 +12,7 @@ workload A's 50/50 read/update mix at maximum offered load -- with
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from repro.common.errors import ConfigError
 from repro.workload.distributions import KeyChooser, make_chooser
 
 __all__ = [
+    "KEY_PREFIX",
+    "KeyRange",
     "WorkloadSpec",
     "WORKLOADS",
     "heavy_read_update",
@@ -31,6 +33,44 @@ __all__ = [
     "read_modify_write_mix",
     "order_checkout_mix",
 ]
+
+#: YCSB key naming: item ``i`` is key ``f"{KEY_PREFIX}{i}"``.
+KEY_PREFIX = "user"
+
+
+class KeyRange(Mapping[str, int]):
+    """The YCSB keyspace ``user0 ... user{n-1}`` as a ``key -> position`` map.
+
+    :meth:`get` parses the key's canonical decimal suffix, so the range
+    holds no key strings, and a miss returns ``default`` without raising.
+    """
+
+    __slots__ = ("n", "_width")
+
+    def __init__(self, n: int) -> None:
+        self.n, self._width = n, len(str(n))  # no position has more digits
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self) -> Iterator[str]:
+        return map(f"{KEY_PREFIX}{{}}".format, range(self.n))
+
+    def get(self, key: str, default: Optional[int] = None) -> Optional[int]:
+        digits = key[len(KEY_PREFIX) :]
+        if key.startswith(KEY_PREFIX) and digits.isascii() and digits.isdigit():
+            if len(digits) <= self._width and (digits[0] != "0" or digits == "0"):
+                position = int(digits)
+                return position if position < self.n else default
+        return default
+
+    def __getitem__(self, key: str) -> int:
+        if (position := self.get(key)) is None:
+            raise KeyError(key)
+        return position
+
+    def __repr__(self) -> str:
+        return f"KeyRange({self.n})"
 
 
 @dataclass
@@ -87,8 +127,8 @@ class WorkloadSpec:
         )
 
     def key_of(self, index: int) -> str:
-        """YCSB key naming."""
-        return f"user{index}"
+        """YCSB key naming (:data:`KEY_PREFIX`, as :class:`KeyRange` parses it)."""
+        return f"{KEY_PREFIX}{index}"
 
     def data_size_bytes(self) -> int:
         """Total logical data size (records x value size), for billing."""
@@ -237,7 +277,7 @@ class TxnWorkloadSpec:
 
     def key_of(self, index: int) -> str:
         """YCSB key naming (shared with the single-op specs)."""
-        return f"user{index}"
+        return f"{KEY_PREFIX}{index}"
 
     def data_size_bytes(self) -> int:
         """Total logical data size (records x value size), for billing."""

@@ -9,6 +9,7 @@ per-key load loop.
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -25,7 +26,9 @@ from repro.common.errors import ConfigError, ConsistencyError
 from repro.net.topology import Datacenter, Topology
 from repro.simcore.simulator import Simulator
 from repro.txn.api import TransactionalStore, TxnConfig
-from repro.workload.workloads import heavy_read_update
+from repro.workload.workloads import (
+    TXN_WORKLOADS, KeyRange, WorkloadSpec, heavy_read_update,
+)
 from tests.conftest import sim_store
 
 
@@ -323,7 +326,11 @@ class TestReadRouting:
 
 
 def reference_preload(store, keys, value_size=None):
-    """``preload`` with every key resolved by its own fresh ring walk."""
+    """``preload`` with every key resolved by its own fresh ring walk.
+
+    The load enters ``written_keys()`` as a write of each key would: the
+    write path's first-write record.
+    """
     size = value_size if value_size is not None else store.default_value_size
     t = store.sim.now
     for key in keys:
@@ -410,7 +417,9 @@ class TestLoadPhase:
 POOL = [f"user{i}" for i in range(24)]
 POOL_KEY = st.sampled_from(POOL)
 PRELOADS = st.tuples(
-    st.just("preload"), st.lists(POOL_KEY, max_size=24), st.sampled_from([None, 77]),
+    st.just("preload"),
+    st.one_of(st.lists(POOL_KEY, max_size=24), st.builds(KeyRange, st.integers(0, 24))),
+    st.sampled_from([None, 77]),
 )
 LOAD_STEPS = st.one_of(
     PRELOADS,
@@ -423,6 +432,12 @@ LOAD_STEPS = st.one_of(
     st.tuples(st.just("decommission"), st.integers(0, 20)),
     st.tuples(st.just("crash"), st.integers(0, 6)),
 )
+
+
+def pending_keys(store):
+    """Recorded load keys that no resolve or membership change installed."""
+    batches = store._loads[store._pending :]
+    return {key for keys, *_ in batches for key in keys} - store._loaded
 
 
 def lazy_load_state(store):
@@ -452,7 +467,7 @@ class TestRecordedLoad:
     def test_equals_the_eager_load(self, streaming, load, steps):
         lazy, eager = run_both(streaming, [load] + steps)
         assert lazy_load_state(lazy) == lazy_load_state(eager)
-        assert lazy._unloaded == {}
+        assert pending_keys(lazy) == set()
 
     def test_a_key_reloaded_mid_migration_streams_its_new_version(self):
         keys = KEYS[:80]
@@ -485,9 +500,91 @@ class TestRecordedLoad:
         store = geo_store()
         store.preload(KEYS)
         store.bootstrap_node(1)
-        assert store._unloaded == {}
+        assert pending_keys(store) == set()
         held = {k for node in store.nodes for k in node.data}
         assert held == set(KEYS) and store._placement_cache == {}
+
+    def test_a_range_key_written_before_its_first_resolve(self):
+        steps = [
+            ("preload", KeyRange(24), None),
+            ("write", "user7"),
+            ("advance", 0.05),
+            ("preload", KeyRange(12), None),  # same clock and size: no flush
+            ("write", "user3"),
+            ("write", "user3"),
+        ]
+        lazy, eager = run_both(False, steps)
+        assert lazy._written_keys == ["user7", "user3"]
+        assert lazy.written_keys() == POOL
+        assert lazy_load_state(lazy) == lazy_load_state(eager)
+
+    def test_a_range_batch_lands_on_resolved_and_written_keys(self):
+        store = geo_store()
+        store.read("user2", 1, coordinator=0)
+        store.write("user9", 1, coordinator=0)
+        store.sim.run(until=1.0)
+        store.preload(KeyRange(12), 777)
+        for key in ("user2", "user9"):  # memo hits: installed by the preload itself
+            replicas = store.replica_sets(key)[0]
+            assert {store.nodes[r].data[key].size for r in replicas} == {777}
+        assert store._loaded == {"user2", "user9"}
+        steps = [("read", "user2"), ("write", "user9"), ("advance", 1.0),
+                 ("preload", KeyRange(12), 777)]
+        lazy, eager = run_both(True, steps)
+        assert lazy_load_state(lazy) == lazy_load_state(eager)
+
+    def test_a_key_loaded_mid_migration_is_not_loaded_again_after_its_hand_off(self):
+        # the second load installs every key at once (all are loaded); the
+        # writes land, the hand-off drops each key's memo entry, and the
+        # next resolve must not put the load version back over the writes
+        steps = [("preload", KeyRange(24), None), ("bootstrap", 0),
+                 ("preload", KeyRange(24), 77)] + [("write", key) for key in POOL]
+        lazy, eager = run_both(True, steps)
+        assert lazy.rebalancer.keys_streamed > 0
+        assert lazy_load_state(lazy) == lazy_load_state(eager)
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_a_bootstrap_before_the_first_touch(self, streaming):
+        steps = [("preload", KeyRange(24), None), ("bootstrap", 0),
+                 ("preload", KeyRange(16), 77), ("read", "user20")]
+        lazy, eager = run_both(streaming, steps)
+        assert lazy._pending == 1 and pending_keys(lazy) == set()
+        assert lazy_load_state(lazy) == lazy_load_state(eager)
+
+
+class TestKeyRange:
+    def test_is_the_keyspace_key_of_names(self):
+        keys = KeyRange(24)
+        assert len(keys) == 24 and list(keys) == POOL
+        assert list(keys) == [WorkloadSpec().key_of(i) for i in range(24)]
+        assert list(keys) == [TXN_WORKLOADS["bank-transfer"].key_of(i) for i in range(24)]
+        assert [keys.get(key) for key in POOL] == list(range(24))
+        assert all(key in keys for key in POOL)
+        assert keys["user23"] == 23
+
+    @pytest.mark.parametrize(
+        "key", ["user24", "user007", "user-1", "user", "user\u0663", "xuser1", "user+1"]
+    )
+    def test_a_miss_is_no_member(self, key):
+        keys = KeyRange(24)
+        assert key not in keys and keys.get(key) is None and keys.get(key, -1) == -1
+        with pytest.raises(KeyError):
+            keys[key]
+
+    def test_a_million_key_preload_allocates_no_per_key_object(self):
+        store = geo_store()
+        keys = KeyRange(1_000_000)
+        tracemalloc.start()
+        try:
+            store.preload(keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert store.write_seq == 1_000_000
+        store.read("user999999", 1, coordinator=0)
+        replicas = store.replica_sets("user999999")[0]
+        assert store.nodes[replicas[0]].data["user999999"].write_id == 1_000_000
 
 
 def run_both(streaming, steps):
@@ -515,7 +612,7 @@ def apply_step(store, tstore, step, lazy):
         if lazy:
             store.preload(arg, step[2])
         else:
-            reference_preload(store, arg, step[2])
+            reference_preload(store, list(arg), step[2])
     elif kind == "advance":
         store.sim.run(until=store.sim.now + arg)
     elif kind == "write":

@@ -13,6 +13,7 @@ from repro.workload.distributions import (
     UniformChooser,
     ZipfianChooser,
     _fnv1a64,
+    _zeta,
     make_chooser,
 )
 
@@ -61,6 +62,18 @@ class TestZipfian:
         xs = draw(c, 50_000)
         share0 = np.mean(xs == 0)
         assert share0 == pytest.approx(1.0 / zetan, rel=0.08)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 50_000])
+    @pytest.mark.parametrize("theta", [0.5, 0.99])
+    def test_zeta_is_the_three_array_sum_bit_for_bit(self, n, theta):
+        terms = np.arange(1, n + 1, dtype=float)
+        assert _zeta(n, theta) == float(np.sum(1.0 / np.power(terms, theta)))
+
+    def test_zeta_is_computed_once_per_population(self):
+        _zeta.cache_clear()
+        choosers = [ZipfianChooser(777, rng=seed) for seed in range(5)]
+        assert _zeta.cache_info().misses == 2  # zeta(2) and zeta(777)
+        assert len({c._zetan for c in choosers}) == 1
 
     def test_single_item(self):
         c = ZipfianChooser(1, rng=0)
