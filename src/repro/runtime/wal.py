@@ -6,7 +6,11 @@ crashes. On the asyncio backend durability is real:
 :class:`FileWriteAheadLog` appends every record as one JSON line to a
 per-node log file, and :meth:`FileWriteAheadLog.replay` rebuilds a log
 from disk exactly the way a restarted daemon would, re-deriving the
-in-doubt and unfinished-TM-round sets from the records alone.
+in-doubt and unfinished-TM-round sets from the records alone. The file
+keeps every payload; memory keeps only what recovery reads, because each
+line is written before the base log releases anything and a replay
+releases, through the same :meth:`WriteAheadLog.append`, exactly what the
+live log did.
 
 The file is opened unbuffered and each record is a single ``write()`` of
 the whole line, so the bytes have reached the OS before ``append`` returns
@@ -87,9 +91,9 @@ class FileWriteAheadLog(WriteAheadLog):
         """Rebuild a log from its file (the daemon-restart recovery path).
 
         Records re-append through :meth:`WriteAheadLog.append`, the one
-        indexer, so the incremental in-doubt / unfinished-round sets come
-        out identical to the pre-crash log's -- asserted by the runtime
-        tests.
+        indexer, so the incremental in-doubt / unfinished-round sets and
+        the payloads held in memory come out identical to the pre-crash
+        log's -- asserted by the runtime tests.
         """
         wal = cls(node_id, path)  # opening for append leaves the records in place
         with open(path, "r", encoding="utf-8") as fh:

@@ -50,14 +50,25 @@ sets from the records alone and remain the executable specification the
 tests assert against; :meth:`records_for` / :meth:`kinds_for` filter the
 whole log and are audit/test API.
 
-The log is **columnar**: ``txn_ids`` / ``kinds`` / ``times`` lists indexed
+The log is **columnar**: a typed ``txn_ids`` (``array('q')``) and ``times``
+(``array('d')``) column and a ``kinds`` list of interned strings, indexed
 by LSN, plus LSN -> payload for the records that carry one. An append
 allocates no record object for the garbage collector to traverse; the read
 APIs build :class:`WalRecord` views on demand.
+
+The log keeps every record but **releases a payload at the record that
+resolves it**: the first ``commit``/``abort`` of an in-doubt transaction
+drops its first ``prepare``'s payload, ``tm-end`` of an unfinished round its
+``tm-begin``'s. Recovery reads a payload only while its transaction is in
+doubt or its round unfinished, so what stays is what recovery can read plus
+the payloads no record resolves (abort pledges, a ``prepare`` after a
+pledge, a ``tm-begin`` after its ``tm-end``). A released record's view has
+``data == {}``; every kind, time, LSN and index answer is kept.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -123,29 +134,30 @@ class WalRecord:
 class WriteAheadLog:
     """Append-only per-node log with a per-transaction bit index.
 
-    ``append`` is the only mutator; there is no truncation (simulated runs
-    are bounded, and keeping every record makes the end-of-run audit --
-    counting transactions still in doubt -- exact). The index and the
-    pending sets below are pure derived state: every update happens inside
-    ``append`` and the scan methods recompute them from the records alone.
+    ``append`` is the only mutator. It keeps every record (the end-of-run
+    audit of transactions still in doubt stays exact) and releases a
+    payload at the record that resolves it. The index and the pending sets
+    below are pure derived state: every update happens inside ``append``
+    and the scan methods recompute them from the records alone.
     """
 
     def __init__(self, node_id: int):
         self.node_id = int(node_id)
         #: The records, one column per field; row ``lsn`` is record ``lsn``.
-        self.txn_ids: List[int] = []
+        self.txn_ids = array("q")
         self.kinds: List[str] = []
-        self.times: List[float] = []
-        #: lsn -> payload, for the records logged with one.
+        self.times = array("d")
+        #: lsn -> payload, for the records logged with one, until the record
+        #: that resolves it.
         self._data: Dict[int, Dict[str, Any]] = {}
         #: txn_id -> mask of the record kinds logged for it (``_BIT``); per
         #: role only the first decision's bit is ever set.
         self._seen: Dict[int, int] = {}
         #: txn_id -> the LSN of its first ``prepare`` record.
         self._prepare: Dict[int, int] = {}
-        #: txn_id -> None; prepared-here-but-undecided, in prepare LSN order
-        #: (dict preserves insertion order).
-        self._in_doubt: Dict[int, None] = {}
+        #: txn_id -> its first ``prepare`` LSN; prepared-here-but-undecided,
+        #: in prepare LSN order (dict preserves insertion order).
+        self._in_doubt: Dict[int, int] = {}
         #: txn_id -> its ``tm-begin`` LSN, without ``tm-end``, in order.
         self._tm_pending: Dict[int, int] = {}
 
@@ -163,9 +175,10 @@ class WriteAheadLog:
         if kind == REC_PREPARE:
             self._prepare.setdefault(txn_id, lsn)
             if not seen & _DECIDED:
-                self._in_doubt.setdefault(txn_id, None)
+                self._in_doubt.setdefault(txn_id, lsn)
         elif bit & _DECIDED:
-            self._in_doubt.pop(txn_id, None)
+            # The first decision releases the in-doubt prepare's payload.
+            self._data.pop(self._in_doubt.pop(txn_id, None), None)
             if seen & _DECIDED:
                 bit = 0  # the first decision stands
         elif bit & _TM_DECIDED:
@@ -175,7 +188,7 @@ class WriteAheadLog:
             if not seen & _TM_END:
                 self._tm_pending.setdefault(txn_id, lsn)
         elif kind == REC_TM_END:
-            self._tm_pending.pop(txn_id, None)
+            self._data.pop(self._tm_pending.pop(txn_id, None), None)
         self._seen[txn_id] = seen | bit
         return lsn
 

@@ -370,9 +370,17 @@ class TestFileWriteAheadLog:
         wal.append(REC_PREPARE, 7, 0.5, writes=writes)
         wal.append(REC_TM_BEGIN, 8, 0.6, participants=[0, 1])
         wal.append(REC_COMMIT, 7, 0.9)
-        assert wal.in_doubt() == []  # the commit resolved txn 7
+        wal.append(REC_PREPARE, 9, 1.0, writes={"j": Version(2.0, 3, 20)})
+        assert wal.in_doubt() == [9]  # the commit resolved txn 7
         assert [r.txn_id for r in wal.tm_unfinished()] == [8]
+        assert wal.prepare_record(7).data == {}  # released in memory ...
         wal.close()
+
+        # ... but the file keeps every payload, typed.
+        with open(path, encoding="utf-8") as fh:
+            first = codec.loads(fh.readline())
+        assert first["data"]["writes"] == writes
+        assert isinstance(first["data"]["writes"]["k"], Version)
 
         replayed = FileWriteAheadLog.replay(0, path)
         assert len(replayed) == len(wal)
@@ -380,15 +388,17 @@ class TestFileWriteAheadLog:
             REC_PREPARE,
             REC_TM_BEGIN,
             REC_COMMIT,
+            REC_PREPARE,
         ]
-        # The incremental in-doubt / unfinished sets re-derive from records.
+        # The incremental in-doubt / unfinished sets re-derive from records,
+        # and the replay releases what the live log released.
         assert replayed.in_doubt() == wal.in_doubt()
         assert [r.txn_id for r in replayed.tm_unfinished()] == [8]
+        assert sorted(replayed._data) == sorted(wal._data) == [1, 3]
         # Typed payloads survive the disk round trip.
-        rec = replayed.prepare_record(7)
-        assert rec is not None
-        assert rec.data["writes"] == writes
-        assert isinstance(rec.data["writes"]["k"], Version)
+        rec = replayed.prepare_record(9)
+        assert rec.data["writes"] == {"j": Version(2.0, 3, 20)}
+        assert isinstance(rec.data["writes"]["j"], Version)
         replayed.close()
 
     def test_each_append_is_on_disk_when_it_returns(self, tmp_path):

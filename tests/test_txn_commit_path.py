@@ -2,7 +2,10 @@
 
 - The columnar :class:`~repro.txn.wal.WriteAheadLog` must answer every read
   API exactly as a plain list of :class:`~repro.txn.wal.WalRecord` would,
-  live and after a :class:`~repro.runtime.wal.FileWriteAheadLog` replay.
+  live and after a :class:`~repro.runtime.wal.FileWriteAheadLog` replay,
+  with a payload released at the record that resolves it.
+- After every append the log holds exactly the payloads recovery can read
+  plus those no record resolves; so does a crash-storm run at its end.
 - A 3PC crash-storm run must leave no ``WalRecord`` and no failure-script
   ``Event`` alive, keep the script out of the hot event heap, and never
   mutate a prepare payload it shares between the TM, the participant and
@@ -65,14 +68,33 @@ def _payload(kind: str, txn_id: int, variant: bool) -> dict:
     return {}
 
 
+#: resolving kind -> (the kind it resolves, every kind that resolves it)
+_RESOLVES = {
+    REC_COMMIT: (REC_PREPARE, (REC_COMMIT, REC_ABORT)),
+    REC_ABORT: (REC_PREPARE, (REC_COMMIT, REC_ABORT)),
+    REC_TM_END: (REC_TM_BEGIN, (REC_TM_END,)),
+}
+
+
 class _RecordLog:
-    """The reference: a list of ``WalRecord`` and a scan for every answer."""
+    """The reference: a list of ``WalRecord`` and a scan for every answer.
+
+    The first decision of a transaction releases its first ``prepare``'s
+    payload, and the first ``tm-end`` its first ``tm-begin``'s, when that
+    record precedes it.
+    """
 
     def __init__(self):
         self.records = []
 
     def append(self, kind, txn_id, time, **data):
-        self.records.append(WalRecord(len(self.records), txn_id, kind, float(time), data))
+        rec = WalRecord(len(self.records), txn_id, kind, float(time), data)
+        self.records.append(rec)
+        if kind in _RESOLVES:
+            opener, closers = _RESOLVES[kind]
+            opened = self.first(txn_id, opener)
+            if opened is not None and rec is self.first(txn_id, *closers):
+                opened.data = {}
 
     def first(self, txn_id, *kinds):
         hits = (r for r in self.records if r.txn_id == txn_id and r.kind in kinds)
@@ -181,9 +203,78 @@ class TestColumnarLogIsTheRecordLog:
         wal.append(REC_TM_BEGIN, 1, 0.1, participants=[0, 1])
         wal.append(REC_TM_COMMIT, 1, 0.2)
         wal.append(REC_ABORT, 2, 0.3, pledge=True)
-        wal.append(REC_TM_END, 1, 0.4)
         assert sorted(wal._data) == [0, 2]
-        assert wal.records[1].data == {} and wal.records[2].data == {"pledge": True}
+        wal.append(REC_TM_END, 1, 0.4)  # txn 1's round is over: recovery skips it
+        assert sorted(wal._data) == [2]
+        assert wal.records[0].data == {} and wal.records[1].data == {}
+        assert wal.records[2].data == {"pledge": True}
+
+
+def _unresolvable(kinds, txn_ids, payloaded):
+    """The payload records no later record can release, by a scan.
+
+    Only a transaction's first ``prepare`` before any decision, or its first
+    ``tm-begin`` before any ``tm-end``, opens something a record resolves.
+    """
+    firsts, closed, out = set(), set(), set()
+    for lsn, (kind, txn_id) in enumerate(zip(kinds, txn_ids)):
+        opens = False
+        if kind in (REC_PREPARE, REC_TM_BEGIN):
+            opens = (kind, txn_id) not in firsts and (kind, txn_id) not in closed
+            firsts.add((kind, txn_id))
+        elif kind in _RESOLVES:
+            closed.add((_RESOLVES[kind][0], txn_id))
+        if payloaded[lsn] and not opens:
+            out.add(lsn)
+    return out
+
+
+def _retained_spec(wal, payloaded):
+    """What the log must still hold: the in-doubt transactions' first
+    ``prepare``, the unfinished rounds' ``tm-begin``, and every payload no
+    record resolves."""
+    recovery = {wal.prepare_record(t).lsn for t in wal.in_doubt_scan()}
+    recovery |= {r.lsn for r in wal.tm_unfinished_scan()}
+    payload_lsns = {lsn for lsn, has in enumerate(payloaded) if has}
+    return (recovery & payload_lsns) | _unresolvable(wal.kinds, wal.txn_ids, payloaded)
+
+
+class TestPayloadRelease:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_APPENDS)
+    # duplicate decisions, a pledge, a late prepare after it
+    @example([
+        (REC_PREPARE, 1, False, 0.1), (REC_PRECOMMIT, 1, False, 0.2),
+        (REC_COMMIT, 1, False, 0.3), (REC_ABORT, 1, False, 0.4),
+        (REC_ABORT, 2, True, 0.5), (REC_PREPARE, 2, False, 0.6),
+        (REC_PREPARE, 3, False, 0.7), (REC_PREPARE, 3, True, 0.8),
+        (REC_ABORT, 3, False, 0.9),
+    ])
+    # a round decided, ended and re-begun; a round begun twice
+    @example([
+        (REC_TM_BEGIN, 1, False, 0.1), (REC_TM_PRECOMMIT, 1, False, 0.2),
+        (REC_TM_COMMIT, 1, False, 0.3), (REC_TM_END, 1, False, 0.4),
+        (REC_TM_BEGIN, 1, False, 0.5), (REC_TM_END, 1, False, 0.6),
+        (REC_TM_BEGIN, 2, False, 0.7), (REC_TM_BEGIN, 2, False, 0.8),
+        (REC_TM_ABORT, 2, False, 0.9), (REC_TM_END, 2, False, 1.0),
+    ])
+    def test_the_log_keeps_what_recovery_reads(self, appends):
+        wal = WriteAheadLog(0)
+        payloaded = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "node0.wal")
+            disk = FileWriteAheadLog(0, path)
+            for kind, txn_id, variant, t in appends:
+                data = _payload(kind, txn_id, variant)
+                payloaded.append(bool(data))
+                wal.append(kind, txn_id, t, **data)
+                disk.append(kind, txn_id, t, **data)
+                for log in (wal, disk):
+                    assert set(log._data) == _retained_spec(log, payloaded)
+            disk.close()
+            replayed = FileWriteAheadLog.replay(0, path)
+            replayed.close()
+        assert set(replayed._data) == set(wal._data) == _retained_spec(replayed, payloaded)
 
 
 # -- the allocation diet, on a real run ----------------------------------------------
@@ -204,13 +295,26 @@ class TestCrashStormAllocations:
     def storm(self):
         depths = []  # (hot heap, far tier) sampled through the run
         prepared = {}  # (node, txn) -> the payload as it arrived
+        resolved = {}  # (node, txn) -> the logged payload as its decision came
+        payloaded = {}  # node -> per LSN, whether the record carried a payload
         on_prepare = TxnParticipant.on_prepare
+        resolve = TxnParticipant._resolve
+        append = WriteAheadLog.append
 
         def spy(self, txn_id, tm_node, writes, read_versions, co_participants=()):
             prepared.setdefault(
                 (self.node_id, txn_id), (dict(writes), list(co_participants))
             )
             on_prepare(self, txn_id, tm_node, writes, read_versions, co_participants)
+
+        def resolve_spy(self, p, commit):
+            data = self.wal.prepare_record(p.txn_id).data
+            resolved[(self.node_id, p.txn_id)] = (dict(data["writes"]), list(data["co"]))
+            resolve(self, p, commit)
+
+        def append_spy(self, kind, txn_id, time, **data):
+            payloaded.setdefault(self.node_id, []).append(bool(data))
+            return append(self, kind, txn_id, time, **data)
 
         def script(injector):
             for k in range(_STORMS):
@@ -225,7 +329,9 @@ class TestCrashStormAllocations:
 
             sim.post_at(sim.now, sample)
 
-        with mock.patch.object(TxnParticipant, "on_prepare", spy):
+        with mock.patch.object(TxnParticipant, "on_prepare", spy), \
+                mock.patch.object(TxnParticipant, "_resolve", resolve_spy), \
+                mock.patch.object(WriteAheadLog, "append", append_spy):
             outcome = run(RunSpec(
                 platform=storm_txn_platform(),
                 policy=named_policy_factory("quorum"),
@@ -235,15 +341,27 @@ class TestCrashStormAllocations:
                 ops=1_200, clients=12, seed=11, warmup_fraction=0.0,
                 commit_protocol="3pc", failure_script=script, txn_config=_STORM_CONFIG,
             ))
-        return outcome, depths, prepared
+        return outcome, depths, prepared, resolved, payloaded
 
     def test_the_storm_reached_recovery(self, storm):
-        outcome, _, _ = storm
+        outcome = storm[0]
         txn = outcome.report.txn
         assert txn["in_doubt_recovered"] > 0 and txn["tm_recovery_resolved"] > 0
+        # the counts a log that kept every payload gave on this run
+        assert (txn["in_doubt_recovered"], txn["tm_recovery_resolved"],
+                txn["termination_resolved"]) == (19, 21, 7)
+
+    def test_each_log_keeps_what_recovery_reads(self, storm):
+        outcome, _, _, _, payloaded = storm
+        wals = outcome.tstore.wals
+        assert sum(len(w) for w in wals) > 10_000
+        for wal in wals:
+            assert len(payloaded[wal.node_id]) == len(wal)
+            assert set(wal._data) == _retained_spec(wal, payloaded[wal.node_id])
+        assert sum(len(w._data) for w in wals) < 20
 
     def test_no_record_object_and_no_script_event_is_alive(self, storm):
-        outcome, _, _ = storm
+        outcome = storm[0]
         assert sum(len(w) for w in outcome.tstore.wals) > 1_000
         gc.collect()
         alive = gc.get_objects()
@@ -258,21 +376,20 @@ class TestCrashStormAllocations:
         ]
 
     def test_the_script_stays_out_of_the_hot_heap(self, storm):
-        outcome, depths, _ = storm
+        outcome, depths = storm[:2]
         sim = outcome.store.sim
         assert len(depths) > 20 and sim.now > 5.0
         assert all(hot < 1_000 for hot, _ in depths)
         assert all(far > 5_000 for _, far in depths)
 
     def test_shared_prepare_payloads_are_never_mutated(self, storm):
-        outcome, _, prepared = storm
-        checked = 0
+        outcome, _, prepared, resolved, _ = storm
+        for key, payload in resolved.items():
+            assert payload == prepared[key]
+        checked = len(resolved)
         for node, wal in enumerate(outcome.tstore.wals):
-            for txn_id in set(wal.txn_ids):
-                rec = wal.prepare_record(txn_id)
-                if rec is None:
-                    continue
-                writes, co = prepared[(node, txn_id)]
-                assert rec.data["writes"] == writes and list(rec.data["co"]) == co
+            for txn_id in wal.in_doubt():  # still logged: never resolved
+                data = wal.prepare_record(txn_id).data
+                assert (data["writes"], list(data["co"])) == prepared[(node, txn_id)]
                 checked += 1
         assert checked > 1_000
