@@ -2,7 +2,7 @@
 
 The injector posts failure scripts on the store's transport clock. It
 goes through the store so recovery triggers hint replay, and through the
-transport so partitions drop messages -- exercising exactly the
+store's network so partitions drop messages -- exercising exactly the
 availability/staleness behaviour the integration tests assert on.
 
 Every executed failure is recorded as a structured
@@ -95,9 +95,9 @@ class FailureInjector:
             self.store.transport.post_at(at + duration, self._do_heal, dc_a, dc_b)
 
     def _do_partition(self, dc_a: int, dc_b: int) -> None:
-        self.store.transport.partition_dcs(dc_a, dc_b)
+        self.store.network.partition_dcs(dc_a, dc_b)
         self._record("partition", dc_a=dc_a, dc_b=dc_b)
 
     def _do_heal(self, dc_a: int, dc_b: int) -> None:
-        self.store.transport.heal_partition(dc_a, dc_b)
+        self.store.network.heal_partition(dc_a, dc_b)
         self._record("heal", dc_a=dc_a, dc_b=dc_b)

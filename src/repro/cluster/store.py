@@ -161,8 +161,8 @@ class ReplicatedStore:
         #: every protocol layer (coordinators, 2PC, failure hooks) speaks it
         self.transport = transport
         #: the engine and the fabric under it, for readers of their counters
-        #: (``events_processed``, ``traffic``): the simulator and its network
-        #: on the sim backend, the transport itself on asyncio
+        #: (``events_processed``, ``traffic``): the simulator, or the asyncio
+        #: transport itself, and the transport's network on both engines
         self.sim = transport.engine
         self.network = transport.network
         self.topology = topology

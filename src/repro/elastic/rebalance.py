@@ -3,8 +3,8 @@
 When a membership change moves token ranges, the keys inside them must
 reach their new owners. The rebalancer does this *online*: foreground
 traffic continues while a background pump streams each moved key from a
-live old owner to every incoming owner over the simulated network (real
-bytes, real latency, real interference with foreground traffic).
+live old owner to every incoming owner through the store's transport
+(real bytes, real latency, real interference with foreground traffic).
 
 Correctness rests on the pending-ranges rule the store enforces while a
 key's migration is in flight (:meth:`repro.cluster.store.ReplicatedStore.replica_sets`):
@@ -212,7 +212,7 @@ class StreamingRebalancer:
                 m.attempts[target] = now
                 nbytes = st.sizes.request_overhead + version.size
                 self.bytes_streamed += nbytes
-                st.network.send(
+                st.transport.send(
                     source,
                     target,
                     nbytes,

@@ -10,7 +10,7 @@ substrate here:
   per-link-class tagging (intra-DC / inter-AZ / inter-region) used by the
   billing model;
 - :mod:`repro.net.transport` -- the message fabric: samples a delay, counts
-  transferred bytes per link class, delivers via simulator callback, and
+  transferred bytes per link class, delivers via an engine callback, and
   supports fault injection (partitions, extra delay).
 """
 

@@ -4,7 +4,7 @@
 through. It does three jobs:
 
 1. **delivery** -- sample a one-way delay from the topology's latency model
-   for the link class and schedule the receive callback on the simulator;
+   for the link class and schedule the receive callback on the engine;
 2. **accounting** -- count messages and bytes per link class into a
    :class:`TrafficMatrix`; the billing model prices exactly this matrix
    (inter-AZ / inter-region bytes are the paper's "network cost" bill part);
@@ -25,7 +25,6 @@ from repro.common.errors import ConfigError
 from repro.common.rng import spawn_rng
 from repro.net.latency import LogNormalLatency
 from repro.net.topology import LinkClass, Topology
-from repro.simcore.simulator import Simulator
 
 __all__ = ["TrafficMatrix", "Network"]
 
@@ -116,12 +115,15 @@ class TrafficMatrix:
 
 
 class Network:
-    """The message fabric between nodes.
+    """The message fabric between nodes: the one link model of both engines.
 
     Parameters
     ----------
-    sim:
-        Owning simulator.
+    engine:
+        The event engine delivered messages are pushed onto: anything with
+        ``now``, ``_seq`` and a ``_heap`` of ``(time, seq, fn, args)``
+        entries -- the simulator, or the asyncio transport, which calls
+        :meth:`send` with ``deliver=None`` and queues the frame itself.
     topology:
         Node placement and latency models.
     rng:
@@ -130,9 +132,9 @@ class Network:
     Notes
     -----
     Delivery is fire-and-forget: :meth:`send` posts ``deliver(*args)`` on
-    the simulator after the sampled delay, inlining ``Simulator.post_at``'s
-    hot-heap push (the heap-entry invariant in :mod:`repro.simcore.simulator`:
-    one frame fewer per message, 2.8 % of store throughput); no handle: a
+    the engine after the sampled delay, inlining the simulator's ``post_at``
+    heap push (the heap-entry invariant in ``simcore/simulator.py``: one
+    frame fewer per message, 2.8 % of store throughput); no handle: a
     message in flight cannot be recalled. Reliability is modelled at
     this layer only through partitions; omission failures of individual
     nodes are modelled by the cluster layer marking nodes down.
@@ -144,11 +146,11 @@ class Network:
 
     def __init__(
         self,
-        sim: Simulator,
+        engine: Any,
         topology: Topology,
         rng: "np.random.Generator | int | None" = None,
     ):
-        self.sim = sim
+        self.engine = engine
         self.topology = topology
         self.rng = spawn_rng(rng)
         self.traffic = TrafficMatrix()
@@ -210,13 +212,8 @@ class Network:
             raise ConfigError(f"extra delay must be >= 0, got {delay}")
         self._extra_delay = float(delay)
 
-    def is_partitioned(self, src: int, dst: int) -> bool:
-        """Whether messages from node ``src`` to node ``dst`` are being dropped."""
-        key = (self.topology.dc_of(src), self.topology.dc_of(dst))
-        return key in self._partitioned
-
     def dcs_partitioned(self, dc_a: int, dc_b: int) -> bool:
-        """Datacenter-level twin of :meth:`is_partitioned` (dc indices, not nodes)."""
+        """Whether traffic between two datacenters (indices) is being dropped."""
         return (dc_a, dc_b) in self._partitioned
 
     # -- data plane ---------------------------------------------------------------
@@ -254,9 +251,9 @@ class Network:
         if not local:
             delay += self._extra_delay
         if deliver is not None:
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (sim.now + delay, seq, deliver, args))
+            engine = self.engine
+            engine._seq = seq = engine._seq + 1
+            heappush(engine._heap, (engine.now + delay, seq, deliver, args))
         return delay
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

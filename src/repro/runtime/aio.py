@@ -28,16 +28,16 @@ and never forked -- but executes them on an asyncio event loop:
   onto it inline, as on the simulator, and the transport arms its timer
   for them when control returns to it (after a pump pass or a timer
   callback, and when :meth:`~AsyncioTransport.run` starts);
-- **link model** -- delays are sampled from the same
-  :class:`~repro.net.topology.Topology` latency models the simulator
-  uses, and delivery per (src, dst) link is FIFO (a message never
-  overtakes an earlier one on the same link -- the TCP-like guarantee the
-  conformance suite asserts for both backends);
+- **link model** -- the :class:`~repro.net.transport.Network` the
+  simulator sends through (:attr:`~AsyncioTransport.network`, built on
+  this transport as its engine) bills each message, drops it across a
+  partition and draws its delay; partitions and the congestion step are
+  set on it. The transport adds the per-(src, dst) FIFO floor (a message
+  never overtakes an earlier one on the same link -- the TCP-like
+  guarantee the conformance suite asserts for both backends);
 - **timers** -- ``set_timer_at`` is a ``loop.call_at`` handle at an
   absolute protocol time, cancellable exactly like a sim event; no order
-  among equal deadlines is promised;
-- **partitions** -- dropped at send time by datacenter pair, mirroring
-  :meth:`repro.net.transport.Network.send`.
+  among equal deadlines is promised.
 
 What asyncio does *not* guarantee (and the sim does): determinism.
 Callback interleavings depend on the OS scheduler, so two runs with one
@@ -50,21 +50,16 @@ from __future__ import annotations
 import asyncio
 import math
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.rng import spawn_rng
 from repro.net.topology import Topology
-from repro.net.transport import _CLASS_CODE, TrafficMatrix
+from repro.net.transport import Network
 from repro.runtime import codec
 from repro.runtime.interface import Transport
 
 __all__ = ["AsyncioTransport"]
-
-
-def _dc_pair(dc_a: int, dc_b: int) -> Tuple[int, int]:
-    """The order-free key of a datacenter pair (partitions are symmetric)."""
-    return (dc_a, dc_b) if dc_a <= dc_b else (dc_b, dc_a)
 
 
 class AsyncioTransport(Transport):
@@ -95,18 +90,14 @@ class AsyncioTransport(Transport):
     ):
         if time_scale <= 0:
             raise ConfigError(f"time_scale must be positive, got {time_scale}")
-        self.topology = topology
-        self.rng = spawn_rng(rng)
         self.time_scale = float(time_scale)
-        self.traffic = TrafficMatrix()
-        self.dropped = 0
+        #: the link model: billing, partitions and delay draws
+        self.network = Network(self, topology, rng=rng)
         self._handlers: Dict[str, Callable[..., Any]] = {}
         self._names: Dict[Callable[..., Any], str] = {}
-        self._partitioned: set = set()
-        #: (src, dst) -> ``[traffic class code, latency model, ordered DC
-        #: pair, latest arrival]``: ``Network``'s route memo plus the FIFO
-        #: floor that stops a frame overtaking an earlier one on its link.
-        self._links: Dict[Tuple[int, int], list] = {}
+        #: (src, dst) -> latest arrival: the FIFO floor that stops a frame
+        #: overtaking an earlier one on its link
+        self._floors: Dict[Tuple[int, int], float] = {}
         #: due entries, ``(time, seq, fn, args)`` in protocol time: frames
         #: in flight (``fn`` is ``None`` for an encoded wire frame, ``args``
         #: the frame), ``post_at`` calls and inline-pushed completions
@@ -174,11 +165,8 @@ class AsyncioTransport(Transport):
         """The transport itself: its heap is the one a completion goes on."""
         return self
 
-    @property
-    def network(self) -> "AsyncioTransport":
-        """The transport itself: it samples link delays, drops partitioned
-        frames and counts :attr:`traffic`."""
-        return self
+    #: the network's traffic matrix (a store's ``reset_metrics`` replaces it)
+    traffic = property(attrgetter("network.traffic"))
 
     # -- messaging ---------------------------------------------------------------
 
@@ -188,15 +176,6 @@ class AsyncioTransport(Transport):
         self._handlers[name] = deliver
         self._names[deliver] = name
 
-    def _link(self, src: int, dst: int) -> list:
-        """Resolve and memoize a node pair (the miss path of :meth:`send`)."""
-        topo = self.topology
-        cls = topo.link_class(src, dst)
-        dcs = _dc_pair(topo.dc_of(src), topo.dc_of(dst))
-        link = [_CLASS_CODE[cls], topo.latency_models[cls], dcs, 0.0]
-        self._links[(src, dst)] = link
-        return link
-
     def send(
         self,
         src: int,
@@ -205,20 +184,15 @@ class AsyncioTransport(Transport):
         deliver: Optional[Callable[..., Any]],
         *args: Any,
     ) -> Optional[float]:
-        loop = self._loop
-        link = self._links.get((src, dst)) or self._link(src, dst)
-        code, model, dcs, floor = link
-        if self._closed or (self._partitioned and dcs in self._partitioned):
-            self.dropped += 1
+        if self._closed:
             return None
-        traffic = self.traffic
-        traffic._messages[code] += 1
-        traffic._bytes[code] += int(nbytes)
-        delay = model.sample(self.rng)
-        if deliver is None:
-            return delay  # billed and timed; takes no FIFO slot
+        delay = self.network.send(src, dst, nbytes, None)
+        if delay is None or deliver is None:
+            return delay  # dropped, or billed and timed: takes no FIFO slot
         # FIFO per link: a frame arrives no earlier than its predecessor.
-        link[3] = arrival = max((loop.time() - self._t0) / self.time_scale + delay, floor)
+        floors, link = self._floors, (src, dst)
+        now = (self._loop.time() - self._t0) / self.time_scale
+        floors[link] = arrival = max(now + delay, floors.get(link, 0.0))
         name = self._names.get(deliver)
         if name is not None:
             # Registered protocol handler: genuinely cross the wire codec
@@ -295,19 +269,3 @@ class AsyncioTransport(Transport):
             fn(*args)
         finally:
             self._arm()
-
-    # -- fault injection -----------------------------------------------------------
-
-    def partition_dcs(self, dc_a: int, dc_b: int) -> None:
-        if dc_a == dc_b:
-            raise ConfigError(f"cannot partition datacenter {dc_a} from itself")
-        self._partitioned.add(_dc_pair(dc_a, dc_b))
-
-    def heal_partition(self, dc_a: int, dc_b: int) -> None:
-        self._partitioned.discard(_dc_pair(dc_a, dc_b))
-
-    def heal_all(self) -> None:
-        self._partitioned.clear()
-
-    def is_partitioned(self, dc_a: int, dc_b: int) -> bool:
-        return _dc_pair(dc_a, dc_b) in self._partitioned

@@ -18,13 +18,17 @@ is called or deployment time ``until`` passes, and leaves later timers
 pending for the next ``run``. :attr:`Transport.traffic` is the
 per-link-class message and byte count of everything sent.
 
+Links are not the transport's own: on both engines
+:attr:`Transport.network` is a :class:`~repro.net.transport.Network`,
+which bills each message, drops it across a partition and draws its delay.
+Fault injection (partitions, extra delay) goes to the network.
+
 The state machines in :mod:`repro.txn` and :mod:`repro.cluster` hold no
-reference to a :class:`~repro.simcore.simulator.Simulator` or a
-:class:`~repro.net.transport.Network` directly -- they go through a
-:class:`Transport`, which is what lets the *same* classes run inside the
-discrete-event engine (:class:`~repro.runtime.sim.SimTransport`) or as
-asyncio tasks over a real wire codec
-(:class:`~repro.runtime.aio.AsyncioTransport`).
+reference to a :class:`~repro.simcore.simulator.Simulator` directly --
+they go through a :class:`Transport`, which is what lets the *same*
+classes run inside the discrete-event engine
+(:class:`~repro.runtime.sim.SimTransport`) or as asyncio tasks over a real
+wire codec (:class:`~repro.runtime.aio.AsyncioTransport`).
 
 What the sim backend guarantees that asyncio does not:
 
@@ -86,10 +90,10 @@ class Transport(ABC):
     #: pushes its completions inline. The ``Simulator`` on the sim backend;
     #: the asyncio transport is its own.
     engine: Any
-    #: the message fabric (link delays, partitions, :attr:`traffic`): the
-    #: ``Network`` on the sim backend; the asyncio transport is its own.
-    #: Its ``rng`` draws the link delays; a store built on the transport
-    #: seeds it.
+    #: the message fabric (link delays, partitions, :attr:`traffic`): a
+    #: :class:`~repro.net.transport.Network` on both engines, pushing onto
+    #: :attr:`engine`. Its ``rng`` draws the link delays; a store built on
+    #: the transport seeds it.
     network: Any
 
     # -- driver ------------------------------------------------------------------
@@ -154,21 +158,3 @@ class Transport(ABC):
     @abstractmethod
     def post_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         """Like :meth:`set_timer_at` for a call nobody cancels: no handle."""
-
-    # -- fault injection -----------------------------------------------------------
-
-    @abstractmethod
-    def partition_dcs(self, dc_a: int, dc_b: int) -> None:
-        """Symmetrically drop all future traffic between two datacenters."""
-
-    @abstractmethod
-    def heal_partition(self, dc_a: int, dc_b: int) -> None:
-        """Restore traffic between two datacenters (no-op if not partitioned)."""
-
-    @abstractmethod
-    def heal_all(self) -> None:
-        """Remove every active partition."""
-
-    @abstractmethod
-    def is_partitioned(self, dc_a: int, dc_b: int) -> bool:
-        """Whether traffic between the two datacenters is currently dropped."""

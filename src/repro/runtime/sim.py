@@ -73,20 +73,3 @@ class SimTransport(Transport):
 
     def register(self, name: str, deliver: Callable[..., Any]) -> None:
         self._handlers[name] = deliver
-
-    # -- fault injection -----------------------------------------------------------
-
-    def partition_dcs(self, dc_a: int, dc_b: int) -> None:
-        self.network.partition_dcs(dc_a, dc_b)
-
-    def heal_partition(self, dc_a: int, dc_b: int) -> None:
-        self.network.heal_partition(dc_a, dc_b)
-
-    def heal_all(self) -> None:
-        self.network.heal_all()
-
-    def is_partitioned(self, dc_a: int, dc_b: int) -> bool:
-        # Not Network.is_partitioned, which takes *node* ids: the Transport
-        # contract (and the asyncio backend) speak datacenter indices.
-        return self.network.dcs_partitioned(dc_a, dc_b)
-

@@ -85,10 +85,11 @@ class TestFailureInjector:
     def test_partition_window(self, store):
         inj = FailureInjector(store)
         inj.partition(0, 1, at=1.0, duration=1.0)
+        dc = store.topology.dc_of
         store.sim.run(until=1.5)
-        assert store.network.is_partitioned(0, 3)
+        assert store.network.dcs_partitioned(dc(0), dc(3))
         store.sim.run(until=3.0)
-        assert not store.network.is_partitioned(0, 3)
+        assert not store.network.dcs_partitioned(dc(0), dc(3))
 
     def test_partition_validation(self, store):
         inj = FailureInjector(store)
@@ -110,7 +111,8 @@ class TestFailureInjector:
         assert store.sim.pending() == before
         store.sim.run(until=20.0)
         assert inj.events == [] and all(node.up for node in store.nodes)
-        assert not store.network.is_partitioned(0, 3)
+        dc = store.topology.dc_of
+        assert not store.network.dcs_partitioned(dc(0), dc(3))
 
     def test_recovery_hint_replay_notifies_propagation_listeners(self, store):
         # A write whose replica was down propagates for real only when the

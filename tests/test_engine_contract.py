@@ -5,10 +5,10 @@ Code outside the engine reads time and schedules through
 ``set_timer_at``) and drives a run through it (``run``, ``stop``); only
 ``simcore/`` and the sim transport touch the simulator's clock,
 scheduling verbs and driver. The one sanctioned exception is
-``Network.send``'s inline heap push, which reads ``sim.now`` to stamp the
+``Network.send``'s inline heap push, which reads ``engine.now`` to stamp the
 entry (a measured frame per message; see ``simcore/simulator.py``). The
-store layer (``cluster/``) is built on a transport and never names the
-simulator at all.
+store layer (``cluster/``) is built on a transport and the link model
+(``net/``) on an engine; neither names the simulator at all.
 """
 
 import importlib
@@ -27,11 +27,11 @@ from repro.runtime.sim import SimTransport
 from repro.simcore.simulator import Simulator
 
 SRC = Path(repro.__file__).resolve().parent
-REACH = re.compile(r"\bsim\.(now|post|post_at|schedule|schedule_at)\b")
+REACH = re.compile(r"\b(?:sim|engine)\.(now|post|post_at|schedule|schedule_at)\b")
 DRIVE = re.compile(r"\bsim\.(run|stop)\(")
 #: (file relative to src/repro, stripped line) of every allowed hit
 ALLOWED = {
-    ("net/transport.py", "heappush(sim._heap, (sim.now + delay, seq, deliver, args))"),
+    ("net/transport.py", "heappush(engine._heap, (engine.now + delay, seq, deliver, args))"),
 }
 
 
@@ -99,13 +99,24 @@ def test_transport_has_no_relative_timer(cls):
     assert hasattr(cls, "set_timer_at") and hasattr(cls, "post_at")
 
 
-def test_the_store_never_names_the_simulator():
-    # The replicated store runs on any Transport: no module under cluster/
-    # imports the simulator's module or names its class, even in prose.
-    for path in sorted((SRC / "cluster").rglob("*.py")):
+def _assert_never_names_the_simulator(package):
+    # No module under ``package`` imports the simulator's module or names
+    # its class, even in prose.
+    for path in sorted((SRC / package).rglob("*.py")):
         text = path.read_text()
         assert "Simulator" not in text, path.name
         assert "simcore.simulator" not in text, path.name
+
+
+def test_the_store_never_names_the_simulator():
+    # The replicated store runs on any Transport.
+    _assert_never_names_the_simulator("cluster")
+
+
+def test_the_link_model_never_names_the_simulator():
+    # The Network pushes onto any engine: the simulator or the asyncio
+    # transport.
+    _assert_never_names_the_simulator("net")
 
 
 def test_generator_processes_are_gone():

@@ -156,10 +156,11 @@ class TestNetwork:
 
     def test_partition_is_bidirectional_and_healable(self, small_topology):
         sim, net = self._net(small_topology)
+        dc = small_topology.dc_of
         net.partition_dcs(0, 1)
-        assert net.is_partitioned(3, 0)
+        assert net.dcs_partitioned(dc(3), dc(0))
         net.heal_partition(1, 0)
-        assert not net.is_partitioned(0, 3)
+        assert not net.dcs_partitioned(dc(0), dc(3))
 
     def test_dcs_partitioned_names_dc_pairs(self, small_topology):
         _, net = self._net(small_topology)
@@ -167,7 +168,8 @@ class TestNetwork:
         net.partition_dcs(0, 1)
         assert net.dcs_partitioned(0, 1) and net.dcs_partitioned(1, 0)
         # node 1 and node 3 are in dc0 and dc1: dc and node indices differ
-        assert net.is_partitioned(1, 3)
+        dc = small_topology.dc_of
+        assert net.dcs_partitioned(dc(1), dc(3)) and not net.dcs_partitioned(1, 3)
         net.heal_partition(0, 1)
         assert not net.dcs_partitioned(1, 0)
 
@@ -175,7 +177,7 @@ class TestNetwork:
         sim, net = self._net(small_topology)
         net.partition_dcs(0, 1)
         net.heal_all()
-        assert not net.is_partitioned(0, 3)
+        assert not net.dcs_partitioned(small_topology.dc_of(0), small_topology.dc_of(3))
 
     def test_self_partition_rejected(self, small_topology):
         _, net = self._net(small_topology)

@@ -12,7 +12,9 @@ engines honour:
   ``run(until)`` leaves later timers pending for the next ``run``;
 
 - per-link FIFO delivery under the (default) constant-latency models;
-- partitions drop at send time (``send`` returns ``None``) and heal;
+- partitions drop at send time (``send`` returns ``None``) and heal, and
+  the extra delay slows every non-local link: both set on
+  ``transport.network``, the one ``Network`` of both engines;
 - ``send(..., None)`` bills and times a message but queues nothing;
 - cancelled timers never fire, and cancelling twice is harmless;
 - ``set_timer_at`` never fires early on the protocol clock;
@@ -25,8 +27,8 @@ engines honour:
 :class:`~repro.cluster.store.ReplicatedStore` on each backend the same way:
 reads and writes at ONE, QUORUM and ALL, a crashed replica set that makes
 reads unavailable until recovery, hinted handoff replayed on recovery,
-read repair converging the replicas, and a platform store running a YCSB-A
-workload with no failed operation.
+read repair converging the replicas, a bootstrapped node taking writes,
+and a platform store running a YCSB-A workload with no failed operation.
 
 Because the test body is identical per backend, a divergence pinpoints an
 engine bug rather than a protocol bug -- this suite is the safety net for
@@ -74,7 +76,6 @@ class Harness:
         self.topology = topology
         if backend == "sim":
             self.transport = SimTransport(topology, rng=seed)
-            self.network = self.transport.network
         else:
             self.transport = AsyncioTransport(
                 topology, rng=seed, time_scale=self.TIME_SCALE
@@ -150,7 +151,7 @@ class TestTransportContract:
             t.send(0, 3, 500, lambda: None)
             t.send(0, 4, 300, None)
             t.send(0, 1, 100, lambda: None)
-            t.partition_dcs(0, 1)
+            t.network.partition_dcs(0, 1)
             t.send(1, 5, 700, lambda: None)
 
         h.run(setup, until=1.0)
@@ -200,15 +201,15 @@ class TestTransportContract:
                 got.append(tag)
 
             t.register("sink", sink)
-            t.partition_dcs(0, 1)
+            t.network.partition_dcs(0, 1)
             sent["cut"] = t.send(0, 3, 64, sink, "cut")  # cross-DC: dropped
             sent["lan"] = t.send(0, 1, 64, sink, "lan")  # intra-DC: unaffected
-            sent["was_partitioned"] = t.is_partitioned(0, 1)
+            sent["was_partitioned"] = t.network.dcs_partitioned(0, 1)
 
             def heal_and_resend():
-                t.heal_partition(0, 1)
+                t.network.heal_partition(0, 1)
                 sent["healed"] = t.send(0, 3, 64, sink, "healed")
-                sent["still_partitioned"] = t.is_partitioned(0, 1)
+                sent["still_partitioned"] = t.network.dcs_partitioned(0, 1)
 
             t.set_timer_at(t.now + 0.5, heal_and_resend)
 
@@ -227,11 +228,11 @@ class TestTransportContract:
         def setup(t):
             seen["delay"] = t.send(0, 3, 500, None)
             seen["queued"] = h.queued()
-            t.partition_dcs(0, 1)
+            t.network.partition_dcs(0, 1)
             seen["cut"] = t.send(0, 3, 500, None)
 
         h.run(setup, until=1.0)
-        dropped = (h.network if h.backend == "sim" else h.transport).dropped
+        dropped = h.transport.network.dropped
         assert seen["delay"] == pytest.approx(0.040)
         assert seen["queued"] == 0 and h.queued() == 0
         assert seen["cut"] is None and dropped == 1
@@ -247,13 +248,13 @@ class TestTransportContract:
             ],
             [1, 1, 1],
         )
-        t = harness(topo).transport
-        t.partition_dcs(0, 1)
-        t.partition_dcs(2, 1)  # either argument order cuts the pair
-        assert t.is_partitioned(1, 0) and t.is_partitioned(1, 2)
-        t.heal_all()
-        assert not t.is_partitioned(0, 1)
-        assert not t.is_partitioned(1, 2)
+        net = harness(topo).transport.network
+        net.partition_dcs(0, 1)
+        net.partition_dcs(2, 1)  # either argument order cuts the pair
+        assert net.dcs_partitioned(1, 0) and net.dcs_partitioned(1, 2)
+        net.heal_all()
+        assert not net.dcs_partitioned(0, 1)
+        assert not net.dcs_partitioned(1, 2)
 
     def test_cancelled_timer_never_fires(self, harness):
         h = harness()
@@ -389,6 +390,16 @@ class TestTransportContract:
         assert traffic.bytes[LinkClass.INTER_REGION] == 500
         assert traffic.bytes[LinkClass.INTRA_DC] == 100
 
+    def test_extra_delay_slows_every_non_local_link(self, harness):
+        # The network's congestion step: a non-local send's delay grows by
+        # exactly the extra delay, a node-local one does not.
+        t = harness().transport
+        links = [(0, 3), (0, 1), (0, 0)]  # WAN, intra-DC, node-local
+        before = [t.send(src, dst, 64, None) for src, dst in links]
+        t.network.set_extra_delay(0.015)
+        after = [t.send(src, dst, 64, None) for src, dst in links]
+        assert after == [before[0] + 0.015, before[1] + 0.015, before[2]]
+
 
 def _store(h, rf=3, **config):
     """The real store on ``h``'s transport and topology."""
@@ -508,6 +519,24 @@ class TestStoreOnBothEngines:
             store.write_seq
         }
 
+    def test_bootstrapped_node_is_reachable(self, harness):
+        # bootstrap_node grows the topology and clears the network's route
+        # memo; the new node then takes a write at ALL like any other.
+        h = harness()
+        state = {}
+
+        def setup(t):
+            store = state["store"] = _store(h, read_repair_chance=0.0)
+            new = state["new"] = store.bootstrap_node(1)
+            state["delay"] = t.send(0, new, 64, None)
+            keys = (f"user{i}" for i in range(500))
+            key = next(k for k in keys if new in store.all_replicas(k))
+            store.write(key, ConsistencyLevel.ALL, lambda r: state.update(write=r))
+
+        h.run(setup, until=2.0)
+        assert state["new"] == 6 and state["delay"] == pytest.approx(0.040)
+        assert state["write"].ok and state["write"].replicas_contacted == 3
+
     @pytest.mark.parametrize("level", [ConsistencyLevel.ONE, ConsistencyLevel.QUORUM])
     def test_platform_store_runs_ycsb_a_without_failures(self, harness, level):
         platform = single_dc_platform()
@@ -618,7 +647,7 @@ class TestAsyncioTransportSpecifics:
     def test_self_partition_is_rejected(self):
         t = AsyncioTransport(two_dc_topology())
         with pytest.raises(ConfigError):
-            t.partition_dcs(1, 1)
+            t.network.partition_dcs(1, 1)
         t.close()
 
     def test_closed_transport_swallows_inflight_callbacks(self):
@@ -764,11 +793,11 @@ class TestAsyncioDelivery:
         async def body(loop):
             t.register("sink", got.append)
             t.send(0, 3, 64, got.append, "in flight")  # queued before the cut
-            t.partition_dcs(1, 0)
+            t.network.partition_dcs(1, 0)
             queued = len(t._heap)
             assert t.send(0, 3, 64, got.append, "cut") is None
             assert t.send(3, 0, 64, got.append, "cut") is None  # symmetric
-            assert len(t._heap) == queued and t.dropped == 2
+            assert len(t._heap) == queued and t.network.dropped == 2
             await asyncio.sleep(0.05)
 
         run_on_loop(t, body)

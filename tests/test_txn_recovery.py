@@ -561,8 +561,8 @@ class TestCooperativeTermination:
         sim = store.sim
         sim.schedule(0.0, go)
         sim.schedule_at(0.0002, store.on_node_crash, 1)  # never votes
-        sim.schedule_at(0.1, store.transport.partition_dcs, 0, 1)
-        sim.schedule_at(1.0, store.transport.heal_all)
+        sim.schedule_at(0.1, store.network.partition_dcs, 0, 1)
+        sim.schedule_at(1.0, store.network.heal_all)
         sim.schedule_at(2.5, store.on_node_crash, 3)
 
         def delay(attempt):
