@@ -1,16 +1,15 @@
 """File-backed write-ahead logs for the asyncio backend.
 
 The simulator models durability by keeping
-:class:`~repro.txn.wal.WriteAheadLog` records in memory across simulated
+:class:`~repro.txn.wal.WriteAheadLog` state in memory across simulated
 crashes. On the asyncio backend durability is real:
 :class:`FileWriteAheadLog` appends every record as one JSON line to a
 per-node log file, and :meth:`FileWriteAheadLog.replay` rebuilds a log
 from disk exactly the way a restarted daemon would, re-deriving the
 in-doubt and unfinished-TM-round sets from the records alone. The file
-keeps every payload; memory keeps only what recovery reads, because each
-line is written before the base log releases anything and a replay
-releases, through the same :meth:`WriteAheadLog.append`, exactly what the
-live log did.
+keeps every record with its payload; memory keeps what the base log keeps
+(a mask byte per transaction and the open rows), and a replay rebuilds
+it through the same :meth:`WriteAheadLog.append`.
 
 The file is opened unbuffered and each record is a single ``write()`` of
 the whole line, so the bytes have reached the OS before ``append`` returns
@@ -72,13 +71,12 @@ class FileWriteAheadLog(WriteAheadLog):
 
     def append(self, kind: str, txn_id: int, time: float, **data: Any) -> int:
         lsn = super().append(kind, txn_id, time, **data)
-        t = self.times[lsn]
+        txn, t = int(txn_id), float(time)
         if data or not isfinite(t):
-            line = dumps({"lsn": lsn, "txn": self.txn_ids[lsn], "kind": kind,
-                          "t": t, "data": data}) + "\n"
+            line = dumps({"lsn": lsn, "txn": txn, "kind": kind, "t": t,
+                          "data": data}) + "\n"
         else:
-            line = (f'{{"lsn":{lsn},"txn":{self.txn_ids[lsn]}{_KIND_T[kind]}'
-                    f'{t!r},"data":{{}}}}\n')
+            line = f'{{"lsn":{lsn},"txn":{txn}{_KIND_T[kind]}{t!r},"data":{{}}}}\n'
         self._fh.write(line.encode("utf-8"))
         return lsn
 
@@ -91,9 +89,8 @@ class FileWriteAheadLog(WriteAheadLog):
         """Rebuild a log from its file (the daemon-restart recovery path).
 
         Records re-append through :meth:`WriteAheadLog.append`, the one
-        indexer, so the incremental in-doubt / unfinished-round sets and
-        the payloads held in memory come out identical to the pre-crash
-        log's -- asserted by the runtime tests.
+        indexer, so the mask and the open rows come out identical to the
+        pre-crash log's -- asserted by the runtime tests.
         """
         wal = cls(node_id, path)  # opening for append leaves the records in place
         with open(path, "r", encoding="utf-8") as fh:

@@ -34,41 +34,40 @@ Record kinds (presumed-abort 2PC, plus the 3PC pre-commit phase):
                     transaction needs no further recovery work
 ==================  =====================================================
 
+
 A participant is **in doubt** when its log holds a ``prepare`` without a
 matching ``commit``/``abort``; a TM round is **unfinished** when it holds a
-``tm-begin`` without ``tm-end``. The protocols ask the log such questions
-on almost every message, so it keeps a **derived index**, updated only in
-:meth:`append`: one int per transaction with a bit per record kind seen
-(of a role's two decision bits only the *first* decision logged is set --
-the first-in-LSN-order rule of :meth:`decision_for` / :meth:`tm_decision`),
-the transaction's first ``prepare`` record, and the **incremental pending
-sets** behind :meth:`in_doubt` / :meth:`tm_unfinished`, kept in
-first-record LSN order so recovery replays in a deterministic sequence.
-Every per-message query is one dict lookup and a mask. The scan variants
-(:meth:`in_doubt_scan`, :meth:`tm_unfinished_scan`) recompute the pending
-sets from the records alone and remain the executable specification the
-tests assert against; :meth:`records_for` / :meth:`kinds_for` filter the
-whole log and are audit/test API.
+``tm-begin`` without ``tm-end``. Recovery reads back the payload of those
+two kinds of record and nothing else; every other question the protocols
+ask the log is whether a transaction logged some kind. So, in memory, the
+log keeps only:
 
-The log is **columnar**: a typed ``txn_ids`` (``array('q')``) and ``times``
-(``array('d')``) column and a ``kinds`` list of interned strings, indexed
-by LSN, plus LSN -> payload for the records that carry one. An append
-allocates no record object for the garbage collector to traverse; the read
-APIs build :class:`WalRecord` views on demand.
+- the **record count**, which numbers the LSNs;
+- a **mask** of one byte per transaction id, with a bit for each kind a
+  query reads (``precommit``, ``commit``, ``abort``, ``tm-precommit``,
+  ``tm-commit``, ``tm-abort``, ``tm-end``). Of a role's two decision bits
+  only the *first* decision logged is set: the first-in-LSN-order rule of
+  :meth:`decision_for` / :meth:`tm_decision`;
+- the **open rows**, ``txn_id -> (lsn, time, data)``: each in-doubt
+  transaction's first ``prepare`` until its first decision, and each
+  unfinished round's first ``tm-begin`` until its ``tm-end``, in LSN order
+  so recovery replays in a deterministic sequence.
 
-The log keeps every record but **releases a payload at the record that
-resolves it**: the first ``commit``/``abort`` of an in-doubt transaction
-drops its first ``prepare``'s payload, ``tm-end`` of an unfinished round its
-``tm-begin``'s. Recovery reads a payload only while its transaction is in
-doubt or its round unfinished, so what stays is what recovery can read plus
-the payloads no record resolves (abort pledges, a ``prepare`` after a
-pledge, a ``tm-begin`` after its ``tm-end``). A released record's view has
-``data == {}``; every kind, time, LSN and index answer is kept.
+Transaction ids come from one dense counter (``TransactionalStore.begin``
+numbers them 1, 2, ... on either engine), so the mask is a ``bytearray``
+indexed by id that grows to the largest id logged; ``append`` refuses an id
+below zero with a ``ValueError``, so no query finds one logged. A settled
+transaction costs its one byte. Nothing is forgotten: the byte is the
+transaction's summary, as in R*'s log (Mohan, Lindsay and Obermarck, TODS
+1986), and it still answers a late termination query or a duplicate
+``prepare`` with the decision logged. Every query is a mask test or a dict
+lookup; :meth:`prepare_record` and :meth:`tm_unfinished` build
+:class:`WalRecord` views of open rows on demand. The file WAL
+(:mod:`repro.runtime.wal`) keeps every record.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -95,16 +94,18 @@ REC_TM_COMMIT = "tm-commit"
 REC_TM_ABORT = "tm-abort"
 REC_TM_END = "tm-end"
 
-#: Participant-side records that resolve an in-doubt ``prepare``.
-_DECISIONS = (REC_COMMIT, REC_ABORT)
-
-#: Record kind -> its bit in the per-transaction ``_seen`` mask.
+#: Record kind -> its bit in a transaction's mask byte. No query reads
+#: ``prepare`` or ``tm-begin``, so they have none.
 _BIT = {
-    kind: 1 << i
-    for i, kind in enumerate([
-        REC_PREPARE, REC_PRECOMMIT, REC_COMMIT, REC_ABORT, REC_TM_BEGIN,
-        REC_TM_PRECOMMIT, REC_TM_COMMIT, REC_TM_ABORT, REC_TM_END,
-    ])
+    REC_PREPARE: 0,
+    REC_TM_BEGIN: 0,
+    **{
+        kind: 1 << i
+        for i, kind in enumerate([
+            REC_PRECOMMIT, REC_COMMIT, REC_ABORT, REC_TM_PRECOMMIT,
+            REC_TM_COMMIT, REC_TM_ABORT, REC_TM_END,
+        ])
+    },
 }
 _PRECOMMIT = _BIT[REC_PRECOMMIT]
 _COMMIT = _BIT[REC_COMMIT]
@@ -114,9 +115,12 @@ _TM_COMMIT = _BIT[REC_TM_COMMIT]
 _TM_DECIDED = _TM_COMMIT | _BIT[REC_TM_ABORT]
 _TM_END = _BIT[REC_TM_END]
 
+#: An open row: the record's LSN, time and payload.
+_Row = Tuple[int, float, Dict[str, Any]]
+
 
 class WalRecord:
-    """One durable log entry (a view over a :class:`WriteAheadLog` row)."""
+    """One durable log entry (a view over an open row of a :class:`WriteAheadLog`)."""
 
     __slots__ = ("lsn", "txn_id", "kind", "time", "data")
 
@@ -132,90 +136,65 @@ class WalRecord:
 
 
 class WriteAheadLog:
-    """Append-only per-node log with a per-transaction bit index.
+    """Append-only per-node log: a kind mask per transaction and the open rows.
 
-    ``append`` is the only mutator. It keeps every record (the end-of-run
-    audit of transactions still in doubt stays exact) and releases a
-    payload at the record that resolves it. The index and the pending sets
-    below are pure derived state: every update happens inside ``append``
-    and the scan methods recompute them from the records alone.
+    ``append`` is the only mutator; the mask and the open rows are derived
+    from the records appended, in order, so a replay of the same records
+    rebuilds the same log.
     """
 
     def __init__(self, node_id: int):
         self.node_id = int(node_id)
-        #: The records, one column per field; row ``lsn`` is record ``lsn``.
-        self.txn_ids = array("q")
-        self.kinds: List[str] = []
-        self.times = array("d")
-        #: lsn -> payload, for the records logged with one, until the record
-        #: that resolves it.
-        self._data: Dict[int, Dict[str, Any]] = {}
-        #: txn_id -> mask of the record kinds logged for it (``_BIT``); per
-        #: role only the first decision's bit is ever set.
-        self._seen: Dict[int, int] = {}
-        #: txn_id -> the LSN of its first ``prepare`` record.
-        self._prepare: Dict[int, int] = {}
-        #: txn_id -> its first ``prepare`` LSN; prepared-here-but-undecided,
-        #: in prepare LSN order (dict preserves insertion order).
-        self._in_doubt: Dict[int, int] = {}
-        #: txn_id -> its ``tm-begin`` LSN, without ``tm-end``, in order.
-        self._tm_pending: Dict[int, int] = {}
+        self._n = 0
+        #: txn_id -> the ``_BIT`` mask of the kinds logged for it.
+        self._mask = bytearray()
+        #: txn_id -> its first ``prepare`` row, until its first decision.
+        self._in_doubt: Dict[int, _Row] = {}
+        #: txn_id -> its first ``tm-begin`` row, until its ``tm-end``.
+        self._tm_pending: Dict[int, _Row] = {}
 
     def append(self, kind: str, txn_id: int, time: float, **data: Any) -> int:
         """Durably append one record and return its LSN."""
         bit = _BIT[kind]
         txn_id = int(txn_id)
-        lsn = len(self.kinds)
-        self.kinds.append(kind)
-        self.txn_ids.append(txn_id)
-        self.times.append(float(time))
-        if data:
-            self._data[lsn] = data
-        seen = self._seen.get(txn_id, 0)
+        if txn_id < 0:
+            raise ValueError(f"a transaction id is >= 0, got {txn_id}")
+        mask = self._mask
+        if txn_id >= len(mask):
+            mask.extend(bytes(txn_id + 1 - len(mask)))
+        lsn = self._n
+        self._n = lsn + 1
+        seen = mask[txn_id]
         if kind == REC_PREPARE:
-            self._prepare.setdefault(txn_id, lsn)
-            if not seen & _DECIDED:
-                self._in_doubt.setdefault(txn_id, lsn)
+            if not seen & _DECIDED and txn_id not in self._in_doubt:
+                self._in_doubt[txn_id] = (lsn, float(time), data)
         elif bit & _DECIDED:
-            # The first decision releases the in-doubt prepare's payload.
-            self._data.pop(self._in_doubt.pop(txn_id, None), None)
+            self._in_doubt.pop(txn_id, None)
             if seen & _DECIDED:
                 bit = 0  # the first decision stands
         elif bit & _TM_DECIDED:
             if seen & _TM_DECIDED:
                 bit = 0  # the first decision stands
         elif kind == REC_TM_BEGIN:
-            if not seen & _TM_END:
-                self._tm_pending.setdefault(txn_id, lsn)
+            if not seen & _TM_END and txn_id not in self._tm_pending:
+                self._tm_pending[txn_id] = (lsn, float(time), data)
         elif kind == REC_TM_END:
-            self._data.pop(self._tm_pending.pop(txn_id, None), None)
-        self._seen[txn_id] = seen | bit
+            self._tm_pending.pop(txn_id, None)
+        mask[txn_id] = seen | bit
         return lsn
 
-    def _view(self, lsn: int) -> WalRecord:
-        return WalRecord(lsn, self.txn_ids[lsn], self.kinds[lsn], self.times[lsn],
-                         self._data.get(lsn, {}))
-
-    @property
-    def records(self) -> List[WalRecord]:
-        """Every record, in LSN order (audit/test API: one view per row)."""
-        return list(map(self._view, range(len(self.kinds))))
-
-    def records_for(self, txn_id: int) -> List[WalRecord]:
-        """All records of one transaction, in LSN order (audit/test API:
-        filters the whole log)."""
-        txn_id = int(txn_id)
-        return [self._view(lsn) for lsn, t in enumerate(self.txn_ids) if t == txn_id]
-
-    def kinds_for(self, txn_id: int) -> Tuple[str, ...]:
-        """The record kinds logged for one transaction, in LSN order
-        (audit/test API: filters the whole log)."""
-        return tuple(r.kind for r in self.records_for(txn_id))
-
     def prepare_record(self, txn_id: int) -> Optional[WalRecord]:
-        """The ``prepare`` record of a transaction, if one was logged."""
-        lsn = self._prepare.get(int(txn_id))
-        return None if lsn is None else self._view(lsn)
+        """The first ``prepare`` record of an in-doubt transaction, else ``None``.
+
+        Recovery and the termination protocol ask only about transactions
+        not decided here; a decided transaction's ``prepare`` is not kept.
+        """
+        txn_id = int(txn_id)
+        row = self._in_doubt.get(txn_id)
+        if row is None:
+            return None
+        lsn, time, data = row
+        return WalRecord(lsn, txn_id, REC_PREPARE, time, data)
 
     def decision_for(self, txn_id: int) -> Optional[str]:
         """``"commit"``/``"abort"`` if this *participant* decided, else ``None``.
@@ -224,62 +203,43 @@ class WriteAheadLog:
         termination query: a logged participant decision can only have come
         from the TM's (or a previously terminated peer's) verdict.
         """
-        decided = self._seen.get(int(txn_id), 0) & _DECIDED
+        t, mask = int(txn_id), self._mask
+        decided = mask[t] & _DECIDED if 0 <= t < len(mask) else 0
         if not decided:
             return None
         return "commit" if decided == _COMMIT else "abort"
 
     def precommitted(self, txn_id: int) -> bool:
         """True if this participant logged a 3PC ``precommit``."""
-        return bool(self._seen.get(int(txn_id), 0) & _PRECOMMIT)
+        t, mask = int(txn_id), self._mask
+        return 0 <= t < len(mask) and bool(mask[t] & _PRECOMMIT)
 
     def in_doubt(self) -> List[int]:
-        """Transactions prepared here but never decided, in prepare order.
-
-        O(pending) from the incremental set; equal to :meth:`in_doubt_scan`
-        by construction (asserted in the tests).
-        """
+        """Transactions prepared here but never decided, in prepare order."""
         return list(self._in_doubt)
-
-    def in_doubt_scan(self) -> List[int]:
-        """The full-scan specification of :meth:`in_doubt` (tests only)."""
-        decided = {r.txn_id for r in self.records if r.kind in _DECISIONS}
-        out: Dict[int, None] = {}
-        for rec in self.records:
-            if rec.kind == REC_PREPARE and rec.txn_id not in decided:
-                out.setdefault(rec.txn_id, None)
-        return list(out)
 
     def tm_decision(self, txn_id: int) -> Optional[str]:
         """``"commit"``/``"abort"`` if this node's TM decided, else ``None``."""
-        decided = self._seen.get(int(txn_id), 0) & _TM_DECIDED
+        t, mask = int(txn_id), self._mask
+        decided = mask[t] & _TM_DECIDED if 0 <= t < len(mask) else 0
         if not decided:
             return None
         return "commit" if decided == _TM_COMMIT else "abort"
 
     def tm_precommitted(self, txn_id: int) -> bool:
         """True if this node's TM logged a 3PC ``tm-precommit``."""
-        return bool(self._seen.get(int(txn_id), 0) & _TM_PRECOMMIT)
+        t, mask = int(txn_id), self._mask
+        return 0 <= t < len(mask) and bool(mask[t] & _TM_PRECOMMIT)
 
     def tm_unfinished(self) -> List[WalRecord]:
-        """``tm-begin`` records without a matching ``tm-end``, in LSN order.
-
-        O(pending) from the incremental set; equal to
-        :meth:`tm_unfinished_scan` by construction (asserted in the tests).
-        """
-        return list(map(self._view, self._tm_pending.values()))
-
-    def tm_unfinished_scan(self) -> List[WalRecord]:
-        """The full-scan specification of :meth:`tm_unfinished` (tests only)."""
-        ended = {r.txn_id for r in self.records if r.kind == REC_TM_END}
+        """``tm-begin`` records without a matching ``tm-end``, in LSN order."""
         return [
-            rec
-            for rec in self.records
-            if rec.kind == REC_TM_BEGIN and rec.txn_id not in ended
+            WalRecord(lsn, txn_id, REC_TM_BEGIN, time, data)
+            for txn_id, (lsn, time, data) in self._tm_pending.items()
         ]
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return self._n
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"WriteAheadLog(node={self.node_id}, records={len(self.kinds)})"
+        return f"WriteAheadLog(node={self.node_id}, records={self._n})"

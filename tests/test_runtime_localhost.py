@@ -54,6 +54,7 @@ from repro.txn.wal import (
     WriteAheadLog,
 )
 from repro.txn.api import TransactionalStore
+from tests.wal_history import file_records, in_doubt_scan, open_lsns, tm_unfinished_scan
 
 
 _scalars = st.one_of(
@@ -373,7 +374,7 @@ class TestFileWriteAheadLog:
         wal.append(REC_PREPARE, 9, 1.0, writes={"j": Version(2.0, 3, 20)})
         assert wal.in_doubt() == [9]  # the commit resolved txn 7
         assert [r.txn_id for r in wal.tm_unfinished()] == [8]
-        assert wal.prepare_record(7).data == {}  # released in memory ...
+        assert wal.prepare_record(7) is None  # decided: gone from memory ...
         wal.close()
 
         # ... but the file keeps every payload, typed.
@@ -384,17 +385,17 @@ class TestFileWriteAheadLog:
 
         replayed = FileWriteAheadLog.replay(0, path)
         assert len(replayed) == len(wal)
-        assert [r.kind for r in replayed.records] == [
+        assert [r.kind for r in file_records(path)] == [
             REC_PREPARE,
             REC_TM_BEGIN,
             REC_COMMIT,
             REC_PREPARE,
         ]
-        # The incremental in-doubt / unfinished sets re-derive from records,
-        # and the replay releases what the live log released.
+        # The in-doubt / unfinished sets re-derive from the records, and the
+        # replay holds the rows the live log held.
         assert replayed.in_doubt() == wal.in_doubt()
         assert [r.txn_id for r in replayed.tm_unfinished()] == [8]
-        assert sorted(replayed._data) == sorted(wal._data) == [1, 3]
+        assert open_lsns(replayed) == open_lsns(wal) == [1, 3]
         # Typed payloads survive the disk round trip.
         rec = replayed.prepare_record(9)
         assert rec.data["writes"] == {"j": Version(2.0, 3, 20)}
@@ -418,11 +419,10 @@ class TestFileWriteAheadLog:
                 line = reader.readline()
                 assert line.endswith(b"\n") and reader.read() == b""
                 obj = codec.loads(line.decode("utf-8"))
-                rec = wal.records[lsn]
                 assert (obj["lsn"], obj["txn"], obj["kind"], obj["t"]) == (
-                    rec.lsn, 9, kind, rec.time,
+                    i, 9, kind, 0.1 * i,
                 )
-                assert obj["data"] == rec.data
+                assert lsn == i and obj["data"] == data
         wal.close()
 
     def test_lines_are_the_reference_encoders_bytes(self, tmp_path):
@@ -431,12 +431,13 @@ class TestFileWriteAheadLog:
         path = str(tmp_path / "node0.wal")
         wal = FileWriteAheadLog(0, path)
         times = (0.25, 3, 1e-7, 1e22, -0.0, 0.1 + 0.2, math.nan, math.inf, -math.inf)
-        expected = []
+        expected, appended = [], []
         for kind in _WAL_KINDS:
             for data in ({}, _WAL_DATA.get(kind, {"pledge": True})):
                 for t in times:
                     txn = len(expected) % 7 + 1  # each txn sees a mix of kinds
                     lsn = wal.append(kind, txn, t, **data)
+                    appended.append([lsn, txn, kind, float(t), data])
                     expected.append(_reference_dumps(
                         {"lsn": lsn, "txn": txn, "kind": kind, "t": float(t), "data": data}
                     ) + "\n")
@@ -448,10 +449,11 @@ class TestFileWriteAheadLog:
 
         replayed = FileWriteAheadLog.replay(0, path)
         replayed.close()
-        assert _exact([[r.lsn, r.txn_id, r.kind, r.time, r.data] for r in replayed.records]) == (
-            _exact([[r.lsn, r.txn_id, r.kind, r.time, r.data] for r in wal.records])
+        records = file_records(path)
+        assert _exact([[r.lsn, r.txn_id, r.kind, r.time, r.data] for r in records]) == (
+            _exact(appended)
         )
-        assert replayed.in_doubt() == wal.in_doubt() == wal.in_doubt_scan()
+        assert replayed.in_doubt() == wal.in_doubt() == in_doubt_scan(records)
         assert [r.lsn for r in replayed.tm_unfinished()] == [
             r.lsn for r in wal.tm_unfinished()
         ]
@@ -482,39 +484,50 @@ class TestFileWriteAheadLog:
     def test_replay_indexes_every_record_kind_like_the_live_log(self, tmp_path):
         path = str(tmp_path / "node3.wal")
         wal = FileWriteAheadLog(3, path)
-        # txn 1: a full 3PC round on both roles, finished.
-        wal.append(REC_TM_BEGIN, 1, 0.10, participants=[3, 4])
-        wal.append(REC_PREPARE, 1, 0.11, tm_node=3, writes={}, co=[4])
-        wal.append(REC_TM_PRECOMMIT, 1, 0.12)
-        wal.append(REC_PRECOMMIT, 1, 0.13)
-        wal.append(REC_TM_COMMIT, 1, 0.14)
-        wal.append(REC_COMMIT, 1, 0.15)
-        wal.append(REC_TM_END, 1, 0.16)
-        # txn 2: a refusal pledge, then the late PREPARE it forbids.
-        wal.append(REC_ABORT, 2, 0.20, pledge=True)
-        wal.append(REC_PREPARE, 2, 0.21, tm_node=4, writes={}, co=[])
-        # txn 3: prepared and pre-committed, never decided (in doubt).
-        wal.append(REC_PREPARE, 3, 0.30, tm_node=4, writes={"k": Version(0.3, 3, 8)}, co=[4])
-        wal.append(REC_PRECOMMIT, 3, 0.31)
-        # txn 4: TM aborted, acks still outstanding (unfinished round).
-        wal.append(REC_TM_BEGIN, 4, 0.40, participants=[4])
-        wal.append(REC_TM_ABORT, 4, 0.41)
-        # txn 1 again: a second tm-begin after its tm-end stays finished.
-        wal.append(REC_TM_BEGIN, 1, 0.50, participants=[3])
-        # txn 5: an open 3PC round at the barrier.
-        wal.append(REC_TM_BEGIN, 5, 0.60, participants=[3, 4])
-        wal.append(REC_TM_PRECOMMIT, 5, 0.61)
+        appends = [
+            # txn 1: a full 3PC round on both roles, finished.
+            (1, REC_TM_BEGIN, 0.10, {"participants": [3, 4]}),
+            (1, REC_PREPARE, 0.11, {"tm_node": 3, "writes": {}, "co": [4]}),
+            (1, REC_TM_PRECOMMIT, 0.12, {}),
+            (1, REC_PRECOMMIT, 0.13, {}),
+            (1, REC_TM_COMMIT, 0.14, {}),
+            (1, REC_COMMIT, 0.15, {}),
+            (1, REC_TM_END, 0.16, {}),
+            # txn 2: a refusal pledge, then the late PREPARE it forbids.
+            (2, REC_ABORT, 0.20, {"pledge": True}),
+            (2, REC_PREPARE, 0.21, {"tm_node": 4, "writes": {}, "co": []}),
+            # txn 3: prepared and pre-committed, never decided (in doubt).
+            (3, REC_PREPARE, 0.30,
+             {"tm_node": 4, "writes": {"k": Version(0.3, 3, 8)}, "co": [4]}),
+            (3, REC_PRECOMMIT, 0.31, {}),
+            # txn 4: TM aborted, acks still outstanding (unfinished round).
+            (4, REC_TM_BEGIN, 0.40, {"participants": [4]}),
+            (4, REC_TM_ABORT, 0.41, {}),
+            # txn 1 again: a second tm-begin after its tm-end stays finished.
+            (1, REC_TM_BEGIN, 0.50, {"participants": [3]}),
+            # txn 5: an open 3PC round at the barrier.
+            (5, REC_TM_BEGIN, 0.60, {"participants": [3, 4]}),
+            (5, REC_TM_PRECOMMIT, 0.61, {}),
+        ]
+        for txn_id, kind, t, data in appends:
+            wal.append(kind, txn_id, t, **data)
         wal.close()
 
         replayed = FileWriteAheadLog.replay(3, path)
-        assert [(r.lsn, r.txn_id, r.kind, r.time, r.data) for r in replayed.records] == [
-            (r.lsn, r.txn_id, r.kind, r.time, r.data) for r in wal.records
+        records = file_records(path)
+        assert [(r.lsn, r.txn_id, r.kind, r.time, r.data) for r in records] == [
+            (lsn, *append) for lsn, append in enumerate(appends)
         ]
-        assert replayed.in_doubt() == wal.in_doubt() == replayed.in_doubt_scan() == [3]
+        assert replayed.in_doubt() == wal.in_doubt() == in_doubt_scan(records) == [3]
         for log in (wal, replayed):
             assert [r.lsn for r in log.tm_unfinished()] == [
-                r.lsn for r in log.tm_unfinished_scan()
+                r.lsn for r in tm_unfinished_scan(records)
             ]
+            assert [(r.lsn, r.txn_id, r.time, r.data) for r in log.tm_unfinished()] == [
+                (r.lsn, r.txn_id, r.time, r.data) for r in tm_unfinished_scan(records)
+            ]
+            got = log.prepare_record(3)
+            assert (got.lsn, got.time, got.data) == (9, 0.30, appends[9][3])
         assert [r.txn_id for r in replayed.tm_unfinished()] == [
             r.txn_id for r in wal.tm_unfinished()
         ] == [4, 5]
@@ -538,8 +551,8 @@ class TestFileWriteAheadLog:
             wal.close()
             replayed = FileWriteAheadLog.replay(0, path)
             replayed.close()
-        records = wal.records
-        assert [(r.txn_id, r.kind) for r in replayed.records] == [
+            records = file_records(path)
+        assert [(r.txn_id, r.kind) for r in records] == [
             (txn_id, kind) for kind, txn_id in appends
         ]
 
@@ -564,7 +577,10 @@ class TestFileWriteAheadLog:
                 assert log.tm_precommitted(txn_id) is (
                     first(txn_id, REC_TM_PRECOMMIT) is not None
                 )
+                # kept only while the transaction is in doubt
                 prepare = first(txn_id, REC_PREPARE)
+                if first(txn_id, REC_COMMIT, REC_ABORT) is not None:
+                    prepare = None
                 got = log.prepare_record(txn_id)
                 assert (got and got.lsn) == (prepare and prepare.lsn)
             in_doubt = [
@@ -573,7 +589,7 @@ class TestFileWriteAheadLog:
                 if r is first(r.txn_id, REC_PREPARE)
                 and first(r.txn_id, REC_COMMIT, REC_ABORT) is None
             ]
-            assert log.in_doubt() == in_doubt == log.in_doubt_scan()
+            assert log.in_doubt() == in_doubt == in_doubt_scan(records)
             unfinished = [
                 r.lsn
                 for r in records

@@ -26,6 +26,7 @@ from repro.workload.workloads import (
     read_modify_write_mix,
 )
 from tests.conftest import sim_store
+from tests.wal_history import RecordingLog
 
 
 #: Small timeouts so failure-path tests settle in simulated milliseconds.
@@ -45,7 +46,7 @@ def replicas_of(store, key):
 
 class TestWriteAheadLog:
     def test_append_and_indexing(self):
-        wal = WriteAheadLog(3)
+        wal = RecordingLog(3)
         wal.append(REC_PREPARE, 7, 1.0, tm_node=0, writes={})
         wal.append(REC_COMMIT, 7, 2.0)
         wal.append(REC_PREPARE, 8, 3.0, tm_node=0, writes={})
@@ -149,7 +150,7 @@ class TestCommitPath:
 
     def test_wal_records_of_a_commit(self, simple_store):
         store = simple_store
-        t = TransactionalStore(store, config=TxnConfig(**FAST))
+        t = TransactionalStore(store, config=TxnConfig(**FAST), wal_factory=RecordingLog)
 
         def go():
             txn = t.begin(coordinator=0)

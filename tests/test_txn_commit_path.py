@@ -1,11 +1,13 @@
-"""The commit path's storage: a columnar WAL and a run that allocates little.
+"""The commit path's storage: a WAL that holds only open transactions.
 
-- The columnar :class:`~repro.txn.wal.WriteAheadLog` must answer every read
-  API exactly as a plain list of :class:`~repro.txn.wal.WalRecord` would,
-  live and after a :class:`~repro.runtime.wal.FileWriteAheadLog` replay,
-  with a payload released at the record that resolves it.
-- After every append the log holds exactly the payloads recovery can read
-  plus those no record resolves; so does a crash-storm run at its end.
+- :class:`~repro.txn.wal.WriteAheadLog` must answer every query exactly as
+  a plain list of :class:`~repro.txn.wal.WalRecord` would, live and after a
+  :class:`~repro.runtime.wal.FileWriteAheadLog` replay, for transaction ids
+  spread up to 4 096 (the mask's growth path); the file keeps every record.
+- After every append the log holds in memory exactly the open rows: each
+  in-doubt transaction's first ``prepare`` and each unfinished round's
+  first ``tm-begin``; so does a crash-storm run at its end. A settled
+  transaction costs one byte, and a negative transaction id is refused.
 - A 3PC crash-storm run must leave no ``WalRecord`` and no failure-script
   ``Event`` alive, keep the script out of the hot event heap, and never
   mutate a prepare payload it shares between the TM, the participant and
@@ -17,6 +19,7 @@ from __future__ import annotations
 import gc
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -27,7 +30,7 @@ from repro.cluster.failures import FailureInjector
 from repro.cluster.versions import Version
 from repro.experiments.platforms import storm_txn_platform
 from repro.experiments.runner import named_policy_factory
-from repro.facade import RunSpec, run
+from repro.facade import RunSpec, _pipeline
 from repro.runtime.wal import FileWriteAheadLog
 from repro.simcore.events import Event
 from repro.txn.api import TxnConfig
@@ -46,12 +49,20 @@ from repro.txn.wal import (
     WriteAheadLog,
 )
 from repro.workload.workloads import TxnWorkloadSpec
+from tests.wal_history import (
+    RecordingLog,
+    file_records,
+    in_doubt_scan,
+    open_lsns,
+    tm_unfinished_scan,
+)
 
 _KINDS = (
     REC_PREPARE, REC_PRECOMMIT, REC_COMMIT, REC_ABORT, REC_TM_BEGIN,
     REC_TM_PRECOMMIT, REC_TM_COMMIT, REC_TM_ABORT, REC_TM_END,
 )
-_TXNS = (1, 2, 3, 4, 5)  # 5 is never logged
+#: ids queried besides those logged (10**6 lies beyond every mask)
+_UNLOGGED = (5, 10**6)
 
 
 def _payload(kind: str, txn_id: int, variant: bool) -> dict:
@@ -68,33 +79,14 @@ def _payload(kind: str, txn_id: int, variant: bool) -> dict:
     return {}
 
 
-#: resolving kind -> (the kind it resolves, every kind that resolves it)
-_RESOLVES = {
-    REC_COMMIT: (REC_PREPARE, (REC_COMMIT, REC_ABORT)),
-    REC_ABORT: (REC_PREPARE, (REC_COMMIT, REC_ABORT)),
-    REC_TM_END: (REC_TM_BEGIN, (REC_TM_END,)),
-}
-
-
 class _RecordLog:
-    """The reference: a list of ``WalRecord`` and a scan for every answer.
-
-    The first decision of a transaction releases its first ``prepare``'s
-    payload, and the first ``tm-end`` its first ``tm-begin``'s, when that
-    record precedes it.
-    """
+    """The reference: a list of ``WalRecord`` and a scan for every answer."""
 
     def __init__(self):
         self.records = []
 
     def append(self, kind, txn_id, time, **data):
-        rec = WalRecord(len(self.records), txn_id, kind, float(time), data)
-        self.records.append(rec)
-        if kind in _RESOLVES:
-            opener, closers = _RESOLVES[kind]
-            opened = self.first(txn_id, opener)
-            if opened is not None and rec is self.first(txn_id, *closers):
-                opened.data = {}
+        self.records.append(WalRecord(len(self.records), txn_id, kind, float(time), data))
 
     def first(self, txn_id, *kinds):
         hits = (r for r in self.records if r.txn_id == txn_id and r.kind in kinds)
@@ -118,24 +110,28 @@ class _RecordLog:
             and self.first(r.txn_id, REC_TM_END) is None
         ]
 
+    def in_doubt_prepare(self, txn_id):
+        """The first ``prepare`` of ``txn_id`` while it is in doubt, else None."""
+        if txn_id in self.in_doubt():
+            return self.first(txn_id, REC_PREPARE)
+        return None
+
+    def open_lsns(self):
+        return sorted(
+            [self.first(t, REC_PREPARE).lsn for t in self.in_doubt()]
+            + [r.lsn for r in self.tm_unfinished()]
+        )
+
 
 def _fields(records):
     return [(r.lsn, r.txn_id, r.kind, r.time, r.data) for r in records]
 
 
 def _assert_same_log(log: WriteAheadLog, ref: _RecordLog) -> None:
-    """Every read API of ``log`` against the reference and against the scans."""
+    """Every query of ``log`` against the reference and against the scans."""
     assert len(log) == len(ref.records)
-    assert _fields(log.records) == _fields(ref.records)
-    assert all(type(r) is WalRecord for r in log.records)
-    for txn_id in _TXNS:
-        assert _fields(log.records_for(txn_id)) == _fields(
-            r for r in ref.records if r.txn_id == txn_id
-        )
-        assert log.kinds_for(txn_id) == tuple(
-            r.kind for r in ref.records if r.txn_id == txn_id
-        )
-        prepare = ref.first(txn_id, REC_PREPARE)
+    for txn_id in {r.txn_id for r in ref.records} | set(_UNLOGGED):
+        prepare = ref.in_doubt_prepare(txn_id)
         got = log.prepare_record(txn_id)
         assert (got is None) is (prepare is None)
         if got is not None:
@@ -146,8 +142,23 @@ def _assert_same_log(log: WriteAheadLog, ref: _RecordLog) -> None:
         assert log.tm_precommitted(txn_id) is (
             ref.first(txn_id, REC_TM_PRECOMMIT) is not None
         )
-    assert log.in_doubt() == ref.in_doubt() == log.in_doubt_scan()
+    assert log.in_doubt() == ref.in_doubt() == in_doubt_scan(ref.records)
     assert _fields(log.tm_unfinished()) == _fields(ref.tm_unfinished())
+    assert open_lsns(log) == ref.open_lsns()
+
+
+def _assert_same_history(log: RecordingLog, ref: _RecordLog) -> None:
+    """The recording's whole-history API against the reference."""
+    assert _fields(log.records) == _fields(ref.records)
+    assert all(type(r) is WalRecord for r in log.records)
+    for txn_id in {r.txn_id for r in ref.records} | set(_UNLOGGED):
+        assert _fields(log.records_for(txn_id)) == _fields(
+            r for r in ref.records if r.txn_id == txn_id
+        )
+        assert log.kinds_for(txn_id) == tuple(
+            r.kind for r in ref.records if r.txn_id == txn_id
+        )
+    assert log.in_doubt_scan() == ref.in_doubt()
     ended = {r.txn_id for r in ref.records if r.kind == REC_TM_END}
     assert _fields(log.tm_unfinished_scan()) == _fields(
         r for r in ref.records if r.kind == REC_TM_BEGIN and r.txn_id not in ended
@@ -157,7 +168,8 @@ def _assert_same_log(log: WriteAheadLog, ref: _RecordLog) -> None:
 _APPENDS = st.lists(
     st.tuples(
         st.sampled_from(_KINDS),
-        st.sampled_from(_TXNS[:-1]),
+        # a few ids that collide, and ids spread up to 4 096
+        st.one_of(st.integers(1, 4), st.integers(0, 4096)),
         st.booleans(),
         st.floats(0.0, 1e3, allow_nan=False),
     ),
@@ -165,8 +177,8 @@ _APPENDS = st.lists(
 )
 
 
-class TestColumnarLogIsTheRecordLog:
-    @settings(max_examples=150, deadline=None)
+class TestTheLogIsTheRecordLog:
+    @settings(max_examples=200, deadline=None)
     @given(_APPENDS)
     # a pledge, then the late PREPARE it forbids; conflicting decisions
     @example([(REC_ABORT, 1, True, 0.1), (REC_PREPARE, 1, False, 0.2)])
@@ -181,68 +193,7 @@ class TestColumnarLogIsTheRecordLog:
         (REC_TM_BEGIN, 1, False, 0.3), (REC_TM_BEGIN, 2, False, 0.4),
         (REC_TM_BEGIN, 2, False, 0.5), (REC_TM_PRECOMMIT, 2, False, 0.6),
     ])
-    def test_every_read_api_matches_live_and_after_replay(self, appends):
-        ref = _RecordLog()
-        wal = WriteAheadLog(0)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "node0.wal")
-            disk = FileWriteAheadLog(0, path)
-            for lsn, (kind, txn_id, variant, t) in enumerate(appends):
-                data = _payload(kind, txn_id, variant)
-                ref.append(kind, txn_id, t, **data)
-                assert wal.append(kind, txn_id, t, **data) == lsn
-                assert disk.append(kind, txn_id, t, **data) == lsn
-            disk.close()
-            replayed = FileWriteAheadLog.replay(0, path)
-            replayed.close()
-        for log in (wal, disk, replayed):
-            _assert_same_log(log, ref)
-
-    def test_only_records_with_a_payload_keep_one(self):
-        wal = WriteAheadLog(0)
-        wal.append(REC_TM_BEGIN, 1, 0.1, participants=[0, 1])
-        wal.append(REC_TM_COMMIT, 1, 0.2)
-        wal.append(REC_ABORT, 2, 0.3, pledge=True)
-        assert sorted(wal._data) == [0, 2]
-        wal.append(REC_TM_END, 1, 0.4)  # txn 1's round is over: recovery skips it
-        assert sorted(wal._data) == [2]
-        assert wal.records[0].data == {} and wal.records[1].data == {}
-        assert wal.records[2].data == {"pledge": True}
-
-
-def _unresolvable(kinds, txn_ids, payloaded):
-    """The payload records no later record can release, by a scan.
-
-    Only a transaction's first ``prepare`` before any decision, or its first
-    ``tm-begin`` before any ``tm-end``, opens something a record resolves.
-    """
-    firsts, closed, out = set(), set(), set()
-    for lsn, (kind, txn_id) in enumerate(zip(kinds, txn_ids)):
-        opens = False
-        if kind in (REC_PREPARE, REC_TM_BEGIN):
-            opens = (kind, txn_id) not in firsts and (kind, txn_id) not in closed
-            firsts.add((kind, txn_id))
-        elif kind in _RESOLVES:
-            closed.add((_RESOLVES[kind][0], txn_id))
-        if payloaded[lsn] and not opens:
-            out.add(lsn)
-    return out
-
-
-def _retained_spec(wal, payloaded):
-    """What the log must still hold: the in-doubt transactions' first
-    ``prepare``, the unfinished rounds' ``tm-begin``, and every payload no
-    record resolves."""
-    recovery = {wal.prepare_record(t).lsn for t in wal.in_doubt_scan()}
-    recovery |= {r.lsn for r in wal.tm_unfinished_scan()}
-    payload_lsns = {lsn for lsn, has in enumerate(payloaded) if has}
-    return (recovery & payload_lsns) | _unresolvable(wal.kinds, wal.txn_ids, payloaded)
-
-
-class TestPayloadRelease:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(_APPENDS)
-    # duplicate decisions, a pledge, a late prepare after it
+    # duplicate decisions, a pledge, a late prepare after it, a prepare twice
     @example([
         (REC_PREPARE, 1, False, 0.1), (REC_PRECOMMIT, 1, False, 0.2),
         (REC_COMMIT, 1, False, 0.3), (REC_ABORT, 1, False, 0.4),
@@ -258,23 +209,86 @@ class TestPayloadRelease:
         (REC_TM_BEGIN, 2, False, 0.7), (REC_TM_BEGIN, 2, False, 0.8),
         (REC_TM_ABORT, 2, False, 0.9), (REC_TM_END, 2, False, 1.0),
     ])
-    def test_the_log_keeps_what_recovery_reads(self, appends):
+    # the mask grows past ids it already holds, and from id 0
+    @example([
+        (REC_PREPARE, 4096, False, 0.1), (REC_COMMIT, 7, False, 0.2),
+        (REC_TM_BEGIN, 0, False, 0.3), (REC_COMMIT, 4096, False, 0.4),
+    ])
+    def test_every_read_api_matches_live_and_after_replay(self, appends):
+        ref = _RecordLog()
         wal = WriteAheadLog(0)
-        payloaded = []
+        recording = RecordingLog(0)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "node0.wal")
             disk = FileWriteAheadLog(0, path)
-            for kind, txn_id, variant, t in appends:
+            for lsn, (kind, txn_id, variant, t) in enumerate(appends):
                 data = _payload(kind, txn_id, variant)
-                payloaded.append(bool(data))
-                wal.append(kind, txn_id, t, **data)
-                disk.append(kind, txn_id, t, **data)
-                for log in (wal, disk):
-                    assert set(log._data) == _retained_spec(log, payloaded)
+                ref.append(kind, txn_id, t, **data)
+                for log in (wal, recording, disk):
+                    assert log.append(kind, txn_id, t, **data) == lsn
+                    assert open_lsns(log) == ref.open_lsns()
             disk.close()
             replayed = FileWriteAheadLog.replay(0, path)
             replayed.close()
-        assert set(replayed._data) == set(wal._data) == _retained_spec(replayed, payloaded)
+            assert _fields(file_records(path)) == _fields(ref.records)
+        for log in (wal, recording, disk, replayed):
+            _assert_same_log(log, ref)
+        _assert_same_history(recording, ref)
+
+
+class TestOpenRowsOnly:
+    def test_a_settled_transaction_keeps_no_row(self):
+        wal = WriteAheadLog(0)
+        wal.append(REC_TM_BEGIN, 1, 0.1, participants=[0, 1])
+        wal.append(REC_TM_COMMIT, 1, 0.2)
+        wal.append(REC_ABORT, 2, 0.3, pledge=True)
+        assert open_lsns(wal) == [0] and wal.decision_for(2) == "abort"
+        wal.append(REC_TM_END, 1, 0.4)  # txn 1's round is over: recovery skips it
+        assert open_lsns(wal) == [] and wal.tm_decision(1) == "commit"
+        assert len(wal) == 4
+
+    def test_a_settled_transaction_costs_a_byte(self):
+        n = 50_000
+        writes = {"user1": Version(1.0, 1, 1_000)}
+        wal = WriteAheadLog(0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for txn_id in range(1, n + 1):
+                wal.append(REC_TM_BEGIN, txn_id, 0.5, participants=[0, 1])
+                wal.append(REC_PREPARE, txn_id, 0.5, tm_node=0, writes=writes, co=[1])
+                wal.append(REC_TM_COMMIT, txn_id, 0.6)
+                wal.append(REC_COMMIT, txn_id, 0.6)
+                wal.append(REC_TM_END, txn_id, 0.7)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(wal) == 5 * n
+        assert wal.in_doubt() == [] and wal.tm_unfinished() == []
+        assert wal.decision_for(n) == wal.tm_decision(n) == "commit"
+        assert traced <= 1.2 * n + 4096, traced
+
+    def test_a_negative_transaction_id_is_refused(self):
+        wal = WriteAheadLog(0)
+        wal.append(REC_PREPARE, 0, 0.1, tm_node=0, writes={})
+        with pytest.raises(ValueError):
+            wal.append(REC_COMMIT, -1, 0.2)
+        # nothing logged under -1 (the mask's last byte is txn 0's)
+        assert wal.decision_for(-1) is wal.tm_decision(-1) is None
+        assert wal.precommitted(-1) is wal.tm_precommitted(-1) is False
+        assert wal.prepare_record(-1) is None
+        assert len(wal) == 1 and wal.in_doubt() == [0] and wal.decision_for(0) is None
+
+
+def _open_spec(records):
+    """The rows the log must hold: each in-doubt transaction's first
+    ``prepare`` and each unfinished round's first ``tm-begin``, by a scan."""
+    firsts = {}
+    for r in records:
+        firsts.setdefault((r.kind, r.txn_id), r.lsn)
+    out = {firsts[(REC_PREPARE, t)] for t in in_doubt_scan(records)}
+    out |= {firsts[(REC_TM_BEGIN, r.txn_id)] for r in tm_unfinished_scan(records)}
+    return sorted(out)
 
 
 # -- the allocation diet, on a real run ----------------------------------------------
@@ -296,10 +310,8 @@ class TestCrashStormAllocations:
         depths = []  # (hot heap, far tier) sampled through the run
         prepared = {}  # (node, txn) -> the payload as it arrived
         resolved = {}  # (node, txn) -> the logged payload as its decision came
-        payloaded = {}  # node -> per LSN, whether the record carried a payload
         on_prepare = TxnParticipant.on_prepare
         resolve = TxnParticipant._resolve
-        append = WriteAheadLog.append
 
         def spy(self, txn_id, tm_node, writes, read_versions, co_participants=()):
             prepared.setdefault(
@@ -311,10 +323,6 @@ class TestCrashStormAllocations:
             data = self.wal.prepare_record(p.txn_id).data
             resolved[(self.node_id, p.txn_id)] = (dict(data["writes"]), list(data["co"]))
             resolve(self, p, commit)
-
-        def append_spy(self, kind, txn_id, time, **data):
-            payloaded.setdefault(self.node_id, []).append(bool(data))
-            return append(self, kind, txn_id, time, **data)
 
         def script(injector):
             for k in range(_STORMS):
@@ -330,9 +338,8 @@ class TestCrashStormAllocations:
             sim.post_at(sim.now, sample)
 
         with mock.patch.object(TxnParticipant, "on_prepare", spy), \
-                mock.patch.object(TxnParticipant, "_resolve", resolve_spy), \
-                mock.patch.object(WriteAheadLog, "append", append_spy):
-            outcome = run(RunSpec(
+                mock.patch.object(TxnParticipant, "_resolve", resolve_spy):
+            outcome = _pipeline(RunSpec(
                 platform=storm_txn_platform(),
                 policy=named_policy_factory("quorum"),
                 txn_workload=TxnWorkloadSpec(
@@ -340,25 +347,24 @@ class TestCrashStormAllocations:
                     write_slots=(0,), record_count=400),
                 ops=1_200, clients=12, seed=11, warmup_fraction=0.0,
                 commit_protocol="3pc", failure_script=script, txn_config=_STORM_CONFIG,
-            ))
-        return outcome, depths, prepared, resolved, payloaded
+            ), wal_factory=RecordingLog)
+        return outcome, depths, prepared, resolved
 
     def test_the_storm_reached_recovery(self, storm):
         outcome = storm[0]
         txn = outcome.report.txn
         assert txn["in_doubt_recovered"] > 0 and txn["tm_recovery_resolved"] > 0
-        # the counts a log that kept every payload gave on this run
+        # the counts a log that kept every record gave on this run
         assert (txn["in_doubt_recovered"], txn["tm_recovery_resolved"],
                 txn["termination_resolved"]) == (19, 21, 7)
 
     def test_each_log_keeps_what_recovery_reads(self, storm):
-        outcome, _, _, _, payloaded = storm
-        wals = outcome.tstore.wals
+        wals = storm[0].tstore.wals
         assert sum(len(w) for w in wals) > 10_000
         for wal in wals:
-            assert len(payloaded[wal.node_id]) == len(wal)
-            assert set(wal._data) == _retained_spec(wal, payloaded[wal.node_id])
-        assert sum(len(w._data) for w in wals) < 20
+            assert len(wal.rows) == len(wal)
+            assert open_lsns(wal) == _open_spec(wal.records)
+        assert sum(len(open_lsns(w)) for w in wals) < 20
 
     def test_no_record_object_and_no_script_event_is_alive(self, storm):
         outcome = storm[0]
@@ -383,7 +389,7 @@ class TestCrashStormAllocations:
         assert all(far > 5_000 for _, far in depths)
 
     def test_shared_prepare_payloads_are_never_mutated(self, storm):
-        outcome, _, prepared, resolved, _ = storm
+        outcome, _, prepared, resolved = storm
         for key, payload in resolved.items():
             assert payload == prepared[key]
         checked = len(resolved)

@@ -29,6 +29,7 @@ from repro.net.topology import Datacenter, LinkClass, Topology
 from repro.simcore.simulator import Simulator
 from repro.txn.api import PROTOCOLS, TransactionalStore, TxnConfig
 from tests.conftest import sim_store
+from tests.wal_history import RecordingLog
 
 
 def fast_config(protocol: str = "2pc") -> TxnConfig:
@@ -68,7 +69,7 @@ def build(config: TxnConfig = FAST):
         strategy=SimpleStrategy(rf=3),
         config=StoreConfig(seed=2, read_repair_chance=0.0),
     )
-    tstore = TransactionalStore(store, config=config)
+    tstore = TransactionalStore(store, config=config, wal_factory=RecordingLog)
     return store, tstore
 
 
@@ -545,7 +546,7 @@ class TestCooperativeTermination:
             config=StoreConfig(seed=2, read_repair_chance=0.0),
         )
         config = TxnConfig(commit_protocol="2pc-coop")
-        tstore = TransactionalStore(store, config=config)
+        tstore = TransactionalStore(store, config=config, wal_factory=RecordingLog)
         key = next(
             k
             for k in (f"user{i}" for i in range(200))

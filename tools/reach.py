@@ -207,9 +207,11 @@ def cli_runs(tmp: str) -> List[List[str]]:
         ["sweep", "--jobs", "1", "--ops", "300", "--obs", "--seed", "12",
          "--scenario", "single-dc-ycsb-a", "--out", out("obs-b")],
     ]
+    # The crash storm's recoveries start at 2.0 s protocol time, about where
+    # a 40-op run ends; 120 ops run past every scripted crash and recovery.
     runs += [
-        ["sweep", "--jobs", "1", "--ops", "40", "--backend", "asyncio",
-         "--scenario", name, "--out", out(name)]
+        ["sweep", "--jobs", "1", "--ops", "120" if name == "txn-crash-storm" else "40",
+         "--backend", "asyncio", "--scenario", name, "--out", out(name)]
         for name in ASYNCIO_SCENARIOS
     ]
     obs, obs_b = out("obs/obs"), out("obs-b/obs")
