@@ -22,7 +22,7 @@ picks the engine the pipeline's store runs on:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cluster.failures import FailureInjector
 from repro.common.errors import ConfigError
@@ -192,7 +192,7 @@ def _pipeline(
         max_time=max_time,
         biller=biller,
     )
-    runner: Union[TxnRunner, WorkloadRunner]
+    runner: WorkloadRunner
     if tstore is not None:
         runner = TxnRunner(
             tstore,

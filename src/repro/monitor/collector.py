@@ -106,8 +106,7 @@ class ClusterMonitor:
         # Transaction and elasticity signals live in a MetricsRegistry so
         # the observability sampler can read the monitor's instruments
         # directly instead of subscribing to the same hooks again (which
-        # would double-count every event). The legacy scalar names are
-        # kept as read-only properties below.
+        # would double-count every event).
         self.metrics = MetricsRegistry()
         # transactional signals (populated only when a TransactionalStore
         # drives the deployment; zero otherwise)
@@ -165,11 +164,6 @@ class ClusterMonitor:
         else:
             self._txn_in_doubt.inc()
 
-    def txn_abort_rate(self) -> float:
-        """Observed abort fraction of decided transactions."""
-        decided = self.txn_commits + self.txn_aborts
-        return self.txn_aborts / decided if decided else 0.0
-
     def on_elastic_event(self, event) -> None:
         """Fold one elasticity event (scale / migration) into the counters.
 
@@ -187,40 +181,6 @@ class ClusterMonitor:
         elif kind == "migration-complete":
             self._keys_streamed.set(int(event.get("keys_streamed", 0)))
             self._bytes_streamed.set(int(event.get("bytes_streamed", 0)))
-
-    # -- legacy scalar views of the registry-backed counters -------------------
-
-    @property
-    def txn_commits(self) -> int:
-        return self._txn_commits.value
-
-    @property
-    def txn_aborts(self) -> int:
-        return self._txn_aborts.value
-
-    @property
-    def txn_in_doubt(self) -> int:
-        return self._txn_in_doubt.value
-
-    @property
-    def scale_outs(self) -> int:
-        return self._scale_outs.value
-
-    @property
-    def scale_ins(self) -> int:
-        return self._scale_ins.value
-
-    @property
-    def ranges_moved(self) -> int:
-        return self._ranges_moved.value
-
-    @property
-    def keys_streamed(self) -> int:
-        return int(self._keys_streamed.value)
-
-    @property
-    def bytes_streamed(self) -> int:
-        return int(self._bytes_streamed.value)
 
     def on_write_propagated(self, result: OpResult) -> None:
         """Fold a fully-acknowledged write's ack-delay profile."""

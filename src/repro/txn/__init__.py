@@ -19,8 +19,9 @@ same deterministic event loop as everything else:
 - :mod:`repro.txn.api` -- :class:`TransactionalStore`, the client facade
   exposing ``begin/read/write/commit`` with reads routed through the
   active consistency policy;
-- :mod:`repro.txn.runner` -- closed-loop transactional clients and the
-  :class:`TxnRunner` driver :func:`repro.run` builds for them.
+- :mod:`repro.txn.runner` -- the transactional closed-loop client and
+  :class:`TxnRunner`, the :class:`~repro.workload.client.WorkloadRunner`
+  :func:`repro.run` builds for a transactional mix.
 """
 
 from repro.txn.api import Transaction, TransactionalStore, TxnConfig, TxnOutcome

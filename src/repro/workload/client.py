@@ -1,6 +1,9 @@
 """Workload clients and the end-to-end run orchestrator.
 
-Two client shapes, matching the two ways YCSB is run:
+:func:`issue_op` is the one YCSB operation emitter: it samples the op,
+picks the key (an insert takes the next key past the loaded range) and
+sends a read, a write or a read-modify-write. Every generator calls it,
+in two client shapes matching the two ways YCSB is run:
 
 - :class:`ClosedLoopClient` -- one outstanding operation per client; the
   next operation is issued when the previous completes (optionally paced to
@@ -13,7 +16,10 @@ Two client shapes, matching the two ways YCSB is run:
 
 :class:`WorkloadRunner` deploys N clients against a store, runs the
 simulation and returns a :class:`RunReport` with the throughput / latency /
-staleness / traffic numbers every experiment consumes.
+staleness / traffic numbers every experiment consumes. It is the one run
+driver: :class:`~repro.txn.runner.TxnRunner` subclasses it, overriding
+only the client it builds, what counts toward warmup, the warmup reset and
+the report.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from repro.policy import ConsistencyPolicy, StaticPolicy
 from repro.workload.workloads import KeyRange, WorkloadSpec
 
 __all__ = [
+    "issue_op",
     "ClosedLoopClient",
     "OpenLoopSource",
     "WorkloadRunner",
@@ -56,6 +63,47 @@ class LevelUsage:
     def on_op_complete(self, result: OpResult) -> None:
         table = self.read_levels if result.kind == "read" else self.write_levels
         table[result.level_label] = table.get(result.level_label, 0) + 1
+
+
+def issue_op(src, done=None) -> None:
+    """Sample one YCSB operation for ``src`` and send it to the store.
+
+    ``src`` is any generator with the emitter's state: ``store``, ``spec``,
+    ``policy``, ``uniforms``, ``chooser``, ``inserted`` and the
+    ``_coordinator`` draw. Inserts take the next key past the loaded range;
+    a read-modify-write reads the key, then writes it when the read
+    returns. ``done(result)`` fires once per operation (after the write,
+    for a read-modify-write).
+    """
+    store, spec, policy = src.store, src.spec, src.policy
+    now = store.transport.now
+    op = spec.sample_op(src.uniforms)
+    if op == "insert":
+        index = spec.record_count + src.inserted
+        src.inserted += 1
+        src.chooser.notify_insert(spec.record_count + src.inserted)
+    else:
+        index = src.chooser.next_index()
+    key = spec.key_of(index)
+
+    if op == "read":
+        store.read(key, policy.read_level(now), done, coordinator=src._coordinator())
+    elif op in ("update", "insert"):
+        store.write(
+            key, policy.write_level(now), done,
+            value_size=spec.value_size, coordinator=src._coordinator(),
+        )
+    else:  # rmw: read, then write the same key (one op, two round-trips)
+
+        def then_write(result: OpResult) -> None:
+            store.write(
+                key, policy.write_level(store.transport.now), done,
+                value_size=spec.value_size, coordinator=src._coordinator(),
+            )
+
+        store.read(
+            key, policy.read_level(now), then_write, coordinator=src._coordinator()
+        )
 
 
 class ClosedLoopClient:
@@ -129,6 +177,10 @@ class ClosedLoopClient:
             return
         tr.post_at(tr.now, self._issue_next)
 
+    #: One issue, ``self._issue(done)``: a YCSB op by default; the
+    #: transactional client overrides it with one whole transaction.
+    _issue = issue_op
+
     # -- internals ---------------------------------------------------------------
 
     def _issue_next(self) -> None:
@@ -137,43 +189,7 @@ class ClosedLoopClient:
             return
         self.remaining -= 1
         self.issued += 1
-        now = self.store.transport.now
-        op = self.spec.sample_op(self.uniforms)
-        if op == "insert":
-            index = self.spec.record_count + self.inserted
-            self.inserted += 1
-            self.chooser.notify_insert(self.spec.record_count + self.inserted)
-        else:
-            index = self.chooser.next_index()
-        key = self.spec.key_of(index)
-
-        if op == "read":
-            self.store.read(
-                key, self.policy.read_level(now), self._op_done,
-                coordinator=self._coordinator(),
-            )
-        elif op in ("update", "insert"):
-            self.store.write(
-                key, self.policy.write_level(now), self._op_done,
-                value_size=self.spec.value_size,
-                coordinator=self._coordinator(),
-            )
-        else:  # rmw: read, then write the same key
-            self.store.read(
-                key, self.policy.read_level(now), self._rmw_read_done(key),
-                coordinator=self._coordinator(),
-            )
-
-    def _rmw_read_done(self, key: str):
-        def then_write(result: OpResult) -> None:
-            now = self.store.transport.now
-            self.store.write(
-                key, self.policy.write_level(now), self._op_done,
-                value_size=self.spec.value_size,
-                coordinator=self._coordinator(),
-            )
-
-        return then_write
+        self._issue(self._op_done)
 
     def set_rate(self, target_rate: Optional[float]) -> None:
         """Re-pace this client mid-run (diurnal load shapes).
@@ -208,7 +224,7 @@ class OpenLoopSource:
     """
 
     __slots__ = ("store", "spec", "policy", "rate", "remaining", "uniforms", "chooser",
-                 "_coordinator")
+                 "inserted", "_coordinator")
 
     def __init__(
         self,
@@ -231,6 +247,7 @@ class OpenLoopSource:
         self.remaining = int(ops)
         self.uniforms = block_uniforms(rng)
         self.chooser = spec.make_chooser(rng=self.uniforms)
+        self.inserted = 0
         self._coordinator = partial(draw_coordinator, store, dc, self.uniforms)
 
     @property
@@ -248,27 +265,13 @@ class OpenLoopSource:
         """
         tr = self.store.transport
         post_at = tr.post_at
-        issue = self._issue_one
+        issue = partial(issue_op, self)
         t = tr.now
         if self.remaining:
             for gap in self.rng.exponential(1.0 / self.rate, size=self.remaining):
                 t += float(gap)
                 post_at(t, issue)
         self.remaining = 0
-
-    def _issue_one(self) -> None:
-        now = self.store.transport.now
-        op = self.spec.sample_op(self.uniforms)
-        key = self.spec.key_of(self.chooser.next_index())
-        if op == "read":
-            self.store.read(
-                key, self.policy.read_level(now), coordinator=self._coordinator()
-            )
-        else:
-            self.store.write(
-                key, self.policy.write_level(now),
-                value_size=self.spec.value_size, coordinator=self._coordinator(),
-            )
 
 
 @dataclass
@@ -293,8 +296,9 @@ class RunReport:
     write_levels: Dict[str, int] = field(default_factory=dict)
     mean_propagation: float = 0.0
     #: transactional metrics (commit/abort/in-doubt counts, commit latency
-    #: percentiles) when the run was driven by the txn harness; ``None``
-    #: for plain single-op runs.
+    #: percentiles) when :class:`~repro.txn.runner.TxnRunner` drove the
+    #: run; ``None`` for plain single-op runs. Such a report counts each
+    #: decided transaction as one op and reads ``n_clients == 0``.
     txn: Optional[Dict[str, Any]] = None
     #: elasticity metrics (scale events, ranges moved, bytes streamed) when
     #: the run was driven by the elastic harness; ``None`` otherwise.
@@ -428,16 +432,7 @@ class WorkloadRunner:
             self._units = self.n_clients
             for i in range(self.n_clients):
                 ops = per_client + (1 if i < extra else 0)
-                client = ClosedLoopClient(
-                    store,
-                    spec,
-                    self.policy,
-                    ops=ops,
-                    rng=rngs.stream(f"client.{i}"),
-                    target_rate=rate,
-                    dc=i % n_dcs,
-                    on_finished=self._client_finished,
-                )
+                client = self._new_client(i, ops, rngs, rate, dc=i % n_dcs)
                 clients.append(client)
                 client.start()
 
@@ -449,13 +444,34 @@ class WorkloadRunner:
         t_end = store.transport.now if self.timed_out else self._t_last_op
         duration = max(t_end - max(t_start, self._t_measure_start), 1e-9)
 
+        return self._report(duration)
+
+    def _new_client(
+        self, i: int, ops: int, rngs: RngFactory, rate: Optional[float], dc: int
+    ) -> ClosedLoopClient:
+        """Per-client mode's client ``i``, on its own RNG stream."""
+        return ClosedLoopClient(
+            self.store,
+            self.spec,
+            self.policy,
+            ops=ops,
+            rng=rngs.stream(f"client.{i}"),
+            target_rate=rate,
+            dc=dc,
+            on_finished=self._client_finished,
+        )
+
+    def _report(self, duration: float) -> RunReport:
+        """The measurement window's report (``duration`` simulated seconds)."""
+        store = self.store
         summary = store.summary()
+        ops = store.ops_completed()
         return RunReport(
             policy=self.policy.name,
-            workload=spec.name,
-            ops_completed=store.ops_completed(),
+            workload=self.spec.name,
+            ops_completed=ops,
             duration=duration,
-            throughput=store.ops_completed() / duration,
+            throughput=ops / duration,
             read_latency_mean=summary["read_latency_mean"],
             read_latency_p99=summary["read_latency_p99"],
             write_latency_mean=summary["write_latency_mean"],
@@ -514,18 +530,21 @@ class WorkloadRunner:
             self.clients.append(cohort)
             cohort.start()
 
-    def on_op_complete(self, result: OpResult) -> None:
+    def on_op_complete(self, result: Any) -> None:
         """Warmup bookkeeping: reset all measurement state at the boundary."""
         if self._warmup_remaining <= 0:
             return
         self._warmup_remaining -= 1
         if self._warmup_remaining == 0:
-            self.store.reset_metrics()
+            self._reset_metrics()
             self._usage.read_levels.clear()
             self._usage.write_levels.clear()
             self._t_measure_start = self.store.transport.now
             if self.biller is not None:
                 self.biller.arm()
+
+    def _reset_metrics(self) -> None:
+        self.store.reset_metrics()
 
     def _client_finished(self, client) -> None:
         self._finished_clients += 1

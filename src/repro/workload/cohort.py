@@ -21,8 +21,9 @@ single pooled generator:
   pooled closed loop: ``min(members, ops)`` operations in flight, each
   completion issuing the next.
 - **Accounting** is aggregated per cohort (ops, latency, staleness via
-  :class:`~repro.common.stats.OnlineStats`) while every operation still
-  flows through ``store.read`` / ``store.write`` -- the monitor collectors,
+  :class:`~repro.common.stats.OnlineStats`) while every operation is sent
+  by :func:`~repro.workload.client.issue_op`, the emitter per-client mode
+  uses, through ``store.read`` / ``store.write`` -- the monitor collectors,
   staleness oracle, billing and adaptive policies observe cohort traffic
   through the exact listener hooks per-client traffic uses.
 
@@ -46,6 +47,7 @@ from repro.common.stats import OnlineStats
 from repro.cluster.coordinator import OpResult
 from repro.cluster.store import ReplicatedStore, draw_coordinator
 from repro.policy import ConsistencyPolicy
+from repro.workload.client import issue_op
 from repro.workload.workloads import WorkloadSpec
 
 __all__ = ["CohortPopulation"]
@@ -222,42 +224,7 @@ class CohortPopulation:
     def _issue(self) -> None:
         self.in_flight += 1
         self.issued += 1
-        now = self.store.transport.now
-        op = self.spec.sample_op(self.uniforms)
-        if op == "insert":
-            index = self.spec.record_count + self.inserted
-            self.inserted += 1
-            self.chooser.notify_insert(self.spec.record_count + self.inserted)
-        else:
-            index = self.chooser.next_index()
-        key = self.spec.key_of(index)
-        if op == "read":
-            self.store.read(
-                key, self.policy.read_level(now), self._op_done,
-                coordinator=self._coordinator(),
-            )
-        elif op in ("update", "insert"):
-            self.store.write(
-                key, self.policy.write_level(now), self._op_done,
-                value_size=self.spec.value_size,
-                coordinator=self._coordinator(),
-            )
-        else:  # rmw: read, then write the same key (one op, two round-trips)
-            self.store.read(
-                key, self.policy.read_level(now), self._rmw_read_done(key),
-                coordinator=self._coordinator(),
-            )
-
-    def _rmw_read_done(self, key: str):
-        def then_write(result: OpResult) -> None:
-            now = self.store.transport.now
-            self.store.write(
-                key, self.policy.write_level(now), self._op_done,
-                value_size=self.spec.value_size,
-                coordinator=self._coordinator(),
-            )
-
-        return then_write
+        issue_op(self, self._op_done)
 
     def _op_done(self, result: OpResult) -> None:
         self.in_flight -= 1

@@ -326,9 +326,9 @@ class TestStreamingRebalance:
         store._notify_elastic = _wrap_notify(store._notify_elastic, cluster_events)
         store.bootstrap_node(0)
         store.sim.run(until=1.0)
-        assert monitor.ranges_moved > 0
-        assert monitor.keys_streamed == reb.keys_streamed
-        assert monitor.bytes_streamed == reb.bytes_streamed
+        assert monitor.metrics.counter("ranges_moved").value > 0
+        assert monitor.metrics.gauge("keys_streamed").value == reb.keys_streamed
+        assert monitor.metrics.gauge("bytes_streamed").value == reb.bytes_streamed
         kinds = [e["kind"] for e in cluster_events]
         assert kinds[0] == "migration-start" and kinds[-1] == "migration-complete"
 

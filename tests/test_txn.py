@@ -443,9 +443,9 @@ class TestMonitorIntegration:
         store.sim.schedule(0.0, writer)
         store.sim.schedule(0.0001, writer)
         settle(store)
-        assert monitor.txn_commits == 1
-        assert monitor.txn_aborts == 1
-        assert monitor.txn_abort_rate() == 0.5
+        counter = monitor.metrics.counter
+        assert counter("txn_commits").value == 1
+        assert counter("txn_aborts").value == 1
         assert monitor.commit_latency.value > 0.0
 
     def test_in_doubt_resolution_reaches_listeners(self, simple_store):
@@ -473,8 +473,9 @@ class TestMonitorIntegration:
         assert t.in_doubt_client == 1
         assert t.in_doubt_resolved == 1  # recovery settled it afterwards
         assert t.in_doubt_now() == 0
-        assert monitor.txn_in_doubt == 0  # the late verdict moved the count
-        assert monitor.txn_commits + monitor.txn_aborts == 1
+        counter = monitor.metrics.counter
+        assert counter("txn_in_doubt").value == 0  # the late verdict moved the count
+        assert counter("txn_commits").value + counter("txn_aborts").value == 1
 
     def test_reset_metrics_zeroes_txn_surfaces(self, simple_store):
         store = simple_store

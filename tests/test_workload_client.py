@@ -159,6 +159,12 @@ class TestClosedLoopClient:
         assert client.chooser.item_count == 15
 
 
+class _Completions(list):
+    """Store listener keeping every completed operation's result."""
+
+    on_op_complete = list.append
+
+
 class TestOpenLoopSource:
     def test_validation(self, simple_store):
         with pytest.raises(ConfigError):
@@ -179,6 +185,33 @@ class TestOpenLoopSource:
         assert simple_store.ops_completed() == 500
         # 500 arrivals at 1000/s span about half a second
         assert 0.3 < simple_store.sim.now < 1.5
+
+    def _completions(self, store, spec, ops=200):
+        done = _Completions()
+        store.add_listener(done)
+        OpenLoopSource(
+            store, spec, StaticPolicy(1, 1), rate=1000.0, ops=ops,
+            rng=np.random.default_rng(4),
+        ).start()
+        store.sim.run()
+        return done
+
+    def test_inserts_go_past_the_loaded_range(self, simple_store):
+        spec = WORKLOADS["D"].scaled(50)
+        writes = [r for r in self._completions(simple_store, spec) if r.kind == "write"]
+        assert writes
+        # YCSB-D writes only inserts: each one a fresh key past the load
+        indices = sorted(int(r.key[len("user"):]) for r in writes)
+        assert indices == list(range(50, 50 + len(writes)))
+
+    def test_read_modify_write_reads_before_it_writes(self, simple_store):
+        spec = WORKLOADS["F"].scaled(50)
+        results = self._completions(simple_store, spec)
+        reads = {(r.key, r.t_end) for r in results if r.kind == "read"}
+        writes = [r for r in results if r.kind == "write"]
+        assert writes
+        # the write half is sent the instant its read of the same key returns
+        assert all((w.key, w.t_start) in reads for w in writes)
 
 
 class TestWorkloadRunner:
