@@ -111,7 +111,6 @@ class BehaviorPolicy:
         monitor: ClusterMonitor,
         rf: int,
         update_interval: float = 5.0,
-        harmony_update_interval: float = 1.0,
     ):
         if rf < 1:
             raise ConfigError(f"rf must be >= 1, got {rf}")
@@ -121,7 +120,6 @@ class BehaviorPolicy:
         self.monitor = monitor
         self.rf = int(rf)
         self.update_interval = float(update_interval)
-        self.harmony_update_interval = float(harmony_update_interval)
         self._classifier = model.classifier()
         self._policies: Dict[int, object] = {}
         self._state = -1
@@ -156,7 +154,6 @@ class BehaviorPolicy:
                 self.monitor,
                 tolerance=tolerance,
                 rf=self.rf,
-                update_interval=self.harmony_update_interval,
             )
         raise ConfigError(f"unknown recipe kind {kind!r}")  # pragma: no cover
 

@@ -2,14 +2,15 @@
 
 At every refresh Bismar evaluates each read level ``1..rf`` on both axes:
 
-- *consistency*: the estimated stale-read rate from the same probabilistic
-  model Harmony uses (:mod:`repro.stale.model`);
+- *consistency*: the estimated stale-read rate from the same forecast
+  Harmony decides from (:func:`~repro.stale.dcmodel.forecast_stale`);
 - *cost*: the expected per-operation cost from the monitor-driven estimator
   (:mod:`repro.cost.estimator`);
 
 and runs at the level with the highest consistency-cost efficiency. An
 optional hard staleness cap supports applications that want "efficient, but
-never worse than X% stale".
+never worse than X% stale". The refresh loop itself is
+:class:`~repro.policy.AdaptivePolicy`'s; this module supplies the choice.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.errors import ConfigError
-from repro.cluster.consistency import LevelSpec
 from repro.bismar.efficiency import EfficiencyRow, rank_levels
 from repro.cost.estimator import CostEstimator
 from repro.monitor.collector import ClusterMonitor
-from repro.stale.dcmodel import DeploymentInfo, system_stale_rate_dc
-from repro.stale.model import params_from_snapshot, system_stale_rate
+from repro.policy import AdaptivePolicy
+from repro.stale.dcmodel import DeploymentInfo, forecast_stale
 
 __all__ = ["BismarDecision", "BismarEngine"]
 
@@ -37,7 +37,7 @@ class BismarDecision:
     rows: List[EfficiencyRow]
 
 
-class BismarEngine:
+class BismarEngine(AdaptivePolicy):
     """Cost-efficiency-maximizing consistency policy.
 
     Parameters
@@ -56,6 +56,10 @@ class BismarEngine:
         cap are excluded before the efficiency argmax.
     update_interval:
         Seconds between decision refreshes.
+    read_repair_chance:
+        The store's read-repair probability, priced by the cost model.
+    deployment:
+        When set, estimates use the DC-aware model.
     """
 
     def __init__(
@@ -66,85 +70,25 @@ class BismarEngine:
         write_level: int = 1,
         stale_cap: Optional[float] = None,
         update_interval: float = 1.0,
-        fallback_window: float = 0.05,
         read_repair_chance: float = 0.0,
-        strict: bool = True,
         deployment: "DeploymentInfo | None" = None,
     ):
-        if rf < 1:
-            raise ConfigError(f"rf must be >= 1, got {rf}")
         if stale_cap is not None and not (0.0 <= stale_cap <= 1.0):
             raise ConfigError(f"stale_cap must be in [0,1], got {stale_cap}")
-        if update_interval <= 0:
-            raise ConfigError(f"update_interval must be positive, got {update_interval}")
-        self.monitor = monitor
+        super().__init__(monitor, rf, write_level, update_interval, deployment)
         self.cost_estimator = cost_estimator
-        self.rf = int(rf)
-        self._write_level = int(write_level)
         self.stale_cap = stale_cap
-        self.update_interval = float(update_interval)
-        self.fallback_window = float(fallback_window)
         self.read_repair_chance = float(read_repair_chance)
-        self.strict = bool(strict)
-        self.deployment = deployment
-
-        self._current = 1
-        self._last_update = -float("inf")
-        self.decisions: List[BismarDecision] = []
-
-    # -- ConsistencyPolicy interface -------------------------------------------------
 
     @property
     def name(self) -> str:
         cap = f",cap={self.stale_cap:g}" if self.stale_cap is not None else ""
         return f"bismar({cap.lstrip(',')})" if cap else "bismar"
 
-    def read_level(self, now: float) -> LevelSpec:
-        if now - self._last_update >= self.update_interval:
-            self._refresh(now)
-        return self._current
-
-    def write_level(self, now: float) -> LevelSpec:
-        return self._write_level
-
-    # -- evaluation --------------------------------------------------------------------
-
     def evaluate_levels(self, now: float) -> List[EfficiencyRow]:
         """Efficiency table for all read levels at the current cluster state."""
         snapshot = self.monitor.snapshot(now)
-        if self.deployment is not None and self.strict:
-            profile = snapshot.key_profile or [(1.0, 1.0, 1)]
-            stale = [
-                system_stale_rate_dc(
-                    self.deployment, snapshot.write_rate, profile, r
-                )
-                for r in range(1, self.rf + 1)
-            ]
-            costs = [
-                est.total_per_op
-                for est in self.cost_estimator.estimate_all(
-                    snapshot, self._write_level, self.read_repair_chance
-                )
-            ]
-            return rank_levels(stale, costs)
-        params = params_from_snapshot(
-            snapshot,
-            write_level=self._write_level,
-            fallback_rf=self.rf,
-            fallback_window=self.fallback_window,
-            strict=self.strict,
-        )
-        if params.rf != self.rf:
-            windows = list(params.windows)
-            pad = max(windows) if windows else self.fallback_window
-            while len(windows) < self.rf:
-                windows.append(pad)
-            params.windows = windows[: self.rf]
-            params.rf = self.rf
-        stale = [
-            system_stale_rate(params, r, self._write_level)
-            for r in range(1, self.rf + 1)
-        ]
+        stale = forecast_stale(snapshot, self.rf, self._write_level, self.deployment)
         costs = [
             est.total_per_op
             for est in self.cost_estimator.estimate_all(
@@ -153,29 +97,9 @@ class BismarEngine:
         ]
         return rank_levels(stale, costs)
 
-    def _refresh(self, now: float) -> None:
-        self._last_update = now
+    def _decide(self, now: float) -> BismarDecision:
         rows = self.evaluate_levels(now)
         candidates = rows
         if self.stale_cap is not None:
-            capped = [r for r in rows if r.stale_rate <= self.stale_cap]
-            if capped:
-                candidates = capped
-        self._current = candidates[0].read_level
-        self.decisions.append(BismarDecision(t=now, read_level=self._current, rows=rows))
-
-    def level_time_fractions(self) -> dict:
-        """Fraction of decisions at each level (post-run report)."""
-        if not self.decisions:
-            return {}
-        counts: dict = {}
-        for d in self.decisions:
-            counts[d.read_level] = counts.get(d.read_level, 0) + 1
-        total = len(self.decisions)
-        return {lvl: c / total for lvl, c in sorted(counts.items())}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BismarEngine(rf={self.rf}, current={self._current}, "
-            f"decisions={len(self.decisions)})"
-        )
+            candidates = [r for r in rows if r.stale_rate <= self.stale_cap] or rows
+        return BismarDecision(t=now, read_level=candidates[0].read_level, rows=rows)

@@ -36,6 +36,9 @@ from repro.net.topology import LinkClass, Topology
 
 __all__ = ["LevelCostEstimate", "CostEstimator"]
 
+#: per-rank latency assumed before the monitor has an ack profile.
+FALLBACK_RTT = 0.002
+
 
 @dataclass(frozen=True)
 class LevelCostEstimate:
@@ -69,8 +72,6 @@ class CostEstimator:
         from a random coordinator ~ 2.6).
     value_size / sizes:
         Payload and protocol frame sizes (must match the store's).
-    fallback_rtt:
-        Per-rank latency assumed before the monitor has an ack profile.
     """
 
     def __init__(
@@ -81,7 +82,6 @@ class CostEstimator:
         local_replicas: float,
         value_size: int,
         sizes: Optional[MessageSizes] = None,
-        fallback_rtt: float = 0.002,
     ):
         if rf_total < 1:
             raise ConfigError(f"rf_total must be >= 1, got {rf_total}")
@@ -95,7 +95,6 @@ class CostEstimator:
         self.local_replicas = float(local_replicas)
         self.value_size = int(value_size)
         self.sizes = sizes or MessageSizes()
-        self.fallback_rtt = float(fallback_rtt)
 
     @classmethod
     def for_store(cls, store, prices: PriceBook) -> "CostEstimator":
@@ -127,7 +126,7 @@ class CostEstimator:
             v = rank_means[level - 1]
             if v > 0:
                 return v
-        return self.fallback_rtt * level
+        return FALLBACK_RTT * level
 
     def _billable_rate(self) -> float:
         """$/GB of the deployment's cross-DC link class."""

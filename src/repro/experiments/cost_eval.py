@@ -28,7 +28,7 @@ from repro.experiments.platforms import Platform
 from repro.facade import RunSpec, run
 from repro.monitor.collector import ClusterMonitor
 from repro.policy import StaticPolicy
-from repro.stale.model import params_from_snapshot, system_stale_rate
+from repro.stale.dcmodel import forecast_stale
 from repro.workload.client import RunReport
 from repro.workload.workloads import WorkloadSpec
 
@@ -147,10 +147,7 @@ def run_cost_eval(
         snapshot = monitor.snapshot()
         r_level = resolve_level(read, rf).total
         w_level = resolve_level(write, rf).total
-        params = params_from_snapshot(
-            snapshot, write_level=w_level, fallback_rf=rf, strict=True
-        )
-        estimated[name] = system_stale_rate(params, r_level, w_level)
+        estimated[name] = forecast_stale(snapshot, rf, w_level)[r_level - 1]
 
     total_all = bills["ALL"].total
     one_cut = 1.0 - bills["ONE"].total / total_all if total_all > 0 else 0.0

@@ -29,6 +29,9 @@ from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ClusterMonitor", "MonitorSnapshot"]
 
+#: EWMA halflife (seconds) for latency smoothing.
+LATENCY_HALFLIFE = 5.0
+
 
 @dataclass
 class MonitorSnapshot:
@@ -83,24 +86,21 @@ class ClusterMonitor:
     window:
         Sliding-window span (seconds) for rates and key frequencies --
         Harmony's monitoring period.
-    latency_halflife:
-        EWMA halflife for latency smoothing.
     """
 
-    def __init__(self, window: float = 10.0, latency_halflife: float = 5.0):
+    def __init__(self, window: float = 10.0):
         if window <= 0:
             raise ConfigError(f"window must be positive, got {window}")
         self.window = float(window)
         self.read_rate = RateEstimator(window=window)
         self.write_rate = RateEstimator(window=window)
         self.keys = KeyFrequencyTracker(window=window)
-        self.read_latency = Ewma(halflife=latency_halflife)
-        self.write_latency = Ewma(halflife=latency_halflife)
+        self.read_latency = Ewma(halflife=LATENCY_HALFLIFE)
+        self.write_latency = Ewma(halflife=LATENCY_HALFLIFE)
         #: per-rank acknowledgement delay statistics (index = rank - 1).
         self._rank_stats: List[OnlineStats] = []
         #: recent-window rank EWMAs react faster than the all-time means.
         self._rank_ewma: List[Ewma] = []
-        self._latency_halflife = latency_halflife
         self._now = 0.0
         self.ops_seen = 0
         # Transaction and elasticity signals live in a MetricsRegistry so
@@ -113,7 +113,7 @@ class ClusterMonitor:
         self._txn_commits = self.metrics.counter("txn_commits")
         self._txn_aborts = self.metrics.counter("txn_aborts")
         self._txn_in_doubt = self.metrics.counter("txn_in_doubt")
-        self.commit_latency = Ewma(halflife=latency_halflife)
+        self.commit_latency = Ewma(halflife=LATENCY_HALFLIFE)
         # elasticity signals (populated only when the elastic subsystem
         # drives membership changes; zero otherwise). The streaming pair
         # are gauges: migration-complete events carry cumulative
@@ -202,7 +202,7 @@ class ClusterMonitor:
         ordered = sorted(delays)
         while len(self._rank_stats) < len(ordered):
             self._rank_stats.append(OnlineStats())
-            self._rank_ewma.append(Ewma(halflife=self._latency_halflife))
+            self._rank_ewma.append(Ewma(halflife=LATENCY_HALFLIFE))
         for stats, delay in zip(self._rank_stats, ordered):
             stats.add(delay)
         Ewma.update_many(self._rank_ewma, ordered, result.t_start)

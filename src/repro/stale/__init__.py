@@ -5,7 +5,10 @@
   correction, and key-skew aggregation;
 - :mod:`repro.stale.montecarlo` -- an independent Monte-Carlo estimator of
   the same quantity, used to validate the closed form (and by the FIG1
-  benchmark, against the simulator's ground-truth oracle as well).
+  benchmark, against the simulator's ground-truth oracle as well);
+- :mod:`repro.stale.dcmodel` -- the datacenter-aware model for
+  snitch-ordered reads, and :func:`forecast_stale`, the one forecast both
+  adaptive engines decide from.
 """
 
 from repro.stale.model import (
@@ -16,7 +19,9 @@ from repro.stale.model import (
     system_stale_rate,
     params_from_snapshot,
 )
-from repro.stale.dcmodel import DeploymentInfo, per_key_stale_dc, system_stale_rate_dc
+from repro.stale.dcmodel import (
+    DeploymentInfo, forecast_stale, per_key_stale_dc, system_stale_rate_dc,
+)
 from repro.stale.montecarlo import MonteCarloStaleEstimator
 
 __all__ = [
@@ -28,6 +33,7 @@ __all__ = [
     "params_from_snapshot",
     "MonteCarloStaleEstimator",
     "DeploymentInfo",
+    "forecast_stale",
     "per_key_stale_dc",
     "system_stale_rate_dc",
 ]

@@ -27,6 +27,10 @@ DC ``d'`` (both weighted by where coordinators live):
 
 Hence ``P = sum_{d, d'} p_d p_{d'} (1 - exp(-lambda_w * V(d, d')))`` with
 ``V`` the positive part of that minimum.
+
+:func:`forecast_stale` is the one place a monitor snapshot becomes a
+stale-read forecast per read level: this model when the deployment is
+known, the rank-window model of :mod:`repro.stale.model` otherwise.
 """
 
 from __future__ import annotations
@@ -37,8 +41,15 @@ from typing import List, Sequence, Tuple
 import math
 
 from repro.common.errors import ConfigError
+from repro.stale.model import params_from_snapshot, system_stale_rate
 
-__all__ = ["DeploymentInfo", "per_key_stale_dc", "system_stale_rate_dc"]
+__all__ = [
+    "COLD_START_WINDOW", "DeploymentInfo", "forecast_stale", "per_key_stale_dc",
+    "system_stale_rate_dc",
+]
+
+#: residual window assumed per replica before any write has propagated.
+COLD_START_WINDOW = 0.05
 
 
 @dataclass
@@ -206,3 +217,29 @@ def system_stale_rate_dc(
             p += pw * -expm1(-rate * window)
         acc += read_share * mult * min(p, 1.0)
     return min(acc, 1.0)
+
+
+def forecast_stale(
+    snapshot, rf: int, write_level: int, deployment: "DeploymentInfo | None" = None
+) -> List[float]:
+    """Strict stale-read estimate for each read level ``1..rf``.
+
+    With a ``deployment`` the DC-aware model prices snitch-ordered reads.
+    Without one the rank-window model runs on the snapshot's ack profile
+    (``COLD_START_WINDOW`` per replica before any write propagated),
+    padded with its largest window when fewer than ``rf`` ranks were
+    observed (nodes down) and cut to ``rf`` when more were (acks from
+    replicas a pending migration still writes to).
+    """
+    if deployment is not None:
+        profile = snapshot.key_profile or [(1.0, 1.0, 1)]
+        return [
+            system_stale_rate_dc(deployment, snapshot.write_rate, profile, r)
+            for r in range(1, rf + 1)
+        ]
+    params = params_from_snapshot(snapshot, write_level, rf, COLD_START_WINDOW)
+    if params.rf != rf:
+        windows = list(params.windows)
+        params.windows = (windows + [max(windows)] * rf)[:rf]
+        params.rf = rf
+    return [system_stale_rate(params, r, write_level) for r in range(1, rf + 1)]

@@ -68,7 +68,9 @@ class TestRankLevels:
             rank_levels([0.1], [0.0])
 
 
-def make_engine(monitor, store=None, stale_cap=None, deployment=None, rf=3):
+def make_engine(
+    monitor, store=None, stale_cap=None, deployment=None, rf=3, update_interval=0.1
+):
     from repro.net.topology import Datacenter, Topology
 
     topo = Topology([Datacenter("a", "r"), Datacenter("b", "r")], [2, 2])
@@ -84,7 +86,7 @@ def make_engine(monitor, store=None, stale_cap=None, deployment=None, rf=3):
         estimator,
         rf=rf,
         stale_cap=stale_cap,
-        update_interval=0.1,
+        update_interval=update_interval,
         deployment=deployment,
     )
 
@@ -96,6 +98,11 @@ class TestBismarEngine:
             make_engine(m, rf=0)
         with pytest.raises(ConfigError):
             BismarEngine(m, None, rf=3, stale_cap=2.0)  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("write_level", [0, 4])
+    def test_write_level_outside_rf_rejected_at_construction(self, write_level):
+        with pytest.raises(ConfigError, match="outside 1..3"):
+            BismarEngine(ClusterMonitor(), None, rf=3, write_level=write_level)  # type: ignore[arg-type]
 
     def test_name(self):
         assert make_engine(ClusterMonitor()).name == "bismar"

@@ -6,7 +6,7 @@ from repro.common.errors import ConfigError
 from repro.cluster.coordinator import OpResult
 from repro.harmony.engine import HarmonyEngine
 from repro.monitor.collector import ClusterMonitor
-from repro.stale.dcmodel import DeploymentInfo
+from repro.stale.dcmodel import DeploymentInfo, forecast_stale
 
 
 def feed_monitor(monitor, write_rate, acks, horizon=5.0, key="hot"):
@@ -27,6 +27,15 @@ def feed_monitor(monitor, write_rate, acks, horizon=5.0, key="hot"):
         rr.ok = True
         monitor.on_op_complete(rr)
         t += dt
+
+
+def adaptive_engine(kind, monitor, update_interval=1.0):
+    """A Harmony or a Bismar engine at rf=3: both run one refresh loop."""
+    if kind == "harmony":
+        return HarmonyEngine(monitor, tolerance=0.1, rf=3, update_interval=update_interval)
+    from tests.test_bismar import make_engine  # test_bismar imports this module
+
+    return make_engine(monitor, update_interval=update_interval)
 
 
 class TestValidation:
@@ -88,10 +97,11 @@ class TestDecisions:
         for a, b in zip(est, est[1:]):
             assert a >= b - 1e-12
 
-    def test_update_interval_caches_decision(self):
+    @pytest.mark.parametrize("kind", ["harmony", "bismar"])
+    def test_update_interval_caches_decision(self, kind):
         m = ClusterMonitor(window=10.0)
         feed_monitor(m, write_rate=10.0, acks=[0.001, 0.002, 0.003])
-        eng = HarmonyEngine(m, tolerance=0.1, rf=3, update_interval=5.0)
+        eng = adaptive_engine(kind, m, update_interval=5.0)
         eng.read_level(0.0)
         n = len(eng.decisions)
         eng.read_level(1.0)  # within interval: no new decision
@@ -109,15 +119,16 @@ class TestDecisions:
         assert len(d.estimates) == 3
         assert d.write_rate > 0
 
-    def test_level_time_fractions(self):
+    @pytest.mark.parametrize("kind", ["harmony", "bismar"])
+    def test_level_time_fractions(self, kind):
         m = ClusterMonitor(window=10.0)
         feed_monitor(m, write_rate=1.0, acks=[0.001, 0.002, 0.003])
-        eng = HarmonyEngine(m, tolerance=0.5, rf=3, update_interval=0.1)
+        eng = adaptive_engine(kind, m, update_interval=0.1)
         for t in (1.0, 2.0, 3.0):
             eng.read_level(t)
         fracs = eng.level_time_fractions()
         assert sum(fracs.values()) == pytest.approx(1.0)
-        assert HarmonyEngine(ClusterMonitor(), 0.1, 3).level_time_fractions() == {}
+        assert adaptive_engine(kind, ClusterMonitor()).level_time_fractions() == {}
 
     def test_padded_windows_when_rf_exceeds_profile(self):
         m = ClusterMonitor(window=10.0)
@@ -216,5 +227,5 @@ class TestEndToEnd:
             assert snap.t == decision.t
             assert decision.read_rate == snap.read_rate
             assert decision.write_rate == snap.write_rate
-            assert decision.estimates == eng._estimates(snap)
+            assert decision.estimates == forecast_stale(snap, eng.rf, 1, eng.deployment)
         assert len(taken) == len(eng.decisions)  # re-estimating took none

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
-from repro.stale.dcmodel import DeploymentInfo, per_key_stale_dc, system_stale_rate_dc
+from repro.monitor.collector import MonitorSnapshot
+from repro.stale.dcmodel import (
+    DeploymentInfo,
+    forecast_stale,
+    per_key_stale_dc,
+    system_stale_rate_dc,
+)
 from repro.stale.model import (
     StaleModelParams,
     closed_form_exponential,
@@ -504,6 +510,71 @@ class TestEstimatorsAreTheirPerKeyLoops:
             system_stale_rate_dc(info, 10.0, rows, 99)  # rate before level
         with pytest.raises(ConfigError, match="read_level"):
             system_stale_rate(StaleModelParams(10.0, WINDOWS5, rows), 99, 1)
+
+
+def _engine_branch(snapshot, rf, write_level, deployment):
+    """The estimate branch both adaptive engines carried before
+    :func:`forecast_stale` (``strict=True``, ``fallback_window=0.05``)."""
+    if deployment is not None:
+        profile = snapshot.key_profile or [(1.0, 1.0, 1)]
+        return [
+            system_stale_rate_dc(deployment, snapshot.write_rate, profile, r)
+            for r in range(1, rf + 1)
+        ]
+    params = params_from_snapshot(
+        snapshot,
+        write_level=write_level,
+        fallback_rf=rf,
+        fallback_window=0.05,
+        strict=True,
+    )
+    if params.rf != rf:
+        windows = list(params.windows)
+        pad = max(windows) if windows else 0.05
+        while len(windows) < rf:
+            windows.append(pad)
+        params.windows = windows[:rf]
+        params.rf = rf
+    return [system_stale_rate(params, r, write_level) for r in range(1, rf + 1)]
+
+
+class TestForecastStale:
+    """``forecast_stale`` is the engines' former estimate branch, bit for bit."""
+
+    @given(
+        _seeds,
+        st.sampled_from(["cold", "short", "exact", "long"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_is_the_engine_branch(self, seed, acks, with_deployment, empty_keys):
+        rng = np.random.default_rng(seed)
+        deployment = _deployment(rng) if with_deployment else None
+        rf = deployment.rf_total if deployment else int(rng.integers(1, 7))
+        n_acks = {
+            "cold": 0,
+            "short": int(rng.integers(1, rf)) if rf > 1 else 0,
+            "exact": rf,
+            "long": rf + int(rng.integers(1, 3)),
+        }[acks]
+        rows = 0 if empty_keys else int(rng.integers(1, 6))
+        snapshot = MonitorSnapshot(
+            t=1.0,
+            read_rate=100.0,
+            write_rate=0.0 if rng.random() < 0.1 else float(rng.uniform(0, 500)),
+            ack_rank_means=np.sort(rng.uniform(0.0, 0.02, n_acks)).tolist(),
+            key_profile=[
+                (float(rng.random()), float(rng.random()), int(rng.integers(1, 600)))
+                for _ in range(rows)
+            ],
+            read_latency=0.001,
+            write_latency=0.001,
+        )
+        w = int(rng.integers(1, rf + 1))
+        got = forecast_stale(snapshot, rf, w, deployment)
+        assert len(got) == rf
+        assert got == _engine_branch(snapshot, rf, w, deployment)
 
 
 class TestMonteCarloAgreement:
