@@ -23,6 +23,13 @@ from repro.common.rng import spawn_rng
 
 __all__ = ["KMeansResult", "KMeans", "silhouette_score", "choose_k"]
 
+#: Lloyd iterations per restart, at most; they stop early once no centroid
+#: moves more than ``TOL``.
+MAX_ITER = 100
+TOL = 1e-7
+#: Independent k-means++ restarts; the lowest-inertia fit wins.
+N_INIT = 4
+
 
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, (len(a), len(b)), fully vectorized."""
@@ -60,32 +67,14 @@ class KMeans:
     ----------
     k:
         Cluster count.
-    max_iter / tol:
-        Convergence controls (centroid-shift tolerance).
-    n_init:
-        Independent restarts; the lowest-inertia fit wins.
     rng:
         Seed or generator (deterministic by default).
     """
 
-    def __init__(
-        self,
-        k: int,
-        max_iter: int = 100,
-        tol: float = 1e-7,
-        n_init: int = 4,
-        rng: "np.random.Generator | int | None" = None,
-    ):
+    def __init__(self, k: int, rng: "np.random.Generator | int | None" = None):
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
-        if max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-        if n_init < 1:
-            raise ConfigError(f"n_init must be >= 1, got {n_init}")
         self.k = int(k)
-        self.max_iter = int(max_iter)
-        self.tol = float(tol)
-        self.n_init = int(n_init)
         self.rng = spawn_rng(rng)
 
     # -- seeding -----------------------------------------------------------------
@@ -114,7 +103,7 @@ class KMeans:
     def _fit_once(self, points: np.ndarray) -> KMeansResult:
         centroids = self._seed_plus_plus(points)
         labels = np.zeros(points.shape[0], dtype=np.int64)
-        for iteration in range(1, self.max_iter + 1):
+        for iteration in range(1, MAX_ITER + 1):
             dists = _pairwise_sq_dists(points, centroids)
             labels = np.argmin(dists, axis=1)
             new_centroids = np.empty_like(centroids)
@@ -128,7 +117,7 @@ class KMeans:
                     new_centroids[c] = members.mean(axis=0)
             shift = float(np.max(np.abs(new_centroids - centroids)))
             centroids = new_centroids
-            if shift <= self.tol:
+            if shift <= TOL:
                 break
         dists = _pairwise_sq_dists(points, centroids)
         labels = np.argmin(dists, axis=1)
@@ -138,7 +127,7 @@ class KMeans:
         )
 
     def fit(self, points: np.ndarray) -> KMeansResult:
-        """Fit on (n_points, n_features); best of ``n_init`` restarts."""
+        """Fit on (n_points, n_features); best of ``N_INIT`` restarts."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise ConfigError(f"points must be 2-D, got shape {points.shape}")
@@ -147,7 +136,7 @@ class KMeans:
                 f"cannot make {self.k} clusters from {points.shape[0]} points"
             )
         best: Optional[KMeansResult] = None
-        for _ in range(self.n_init):
+        for _ in range(N_INIT):
             result = self._fit_once(points)
             if best is None or result.inertia < best.inertia:
                 best = result

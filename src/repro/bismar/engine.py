@@ -22,7 +22,7 @@ from repro.common.errors import ConfigError
 from repro.bismar.efficiency import EfficiencyRow, rank_levels
 from repro.cost.estimator import CostEstimator
 from repro.monitor.collector import ClusterMonitor
-from repro.policy import AdaptivePolicy
+from repro.policy import WRITE_LEVEL, AdaptivePolicy
 from repro.stale.dcmodel import DeploymentInfo, forecast_stale
 
 __all__ = ["BismarDecision", "BismarEngine"]
@@ -49,8 +49,6 @@ class BismarEngine(AdaptivePolicy):
         :meth:`repro.cost.estimator.CostEstimator.for_store`).
     rf:
         Replication factor.
-    write_level:
-        Fixed write level (reads are the tuned side, as in Harmony).
     stale_cap:
         Optional hard bound: levels whose estimated staleness exceeds the
         cap are excluded before the efficiency argmax.
@@ -67,7 +65,6 @@ class BismarEngine(AdaptivePolicy):
         monitor: ClusterMonitor,
         cost_estimator: CostEstimator,
         rf: int,
-        write_level: int = 1,
         stale_cap: Optional[float] = None,
         update_interval: float = 1.0,
         read_repair_chance: float = 0.0,
@@ -75,7 +72,7 @@ class BismarEngine(AdaptivePolicy):
     ):
         if stale_cap is not None and not (0.0 <= stale_cap <= 1.0):
             raise ConfigError(f"stale_cap must be in [0,1], got {stale_cap}")
-        super().__init__(monitor, rf, write_level, update_interval, deployment)
+        super().__init__(monitor, rf, update_interval, deployment)
         self.cost_estimator = cost_estimator
         self.stale_cap = stale_cap
         self.read_repair_chance = float(read_repair_chance)
@@ -88,11 +85,11 @@ class BismarEngine(AdaptivePolicy):
     def evaluate_levels(self, now: float) -> List[EfficiencyRow]:
         """Efficiency table for all read levels at the current cluster state."""
         snapshot = self.monitor.snapshot(now)
-        stale = forecast_stale(snapshot, self.rf, self._write_level, self.deployment)
+        stale = forecast_stale(snapshot, self.rf, WRITE_LEVEL, self.deployment)
         costs = [
             est.total_per_op
             for est in self.cost_estimator.estimate_all(
-                snapshot, self._write_level, self.read_repair_chance
+                snapshot, WRITE_LEVEL, self.read_repair_chance
             )
         ]
         return rank_levels(stale, costs)

@@ -32,30 +32,18 @@ from repro.cluster.consistency import (
 )
 from repro.cluster.versions import Version
 
-__all__ = ["OpResult", "Coordinator", "MessageSizes"]
+__all__ = ["OpResult", "Coordinator"]
 
 
-class MessageSizes:
-    """Wire sizes (bytes) of the protocol messages, used for traffic billing.
-
-    Defaults approximate Cassandra's binary protocol around small YCSB rows:
-    a mutation carries the row, a data response carries the row, digests and
-    acks are small fixed-size frames.
-    """
-
-    __slots__ = ("request_overhead", "ack", "digest", "hint_overhead")
-
-    def __init__(
-        self,
-        request_overhead: int = 100,
-        ack: int = 60,
-        digest: int = 80,
-        hint_overhead: int = 120,
-    ):
-        self.request_overhead = int(request_overhead)
-        self.ack = int(ack)
-        self.digest = int(digest)
-        self.hint_overhead = int(hint_overhead)
+#: Wire sizes (bytes) of the protocol frames, used for traffic billing. They
+#: approximate Cassandra's binary protocol around small YCSB rows: a mutation
+#: or a data response carries the row on top of ``REQUEST_OVERHEAD``; acks
+#: and digests are small fixed-size frames; a replayed hint carries the row
+#: on top of ``HINT_OVERHEAD``.
+REQUEST_OVERHEAD = 100
+ACK_SIZE = 60
+DIGEST_SIZE = 80
+HINT_OVERHEAD = 120
 
 
 class OpResult:
@@ -289,7 +277,7 @@ class Coordinator:
 
         op = _WriteOp(self, result, requirement, version, done)
         result.replicas_contacted = len(alive)
-        msg = st.sizes.request_overhead + value_size
+        msg = REQUEST_OVERHEAD + value_size
         send = tr.send
         me = self.node_id
         applied = self._on_write_applied
@@ -298,7 +286,7 @@ class Coordinator:
             node = nodes[r]
             if node.up:
                 send(me, r, msg, node.handle_write, key, version, applied, op)
-            elif st.hints is not None:
+            else:
                 st.hints.add(r, key, version)
         # Forward to incoming owners of a pending migration. Live incoming
         # owners must acknowledge *in addition to* the level's requirement
@@ -314,7 +302,7 @@ class Coordinator:
                 if node.up:
                     op.extra_needed += 1
                     send(me, r, msg, node.handle_write, key, version, extra_applied, op)
-                elif st.hints is not None:
+                else:
                     st.hints.add(r, key, version)
 
         if st.write_timeout > 0:
@@ -332,9 +320,9 @@ class Coordinator:
         now = st.transport.now
         st.oracle.note_replica_applied(version, now)
         if not op.finished:
-            send(node_id, self.node_id, st.sizes.ack, self._on_write_ack, op, node_id)
+            send(node_id, self.node_id, ACK_SIZE, self._on_write_ack, op, node_id)
             return
-        delay = send(node_id, self.node_id, st.sizes.ack, None)
+        delay = send(node_id, self.node_id, ACK_SIZE, None)
         if delay is None:
             return  # dropped: never counted, so never propagated
         arrival = now + delay
@@ -356,7 +344,7 @@ class Coordinator:
         st = self.store
         # after the client ack an extra ack is a no-op: only billed
         deliver = None if op.finished else self._on_extra_ack
-        st.transport.send(node_id, self.node_id, st.sizes.ack, deliver, op)
+        st.transport.send(node_id, self.node_id, ACK_SIZE, deliver, op)
 
     def _on_extra_ack(self, op: _WriteOp) -> None:
         op.extra_acks += 1
@@ -459,17 +447,17 @@ class Coordinator:
             ]
             op.pending += len(op.repair_targets)
 
-        req_size, digest = st.sizes.request_overhead, st.sizes.digest
         send = tr.send
         me = self.node_id
         served = self._on_read_served
+        req = REQUEST_OVERHEAD
         # first target returns full data, the rest return digests
         resp = st.default_value_size
         for r in targets:
-            send(me, r, req_size, nodes[r].handle_read, key, served, op, resp, True)
-            resp = digest
+            send(me, r, req, nodes[r].handle_read, key, served, op, resp, True)
+            resp = DIGEST_SIZE
         for r in op.repair_targets:
-            send(me, r, req_size, nodes[r].handle_read, key, served, op, digest, False)
+            send(me, r, req, nodes[r].handle_read, key, served, op, DIGEST_SIZE, False)
 
         if st.read_timeout > 0:
             st._read_deadlines.add(now + st.read_timeout, op)
@@ -566,7 +554,7 @@ class Coordinator:
                 st.transport.send(
                     self.node_id,
                     node_id,
-                    st.sizes.request_overhead + best.size,
+                    REQUEST_OVERHEAD + best.size,
                     node.handle_write,
                     key,
                     best,

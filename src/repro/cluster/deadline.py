@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.cluster.coordinator import OpResult
+from repro.cluster.coordinator import REQUEST_OVERHEAD, OpResult
 from repro.cluster.versions import Version
 
 __all__ = ["FreshnessDeadline"]
@@ -109,7 +109,7 @@ class FreshnessDeadline:
                 st.transport.send(
                     source,
                     r,
-                    st.sizes.request_overhead + version.size,
+                    REQUEST_OVERHEAD + version.size,
                     node.handle_write,
                     key,
                     version,
@@ -119,11 +119,11 @@ class FreshnessDeadline:
 
     # -- verification ----------------------------------------------------------------
 
-    def violations(self, slack: float = 0.0) -> int:
+    def violations(self) -> int:
         """Count live replicas still older than an enforced version.
 
-        Call after letting the simulator drain ``slack`` seconds past the
-        last deadline (re-pushed mutations still ride the network).
+        Call after letting the simulator drain past the last deadline
+        (re-pushed mutations still ride the network).
         """
         bad = 0
         st = self.store

@@ -17,6 +17,9 @@ from repro.cluster.versions import Version
 
 __all__ = ["HintStore"]
 
+#: Cap on each target node's hint buffer.
+MAX_HINTS_PER_NODE = 100_000
+
 
 class HintStore:
     """Cluster-wide hint buffer, replayed on node recovery.
@@ -25,7 +28,7 @@ class HintStore:
     the behaviour (hints replayed to the recovered node after its recovery,
     paid as network traffic) is identical and the accounting simpler.
 
-    Each target node's buffer is capped at ``max_hints_per_node``. The cap
+    Each target node's buffer is capped at ``MAX_HINTS_PER_NODE``. The cap
     evicts **oldest first** (as Cassandra's bounded hint window does: the
     hints most likely to be superseded go first), and every eviction is
     counted in ``dropped`` -- a node that overflows its hint budget is a
@@ -33,8 +36,7 @@ class HintStore:
     counter is an operational signal, not just bookkeeping.
     """
 
-    def __init__(self, max_hints_per_node: int = 100_000):
-        self.max_hints_per_node = int(max_hints_per_node)
+    def __init__(self):
         self._hints: Dict[int, Deque[Tuple[str, Version]]] = {}
         self.stored = 0
         self.replayed = 0
@@ -44,7 +46,7 @@ class HintStore:
     def add(self, target_node: int, key: str, version: Version) -> None:
         """Buffer a mutation for a down replica (evicting oldest when full)."""
         bucket = self._hints.setdefault(target_node, deque())
-        if len(bucket) >= self.max_hints_per_node:
+        if len(bucket) >= MAX_HINTS_PER_NODE:
             bucket.popleft()
             self.dropped += 1
         bucket.append((key, version))

@@ -203,21 +203,19 @@ class TokenRing:
         """Clockwise distinct-node walk starting at ``token``."""
         return self.walk_from(self._slot(token))
 
-    def ownership_fractions(self, sample: int = 20_000) -> np.ndarray:
+    def ownership_fractions(self) -> np.ndarray:
         """Exact fraction of the token space owned by each node.
 
         Computed in one O(V) pass over the token gaps: the arc ending at
         ``tokens[i]`` (clockwise from its predecessor) belongs to
         ``owners[i]``, so each node's share is the sum of its vnodes' gap
         widths. Entry ``i`` of the result is node id ``i``'s share
-        (decommissioned ids, if any, read 0). ``sample`` is kept for
-        backwards compatibility and ignored -- the computation is exact.
+        (decommissioned ids, if any, read 0).
 
         The result is memoized per ring layout (membership changes
         invalidate it), so load monitors may poll every tick for one dict
         hit. Treat the returned array as read-only.
         """
-        del sample  # deprecated: the gap computation needs no sampling
         if self._fractions is not None:
             return self._fractions
         tokens, owners = self._tokens, self._owners

@@ -41,12 +41,7 @@ from repro.common.errors import ConfigError
 from repro.common.rng import BlockUniforms, RngFactory, block_uniforms
 from repro.common.stats import Histogram
 from repro.cluster.consistency import LevelSpec
-from repro.cluster.coordinator import (
-    Coordinator,
-    MessageSizes,
-    OpResult,
-    op_timed_out,
-)
+from repro.cluster.coordinator import HINT_OVERHEAD, Coordinator, OpResult, op_timed_out
 from repro.cluster.hints import HintStore
 from repro.cluster.node import ServiceModel, StorageNode
 from repro.cluster.replication import (
@@ -64,6 +59,9 @@ from repro.runtime.deadlines import DeadlineQueue
 from repro.runtime.interface import Transport
 
 __all__ = ["StoreConfig", "ReplicatedStore", "MembershipChange", "draw_coordinator"]
+
+#: Row size in bytes (YCSB default rows are 10 x 100 B fields ~= 1 KB).
+DEFAULT_VALUE_SIZE = 1000
 
 
 @dataclass(frozen=True)
@@ -98,15 +96,11 @@ class StoreConfig:
         Virtual nodes per physical node on the token ring.
     servers_per_node:
         Request-handler parallelism per node.
-    default_value_size:
-        Row size in bytes (YCSB default rows are 10 x 100 B fields ~= 1 KB).
     read_repair_chance:
         Probability a read triggers a background repair pass to the replicas
         it did not contact (Cassandra's ``read_repair_chance``).
     read_timeout / write_timeout:
         Coordinator timeouts in seconds (0 disables).
-    hinted_handoff:
-        Whether writes to down replicas are buffered and replayed.
     seed:
         Root seed for all randomness in the deployment.
     """
@@ -115,23 +109,16 @@ class StoreConfig:
     servers_per_node: int = 4
     #: mutation-stage parallelism; ``None`` = same as ``servers_per_node``.
     mutation_servers_per_node: Optional[int] = None
-    default_value_size: int = 1000
     read_repair_chance: float = 0.1
     read_timeout: float = 5.0
     write_timeout: float = 5.0
-    hinted_handoff: bool = True
     seed: int = 0
     service: ServiceModel = field(default_factory=ServiceModel)
-    sizes: MessageSizes = field(default_factory=MessageSizes)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.read_repair_chance <= 1.0):
             raise ConfigError(
                 f"read_repair_chance must be in [0,1], got {self.read_repair_chance}"
-            )
-        if self.default_value_size <= 0:
-            raise ConfigError(
-                f"default_value_size must be positive, got {self.default_value_size}"
             )
 
 
@@ -198,11 +185,8 @@ class ReplicatedStore:
             Coordinator(self, i) for i in range(topology.n_nodes)
         ]
         self.oracle = StalenessOracle()
-        self.hints: Optional[HintStore] = (
-            HintStore() if self.config.hinted_handoff else None
-        )
-        self.sizes = self.config.sizes
-        self.default_value_size = self.config.default_value_size
+        self.hints = HintStore()
+        self.default_value_size = DEFAULT_VALUE_SIZE
         self.read_repair_chance = self.config.read_repair_chance
         #: coordinator timeouts, read per operation (assignable after
         #: construction). Every read shares the one, every write the other,
@@ -254,13 +238,9 @@ class ReplicatedStore:
         self.rebalancer: Optional[Any] = None
         # billable-capacity meter: instance-seconds integrated over the live
         # (non-retired) node count, so elastic runs bill capacity-over-time;
-        # per-instance lifetimes back the hourly-rounded price books.
         self._instance_count = topology.n_nodes
         self._instance_seconds = 0.0
         self._instance_last_t = self.transport.now
-        self._instance_spans: List[List[Optional[float]]] = [
-            [self._instance_last_t, None] for _ in range(topology.n_nodes)
-        ]
         # per-key count of writes dispatched but not yet settled (acked or
         # timed out). The rebalancer defers a migration hand-off while one
         # is outstanding: a write racing the stream must land on the old
@@ -460,7 +440,6 @@ class ReplicatedStore:
         self._coord_pools = None
         node_id = self.topology.add_node(dc_index)
         self.network.clear_topology_cache()
-        self._instance_spans.append([self.transport.now, None])
         self.nodes.append(
             StorageNode(
                 self.transport,
@@ -561,7 +540,6 @@ class ReplicatedStore:
         self._instances_tick()
         self._instance_count -= 1
         self._coord_pools = None
-        self._instance_spans[node_id][1] = self.transport.now
         self.nodes[node_id].retire()
 
     def _instances_tick(self) -> None:
@@ -580,15 +558,6 @@ class ReplicatedStore:
         """
         self._instances_tick()
         return self._instance_seconds
-
-    def instance_spans(self) -> List[Tuple[float, Optional[float]]]:
-        """Per-instance ``(start, end)`` lifetimes (``end=None`` = running).
-
-        The basis of hourly-rounded billing: clouds that round up bill each
-        instance's own hours, so the biller needs lifetimes, not just the
-        aggregate instance-seconds integral.
-        """
-        return [(s, e) for s, e in self._instance_spans]
 
     # -- in-flight write tracking (migration hand-off gate) -------------------------
 
@@ -614,27 +583,26 @@ class ReplicatedStore:
         self._notify_node_event("on_node_crash", node_id)
 
     def on_node_recover(self, node_id: int) -> None:
-        """Bring a node back up and replay its hints (if handoff is enabled)."""
+        """Bring a node back up and replay its hints."""
         node = self.nodes[node_id]
         if node.retired:
             return  # decommissioned for good; a scripted recovery is a no-op
         node.recover()
-        if self.hints is not None:
-            for key, version in self.hints.drain(node_id):
-                # Replay from an arbitrary live coordinator colocated with
-                # the data.
-                src = self._any_live_node()
-                if src is None:
-                    break
-                self.transport.send(
-                    src,
-                    node_id,
-                    self.sizes.hint_overhead + version.size,
-                    node.handle_write,
-                    key,
-                    version,
-                    self._hint_applied,
-                )
+        for key, version in self.hints.drain(node_id):
+            # Replay from an arbitrary live coordinator colocated with
+            # the data.
+            src = self._any_live_node()
+            if src is None:
+                break
+            self.transport.send(
+                src,
+                node_id,
+                HINT_OVERHEAD + version.size,
+                node.handle_write,
+                key,
+                version,
+                self._hint_applied,
+            )
         self._notify_node_event("on_node_recover", node_id)
 
     def _hint_applied(self, node_id: int, key: str, version) -> None:

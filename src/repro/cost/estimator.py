@@ -27,10 +27,10 @@ fewer replica reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.common.errors import ConfigError
-from repro.cluster.coordinator import MessageSizes
+from repro.cluster.coordinator import ACK_SIZE, DIGEST_SIZE, REQUEST_OVERHEAD
 from repro.cost.pricing import PriceBook
 from repro.net.topology import LinkClass, Topology
 
@@ -70,8 +70,8 @@ class CostEstimator:
         Replication factor and the average number of replicas in a
         coordinator's own datacenter (e.g. RF=5 as {3, 2} over two DCs seen
         from a random coordinator ~ 2.6).
-    value_size / sizes:
-        Payload and protocol frame sizes (must match the store's).
+    value_size:
+        Payload size (must match the store's).
     """
 
     def __init__(
@@ -81,7 +81,6 @@ class CostEstimator:
         rf_total: int,
         local_replicas: float,
         value_size: int,
-        sizes: Optional[MessageSizes] = None,
     ):
         if rf_total < 1:
             raise ConfigError(f"rf_total must be >= 1, got {rf_total}")
@@ -94,7 +93,6 @@ class CostEstimator:
         self.rf_total = int(rf_total)
         self.local_replicas = float(local_replicas)
         self.value_size = int(value_size)
-        self.sizes = sizes or MessageSizes()
 
     @classmethod
     def for_store(cls, store, prices: PriceBook) -> "CostEstimator":
@@ -116,7 +114,6 @@ class CostEstimator:
             rf_total=rf,
             local_replicas=local,
             value_size=store.default_value_size,
-            sizes=store.sizes,
         )
 
     # -- the pieces ---------------------------------------------------------------
@@ -142,18 +139,16 @@ class CostEstimator:
         remote = max(0.0, r - self.local_replicas)
         if remote <= 0:
             return 0.0
-        sz = self.sizes
         # Remote contacts carry a request out and a digest back; if the local
         # DC holds no replica at all, the data response itself crosses too.
-        per_contact = sz.request_overhead + sz.digest
+        per_contact = REQUEST_OVERHEAD + DIGEST_SIZE
         extra_data = self.value_size if self.local_replicas < 1.0 else 0.0
         return remote * per_contact + extra_data
 
     def _write_network_bytes(self, w: int) -> float:
         """Expected billable bytes of one write (propagation is always full)."""
         remote = max(0.0, self.rf_total - self.local_replicas)
-        sz = self.sizes
-        return remote * (sz.request_overhead + self.value_size + sz.ack)
+        return remote * (REQUEST_OVERHEAD + self.value_size + ACK_SIZE)
 
     # -- public API ------------------------------------------------------------------
 

@@ -7,9 +7,9 @@ consistency levels".
 
 The model is the standard linear server-power model:
 
-    P(node) = idle_watts + (peak_watts - idle_watts) * utilization
+    P(node) = IDLE_WATTS + (PEAK_WATTS - IDLE_WATTS) * utilization
 
-Energy over a run integrates this: ``idle_watts x wall time`` (servers burn
+Energy over a run integrates this: ``IDLE_WATTS x wall time`` (servers burn
 idle power regardless) plus ``(peak - idle) x busy server-seconds / servers``
 from the node's read and mutation stages. Stronger consistency levels do
 more replica work per operation *and* run longer for a fixed op count --
@@ -20,9 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ConfigError
-
 __all__ = ["PowerModel", "EnergyReport"]
+
+#: Per-node power at 0% and 100% utilization, in the range of the
+#: 2012-era Grid'5000 nodes the paper planned to measure.
+IDLE_WATTS = 95.0
+PEAK_WATTS = 170.0
 
 
 @dataclass(frozen=True)
@@ -57,19 +60,10 @@ class PowerModel:
     ----------
     store:
         The deployment to meter.
-    idle_watts / peak_watts:
-        Per-node power at 0% and 100% utilization (defaults are in the
-        range of the 2012-era Grid'5000 nodes the paper planned to measure).
     """
 
-    def __init__(self, store, idle_watts: float = 95.0, peak_watts: float = 170.0):
-        if idle_watts < 0 or peak_watts < idle_watts:
-            raise ConfigError(
-                f"need 0 <= idle <= peak, got idle={idle_watts}, peak={peak_watts}"
-            )
+    def __init__(self, store):
         self.store = store
-        self.idle_watts = float(idle_watts)
-        self.peak_watts = float(peak_watts)
         self.arm()
 
     def _busy_seconds(self) -> float:
@@ -92,12 +86,12 @@ class PowerModel:
         """Energy consumed since :meth:`arm` (or construction)."""
         duration = max(self.store.transport.now - self._t0, 0.0)
         n_nodes = self.store.topology.n_nodes
-        idle = self.idle_watts * n_nodes * duration
+        idle = IDLE_WATTS * n_nodes * duration
         # busy_seconds is normalized per stage to "fraction-of-node busy";
         # each node has two stages, each contributing up to half the node's
         # dynamic range.
         busy = max(self._busy_seconds() - self._busy0, 0.0)
-        dynamic = (self.peak_watts - self.idle_watts) * busy / 2.0
+        dynamic = (PEAK_WATTS - IDLE_WATTS) * busy / 2.0
         return EnergyReport(
             idle_joules=idle,
             dynamic_joules=dynamic,

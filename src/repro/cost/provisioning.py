@@ -35,6 +35,9 @@ from repro.stale.dcmodel import DeploymentInfo, per_key_stale_dc
 
 __all__ = ["WorkloadEnvelope", "Candidate", "ProvisioningAdvisor"]
 
+#: Per-DC replica layouts :meth:`ProvisioningAdvisor.evaluate` tries.
+RF_LAYOUTS = ((2, 1), (3, 2), (3, 3))
+
 
 @dataclass(frozen=True)
 class WorkloadEnvelope:
@@ -209,15 +212,18 @@ class ProvisioningAdvisor:
         self,
         env: WorkloadEnvelope,
         nodes_range: Sequence[int] = (6, 9, 12, 18, 24, 36),
-        rf_options: Sequence[Tuple[int, ...]] = ((2, 1), (3, 2), (3, 3)),
     ) -> List[Candidate]:
-        """Evaluate every (cluster size, RF layout) candidate, cheapest first."""
+        """Evaluate every (cluster size, RF layout) candidate, cheapest first.
+
+        The layouts are :data:`RF_LAYOUTS`; one whose length is not the
+        datacenter count is skipped.
+        """
         out: List[Candidate] = []
         for total in nodes_range:
             base = total // self.n_dcs
             nodes = [base] * self.n_dcs
             nodes[0] += total - base * self.n_dcs
-            for rf in rf_options:
+            for rf in RF_LAYOUTS:
                 if len(rf) != self.n_dcs:
                     continue
                 if any(r > n for r, n in zip(rf, nodes)):

@@ -37,6 +37,10 @@ from repro.monitor.collector import ClusterMonitor
 
 __all__ = ["AutoscalerConfig", "CostAwareAutoscaler"]
 
+#: Scale-in safety margin: the smaller cluster's projected utilization must
+#: stay under ``scale_out_util * SCALE_IN_HEADROOM``.
+SCALE_IN_HEADROOM = 0.8
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
@@ -62,9 +66,6 @@ class AutoscalerConfig:
     min_nodes / max_nodes:
         Hard capacity bounds (``min_nodes`` is additionally floored at the
         replication factor).
-    headroom:
-        Scale-in safety margin: the projected utilization of the smaller
-        cluster must stay under ``scale_out_util * headroom``.
     """
 
     interval: float = 0.25
@@ -75,7 +76,6 @@ class AutoscalerConfig:
     cooldown: float = 1.5
     min_nodes: int = 0
     max_nodes: int = 256
-    headroom: float = 0.8
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -89,8 +89,11 @@ class AutoscalerConfig:
             raise ConfigError("consecutive must be >= 1")
         if self.cooldown < 0:
             raise ConfigError("cooldown must be >= 0")
-        if not (0.0 < self.headroom <= 1.0):
-            raise ConfigError(f"headroom must be in (0, 1], got {self.headroom}")
+        if self.min_nodes > self.max_nodes:
+            raise ConfigError(
+                f"min_nodes ({self.min_nodes}) must not exceed "
+                f"max_nodes ({self.max_nodes})"
+            )
 
 
 class CostAwareAutoscaler:
@@ -267,7 +270,7 @@ class CostAwareAutoscaler:
         projected = self.advisor.stage_utilization(
             env, n - 1, rf, read_level=quorum(rf)
         )
-        if projected > cfg.scale_out_util * cfg.headroom:
+        if projected > cfg.scale_out_util * SCALE_IN_HEADROOM:
             # The smaller cluster would run too hot: stay put.
             self._streak_in = 0
             return

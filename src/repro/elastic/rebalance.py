@@ -32,10 +32,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigError
+from repro.cluster.coordinator import REQUEST_OVERHEAD
 from repro.cluster.store import MembershipChange, ReplicatedStore
 from repro.cluster.versions import Version
 
 __all__ = ["RebalanceConfig", "StreamingRebalancer"]
+
+#: Maximum transfers started per pump pass: bounds a migration's network/CPU
+#: footprint so foreground traffic keeps flowing (a stream throughput cap).
+BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -49,21 +54,14 @@ class RebalanceConfig:
     attempt_timeout:
         Re-stream a (key, target) if its transfer has not applied within
         this window (covers crashes of either endpoint mid-stream).
-    batch_size:
-        Maximum transfers started per pump pass -- bounds the migration's
-        instantaneous network/CPU footprint so foreground traffic keeps
-        flowing (Cassandra's stream throughput cap, in spirit).
     """
 
     pump_interval: float = 0.02
     attempt_timeout: float = 0.25
-    batch_size: int = 64
 
     def __post_init__(self) -> None:
         if self.pump_interval <= 0 or self.attempt_timeout <= 0:
             raise ConfigError("pump_interval and attempt_timeout must be positive")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 class _KeyMigration:
@@ -191,7 +189,7 @@ class StreamingRebalancer:
         now = st.transport.now
         started = 0
         for key in sorted(self._pending):
-            if started >= self.config.batch_size:
+            if started >= BATCH_SIZE:
                 break
             m = self._pending[key]
             version, source = self._best_source(m)
@@ -210,7 +208,7 @@ class StreamingRebalancer:
                 if last is not None:
                     self.restreams += 1
                 m.attempts[target] = now
-                nbytes = st.sizes.request_overhead + version.size
+                nbytes = REQUEST_OVERHEAD + version.size
                 self.bytes_streamed += nbytes
                 st.transport.send(
                     source,

@@ -53,6 +53,9 @@ PolicyFactory = Callable[[ReplicatedStore], ConsistencyPolicy]
 #: schedules whatever crashes/partitions the scenario calls for.
 FailureScript = Callable[[FailureInjector], None]
 
+#: Seconds between the factory-built adaptive engines' decision refreshes.
+UPDATE_INTERVAL = 0.25
+
 
 def static_factory(
     read: LevelSpec, write: Optional[LevelSpec] = None, name: Optional[str] = None
@@ -65,12 +68,7 @@ def static_factory(
     return build
 
 
-def harmony_factory(
-    tolerance: float,
-    write_level: int = 1,
-    monitor_window: float = 2.0,
-    update_interval: float = 0.25,
-) -> PolicyFactory:
+def harmony_factory(tolerance: float, monitor_window: float = 2.0) -> PolicyFactory:
     """Factory for a Harmony engine wired to a fresh monitor."""
 
     def build(store: ReplicatedStore) -> ConsistencyPolicy:
@@ -80,8 +78,7 @@ def harmony_factory(
             monitor,
             tolerance=tolerance,
             rf=store.strategy.rf_total,
-            write_level=write_level,
-            update_interval=update_interval,
+            update_interval=UPDATE_INTERVAL,
             deployment=DeploymentInfo.from_store(store),
         )
 
@@ -89,11 +86,7 @@ def harmony_factory(
 
 
 def bismar_factory(
-    prices,
-    write_level: int = 1,
-    stale_cap: Optional[float] = None,
-    monitor_window: float = 2.0,
-    update_interval: float = 0.25,
+    prices, stale_cap: Optional[float] = None, monitor_window: float = 2.0
 ) -> PolicyFactory:
     """Factory for a Bismar engine wired to a fresh monitor + cost estimator."""
 
@@ -105,9 +98,8 @@ def bismar_factory(
             monitor,
             estimator,
             rf=store.strategy.rf_total,
-            write_level=write_level,
             stale_cap=stale_cap,
-            update_interval=update_interval,
+            update_interval=UPDATE_INTERVAL,
             read_repair_chance=store.read_repair_chance,
             deployment=DeploymentInfo.from_store(store),
         )

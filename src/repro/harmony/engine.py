@@ -25,7 +25,7 @@ from typing import List
 
 from repro.common.errors import ConfigError
 from repro.monitor.collector import ClusterMonitor
-from repro.policy import AdaptivePolicy
+from repro.policy import WRITE_LEVEL, AdaptivePolicy
 from repro.stale.dcmodel import DeploymentInfo, forecast_stale
 
 __all__ = ["LevelDecision", "HarmonyEngine"]
@@ -54,9 +54,6 @@ class HarmonyEngine(AdaptivePolicy):
         The paper's experiments use 20%/40% (Grid'5000) and 40%/60% (EC2).
     rf:
         Replication factor of the keyspace Harmony manages.
-    write_level:
-        Fixed write level (Harmony tunes the *read* side; writes default to
-        ONE as in the Harmony/Cassandra deployment).
     update_interval:
         Seconds between decision refreshes.
     deployment:
@@ -68,13 +65,12 @@ class HarmonyEngine(AdaptivePolicy):
         monitor: ClusterMonitor,
         tolerance: float,
         rf: int,
-        write_level: int = 1,
         update_interval: float = 1.0,
         deployment: "DeploymentInfo | None" = None,
     ):
         if not (0.0 <= tolerance <= 1.0):
             raise ConfigError(f"tolerance must be in [0, 1], got {tolerance}")
-        super().__init__(monitor, rf, write_level, update_interval, deployment)
+        super().__init__(monitor, rf, update_interval, deployment)
         self.tolerance = float(tolerance)
         #: optional observer callback ``fn(engine, decision)`` fired after
         #: every refresh -- the observability layer turns these into
@@ -89,13 +85,13 @@ class HarmonyEngine(AdaptivePolicy):
     def estimate_all_levels(self, now: float) -> List[float]:
         """Estimated stale rate for each read level ``1..rf`` right now."""
         return forecast_stale(
-            self.monitor.snapshot(now), self.rf, self._write_level, self.deployment
+            self.monitor.snapshot(now), self.rf, WRITE_LEVEL, self.deployment
         )
 
     def _decide(self, now: float) -> LevelDecision:
         # One snapshot feeds both the estimates and the recorded rates.
         snapshot = self.monitor.snapshot(now)
-        estimates = forecast_stale(snapshot, self.rf, self._write_level, self.deployment)
+        estimates = forecast_stale(snapshot, self.rf, WRITE_LEVEL, self.deployment)
         chosen = next(
             (r for r, est in enumerate(estimates, start=1) if est <= self.tolerance),
             self.rf,  # strongest, if nothing meets tolerance

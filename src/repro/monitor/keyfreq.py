@@ -22,6 +22,10 @@ from repro.common.errors import ConfigError
 
 __all__ = ["KeyFrequencyTracker"]
 
+#: Keys kept exact at the head of :meth:`KeyFrequencyTracker.collision_profile`;
+#: the rest fold into one average pseudo-key.
+PROFILE_HEAD = 512
+
 
 class KeyFrequencyTracker:
     """Per-key read/write counters over a rotating two-bucket window.
@@ -95,10 +99,10 @@ class KeyFrequencyTracker:
         s2 = sum(v * v for v in shares.values())
         return 1.0 / s2 if s2 > 0 else float("inf")
 
-    def collision_profile(self, max_keys: int = 512) -> List[Tuple[float, float, int]]:
+    def collision_profile(self) -> List[Tuple[float, float, int]]:
         """Joint access profile ``[(read_share, write_share, multiplicity)]``.
 
-        Sorted by read share; the head (up to ``max_keys`` keys, which
+        Sorted by read share; the head (up to ``PROFILE_HEAD`` keys, which
         dominates staleness under skew) is exact with multiplicity 1, and
         the tail is folded into a single *average* pseudo-key with
         multiplicity = tail size. Estimators evaluate the per-key staleness
@@ -118,10 +122,10 @@ class KeyFrequencyTracker:
             zip(map(rc.get, keys, repeat(0)), map(wc.get, keys, repeat(0))),
             reverse=True,
         )
-        head = [(r / rt, w / wt, 1) for r, w in rows[:max_keys]]
-        if len(rows) <= max_keys:
+        head = [(r / rt, w / wt, 1) for r, w in rows[:PROFILE_HEAD]]
+        if len(rows) <= PROFILE_HEAD:
             return head
-        tail_r, tail_w = zip(*rows[max_keys:])
+        tail_r, tail_w = zip(*rows[PROFILE_HEAD:])
         n = len(tail_r)
         tr = sum(map(truediv, tail_r, repeat(rt))) / n
         tw = sum(map(truediv, tail_w, repeat(wt))) / n

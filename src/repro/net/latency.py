@@ -17,6 +17,10 @@ from repro.common.errors import ConfigError
 
 __all__ = ["LatencyModel", "FixedLatency", "LogNormalLatency"]
 
+#: Share of a :meth:`LogNormalLatency.from_mean_cv` mean that is the
+#: deterministic floor (propagation); the lognormal body supplies the rest.
+FLOOR_FRACTION = 0.5
+
 
 class LatencyModel:
     """Abstract one-way delay model.
@@ -76,12 +80,10 @@ class LogNormalLatency(LatencyModel):
         self.mu, self.sigma, self.floor = float(mu), float(sigma), float(floor)
 
     @classmethod
-    def from_mean_cv(
-        cls, mean: float, cv: float = 0.5, floor_fraction: float = 0.5
-    ) -> "LogNormalLatency":
+    def from_mean_cv(cls, mean: float, cv: float = 0.5) -> "LogNormalLatency":
         """Build a model with total mean ``mean`` and body variability ``cv``.
 
-        ``floor_fraction`` of the mean is deterministic floor; the lognormal
+        ``FLOOR_FRACTION`` of the mean is deterministic floor; the lognormal
         body supplies the remaining mean with coefficient of variation ``cv``
         (relative to the body mean).
         """
@@ -89,9 +91,7 @@ class LogNormalLatency(LatencyModel):
             raise ConfigError(f"mean must be > 0, got {mean}")
         if cv <= 0:
             raise ConfigError(f"cv must be > 0, got {cv}")
-        if not (0.0 <= floor_fraction < 1.0):
-            raise ConfigError(f"floor_fraction must be in [0, 1), got {floor_fraction}")
-        floor = mean * floor_fraction
+        floor = mean * FLOOR_FRACTION
         body_mean = mean - floor
         sigma2 = math.log(1.0 + cv * cv)
         mu = math.log(body_mean) - 0.5 * sigma2

@@ -48,56 +48,40 @@ from repro.obs.events import ObsEvent
 __all__ = ["OracleConfig", "AnomalyOracles"]
 
 
+#: Stale-burst detection: the windowed stale/read ratio over the last
+#: ``STALE_WINDOW_TICKS`` sampler ticks must exceed ``STALE_RATE_THRESHOLD``,
+#: over at least ``STALE_MIN_READS`` reads, for a burst to start.
+STALE_WINDOW_TICKS = 4
+STALE_RATE_THRESHOLD = 0.5
+STALE_MIN_READS = 16
+#: Simulated seconds of zero streaming progress (while a migration is
+#: active) before a rebalance stall starts.
+REBALANCE_STALL = 0.5
+#: Monotonic reads watch the keys whose ``crc32(key) % N == 0``; the
+#: modulus keeps the sampled set hash-seed independent.
+MONOTONIC_SAMPLE_EVERY = 8
+#: Per-oracle cap on emitted records; overflow is counted in the header
+#: (``anomalies_suppressed``), not stored.
+MAX_ANOMALIES = 200
+
+
 @dataclass(frozen=True)
 class OracleConfig:
-    """Detection budgets and thresholds for the anomaly oracles.
+    """The anomaly oracles' one per-scenario budget.
 
     Attributes
     ----------
-    stale_window_ticks:
-        Rolling window length, in sampler ticks, for the stale-burst rate.
-    stale_rate_threshold:
-        Windowed stale/read ratio above which a burst starts.
-    stale_min_reads:
-        Minimum reads in the window before the ratio is meaningful.
     in_doubt_dwell:
         Simulated seconds a participant may hold a prepared transaction
         without a decision before it is flagged.
-    rebalance_stall:
-        Simulated seconds of zero streaming progress (while a migration
-        is active) before a stall starts.
-    monotonic_sample_every:
-        Watch keys whose ``crc32(key) % N == 0`` (1 = every key). The
-        modulus keeps the sampled set hash-seed independent.
-    max_anomalies:
-        Per-oracle cap on emitted records; overflow is counted in the
-        header (``anomalies_suppressed``), not stored.
     """
 
-    stale_window_ticks: int = 4
-    stale_rate_threshold: float = 0.5
-    stale_min_reads: int = 16
     in_doubt_dwell: float = 1.0
-    rebalance_stall: float = 0.5
-    monotonic_sample_every: int = 8
-    max_anomalies: int = 200
 
     def __post_init__(self) -> None:
-        if self.stale_window_ticks < 1:
+        if self.in_doubt_dwell <= 0:
             raise ConfigError(
-                f"stale_window_ticks must be >= 1, got {self.stale_window_ticks}"
-            )
-        if not 0.0 < self.stale_rate_threshold <= 1.0:
-            raise ConfigError(
-                "stale_rate_threshold must be in (0, 1], got "
-                f"{self.stale_rate_threshold}"
-            )
-        if self.in_doubt_dwell <= 0 or self.rebalance_stall <= 0:
-            raise ConfigError("dwell/stall budgets must be positive")
-        if self.monotonic_sample_every < 1:
-            raise ConfigError(
-                f"monotonic_sample_every must be >= 1, got "
-                f"{self.monotonic_sample_every}"
+                f"in_doubt_dwell must be positive, got {self.in_doubt_dwell}"
             )
 
 
@@ -110,23 +94,19 @@ class _StaleBurstOracle:
 
     name = "stale-burst"
 
-    def __init__(self, config: OracleConfig, emit: _Emit):
-        self._config = config
+    def __init__(self, emit: _Emit):
         self._emit = emit
         self._window: List[Tuple[int, int]] = []  # (reads, stale) per tick
         self._open_since: Optional[float] = None
 
     def on_tick(self, now: float, window_reads: int, window_stale: int) -> None:
         self._window.append((window_reads, window_stale))
-        if len(self._window) > self._config.stale_window_ticks:
+        if len(self._window) > STALE_WINDOW_TICKS:
             self._window.pop(0)
         reads = sum(r for r, _ in self._window)
         stale = sum(s for _, s in self._window)
         rate = stale / reads if reads else 0.0
-        burst = (
-            reads >= self._config.stale_min_reads
-            and rate > self._config.stale_rate_threshold
-        )
+        burst = reads >= STALE_MIN_READS and rate > STALE_RATE_THRESHOLD
         if burst and self._open_since is None:
             self._open_since = now
             self._emit(
@@ -135,7 +115,7 @@ class _StaleBurstOracle:
                 now,
                 window_rate=rate,
                 window_reads=reads,
-                threshold=self._config.stale_rate_threshold,
+                threshold=STALE_RATE_THRESHOLD,
             )
         elif not burst and self._open_since is not None:
             self._emit(
@@ -273,8 +253,7 @@ class _RebalanceStallOracle:
 
     name = "rebalance-stall"
 
-    def __init__(self, config: OracleConfig, emit: _Emit, store):
-        self._config = config
+    def __init__(self, emit: _Emit, store):
         self._emit = emit
         self._store = store
         self._last_sig: Optional[Tuple[int, ...]] = None
@@ -308,7 +287,7 @@ class _RebalanceStallOracle:
                 self._open_since = None
             return
         stalled = now - self._last_progress_t
-        if stalled >= self._config.rebalance_stall and self._open_since is None:
+        if stalled >= REBALANCE_STALL and self._open_since is None:
             self._open_since = now
             self._emit(
                 self.name,
@@ -341,7 +320,7 @@ class _QuorumLossOracle:
 
     name = "quorum-loss"
 
-    def __init__(self, config: OracleConfig, emit: _Emit, store):
+    def __init__(self, emit: _Emit, store):
         self._emit = emit
         self._store = store
         self._partitions: set = set()
@@ -424,16 +403,12 @@ class _MonotonicReadOracle:
 
     name = "monotonic-read"
 
-    def __init__(self, config: OracleConfig, emit: _Emit):
-        self._config = config
+    def __init__(self, emit: _Emit):
         self._emit = emit
         self._seen: Dict[str, Any] = {}  # key -> newest Version returned
 
     def _sampled(self, key: str) -> bool:
-        every = self._config.monotonic_sample_every
-        if every == 1:
-            return True
-        return zlib.crc32(key.encode("utf-8")) % every == 0
+        return zlib.crc32(key.encode("utf-8")) % MONOTONIC_SAMPLE_EVERY == 0
 
     def on_read(self, result) -> None:
         version = result.version
@@ -481,11 +456,11 @@ class AnomalyOracles:
         self.counts: Dict[str, int] = {}
         self.suppressed = 0
         emit = self._emit
-        self.stale_burst = _StaleBurstOracle(config, emit)
+        self.stale_burst = _StaleBurstOracle(emit)
         self.in_doubt = _InDoubtDwellOracle(config, emit, store)
-        self.rebalance = _RebalanceStallOracle(config, emit, store)
-        self.quorum = _QuorumLossOracle(config, emit, store)
-        self.monotonic = _MonotonicReadOracle(config, emit)
+        self.rebalance = _RebalanceStallOracle(emit, store)
+        self.quorum = _QuorumLossOracle(emit, store)
+        self.monotonic = _MonotonicReadOracle(emit)
         self._all = (
             self.stale_burst,
             self.in_doubt,
@@ -497,7 +472,7 @@ class AnomalyOracles:
 
     def _emit(self, oracle: str, phase: str, t: float, **data: Any) -> None:
         count = self.counts.get(oracle, 0)
-        if count >= self.config.max_anomalies:
+        if count >= MAX_ANOMALIES:
             self.suppressed += 1
             return
         self.counts[oracle] = count + 1

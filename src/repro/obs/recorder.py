@@ -47,7 +47,7 @@ from repro.common.errors import ConfigError
 from repro.obs.events import ObsEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.oracles import AnomalyOracles, OracleConfig
-from repro.obs.sampler import TimeSeriesSampler
+from repro.obs.sampler import MAX_SAMPLES, TimeSeriesSampler
 from repro.obs.trace import Tracer
 
 __all__ = ["ObsConfig", "RunObserver", "TIMELINE_SCHEMA"]
@@ -67,15 +67,11 @@ class ObsConfig:
     ----------
     sample_interval:
         Simulated seconds between time-series samples.
-    max_samples:
-        Hard cap on samples (bounds memory and self-perpetuation).
     trace:
         Record spans and markers into a Chrome trace.
     trace_sample_every:
         Trace every N-th client operation's fan-out (1 = all). The
         counter-based choice keeps the selection deterministic.
-    max_trace_events:
-        Hard cap on trace events; overflow is counted, not stored.
     oracles:
         Run the streaming anomaly oracles (stale bursts, in-doubt dwell,
         rebalance stalls, quorum loss, monotonic reads) and interleave
@@ -88,10 +84,8 @@ class ObsConfig:
     """
 
     sample_interval: float = 0.25
-    max_samples: int = 20_000
     trace: bool = True
     trace_sample_every: int = 16
-    max_trace_events: int = 200_000
     oracles: bool = True
     oracle_config: OracleConfig = field(default_factory=OracleConfig)
     out_dir: Optional[str] = None
@@ -136,7 +130,7 @@ class RunObserver:
         self.run_meta = dict(run_meta) if run_meta else {}
         self.metrics = MetricsRegistry()
         self.tracer: Optional[Tracer] = (
-            Tracer(max_events=config.max_trace_events) if config.trace else None
+            Tracer() if config.trace else None
         )
         #: chronological record stream (samples, events, explains), in the
         #: order they occurred on the simulated clock.
@@ -179,10 +173,7 @@ class RunObserver:
         self._monitor_metrics = self._find_monitor_metrics()
 
         self.sampler = TimeSeriesSampler(
-            store.transport,
-            config.sample_interval,
-            self._collect,
-            max_samples=config.max_samples,
+            store.transport, config.sample_interval, self._collect
         )
         self.sampler.start()
         self._finished = False
@@ -396,7 +387,7 @@ class RunObserver:
             "window_stale": window_stale,
             "level": self._level,
             "ops_per_s": self._ops_since_tick / interval,
-            "hint_backlog": store.hints.pending_total() if store.hints else 0,
+            "hint_backlog": store.hints.pending_total(),
             "repairs_issued": store.repairs_issued,
             "live_nodes": sum(
                 1 for n in store.nodes if n.up and not n.retired
@@ -453,7 +444,7 @@ class RunObserver:
             # truncation surfaces: a capped trace or sampler is flagged
             # here instead of silently missing records
             "samples": sum(1 for r in self._records if r["type"] == "sample"),
-            "max_samples": self.config.max_samples,
+            "max_samples": MAX_SAMPLES,
             "trace_events": len(self.tracer) if self.tracer is not None else 0,
             "trace_dropped": self.tracer.dropped if self.tracer is not None else 0,
         }
@@ -470,7 +461,7 @@ class RunObserver:
         """Header + chronological record stream (samples/events/explains)."""
         return [self.header()] + list(self._records)
 
-    def finish(self, out_dir: Optional[str] = None) -> None:
+    def finish(self) -> None:
         """Stop sampling, take a closing sample, write artifacts if asked."""
         if self._finished:
             return
@@ -494,9 +485,8 @@ class RunObserver:
             for mig_id in self._open_migrations:
                 self.tracer.end("rebalance", mig_id, "migration", now)
             self._open_migrations = []
-        target = out_dir if out_dir is not None else self.config.out_dir
-        if target is not None:
-            self.write(target)
+        if self.config.out_dir is not None:
+            self.write(self.config.out_dir)
 
     def write(self, out_dir: str) -> None:
         """Write ``timeline.jsonl`` (+ ``trace.json``) deterministically."""

@@ -11,50 +11,45 @@ Determinism notes: sampler ticks are read-only (the collect function
 must not mutate store state, draw randomness, or trigger lazy policy
 refreshes), and although each tick consumes a simulator sequence number,
 relative ordering between all *other* events is preserved, so the run's
-results are identical with sampling on or off. ``max_samples`` bounds
+results are identical with sampling on or off. ``MAX_SAMPLES`` bounds
 self-perpetuation so the sampler can never keep an otherwise-drained
 simulation alive indefinitely.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.common.errors import ConfigError
 
 __all__ = ["TimeSeriesSampler"]
 
+#: Hard cap on samples per run (bounds memory and self-perpetuation).
+MAX_SAMPLES = 20_000
+
 
 class TimeSeriesSampler:
     """Re-arming timer that appends one sample record per tick."""
 
-    __slots__ = ("tr", "interval", "collect", "max_samples", "samples", "_running")
+    __slots__ = ("tr", "interval", "collect", "samples", "_running")
 
     def __init__(
-        self,
-        tr,
-        interval: float,
-        collect: Callable[[float], Dict[str, object]],
-        max_samples: int = 20_000,
+        self, tr, interval: float, collect: Callable[[float], Dict[str, object]]
     ):
         if interval <= 0:
             raise ConfigError(f"sample interval must be > 0, got {interval}")
-        if max_samples < 1:
-            raise ConfigError(f"max_samples must be >= 1, got {max_samples}")
         self.tr = tr
         self.interval = float(interval)
         self.collect = collect
-        self.max_samples = int(max_samples)
         self.samples: List[Dict[str, object]] = []
         self._running = False
 
-    def start(self, at: Optional[float] = None) -> None:
-        """Arm the sampler; first tick at ``at`` (default: now + interval)."""
+    def start(self) -> None:
+        """Arm the sampler; first tick one interval from now."""
         if self._running:
             return
         self._running = True
-        first = at if at is not None else self.tr.now + self.interval
-        self.tr.post_at(first, self._tick)
+        self.tr.post_at(self.tr.now + self.interval, self._tick)
 
     def stop(self) -> None:
         """Disarm; an already-queued tick becomes a no-op."""
@@ -71,7 +66,7 @@ class TimeSeriesSampler:
         record: Dict[str, object] = {"type": "sample", "t": now}
         record.update(self.collect(now))
         self.samples.append(record)
-        if len(self.samples) >= self.max_samples:
+        if len(self.samples) >= MAX_SAMPLES:
             self._running = False
             return
         self.tr.post_at(now + self.interval, self._tick)

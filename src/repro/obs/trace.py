@@ -30,6 +30,9 @@ __all__ = ["Tracer"]
 #: Artifact schema tag, bumped on breaking layout changes.
 TRACE_SCHEMA = "repro.trace/1"
 
+#: Cap on stored trace events; overflow is counted in ``Tracer.dropped``.
+MAX_EVENTS = 200_000
+
 
 def _us(t: float) -> float:
     """Simulated seconds -> trace microseconds, on a stable 1e-3 us grid."""
@@ -37,7 +40,7 @@ def _us(t: float) -> float:
 
 
 class Tracer:
-    """Accumulates trace events; bounded by ``max_events``.
+    """Accumulates trace events; bounded by ``MAX_EVENTS``.
 
     All record methods are cheap appends of small dicts. The cap exists
     so a long run with tracing on cannot grow memory without bound --
@@ -45,18 +48,17 @@ class Tracer:
     says so in its metadata.
     """
 
-    __slots__ = ("_events", "max_events", "dropped")
+    __slots__ = ("_events", "dropped")
 
-    def __init__(self, max_events: int = 200_000):
+    def __init__(self):
         self._events: List[Dict[str, object]] = []
-        self.max_events = max_events
         self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._events)
 
     def _push(self, event: Dict[str, object]) -> None:
-        if len(self._events) >= self.max_events:
+        if len(self._events) >= MAX_EVENTS:
             self.dropped += 1
             return
         self._events.append(event)
@@ -82,15 +84,8 @@ class Tracer:
             ev["args"] = args
         self._push(ev)
 
-    def end(
-        self,
-        cat: str,
-        span_id: str,
-        name: str,
-        t: float,
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
-        ev: Dict[str, object] = {
+    def end(self, cat: str, span_id: str, name: str, t: float) -> None:
+        self._push({
             "ph": "e",
             "cat": cat,
             "id": span_id,
@@ -98,10 +93,7 @@ class Tracer:
             "pid": 1,
             "tid": 1,
             "ts": _us(t),
-        }
-        if args:
-            ev["args"] = args
-        self._push(ev)
+        })
 
     def span(
         self,

@@ -31,6 +31,10 @@ __all__ = [
     "ConsistencyPolicy", "StaticPolicy", "AdaptivePolicy", "EVENTUAL", "QUORUM", "STRONG"
 ]
 
+#: The adaptive engines tune the read side; writes run at ONE, as in the
+#: Harmony/Cassandra deployment.
+WRITE_LEVEL = 1
+
 
 @runtime_checkable
 class ConsistencyPolicy(Protocol):
@@ -83,23 +87,18 @@ class AdaptivePolicy:
     ``read_level(now)`` re-decides at most once per ``update_interval``
     simulated seconds: the subclass's ``_decide(now)`` reads the monitor and
     returns a decision record (``t``, ``read_level``, ...), which is kept in
-    ``decisions`` and sets the current level. Writes run at the fixed
-    ``write_level``. A subclass that has an ``on_decision`` attribute gets
+    ``decisions`` and sets the current level. Writes run at
+    :data:`WRITE_LEVEL`. A subclass that has an ``on_decision`` attribute gets
     it called as ``fn(policy, decision)`` after each decision is recorded.
     """
 
-    def __init__(
-        self, monitor, rf: int, write_level: int, update_interval: float, deployment
-    ):
+    def __init__(self, monitor, rf: int, update_interval: float, deployment):
         if rf < 1:
             raise ConfigError(f"rf must be >= 1, got {rf}")
-        if not (1 <= write_level <= rf):
-            raise ConfigError(f"write_level {write_level} outside 1..{rf}")
         if update_interval <= 0:
             raise ConfigError(f"update_interval must be positive, got {update_interval}")
         self.monitor = monitor
         self.rf = int(rf)
-        self._write_level = int(write_level)
         self.update_interval = float(update_interval)
         #: when set, forecasts use the DC-aware model (snitch-ordered reads
         #: correlate replica lags; see repro.stale.dcmodel).
@@ -124,7 +123,7 @@ class AdaptivePolicy:
         return self._current
 
     def write_level(self, now: float) -> LevelSpec:
-        return self._write_level
+        return WRITE_LEVEL
 
     def level_time_fractions(self) -> dict:
         """Fraction of decisions spent at each read level (post-run report)."""

@@ -12,14 +12,13 @@ is **not deterministic** -- OS scheduling jitters every delivery -- so
 the comparison is a *trend contract*, not an equality check:
 
 **Tolerance contract** (documented in ``docs/ARCHITECTURE.md``; the
-defaults below are the contract's numbers):
+constants below are the contract's numbers):
 
 1. *Pointwise*: at every contention level, ``|abort_rate_sim -
-   abort_rate_aio| <= abort_tolerance`` (default **0.20**) and
-   ``|stale_rate_sim - stale_rate_aio| <= stale_tolerance`` (default
-   **0.25**).
+   abort_rate_aio| <= ABORT_TOLERANCE`` (**0.20**) and
+   ``|stale_rate_sim - stale_rate_aio| <= STALE_TOLERANCE`` (**0.25**).
 2. *Trend*: between consecutive contention levels, whenever the sim's
-   metric moves by more than ``trend_deadband`` (default **0.05**), the
+   metric moves by more than ``TREND_DEADBAND`` (**0.05**), the
    asyncio metric must not move the *opposite* way by more than the
    deadband. (Moves inside the deadband are noise on either side.)
 
@@ -51,6 +50,10 @@ __all__ = [
     "XvalReport",
     "cross_validate",
 ]
+
+ABORT_TOLERANCE = 0.20
+STALE_TOLERANCE = 0.25
+TREND_DEADBAND = 0.05
 
 
 def _xval_platform() -> Platform:
@@ -176,11 +179,7 @@ def _trend_failures(
 
 
 def cross_validate(
-    spec: Optional[RunSpec] = None,
-    hot_fractions: Sequence[float] = (0.0, 0.5, 0.95),
-    abort_tolerance: float = 0.20,
-    stale_tolerance: float = 0.25,
-    trend_deadband: float = 0.05,
+    spec: Optional[RunSpec] = None, hot_fractions: Sequence[float] = (0.0, 0.5, 0.95)
 ) -> XvalReport:
     """Sweep the contention dial on both backends and check the contract.
 
@@ -202,7 +201,7 @@ def cross_validate(
     if base.warmup_fraction:
         # the asyncio side measures whole runs; the sim side must too
         raise ConfigError("cross-validation needs warmup_fraction=0")
-    tolerances = (("abort_rate", abort_tolerance), ("stale_rate", stale_tolerance))
+    tolerances = (("abort_rate", ABORT_TOLERANCE), ("stale_rate", STALE_TOLERANCE))
     checks: List[XvalCheck] = []
     for hf in hot_fractions:
         kwargs = dict(workload.distribution_kwargs, hot_opn_fraction=float(hf))
@@ -241,13 +240,13 @@ def cross_validate(
             levels,
             [getattr(c, f"sim_{metric}") for c in checks],
             [getattr(c, f"aio_{metric}") for c in checks],
-            trend_deadband,
+            TREND_DEADBAND,
         )
     ]
     return XvalReport(
         checks=checks,
-        abort_tolerance=abort_tolerance,
-        stale_tolerance=stale_tolerance,
-        trend_deadband=trend_deadband,
+        abort_tolerance=ABORT_TOLERANCE,
+        stale_tolerance=STALE_TOLERANCE,
+        trend_deadband=TREND_DEADBAND,
         trend_failures=trend,
     )

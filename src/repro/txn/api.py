@@ -73,6 +73,11 @@ __all__ = [
 #:     3PC guarantee).
 PROTOCOLS = ("2pc", "2pc-coop", "3pc")
 
+#: Fractional jitter on each status-poll delay, derived from ``(seed, node,
+#: txn, attempt)``: crash storms stop synchronizing status-query bursts
+#: while runs stay byte-identical for a fixed seed.
+STATUS_JITTER = 0.25
+
 
 @dataclass
 class TxnConfig:
@@ -97,11 +102,6 @@ class TxnConfig:
     status_interval_max:
         Cap on the backed-off poll delay, so a long-dead TM is still
         probed at a bounded period.
-    status_jitter:
-        Fractional jitter added to each poll delay, derived
-        deterministically from ``(seed, node, txn, attempt)`` -- crash
-        storms stop synchronizing status-query bursts while runs stay
-        byte-identical for a fixed seed. In ``[0, 1)``.
     termination_after:
         Unanswered TM polls before a ``2pc-coop``/``3pc`` participant
         starts querying its co-participants (cooperative termination).
@@ -116,9 +116,6 @@ class TxnConfig:
         Commit-time optimistic validation of read-then-written keys
         against each replica's local state. Off = eventual-style blind
         commits (lost updates become observable).
-    grade_anomalies:
-        Oracle-side lost-update grading of commits (measurement only;
-        never feeds back into protocol decisions).
     """
 
     prepare_timeout: float = 5.0
@@ -127,12 +124,10 @@ class TxnConfig:
     status_interval: float = 0.5
     status_backoff: float = 2.0
     status_interval_max: float = 5.0
-    status_jitter: float = 0.25
     termination_after: int = 2
     termination_timeout: Optional[float] = None
     commit_protocol: str = "2pc"
     validate_reads: bool = True
-    grade_anomalies: bool = True
 
     def __post_init__(self) -> None:
         for name in (
@@ -147,10 +142,6 @@ class TxnConfig:
         if self.status_backoff < 1.0:
             raise ConfigError(
                 f"status_backoff must be >= 1.0, got {self.status_backoff}"
-            )
-        if not 0.0 <= self.status_jitter < 1.0:
-            raise ConfigError(
-                f"status_jitter must be in [0, 1), got {self.status_jitter}"
             )
         if self.termination_after < 1:
             raise ConfigError(
@@ -172,8 +163,8 @@ class TxnConfig:
 
         Deterministic exponential backoff with derived jitter: the base
         delay doubles (``status_backoff``) per attempt up to
-        ``status_interval_max``, and the jitter fraction comes from a
-        CRC32 hash of the ``(seed, node, txn, attempt)`` identity -- the
+        ``status_interval_max``, and the ``STATUS_JITTER`` fraction comes
+        from a CRC32 hash of the ``(seed, node, txn, attempt)`` identity -- the
         same derivation style as :class:`~repro.common.rng.RngFactory`
         stream names, so no shared RNG state is consumed and event order
         is a pure function of the seed.
@@ -182,11 +173,9 @@ class TxnConfig:
             self.status_interval * self.status_backoff ** attempt,
             self.status_interval_max,
         )
-        if self.status_jitter <= 0.0:
-            return base
         tag = f"txnpoll.{seed}.{node_id}.{txn_id}.{attempt}".encode()
         frac = zlib.crc32(tag) / 2**32
-        return base * (1.0 + self.status_jitter * frac)
+        return base * (1.0 + STATUS_JITTER * frac)
 
 
 class TxnOutcome:
@@ -547,8 +536,6 @@ class TransactionalStore:
         are the prepare-lock conflicts' and validation's job. Pure
         measurement: the verdict never feeds back into the protocol.
         """
-        if not self.config.grade_anomalies:
-            return
         txn = self._inflight.get(txn_id)
         if txn is None:
             return

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
 
+from repro.cluster.coordinator import ACK_SIZE, DIGEST_SIZE
 from repro.cluster.versions import Version
 from repro.txn.wal import (
     REC_ABORT,
@@ -376,7 +377,7 @@ class TxnParticipant:
         self.owner.send(
             self.node_id,
             p.tm_node,
-            self.owner.store.sizes.digest,
+            DIGEST_SIZE,
             self.owner.tms[p.tm_node].on_status_query,
             p.txn_id,
             self.node_id,
@@ -416,12 +417,11 @@ class TxnParticipant:
             return
         p.term_round += 1
         p.term_uncertain = set()
-        st = self.owner.store
         for peer in peers:
             self.owner.send(
                 self.node_id,
                 peer,
-                st.sizes.digest,
+                DIGEST_SIZE,
                 self.owner.participants[peer].on_termination_query,
                 txn_id,
                 self.node_id,
@@ -500,11 +500,10 @@ class TxnParticipant:
                 verdict = "abort"
         else:
             verdict = decision
-        st = self.owner.store
         self.owner.send(
             self.node_id,
             from_node,
-            st.sizes.digest,
+            DIGEST_SIZE,
             self.owner.participants[from_node].on_termination_reply,
             txn_id,
             self.node_id,
@@ -555,11 +554,10 @@ class TxnParticipant:
         message straight to the transport.
         """
         owner = self.owner
-        nbytes = owner.store.sizes.ack
         owner.txn_msgs += 1
-        owner.txn_msg_bytes += nbytes
+        owner.txn_msg_bytes += ACK_SIZE
         self.tr.send(
-            self.node_id, tm_node, nbytes, getattr(owner.tms[tm_node], handler),
+            self.node_id, tm_node, ACK_SIZE, getattr(owner.tms[tm_node], handler),
             txn_id, self.node_id, *args,
         )
 

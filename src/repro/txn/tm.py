@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
 
+from repro.cluster.coordinator import ACK_SIZE, DIGEST_SIZE, REQUEST_OVERHEAD
 from repro.cluster.versions import Version
 from repro.txn.wal import (
     REC_TM_ABORT,
@@ -167,7 +168,7 @@ class TransactionManager:
                 if validate
                 else {}
             )
-            payload = st.sizes.request_overhead + sum(
+            payload = REQUEST_OVERHEAD + sum(
                 v.size for v in node_writes.values()
             )
             owner.txn_msgs += 1
@@ -232,15 +233,14 @@ class TransactionManager:
 
     def _send_precommits(self, t: _TmTxn) -> None:
         owner = self.owner
-        nbytes = owner.store.sizes.digest
         send = self.tr.send
         on = owner.participants
         for r in t.participants:
             if r in t.precommit_acks:
                 continue
             owner.txn_msgs += 1
-            owner.txn_msg_bytes += nbytes
-            send(self.node_id, r, nbytes, on[r].on_precommit, t.txn_id, self.node_id)
+            owner.txn_msg_bytes += DIGEST_SIZE
+            send(self.node_id, r, DIGEST_SIZE, on[r].on_precommit, t.txn_id, self.node_id)
 
     def _retry_precommit(self, txn_id: int) -> None:
         t = self._active.get(txn_id)
@@ -333,7 +333,6 @@ class TransactionManager:
 
     def _send_decisions(self, t: _TmTxn) -> None:
         owner = self.owner
-        nbytes = owner.store.sizes.digest
         send = self.tr.send
         on = owner.participants
         commit = t.decision == "commit"
@@ -341,9 +340,9 @@ class TransactionManager:
             if r in t.acks:
                 continue
             owner.txn_msgs += 1
-            owner.txn_msg_bytes += nbytes
+            owner.txn_msg_bytes += DIGEST_SIZE
             send(
-                self.node_id, r, nbytes, on[r].on_decision,
+                self.node_id, r, DIGEST_SIZE, on[r].on_decision,
                 t.txn_id, self.node_id, commit,
             )
 
@@ -381,7 +380,6 @@ class TransactionManager:
         """A prepared participant asks for the verdict (presumed abort)."""
         if not self.node.up:
             return
-        st = self.owner.store
         decision = self.wal.tm_decision(txn_id)
         if decision is None:
             if txn_id in self._active:
@@ -392,7 +390,7 @@ class TransactionManager:
                 self.owner.send(
                     self.node_id,
                     from_node,
-                    st.sizes.ack,
+                    ACK_SIZE,
                     self.owner.participants[from_node].on_tm_working,
                     txn_id,
                 )
@@ -401,7 +399,7 @@ class TransactionManager:
         self.owner.send(
             self.node_id,
             from_node,
-            st.sizes.digest,
+            DIGEST_SIZE,
             self.owner.participants[from_node].on_decision,
             txn_id,
             self.node_id,

@@ -234,7 +234,6 @@ class OpenLoopSource:
         rate: float,
         ops: int,
         rng: np.random.Generator,
-        dc: Optional[int] = None,
     ):
         if rate <= 0:
             raise ConfigError(f"rate must be positive, got {rate}")
@@ -248,7 +247,7 @@ class OpenLoopSource:
         self.uniforms = block_uniforms(rng)
         self.chooser = spec.make_chooser(rng=self.uniforms)
         self.inserted = 0
-        self._coordinator = partial(draw_coordinator, store, dc, self.uniforms)
+        self._coordinator = partial(draw_coordinator, store, None, self.uniforms)
 
     @property
     def rng(self) -> np.random.Generator:
@@ -359,7 +358,6 @@ class WorkloadRunner:
         target_throughput: Optional[float] = None,
         max_time: float = 3600.0,
         seed: int = 7,
-        preload: bool = True,
         warmup_fraction: float = 0.0,
         biller=None,
         client_mode: str = "per_client",
@@ -387,7 +385,6 @@ class WorkloadRunner:
             raise ConfigError(
                 f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
             )
-        self.do_preload = preload
         self.warmup_fraction = float(warmup_fraction)
         #: optional repro.cost.Biller re-armed at the warmup boundary so the
         #: bill covers exactly the measurement phase.
@@ -409,8 +406,7 @@ class WorkloadRunner:
     def run(self) -> RunReport:
         """Execute the workload and return the report."""
         store, spec = self.store, self.spec
-        if self.do_preload:
-            store.preload(KeyRange(spec.record_count), spec.value_size)
+        store.preload(KeyRange(spec.record_count), spec.value_size)
         store.add_listener(self._usage)
         if self._warmup_remaining > 0:
             store.add_listener(self)

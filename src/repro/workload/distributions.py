@@ -192,14 +192,9 @@ class ScrambledZipfianChooser(KeyChooser):
 class LatestChooser(KeyChooser):
     """Skewed towards recently inserted items (YCSB ``SkewedLatestGenerator``)."""
 
-    def __init__(
-        self,
-        item_count: int,
-        theta: float = ZIPFIAN_CONSTANT,
-        rng: "np.random.Generator | int | None" = None,
-    ):
+    def __init__(self, item_count: int, rng: "np.random.Generator | int | None" = None):
         self.item_count = int(item_count)
-        self._zipf = ZipfianChooser(self.item_count, theta=theta, rng=rng)
+        self._zipf = ZipfianChooser(self.item_count, rng=rng)
 
     def notify_insert(self, new_count: int) -> None:
         self.item_count = int(new_count)

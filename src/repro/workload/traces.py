@@ -168,27 +168,18 @@ class PhasedTraceGenerator:
         return end
 
 
-def replay_trace(
-    store,
-    trace: Iterable[TraceRecord],
-    policy,
-    time_scale: float = 1.0,
-) -> int:
-    """Schedule a trace's operations against a store.
+def replay_trace(store, trace: Iterable[TraceRecord], policy) -> int:
+    """Schedule a trace's operations against a store, on the trace's clock.
 
     Returns the number of operations scheduled; run the store's simulator to
-    execute them. ``time_scale`` compresses (<1) or dilates (>1) the trace
-    clock, which is how the behavior experiments sweep load intensity
-    without regenerating traces.
+    execute them.
     """
-    if time_scale <= 0:
-        raise ConfigError(f"time_scale must be positive, got {time_scale}")
     n = 0
     tr = store.transport
     base = tr.now
     for rec in trace:
         replay = _replay_read if rec.kind == "read" else _replay_write
-        tr.post_at(base + rec.t * time_scale, replay, store, rec.key, policy)
+        tr.post_at(base + rec.t, replay, store, rec.key, policy)
         n += 1
     return n
 

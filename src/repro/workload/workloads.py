@@ -12,11 +12,12 @@ workload A's 50/50 read/update mix at maximum offered load -- with
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigError
+from repro.cluster.store import DEFAULT_VALUE_SIZE
 from repro.workload.distributions import KeyChooser, make_chooser
 
 __all__ = [
@@ -86,8 +87,6 @@ class WorkloadSpec:
         Operation mix; must sum to 1.
     record_count:
         Initial key population (the load phase inserts these).
-    value_size:
-        Bytes per row (YCSB default: 10 fields x 100 B).
     distribution:
         Key-chooser name (``uniform``/``zipfian``/``latest``/``hotspot``/...).
     distribution_kwargs:
@@ -100,9 +99,10 @@ class WorkloadSpec:
     insert_proportion: float = 0.0
     read_modify_write_proportion: float = 0.0
     record_count: int = 1000
-    value_size: int = 1000
     distribution: str = "zipfian"
     distribution_kwargs: Dict = field(default_factory=dict)
+    #: bytes per row, the store's (YCSB default: 10 fields x 100 B)
+    value_size: ClassVar[int] = DEFAULT_VALUE_SIZE
 
     def __post_init__(self) -> None:
         total = (
@@ -115,8 +115,6 @@ class WorkloadSpec:
             raise ConfigError(f"operation proportions sum to {total}, expected 1.0")
         if self.record_count < 1:
             raise ConfigError(f"record_count must be >= 1, got {self.record_count}")
-        if self.value_size <= 0:
-            raise ConfigError(f"value_size must be > 0, got {self.value_size}")
 
     # -- sampling ---------------------------------------------------------------
 
@@ -155,9 +153,7 @@ class WorkloadSpec:
 
 
 def heavy_read_update(
-    record_count: int = 2000,
-    value_size: int = 1000,
-    distribution: str = "zipfian",
+    record_count: int = 2000, distribution: str = "zipfian"
 ) -> WorkloadSpec:
     """The paper's evaluation workload: YCSB-A-style 50/50 read/update.
 
@@ -170,21 +166,17 @@ def heavy_read_update(
         read_proportion=0.5,
         update_proportion=0.5,
         record_count=record_count,
-        value_size=value_size,
         distribution=distribution,
     )
 
 
 def flash_crowd(
-    record_count: int = 1000,
-    value_size: int = 1000,
-    hot_set_fraction: float = 0.05,
-    hot_opn_fraction: float = 0.95,
+    record_count: int = 1000, hot_set_fraction: float = 0.05
 ) -> WorkloadSpec:
     """A flash-crowd mix: nearly all traffic slams a tiny hot key set.
 
     Models the "everyone refreshes the same product page" regime -- a 70/30
-    read/update mix where ``hot_opn_fraction`` of operations hit the first
+    read/update mix where 95% of operations hit the first
     ``hot_set_fraction`` of keys. Contention on the hot set is what makes
     adaptive consistency interesting here: per-key write rates are far above
     what the global average suggests.
@@ -194,18 +186,15 @@ def flash_crowd(
         read_proportion=0.7,
         update_proportion=0.3,
         record_count=record_count,
-        value_size=value_size,
         distribution="hotspot",
         distribution_kwargs={
             "hot_set_fraction": hot_set_fraction,
-            "hot_opn_fraction": hot_opn_fraction,
+            "hot_opn_fraction": 0.95,
         },
     )
 
 
-def read_mostly_latest(
-    record_count: int = 1000, value_size: int = 1000
-) -> WorkloadSpec:
+def read_mostly_latest(record_count: int = 1000) -> WorkloadSpec:
     """A diurnal-style mix: read-mostly with inserts skewed to recent keys.
 
     YCSB-D's shape (95% reads, 5% inserts, ``latest`` distribution) -- the
@@ -216,7 +205,6 @@ def read_mostly_latest(
         WORKLOADS["D"],
         name="read-mostly-latest",
         record_count=record_count,
-        value_size=value_size,
     )
 
 
@@ -248,7 +236,7 @@ class TxnWorkloadSpec:
     read_slots: Tuple[int, ...]
     write_slots: Tuple[int, ...]
     record_count: int = 1000
-    value_size: int = 1000
+    value_size: int = DEFAULT_VALUE_SIZE
     distribution: str = "zipfian"
     distribution_kwargs: Dict = field(default_factory=dict)
 
@@ -305,15 +293,13 @@ class TxnWorkloadSpec:
                 indices.append(probe)
         return tuple(self.key_of(i) for i in indices)
 
-    def scaled(self, record_count: int, name: Optional[str] = None) -> "TxnWorkloadSpec":
+    def scaled(self, record_count: int) -> "TxnWorkloadSpec":
         """Copy of this spec at a different population size."""
-        return replace(
-            self, record_count=record_count, name=name or f"{self.name}@{record_count}"
-        )
+        return replace(self, record_count=record_count, name=f"{self.name}@{record_count}")
 
 
 def bank_transfer_mix(
-    record_count: int = 1000, value_size: int = 1000, distribution: str = "zipfian"
+    record_count: int = 1000, distribution: str = "zipfian"
 ) -> TxnWorkloadSpec:
     """Move money between two accounts: read both, write both.
 
@@ -328,29 +314,22 @@ def bank_transfer_mix(
         read_slots=(0, 1),
         write_slots=(0, 1),
         record_count=record_count,
-        value_size=value_size,
         distribution=distribution,
     )
 
 
-def read_modify_write_mix(
-    record_count: int = 1000, value_size: int = 1000, distribution: str = "zipfian"
-) -> TxnWorkloadSpec:
-    """Single-key read-modify-write (YCSB-F, made atomic)."""
+def read_modify_write_mix(record_count: int = 1000) -> TxnWorkloadSpec:
+    """Single-key read-modify-write (YCSB-F, made atomic), zipfian keys."""
     return TxnWorkloadSpec(
         name="read-modify-write",
         n_keys=1,
         read_slots=(0,),
         write_slots=(0,),
         record_count=record_count,
-        value_size=value_size,
-        distribution=distribution,
     )
 
 
-def order_checkout_mix(
-    record_count: int = 1000, value_size: int = 1000
-) -> TxnWorkloadSpec:
+def order_checkout_mix(record_count: int = 1000) -> TxnWorkloadSpec:
     """Web-shop checkout: read catalog/cart/stock, write stock + order row.
 
     Reads fan out wider than writes (3 reads, 2 writes over 4 keys) and
@@ -363,7 +342,6 @@ def order_checkout_mix(
         read_slots=(0, 1, 2),
         write_slots=(2, 3),
         record_count=record_count,
-        value_size=value_size,
         distribution="zipfian",
     )
 

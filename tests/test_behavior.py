@@ -285,7 +285,7 @@ class TestBehaviorModelAndPolicy:
         store.add_listener(monitor)
         policy = BehaviorPolicy(model, monitor, rf=3, update_interval=2.0)
         store.preload([f"user{i}" for i in range(1000)], 100)
-        replay_trace(store, trace, policy, time_scale=0.2)
+        replay_trace(store, trace, policy)
         store.sim.run()
         assert policy.current_state in range(model.k)
         states_seen = {s for _, s in policy.state_history}

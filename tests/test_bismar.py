@@ -99,11 +99,6 @@ class TestBismarEngine:
         with pytest.raises(ConfigError):
             BismarEngine(m, None, rf=3, stale_cap=2.0)  # type: ignore[arg-type]
 
-    @pytest.mark.parametrize("write_level", [0, 4])
-    def test_write_level_outside_rf_rejected_at_construction(self, write_level):
-        with pytest.raises(ConfigError, match="outside 1..3"):
-            BismarEngine(ClusterMonitor(), None, rf=3, write_level=write_level)  # type: ignore[arg-type]
-
     def test_name(self):
         assert make_engine(ClusterMonitor()).name == "bismar"
         assert "cap=0.05" in make_engine(ClusterMonitor(), stale_cap=0.05).name

@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.failures import FailureInjector
+from repro.cluster import hints
 from repro.cluster.hints import HintStore
 from repro.cluster.versions import Version
 
@@ -20,8 +21,9 @@ class TestHintStore:
         assert h.pending_for(3) == 0
         assert h.replayed == 1
 
-    def test_cap_evicts_oldest_and_counts_drops(self):
-        h = HintStore(max_hints_per_node=2)
+    def test_cap_evicts_oldest_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(hints, "MAX_HINTS_PER_NODE", 2)
+        h = HintStore()
         versions = [Version(float(i), i, 10) for i in range(5)]
         for i, v in enumerate(versions):
             h.add(1, f"k{i}", v)
@@ -32,8 +34,9 @@ class TestHintStore:
         drained = h.drain(1)
         assert drained == [("k3", versions[3]), ("k4", versions[4])]
 
-    def test_cap_never_exceeded_interleaved_with_drains(self):
-        h = HintStore(max_hints_per_node=3)
+    def test_cap_never_exceeded_interleaved_with_drains(self, monkeypatch):
+        monkeypatch.setattr(hints, "MAX_HINTS_PER_NODE", 3)
+        h = HintStore()
         for i in range(10):
             h.add(2, f"k{i}", Version(float(i), i, 10))
             assert h.pending_for(2) <= 3

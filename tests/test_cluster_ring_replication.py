@@ -63,7 +63,7 @@ class TestTokenRing:
 
     def test_balance(self):
         ring = TokenRing(8, vnodes=32)
-        fractions = ring.ownership_fractions(sample=8000)
+        fractions = ring.ownership_fractions()
         assert fractions.sum() == pytest.approx(1.0)
         # each of 8 nodes should own 12.5% +- a few points
         assert fractions.min() > 0.04

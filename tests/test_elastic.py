@@ -623,6 +623,21 @@ class TestAutoscaler:
         with pytest.raises(ConfigError):
             AutoscalerConfig(consecutive=0)
 
+    def test_min_nodes_above_max_nodes_rejected(self):
+        with pytest.raises(ConfigError, match=r"min_nodes \(30\).*max_nodes \(24\)"):
+            AutoscalerConfig(min_nodes=30, max_nodes=24)
+        AutoscalerConfig(min_nodes=24, max_nodes=24)  # a pinned size is fine
+
+    def test_scale_in_grid_above_the_cap_rejected(self):
+        # `repro sweep --scenario elastic-scale-in-cost --grid min_nodes=30`:
+        # the scenario caps max_nodes at 24, so the floor could never be met.
+        from repro.experiments import scenarios
+
+        with pytest.raises(ConfigError, match="max_nodes"):
+            scenarios.get("elastic-scale-in-cost").run(
+                seed=1, ops=50, overrides={"min_nodes": 30}
+            )
+
 
 # -- end-to-end scenarios ----------------------------------------------------------
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.cluster.deadline import FreshnessDeadline
-from repro.cost.power import PowerModel
+from repro.cost.power import IDLE_WATTS, PowerModel
 from repro.cost.pricing import EC2_US_EAST_2013
 from repro.cost.provisioning import Candidate, ProvisioningAdvisor, WorkloadEnvelope
 from repro.policy import StaticPolicy
@@ -13,22 +13,16 @@ from repro.workload.workloads import heavy_read_update
 
 
 class TestPowerModel:
-    def test_validation(self, store):
-        with pytest.raises(ConfigError):
-            PowerModel(store, idle_watts=-1.0)
-        with pytest.raises(ConfigError):
-            PowerModel(store, idle_watts=100.0, peak_watts=50.0)
-
     def test_idle_cluster_burns_idle_power(self, store):
-        meter = PowerModel(store, idle_watts=100.0, peak_watts=200.0)
+        meter = PowerModel(store)
         store.sim.schedule(10.0, lambda: None)
         store.sim.run()
         report = meter.report()
         assert report.dynamic_joules == pytest.approx(0.0)
         assert report.idle_joules == pytest.approx(
-            100.0 * store.topology.n_nodes * 10.0
+            IDLE_WATTS * store.topology.n_nodes * 10.0
         )
-        assert report.mean_watts == pytest.approx(100.0 * store.topology.n_nodes)
+        assert report.mean_watts == pytest.approx(IDLE_WATTS * store.topology.n_nodes)
 
     def test_work_adds_dynamic_energy(self, store):
         meter = PowerModel(store)

@@ -6,6 +6,7 @@ from repro.common.errors import ConfigError
 from repro.cluster.coordinator import OpResult
 from repro.harmony.engine import HarmonyEngine
 from repro.monitor.collector import ClusterMonitor
+from repro.policy import WRITE_LEVEL
 from repro.stale.dcmodel import DeploymentInfo, forecast_stale
 
 
@@ -46,8 +47,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             HarmonyEngine(m, tolerance=0.1, rf=0)
         with pytest.raises(ConfigError):
-            HarmonyEngine(m, tolerance=0.1, rf=3, write_level=4)
-        with pytest.raises(ConfigError):
             HarmonyEngine(m, tolerance=0.1, rf=3, update_interval=0.0)
 
     def test_name(self):
@@ -61,8 +60,8 @@ class TestDecisions:
         assert eng.read_level(0.0) == 1  # no writes observed -> nothing stale
 
     def test_write_level_fixed(self):
-        eng = HarmonyEngine(ClusterMonitor(), tolerance=0.1, rf=3, write_level=2)
-        assert eng.write_level(0.0) == 2
+        eng = HarmonyEngine(ClusterMonitor(), tolerance=0.1, rf=3)
+        assert eng.write_level(0.0) == WRITE_LEVEL == 1
 
     def test_low_write_rate_stays_weak(self):
         m = ClusterMonitor(window=10.0)
@@ -205,6 +204,7 @@ class TestEndToEnd:
     def test_one_snapshot_per_decision(self, monkeypatch):
         """Each decision's estimates and rates come from one monitor snapshot."""
         import repro
+        from repro.experiments import runner
 
         taken = []
         snapshot = ClusterMonitor.snapshot
@@ -214,9 +214,10 @@ class TestEndToEnd:
             return taken[-1]
 
         monkeypatch.setattr(ClusterMonitor, "snapshot", counted)
+        monkeypatch.setattr(runner, "UPDATE_INTERVAL", 0.01)
         out = repro.run(repro.RunSpec(
             platform=repro.grid5000_harmony_platform(),
-            policy=repro.harmony_factory(0.02, update_interval=0.01),
+            policy=repro.harmony_factory(0.02),
             ops=2000,
             seed=5,
         ))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigError
 from repro.cluster.coordinator import OpResult
 from repro.monitor.collector import ClusterMonitor
+from repro.monitor import keyfreq
 from repro.monitor.keyfreq import KeyFrequencyTracker
 
 
@@ -92,10 +93,10 @@ class TestKeyFrequencyTracker:
         for i in range(600):
             t.record_read(f"k{i}", 0.0)
             t.record_write(f"k{i}", 0.0)
-        rows = t.collision_profile(max_keys=100)
-        assert len(rows) == 101
-        head, tail = rows[:100], rows[100]
-        assert tail[2] == 500  # multiplicity of the folded tail
+        rows = t.collision_profile()  # PROFILE_HEAD = 512 exact rows
+        assert len(rows) == 513
+        head, tail = rows[:512], rows[512]
+        assert tail[2] == 88  # multiplicity of the folded tail
         total_read = sum(r * m for r, _, m in rows)
         assert total_read == pytest.approx(1.0, rel=1e-6)
 
@@ -126,7 +127,9 @@ class TestKeyFrequencyTracker:
                 t.record_write(f"k{key}", now)
         n_keys = len(set(t.read_shares()) | set(t.write_shares()))
         for max_keys in [*range(1, n_keys + 2 + max(extra_keys, 0)), 512]:
-            got = t.collision_profile(max_keys)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(keyfreq, "PROFILE_HEAD", max_keys)
+                got = t.collision_profile()
             want = _share_sort_profile(t, max_keys)
             # repr also tells 0 from 0.0 and 0.0 from -0.0
             assert got == want and repr(got) == repr(want)
@@ -203,26 +206,12 @@ class TestClusterMonitor:
         snap = m.snapshot(0.5)
         assert snap.replication_factor() == 2
         assert snap.key_profile
-        windows = snap.propagation_windows(write_level=1)
-        assert len(windows) == 2
-        assert windows[0] == 0.0  # rank-1 window relative to rank-1 commit
-
-    def test_propagation_windows_levels(self):
-        m = ClusterMonitor()
-        m.on_write_propagated(
-            op("write", "k", 0.0, 0.0, acks=[0.001, 0.005, 0.020])
-        )
-        snap = m.snapshot(0.1)
-        w1 = snap.propagation_windows(1)
-        assert w1 == pytest.approx([0.0, 0.004, 0.019])
-        w3 = snap.propagation_windows(3)
-        assert w3 == pytest.approx([0.0, 0.0, 0.0])
+        assert snap.ack_rank_means == pytest.approx([0.001, 0.002])
 
     def test_snapshot_empty_monitor(self):
         snap = ClusterMonitor().snapshot(1.0)
         assert snap.read_rate == 0.0
         assert snap.replication_factor() == 0
-        assert snap.propagation_windows(1) == []
 
     def test_elastic_events_fold_into_counters(self):
         m = ClusterMonitor()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
-from repro.net.latency import FixedLatency, LatencyModel, LogNormalLatency
+from repro.net.latency import FLOOR_FRACTION, FixedLatency, LatencyModel, LogNormalLatency
 from repro.net.topology import Datacenter, LinkClass, Topology
 from repro.net.transport import Network, TrafficMatrix
 from repro.simcore.simulator import Simulator
@@ -40,18 +40,16 @@ class TestLatencyModels:
         assert np.all(xs >= m.floor)
 
     def test_lognormal_floor_fraction(self):
-        m = LogNormalLatency.from_mean_cv(0.010, cv=0.5, floor_fraction=0.8)
-        assert m.floor == pytest.approx(0.008)
+        m = LogNormalLatency.from_mean_cv(0.010, cv=0.5)
+        assert m.floor == pytest.approx(0.010 * FLOOR_FRACTION)
         rng = np.random.default_rng(2)
-        assert all(m.sample(rng) >= 0.008 for _ in range(1000))
+        assert all(m.sample(rng) >= m.floor for _ in range(1000))
 
     def test_lognormal_validation(self):
         with pytest.raises(ConfigError):
             LogNormalLatency.from_mean_cv(-1.0)
         with pytest.raises(ConfigError):
             LogNormalLatency.from_mean_cv(1.0, cv=0.0)
-        with pytest.raises(ConfigError):
-            LogNormalLatency.from_mean_cv(1.0, floor_fraction=1.0)
         with pytest.raises(ConfigError):
             LogNormalLatency(0.0, sigma=-1.0)
 

@@ -34,6 +34,8 @@ from repro.obs.report import (
     samples_csv,
     validate_timeline,
 )
+from repro.obs import sampler as sampler_mod
+from repro.obs import trace as trace_mod
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.trace import Tracer
 from repro.simcore.simulator import Simulator
@@ -112,8 +114,9 @@ class TestTracer:
         (ev,) = tr.to_chrome()["traceEvents"]
         assert ev["ph"] == "i" and ev["s"] == "g" and ev["cat"] == "failure"
 
-    def test_cap_counts_drops(self):
-        tr = Tracer(max_events=2)
+    def test_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(trace_mod, "MAX_EVENTS", 2)
+        tr = Tracer()
         for i in range(5):
             tr.instant(f"m{i}", float(i))
         assert len(tr) == 2
@@ -158,9 +161,10 @@ class TestTimeSeriesSampler:
         sampler.stop()
         assert not sampler.running
 
-    def test_max_samples_cap(self):
+    def test_max_samples_cap(self, monkeypatch):
+        monkeypatch.setattr(sampler_mod, "MAX_SAMPLES", 3)
         sim = Simulator()
-        sampler = TimeSeriesSampler(sim, 0.1, lambda now: {}, max_samples=3)
+        sampler = TimeSeriesSampler(sim, 0.1, lambda now: {})
         sampler.start()
         sim.schedule_at(10.0, lambda: None)
         sim.run()

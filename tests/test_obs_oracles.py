@@ -25,6 +25,7 @@ from repro.common.errors import ConfigError
 from repro.experiments import scenarios
 from repro.experiments.sweep import SweepRunner, plan_sweep
 from repro.obs.events import ObsEvent
+from repro.obs import oracles
 from repro.obs.oracles import AnomalyOracles, OracleConfig
 from repro.obs.recorder import TIMELINE_SCHEMA, ObsConfig
 from repro.obs.report import load_timeline, render_text, validate_timeline
@@ -80,6 +81,17 @@ def _engine(store=None, **config_kwargs):
     return engine, sink
 
 
+@pytest.fixture
+def tune(monkeypatch):
+    """Set ``repro.obs.oracles`` constants for one test."""
+
+    def set_constants(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(oracles, name, value)
+
+    return set_constants
+
+
 def _read(key: str, version, t: float = 1.0, ok: bool = True):
     return SimpleNamespace(kind="read", key=key, version=version, ok=ok, t_end=t)
 
@@ -88,27 +100,15 @@ class TestOracleConfig:
     def test_defaults_are_valid(self):
         OracleConfig()
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"stale_window_ticks": 0},
-            {"stale_rate_threshold": 0.0},
-            {"stale_rate_threshold": 1.5},
-            {"in_doubt_dwell": 0.0},
-            {"rebalance_stall": -1.0},
-            {"monotonic_sample_every": 0},
-        ],
-    )
-    def test_bad_values_rejected(self, kwargs):
+    def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
-            OracleConfig(**kwargs)
+            OracleConfig(in_doubt_dwell=0.0)
 
 
 class TestStaleBurstOracle:
-    def test_burst_opens_and_closes_on_rate_edge(self):
-        engine, sink = _engine(
-            stale_window_ticks=2, stale_rate_threshold=0.5, stale_min_reads=10
-        )
+    def test_burst_opens_and_closes_on_rate_edge(self, tune):
+        tune(STALE_WINDOW_TICKS=2, STALE_MIN_READS=10)
+        engine, sink = _engine()
         engine.on_tick(0.25, window_reads=20, window_stale=2)  # rate 0.1
         assert sink == []
         engine.on_tick(0.50, window_reads=20, window_stale=20)  # window rate 0.55
@@ -120,12 +120,13 @@ class TestStaleBurstOracle:
         assert sink[1]["duration"] == pytest.approx(0.25)
 
     def test_min_reads_gates_noise(self):
-        engine, sink = _engine(stale_min_reads=100)
+        engine, sink = _engine()  # STALE_MIN_READS = 16
         engine.on_tick(0.25, window_reads=3, window_stale=3)  # rate 1.0, 3 reads
         assert sink == []
 
-    def test_finish_closes_open_burst_as_unresolved(self):
-        engine, sink = _engine(stale_min_reads=1)
+    def test_finish_closes_open_burst_as_unresolved(self, tune):
+        tune(STALE_MIN_READS=1)
+        engine, sink = _engine()
         engine.on_tick(0.25, window_reads=10, window_stale=10)
         engine.finish(0.4)
         assert sink[-1]["phase"] == "end"
@@ -240,7 +241,7 @@ class TestRebalanceStallOracle:
     def test_frozen_signature_past_budget_is_a_stall(self):
         reb = _StubRebalancer()
         store = _StubStore(rebalancer=reb)
-        engine, sink = _engine(store, rebalance_stall=0.5)
+        engine, sink = _engine(store)  # REBALANCE_STALL = 0.5
         engine.on_elastic_event("migration-start", 0.0)
         reb.active = True
         reb.sig = (10, 1000, 0, 0)
@@ -258,16 +259,17 @@ class TestRebalanceStallOracle:
     def test_steady_progress_never_fires(self):
         reb = _StubRebalancer()
         store = _StubStore(rebalancer=reb)
-        engine, sink = _engine(store, rebalance_stall=0.5)
+        engine, sink = _engine(store)  # REBALANCE_STALL = 0.5
         reb.active = True
         for i in range(1, 8):
             reb.sig = (i, i * 100, 0, 0)
             engine.on_tick(i * 0.25, 0, 0)
         assert sink == []
 
-    def test_inactive_rebalancer_is_ignored(self):
+    def test_inactive_rebalancer_is_ignored(self, tune):
+        tune(REBALANCE_STALL=0.1)
         store = _StubStore(rebalancer=_StubRebalancer())
-        engine, sink = _engine(store, rebalance_stall=0.1)
+        engine, sink = _engine(store)
         for i in range(1, 6):
             engine.on_tick(i * 1.0, 0, 0)
         assert sink == []
@@ -323,8 +325,9 @@ class TestQuorumLossOracle:
 
 
 class TestMonotonicReadOracle:
-    def test_older_version_is_a_point_anomaly(self):
-        engine, sink = _engine(monotonic_sample_every=1)
+    def test_older_version_is_a_point_anomaly(self, tune):
+        tune(MONOTONIC_SAMPLE_EVERY=1)
+        engine, sink = _engine()
         newer = Version(2.0, 7, 100)
         older = Version(1.0, 3, 100)
         engine.on_read(_read("k1", newer, t=1.0))
@@ -333,14 +336,16 @@ class TestMonotonicReadOracle:
         assert (point["oracle"], point["phase"]) == ("monotonic-read", "point")
         assert (point["key"], point["expected"], point["got"]) == ("k1", 7, 3)
 
-    def test_advancing_versions_are_silent(self):
-        engine, sink = _engine(monotonic_sample_every=1)
+    def test_advancing_versions_are_silent(self, tune):
+        tune(MONOTONIC_SAMPLE_EVERY=1)
+        engine, sink = _engine()
         for write_id in range(5):
             engine.on_read(_read("k", Version(float(write_id), write_id, 10)))
         assert sink == []
 
-    def test_failed_and_valueless_reads_are_ignored(self):
-        engine, sink = _engine(monotonic_sample_every=1)
+    def test_failed_and_valueless_reads_are_ignored(self, tune):
+        tune(MONOTONIC_SAMPLE_EVERY=1)
+        engine, sink = _engine()
         engine.on_read(_read("k", Version(2.0, 2, 10)))
         engine.on_read(_read("k", None))
         engine.on_read(_read("k", Version(1.0, 1, 10), ok=False))
@@ -350,7 +355,7 @@ class TestMonotonicReadOracle:
         # the sampled-key predicate must not depend on PYTHONHASHSEED
         import zlib
 
-        engine, _ = _engine(monotonic_sample_every=8)
+        engine, _ = _engine()  # MONOTONIC_SAMPLE_EVERY = 8
         oracle = engine.monotonic
         for key in ("user1", "user2", "k-17", "xyz"):
             expected = zlib.crc32(key.encode("utf-8")) % 8 == 0
@@ -358,8 +363,9 @@ class TestMonotonicReadOracle:
 
 
 class TestEngineCap:
-    def test_per_oracle_cap_counts_suppressed(self):
-        engine, sink = _engine(monotonic_sample_every=1, max_anomalies=2)
+    def test_per_oracle_cap_counts_suppressed(self, tune):
+        tune(MONOTONIC_SAMPLE_EVERY=1, MAX_ANOMALIES=2)
+        engine, sink = _engine()
         newer = Version(9.0, 9, 10)
         engine.on_read(_read("k", newer))
         for i in range(5):

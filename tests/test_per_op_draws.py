@@ -90,11 +90,13 @@ def _store():
 def test_drivers_share_one_block_with_their_chooser():
     store = _store()
     spec = WORKLOADS["A"].scaled(100)
-    kw = dict(rng=np.random.default_rng(1), dc=0)
+    rng = np.random.default_rng(1)
     drivers = [
-        ClosedLoopClient(store, spec, repro.StaticPolicy(1, 1), ops=1, **kw),
-        OpenLoopSource(store, spec, repro.StaticPolicy(1, 1), rate=1.0, ops=1, **kw),
-        CohortPopulation(store, spec, repro.StaticPolicy(1, 1), members=1, ops=1, **kw),
+        ClosedLoopClient(store, spec, repro.StaticPolicy(1, 1), ops=1, rng=rng, dc=0),
+        OpenLoopSource(store, spec, repro.StaticPolicy(1, 1), rate=1.0, ops=1, rng=rng),
+        CohortPopulation(
+            store, spec, repro.StaticPolicy(1, 1), members=1, ops=1, rng=rng, dc=0
+        ),
     ]
     for driver in drivers:
         assert isinstance(driver.uniforms, BlockUniforms)

@@ -83,7 +83,7 @@ class TestAccounting:
         with reach.record() as seen:
             module.called()
             module.Box.made(1)
-        entered = reach.entered_by_file(seen)[os.path.realpath(path)]
+        entered = reach.entered_by_file(seen.codes)[os.path.realpath(path)]
         found = reach.unreached(reach.functions(FIXTURE, "fixture"), entered)
         # missed's inner def is covered by missed's own entry, not listed
         assert [f.entry for f in found] == [
@@ -99,6 +99,72 @@ class TestAccounting:
             reach.load_allow(path)
         path.write_text("# fault path\nrepro.cli:main\n")
         assert reach.load_allow(path) == {"repro.cli:main": "fault path"}
+
+
+OPTIONS_FIXTURE = '''\
+from dataclasses import dataclass, field
+
+
+def scale(x, factor=2, offset=0.0):
+    return x * factor + offset
+
+
+def countdown(n=3):
+    while n:
+        yield n
+        n -= 1
+
+
+@dataclass
+class Config:
+    name: str
+    size: int = 10
+    tags: list = field(default_factory=list)
+    fixed: int = field(default=3, init=False)
+
+
+class Box:
+    def __init__(self, cap=5):
+        self.cap = cap
+
+    def _private(self, y=1):
+        return y
+'''
+
+
+class TestOptions:
+    def test_only_public_defaults_and_dataclass_fields_count(self):
+        found = [o.entry for o in reach.options(OPTIONS_FIXTURE, "fixture")]
+        assert found == [
+            "fixture:scale(factor)", "fixture:scale(offset)", "fixture:countdown(n)",
+            "fixture:Config(size)", "fixture:Config(tags)", "fixture:Box(cap)",
+        ]
+
+    def test_only_the_unset_options_are_reported(self, tmp_path, monkeypatch):
+        path = tmp_path / "fixture.py"
+        path.write_text(OPTIONS_FIXTURE)
+        with reach.record(root="fixture") as seen:
+            spec = importlib.util.spec_from_file_location("fixture", path)
+            module = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, "fixture", module)
+            spec.loader.exec_module(module)
+            module.scale(1, factor=2)  # the default, passed by name
+            module.scale(1, offset=1.5)
+            list(module.countdown())  # rebinding n in the body sets nothing
+            module.Config("a", tags=["x"])
+            module.Config("b", size=10)
+            module.Box(cap=6)
+            module.Box(1)._private(2)
+        assert seen.changed == {
+            "fixture:scale(offset)", "fixture:Config(tags)", "fixture:Box(cap)",
+        }
+        unset = [
+            o.entry for o in reach.options(OPTIONS_FIXTURE, "fixture")
+            if o.entry not in seen.changed
+        ]
+        assert unset == [
+            "fixture:scale(factor)", "fixture:countdown(n)", "fixture:Config(size)",
+        ]
 
 
 def test_every_allow_list_entry_names_a_function():

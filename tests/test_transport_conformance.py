@@ -492,19 +492,20 @@ class TestStoreOnBothEngines:
         assert store.nodes[down].data["k"].write_id == store.write_seq
 
     def test_read_repair_converges_the_replicas(self, harness):
-        # A replica misses a write (down, no hints); a read after its
+        # A replica misses a write (down, its hint lost); a read after its
         # recovery repairs it, although the read itself asks only one.
         h = harness()
         state = {}
 
         def setup(t):
-            store = state["store"] = _store(h, read_repair_chance=1.0, hinted_handoff=False)
+            store = state["store"] = _store(h, read_repair_chance=1.0)
             store.preload(["k"])
             lagging = state["lagging"] = store.all_replicas("k")[0]
             store.on_node_crash(lagging)
             store.write("k", ConsistencyLevel.QUORUM)
 
             def recover_and_read():
+                store.hints.drain(lagging)
                 store.on_node_recover(lagging)
                 assert store.nodes[lagging].data["k"].write_id < store.write_seq
                 store.read("k", ConsistencyLevel.ONE, lambda r: state.setdefault("read", r))
@@ -687,16 +688,12 @@ class TestAsyncioDelivery:
     """The delivery heap behind the one armed loop timer."""
 
     def test_random_delays_keep_link_fifo(self):
-        # 1000 frames down one link whose delay spreads over ~1-20 ms wall:
+        # 1000 frames down one link whose delay spreads over ~3-20 ms wall:
         # the per-link floor plus the heap's sequence tie-break keep order.
         topo = Topology(
             [Datacenter("east", "us-east"), Datacenter("west", "eu-west")],
             [3, 3],
-            latency={
-                LinkClass.INTER_REGION: LogNormalLatency.from_mean_cv(
-                    0.1, cv=0.5, floor_fraction=0.0
-                )
-            },
+            latency={LinkClass.INTER_REGION: LogNormalLatency.from_mean_cv(0.1, cv=0.5)},
         )
         t = AsyncioTransport(topo, rng=3, time_scale=0.05)
         got = []

@@ -27,7 +27,8 @@ from repro.cluster.store import StoreConfig
 from repro.net.latency import FixedLatency
 from repro.net.topology import Datacenter, LinkClass, Topology
 from repro.simcore.simulator import Simulator
-from repro.txn.api import PROTOCOLS, TransactionalStore, TxnConfig
+from repro.txn import api
+from repro.txn.api import PROTOCOLS, STATUS_JITTER, TransactionalStore, TxnConfig
 from tests.conftest import sim_store
 from tests.wal_history import RecordingLog
 
@@ -364,7 +365,7 @@ class TestCooperativeTermination:
         assert resolved
         # Dwell bound: two polls of the capped jittered schedule bring the
         # termination round, plus one reply window, plus message slack.
-        cap = config.status_interval_max * (1.0 + config.status_jitter)
+        cap = config.status_interval_max * (1.0 + STATUS_JITTER)
         bound = config.termination_after * cap + config.prepare_timeout + 0.01
         assert all(p.blocked_time <= bound for p in resolved)
         assert tstore.blocked_participant_time() <= bound * len(live)
@@ -592,19 +593,15 @@ class TestPollBackoff:
                 cfg.status_interval * cfg.status_backoff**attempt,
                 cfg.status_interval_max,
             )
-            assert base <= d <= base * (1.0 + cfg.status_jitter)
+            assert base <= d <= base * (1.0 + STATUS_JITTER)
         # Different pollers decorrelate (no synchronized query bursts).
         assert cfg.poll_delay(7, 3, 11, 1) != cfg.poll_delay(7, 4, 11, 1)
         assert cfg.poll_delay(7, 3, 11, 1) != cfg.poll_delay(7, 3, 12, 1)
         assert cfg.poll_delay(7, 3, 11, 1) != cfg.poll_delay(8, 3, 11, 1)
 
-    def test_zero_jitter_is_the_pure_exponential(self):
-        cfg = TxnConfig(
-            status_interval=0.1,
-            status_backoff=2.0,
-            status_interval_max=0.4,
-            status_jitter=0.0,
-        )
+    def test_zero_jitter_is_the_pure_exponential(self, monkeypatch):
+        monkeypatch.setattr(api, "STATUS_JITTER", 0.0)
+        cfg = TxnConfig(status_interval=0.1, status_backoff=2.0, status_interval_max=0.4)
         assert [cfg.poll_delay(1, 1, 1, a) for a in range(4)] == [
             0.1, 0.2, 0.4, 0.4,
         ]

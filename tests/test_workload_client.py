@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.cluster.store import StoreConfig
+from repro.cluster.store import DEFAULT_VALUE_SIZE, StoreConfig
 from repro.policy import StaticPolicy
 from repro.workload.client import ClosedLoopClient, OpenLoopSource, WorkloadRunner
 from repro.workload.traces import (
@@ -26,8 +26,6 @@ class TestWorkloadSpec:
     def test_validation(self):
         with pytest.raises(ConfigError):
             WorkloadSpec(record_count=0)
-        with pytest.raises(ConfigError):
-            WorkloadSpec(value_size=0)
 
     def test_sample_op_mix(self):
         spec = WorkloadSpec(read_proportion=0.7, update_proportion=0.3)
@@ -37,9 +35,9 @@ class TestWorkloadSpec:
         assert set(ops) == {"read", "update"}
 
     def test_key_naming_and_data_size(self):
-        spec = WorkloadSpec(record_count=10, value_size=100)
+        spec = WorkloadSpec(record_count=10)
         assert spec.key_of(3) == "user3"
-        assert spec.data_size_bytes() == 1000
+        assert spec.data_size_bytes() == 10 * DEFAULT_VALUE_SIZE
 
     def test_scaled(self):
         spec = heavy_read_update(record_count=100)
@@ -335,10 +333,8 @@ class TestTraces:
         simple_store.sim.run()
         assert simple_store.ops_completed() == 2
 
-    def test_replay_time_scale(self, simple_store):
+    def test_replay_keeps_the_trace_clock(self, simple_store):
         trace = [TraceRecord(t=10.0, kind="write", key="a")]
-        replay_trace(simple_store, trace, StaticPolicy(1, 1), time_scale=0.1)
+        replay_trace(simple_store, trace, StaticPolicy(1, 1))
         simple_store.sim.run()
-        assert simple_store.sim.now < 2.0  # compressed 10x
-        with pytest.raises(ConfigError):
-            replay_trace(simple_store, trace, StaticPolicy(1, 1), time_scale=0.0)
+        assert 10.0 < simple_store.sim.now < 11.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.consistency import ConsistencyLevel
+from repro.cluster.coordinator import ACK_SIZE
 from repro.cluster.replication import NetworkTopologyStrategy, make_placement
 from repro.cluster.store import StoreConfig
 from repro.net.latency import LogNormalLatency
@@ -75,7 +76,7 @@ def record_sends(store):
 
 
 def acks(store, sends, home):
-    return [s for s in sends if s[1] == home and s[2] == store.sizes.ack]
+    return [s for s in sends if s[1] == home and s[2] == ACK_SIZE]
 
 
 def write(store, key, level, coordinator):

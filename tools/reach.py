@@ -1,4 +1,4 @@
-"""Reachability census: which ``src/repro`` functions nothing but tests enter.
+"""Reachability census: which ``src/repro`` functions and options nothing but tests use.
 
 Runs every CLI verb at a small size and every example in this process,
 under ``sys.setprofile``, and records each code object that is entered.
@@ -9,6 +9,11 @@ its lines. An interface stub has nothing to reach and is not counted: its
 body, after the docstring, is ``...``, ``pass`` or ``raise
 NotImplementedError``.
 
+An *option* is a parameter with a default of a public function or
+constructor, or a dataclass field with a default. Each call records the
+options it passes a value that is not the default; the rest are *never
+set*. The count is reported, not gated.
+
 The gate: every unreached function must be listed in
 ``tools/reach_allow.txt`` under a one-line reason, and every listed
 entry must name a function that exists. The exit code is 1 when either
@@ -17,7 +22,7 @@ rule fails, and 0 otherwise.
 Usage::
 
     python tools/reach.py          # census, per-module table, gate
-    python tools/reach.py --list   # also print unreached functions as entries
+    python tools/reach.py --list   # also print unreached functions and unset options
 
 Sweeps run with ``--jobs 1`` so that every run stays in this process.
 The asyncio verbs run on the wall clock, so a timeout branch can be
@@ -30,6 +35,9 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import dataclasses
+import dis
+import inspect
 import io
 import os
 import runpy
@@ -108,6 +116,82 @@ def functions(source: str, module: str) -> List[Func]:
     return out
 
 
+@dataclass(frozen=True)
+class Option:
+    """One parameter with a default; ``owner`` is the class for a constructor."""
+
+    module: str
+    owner: str
+    param: str
+
+    @property
+    def entry(self) -> str:
+        return f"{self.module}:{self.owner}({self.param})"
+
+
+def is_public(qualname: str) -> bool:
+    parts = qualname.split(".")
+    return all(part == "__init__" or not part.startswith(("_", "<")) for part in parts)
+
+
+def owner_of(qualname: str) -> str:
+    """A constructor's options belong to its class."""
+    return qualname[: -len(".__init__")] if qualname.endswith(".__init__") else qualname
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", "")) == "dataclass":
+            return True
+    return False
+
+
+def field_has_default(stmt: ast.AnnAssign) -> bool:
+    if stmt.value is None or ast.unparse(stmt.annotation).startswith("ClassVar"):
+        return False
+    call = stmt.value
+    if not (isinstance(call, ast.Call) and getattr(call.func, "id", "") == "field"):
+        return True
+    kw = {k.arg: k.value for k in call.keywords}
+    init = kw.get("init")
+    if isinstance(init, ast.Constant) and init.value is False:
+        return False
+    return "default" in kw or "default_factory" in kw
+
+
+def options(source: str, module: str) -> List[Option]:
+    """Every public option in ``source``: parameter and dataclass field defaults."""
+    out: List[Option] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                owner = prefix + child.name
+                if is_dataclass(child):
+                    out.extend(
+                        Option(module, owner, stmt.target.id) for stmt in child.body
+                        if isinstance(stmt, ast.AnnAssign) and field_has_default(stmt)
+                    )
+                visit(child, owner + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if is_stub(child):
+                    continue
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                names = [a.arg for a in positional[first:]]
+                kwonly = zip(args.kwonlyargs, args.kw_defaults)
+                names += [a.arg for a, default in kwonly if default is not None]
+                owner = owner_of(prefix + child.name)
+                out.extend(Option(module, owner, name) for name in names)
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return [o for o in out if is_public(o.owner) and is_public(module)]
+
+
 def module_name(path: Path, src: Path = SRC) -> str:
     parts = list(path.relative_to(src).with_suffix("").parts)
     if parts[-1] == "__init__":
@@ -135,21 +219,124 @@ def unreached(funcs: Iterable[Func], entered: Set[Tuple[int, str]]) -> List[Func
     return [f for f in funcs if f.qualname in missed and f.parent not in missed]
 
 
+NO_OPTIONS: Tuple[int, list] = (-1, [])
+RESUMING = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+
+
+def unwrap(obj: object, code: object) -> object:
+    """The function whose code is ``code``, under a static/class method or a cache."""
+    for _ in range(3):
+        if getattr(obj, "__code__", None) is code:
+            return obj
+        obj = getattr(obj, "__func__", None) or getattr(obj, "__wrapped__", None)
+    return None
+
+
+class Recorder:
+    """What a run enters, and which options it sets to a non-default value.
+
+    ``codes`` maps every code object entered to its options not yet seen
+    set: ``(offset, [(param, default, entry), ...])``. Each code object is
+    looked up once, at its first entry. A generator's or coroutine's
+    options are read only at its first resume, at ``offset``, before its
+    body can rebind them; -1 reads them at every entry.
+    """
+
+    def __init__(self, root: str = "repro"):
+        self.root = root
+        self.codes: Dict[object, Tuple[int, list]] = {}
+        self.changed: Set[str] = set()
+
+    def profile(self, frame, event, arg):
+        if event != "call":
+            return
+        codes = self.codes
+        spec = codes.get(frame.f_code)
+        if spec is None:
+            spec = codes[frame.f_code] = self.lookup(frame)
+        todo = spec[1]
+        if todo and (spec[0] < 0 or spec[0] == frame.f_lasti):
+            values = frame.f_locals
+            for item in list(todo):
+                name, default, entry = item
+                value = values.get(name, default)
+                # a dataclass __init__ takes an omitted factory field as this
+                if value is default or value is dataclasses._HAS_DEFAULT_FACTORY:
+                    continue
+                try:
+                    same = bool(value == default)
+                except Exception:  # e.g. an array, whose == is elementwise
+                    same = False
+                if not same:
+                    self.changed.add(entry)
+                    todo.remove(item)
+
+    def in_scope(self, module: str) -> bool:
+        return module == self.root or module.startswith(self.root + ".")
+
+    def lookup(self, frame) -> Tuple[int, list]:
+        code = frame.f_code
+        if code.co_filename == "<string>" and code.co_name == "__init__":
+            return self.dataclass_init(frame)
+        module = frame.f_globals.get("__name__", "")
+        qualname = code.co_qualname
+        if not (self.in_scope(module) and is_public(qualname)):
+            return NO_OPTIONS
+        parts = qualname.split(".")
+        obj = frame.f_globals.get(parts[0])
+        for part in parts[1:]:
+            obj = vars(obj).get(part) if hasattr(obj, "__dict__") else None
+        fn = unwrap(obj, code)
+        if fn is None:
+            return NO_OPTIONS
+        entry = f"{module}:{owner_of(qualname)}(%s)"
+        n = code.co_argcount
+        defaults = fn.__defaults__ or ()
+        todo = [
+            (name, default, entry % name)
+            for name, default in zip(code.co_varnames[n - len(defaults):n], defaults)
+        ]
+        kwdefaults = fn.__kwdefaults__ or {}
+        todo += [(name, default, entry % name) for name, default in kwdefaults.items()]
+        if not todo:
+            return NO_OPTIONS
+        offset = -1
+        if code.co_flags & RESUMING:
+            ops = dis.get_instructions(code)
+            offset = next(i.offset for i in ops if i.opname == "RESUME")
+        return offset, todo
+
+    def dataclass_init(self, frame) -> Tuple[int, list]:
+        """A dataclass's generated ``__init__``: one option per field with a default."""
+        code = frame.f_code
+        mro = type(frame.f_locals[code.co_varnames[0]]).__mro__
+        cls = next((k for k in mro if unwrap(vars(k).get("__init__"), code)), None)
+        if not (dataclasses.is_dataclass(cls) and self.in_scope(cls.__module__)):
+            return NO_OPTIONS
+        todo = []
+        for f in dataclasses.fields(cls):
+            factory = f.default_factory
+            if not f.init or f.default is factory is dataclasses.MISSING:
+                continue
+            # the field is the option of the class that declares it
+            owner = next(
+                k for k in cls.__mro__ if f.name in vars(k).get("__annotations__", {})
+            )
+            entry = f"{owner.__module__}:{owner.__qualname__}({f.name})"
+            default = f.default if factory is dataclasses.MISSING else factory()
+            todo.append((f.name, default, entry))
+        return -1, todo
+
+
 @contextlib.contextmanager
-def record() -> Iterator[Set[object]]:
-    """Collect every code object entered, in this thread and in new ones."""
-    seen: Set[object] = set()
-    add = seen.add
-
-    def profile(frame, event, arg):
-        if event == "call":
-            add(frame.f_code)
-
+def record(root: str = "repro") -> Iterator[Recorder]:
+    """Record every call, in this thread and in new ones."""
+    recorder = Recorder(root)
     old = sys.getprofile()
-    sys.setprofile(profile)
-    threading.setprofile(profile)
+    sys.setprofile(recorder.profile)
+    threading.setprofile(recorder.profile)
     try:
-        yield seen
+        yield recorder
     finally:
         sys.setprofile(old)
         threading.setprofile(None)
@@ -221,8 +408,8 @@ def cli_runs(tmp: str) -> List[List[str]]:
     return runs
 
 
-def run_census(tmp: str) -> Set[object]:
-    """Run the census set; return the code objects it entered."""
+def run_census(tmp: str) -> Recorder:
+    """Run the census set; ``repro`` is imported under the recorder."""
     sys.path.insert(0, str(SRC))
     examples = sorted((ROOT / "examples").glob("*.py"))
     with record() as seen:
@@ -253,7 +440,7 @@ def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--list", action="store_true",
-        help="print every unreached function as an allow-list entry",
+        help="also print every unreached function and every option never set",
     )
     args = parser.parse_args(argv)
 
@@ -261,7 +448,13 @@ def main(argv: List[str] | None = None) -> int:
     modules = index()
     known = {f.entry for _, funcs in modules.values() for f in funcs}
     with tempfile.TemporaryDirectory() as tmp:
-        entered = entered_by_file(run_census(tmp))
+        recorder = run_census(tmp)
+    entered = entered_by_file(recorder.codes)
+    unset = [
+        o.entry for path in sorted(SRC.rglob("*.py"))
+        for o in options(path.read_text(), module_name(path))
+        if o.entry not in recorder.changed
+    ]
 
     missed: List[Func] = []
     print(f"\n{'module':44s} {'unreached lines':>15s}")
@@ -273,8 +466,8 @@ def main(argv: List[str] | None = None) -> int:
     print(f"{'total':44s} {sum(f.lines for f in missed):15d}")
     if args.list:
         print()
-        for f in missed:
-            print(f.entry)
+        for entry in [f.entry for f in missed] + unset:
+            print(entry)
 
     bad = [f.entry for f in missed if f.entry not in allow]
     stale = sorted(set(allow) - known)
@@ -283,6 +476,7 @@ def main(argv: List[str] | None = None) -> int:
     for entry in stale:
         print(f"allow-list entry names no function: {entry}")
     print(f"{len(missed)} unreached functions, {len(allow)} allow-list entries")
+    print(f"{len(unset)} options never set to a non-default value")
     return 1 if bad or stale else 0
 
 
