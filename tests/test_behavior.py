@@ -5,7 +5,13 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.behavior.classifier import features_from_monitor
-from repro.behavior.clustering import KMeans, choose_k, silhouette_score
+from repro.behavior.clustering import (
+    MAX_ITER,
+    N_INIT,
+    KMeans,
+    choose_k,
+    silhouette_score,
+)
 from repro.behavior.features import FEATURE_NAMES, WindowFeatures, extract_features
 from repro.behavior.manager import BehaviorModel, BehaviorPolicy
 from repro.behavior.rules import PolicyAssignment, Rule, RuleBook, default_rulebook
@@ -140,6 +146,15 @@ class TestKMeans:
         a = KMeans(3, rng=7).fit(pts)
         b = KMeans(3, rng=7).fit(pts)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_fit_keeps_the_lowest_inertia_restart(self):
+        # overlapping blobs, so k-means++ restarts land in different optima
+        pts = np.random.default_rng(3).normal(0.0, 1.0, size=(120, 2))
+        restarts = KMeans(4, rng=5)
+        fits = [restarts._fit_once(pts) for _ in range(N_INIT)]
+        best = KMeans(4, rng=5).fit(pts)
+        assert best.inertia == min(f.inertia for f in fits)
+        assert all(1 <= f.iterations <= MAX_ITER for f in fits)
 
     def test_identical_points(self):
         pts = np.ones((10, 2))

@@ -24,7 +24,9 @@ from repro.common.errors import ConfigError, ConsistencyError
 from repro.cluster.partitioner import token_of
 from repro.cluster.replication import NetworkTopologyStrategy, SimpleStrategy
 from repro.cluster.ring import TokenRing
+from repro.cluster.coordinator import REQUEST_OVERHEAD
 from repro.cluster.store import StoreConfig
+from repro.elastic import autoscale, rebalance
 from repro.elastic import (
     AutoscalerConfig,
     CostAwareAutoscaler,
@@ -239,6 +241,18 @@ class TestStreamingRebalance:
         assert reb.keys_streamed > 0
         assert reb.bytes_streamed > 0
         assert len(store.nodes[5].data) > 0
+
+    def test_each_pump_round_starts_one_batch(self):
+        store, reb = build_streaming()
+        store.preload([f"user{i}" for i in range(600)], value_size=10)
+        store.bootstrap_node(0)
+        assert reb.pending_keys() > 2 * rebalance.BATCH_SIZE
+        store.sim.run(until=0.001)  # the first round; the next is at 0.002
+        assert reb.bytes_streamed == rebalance.BATCH_SIZE * (REQUEST_OVERHEAD + 10)
+        store.sim.run(until=0.003)
+        assert reb.bytes_streamed == 2 * rebalance.BATCH_SIZE * (REQUEST_OVERHEAD + 10)
+        store.sim.run(until=1.0)
+        assert not reb.active
 
     def test_progress_signature_advances_while_streaming(self):
         store, reb = build_streaming()
@@ -597,6 +611,21 @@ class TestAutoscaler:
         assert cluster.n_members == 3  # rf floor
         assert all(d["action"] == "scale-in" for d in scaler.decisions)
         assert all("projected_util" in d for d in scaler.decisions)
+
+    @pytest.mark.parametrize("projected, scales_in", [(0.47, True), (0.49, False)])
+    def test_scale_in_keeps_headroom_under_the_scale_out_line(
+        self, projected, scales_in
+    ):
+        # scale_out_util 0.6 x SCALE_IN_HEADROOM 0.8: a smaller cluster
+        # projected above 0.48 would soon scale back out, so it stays put
+        assert autoscale.SCALE_IN_HEADROOM == 0.8
+        store, cluster, scaler = build_autoscaled(n_nodes=5)
+        force_signals(scaler, util=0.01)
+        scaler.advisor.stage_utilization = lambda *args, **kwargs: projected
+        scaler.start()
+        store.sim.run(until=0.2)
+        assert (cluster.n_members < 5) == scales_in
+        assert all(d["projected_util"] == projected for d in scaler.decisions)
 
     def test_queue_depth_triggers_scale_out(self):
         store, cluster, scaler = build_autoscaled()

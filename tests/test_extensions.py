@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.cluster.deadline import FreshnessDeadline
-from repro.cost.power import IDLE_WATTS, PowerModel
+from repro.cost.power import IDLE_WATTS, PEAK_WATTS, PowerModel
 from repro.cost.pricing import EC2_US_EAST_2013
 from repro.cost.provisioning import Candidate, ProvisioningAdvisor, WorkloadEnvelope
 from repro.policy import StaticPolicy
@@ -36,6 +36,32 @@ class TestPowerModel:
         )
         assert report.ops == 500
         assert report.joules_per_kop > 0
+
+    def test_dynamic_energy_is_the_idle_to_peak_gap_over_busy_time(self, store):
+        meter = PowerModel(store)
+        for i in range(300):
+            store.sim.schedule_at(i * 0.001, store.write, f"k{i % 10}", 1)
+        store.sim.run()
+        # each node's two stages, as a fraction of a fully busy node
+        busy = sum(
+            n.resource.busy_seconds() / n.resource.servers
+            + n.mutation_resource.busy_seconds() / n.mutation_resource.servers
+            for n in store.nodes
+        )
+        assert busy > 0
+        assert meter.report().dynamic_joules == pytest.approx(
+            (PEAK_WATTS - IDLE_WATTS) * busy / 2.0
+        )
+
+    def test_mean_power_stays_between_idle_and_peak(self, store):
+        meter = PowerModel(store)
+        for i in range(2000):
+            store.sim.schedule_at(i * 0.0001, store.write, f"k{i % 10}", 1)
+        store.sim.run()
+        report = meter.report()
+        n_nodes = store.topology.n_nodes
+        assert report.dynamic_joules > 0
+        assert IDLE_WATTS * n_nodes < report.mean_watts <= PEAK_WATTS * n_nodes
 
     def test_stronger_levels_use_more_energy_per_op(self):
         """The §V direction-1 question, answered by the simulator."""

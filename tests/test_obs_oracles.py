@@ -100,9 +100,10 @@ class TestOracleConfig:
     def test_defaults_are_valid(self):
         OracleConfig()
 
-    def test_bad_values_rejected(self):
-        with pytest.raises(ConfigError):
-            OracleConfig(in_doubt_dwell=0.0)
+    @pytest.mark.parametrize("in_doubt_dwell", [0.0, -1.0])
+    def test_bad_values_rejected(self, in_doubt_dwell):
+        with pytest.raises(ConfigError, match="in_doubt_dwell"):
+            OracleConfig(in_doubt_dwell=in_doubt_dwell)
 
 
 class TestStaleBurstOracle:
@@ -118,6 +119,13 @@ class TestStaleBurstOracle:
         engine.on_tick(0.75, window_reads=20, window_stale=0)  # rate back to 0.5
         assert [r["phase"] for r in sink] == ["start", "end"]
         assert sink[1]["duration"] == pytest.approx(0.25)
+
+    def test_rate_at_the_threshold_is_no_burst(self):
+        engine, sink = _engine()  # STALE_RATE_THRESHOLD = 0.5, 4-tick window
+        engine.on_tick(0.25, window_reads=32, window_stale=16)  # rate exactly 0.5
+        assert sink == []
+        engine.on_tick(0.50, window_reads=32, window_stale=17)  # window 33/64
+        assert [(e["phase"], e["threshold"]) for e in sink] == [("start", 0.5)]
 
     def test_min_reads_gates_noise(self):
         engine, sink = _engine()  # STALE_MIN_READS = 16

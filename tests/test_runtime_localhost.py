@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +35,7 @@ from repro.runtime.aio import AsyncioTransport
 from repro.runtime.localhost import LocalhostSpec
 from repro.runtime.sim import SimTransport
 from repro.runtime.wal import FileWriteAheadLog
+from repro.runtime import xval
 from repro.runtime.xval import (
     XvalCheck,
     XvalReport,
@@ -757,6 +759,44 @@ class TestXvalVerdicts:
         assert d["passed"] is True
         assert d["levels"][0]["hot_fraction"] == 0.5
         assert d["levels"][0]["aio_commit_ms"] == 6.0
+
+    @staticmethod
+    def _fake_runs(monkeypatch, aio_abort_gap=0.0, aio_stale_gap=0.0):
+        """Stand in for both backends: asyncio sits a fixed gap above sim."""
+
+        def fake_run(spec):
+            hf = spec.txn_workload.distribution_kwargs["hot_opn_fraction"]
+            aio = spec.backend == "asyncio"
+            report = SimpleNamespace(
+                txn={
+                    "abort_rate": hf / 2 + (aio_abort_gap if aio else 0.0),
+                    "commit_latency_mean_ms": 5.0,
+                },
+                stale_rate=hf / 4 + (aio_stale_gap if aio else 0.0),
+            )
+            return SimpleNamespace(report=report, timed_out=False)
+
+        monkeypatch.setattr(xval, "run", fake_run)
+
+    def test_gaps_within_the_tolerances_pass(self, monkeypatch):
+        # ABORT_TOLERANCE 0.20, STALE_TOLERANCE 0.25
+        self._fake_runs(monkeypatch, aio_abort_gap=0.19, aio_stale_gap=0.24)
+        report = cross_validate(hot_fractions=(0.0, 0.8))
+        assert report.passed
+        assert (report.abort_tolerance, report.stale_tolerance) == (0.20, 0.25)
+        assert report.trend_deadband == 0.05
+
+    @pytest.mark.parametrize("metric", ["abort_rate", "stale_rate"])
+    def test_a_gap_past_its_tolerance_fails(self, monkeypatch, metric):
+        if metric == "abort_rate":
+            self._fake_runs(monkeypatch, aio_abort_gap=0.21)
+        else:
+            self._fake_runs(monkeypatch, aio_stale_gap=0.26)
+        report = cross_validate(hot_fractions=(0.0, 0.8))
+        assert not report.passed and report.trend_failures == []
+        for check in report.checks:
+            assert len(check.failures) == 1
+            assert check.failures[0].startswith(f"{metric} gap")
 
     def test_cross_validate_needs_two_levels(self):
         with pytest.raises(ConfigError):
