@@ -448,7 +448,7 @@ def abl_estimators(platform):
         seed=5, target_throughput=6000.0,
     ).run()
     snap = monitor.snapshot()
-    params = params_from_snapshot(snap, fallback_rf=5)
+    params = params_from_snapshot(snap, write_level=1, fallback_rf=5, strict=True)
     info = DeploymentInfo.from_store(store)
     rows = []
     for r in range(1, 6):

@@ -238,9 +238,13 @@ class ReplicatedStore:
         self.rebalancer: Optional[Any] = None
         # billable-capacity meter: instance-seconds integrated over the live
         # (non-retired) node count, so elastic runs bill capacity-over-time;
+        # per-instance lifetimes back the hourly-rounded price books.
         self._instance_count = topology.n_nodes
         self._instance_seconds = 0.0
         self._instance_last_t = self.transport.now
+        self._instance_spans: List[List[Optional[float]]] = [
+            [self._instance_last_t, None] for _ in range(topology.n_nodes)
+        ]
         # per-key count of writes dispatched but not yet settled (acked or
         # timed out). The rebalancer defers a migration hand-off while one
         # is outstanding: a write racing the stream must land on the old
@@ -440,6 +444,7 @@ class ReplicatedStore:
         self._coord_pools = None
         node_id = self.topology.add_node(dc_index)
         self.network.clear_topology_cache()
+        self._instance_spans.append([self.transport.now, None])
         self.nodes.append(
             StorageNode(
                 self.transport,
@@ -540,6 +545,7 @@ class ReplicatedStore:
         self._instances_tick()
         self._instance_count -= 1
         self._coord_pools = None
+        self._instance_spans[node_id][1] = self.transport.now
         self.nodes[node_id].retire()
 
     def _instances_tick(self) -> None:
@@ -558,6 +564,15 @@ class ReplicatedStore:
         """
         self._instances_tick()
         return self._instance_seconds
+
+    def instance_spans(self) -> List[Tuple[float, Optional[float]]]:
+        """Per-instance ``(start, end)`` lifetimes (``end=None`` = running).
+
+        The basis of hourly-rounded billing: clouds that round up bill each
+        instance's own hours, so the biller needs lifetimes, not just the
+        aggregate instance-seconds integral.
+        """
+        return [(s, e) for s, e in self._instance_spans]
 
     # -- in-flight write tracking (migration hand-off gate) -------------------------
 

@@ -9,6 +9,7 @@ activity would have cost under the price book.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -112,9 +113,21 @@ class Biller:
         inst_seconds = max(store.instance_seconds() - self._inst0, 0.0)
 
         # -- instances ---------------------------------------------------------
-        # Fractional time (per-second billing), so short simulated runs
-        # stay comparable.
-        instance_cost = inst_seconds * prices.instance_rate_per_second()
+        if prices.round_up_instance_hours:
+            # 2013-era AWS granularity: each instance's own hours round up
+            # individually, so elastic lifetimes are priced per span.
+            t_end = store.transport.now
+            instance_cost = 0.0
+            for start, end in store.instance_spans():
+                overlap = min(end if end is not None else t_end, t_end) - max(
+                    start, self._t0
+                )
+                if overlap > 0:
+                    instance_cost += (
+                        math.ceil(overlap / 3600.0) * prices.instance_hour
+                    )
+        else:
+            instance_cost = inst_seconds * prices.instance_rate_per_second()
 
         # -- storage -----------------------------------------------------------
         replicated_gb = (

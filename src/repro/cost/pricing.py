@@ -38,6 +38,10 @@ class PriceBook:
         $ per million storage I/O requests.
     transfer_inter_az_gb / transfer_inter_region_gb:
         $/GB for traffic between availability zones / between regions.
+    round_up_instance_hours:
+        Bill whole instance-hours (the 2013 AWS billing granularity) or
+        fractional time (modern per-second billing). Experiments default to
+        fractional so short simulated runs stay comparable.
     """
 
     instance_hour: float = 0.26
@@ -45,6 +49,7 @@ class PriceBook:
     storage_io_per_million: float = 0.10
     transfer_inter_az_gb: float = 0.01
     transfer_inter_region_gb: float = 0.12
+    round_up_instance_hours: bool = False
 
     def __post_init__(self) -> None:
         for name in (

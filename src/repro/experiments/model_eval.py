@@ -77,7 +77,7 @@ def _simulate_single_key(
         record_count=1,
         distribution="uniform",
     )
-    store.preload(KeyRange(1), spec.value_size)
+    store.preload(KeyRange(1), store.default_value_size)
     source = OpenLoopSource(
         store,
         spec,

@@ -63,6 +63,20 @@ class MonitorSnapshot:
         """Replica count observed from the ack profile (0 before any write)."""
         return len(self.ack_rank_means)
 
+    def propagation_windows(self, write_level: int) -> List[float]:
+        """Residual staleness windows ``W_i`` after a level-``w`` commit.
+
+        Per Figure 1: the write is acknowledged at ``T`` (the rank-``w`` ack)
+        and replica of rank ``i`` applies at its rank delay; its staleness
+        window is ``max(rank_i - T, 0)``. Returned for all ranks (the
+        synchronous ranks contribute zero windows).
+        """
+        if not self.ack_rank_means:
+            return []
+        w = min(max(write_level, 1), len(self.ack_rank_means))
+        t_commit = self.ack_rank_means[w - 1]
+        return [max(d - t_commit, 0.0) for d in self.ack_rank_means]
+
 
 class ClusterMonitor:
     """Store listener aggregating the observable cluster state.

@@ -52,6 +52,9 @@ class SLOSpec:
         prepared without a decision past the dwell oracle's budget, per
         the ``txn_blocked`` sample signal (older timelines fall back to
         the client-visible in-doubt counter).
+    cost_ceiling_usd:
+        Total run cost ceiling (needs ``meta_cost_total_usd`` in the
+        header, stamped by the scenario harness).
     anomalies_max:
         Cap on anomaly records (``start``/``point`` phases, i.e. distinct
         detections) across all oracles; 0 = gate on oracle silence.
@@ -64,6 +67,7 @@ class SLOSpec:
     read_p99_ms_max: Optional[float] = None
     abort_rate_max: Optional[float] = None
     blocked_txn_time_max: Optional[float] = None
+    cost_ceiling_usd: Optional[float] = None
     anomalies_max: Optional[int] = None
     error_budget: float = 0.05
 
@@ -201,6 +205,7 @@ def _burn(breach_time: float, exposed_time: float, budget: float) -> Tuple[bool,
 
 def evaluate_slo(records: List[Dict[str, Any]], spec: SLOSpec) -> SLOReport:
     """Grade one loaded timeline against ``spec``."""
+    head = records[0] if records and records[0].get("type") == "header" else {}
     windows = _windows(records)
     samples = [s for _, s in windows]
     results: List[SLOResult] = []
@@ -302,6 +307,28 @@ def evaluate_slo(records: List[Dict[str, Any]], spec: SLOSpec) -> SLOReport:
                 detail=detail,
             )
         )
+
+    if spec.cost_ceiling_usd is not None:
+        cost = head.get("meta_cost_total_usd")
+        if cost is None:
+            results.append(
+                SLOResult(
+                    "cost_ceiling_usd",
+                    spec.cost_ceiling_usd,
+                    None,
+                    False,
+                    detail="cost not recorded in header",
+                )
+            )
+        else:
+            results.append(
+                SLOResult(
+                    "cost_ceiling_usd",
+                    spec.cost_ceiling_usd,
+                    float(cost),
+                    float(cost) > spec.cost_ceiling_usd,
+                )
+            )
 
     if spec.anomalies_max is not None:
         detections = [

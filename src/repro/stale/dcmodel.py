@@ -237,7 +237,7 @@ def forecast_stale(
             system_stale_rate_dc(deployment, snapshot.write_rate, profile, r)
             for r in range(1, rf + 1)
         ]
-    params = params_from_snapshot(snapshot, rf, COLD_START_WINDOW)
+    params = params_from_snapshot(snapshot, write_level, rf, COLD_START_WINDOW)
     if params.rf != rf:
         windows = list(params.windows)
         params.windows = (windows + [max(windows)] * rf)[:rf]

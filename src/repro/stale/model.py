@@ -255,24 +255,35 @@ def system_stale_rate(
 
 
 def params_from_snapshot(
-    snapshot, fallback_rf: int, fallback_window: float = 0.0
+    snapshot,
+    write_level: int,
+    fallback_rf: int,
+    fallback_window: float = 0.0,
+    strict: bool = True,
 ) -> StaleModelParams:
     """Build model parameters from a :class:`~repro.monitor.collector.MonitorSnapshot`.
 
-    The parameters take the strict Figure-1 (write-start) definition, the
-    paper's conservative choice: the windows are the full ack delays.
     Before any write has fully propagated the monitor has no ack profile;
     ``fallback_rf`` / ``fallback_window`` seed the model conservatively in
     that cold-start phase (Harmony then starts from whatever level the
     fallback implies and adapts as data arrives).
+
+    ``strict`` selects the Figure-1 (write-start) definition, the paper's
+    conservative choice; ``False`` selects the committed-bar definition.
     """
     rf = snapshot.replication_factor()
     if rf == 0:
         rf = fallback_rf
         windows = [fallback_window] * rf
-    else:
+    elif strict:
         windows = list(snapshot.ack_rank_means)
+    else:
+        windows = snapshot.propagation_windows(write_level)
     profile = snapshot.key_profile or [(1.0, 1.0, 1)]
     return StaleModelParams(
-        write_rate=snapshot.write_rate, windows=windows, key_profile=profile, rf=rf
+        write_rate=snapshot.write_rate,
+        windows=windows,
+        key_profile=profile,
+        rf=rf,
+        strict=strict,
     )

@@ -24,7 +24,7 @@ import numpy as np
 from repro.common.rng import RngFactory
 from repro.txn.api import TransactionalStore, TxnOutcome
 from repro.workload.client import ClosedLoopClient, RunReport, WorkloadRunner
-from repro.workload.workloads import TxnWorkloadSpec
+from repro.workload.workloads import KeyRange, TxnWorkloadSpec
 
 __all__ = ["TxnClient", "TxnRunner"]
 
@@ -82,6 +82,10 @@ class TxnRunner(WorkloadRunner):
             n_clients=n_clients, ops_total=txns_total, **driver,
         )
         self.tstore = tstore
+
+    def _preload(self) -> None:
+        """Load the key range at the mix's own row size."""
+        self.store.preload(KeyRange(self.spec.record_count), self.spec.value_size)
 
     def _new_client(
         self, i: int, ops: int, rngs: RngFactory, rate: Optional[float], dc: int

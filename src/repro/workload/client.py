@@ -90,15 +90,14 @@ def issue_op(src, done=None) -> None:
         store.read(key, policy.read_level(now), done, coordinator=src._coordinator())
     elif op in ("update", "insert"):
         store.write(
-            key, policy.write_level(now), done,
-            value_size=spec.value_size, coordinator=src._coordinator(),
+            key, policy.write_level(now), done, coordinator=src._coordinator()
         )
     else:  # rmw: read, then write the same key (one op, two round-trips)
 
         def then_write(result: OpResult) -> None:
             store.write(
                 key, policy.write_level(store.transport.now), done,
-                value_size=spec.value_size, coordinator=src._coordinator(),
+                coordinator=src._coordinator(),
             )
 
         store.read(
@@ -405,8 +404,8 @@ class WorkloadRunner:
 
     def run(self) -> RunReport:
         """Execute the workload and return the report."""
-        store, spec = self.store, self.spec
-        store.preload(KeyRange(spec.record_count), spec.value_size)
+        store = self.store
+        self._preload()
         store.add_listener(self._usage)
         if self._warmup_remaining > 0:
             store.add_listener(self)
@@ -441,6 +440,10 @@ class WorkloadRunner:
         duration = max(t_end - max(t_start, self._t_measure_start), 1e-9)
 
         return self._report(duration)
+
+    def _preload(self) -> None:
+        """Load the spec's key range at the store's row size."""
+        self.store.preload(KeyRange(self.spec.record_count))
 
     def _new_client(
         self, i: int, ops: int, rngs: RngFactory, rate: Optional[float], dc: int

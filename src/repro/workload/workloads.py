@@ -12,7 +12,7 @@ workload A's 50/50 read/update mix at maximum offered load -- with
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -101,8 +101,6 @@ class WorkloadSpec:
     record_count: int = 1000
     distribution: str = "zipfian"
     distribution_kwargs: Dict = field(default_factory=dict)
-    #: bytes per row, the store's (YCSB default: 10 fields x 100 B)
-    value_size: ClassVar[int] = DEFAULT_VALUE_SIZE
 
     def __post_init__(self) -> None:
         total = (
@@ -129,8 +127,8 @@ class WorkloadSpec:
         return f"{KEY_PREFIX}{index}"
 
     def data_size_bytes(self) -> int:
-        """Total logical data size (records x value size), for billing."""
-        return self.record_count * self.value_size
+        """Total logical data size (records x the store's row size), for billing."""
+        return self.record_count * DEFAULT_VALUE_SIZE
 
     def sample_op(self, rng: np.random.Generator) -> str:
         """Draw an operation type: ``read``/``update``/``insert``/``rmw``."""

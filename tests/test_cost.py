@@ -82,6 +82,16 @@ class TestBiller:
         )
         assert bill.instance_cost == pytest.approx(expected)
 
+    def test_rounded_hours(self, store):
+        prices = PriceBook(round_up_instance_hours=True)
+        biller = Biller(store, prices, data_size_bytes=0)
+        self._run_some_ops(store, n=50)
+        bill = biller.bill()
+        # a sub-second run bills one whole hour per instance
+        assert bill.instance_cost == pytest.approx(
+            store.topology.n_nodes * prices.instance_hour
+        )
+
     def test_arm_resets_interval(self, store):
         biller = Biller(store, EC2_US_EAST_2013, data_size_bytes=1_000_000)
         self._run_some_ops(store, n=100)

@@ -206,12 +206,26 @@ class TestClusterMonitor:
         snap = m.snapshot(0.5)
         assert snap.replication_factor() == 2
         assert snap.key_profile
-        assert snap.ack_rank_means == pytest.approx([0.001, 0.002])
+        windows = snap.propagation_windows(write_level=1)
+        assert len(windows) == 2
+        assert windows[0] == 0.0  # rank-1 window relative to rank-1 commit
+
+    def test_propagation_windows_levels(self):
+        m = ClusterMonitor()
+        m.on_write_propagated(
+            op("write", "k", 0.0, 0.0, acks=[0.001, 0.005, 0.020])
+        )
+        snap = m.snapshot(0.1)
+        w1 = snap.propagation_windows(1)
+        assert w1 == pytest.approx([0.0, 0.004, 0.019])
+        w3 = snap.propagation_windows(3)
+        assert w3 == pytest.approx([0.0, 0.0, 0.0])
 
     def test_snapshot_empty_monitor(self):
         snap = ClusterMonitor().snapshot(1.0)
         assert snap.read_rate == 0.0
         assert snap.replication_factor() == 0
+        assert snap.propagation_windows(1) == []
 
     def test_elastic_events_fold_into_counters(self):
         m = ClusterMonitor()

@@ -207,6 +207,20 @@ class TestEvaluateOtherObjectives:
         assert hit.breached
         assert hit.observed == pytest.approx(2.5)  # (1,2] + (2,3.5]
 
+    def test_cost_ceiling_reads_header_meta(self):
+        records = [_header(cost_total_usd=12.5), _sample(1.0)]
+        hit = _result(
+            evaluate_slo(records, SLOSpec(cost_ceiling_usd=10.0)),
+            "cost_ceiling_usd",
+        )
+        assert hit.breached and hit.observed == 12.5
+        missing = [_header(), _sample(1.0)]
+        hit = _result(
+            evaluate_slo(missing, SLOSpec(cost_ceiling_usd=10.0)),
+            "cost_ceiling_usd",
+        )
+        assert not hit.breached and hit.observed is None
+
     def test_anomalies_counts_detections_not_ends(self):
         records = [
             _header(),

@@ -140,6 +140,7 @@ class TestOptions:
             "fixture:Config(size)", "fixture:Config(tags)", "fixture:Box(cap)",
         ]
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
     def test_only_the_unset_options_are_reported(self, tmp_path, monkeypatch):
         path = tmp_path / "fixture.py"
         path.write_text(OPTIONS_FIXTURE)

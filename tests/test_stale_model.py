@@ -187,12 +187,18 @@ class TestParamsFromSnapshot:
         )
 
     def test_strict_uses_full_ack_delays(self):
-        p = params_from_snapshot(self._snap([0.001, 0.01]), fallback_rf=2)
+        p = params_from_snapshot(self._snap([0.001, 0.01]), 1, fallback_rf=2)
         assert list(p.windows) == [0.001, 0.01]
         assert p.strict
 
+    def test_committed_uses_residuals(self):
+        p = params_from_snapshot(
+            self._snap([0.001, 0.01]), 1, fallback_rf=2, strict=False
+        )
+        assert list(p.windows) == pytest.approx([0.0, 0.009])
+
     def test_cold_start_fallback(self):
-        p = params_from_snapshot(self._snap([]), fallback_rf=3, fallback_window=0.05)
+        p = params_from_snapshot(self._snap([]), 1, fallback_rf=3, fallback_window=0.05)
         assert p.rf == 3
         assert list(p.windows) == [0.05] * 3
 
@@ -508,14 +514,20 @@ class TestEstimatorsAreTheirPerKeyLoops:
 
 def _engine_branch(snapshot, rf, write_level, deployment):
     """The estimate branch both adaptive engines carried before
-    :func:`forecast_stale` (strict windows, ``fallback_window=0.05``)."""
+    :func:`forecast_stale` (``strict=True``, ``fallback_window=0.05``)."""
     if deployment is not None:
         profile = snapshot.key_profile or [(1.0, 1.0, 1)]
         return [
             system_stale_rate_dc(deployment, snapshot.write_rate, profile, r)
             for r in range(1, rf + 1)
         ]
-    params = params_from_snapshot(snapshot, fallback_rf=rf, fallback_window=0.05)
+    params = params_from_snapshot(
+        snapshot,
+        write_level=write_level,
+        fallback_rf=rf,
+        fallback_window=0.05,
+        strict=True,
+    )
     if params.rf != rf:
         windows = list(params.windows)
         pad = max(windows) if windows else 0.05

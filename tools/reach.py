@@ -12,7 +12,8 @@ NotImplementedError``.
 An *option* is a parameter with a default of a public function or
 constructor, or a dataclass field with a default. Each call records the
 options it passes a value that is not the default; the rest are *never
-set*. The count is reported, not gated.
+set*. The count is reported, not gated. Options are recorded on
+Python 3.11+ only: older code objects have no ``co_qualname``.
 
 The gate: every unreached function must be listed in
 ``tools/reach_allow.txt`` under a one-line reason, and every listed
@@ -237,7 +238,8 @@ class Recorder:
 
     ``codes`` maps every code object entered to its options not yet seen
     set: ``(offset, [(param, default, entry), ...])``. Each code object is
-    looked up once, at its first entry. A generator's or coroutine's
+    looked up once, at its first entry; before Python 3.11 a function's
+    options are not recorded. A generator's or coroutine's
     options are read only at its first resume, at ``offset``, before its
     body can rebind them; -1 reads them at every entry.
     """
@@ -279,8 +281,8 @@ class Recorder:
         if code.co_filename == "<string>" and code.co_name == "__init__":
             return self.dataclass_init(frame)
         module = frame.f_globals.get("__name__", "")
-        qualname = code.co_qualname
-        if not (self.in_scope(module) and is_public(qualname)):
+        qualname = getattr(code, "co_qualname", None)  # Python 3.11+
+        if qualname is None or not (self.in_scope(module) and is_public(qualname)):
             return NO_OPTIONS
         parts = qualname.split(".")
         obj = frame.f_globals.get(parts[0])
@@ -476,7 +478,8 @@ def main(argv: List[str] | None = None) -> int:
     for entry in stale:
         print(f"allow-list entry names no function: {entry}")
     print(f"{len(missed)} unreached functions, {len(allow)} allow-list entries")
-    print(f"{len(unset)} options never set to a non-default value")
+    if sys.version_info >= (3, 11):
+        print(f"{len(unset)} options never set to a non-default value")
     return 1 if bad or stale else 0
 
 
