@@ -223,3 +223,52 @@ def test_elastic_bill_covers_the_report_window_not_the_drain():
 def test_storm_run_reaches_the_timeout_path():
     report = repro.run(_txn_storm_3pc()).report
     assert report.failures.get("read_timeout", 0) > 0
+
+
+# -- the scenario registry -----------------------------------------------------
+#
+# The pins above build their RunSpecs by hand, so nothing there notices a
+# change to how the registry turns a scenario into a run. These crc32s were
+# taken on the commit before ScenarioSpec became ``params -> RunSpec``: the
+# whole registry swept at 300 ops (with and without the observer, whose
+# timelines are hashed too) and both ``repro scenarios`` listings.
+
+_REGISTRY_OPS = 300
+
+
+def _registry_sweep(obs_dir=None):
+    from repro.experiments.sweep import SweepRunner, plan_sweep
+
+    plan = plan_sweep(root_seed=11, ops=_REGISTRY_OPS, obs_dir=obs_dir)
+    return SweepRunner(jobs=1).run(plan)
+
+
+def _text_crc32(text: str) -> int:
+    return zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
+
+
+def test_registry_sweep_is_byte_identical_to_the_pinned_commit():
+    result = _registry_sweep()
+    assert _text_crc32(result.to_json()) == 394975980
+    assert _text_crc32(result.to_csv()) == 4020437793
+
+
+def test_observed_registry_sweep_is_byte_identical_to_the_pinned_commit(tmp_path):
+    result = _registry_sweep(obs_dir=str(tmp_path))
+    assert _text_crc32(result.to_json()) == 214415872
+    timelines = sorted(tmp_path.glob("*/timeline.jsonl"))
+    assert len(timelines) == len(result.rows)
+    joined = "".join(p.read_text(encoding="utf-8") for p in timelines)
+    assert _text_crc32(joined) == 2464945229
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [(["scenarios", "--json"], 2566342102), (["scenarios"], 3237914151)],
+    ids=["json", "text"],
+)
+def test_scenario_listing_is_byte_identical_to_the_pinned_commit(argv, golden, capsys):
+    from repro.cli import main
+
+    assert main(argv) == 0
+    assert _text_crc32(capsys.readouterr().out) == golden
