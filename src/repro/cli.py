@@ -122,6 +122,7 @@ def _scenarios(args) -> None:
         doc = []
         for name in scenarios.names():
             spec = scenarios.get(name)
+            built = spec.build(spec.resolve_params())
             doc.append(
                 {
                     "name": name,
@@ -130,13 +131,13 @@ def _scenarios(args) -> None:
                     "tags": sorted(spec.tags),
                     "kind": (
                         "elastic"
-                        if spec.elastic is not None
+                        if built.elastic is not None
                         else "txn"
-                        if spec.txn_workload is not None
+                        if built.txn_workload is not None
                         else "plain"
                     ),
-                    "client_mode": spec.client_mode,
-                    "clients": spec.clients,
+                    "client_mode": built.client_mode,
+                    "clients": built.clients,
                     "commit_protocol": spec.defaults.get("commit_protocol"),
                     "slo": spec.slo.to_dict() if spec.slo is not None else None,
                 }
@@ -145,8 +146,9 @@ def _scenarios(args) -> None:
         return
     for name in scenarios.names():
         spec = scenarios.get(name)
+        built = spec.build(spec.resolve_params())
         defaults = " ".join(f"{k}={v}" for k, v in sorted(spec.defaults.items()))
-        mode = "" if spec.client_mode == "per_client" else f" <{spec.client_mode}:{spec.clients}>"
+        mode = "" if built.client_mode == "per_client" else f" <{built.client_mode}:{built.clients}>"
         print(f"{name:22s} {spec.description}  [{defaults}]{mode}")
 
 
@@ -223,17 +225,17 @@ def _elastic(args) -> None:
     from repro.common.tables import Table
     from repro.experiments import scenarios
 
+    def is_elastic(spec) -> bool:
+        return spec.build(spec.resolve_params()).elastic is not None
+
     name = args.scenario
     spec = scenarios.get(name)
-    if spec.elastic is None:
-        elastic_names = [
-            n for n in scenarios.names() if scenarios.get(n).elastic is not None
-        ]
+    if not is_elastic(spec):
+        elastic_names = [n for n in scenarios.names() if is_elastic(scenarios.get(n))]
         raise ConfigError(
             f"{name!r} is not an elastic scenario; choose from {elastic_names}"
         )
-    run = spec.run(seed=args.seed, ops=args.ops)
-    m = run.metrics()
+    m = spec.run(seed=args.seed, ops=args.ops).metrics()
     e = m["elastic"]
 
     table = Table(

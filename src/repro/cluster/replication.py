@@ -94,12 +94,6 @@ class ReplicationStrategy:
                 f"RF={self.rf_total} cannot be placed on {len(members)} members"
             )
 
-    def replicas_by_dc(
-        self, key: str, ring: TokenRing, topology: Topology
-    ) -> Dict[int, int]:
-        """Replica count per datacenter index for ``key``."""
-        return dict(self.placement(key, ring, topology)[2])
-
 
 class SimpleStrategy(ReplicationStrategy):
     """First ``rf`` distinct nodes clockwise from the key's token."""

@@ -142,11 +142,6 @@ class StalenessOracle:
         """Stale fraction under the strict Figure-1 (write-start) definition."""
         return self.stale_reads_strict / self.reads if self.reads else 0.0
 
-    @property
-    def fresh_rate(self) -> float:
-        """Fraction of completed reads that returned up-to-date data."""
-        return 1.0 - self.stale_rate if self.reads else 1.0
-
     def mean_propagation_time(self) -> float:
         """Measured mean full-propagation time ``Tp`` (0.0 before any write)."""
         return self.full_propagation.mean

@@ -721,18 +721,9 @@ class ReplicatedStore:
         self.oracle.reset_counters()
         self.network.traffic = type(self.network.traffic)()
 
-    @property
-    def stale_rate(self) -> float:
-        """Measured stale-read fraction since deployment."""
-        return self.oracle.stale_rate
-
     def ops_completed(self) -> int:
         """Successful reads + writes."""
         return self.reads_ok + self.writes_ok
-
-    def failure_count(self) -> int:
-        """Total failed operations (unavailable + timeout)."""
-        return sum(self.failures.values())
 
     def summary(self) -> Dict[str, Any]:
         """One-shot metrics snapshot used by the experiment harness."""
@@ -804,7 +795,7 @@ class ReplicatedStore:
         return (
             f"ReplicatedStore(nodes={self.topology.n_nodes}, "
             f"rf={self.strategy.rf_total}, ops={self.ops_completed()}, "
-            f"stale_rate={self.stale_rate:.4f})"
+            f"stale_rate={self.oracle.stale_rate:.4f})"
         )
 
 

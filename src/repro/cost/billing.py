@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.cost.pricing import PriceBook
 from repro.net.topology import LinkClass
@@ -48,15 +48,6 @@ class Bill:
     def cost_per_kop(self) -> float:
         """$ per thousand operations (the workload-normalized cost)."""
         return self.total / self.ops * 1000.0 if self.ops else 0.0
-
-    def breakdown(self) -> Dict[str, float]:
-        """Name -> dollars, for table rendering."""
-        return {
-            "instances": self.instance_cost,
-            "storage": self.storage_cost,
-            "network": self.network_cost,
-            "total": self.total,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -97,11 +97,6 @@ class Candidate:
         """Total node count."""
         return sum(self.nodes_per_dc)
 
-    @property
-    def rf_total(self) -> int:
-        """Total replication factor."""
-        return sum(self.rf_per_dc)
-
 
 class ProvisioningAdvisor:
     """Sweeps deployments and prices the feasible ones.

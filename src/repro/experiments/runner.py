@@ -6,13 +6,14 @@ script* is a callable that schedules crashes/partitions on a
 :class:`~repro.cluster.failures.FailureInjector` before the workload
 starts. :func:`repro.run` (:mod:`repro.facade`) takes both in a
 ``RunSpec``, runs the deploy-run-bill pipeline and returns a
-:class:`RunOutcome`.
+:class:`RunOutcome`, whose :meth:`RunOutcome.metrics` is the row a sweep
+records for the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.common.errors import ConfigError
 from repro.cluster.consistency import ConsistencyLevel, LevelSpec
@@ -178,3 +179,48 @@ class RunOutcome:
     cluster: Optional[ElasticCluster] = None
     autoscaler: Optional[CostAwareAutoscaler] = None
     timed_out: bool = False
+
+    def metrics(self) -> Dict[str, Any]:
+        """The run's result row (plain python scalars, JSON-safe).
+
+        ``level_fractions`` is the fraction of policy decisions spent at
+        each read level -- the compact consistency-level timeline adaptive
+        engines expose (empty for a static policy).
+        """
+        rep = self.report
+        extra: Dict[str, Any] = {}
+        if rep.txn is not None:
+            extra["txn"] = {
+                k: (dict(sorted(v.items())) if isinstance(v, dict) else v)
+                for k, v in sorted(rep.txn.items())
+            }
+        if rep.elastic is not None:
+            extra["elastic"] = {k: rep.elastic[k] for k in sorted(rep.elastic)}
+        if rep.cohorts is not None:
+            extra["cohorts"] = [
+                {k: c[k] for k in sorted(c)} for c in rep.cohorts
+            ]
+        fractions_fn = getattr(self.policy, "level_time_fractions", None)
+        fractions = fractions_fn() if callable(fractions_fn) else {}
+        return {
+            **extra,
+            "client_mode": rep.client_mode,
+            "clients": int(rep.n_clients),
+            "policy": rep.policy,
+            "workload": rep.workload,
+            "ops_completed": int(rep.ops_completed),
+            "duration_s": float(rep.duration),
+            "throughput_ops_s": float(rep.throughput),
+            "read_latency_mean_ms": float(rep.read_latency_mean * 1e3),
+            "read_latency_p99_ms": float(rep.read_latency_p99 * 1e3),
+            "write_latency_mean_ms": float(rep.write_latency_mean * 1e3),
+            "write_latency_p99_ms": float(rep.write_latency_p99 * 1e3),
+            "stale_rate": float(rep.stale_rate),
+            "stale_rate_strict": float(rep.stale_rate_strict),
+            "cost_total_usd": float(self.bill.total),
+            "cost_per_kop_usd": float(self.bill.cost_per_kop),
+            "read_levels": {k: int(v) for k, v in sorted(rep.read_levels.items())},
+            "level_fractions": dict(
+                sorted({str(k): float(v) for k, v in fractions.items()}.items())
+            ),
+        }

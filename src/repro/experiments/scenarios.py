@@ -1,21 +1,25 @@
 """Declarative scenario registry: named workload x topology x policy recipes.
 
-A :class:`ScenarioSpec` composes the four experiment axes --
+A :class:`ScenarioSpec` names one parameterized run: its ``build`` maps the
+resolved parameters to one :class:`~repro.facade.RunSpec`, which composes
+the experiment axes --
 
 - a *platform* (topology + replica placement + price book),
-- a *workload* (mix, skew, population),
+- a *workload* (mix, skew, population; transactional or elastic shapes),
 - a *consistency policy* (static, Harmony, Bismar, baselines),
 - an optional *failure script* (crashes/partitions on the run's clock)
 
--- into one named, parameterized recipe. Parameters declared in
-``defaults`` are sweepable: the sweep runner expands ``--grid`` values over
-them and every factory callable receives the resolved parameter mapping.
+-- and :meth:`ScenarioSpec.run` executes it through :func:`repro.run`,
+returning the one :class:`~repro.experiments.runner.RunOutcome`.
+Parameters declared in ``defaults`` are sweepable: the sweep runner
+expands ``--grid`` values over them and ``build`` receives the resolved
+parameter mapping.
 
 The module-level :data:`REGISTRY` is pre-populated with a diverse set of
 scenarios (single-DC control, geo-replication, flash crowd, diurnal
 traffic, failure storms, hot-key skew, cost-capped Bismar, and a
-Harmony-vs-static shootout). Adding a scenario is a
-:func:`register` call with ~30 lines of factories -- no new script needed.
+Harmony-vs-static shootout). Adding a scenario is a :func:`register` call
+whose ``build`` writes one ``RunSpec(...)`` -- no new script needed.
 
 Examples
 --------
@@ -23,6 +27,9 @@ Examples
 >>> spec = scenarios.get("geo-replication")
 >>> sorted(spec.defaults)
 ['tolerance']
+>>> run_spec = spec.build(spec.resolve_params({"tolerance": 0.1}))
+>>> run_spec.ops, run_spec.clients, run_spec.workload.name
+(4000, 16, 'heavy-read-update')
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from repro.elastic.cluster import ElasticCluster
 from repro.elastic.rebalance import RebalanceConfig
 from repro.elastic.runner import ElasticSpec
 from repro.experiments.platforms import (
-    Platform,
     ec2_harmony_platform,
     grid5000_bismar_platform,
     grid5000_harmony_platform,
@@ -48,17 +54,17 @@ from repro.experiments.platforms import (
 )
 from repro.experiments.runner import (
     PolicyFactory,
+    RunOutcome,
     bismar_factory,
     harmony_factory,
     named_policy_factory,
 )
-from repro.obs.recorder import ObsConfig, RunObserver
+from repro.facade import RunSpec, run
+from repro.obs.recorder import ObsConfig
 from repro.obs.slo import SLOSpec
 from repro.txn.api import TxnConfig
-from repro.workload.client import RunReport
 from repro.workload.workloads import (
     WORKLOADS,
-    TxnWorkloadSpec,
     WorkloadSpec,
     bank_transfer_mix,
     flash_crowd,
@@ -70,14 +76,13 @@ from repro.workload.workloads import (
 
 __all__ = [
     "ScenarioSpec",
-    "ScenarioRun",
     "REGISTRY",
     "register",
     "get",
     "names",
 ]
 
-#: Resolved sweep parameters, as passed to every scenario factory callable.
+#: Resolved sweep parameters, as passed to every scenario's ``build``.
 Params = Mapping[str, Any]
 
 
@@ -89,44 +94,15 @@ class ScenarioSpec:
     ----------
     name / description:
         Registry key and one-line summary (shown by ``repro scenarios``).
-    platform:
-        Zero-argument platform preset factory.
-    policy:
-        ``params -> PolicyFactory``; the returned factory is applied to the
-        freshly built store by :func:`repro.run`.
-    workload:
-        ``params -> WorkloadSpec``, or ``None`` for the platform's default
-        heavy read-update mix.
-    txn_workload:
-        ``params -> TxnWorkloadSpec`` for transactional scenarios; when
-        set, the run goes through the 2PC harness (the transactional
-        path of :func:`repro.run`), ``ops`` counts transactions, and
-        the run's metrics include the ``txn`` block.
-    txn_config:
-        ``params -> TxnConfig`` protocol tunables (transactional
-        scenarios only).
-    elastic:
-        ``params -> ElasticSpec`` for scenarios whose capacity changes
-        mid-run (scripted membership events, an autoscaler, or a pacing
-        schedule); when set, the run goes through the elastic harness
-        (the elastic path of :func:`repro.run`) and the run's metrics
-        include the ``elastic`` block.
-    failures:
-        ``(injector, params) -> None``; schedules the scenario's failure
-        script before the workload starts. ``None`` = healthy cluster.
+    build:
+        ``params -> RunSpec``: the whole run at the resolved parameters
+        (platform, policy, workload shape, failure script, pacing, scale
+        and client mode). :meth:`run` overrides only its seed, ``ops``,
+        client mode, observer and backend.
     defaults:
         The sweepable parameters and their default values. Grid overrides
         for keys *not* listed here are ignored for this scenario (so one
         grid can sweep a heterogeneous scenario set).
-    pacing:
-        ``params -> offered ops/sec`` cap, or ``None`` for max offered load.
-    ops / clients:
-        Run scale; ``None`` falls back to the platform defaults.
-    client_mode:
-        ``"per_client"`` (one object per simulated client) or ``"cohort"``
-        (the population pooled into one generator per datacenter, which is
-        how ``clients`` reaches 10^6).  Transactional scenarios always run
-        per-client; the knob applies to plain and elastic runs.
     slo:
         Declarative service-level objectives for this scenario
         (:class:`~repro.obs.slo.SLOSpec`). Stamped into every observed
@@ -143,18 +119,8 @@ class ScenarioSpec:
 
     name: str
     description: str
-    platform: Callable[[], Platform]
-    policy: Callable[[Params], PolicyFactory]
-    workload: Optional[Callable[[Params], WorkloadSpec]] = None
-    txn_workload: Optional[Callable[[Params], TxnWorkloadSpec]] = None
-    txn_config: Optional[Callable[[Params], TxnConfig]] = None
-    elastic: Optional[Callable[[Params], ElasticSpec]] = None
-    failures: Optional[Callable[[FailureInjector, Params], None]] = None
+    build: Callable[[Params], RunSpec]
     defaults: Mapping[str, Any] = field(default_factory=dict)
-    pacing: Optional[Callable[[Params], float]] = None
-    ops: Optional[int] = None
-    clients: Optional[int] = None
-    client_mode: str = "per_client"
     slo: Optional[SLOSpec] = None
     oracle_overrides: Mapping[str, Any] = field(default_factory=dict)
     tags: Tuple[str, ...] = ()
@@ -178,26 +144,19 @@ class ScenarioSpec:
         overrides: Optional[Params] = None,
         ops: Optional[int] = None,
         client_mode: Optional[str] = None,
-        obs: Optional["ObsConfig"] = None,
+        obs: Optional[ObsConfig] = None,
         backend: Optional[str] = None,
-    ) -> "ScenarioRun":
-        """Execute one deployment of this scenario and collect its metrics.
+    ) -> RunOutcome:
+        """Execute one deployment of this scenario and return its outcome.
 
-        ``client_mode`` overrides the scenario's declared mode (the
-        ``repro sweep --client-mode`` path); transactional scenarios
-        ignore it. ``obs`` attaches a run observer (timeline + trace);
-        observability never changes the run's results, only records them.
-        ``backend`` picks the execution engine (``"sim"`` default;
-        ``"asyncio"`` runs the same spec on the wall clock -- every
-        scenario but the elastic ones).
+        ``ops``, ``client_mode`` and ``backend`` replace the built spec's
+        values when given (``client_mode`` is the ``repro sweep
+        --client-mode`` path; transactional runs ignore it; ``"asyncio"``
+        runs every scenario but the elastic ones on the wall clock).
+        ``obs`` attaches a run observer (timeline + trace), with this
+        scenario's ``oracle_overrides`` merged in; observability never
+        changes the run's results, only records them.
         """
-        # Deferred: the facade imports this package's runner module, so a
-        # top-level import here would close an import cycle.
-        from repro import facade
-
-        params = self.resolve_params(overrides)
-        mode = client_mode if client_mode is not None else self.client_mode
-        engine = backend if backend is not None else "sim"
         if obs is not None and self.oracle_overrides:
             obs = replace(
                 obs,
@@ -205,42 +164,14 @@ class ScenarioSpec:
                     obs.oracle_config, **dict(self.oracle_overrides)
                 ),
             )
-        failure_script = None
-        if self.failures is not None:
-            fail = self.failures
-
-            def failure_script(injector: FailureInjector) -> None:
-                fail(injector, params)
-
-        txn_workload = (
-            self.txn_workload(params) if self.txn_workload is not None else None
-        )
-        spec = facade.RunSpec(
-            platform=self.platform(),
-            policy=self.policy(params),
-            workload=self.workload(params) if self.workload is not None else None,
-            txn_workload=txn_workload,
-            elastic=self.elastic(params) if self.elastic is not None else None,
-            ops=ops if ops is not None else self.ops,
-            clients=self.clients,
+        given = {"ops": ops, "client_mode": client_mode, "backend": backend}
+        spec = replace(
+            self.build(self.resolve_params(overrides)),
             seed=seed,
-            target_throughput=self.pacing(params) if self.pacing else None,
-            failure_script=failure_script,
-            client_mode=mode,
-            txn_config=(
-                self.txn_config(params)
-                if self.txn_config and txn_workload is not None
-                else None
-            ),
-            commit_protocol=(
-                str(params["commit_protocol"])
-                if txn_workload is not None and "commit_protocol" in params
-                else None
-            ),
             obs=obs,
-            backend=engine,
+            **{k: v for k, v in given.items() if v is not None},
         )
-        outcome = facade.run(spec)
+        outcome = run(spec)
         if outcome.obs is not None:
             # Stamp scenario identity, cost and the SLO into the timeline
             # header so artifacts are self-contained for `report --slo`.
@@ -252,72 +183,7 @@ class ScenarioSpec:
                 # the observer already wrote at finish(); rewrite with the
                 # enriched header (deterministic, same records)
                 outcome.obs.write(outcome.obs.config.out_dir)
-        fractions_fn = getattr(outcome.policy, "level_time_fractions", None)
-        level_fractions = fractions_fn() if callable(fractions_fn) else {}
-        return ScenarioRun(
-            scenario=self.name,
-            params=params,
-            seed=seed,
-            report=outcome.report,
-            cost_total=outcome.bill.total,
-            cost_per_kop=outcome.bill.cost_per_kop,
-            level_fractions={str(k): float(v) for k, v in level_fractions.items()},
-            obs=outcome.obs,
-        )
-
-
-@dataclass
-class ScenarioRun:
-    """One completed scenario run, flattened for aggregation."""
-
-    scenario: str
-    params: Dict[str, Any]
-    seed: int
-    report: RunReport
-    cost_total: float
-    cost_per_kop: float
-    #: Fraction of policy decisions spent at each read level -- the compact
-    #: consistency-level timeline adaptive engines expose (empty for static).
-    level_fractions: Dict[str, float]
-    #: Live run observer when the run was executed with an ObsConfig
-    #: (timeline records, tracer, metrics); ``None`` otherwise.
-    obs: Optional[RunObserver] = None
-
-    def metrics(self) -> Dict[str, Any]:
-        """The per-run result row (plain python scalars, JSON-safe)."""
-        rep = self.report
-        extra: Dict[str, Any] = {}
-        if rep.txn is not None:
-            extra["txn"] = {
-                k: (dict(sorted(v.items())) if isinstance(v, dict) else v)
-                for k, v in sorted(rep.txn.items())
-            }
-        if rep.elastic is not None:
-            extra["elastic"] = {k: rep.elastic[k] for k in sorted(rep.elastic)}
-        if rep.cohorts is not None:
-            extra["cohorts"] = [
-                {k: c[k] for k in sorted(c)} for c in rep.cohorts
-            ]
-        return {
-            **extra,
-            "client_mode": rep.client_mode,
-            "clients": int(rep.n_clients),
-            "policy": rep.policy,
-            "workload": rep.workload,
-            "ops_completed": int(rep.ops_completed),
-            "duration_s": float(rep.duration),
-            "throughput_ops_s": float(rep.throughput),
-            "read_latency_mean_ms": float(rep.read_latency_mean * 1e3),
-            "read_latency_p99_ms": float(rep.read_latency_p99 * 1e3),
-            "write_latency_mean_ms": float(rep.write_latency_mean * 1e3),
-            "write_latency_p99_ms": float(rep.write_latency_p99 * 1e3),
-            "stale_rate": float(rep.stale_rate),
-            "stale_rate_strict": float(rep.stale_rate_strict),
-            "cost_total_usd": float(self.cost_total),
-            "cost_per_kop_usd": float(self.cost_per_kop),
-            "read_levels": {k: int(v) for k, v in sorted(rep.read_levels.items())},
-            "level_fractions": dict(sorted(self.level_fractions.items())),
-        }
+        return outcome
 
 
 # -- registry -----------------------------------------------------------------
@@ -389,12 +255,14 @@ register(
     ScenarioSpec(
         name="single-dc-ycsb-a",
         description="Control case: YCSB-A on one LAN datacenter, Harmony adapting",
-        platform=single_dc_platform,
-        policy=_harmony_policy,
-        workload=lambda p: WORKLOADS["A"].scaled(800, name="ycsb-a"),
+        build=lambda p: RunSpec(
+            platform=single_dc_platform(),
+            policy=_harmony_policy(p),
+            workload=WORKLOADS["A"].scaled(800, name="ycsb-a"),
+            ops=4000,
+            clients=16,
+        ),
         defaults={"tolerance": 0.3},
-        ops=4000,
-        clients=16,
         # Generous objectives a healthy LAN control run always meets --
         # the CI obs-smoke job's known-clean `report --slo` gate.
         slo=SLOSpec(
@@ -411,12 +279,14 @@ register(
     ScenarioSpec(
         name="geo-replication",
         description="Multi-DC Grid'5000 geo-replication under heavy read-update",
-        platform=grid5000_harmony_platform,
-        policy=_harmony_policy,
-        workload=lambda p: heavy_read_update(record_count=800),
+        build=lambda p: RunSpec(
+            platform=grid5000_harmony_platform(),
+            policy=_harmony_policy(p),
+            workload=heavy_read_update(record_count=800),
+            ops=4000,
+            clients=16,
+        ),
         defaults={"tolerance": 0.2},
-        ops=4000,
-        clients=16,
         tags=("geo", "harmony"),
     )
 )
@@ -425,14 +295,16 @@ register(
     ScenarioSpec(
         name="flash-crowd",
         description="Flash crowd: 95% of ops slam a 5% hot key set on EC2",
-        platform=ec2_harmony_platform,
-        policy=_harmony_policy,
-        workload=lambda p: flash_crowd(
-            record_count=800, hot_set_fraction=float(p["hot_set_fraction"])
+        build=lambda p: RunSpec(
+            platform=ec2_harmony_platform(),
+            policy=_harmony_policy(p),
+            workload=flash_crowd(
+                record_count=800, hot_set_fraction=float(p["hot_set_fraction"])
+            ),
+            ops=4000,
+            clients=24,
         ),
         defaults={"tolerance": 0.4, "hot_set_fraction": 0.05},
-        ops=4000,
-        clients=24,
         tags=("skew", "burst"),
     )
 )
@@ -441,13 +313,15 @@ register(
     ScenarioSpec(
         name="diurnal-traffic",
         description="Diurnal feed traffic: read-mostly 'latest' mix paced off-peak",
-        platform=ec2_harmony_platform,
-        policy=_harmony_policy,
-        workload=lambda p: read_mostly_latest(record_count=800),
+        build=lambda p: RunSpec(
+            platform=ec2_harmony_platform(),
+            policy=_harmony_policy(p),
+            workload=read_mostly_latest(record_count=800),
+            target_throughput=float(p["offered_load"]),
+            ops=4000,
+            clients=16,
+        ),
         defaults={"tolerance": 0.4, "offered_load": 600.0},
-        pacing=lambda p: float(p["offered_load"]),
-        ops=4000,
-        clients=16,
         tags=("paced", "reads"),
     )
 )
@@ -456,18 +330,20 @@ register(
     ScenarioSpec(
         name="node-failure-storm",
         description="Rolling node crashes sweeping a Grid'5000 cluster mid-run",
-        platform=grid5000_harmony_platform,
-        policy=_harmony_policy,
-        workload=lambda p: heavy_read_update(record_count=800),
-        failures=_storm_script,
+        build=lambda p: RunSpec(
+            platform=grid5000_harmony_platform(),
+            policy=_harmony_policy(p),
+            workload=heavy_read_update(record_count=800),
+            failure_script=lambda injector: _storm_script(injector, p),
+            ops=4000,
+            clients=16,
+        ),
         defaults={
             "tolerance": 0.2,
             "crash_count": 4,
             "crash_interval": 2.0,
             "downtime": 3.0,
         },
-        ops=4000,
-        clients=16,
         tags=("failures",),
     )
 )
@@ -477,22 +353,24 @@ register(
         name="geo-partition-chaos",
         description="WAN partition splits the two EC2 AZs mid-run: quorum "
         "loss and staleness burst until the heal",
-        platform=ec2_harmony_platform,
-        policy=_harmony_policy,
-        workload=lambda p: heavy_read_update(record_count=800),
-        failures=_partition_script,
         # Paced load stretches the run horizon to ~ops/offered_load
         # simulated seconds, so the partition window (and its heal) lands
         # inside the run at the default scale.
+        build=lambda p: RunSpec(
+            platform=ec2_harmony_platform(),
+            policy=_harmony_policy(p),
+            workload=heavy_read_update(record_count=800),
+            failure_script=lambda injector: _partition_script(injector, p),
+            target_throughput=float(p["offered_load"]),
+            ops=4000,
+            clients=16,
+        ),
         defaults={
             "tolerance": 0.2,
             "offered_load": 4000.0,
             "partition_start": 0.3,
             "partition_duration": 0.4,
         },
-        pacing=lambda p: float(p["offered_load"]),
-        ops=4000,
-        clients=16,
         # The 10+10-node split leaves no majority component for the whole
         # partition window, so the quorum-loss oracle must fire: gating on
         # oracle silence makes this the CI known-breaching scenario.
@@ -505,22 +383,24 @@ register(
     ScenarioSpec(
         name="hot-key-skew",
         description="Extreme zipfian-style hotspot contention on one datacenter",
-        platform=single_dc_platform,
-        policy=_harmony_policy,
-        workload=lambda p: WorkloadSpec(
-            name="hot-key-skew",
-            read_proportion=0.5,
-            update_proportion=0.5,
-            record_count=800,
-            distribution="hotspot",
-            distribution_kwargs={
-                "hot_set_fraction": 0.01,
-                "hot_opn_fraction": float(p["hot_opn_fraction"]),
-            },
+        build=lambda p: RunSpec(
+            platform=single_dc_platform(),
+            policy=_harmony_policy(p),
+            workload=WorkloadSpec(
+                name="hot-key-skew",
+                read_proportion=0.5,
+                update_proportion=0.5,
+                record_count=800,
+                distribution="hotspot",
+                distribution_kwargs={
+                    "hot_set_fraction": 0.01,
+                    "hot_opn_fraction": float(p["hot_opn_fraction"]),
+                },
+            ),
+            ops=4000,
+            clients=16,
         ),
         defaults={"tolerance": 0.3, "hot_opn_fraction": 0.9},
-        ops=4000,
-        clients=16,
         tags=("skew",),
     )
 )
@@ -529,14 +409,14 @@ register(
     ScenarioSpec(
         name="bismar-cost-capped",
         description="Bismar cost-optimizing consistency under a stale-rate cap",
-        platform=grid5000_bismar_platform,
-        policy=lambda p: bismar_factory(
-            EC2_US_EAST_2013, stale_cap=float(p["stale_cap"])
+        build=lambda p: RunSpec(
+            platform=grid5000_bismar_platform(),
+            policy=bismar_factory(EC2_US_EAST_2013, stale_cap=float(p["stale_cap"])),
+            workload=heavy_read_update(record_count=120),
+            ops=4000,
+            clients=24,
         ),
-        workload=lambda p: heavy_read_update(record_count=120),
         defaults={"stale_cap": 0.3},
-        ops=4000,
-        clients=24,
         tags=("cost", "bismar"),
     )
 )
@@ -546,18 +426,20 @@ register(
         name="txn-shootout",
         description="Bank transfers under 2PC: sweep the read-level policy "
         "and watch stale reads turn into aborts",
-        platform=ec2_harmony_platform,
-        policy=_shootout_policy,
-        # Tempered zipfian skew: at theta=0.99 the hottest accounts stay
-        # prepare-locked continuously and lock conflicts drown the
-        # staleness signal this scenario exists to measure.
-        txn_workload=lambda p: replace(
-            bank_transfer_mix(record_count=2000),
-            distribution_kwargs={"theta": float(p["theta"])},
+        build=lambda p: RunSpec(
+            platform=ec2_harmony_platform(),
+            policy=_shootout_policy(p),
+            # Tempered zipfian skew: at theta=0.99 the hottest accounts stay
+            # prepare-locked continuously and lock conflicts drown the
+            # staleness signal this scenario exists to measure.
+            txn_workload=replace(
+                bank_transfer_mix(record_count=2000),
+                distribution_kwargs={"theta": float(p["theta"])},
+            ),
+            ops=1200,
+            clients=12,
         ),
         defaults={"policy": "harmony", "tolerance": 0.4, "theta": 0.6},
-        ops=1200,
-        clients=12,
         tags=("txn", "shootout"),
     )
 )
@@ -571,7 +453,7 @@ register(
 #: participant is unblocked well inside ``_STORM_DWELL_BUDGET`` even
 #: when a co-participant died with the TM, while blocking 2PC dwells
 #: for the whole ``downtime`` (1.5s) until its TM returns.
-def _storm_txn_config(p: Params) -> TxnConfig:
+def _storm_txn_config() -> TxnConfig:
     return TxnConfig(
         prepare_timeout=0.5,
         client_timeout=2.0,
@@ -581,6 +463,26 @@ def _storm_txn_config(p: Params) -> TxnConfig:
         status_interval_max=0.5,
         termination_after=2,
         termination_timeout=0.25,
+    )
+
+
+def _storm_txn_run(p: Params) -> RunSpec:
+    """The read-modify-write crash storm both protocol scenarios run.
+
+    The deliberately small two-site platform: with five coordinators per
+    site the storm reliably crashes nodes that are acting as TM for
+    in-flight commits, so the in-doubt/termination paths run on every
+    seed (on the 84-node preset that is a rare coincidence).
+    """
+    return RunSpec(
+        platform=storm_txn_platform(),
+        policy=_harmony_policy(p),
+        txn_workload=read_modify_write_mix(record_count=400),
+        txn_config=_storm_txn_config(),
+        commit_protocol=str(p["commit_protocol"]),
+        failure_script=lambda injector: _storm_script(injector, p),
+        ops=1200,
+        clients=12,
     )
 
 
@@ -598,15 +500,7 @@ register(
         name="txn-crash-storm",
         description="Atomic read-modify-writes while rolling crashes sweep "
         "the cluster: commit availability and in-doubt recovery",
-        # The deliberately small two-site platform: with five coordinators
-        # per site the storm reliably crashes nodes that are acting as TM
-        # for in-flight commits, so the in-doubt/termination paths run on
-        # every seed (on the 84-node preset that is a rare coincidence).
-        platform=storm_txn_platform,
-        policy=_harmony_policy,
-        txn_workload=lambda p: read_modify_write_mix(record_count=400),
-        txn_config=_storm_txn_config,
-        failures=_storm_script,
+        build=_storm_txn_run,
         # The storm rolls early and fast relative to the ~2s run, so every
         # crash and every recovery (with its in-doubt resolution) lands
         # inside the measured window. ``commit_protocol`` is a sweepable
@@ -624,8 +518,6 @@ register(
         },
         slo=SLOSpec(blocked_txn_time_max=0.75, abort_rate_max=0.9),
         oracle_overrides={"in_doubt_dwell": _STORM_DWELL_BUDGET},
-        ops=1200,
-        clients=12,
         tags=("txn", "failures"),
     )
 )
@@ -636,11 +528,7 @@ register(
         description="2PC vs cooperative termination vs 3PC through one "
         "identical crash storm: abort rate, blocked-participant time, and "
         "message cost per protocol",
-        platform=storm_txn_platform,
-        policy=_harmony_policy,
-        txn_workload=lambda p: read_modify_write_mix(record_count=400),
-        txn_config=_storm_txn_config,
-        failures=_storm_script,
+        build=_storm_txn_run,
         # One parameter point per protocol, identical otherwise: sweeping
         # ``commit_protocol=2pc,2pc-coop,3pc`` drives each protocol through
         # the same parameter-scripted crash storm (same crash schedule,
@@ -657,8 +545,6 @@ register(
         },
         slo=SLOSpec(blocked_txn_time_max=0.75, abort_rate_max=0.9),
         oracle_overrides={"in_doubt_dwell": _STORM_DWELL_BUDGET},
-        ops=1200,
-        clients=12,
         tags=("txn", "shootout", "protocol", "failures"),
     )
 )
@@ -668,16 +554,18 @@ register(
         name="txn-geo-2pc",
         description="Order checkouts committing over a WAN: geo-replicated "
         "2PC latency vs the consistency dial",
-        platform=grid5000_harmony_platform,
-        policy=_harmony_policy,
-        # A wide, uniformly accessed catalog: the WAN round-trips, not lock
-        # contention, should dominate what this scenario measures.
-        txn_workload=lambda p: replace(
-            order_checkout_mix(record_count=800), distribution="uniform"
+        build=lambda p: RunSpec(
+            platform=grid5000_harmony_platform(),
+            policy=_harmony_policy(p),
+            # A wide, uniformly accessed catalog: the WAN round-trips, not
+            # lock contention, should dominate what this scenario measures.
+            txn_workload=replace(
+                order_checkout_mix(record_count=800), distribution="uniform"
+            ),
+            ops=1200,
+            clients=12,
         ),
         defaults={"tolerance": 0.2},
-        ops=1200,
-        clients=12,
         tags=("txn", "geo"),
     )
 )
@@ -704,13 +592,22 @@ def _autoscaler(p: Params, **overrides: Any) -> AutoscalerConfig:
     return AutoscalerConfig(**kwargs)
 
 
-def _diurnal_elastic(p: Params) -> ElasticSpec:
-    # Off-peak -> peak -> off-peak offered load; the autoscaler follows.
+def _diurnal_run(p: Params, clients: int, client_mode: str) -> RunSpec:
+    """Off-peak -> peak -> off-peak offered load; the autoscaler follows."""
     peak = float(p["peak_load"])
-    return ElasticSpec(
-        autoscaler=_autoscaler(p),
-        rebalance=_ELASTIC_STREAMING,
-        pacing_schedule=((0.3, peak), (1.3, peak / 5.0)),
+    return RunSpec(
+        platform=small_dc_platform(),
+        policy=_harmony_policy(p),
+        workload=read_mostly_latest(record_count=800),
+        elastic=ElasticSpec(
+            autoscaler=_autoscaler(p),
+            rebalance=_ELASTIC_STREAMING,
+            pacing_schedule=((0.3, peak), (1.3, peak / 5.0)),
+        ),
+        target_throughput=float(p["offered_load"]),
+        ops=6000,
+        clients=clients,
+        client_mode=client_mode,
     )
 
 
@@ -737,14 +634,8 @@ register(
         name="elastic-diurnal",
         description="Diurnal load ramp on a tight cluster: the autoscaler "
         "grows into the peak and shrinks after it",
-        platform=small_dc_platform,
-        policy=_harmony_policy,
-        workload=lambda p: read_mostly_latest(record_count=800),
-        elastic=_diurnal_elastic,
+        build=lambda p: _diurnal_run(p, clients=24, client_mode="per_client"),
         defaults={"tolerance": 0.4, "peak_load": 6000.0, "offered_load": 800.0},
-        pacing=lambda p: float(p["offered_load"]),
-        ops=6000,
-        clients=24,
         tags=("elastic", "paced"),
     )
 )
@@ -754,17 +645,19 @@ register(
         name="elastic-flash-crowd",
         description="Flash crowd slams an under-provisioned cluster: "
         "queue-depth-triggered scale-out under fire",
-        platform=small_dc_platform,
-        policy=_harmony_policy,
-        workload=lambda p: flash_crowd(
-            record_count=800, hot_set_fraction=float(p["hot_set_fraction"])
-        ),
-        elastic=lambda p: ElasticSpec(
-            autoscaler=_autoscaler(p), rebalance=_ELASTIC_STREAMING
+        build=lambda p: RunSpec(
+            platform=small_dc_platform(),
+            policy=_harmony_policy(p),
+            workload=flash_crowd(
+                record_count=800, hot_set_fraction=float(p["hot_set_fraction"])
+            ),
+            elastic=ElasticSpec(
+                autoscaler=_autoscaler(p), rebalance=_ELASTIC_STREAMING
+            ),
+            ops=6000,
+            clients=48,
         ),
         defaults={"tolerance": 0.4, "hot_set_fraction": 0.05},
-        ops=6000,
-        clients=48,
         tags=("elastic", "burst"),
     )
 )
@@ -774,19 +667,21 @@ register(
         name="elastic-scale-in-cost",
         description="Over-provisioned EC2 cluster under light paced load: "
         "cost-aware scale-in walks the bill down",
-        platform=ec2_harmony_platform,
-        policy=_harmony_policy,
-        workload=lambda p: read_mostly_latest(record_count=800),
-        elastic=lambda p: ElasticSpec(
-            autoscaler=_autoscaler(
-                p, interval=0.05, cooldown=0.1, min_nodes=int(p["min_nodes"])
+        build=lambda p: RunSpec(
+            platform=ec2_harmony_platform(),
+            policy=_harmony_policy(p),
+            workload=read_mostly_latest(record_count=800),
+            elastic=ElasticSpec(
+                autoscaler=_autoscaler(
+                    p, interval=0.05, cooldown=0.1, min_nodes=int(p["min_nodes"])
+                ),
+                rebalance=_ELASTIC_STREAMING,
             ),
-            rebalance=_ELASTIC_STREAMING,
+            target_throughput=float(p["offered_load"]),
+            ops=3000,
+            clients=16,
         ),
         defaults={"tolerance": 0.4, "offered_load": 1000.0, "min_nodes": 6},
-        pacing=lambda p: float(p["offered_load"]),
-        ops=3000,
-        clients=16,
         tags=("elastic", "cost"),
     )
 )
@@ -796,16 +691,18 @@ register(
         name="elastic-rebalance-storm",
         description="Back-to-back membership churn (joins and drains) while "
         "heavy read-update traffic keeps flowing",
-        platform=single_dc_platform,
-        policy=_harmony_policy,
-        workload=lambda p: heavy_read_update(record_count=800),
-        elastic=lambda p: ElasticSpec(
-            script=lambda cluster: _churn_script(cluster, p),
-            rebalance=_ELASTIC_STREAMING,
+        build=lambda p: RunSpec(
+            platform=single_dc_platform(),
+            policy=_harmony_policy(p),
+            workload=heavy_read_update(record_count=800),
+            elastic=ElasticSpec(
+                script=lambda cluster: _churn_script(cluster, p),
+                rebalance=_ELASTIC_STREAMING,
+            ),
+            ops=6000,
+            clients=16,
         ),
         defaults={"tolerance": 0.3, "churn_interval": 0.06},
-        ops=6000,
-        clients=16,
         tags=("elastic", "churn"),
     )
 )
@@ -826,14 +723,16 @@ register(
         name="harmony-geo-cohort",
         description="Geo-replicated heavy read-update from a 10^6-client "
         "cohort per DC, Harmony adapting",
-        platform=grid5000_harmony_platform,
-        policy=_harmony_policy,
-        workload=lambda p: heavy_read_update(record_count=800),
+        build=lambda p: RunSpec(
+            platform=grid5000_harmony_platform(),
+            policy=_harmony_policy(p),
+            workload=heavy_read_update(record_count=800),
+            target_throughput=float(p["offered_load"]),
+            ops=16000,
+            clients=1_000_000,
+            client_mode="cohort",
+        ),
         defaults={"tolerance": 0.2, "offered_load": 8000.0},
-        pacing=lambda p: float(p["offered_load"]),
-        ops=16000,
-        clients=1_000_000,
-        client_mode="cohort",
         tags=("geo", "harmony", "cohort"),
     )
 )
@@ -843,15 +742,8 @@ register(
         name="elastic-diurnal-cohort",
         description="Diurnal ramp driven by a 10^6-client cohort: the "
         "autoscaler grows into the peak and shrinks after it",
-        platform=small_dc_platform,
-        policy=_harmony_policy,
-        workload=lambda p: read_mostly_latest(record_count=800),
-        elastic=_diurnal_elastic,
+        build=lambda p: _diurnal_run(p, clients=1_000_000, client_mode="cohort"),
         defaults={"tolerance": 0.4, "peak_load": 6000.0, "offered_load": 800.0},
-        pacing=lambda p: float(p["offered_load"]),
-        ops=6000,
-        clients=1_000_000,
-        client_mode="cohort",
         tags=("elastic", "paced", "cohort"),
     )
 )
@@ -861,12 +753,14 @@ register(
     ScenarioSpec(
         name="harmony-vs-static",
         description="Shootout: sweep policy in {eventual, harmony, strong} on EC2",
-        platform=ec2_harmony_platform,
-        policy=_shootout_policy,
-        workload=lambda p: heavy_read_update(record_count=800),
+        build=lambda p: RunSpec(
+            platform=ec2_harmony_platform(),
+            policy=_shootout_policy(p),
+            workload=heavy_read_update(record_count=800),
+            ops=4000,
+            clients=16,
+        ),
         defaults={"policy": "harmony", "tolerance": 0.4},
-        ops=4000,
-        clients=16,
         tags=("shootout",),
     )
 )

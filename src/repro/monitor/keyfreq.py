@@ -90,15 +90,6 @@ class KeyFrequencyTracker:
             return {}
         return {k: v / total for k, v in merged.items()}
 
-    def effective_key_count(self) -> float:
-        """Inverse Simpson index of the write shares (K under uniformity).
-
-        Returns ``inf`` when no writes were observed (nothing can be stale).
-        """
-        shares = self.write_shares()
-        s2 = sum(v * v for v in shares.values())
-        return 1.0 / s2 if s2 > 0 else float("inf")
-
     def collision_profile(self) -> List[Tuple[float, float, int]]:
         """Joint access profile ``[(read_share, write_share, multiplicity)]``.
 

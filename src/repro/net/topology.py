@@ -136,10 +136,6 @@ class Topology:
         """Datacenter index of ``node_id``."""
         return self._node_dc[node_id]
 
-    def dc_name_of(self, node_id: int) -> str:
-        """Datacenter name of ``node_id``."""
-        return self.datacenters[self._node_dc[node_id]].name
-
     def nodes_in_dc(self, dc_index: int) -> List[int]:
         """All node ids placed in datacenter ``dc_index``."""
         return [n for n, dc in enumerate(self._node_dc) if dc == dc_index]
@@ -158,19 +154,6 @@ class Topology:
     def latency_model(self, src: int, dst: int) -> LatencyModel:
         """Latency model governing messages from ``src`` to ``dst``."""
         return self.latency_models[self.link_class(src, dst)]
-
-    def mean_wan_delay(self) -> float:
-        """Mean one-way delay of the *widest* link class present.
-
-        This is the dominant component of the propagation time ``Tp`` used by
-        the analytical staleness model when replicas span datacenters.
-        """
-        regions = {dc.region for dc in self.datacenters}
-        if len(regions) > 1:
-            return self.latency_models[LinkClass.INTER_REGION].mean()
-        if len(self.datacenters) > 1:
-            return self.latency_models[LinkClass.INTER_AZ].mean()
-        return self.latency_models[LinkClass.INTRA_DC].mean()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(

@@ -59,10 +59,6 @@ class EventBus:
     def subscribe(self, fn: Callable[[ObsEvent], None]) -> None:
         self._subscribers.append(fn)
 
-    def unsubscribe(self, fn: Callable[[ObsEvent], None]) -> None:
-        if fn in self._subscribers:
-            self._subscribers.remove(fn)
-
     @property
     def active(self) -> bool:
         """True when at least one subscriber is attached."""

@@ -529,9 +529,8 @@ class AnomalyOracles:
         for oracle in self._all:
             oracle.finish(now)
 
-    def total(self) -> int:
-        """Total anomaly records emitted across all oracles."""
-        return sum(self.counts.values())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AnomalyOracles({self.total()} anomalies, {self.suppressed} suppressed)"
+        return (
+            f"AnomalyOracles({sum(self.counts.values())} anomalies, "
+            f"{self.suppressed} suppressed)"
+        )

@@ -37,7 +37,11 @@ and never forked -- but executes them on an asyncio event loop:
   guarantee the conformance suite asserts for both backends);
 - **timers** -- ``set_timer_at`` is a ``loop.call_at`` handle at an
   absolute protocol time, cancellable exactly like a sim event; no order
-  among equal deadlines is promised.
+  among equal deadlines is promised;
+- **``run(until)``** -- a loop that wakes late (a callback blocked it)
+  finds the ``until`` guard and later work due in one pass; the pump and
+  the timers hold back whatever is due after ``until`` for the next
+  ``run``, so nothing fires past ``until``, as on the simulator.
 
 What asyncio does *not* guarantee (and the sim does): determinism.
 Callback interleavings depend on the OS scheduler, so two runs with one
@@ -111,6 +115,8 @@ class AsyncioTransport(Transport):
         self._armed: Optional[asyncio.TimerHandle] = None
         self._armed_at = math.inf
         self._closed = False
+        #: protocol time the current :meth:`run` ends at (``inf``: none)
+        self._until = math.inf
         #: the first exception a callback raised, re-raised by :meth:`run`
         self._error: Optional[BaseException] = None
         self._loop = asyncio.new_event_loop()
@@ -122,6 +128,7 @@ class AsyncioTransport(Transport):
     def run(self, until: Optional[float] = None) -> None:
         """Run the loop until :meth:`stop` or protocol time ``until`` passes."""
         loop = self._loop
+        self._until = math.inf if until is None else until
         self._arm()
         guard = None
         if until is not None:
@@ -209,12 +216,13 @@ class AsyncioTransport(Transport):
 
         A frame a handler sends during the pass waits for the next pass even
         at zero delay: whatever else the loop has ready runs in between.
+        Nothing due after the current run's ``until`` is delivered.
         """
         heap = self._heap
         handlers = self._handlers
         self._armed = None
         self._armed_at = -math.inf
-        now = (self._loop.time() - self._t0) / self.time_scale
+        now = min((self._loop.time() - self._t0) / self.time_scale, self._until)
         last = self._seq
         done = 0
         try:
@@ -247,9 +255,11 @@ class AsyncioTransport(Transport):
     def set_timer_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Any:
         # ``when`` in loop time, without reading the clock; a past ``when``
         # fires on the loop's next pass.
-        return self._loop.call_at(
-            self._t0 + when * self.time_scale, self._fire, fn, args
+        timer = _Timer()
+        timer.handle = self._loop.call_at(
+            self._t0 + when * self.time_scale, self._fire, when, fn, args, timer
         )
+        return timer
 
     def post_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         # onto the delivery heap: no loop timer of its own, and like a
@@ -261,11 +271,30 @@ class AsyncioTransport(Transport):
         if when < self._armed_at:
             self._arm()
 
-    def _fire(self, fn: Callable[..., Any], args: tuple) -> None:
+    def _fire(
+        self, when: float, fn: Callable[..., Any], args: tuple, timer: _Timer
+    ) -> None:
         if self._closed:
+            return
+        if when > self._until:
+            # Due in the pass that also ran the ``until`` guard: hold it for
+            # the next run, on a fresh loop handle the timer still cancels.
+            timer.handle = self._loop.call_at(
+                self._t0 + when * self.time_scale, self._fire, when, fn, args, timer
+            )
             return
         self.events_processed += 1
         try:
             fn(*args)
         finally:
             self._arm()
+
+
+class _Timer:
+    """A ``set_timer_at`` handle: cancels the loop handle that is live now,
+    also after ``_fire`` has moved the call to a fresh one."""
+
+    __slots__ = ("handle",)
+
+    def cancel(self) -> None:
+        self.handle.cancel()

@@ -112,10 +112,6 @@ class Resource:
         """Number of requests waiting for a free server."""
         return len(self._queue)
 
-    def utilization_hint(self) -> float:
-        """Instantaneous busy fraction (coarse load signal for monitors)."""
-        return self._busy / self.servers
-
     def busy_seconds(self) -> float:
         """Cumulative server-seconds spent serving (the energy meter)."""
         return self._busy_integral + self._busy * (self.engine.now - self._last_change)

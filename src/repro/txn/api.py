@@ -205,10 +205,6 @@ class TxnOutcome:
         self.stale_reads = txn.stale_reads
 
     @property
-    def committed(self) -> bool:
-        return self.status == "committed"
-
-    @property
     def commit_latency(self) -> float:
         """Seconds from the commit request to the client-visible outcome."""
         return self.t_end - self.t_commit

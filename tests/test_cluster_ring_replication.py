@@ -153,7 +153,7 @@ class TestSimpleStrategy:
     def test_replicas_by_dc_totals(self, small_topology):
         ring = TokenRing(small_topology.n_nodes, vnodes=8)
         strat = SimpleStrategy(rf=3)
-        by_dc = strat.replicas_by_dc("user7", ring, small_topology)
+        by_dc = strat.placement("user7", ring, small_topology)[2]
         assert sum(by_dc.values()) == 3
 
 
@@ -171,7 +171,7 @@ class TestNetworkTopologyStrategy:
         strat = NetworkTopologyStrategy({0: 2, 1: 1})
         for i in range(40):
             key = f"user{i}"
-            by_dc = strat.replicas_by_dc(key, ring, small_topology)
+            by_dc = strat.placement(key, ring, small_topology)[2]
             assert by_dc == {0: 2, 1: 1}
             reps = strat.replicas(key, ring, small_topology)
             assert len(reps) == 3 and len(set(reps)) == 3

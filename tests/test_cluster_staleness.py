@@ -134,7 +134,6 @@ class TestOracleReads:
         o.note_read(o.expected_version("k"), w)
         o.note_read(o.expected_version("k"), None)
         assert o.stale_rate == pytest.approx(0.5)
-        assert o.fresh_rate == pytest.approx(0.5)
 
     def test_reset_counters_keeps_bars(self):
         o = StalenessOracle()
@@ -150,5 +149,4 @@ class TestOracleReads:
     def test_empty_rates(self):
         o = StalenessOracle()
         assert o.stale_rate == 0.0
-        assert o.fresh_rate == 1.0
         assert o.stale_rate_strict == 0.0

@@ -39,7 +39,7 @@ class TestBill:
         b = Bill(1.0, 2.0, 3.0, duration=10.0, ops=1000)
         assert b.total == 6.0
         assert b.cost_per_kop == pytest.approx(6.0)
-        assert b.breakdown()["total"] == 6.0
+        assert b.instance_cost + b.storage_cost + b.network_cost == b.total
 
     def test_zero_ops(self):
         b = Bill(1.0, 0.0, 0.0, duration=1.0, ops=0)

@@ -164,7 +164,7 @@ class TestStoreMembership:
             store.read(key, 3, results.append)
         store.sim.run(until=1.0)
         assert all(r.ok for r in results)
-        assert store.stale_rate == 0.0
+        assert store.oracle.stale_rate == 0.0
         # the newcomer holds its share of the data
         assert len(store.nodes[node_id].data) > 0
 
@@ -179,7 +179,7 @@ class TestStoreMembership:
             store.read(key, 3, results.append)
         store.sim.run(until=1.0)
         assert all(r.ok for r in results)
-        assert store.stale_rate == 0.0
+        assert store.oracle.stale_rate == 0.0
 
     def test_decommission_below_rf_rejected(self):
         store = build_store(n_nodes=3, rf=3)
@@ -282,7 +282,7 @@ class TestStreamingRebalance:
             store.read(key, 3, results.append)
         store.sim.run(until=1.0)
         assert all(r.ok for r in results)
-        assert store.stale_rate == 0.0
+        assert store.oracle.stale_rate == 0.0
 
     def test_writes_forwarded_to_incoming_owners(self):
         store, reb = build_streaming()

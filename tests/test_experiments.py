@@ -16,6 +16,7 @@ from repro.experiments.runner import (
     static_factory,
 )
 from repro.facade import RunSpec, run
+from repro.net.topology import LinkClass
 
 
 class TestPlatforms:
@@ -51,7 +52,7 @@ class TestPlatforms:
     def test_g5k_has_wan_latency(self):
         plat = grid5000_harmony_platform()
         _, store = plat.build(seed=0)
-        wan = store.topology.mean_wan_delay()
+        wan = store.topology.latency_models[LinkClass.INTER_REGION].mean()
         assert wan == pytest.approx(0.009, rel=0.01)
 
 

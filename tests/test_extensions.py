@@ -196,7 +196,7 @@ class TestProvisioning:
         env = self._envelope(failures_tolerated=4)
         for c in advisor.evaluate(env):
             if c.feasible:
-                assert c.rf_total - 4 >= c.read_level
+                assert sum(c.rf_per_dc) - 4 >= c.read_level
 
     def test_tight_staleness_forces_stronger_or_fails(self):
         advisor = self._advisor()
@@ -218,4 +218,4 @@ class TestProvisioning:
     def test_candidate_properties(self):
         c = Candidate((6, 6), (3, 2), 1, 0.01, 100.0, True)
         assert c.n_nodes == 12
-        assert c.rf_total == 5
+        assert sum(c.rf_per_dc) == 5

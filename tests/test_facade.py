@@ -328,7 +328,7 @@ class TestBackendKnobThreading:
         assert result.report.policy == "harmony(0.4)"  # the scenario's policy
         txn = result.report.txn
         assert txn["commits"] + sum(txn["aborts"].values()) == 16
-        assert result.cost_total > 0.0  # billed on the priced EC2 platform
+        assert result.bill.total > 0.0  # billed on the priced EC2 platform
 
     def test_txn_scenario_failures_run_on_asyncio(self):
         result = scenarios.get("txn-crash-storm").run(

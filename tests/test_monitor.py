@@ -39,21 +39,6 @@ class TestKeyFrequencyTracker:
         t = KeyFrequencyTracker()
         assert t.read_shares() == {}
         assert t.write_shares() == {}
-        assert t.effective_key_count() == float("inf")
-
-    def test_effective_key_count_uniform(self):
-        t = KeyFrequencyTracker()
-        for i in range(10):
-            t.record_write(f"k{i}", 1.0)
-        assert t.effective_key_count() == pytest.approx(10.0)
-
-    def test_effective_key_count_skewed(self):
-        t = KeyFrequencyTracker()
-        for _ in range(9):
-            t.record_write("hot", 1.0)
-        t.record_write("cold", 1.0)
-        # inverse simpson of (0.9, 0.1) = 1/(0.81+0.01)
-        assert t.effective_key_count() == pytest.approx(1.0 / 0.82)
 
     def test_rotation_expires_old_counts(self):
         t = KeyFrequencyTracker(window=1.0)

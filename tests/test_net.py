@@ -79,7 +79,7 @@ class TestTopology:
         assert [topo.dc_of(i) for i in range(5)] == [0, 0, 0, 1, 1]
         assert topo.nodes_in_dc(0) == [0, 1, 2]
         assert topo.nodes_in_dc(1) == [3, 4]
-        assert topo.dc_name_of(4) == "south"
+        assert topo.datacenters[topo.dc_of(4)].name == "south"
 
     def test_link_classes(self, small_topology, az_topology):
         assert small_topology.link_class(0, 0) is LinkClass.LOCAL
@@ -91,11 +91,6 @@ class TestTopology:
         assert small_topology.latency_model(0, 3).mean() == pytest.approx(0.010)
         assert small_topology.latency_model(0, 1).mean() == pytest.approx(0.0002)
 
-    def test_mean_wan_delay(self, small_topology, az_topology):
-        assert small_topology.mean_wan_delay() == pytest.approx(0.010)
-        assert az_topology.mean_wan_delay() == pytest.approx(0.001)
-        single = Topology([Datacenter("one", "r")], [3])
-        assert single.mean_wan_delay() == single.latency_models[LinkClass.INTRA_DC].mean()
 
 
 class TestTrafficMatrix:

@@ -76,7 +76,7 @@ class TestEventBus:
         assert not bus.active
         bus.emit(ObsEvent(0.0, "node-crash", {"node": 1}))  # must not raise
 
-    def test_subscribe_and_unsubscribe(self):
+    def test_subscribe(self):
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
@@ -84,9 +84,6 @@ class TestEventBus:
         event = ObsEvent(1.5, "partition", {"dc_a": 0, "dc_b": 1})
         bus.emit(event)
         assert seen == [event]
-        bus.unsubscribe(seen.append)
-        bus.emit(event)
-        assert len(seen) == 1
 
     def test_event_record_shape(self):
         record = ObsEvent(2.0, "node-crash", {"node": 3, "dc": 0}).to_record()

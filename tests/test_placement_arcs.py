@@ -92,7 +92,7 @@ class TestArcLookup:
         for key in keys + keys:  # second pass reads the arc table
             got = strategy.replicas(key, ring, topology)
             assert got == reference_for_key(strategy, key, ring, topology), key
-            assert strategy.replicas_by_dc(key, ring, topology) == census(got, topology)
+            assert strategy.placement(key, ring, topology)[2] == census(got, topology)
         assert len(strategy._arcs) <= len(ring._tokens)
 
     @given(deployments(), KEY_LISTS, st.data())

@@ -426,7 +426,6 @@ class TestResource:
         r.submit(1.0, lambda: None)
         assert r.busy == 1
         assert r.queued == 1
-        assert r.utilization_hint() == 1.0
         sim.run()
         assert r.busy == 0 and r.queued == 0
 

@@ -9,7 +9,8 @@ here is what :class:`~repro.runtime.interface.Transport` promises both
 engines honour:
 
 - the driver pair: ``stop()`` from a callback ends ``run`` early, and
-  ``run(until)`` leaves later timers pending for the next ``run``;
+  ``run(until)`` leaves later timers pending for the next ``run``, also
+  when a blocked loop wakes after they are due;
 
 - per-link FIFO delivery under the (default) constant-latency models;
 - partitions drop at send time (``send`` returns ``None``) and heal, and
@@ -36,6 +37,7 @@ the "same store and protocol classes on both backends" claim.
 """
 
 import asyncio
+import time
 from dataclasses import replace
 
 import pytest
@@ -141,6 +143,41 @@ class TestTransportContract:
         assert h.transport.now >= 0.5 - 1e-9
         h.transport.run(until=1.5)
         assert fired == ["early", "later"]
+
+    @pytest.mark.parametrize("schedule", ["post_at", "set_timer_at"])
+    def test_run_until_holds_back_what_a_late_loop_finds_due(self, harness, schedule):
+        # A callback at t=0.2 blocks the loop for 80 ms of wall time (1.6
+        # protocol seconds on asyncio), so when the loop wakes the ``until``
+        # guard and the t=1.0 call are due in the same pass.
+        h = harness()
+        fired = []
+
+        def setup(t):
+            def block():
+                fired.append("block")
+                time.sleep(0.08)
+
+            t.post_at(0.2, block)
+            getattr(t, schedule)(1.0, fired.append, "later")
+
+        h.run(setup, until=0.5)
+        assert fired == ["block"]
+        h.transport.run(until=3.0)
+        assert fired == ["block", "later"]
+
+    def test_a_timer_held_back_past_until_still_cancels(self, harness):
+        h = harness()
+        fired = []
+        timers = []
+
+        def setup(t):
+            t.post_at(0.2, time.sleep, 0.08)
+            timers.append(t.set_timer_at(1.0, fired.append, "later"))
+
+        h.run(setup, until=0.5)
+        timers[0].cancel()
+        h.transport.run(until=3.0)
+        assert fired == []
 
     def test_traffic_counts_the_same_messages(self, harness):
         # Delivered, undelivered (deliver=None) and cut sends, counted

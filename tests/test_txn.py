@@ -182,7 +182,7 @@ class TestCommitPath:
 
         store.sim.schedule(0.0, go)
         settle(store)
-        assert outcomes[0].committed and outcomes[0].n_reads == 1
+        assert outcomes[0].status == "committed" and outcomes[0].n_reads == 1
         assert sum(len(w) for w in t.wals) == 0  # no 2PC round was needed
 
     def test_reads_route_through_policy_level(self, simple_store):
@@ -558,7 +558,7 @@ class TestTxnScenarios:
         for name in ("txn-shootout", "txn-crash-storm", "txn-geo-2pc"):
             spec = scenarios.get(name)
             assert "txn" in spec.tags
-            assert spec.txn_workload is not None
+            assert spec.build(spec.resolve_params()).txn_workload is not None
 
     def test_shootout_metrics_include_txn_block(self):
         from repro.experiments import scenarios
