@@ -441,7 +441,7 @@ def test_abl_read_repair(abl_read_repair):
 def abl_estimators(platform):
     sim, store = platform.build(seed=5)
     monitor = ClusterMonitor(window=2.0)
-    store.add_listener(monitor)
+    store.observe(monitor)
     WorkloadRunner(
         store, heavy_read_update(record_count=120),
         policy=StaticPolicy(1, 1), n_clients=16, ops_total=10_000,

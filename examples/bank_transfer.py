@@ -140,7 +140,7 @@ def harmony(store: ReplicatedStore) -> HarmonyEngine:
     nothing about queueing backlog; the monitored rank profile does.
     """
     monitor = ClusterMonitor(window=2.0)
-    store.add_listener(monitor)
+    store.observe(monitor)
     return HarmonyEngine(monitor, tolerance=0.05, rf=3, update_interval=0.25)
 
 

@@ -74,7 +74,7 @@ def main() -> None:
 
     def behavior_factory(store):
         monitor = ClusterMonitor(window=5.0)
-        store.add_listener(monitor)
+        store.observe(monitor)
         return BehaviorPolicy(model, monitor, rf=store.strategy.rf_total,
                               update_interval=2.5)
 

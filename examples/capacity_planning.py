@@ -97,7 +97,7 @@ def bounded_staleness() -> None:
     plat = grid5000_bismar_platform()
     sim, store = plat.build(seed=3)
     guard = FreshnessDeadline(store, deadline=0.05)
-    store.add_listener(guard)
+    store.observe(guard)
     rep = WorkloadRunner(
         store, heavy_read_update(record_count=100),
         policy=StaticPolicy(1, 1), n_clients=16, ops_total=6000, seed=3,

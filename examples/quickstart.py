@@ -68,7 +68,7 @@ def run_policy(policy_factory, label: str):
 def harmony(store: ReplicatedStore) -> HarmonyEngine:
     """Harmony wired the way the paper describes: monitor -> estimator -> dial."""
     monitor = ClusterMonitor(window=2.0)
-    store.add_listener(monitor)
+    store.observe(monitor)
     return HarmonyEngine(
         monitor,
         tolerance=0.05,  # the application tolerates 5% stale reads

@@ -92,7 +92,7 @@ def _write_adaptive(store, key, engine):
 def main() -> None:
     store = build_store()
     monitor = ClusterMonitor(window=1.0)
-    store.add_listener(monitor)
+    store.observe(monitor)
     engine = HarmonyEngine(
         monitor,
         tolerance=0.05,

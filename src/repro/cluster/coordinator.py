@@ -334,9 +334,9 @@ class Coordinator:
         if op.acks_total == result.replicas_contacted:
             # every live replica acked (the observable Tp): notify at the tail
             if op.tail <= now:
-                st._notify_propagated(result)
+                st.fire("on_write_propagated", result)
             else:
-                st.transport.post_at(op.tail, st._notify_propagated, result)
+                st.transport.post_at(op.tail, st.fire, "on_write_propagated", result)
 
     def _on_extra_applied(self, node_id: int, key: str, version: Version,
                           op: _WriteOp) -> None:
@@ -364,9 +364,9 @@ class Coordinator:
         if op.acks_total == result.replicas_contacted:
             # every live replica acked (the observable Tp): notify at the tail
             if op.tail <= now:
-                st._notify_propagated(result)
+                st.fire("on_write_propagated", result)
             else:
-                st.transport.post_at(op.tail, st._notify_propagated, result)
+                st.transport.post_at(op.tail, st.fire, "on_write_propagated", result)
         if op.finished:
             return
         if by_dc is not None or op.extra_needed:

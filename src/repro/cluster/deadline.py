@@ -43,7 +43,7 @@ class FreshnessDeadline:
         Optional predicate restricting the guarantee to a keyspace subset
         (the "different levels of guarantees" of the paper's §V).
 
-    Attach with ``store.add_listener(fd)``; enforcement is lazy and costs
+    Attach with ``store.observe(fd)``; enforcement is lazy and costs
     one check per write plus re-push traffic only for replicas that lag.
     """
 

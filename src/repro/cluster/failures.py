@@ -7,8 +7,8 @@ availability/staleness behaviour the integration tests assert on.
 
 Every executed failure is recorded as a structured
 :class:`~repro.obs.events.ObsEvent` in :attr:`FailureInjector.events` and
-published on the store's event bus, so the observability layer (and any
-other subscriber) sees crashes/partitions as typed records rather than
+fired on the store's ``on_fault`` channel, so the observability layer (and
+any other observer) sees crashes/partitions as typed records rather than
 parsing strings.
 """
 
@@ -33,7 +33,7 @@ class FailureInjector:
     def _record(self, kind: str, **data) -> None:
         event = ObsEvent(self.store.transport.now, kind, data)
         self.events.append(event)
-        self.store.events.emit(event)
+        self.store.fire("on_fault", event)
 
     # -- node failures ---------------------------------------------------------
 
@@ -69,8 +69,8 @@ class FailureInjector:
             t += interval
 
     def _do_crash(self, node_id: int) -> None:
-        # Route through the store so node listeners (e.g. the transaction
-        # subsystem wiping volatile 2PC state) observe the crash.
+        # Route through the store so its observers (e.g. the transaction
+        # subsystem wiping volatile 2PC state) hear the crash.
         self.store.on_node_crash(node_id)
         self._record("node-crash", node=node_id, dc=self.store.topology.dc_of(node_id))
 

@@ -43,8 +43,6 @@ class StalenessOracle:
         self.stale_reads_strict = 0
         #: seconds by which stale reads lagged the freshest version.
         self.staleness_age = OnlineStats()
-        #: replica applies seen (repairs and hint replays included).
-        self.replica_applies = 0
         #: per-write total propagation time Tp (max over replicas).
         self.full_propagation = OnlineStats()
 
@@ -77,7 +75,6 @@ class StalenessOracle:
 
     def note_replica_applied(self, version: Version, applied_at: float) -> None:
         """Record one replica applying ``version`` at simulated ``applied_at``."""
-        self.replica_applies += 1
         entry = self._pending.get(version.write_id)
         if entry is None:
             return
@@ -127,7 +124,6 @@ class StalenessOracle:
         self.stale_reads = 0
         self.stale_reads_strict = 0
         self.staleness_age = OnlineStats()
-        self.replica_applies = 0
         self.full_propagation = OnlineStats()
 
     # -- reporting ----------------------------------------------------------------

@@ -13,7 +13,8 @@ makes runtime-adaptive policies like Harmony possible at all.
 
 The store also hosts the metric surfaces everything else consumes:
 latency histograms, op/failure counters, the staleness oracle, the network
-traffic matrix, and a listener interface for monitors.
+traffic matrix, and the observer channels monitors hear the run on
+(:meth:`ReplicatedStore.observe`).
 
 Membership is **live**: :meth:`ReplicatedStore.bootstrap_node` and
 :meth:`ReplicatedStore.decommission_node` change cluster capacity mid-run.
@@ -54,7 +55,6 @@ from repro.cluster.ring import MovedRange, TokenRing
 from repro.cluster.staleness import StalenessOracle
 from repro.cluster.versions import Version
 from repro.net.topology import Topology
-from repro.obs.events import EventBus
 from repro.runtime.deadlines import DeadlineQueue
 from repro.runtime.interface import Transport
 
@@ -62,6 +62,20 @@ __all__ = ["StoreConfig", "ReplicatedStore", "MembershipChange", "draw_coordinat
 
 #: Row size in bytes (YCSB default rows are 10 x 100 B fields ~= 1 KB).
 DEFAULT_VALUE_SIZE = 1000
+
+#: The hooks a store observer may define, one channel each. A hook takes one
+#: argument: an ``OpResult`` (an op completed; a write's last live replica
+#: acked), a node id (crash, recover), an elasticity event dict, a
+#: ``TxnOutcome`` or the failure injector's ``ObsEvent`` (a fault).
+CHANNELS = (
+    "on_op_complete",
+    "on_write_propagated",
+    "on_node_crash",
+    "on_node_recover",
+    "on_elastic_event",
+    "on_txn_complete",
+    "on_fault",
+)
 
 
 @dataclass(frozen=True)
@@ -212,16 +226,11 @@ class ReplicatedStore:
         self._loads: List[Tuple[Mapping[str, int], int, float, int, int]] = []
         self._pending = 0
         self._loaded: set = set()
-        self._listeners: List[Any] = []
-        self._node_listeners: List[Any] = []
-        #: structured run-event bus (crashes, partitions, heals, ...).
-        #: Constructed once per store; with no subscribers ``emit`` is a
-        #: single branch, so un-observed runs pay nothing.
-        self.events = EventBus()
-        # Pre-bound listener hooks: the operation-completion fan-out runs per
-        # op, so the getattr probes happen once per add_listener, not per op.
-        self._op_complete_hooks: List[Callable[[OpResult], Any]] = []
-        self._propagated_hooks: List[Callable[[OpResult], Any]] = []
+        #: every object passed to :meth:`observe`, in registration order
+        self.observers: List[Any] = []
+        #: channel -> the observers' bound hooks on it, in registration
+        #: order; built by :meth:`observe`, so firing probes nothing
+        self.hooks: Dict[str, List[Callable[[Any], Any]]] = {c: [] for c in CHANNELS}
         # Per-key placement memo, the one dict hit of the per-op path. An
         # entry *points at* the strategy's shared record of the key's arc;
         # only a key with a pending migration owns a private record (old
@@ -297,51 +306,24 @@ class ReplicatedStore:
             return
         coord.read(key, level, done)
 
-    def add_listener(self, listener: Any) -> None:
-        """Register an observer (monitors, trace recorders).
+    def observe(self, obj: Any) -> None:
+        """Register an observer (monitors, trace recorders, the txn layer).
 
-        Listeners must implement ``on_op_complete(OpResult)`` and may
-        implement ``on_write_propagated(OpResult)``, which fires when the
-        *last* live replica of a write acknowledges (``result.ack_delays``
-        is complete at that point -- the observable propagation profile).
+        Each hook of :data:`CHANNELS` that ``obj`` defines joins its
+        channel's list. ``on_write_propagated`` fires when the *last* live
+        replica of a write acknowledges (``result.ack_delays`` is complete
+        at that point -- the observable propagation profile).
         """
-        self._listeners.append(listener)
-        self._op_complete_hooks.append(listener.on_op_complete)
-        propagated = getattr(listener, "on_write_propagated", None)
-        if propagated is not None:
-            self._propagated_hooks.append(propagated)
-
-    def add_node_listener(self, listener: Any) -> None:
-        """Register an observer of node lifecycle events.
-
-        Node listeners may implement ``on_node_crash(node_id)`` and
-        ``on_node_recover(node_id)``; the transaction subsystem uses these
-        to wipe volatile 2PC state on crash and run WAL recovery on
-        restart.
-        """
-        self._node_listeners.append(listener)
-
-    def _notify_propagated(self, result) -> None:
-        for hook in self._propagated_hooks:
-            hook(result)
-
-    def _notify_node_event(self, event: str, node_id: int) -> None:
-        for listener in self._node_listeners:
-            hook = getattr(listener, event, None)
+        self.observers.append(obj)
+        for channel in CHANNELS:
+            hook = getattr(obj, channel, None)
             if hook is not None:
-                hook(node_id)
+                self.hooks[channel].append(hook)
 
-    def _notify_elastic(self, event: Dict[str, Any]) -> None:
-        """Broadcast an elasticity event (scale/migration) to listeners.
-
-        Listeners may implement ``on_elastic_event(event_dict)``; the
-        cluster monitor uses it to keep ranges-moved / bytes-streamed /
-        scale-event counters.
-        """
-        for listener in self._listeners:
-            hook = getattr(listener, "on_elastic_event", None)
-            if hook is not None:
-                hook(event)
+    def fire(self, channel: str, payload: Any) -> None:
+        """Call every hook on ``channel`` with ``payload``, in registration order."""
+        for hook in self.hooks[channel]:
+            hook(payload)
 
     # -- live membership -----------------------------------------------------------
 
@@ -437,7 +419,7 @@ class ReplicatedStore:
 
         The token ring is rebuilt incrementally; the exact ownership diff is
         handed to the attached streaming rebalancer (or applied instantly
-        when none is attached). Node listeners observe ``on_node_join``.
+        when none is attached).
         """
         self._instances_tick()
         self._instance_count += 1
@@ -459,7 +441,6 @@ class ReplicatedStore:
         self._apply_membership_change(
             lambda: self.ring.add_node(node_id), joining=node_id
         )
-        self._notify_node_event("on_node_join", node_id)
         return node_id
 
     def decommission_node(self, node_id: int) -> None:
@@ -467,8 +448,7 @@ class ReplicatedStore:
 
         The node keeps serving as an *old* owner until every key it held
         has been streamed to its new owners, then retires (final -- a
-        retired node is never recovered). Node listeners observe
-        ``on_node_leave`` when the drain starts.
+        retired node is never recovered).
         """
         node_id = int(node_id)
         if not (0 <= node_id < len(self.nodes)):
@@ -480,7 +460,6 @@ class ReplicatedStore:
         self._apply_membership_change(
             lambda: self.ring.remove_node(node_id), leaving=node_id
         )
-        self._notify_node_event("on_node_leave", node_id)
 
     def _apply_membership_change(
         self,
@@ -593,9 +572,9 @@ class ReplicatedStore:
     # -- operational hooks ---------------------------------------------------------
 
     def on_node_crash(self, node_id: int) -> None:
-        """Crash a node and notify node listeners (volatile state is lost)."""
+        """Crash a node and fire ``on_node_crash`` (volatile state is lost)."""
         self.nodes[node_id].crash()
-        self._notify_node_event("on_node_crash", node_id)
+        self.fire("on_node_crash", node_id)
 
     def on_node_recover(self, node_id: int) -> None:
         """Bring a node back up and replay its hints."""
@@ -618,7 +597,7 @@ class ReplicatedStore:
                 version,
                 self._hint_applied,
             )
-        self._notify_node_event("on_node_recover", node_id)
+        self.fire("on_node_recover", node_id)
 
     def _hint_applied(self, node_id: int, key: str, version) -> None:
         """A replayed hint landed: the write is now fully propagated.
@@ -633,7 +612,7 @@ class ReplicatedStore:
         result.value_size = version.size
         result.replicas_contacted = 1
         result.ack_delays = [self.transport.now - version.timestamp]
-        self._notify_propagated(result)
+        self.fire("on_write_propagated", result)
 
     def preload(
         self, keys: Mapping[str, int] | List[str], value_size: Optional[int] = None
@@ -773,7 +752,7 @@ class ReplicatedStore:
     def _op_done(
         self, result: OpResult, user_done: Optional[Callable[[OpResult], Any]]
     ) -> None:
-        """Every operation ends here: metrics, listeners, then the client."""
+        """Every operation ends here: metrics, observers, then the client."""
         if result.ok:
             latency = max(result.t_end - result.t_start, 1e-9)
             if result.kind == "read":
@@ -782,7 +761,7 @@ class ReplicatedStore:
             else:
                 self.writes_ok += 1
                 self.write_latency.add(latency)
-        for hook in self._op_complete_hooks:
+        for hook in self.hooks["on_op_complete"]:
             hook(result)
         if user_done is not None:
             user_done(result)

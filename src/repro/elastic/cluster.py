@@ -52,7 +52,7 @@ class ElasticCluster:
             "reason": reason,
         }
         self.events.append(event)
-        st._notify_elastic(event)
+        st.fire("on_elastic_event", event)
         return node_id
 
     def decommission_node(self, node_id: int, reason: str = "scripted") -> None:
@@ -68,7 +68,7 @@ class ElasticCluster:
             "reason": reason,
         }
         self.events.append(event)
-        st._notify_elastic(event)
+        st.fire("on_elastic_event", event)
 
     # -- queries -------------------------------------------------------------------
 

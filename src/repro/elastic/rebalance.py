@@ -156,7 +156,8 @@ class StreamingRebalancer:
                 self._pending[key] = _KeyMigration(key, tuple(old), targets)
         if change.leaving is not None:
             self._retiring.append(change.leaving)
-        st._notify_elastic(
+        st.fire(
+            "on_elastic_event",
             {
                 "kind": "migration-start",
                 "t": st.transport.now,
@@ -164,7 +165,7 @@ class StreamingRebalancer:
                 "keys": len(change.pending),
                 "joining": change.joining,
                 "leaving": change.leaving,
-            }
+            },
         )
         if not self._pending:
             self._settle()
@@ -296,14 +297,15 @@ class StreamingRebalancer:
                 st.retire_node(node_id)
         if self.migrations_completed < self.migrations_started:
             self.migrations_completed = self.migrations_started
-            st._notify_elastic(
+            st.fire(
+                "on_elastic_event",
                 {
                     "kind": "migration-complete",
                     "t": st.transport.now,
                     "keys_streamed": self.keys_streamed,
                     "bytes_streamed": self.bytes_streamed,
                     "retired": list(retired),
-                }
+                },
             )
 
     def summary(self) -> Dict[str, int]:

@@ -133,7 +133,7 @@ def run_cost_eval(
 
         def factory(store, read=read, write=write, name=name, captured=captured):
             monitor = ClusterMonitor(window=2.0)
-            store.add_listener(monitor)
+            store.observe(monitor)
             captured["monitor"] = monitor
             return StaticPolicy(read, write, name=name)
 

@@ -115,7 +115,7 @@ def run_fig1_validation(
         # structure by measuring one simulator run's ack profile.
         _, store = platform.build(seed=seed)
         monitor = ClusterMonitor(window=10.0)
-        store.add_listener(monitor)
+        store.observe(monitor)
         store.preload(KeyRange(1), store.default_value_size)
         probe = OpenLoopSource(
             store,
@@ -276,7 +276,7 @@ def run_behavior_eval(
 
     def behavior_factory(store):
         monitor = ClusterMonitor(window=window)
-        store.add_listener(monitor)
+        store.observe(monitor)
         return BehaviorPolicy(
             model, monitor, rf=store.strategy.rf_total, update_interval=window / 2,
         )

@@ -74,7 +74,7 @@ def harmony_factory(tolerance: float, monitor_window: float = 2.0) -> PolicyFact
 
     def build(store: ReplicatedStore) -> ConsistencyPolicy:
         monitor = ClusterMonitor(window=monitor_window)
-        store.add_listener(monitor)
+        store.observe(monitor)
         return HarmonyEngine(
             monitor,
             tolerance=tolerance,
@@ -93,7 +93,7 @@ def bismar_factory(
 
     def build(store: ReplicatedStore) -> ConsistencyPolicy:
         monitor = ClusterMonitor(window=monitor_window)
-        store.add_listener(monitor)
+        store.observe(monitor)
         estimator = CostEstimator.for_store(store, prices)
         return BismarEngine(
             monitor,
@@ -139,7 +139,7 @@ def rationing_factory(threshold: float = 0.01) -> PolicyFactory:
 
     def build(store: ReplicatedStore) -> ConsistencyPolicy:
         monitor = ClusterMonitor(window=2.0)
-        store.add_listener(monitor)
+        store.observe(monitor)
         return ConsistencyRationingPolicy(monitor, threshold=threshold)
 
     return build
@@ -150,7 +150,7 @@ def rwratio_factory(threshold: float = 4.0) -> PolicyFactory:
 
     def build(store: ReplicatedStore) -> ConsistencyPolicy:
         monitor = ClusterMonitor(window=2.0)
-        store.add_listener(monitor)
+        store.observe(monitor)
         return ReadWriteRatioPolicy(monitor, threshold=threshold)
 
     return build

@@ -135,7 +135,7 @@ def _pipeline(
 
     One linear sequence; the transactional, elastic and observer steps run
     only when the spec asks for them (the first two are mutually
-    exclusive). Store listeners register, RNG streams are named and
+    exclusive). Store observers register, RNG streams are named and
     timers are armed in exactly this order, so do not reorder steps: the
     golden-report tests pin the result. ``docs/ARCHITECTURE.md`` ("The run
     facade") walks through the steps. The engine supplies the store's
@@ -163,7 +163,7 @@ def _pipeline(
         cluster = ElasticCluster(store, rebalance=elastic.rebalance)
         if elastic.autoscaler is not None:
             monitor = ClusterMonitor(window=2.0)
-            store.add_listener(monitor)
+            store.observe(monitor)
             autoscaler = CostAwareAutoscaler(
                 cluster, monitor, platform.prices, elastic.autoscaler
             )

@@ -79,7 +79,7 @@ class MonitorSnapshot:
 
 
 class ClusterMonitor:
-    """Store listener aggregating the observable cluster state.
+    """Store observer aggregating the observable cluster state.
 
     Parameters
     ----------
@@ -167,7 +167,7 @@ class ClusterMonitor:
     def on_elastic_event(self, event) -> None:
         """Fold one elasticity event (scale / migration) into the counters.
 
-        Events come from :meth:`ReplicatedStore._notify_elastic`; streaming
+        Events come from the store's ``on_elastic_event`` channel; streaming
         counters on ``migration-complete`` are cumulative snapshots of the
         rebalancer, so they are assigned, not summed.
         """

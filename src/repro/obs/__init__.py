@@ -3,8 +3,8 @@
 Harmony's loop is *observe -> estimate -> adapt*; this package makes every
 run inspectable the same way: a :class:`~repro.obs.metrics.MetricsRegistry`
 holds labelled counters and gauges, an
-:class:`~repro.obs.events.EventBus` carries structured run events
-(crashes, partitions, scale events, level switches), a
+:class:`~repro.obs.events.ObsEvent` records a structured fault (crash,
+recovery, partition, heal) on the store's ``on_fault`` channel, a
 :class:`~repro.obs.trace.Tracer` builds spans from the existing listener
 surfaces, and a :class:`~repro.obs.sampler.TimeSeriesSampler` snapshots
 the cluster state on the simulated clock. The
@@ -27,8 +27,8 @@ metric/anomaly deltas (``repro diff``).
 The whole package is **opt-in and zero-overhead when disabled**: no
 harness constructs any observer object unless an
 :class:`~repro.obs.recorder.ObsConfig` is passed, the hot-path hooks are
-``None``-guarded attribute probes, and the event bus short-circuits when
-nobody subscribed. The sampler and tracer only *read* simulation state --
+``None``-guarded attribute probes, and a store channel nobody observes
+is an empty loop. The sampler and tracer only *read* simulation state --
 no RNG draws, no behavioural feedback -- so a run's results are
 byte-identical with observability on or off.
 """

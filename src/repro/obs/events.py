@@ -1,13 +1,12 @@
-"""Structured run events and the bus that carries them.
+"""Structured run events.
 
-The bus is the one channel for discrete run happenings -- crashes,
-recoveries, partitions, heals, scale events, level switches. Emitters
-(the failure injector, the run observer) publish :class:`ObsEvent`
-records; subscribers receive them synchronously in emission order.
+An :class:`ObsEvent` records one discrete run happening -- a crash,
+recovery, partition or heal. The failure injector fires them on the
+store's ``on_fault`` channel (:meth:`ReplicatedStore.observe
+<repro.cluster.store.ReplicatedStore.observe>`).
 
-``emit`` is called from simulation callbacks, so the no-subscriber case
-must cost one attribute load and one truthiness check -- nothing is
-allocated and nothing is formatted unless somebody is listening.
+:class:`EventBus` no longer carries any run's events; only the
+``obs.probe_emits_per_s`` probe of ``bench/layers.py`` still times it.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Where the rest of the observability layer *records* what happened, the
 oracles *judge* it as it happens: a set of small deterministic state
 machines fed by the same read-only hooks the :class:`RunObserver` already
-taps (the store event bus, elastic notifications, the per-op listener and
-the sampler tick) that flag invariant violations as structured ``anomaly``
+taps (the store's fault, elastic and op-complete channels and the
+sampler tick) that flag invariant violations as structured ``anomaly``
 records interleaved with the timeline stream (schema ``repro.obs/2``).
 
 Five invariants are watched:
@@ -29,7 +29,7 @@ emit a single ``phase: "point"`` record per violation.
 
 Determinism: the oracles never draw randomness, never schedule simulator
 events of their own (interval conditions are evaluated on the existing
-sampler ticks and on the triggering bus events), and sample keys by
+sampler ticks and on the triggering fault events), and sample keys by
 ``zlib.crc32`` so the choice is stable across interpreters regardless of
 ``PYTHONHASHSEED``. Every record is built from simulation state only, so
 anomaly streams are byte-identical across ``--jobs`` layouts and repeat
@@ -314,7 +314,7 @@ class _QuorumLossOracle:
 
     Node up/retired state is read from the store (the source of truth the
     failure injector and elastic layer both mutate); partition state is
-    tracked from the ``partition``/``heal`` bus events. Connectivity is
+    tracked from the ``partition``/``heal`` fault events. Connectivity is
     per-datacenter: a partition cuts every node pair across the named DCs.
     """
 
@@ -326,7 +326,7 @@ class _QuorumLossOracle:
         self._partitions: set = set()
         self._open_since: Optional[float] = None
 
-    def on_bus_event(self, event: ObsEvent) -> None:
+    def on_fault(self, event: ObsEvent) -> None:
         if event.kind == "partition":
             self._partitions.add(
                 frozenset((event.data["dc_a"], event.data["dc_b"]))
@@ -383,7 +383,7 @@ class _QuorumLossOracle:
             self._open_since = None
 
     def on_tick(self, now: float) -> None:
-        # membership can change without a bus event (elastic joins/retires)
+        # membership can change without a fault event (elastic joins/retires)
         self.evaluate(now)
 
     def finish(self, now: float) -> None:
@@ -490,8 +490,8 @@ class AnomalyOracles:
     def on_read(self, result) -> None:
         self.monotonic.on_read(result)
 
-    def on_bus_event(self, event: ObsEvent) -> None:
-        self.quorum.on_bus_event(event)
+    def on_fault(self, event: ObsEvent) -> None:
+        self.quorum.on_fault(event)
 
     def on_elastic_event(self, kind: str, t: float) -> None:
         if kind == "migration-start":

@@ -7,9 +7,9 @@ chronological timeline:
 - **samples** -- periodic cluster snapshots (staleness, per-DC latency
   and arrival rate, consistency level in force, hint/repair backlog,
   live membership, txn/elastic counters);
-- **events** -- structured run happenings from the store's event bus and
-  elastic notifications (crashes, recoveries, partitions, heals, scale
-  events, migrations) plus level switches;
+- **events** -- structured run happenings from the store's ``on_fault``
+  and ``on_elastic_event`` channels (crashes, recoveries, partitions,
+  heals, scale events, migrations) plus level switches;
 - **explains** -- Harmony decision records (observed rates, per-level
   staleness estimates, tolerance, chosen level): the *why* behind every
   level switch;
@@ -165,9 +165,8 @@ class RunObserver:
         self._open_migrations: List[str] = []
         self._mig_seq = 0
 
-        # wiring: bus, store listener hooks, policy decisions
-        store.events.subscribe(self._on_bus_event)
-        store.add_listener(self)
+        # wiring: store observer hooks, policy decisions
+        store.observe(self)
         if policy is not None and hasattr(policy, "on_decision"):
             policy.on_decision = self._on_decision
         self._monitor_metrics = self._find_monitor_metrics()
@@ -182,17 +181,17 @@ class RunObserver:
         """Registry of an already-attached monitor (else ``None``).
 
         Duck-typed on the ``metrics`` attribute so this module never
-        imports the monitor package (the store imports us).
+        imports the monitor package (the cluster package imports this one).
         """
-        for listener in self.store._listeners:
-            if listener is self:
+        for observer in self.store.observers:
+            if observer is self:
                 continue
-            registry = getattr(listener, "metrics", None)
+            registry = getattr(observer, "metrics", None)
             if isinstance(registry, MetricsRegistry):
                 return registry
         return None
 
-    # -- store listener interface ------------------------------------------------
+    # -- store observer interface ------------------------------------------------
 
     def on_op_complete(self, result) -> None:
         self._ops_seen += 1
@@ -280,12 +279,12 @@ class RunObserver:
         else:
             tracer.instant(str(kind), t, cat="elastic", args=record)
 
-    # -- bus / policy / txn hooks ---------------------------------------------------
+    # -- fault / policy / txn hooks -------------------------------------------------
 
-    def _on_bus_event(self, event: ObsEvent) -> None:
+    def on_fault(self, event: ObsEvent) -> None:
         self._records.append(event.to_record())
         if self.oracles is not None:
-            self.oracles.on_bus_event(event)
+            self.oracles.on_fault(event)
         if self.tracer is not None:
             self.tracer.instant(event.kind, event.t, cat="failure", args=event.data)
 

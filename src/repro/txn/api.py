@@ -346,11 +346,7 @@ class TransactionalStore:
         self.tms: List[TransactionManager] = [
             TransactionManager(self, i, self.wals[i]) for i in range(n)
         ]
-        store.add_node_listener(self)
-        #: the store listeners' ``on_txn_complete`` hooks, re-bound when the
-        #: listener list has grown (listeners are only ever added)
-        self._txn_hooks: List[Callable[[TxnOutcome], Any]] = []
-        self._n_listeners = 0
+        store.observe(self)
         #: observability sink for 2PC phase transitions; ``None`` (the
         #: default) keeps every TM hook a single attribute-load + branch.
         self.obs = None
@@ -503,19 +499,20 @@ class TransactionalStore:
         if txn.delivered:
             # The client timed out into "in-doubt" earlier; the protocol has
             # now resolved it (the blocking window closed after the fact).
-            # Listeners still hear the late verdict -- monitors must not
+            # Observers still hear the late verdict -- monitors must not
             # count the transaction as in-doubt forever -- but the client
             # callback, already answered, is not re-fired.
             self.in_doubt_resolved += 1
             txn.state = "finished"
-            self._notify_listeners(
+            self.store.fire(
+                "on_txn_complete",
                 TxnOutcome(
                     txn.txn_id,
                     "committed" if commit else "aborted",
                     "resolved-in-doubt",
                     txn,
                     self.transport.now,
-                )
+                ),
             )
             return
         self._deliver(txn, "committed" if commit else "aborted", reason)
@@ -540,24 +537,12 @@ class TransactionalStore:
                 self.lost_updates += 1
                 break
 
-    def _notify_listeners(self, outcome: TxnOutcome) -> None:
-        listeners = self.store._listeners
-        if len(listeners) != self._n_listeners:
-            self._n_listeners = len(listeners)
-            self._txn_hooks = [
-                listener.on_txn_complete
-                for listener in listeners
-                if hasattr(listener, "on_txn_complete")
-            ]
-        for hook in self._txn_hooks:
-            hook(outcome)
-
     def _deliver(self, txn: Transaction, status: str, reason: Optional[str]) -> None:
         txn.delivered = True
         if status != "in-doubt":
             txn.state = "finished"
         outcome = TxnOutcome(txn.txn_id, status, reason, txn, self.transport.now)
-        self._notify_listeners(outcome)
+        self.store.fire("on_txn_complete", outcome)
         if txn.done is not None:
             txn.done(outcome)
 

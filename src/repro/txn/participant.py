@@ -287,17 +287,14 @@ class TxnParticipant:
             obs.on_txn_doubt_resolved(self.node_id, p.txn_id, now)
 
     def _apply(self, p: _Prepared) -> None:
-        """Install the prepared writes (last-write-wins, oracle-visible)."""
-        node = self.node
-        now = self.tr.now
-        oracle = self.owner.store.oracle
+        """Install the prepared writes through the node's last-write-wins install."""
+        install = self.node._apply_write
         for key in sorted(p.writes):
-            version = p.writes[key]
-            current = node.data.get(key)
-            if current is None or version.newer_than(current):
-                node.data[key] = version
-            node.writes_applied += 1
-            oracle.note_replica_applied(version, now)
+            install(key, p.writes[key], self._applied)
+
+    def _applied(self, node_id: int, key: str, version: Version) -> None:
+        """A committed write landed: the oracle counts the replica apply."""
+        self.owner.store.oracle.note_replica_applied(version, self.tr.now)
 
     # -- crash / recovery ---------------------------------------------------------
 

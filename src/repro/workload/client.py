@@ -406,9 +406,9 @@ class WorkloadRunner:
         """Execute the workload and return the report."""
         store = self.store
         self._preload()
-        store.add_listener(self._usage)
+        store.observe(self._usage)
         if self._warmup_remaining > 0:
-            store.add_listener(self)
+            store.observe(self)
 
         rngs = RngFactory(self.seed)
         n_dcs = len(store.topology.datacenters)

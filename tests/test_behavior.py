@@ -297,7 +297,7 @@ class TestBehaviorModelAndPolicy:
         trace = make_trace()
         model = BehaviorModel.fit(trace, window=10.0, k=2)
         monitor = ClusterMonitor(window=5.0)
-        store.add_listener(monitor)
+        store.observe(monitor)
         policy = BehaviorPolicy(model, monitor, rf=3, update_interval=2.0)
         store.preload([f"user{i}" for i in range(1000)], 100)
         replay_trace(store, trace, policy)

@@ -132,7 +132,7 @@ class TestFailureInjector:
                 self.propagated.append(result)
 
         probe = Probe()
-        store.add_listener(probe)
+        store.observe(probe)
         replicas = store.strategy.replicas("k", store.ring, store.topology)
         target = replicas[0]
         store.nodes[target].crash()
@@ -158,7 +158,7 @@ class TestFailureInjector:
             def on_node_recover(self, node_id):
                 events.append(("recover", node_id))
 
-        store.add_node_listener(Listener())
+        store.observe(Listener())
         inj = FailureInjector(store)
         inj.crash_node(2, at=1.0, duration=2.0)
         store.sim.run(until=5.0)

@@ -276,7 +276,7 @@ class TestReplicatedStore:
             def on_op_complete(self, result):
                 seen.append(result.kind)
 
-        store.add_listener(Listener())
+        store.observe(Listener())
         run_ops(store, [(0.0, "w", "k", 1), (0.5, "r", "k", 1)])
         assert seen == ["write", "read"]
 
@@ -290,7 +290,7 @@ class TestReplicatedStore:
             def on_write_propagated(self, result):
                 propagated.append(len(result.ack_delays))
 
-        store.add_listener(Listener())
+        store.observe(Listener())
         run_ops(store, [(0.0, "w", "k", 1)])
         assert propagated == [3]  # all RF=3 replicas acked
 
@@ -439,7 +439,7 @@ class TestOperationTimeouts:
                     assert entries == sorted(entries, key=lambda e: e[0])
                     Watch.longest = max(Watch.longest, len(entries))
 
-        st.add_listener(Watch())
+        st.observe(Watch())
         report = WorkloadRunner(
             st, WORKLOADS["A"].scaled(200), n_clients=8, ops_total=5000, seed=3
         ).run()

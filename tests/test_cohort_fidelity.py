@@ -134,7 +134,7 @@ class TestLatencyDistribution:
             Simulator(), topo, config=StoreConfig(seed=3, read_repair_chance=0.0)
         )
         recorder = TraceRecorder()
-        store.add_listener(recorder)
+        store.observe(recorder)
         WorkloadRunner(
             store, heavy_read_update(record_count=100),
             policy=StaticPolicy(1, 2, name="s"),

@@ -334,10 +334,14 @@ class TestStreamingRebalance:
     def test_monitor_counters_track_migration(self):
         store, reb = build_streaming()
         monitor = ClusterMonitor(window=2.0)
-        store.add_listener(monitor)
+        store.observe(monitor)
         store.preload(KEYS, value_size=10)
         cluster_events = []
-        store._notify_elastic = _wrap_notify(store._notify_elastic, cluster_events)
+
+        class Recorder:
+            on_elastic_event = cluster_events.append
+
+        store.observe(Recorder())
         store.bootstrap_node(0)
         store.sim.run(until=1.0)
         assert monitor.metrics.counter("ranges_moved").value > 0
@@ -359,7 +363,7 @@ class TestInFlightWrites:
             def on_op_complete(self, result):
                 sizes.append(len(store._inflight_writes))
 
-        store.add_listener(Probe())
+        store.observe(Probe())
         sim = store.sim
         for i in range(2000):
             key = f"user{i % 37}"
@@ -398,14 +402,6 @@ class TestInFlightWrites:
         assert probes == [True]
         assert [(r.error, r.t_end) for r in results] == [("timeout", 0.5)]
         assert not store.write_in_flight("k")
-
-
-def _wrap_notify(inner, log):
-    def notify(event):
-        log.append(event)
-        inner(event)
-
-    return notify
 
 
 # -- the crash-window property ----------------------------------------------------
@@ -548,7 +544,7 @@ def build_autoscaled(config=None, n_nodes=4):
         store, RebalanceConfig(pump_interval=0.002, attempt_timeout=0.02)
     )
     monitor = ClusterMonitor(window=2.0)
-    store.add_listener(monitor)
+    store.observe(monitor)
     scaler = CostAwareAutoscaler(
         cluster,
         monitor,

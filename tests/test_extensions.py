@@ -97,7 +97,7 @@ class TestFreshnessDeadline:
 
     def test_no_violations_after_deadline(self, store):
         fd = FreshnessDeadline(store, deadline=0.05)
-        store.add_listener(fd)
+        store.observe(fd)
         for i in range(100):
             store.sim.schedule_at(i * 0.002, store.write, f"k{i % 5}", 1)
         store.sim.run()
@@ -107,7 +107,7 @@ class TestFreshnessDeadline:
     def test_repush_heals_partition_laggards(self, store):
         """A write cut off from one DC converges within ~one deadline after heal."""
         fd = FreshnessDeadline(store, deadline=0.1)
-        store.add_listener(fd)
+        store.observe(fd)
         store.network.partition_dcs(0, 1)
         store.sim.schedule_at(0.0, store.write, "k", 1, None, None, 0)
         store.sim.schedule_at(0.05, store.network.heal_all)
@@ -121,7 +121,7 @@ class TestFreshnessDeadline:
         fd = FreshnessDeadline(
             store, deadline=0.05, key_filter=lambda k: k.startswith("guard")
         )
-        store.add_listener(fd)
+        store.observe(fd)
         store.sim.schedule_at(0.0, store.write, "guarded-key", 1)
         store.sim.schedule_at(0.0, store.write, "other", 1)
         store.sim.run()
@@ -129,7 +129,7 @@ class TestFreshnessDeadline:
 
     def test_down_replica_not_counted(self, store):
         fd = FreshnessDeadline(store, deadline=0.05)
-        store.add_listener(fd)
+        store.observe(fd)
         replicas = store.strategy.replicas("k", store.ring, store.topology)
         store.nodes[replicas[-1]].crash()
         store.sim.schedule_at(0.0, store.write, "k", 1)

@@ -184,7 +184,7 @@ class TestEndToEnd:
         from repro.workload.workloads import heavy_read_update
 
         monitor = ClusterMonitor(window=1.0)
-        store.add_listener(monitor)
+        store.observe(monitor)
         eng = HarmonyEngine(
             monitor, tolerance=0.10, rf=3, update_interval=0.2,
             deployment=DeploymentInfo.from_store(store),

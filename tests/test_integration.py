@@ -79,7 +79,7 @@ class TestAdaptiveUnderShift:
         plat = ec2_harmony_platform()
         sim, store = plat.build(seed=4)
         monitor = ClusterMonitor(window=1.0)
-        store.add_listener(monitor)
+        store.observe(monitor)
         engine = HarmonyEngine(
             monitor, tolerance=0.05, rf=3, update_interval=0.2,
             deployment=DeploymentInfo.from_store(store),
@@ -241,7 +241,7 @@ class TestEstimatorAccuracy:
         plat = grid5000_bismar_platform()
         sim, store = plat.build(seed=11)
         monitor = ClusterMonitor(window=2.0)
-        store.add_listener(monitor)
+        store.observe(monitor)
         rep = WorkloadRunner(
             store, heavy_read_update(record_count=100),
             policy=StaticPolicy(1, 1), n_clients=16, ops_total=8000, seed=11,

@@ -235,7 +235,7 @@ class TestClusterMonitor:
 
     def test_live_against_store(self, store):
         m = ClusterMonitor(window=5.0)
-        store.add_listener(m)
+        store.observe(m)
         for i in range(100):
             store.sim.schedule_at(i * 0.01, store.write, "k", 1)
             store.sim.schedule_at(i * 0.01 + 0.002, store.read, "k", 1)

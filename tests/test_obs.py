@@ -4,11 +4,11 @@ The load-bearing guarantees:
 
 - attaching a :class:`RunObserver` never changes a run's results (the
   observer-effect test compares full reports with observability on/off);
-- with observability off, no observer object or bus subscription exists
+- with observability off, no observer object or fault hook exists
   (the zero-overhead path);
 - sweep artifacts are byte-identical across ``--jobs`` settings;
 - failure injection is observable as typed events
-  (``FailureInjector.events`` + the store's event bus).
+  (``FailureInjector.events`` + the store's ``on_fault`` channel).
 """
 
 from __future__ import annotations
@@ -187,17 +187,21 @@ class TestFailureInjectorEvents:
         # the string-log shim is gone: events are the only record
         assert not hasattr(inj, "log")
 
-    def test_events_published_on_store_bus(self, simple_store):
+    def test_events_fired_on_the_fault_channel(self, simple_store):
         seen = []
-        simple_store.events.subscribe(seen.append)
+
+        class Faults:
+            on_fault = seen.append
+
+        simple_store.observe(Faults())
         inj = FailureInjector(simple_store)
         inj.crash_node(1, at=0.5)
         simple_store.sim.run()
         assert [e.kind for e in seen] == ["node-crash"]
 
-    def test_fresh_store_bus_is_idle(self, simple_store):
-        # the zero-overhead invariant: nobody subscribes unless asked to
-        assert not simple_store.events.active
+    def test_fresh_store_has_no_fault_hooks(self, simple_store):
+        # the zero-overhead invariant: nobody observes unless asked to
+        assert simple_store.hooks["on_fault"] == []
 
 
 def _run_scenario(name: str, obs=None, **kwargs):

@@ -291,14 +291,14 @@ class TestQuorumLossOracle:
 
     def test_symmetric_partition_loses_quorum_until_heal(self):
         engine, sink = _engine(self._two_dc_store())
-        engine.on_bus_event(
+        engine.on_fault(
             ObsEvent(0.3, "partition", {"dc_a": 0, "dc_b": 1})
         )
         (start,) = sink
         assert (start["oracle"], start["phase"]) == ("quorum-loss", "start")
         # 3+3 nodes split 3|3: best component 3 < needed 4
         assert (start["live"], start["needed"], start["total"]) == (3, 4, 6)
-        engine.on_bus_event(ObsEvent(0.7, "heal", {"dc_a": 0, "dc_b": 1}))
+        engine.on_fault(ObsEvent(0.7, "heal", {"dc_a": 0, "dc_b": 1}))
         assert sink[-1]["phase"] == "end"
         assert sink[-1]["duration"] == pytest.approx(0.4)
 
@@ -307,11 +307,11 @@ class TestQuorumLossOracle:
         engine, sink = _engine(store)
         for node in store.nodes[:4]:
             node.up = False
-        engine.on_bus_event(ObsEvent(1.0, "node-crash", {"node": 3}))
+        engine.on_fault(ObsEvent(1.0, "node-crash", {"node": 3}))
         (start,) = sink
         assert (start["live"], start["needed"]) == (2, 4)
         store.nodes[0].up = store.nodes[1].up = True
-        engine.on_bus_event(ObsEvent(2.0, "node-recover", {"node": 0}))
+        engine.on_fault(ObsEvent(2.0, "node-recover", {"node": 0}))
         assert sink[-1]["phase"] == "end"
 
     def test_retired_nodes_shrink_the_quorum(self):
@@ -328,7 +328,7 @@ class TestQuorumLossOracle:
         nodes = [_StubNode(i) for i in range(5)]
         topo = _StubTopology({0: 0, 1: 0, 2: 0, 3: 0, 4: 1})
         engine, sink = _engine(_StubStore(nodes=nodes, topology=topo))
-        engine.on_bus_event(ObsEvent(0.5, "partition", {"dc_a": 0, "dc_b": 1}))
+        engine.on_fault(ObsEvent(0.5, "partition", {"dc_a": 0, "dc_b": 1}))
         assert sink == []
 
 

@@ -92,6 +92,24 @@ class TestAccounting:
         ]
         assert [f.lines for f in found] == [2, 5, 2, 2]
 
+    def test_reached_only_after_names_what_the_second_part_enters(
+        self, fixture_module
+    ):
+        path, module = fixture_module
+        with reach.record() as seen:
+            module.called()
+            before = set(seen.codes)  # the snapshot taken before the examples
+            module.missed()
+            module.Box.made(1)
+        key = os.path.realpath(path)
+        found = reach.reached_only_after(
+            reach.functions(FIXTURE, "fixture"),
+            reach.entered_by_file(before)[key],
+            reach.entered_by_file(seen.codes)[key],
+        )
+        # called's inner_missed stays unreached, so it is not counted
+        assert [f.entry for f in found] == ["fixture:missed", "fixture:Box.made"]
+
     def test_entry_without_a_reason_is_rejected(self, tmp_path):
         path = tmp_path / "allow.txt"
         path.write_text("repro.cli:main\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.versions import Version
 from repro.common.errors import ConfigError, SimulationError
 from repro.monitor.collector import ClusterMonitor
 from repro.txn.api import TransactionalStore, TxnConfig
@@ -147,6 +148,33 @@ class TestCommitPath:
             assert len(versions) == 1 and None not in versions
         # The oracle saw the commit: a quorum read is judged against it.
         assert store.oracle.expected_version("a")[0].size == 100
+
+    def test_commit_of_an_older_version_loses_to_a_newer_write(
+        self, simple_store, monkeypatch
+    ):
+        # A committed write goes through the replica's last-write-wins install:
+        # it still counts as applied and reaches the oracle, but never
+        # overwrites the newer version a plain write already put there.
+        store = simple_store
+        t = TransactionalStore(store, config=TxnConfig(**FAST))
+        store.sim.schedule_at(0.1, store.write, "k", 3)
+        settle(store)
+        r = replicas_of(store, "k")[0]
+        node = store.nodes[r]
+        newer, applied = node.data["k"], node.writes_applied
+        notes = []
+        monkeypatch.setattr(
+            store.oracle, "note_replica_applied", lambda v, at: notes.append(v)
+        )
+        older = Version(0.05, 10**6, 100)
+        assert newer.newer_than(older)
+        participant = t.participants[r]
+        participant.on_prepare(77, 0, {"k": older}, {})
+        participant.on_decision(77, 0, True)
+        assert node.data["k"] is newer
+        assert node.writes_applied == applied + 1
+        assert notes == [older]
+        assert participant.commits_applied == 1
 
     def test_wal_records_of_a_commit(self, simple_store):
         store = simple_store
@@ -432,7 +460,7 @@ class TestMonitorIntegration:
     def test_monitor_counts_txn_outcomes(self, simple_store):
         store = simple_store
         monitor = ClusterMonitor(window=2.0)
-        store.add_listener(monitor)
+        store.observe(monitor)
         t = TransactionalStore(store, config=TxnConfig(**FAST))
 
         def writer():
@@ -455,7 +483,7 @@ class TestMonitorIntegration:
         # converge on the final verdict (nothing stays in-doubt forever).
         store = simple_store
         monitor = ClusterMonitor(window=2.0)
-        store.add_listener(monitor)
+        store.observe(monitor)
         t = TransactionalStore(store, config=TxnConfig(**FAST))
         outcomes = []
 

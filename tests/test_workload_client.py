@@ -186,7 +186,7 @@ class TestOpenLoopSource:
 
     def _completions(self, store, spec, ops=200):
         done = _Completions()
-        store.add_listener(done)
+        store.observe(done)
         OpenLoopSource(
             store, spec, StaticPolicy(1, 1), rate=1000.0, ops=ops,
             rng=np.random.default_rng(4),
@@ -280,7 +280,7 @@ class TestWorkloadRunner:
 class TestTraces:
     def test_recorder(self, simple_store):
         rec = TraceRecorder()
-        simple_store.add_listener(rec)
+        simple_store.observe(rec)
         simple_store.sim.schedule_at(0.0, simple_store.write, "k", 1)
         simple_store.sim.schedule_at(0.5, simple_store.read, "k", 1)
         simple_store.sim.run()

@@ -93,7 +93,7 @@ def test_late_acks_notify_once_at_the_last_arrival(rf5):
     store, key = rf5, "k"
     home = local_coordinator(store, key)
     listener = Propagations(store)
-    store.add_listener(listener)
+    store.observe(listener)
     sends = record_sends(store)
     results = write(store, key, ConsistencyLevel.ONE, home)
     store.sim.run()
@@ -118,7 +118,7 @@ def test_a_dropped_late_ack_is_never_counted(rf5):
     home = local_coordinator(store, key)
     remote = next(r for r in store.replica_sets(key)[0] if store.topology.dc_of(r) == 1)
     listener = Propagations(store)
-    store.add_listener(listener)
+    store.observe(listener)
     sends = record_sends(store)
     results = write(store, key, ConsistencyLevel.ONE, home)
     # the mutation is already on the wire; its ack will meet the cut
@@ -138,7 +138,7 @@ def test_a_timed_out_writes_later_acks_are_counted(rf5):
     home = local_coordinator(store, key)
     store.write_timeout = 0.003  # well under one WAN round trip
     listener = Propagations(store)
-    store.add_listener(listener)
+    store.observe(listener)
     sends = record_sends(store)
     results = write(store, key, ConsistencyLevel.ALL, home)
     store.sim.run()

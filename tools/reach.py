@@ -15,6 +15,10 @@ options it passes a value that is not the default; the rest are *never
 set*. The count is reported, not gated. Options are recorded on
 Python 3.11+ only: older code objects have no ``co_qualname``.
 
+A function that only an example enters -- unreached when the census
+stops after the CLI verbs -- is *reached only by an example*. Their
+count is reported too, not gated.
+
 The gate: every unreached function must be listed in
 ``tools/reach_allow.txt`` under a one-line reason, and every listed
 entry must name a function that exists. The exit code is 1 when either
@@ -23,7 +27,8 @@ rule fails, and 0 otherwise.
 Usage::
 
     python tools/reach.py          # census, per-module table, gate
-    python tools/reach.py --list   # also print unreached functions and unset options
+    python tools/reach.py --list   # also print unreached functions, unset options
+                                   # and the functions only an example reaches
 
 Sweeps run with ``--jobs 1`` so that every run stays in this process.
 The asyncio verbs run on the wall clock, so a timeout branch can be
@@ -220,6 +225,18 @@ def unreached(funcs: Iterable[Func], entered: Set[Tuple[int, str]]) -> List[Func
     return [f for f in funcs if f.qualname in missed and f.parent not in missed]
 
 
+def reached_only_after(
+    funcs: Iterable[Func], before: Set[Tuple[int, str]], entered: Set[Tuple[int, str]]
+) -> List[Func]:
+    """The functions unreached at the ``before`` snapshot that ``entered`` reaches.
+
+    Both sets are as in :func:`unreached`; ``entered`` includes ``before``.
+    """
+    funcs = list(funcs)
+    still = {f.qualname for f in unreached(funcs, entered)}
+    return [f for f in unreached(funcs, before) if f.qualname not in still]
+
+
 NO_OPTIONS: Tuple[int, list] = (-1, [])
 RESUMING = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
 
@@ -410,8 +427,11 @@ def cli_runs(tmp: str) -> List[List[str]]:
     return runs
 
 
-def run_census(tmp: str) -> Recorder:
-    """Run the census set; ``repro`` is imported under the recorder."""
+def run_census(tmp: str) -> Tuple[Recorder, Set[object]]:
+    """Run the census set; ``repro`` is imported under the recorder.
+
+    Also returns the code objects entered before the first example ran.
+    """
     sys.path.insert(0, str(SRC))
     examples = sorted((ROOT / "examples").glob("*.py"))
     with record() as seen:
@@ -426,6 +446,7 @@ def run_census(tmp: str) -> Recorder:
                     code = 0 if exc.code == 1 else exc.code
             if code:
                 raise RuntimeError(f"repro {' '.join(argv)} exited {code}")
+        by_verbs = set(seen.codes)
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
@@ -435,14 +456,15 @@ def run_census(tmp: str) -> Recorder:
                     runpy.run_path(str(path), run_name="__main__")
         finally:
             os.chdir(cwd)
-    return seen
+    return seen, by_verbs
 
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--list", action="store_true",
-        help="also print every unreached function and every option never set",
+        help="also print every unreached function, every option never set and "
+        "every function only an example reaches",
     )
     args = parser.parse_args(argv)
 
@@ -450,8 +472,9 @@ def main(argv: List[str] | None = None) -> int:
     modules = index()
     known = {f.entry for _, funcs in modules.values() for f in funcs}
     with tempfile.TemporaryDirectory() as tmp:
-        recorder = run_census(tmp)
+        recorder, by_verbs = run_census(tmp)
     entered = entered_by_file(recorder.codes)
+    entered_by_verbs = entered_by_file(by_verbs)
     unset = [
         o.entry for path in sorted(SRC.rglob("*.py"))
         for o in options(path.read_text(), module_name(path))
@@ -459,17 +482,23 @@ def main(argv: List[str] | None = None) -> int:
     ]
 
     missed: List[Func] = []
+    example_only: List[Func] = []
     print(f"\n{'module':44s} {'unreached lines':>15s}")
     for filename, (module, funcs) in modules.items():
         found = unreached(funcs, entered.get(filename, set()))
         if found:
             print(f"{module:44s} {sum(f.lines for f in found):15d}")
         missed += found
+        example_only += reached_only_after(
+            funcs, entered_by_verbs.get(filename, set()), entered.get(filename, set())
+        )
     print(f"{'total':44s} {sum(f.lines for f in missed):15d}")
     if args.list:
         print()
         for entry in [f.entry for f in missed] + unset:
             print(entry)
+        for f in example_only:
+            print(f"reached only by an example: {f.entry}")
 
     bad = [f.entry for f in missed if f.entry not in allow]
     stale = sorted(set(allow) - known)
@@ -478,6 +507,10 @@ def main(argv: List[str] | None = None) -> int:
     for entry in stale:
         print(f"allow-list entry names no function: {entry}")
     print(f"{len(missed)} unreached functions, {len(allow)} allow-list entries")
+    print(
+        f"{len(example_only)} functions ({sum(f.lines for f in example_only)} lines) "
+        "reached only by an example"
+    )
     if sys.version_info >= (3, 11):
         print(f"{len(unset)} options never set to a non-default value")
     return 1 if bad or stale else 0
