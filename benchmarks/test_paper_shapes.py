@@ -1,4 +1,4 @@
-"""Paper-direction checks: every experiment of §III-§V at its default scale.
+"""Paper-direction checks: every experiment of §III-§IV at its default scale.
 
 Each section regenerates one of the paper's tables or figures through the
 same functions the ``repro`` CLI verbs call, and asserts the *shape* the
@@ -14,7 +14,6 @@ Speed is measured by ``bench/run.py`` (see ``BENCHMARK.json``), not here.
 
 import pytest
 
-from repro.cost.power import PowerModel
 from repro.elastic import ElasticSpec, RebalanceConfig
 from repro.experiments.bismar_eval import run_bismar_eval, run_efficiency_samples
 from repro.experiments.cost_eval import run_cost_eval
@@ -478,21 +477,6 @@ def test_abl_estimator_family(abl_estimators):
 
 
 # -- Harness shapes no tier-1 test pins at this scale -------------------------
-
-
-def test_ext_energy_grows_with_level(platform):
-    # §V direction 1: stronger levels cost more joules per operation
-    joules = {}
-    for lv in (1, 3, 5):
-        sim, store = platform.build(seed=2)
-        meter = PowerModel(store)
-        WorkloadRunner(
-            store, heavy_read_update(record_count=100),
-            policy=StaticPolicy(lv, lv), n_clients=16, ops_total=5000,
-            seed=2,
-        ).run()
-        joules[lv] = meter.report().joules_per_kop
-    assert joules[1] < joules[3] < joules[5]
 
 
 def test_txn_report_counts_the_measured_window():

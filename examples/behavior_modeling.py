@@ -20,8 +20,8 @@ from repro.behavior import BehaviorModel, BehaviorPolicy, PolicyAssignment, defa
 from repro.common.tables import Table
 from repro.cost import Biller, EC2_US_EAST_2013
 from repro.experiments.platforms import ec2_harmony_platform
+from repro.experiments.runner import named_policy_factory
 from repro.monitor import ClusterMonitor
-from repro.policy import EVENTUAL, QUORUM, STRONG
 from repro.workload.traces import PhasedTraceGenerator, TracePhase, replay_trace
 
 KEYS = 400
@@ -84,9 +84,9 @@ def main() -> None:
     )
     rows = {
         "behavior": replay(platform, test, behavior_factory),
-        "eventual": replay(platform, test, lambda s: EVENTUAL()),
-        "quorum": replay(platform, test, lambda s: QUORUM()),
-        "strong": replay(platform, test, lambda s: STRONG()),
+        "eventual": replay(platform, test, named_policy_factory("eventual")),
+        "quorum": replay(platform, test, named_policy_factory("quorum")),
+        "strong": replay(platform, test, named_policy_factory("strong")),
     }
     for name, (stale, kop) in rows.items():
         table.add_row([name, round(stale * 100, 2), round(kop, 6)])

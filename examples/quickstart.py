@@ -21,10 +21,9 @@ from repro import (
     ReplicatedStore,
     StoreConfig,
     Topology,
-    EVENTUAL,
-    STRONG,
     WorkloadRunner,
     heavy_read_update,
+    named_policy_factory,
     SimTransport,
 )
 from repro.common.tables import Table
@@ -84,9 +83,9 @@ def main() -> None:
         ["policy", "throughput ops/s", "read mean ms", "stale % (fig1)", "levels used"],
     )
     for label, rep in (
-        run_policy(lambda s: EVENTUAL(), "eventual (ONE)"),
+        run_policy(named_policy_factory("eventual"), "eventual (ONE)"),
         run_policy(harmony, "harmony (5%)"),
-        run_policy(lambda s: STRONG(), "strong (ALL)"),
+        run_policy(named_policy_factory("strong"), "strong (ALL)"),
     ):
         table.add_row(
             [

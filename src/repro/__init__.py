@@ -40,7 +40,7 @@ elastic runs (``elastic=``) and the execution engine
 run returns one :class:`~repro.experiments.runner.RunOutcome`.
 """
 
-from repro.policy import ConsistencyPolicy, StaticPolicy, EVENTUAL, QUORUM, STRONG
+from repro.policy import ConsistencyPolicy, StaticPolicy
 from repro.cluster import (
     ConsistencyLevel,
     ReplicatedStore,
@@ -101,9 +101,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ConsistencyPolicy",
     "StaticPolicy",
-    "EVENTUAL",
-    "QUORUM",
-    "STRONG",
     "ConsistencyLevel",
     "ReplicatedStore",
     "StoreConfig",

@@ -34,7 +34,6 @@ from repro.cluster.node import StorageNode, ServiceModel
 from repro.cluster.staleness import StalenessOracle
 from repro.cluster.store import ReplicatedStore, StoreConfig, OpResult
 from repro.cluster.failures import FailureInjector
-from repro.cluster.deadline import FreshnessDeadline
 
 __all__ = [
     "ConsistencyLevel",
@@ -53,5 +52,4 @@ __all__ = [
     "StoreConfig",
     "OpResult",
     "FailureInjector",
-    "FreshnessDeadline",
 ]

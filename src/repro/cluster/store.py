@@ -409,7 +409,7 @@ class ReplicatedStore:
 
         The authoritative set plus, during a pending migration, the
         incoming owners -- the single definition of migration visibility
-        shared by repair, freshness deadlines and the 2PC fan-out.
+        shared by repair and the 2PC fan-out.
         """
         authoritative, extra = self.replica_sets(key)
         return list(authoritative) + list(extra)

@@ -16,8 +16,6 @@ rebuilds that accounting against the simulator:
 from repro.cost.pricing import PriceBook, EC2_US_EAST_2013, FREE_PRIVATE_CLOUD
 from repro.cost.billing import Bill, Biller
 from repro.cost.estimator import CostEstimator, LevelCostEstimate
-from repro.cost.power import PowerModel, EnergyReport
-from repro.cost.provisioning import ProvisioningAdvisor, WorkloadEnvelope, Candidate
 
 __all__ = [
     "PriceBook",
@@ -27,9 +25,4 @@ __all__ = [
     "Biller",
     "CostEstimator",
     "LevelCostEstimate",
-    "PowerModel",
-    "EnergyReport",
-    "ProvisioningAdvisor",
-    "WorkloadEnvelope",
-    "Candidate",
 ]

@@ -12,11 +12,11 @@ autoscalers are:
 - **scale out** on *observed* pressure: measured stage utilization or queue
   depth above threshold for several consecutive polls;
 - **scale in** on *projected* headroom: you cannot observe a smaller
-  cluster, so the counterfactual is modelled with the same
-  :meth:`~repro.cost.provisioning.ProvisioningAdvisor.stage_utilization`
-  check the provisioning sweep uses -- shrink only when the smaller cluster
-  would still sit comfortably under the scale-out threshold, and annotate
-  the decision with the Bismar-style $/op saving.
+  cluster, so the counterfactual is modelled: the M/M/c-style capacity
+  fraction of the smaller cluster's busier service stage at the monitor's
+  offered rates. Shrink only when that would still sit comfortably under
+  the scale-out threshold, and annotate the decision with the Bismar-style
+  $/op saving.
 
 Hysteresis is threefold: breaches must persist for ``consecutive`` polls, a
 ``cooldown`` follows every membership change, and no decision fires while a
@@ -31,7 +31,6 @@ from typing import Any, Dict, List, Optional
 from repro.common.errors import ConfigError
 from repro.cluster.consistency import quorum
 from repro.cost.pricing import PriceBook
-from repro.cost.provisioning import ProvisioningAdvisor, WorkloadEnvelope
 from repro.elastic.cluster import ElasticCluster
 from repro.monitor.collector import ClusterMonitor
 
@@ -51,10 +50,10 @@ class AutoscalerConfig:
     interval:
         Poll period (simulated seconds).
     scale_out_util / scale_in_util:
-        Stage-utilization thresholds. Observed utilization above the first
-        arms a scale-out; below the second (with a feasible projection)
-        arms a scale-in. Keep them apart -- the gap is the deadband that
-        prevents flapping.
+        Stage-utilization thresholds, as fractions of capacity (at most 1).
+        Observed utilization above the first arms a scale-out; below the
+        second (with a feasible projection) arms a scale-in. Keep them
+        apart -- the gap is the deadband that prevents flapping.
     queue_depth_high:
         Mean queued requests per live node that forces a scale-out even if
         utilization looks acceptable (queues are the leading indicator).
@@ -80,9 +79,9 @@ class AutoscalerConfig:
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ConfigError(f"interval must be positive, got {self.interval}")
-        if not (0.0 < self.scale_in_util < self.scale_out_util <= 1.5):
+        if not (0.0 < self.scale_in_util < self.scale_out_util <= 1.0):
             raise ConfigError(
-                "need 0 < scale_in_util < scale_out_util "
+                "need 0 < scale_in_util < scale_out_util <= 1 "
                 f"(got {self.scale_in_util}, {self.scale_out_util})"
             )
         if self.consecutive < 1:
@@ -109,15 +108,8 @@ class CostAwareAutoscaler:
         self.cluster = cluster
         self.monitor = monitor
         self.config = config or AutoscalerConfig()
-        store = cluster.store
-        self.advisor = ProvisioningAdvisor(
-            prices,
-            [[0.0]],  # utilization/pricing only; no WAN consistency sweep
-            service=store.config.service,
-            servers_per_node=store.config.servers_per_node,
-            mutation_servers_per_node=store.config.mutation_servers_per_node,
-        )
-        self.min_nodes = max(self.config.min_nodes, store.strategy.rf_total)
+        self.prices = prices
+        self.min_nodes = max(self.config.min_nodes, cluster.store.strategy.rf_total)
         self._streak_out = 0
         self._streak_in = 0
         self._last_change_t = -1e18
@@ -183,22 +175,31 @@ class CostAwareAutoscaler:
         )
         return queued / len(members)
 
-    def _envelope(self, snapshot) -> WorkloadEnvelope:
-        """The monitor's view of offered load, as a provisioning envelope."""
-        return WorkloadEnvelope(
-            read_rate=max(snapshot.read_rate, 0.0),
-            write_rate=max(snapshot.write_rate, 0.0),
-            hot_key_write_rate=max(snapshot.write_rate, 0.0) * 0.01,
-            data_size_bytes=1,  # capacity check only; storage priced elsewhere
-            max_utilization=self.config.scale_out_util,
-        )
+    def _stage_utilization(
+        self, read_rate: float, write_rate: float, n_nodes: int, rf: int, read_level: int
+    ) -> float:
+        """Worst-stage utilization of ``n_nodes`` under the offered rates.
+
+        The M/M/c-style capacity fraction of the busier of the read and
+        mutation stages (1.0 = at capacity), with the store's node type.
+        """
+        config = self.cluster.store.config
+        service = config.service
+        servers = config.servers_per_node
+        m = config.mutation_servers_per_node
+        mutation_servers = m if m is not None else servers
+        read_work = read_rate * read_level / n_nodes
+        write_work = write_rate * rf / n_nodes
+        read_cap = servers / max(service.mean_read(), 1e-9)
+        write_cap = mutation_servers / max(service.mean_write(), 1e-9)
+        return max(read_work / max(read_cap, 1e-12), write_work / max(write_cap, 1e-12))
 
     def cost_per_kop(self, n_nodes: int, snapshot) -> float:
         """Bismar-style $/kop of running ``n_nodes`` at the observed rate."""
         rate = snapshot.read_rate + snapshot.write_rate
         if rate <= 0:
             return 0.0
-        hourly = n_nodes * self.advisor.prices.instance_hour
+        hourly = n_nodes * self.prices.instance_hour
         return hourly / (rate * 3.6)  # $/h over kops/h
 
     # -- the control loop ----------------------------------------------------------
@@ -265,10 +266,10 @@ class CostAwareAutoscaler:
         if candidate is None:
             self._streak_in = 0
             return
-        env = self._envelope(snapshot)
         rf = cluster.store.strategy.rf_total
-        projected = self.advisor.stage_utilization(
-            env, n - 1, rf, read_level=quorum(rf)
+        projected = self._stage_utilization(
+            max(snapshot.read_rate, 0.0), max(snapshot.write_rate, 0.0),
+            n - 1, rf, quorum(rf),
         )
         if projected > cfg.scale_out_util * SCALE_IN_HEADROOM:
             # The smaller cluster would run too hot: stay put.

@@ -3,7 +3,8 @@
 A *policy* decides, per operation, which consistency level to use. It is the
 interface every contribution of the paper plugs into:
 
-- static policies (eventual ONE, QUORUM, strong ALL) -- the baselines;
+- static policies (eventual ONE, QUORUM, strong ALL) -- the baselines,
+  built by name with :func:`~repro.experiments.runner.named_policy_factory`;
 - **Harmony** -- adapts the read level to keep estimated staleness under the
   application's tolerance (:mod:`repro.harmony`);
 - **Bismar** -- picks the level with the best consistency-cost efficiency
@@ -27,9 +28,7 @@ from typing import Any, List, Protocol, runtime_checkable
 from repro.cluster.consistency import ConsistencyLevel, LevelSpec
 from repro.common.errors import ConfigError
 
-__all__ = [
-    "ConsistencyPolicy", "StaticPolicy", "AdaptivePolicy", "EVENTUAL", "QUORUM", "STRONG"
-]
+__all__ = ["ConsistencyPolicy", "StaticPolicy", "AdaptivePolicy"]
 
 #: The adaptive engines tune the read side; writes run at ONE, as in the
 #: Harmony/Cassandra deployment.
@@ -135,20 +134,3 @@ class AdaptivePolicy:
             f"{type(self).__name__}({self.name}, rf={self.rf}, "
             f"current={self._current}, decisions={len(self.decisions)})"
         )
-
-
-def EVENTUAL() -> StaticPolicy:
-    """Cassandra's weakest level: ONE/ONE (the paper's "eventual")."""
-    return StaticPolicy(ConsistencyLevel.ONE, ConsistencyLevel.ONE, name="eventual")
-
-
-def QUORUM() -> StaticPolicy:
-    """QUORUM/QUORUM: the paper's most cost-efficient static level."""
-    return StaticPolicy(
-        ConsistencyLevel.QUORUM, ConsistencyLevel.QUORUM, name="quorum"
-    )
-
-
-def STRONG() -> StaticPolicy:
-    """ALL/ALL: the paper's "strong consistency" reference point."""
-    return StaticPolicy(ConsistencyLevel.ALL, ConsistencyLevel.ALL, name="strong")

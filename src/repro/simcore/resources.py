@@ -69,9 +69,9 @@ class Resource:
         self._busy = 0
         self._queue: Deque[Tuple[float, Callable[..., Any], Tuple[Any, ...]]] = deque()
         self.completed = 0
-        # busy-time integral (server-seconds of actual work), the basis of
-        # the dynamic part of the power model; brought up to date in place
-        # at every change of ``_busy``.
+        # busy-time integral (server-seconds of actual work), what the
+        # autoscaler's observed utilization reads; brought up to date in
+        # place at every change of ``_busy``.
         self._busy_integral = 0.0
         self._last_change = engine.now
 
@@ -113,7 +113,10 @@ class Resource:
         return len(self._queue)
 
     def busy_seconds(self) -> float:
-        """Cumulative server-seconds spent serving (the energy meter)."""
+        """Cumulative server-seconds spent serving.
+
+        The autoscaler's observed utilization is its growth over a poll.
+        """
         return self._busy_integral + self._busy * (self.engine.now - self._last_change)
 
     # -- internals ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.stale.model import (
     params_from_snapshot,
 )
 from repro.stale.dcmodel import (
-    DeploymentInfo, forecast_stale, per_key_stale_dc, system_stale_rate_dc,
+    DeploymentInfo, forecast_stale, system_stale_rate_dc,
 )
 from repro.stale.montecarlo import MonteCarloStaleEstimator
 
@@ -34,6 +34,5 @@ __all__ = [
     "MonteCarloStaleEstimator",
     "DeploymentInfo",
     "forecast_stale",
-    "per_key_stale_dc",
     "system_stale_rate_dc",
 ]

@@ -44,7 +44,7 @@ from repro.common.errors import ConfigError
 from repro.stale.model import params_from_snapshot, system_stale_rate
 
 __all__ = [
-    "COLD_START_WINDOW", "DeploymentInfo", "forecast_stale", "per_key_stale_dc",
+    "COLD_START_WINDOW", "DeploymentInfo", "forecast_stale",
     "system_stale_rate_dc",
 ]
 
@@ -177,19 +177,6 @@ def _window_terms(info: DeploymentInfo, read_level: int) -> List[Tuple[float, fl
                 window = min(window, max(apply_at - read_arrives, 0.0))
             terms.append((p_read * p_write, window))
     return terms
-
-
-def per_key_stale_dc(
-    info: DeploymentInfo,
-    write_rate: float,
-    read_level: int,
-) -> float:
-    """Strict (Figure-1) stale probability of one key, DC-aware.
-
-    ``write_rate`` is the key's Poisson write rate; ``read_level`` the
-    number of replicas contacted.
-    """
-    return system_stale_rate_dc(info, write_rate, ((1.0, 1.0, 1),), read_level)
 
 
 def system_stale_rate_dc(

@@ -7,7 +7,8 @@ from repro.cluster.consistency import ConsistencyLevel
 from repro.baselines.rationing import ConsistencyRationingPolicy
 from repro.baselines.rwratio import ReadWriteRatioPolicy
 from repro.monitor.collector import ClusterMonitor
-from repro.policy import EVENTUAL, QUORUM, STRONG, ConsistencyPolicy, StaticPolicy
+from repro.experiments.runner import named_policy_factory
+from repro.policy import ConsistencyPolicy, StaticPolicy
 from tests.test_harmony import feed_monitor
 
 
@@ -25,15 +26,23 @@ class TestStaticPolicy:
         assert StaticPolicy(1, 1, name="custom").name == "custom"
         assert "static" in StaticPolicy(1).name
 
-    def test_protocol_conformance(self):
-        for p in (EVENTUAL(), QUORUM(), STRONG(), StaticPolicy(1)):
+    def test_protocol_conformance(self, store):
+        names = ("eventual", "quorum", "strong")
+        for p in (*(named_policy_factory(n)(store) for n in names), StaticPolicy(1)):
             assert isinstance(p, ConsistencyPolicy)
 
-    def test_presets(self):
-        assert EVENTUAL().read_level(0.0) is ConsistencyLevel.ONE
-        assert QUORUM().read_level(0.0) is ConsistencyLevel.QUORUM
-        assert STRONG().read_level(0.0) is ConsistencyLevel.ALL
-        assert EVENTUAL().name == "eventual"
+    def test_presets(self, store):
+        expected = {
+            "eventual": 1,
+            "quorum": ConsistencyLevel.QUORUM,
+            "strong": ConsistencyLevel.ALL,
+        }
+        for name, level in expected.items():
+            p = named_policy_factory(name)(store)
+            assert p.name == name
+            assert p.read_level(0.0) == level and p.write_level(0.0) == level
+        with pytest.raises(ConfigError, match="unknown policy"):
+            named_policy_factory("causal")
 
 
 class TestConsistencyRationing:

@@ -617,7 +617,7 @@ class TestAutoscaler:
         assert autoscale.SCALE_IN_HEADROOM == 0.8
         store, cluster, scaler = build_autoscaled(n_nodes=5)
         force_signals(scaler, util=0.01)
-        scaler.advisor.stage_utilization = lambda *args, **kwargs: projected
+        scaler._stage_utilization = lambda *args: projected
         scaler.start()
         store.sim.run(until=0.2)
         assert (cluster.n_members < 5) == scales_in
@@ -647,6 +647,10 @@ class TestAutoscaler:
             AutoscalerConfig(interval=0.0)
         with pytest.raises(ConfigError):
             AutoscalerConfig(consecutive=0)
+        # stage utilization is a fraction of capacity, so at most 1
+        with pytest.raises(ConfigError, match="scale_out_util <= 1"):
+            AutoscalerConfig(scale_in_util=0.5, scale_out_util=1.2)
+        AutoscalerConfig(scale_in_util=0.5, scale_out_util=1.0)
 
     def test_min_nodes_above_max_nodes_rejected(self):
         with pytest.raises(ConfigError, match=r"min_nodes \(30\).*max_nodes \(24\)"):

@@ -118,6 +118,21 @@ class TestAccounting:
         path.write_text("# fault path\nrepro.cli:main\n")
         assert reach.load_allow(path) == {"repro.cli:main": "fault path"}
 
+    def test_gate_holds_example_only_functions_to_the_allow_list(self):
+        funcs = {f.qualname: f for f in reach.functions(FIXTURE, "fixture")}
+        missed, example_only = [funcs["missed"]], [funcs["Box.made"]]
+        known = {f.entry for f in funcs.values()}
+        allow = {"fixture:missed": "fault path"}
+        assert reach.gate(missed, example_only, allow, known) == [
+            "reached only by an example and not allowed: fixture:Box.made"
+        ]
+        allow["fixture:Box.made"] = "shown by an example"
+        assert reach.gate(missed, example_only, allow, known) == []
+        allow["fixture:gone"] = "shown by an example"
+        assert reach.gate([], [], allow, known) == [
+            "allow-list entry names no function: fixture:gone"
+        ]
+
 
 OPTIONS_FIXTURE = '''\
 from dataclasses import dataclass, field

@@ -12,7 +12,6 @@ from repro.monitor.collector import MonitorSnapshot
 from repro.stale.dcmodel import (
     DeploymentInfo,
     forecast_stale,
-    per_key_stale_dc,
     system_stale_rate_dc,
 )
 from repro.stale.model import (
@@ -26,6 +25,8 @@ from repro.stale.model import (
 from repro.stale.montecarlo import MonteCarloStaleEstimator
 
 WINDOWS5 = [0.0, 0.002, 0.004, 0.010, 0.015]
+#: a one-key profile: the DC-aware model's stale probability of a single key
+ONE_KEY = ((1.0, 1.0, 1),)
 
 
 class TestCommittedModel:
@@ -230,12 +231,13 @@ class TestDeploymentInfo:
     def test_dc_model_properties(self):
         info = self._info()
         # level 5 contacts both DCs: one of them always has the write locally
-        assert per_key_stale_dc(info, 100.0, 5) == pytest.approx(0.0, abs=1e-6)
+        p5 = system_stale_rate_dc(info, 100.0, ONE_KEY, 5)
+        assert p5 == pytest.approx(0.0, abs=1e-6)
         # level 1 is exposed to the WAN window
-        p1 = per_key_stale_dc(info, 100.0, 1)
+        p1 = system_stale_rate_dc(info, 100.0, ONE_KEY, 1)
         assert p1 > 0.1
         # monotone in read level
-        probs = [per_key_stale_dc(info, 100.0, r) for r in range(1, 6)]
+        probs = [system_stale_rate_dc(info, 100.0, ONE_KEY, r) for r in range(1, 6)]
         for a, b in zip(probs, probs[1:]):
             assert a >= b - 1e-9
 
@@ -244,8 +246,8 @@ class TestDeploymentInfo:
         # invisible for the WAN delay, so staleness stays high (the effect
         # the uniform-subset model misses).
         info = self._info()
-        p3 = per_key_stale_dc(info, 100.0, 3)
-        p4 = per_key_stale_dc(info, 100.0, 4)
+        p3 = system_stale_rate_dc(info, 100.0, ONE_KEY, 3)
+        p4 = system_stale_rate_dc(info, 100.0, ONE_KEY, 4)
         assert p3 > 0.05
         assert p4 == pytest.approx(0.0, abs=1e-6)
 
@@ -267,9 +269,9 @@ class TestDeploymentInfo:
     def test_validation(self):
         info = self._info()
         with pytest.raises(ConfigError):
-            per_key_stale_dc(info, -1.0, 1)
+            system_stale_rate_dc(info, -1.0, ONE_KEY, 1)
         with pytest.raises(ConfigError):
-            per_key_stale_dc(info, 1.0, 9)
+            system_stale_rate_dc(info, 1.0, ONE_KEY, 9)
 
 
 # -- the estimators as first written: one per-key call per profile row ----------
@@ -466,7 +468,7 @@ class TestEstimatorsAreTheirPerKeyLoops:
             lambda: _old_system_dc(info, write_rate, profile, level),
         )
         _same_outcome(
-            lambda: per_key_stale_dc(info, write_rate, level),
+            lambda: system_stale_rate_dc(info, write_rate, ONE_KEY, level),
             lambda: _old_per_key_dc(info, write_rate, level),
         )
 

@@ -16,13 +16,14 @@ set*. The count is reported, not gated. Options are recorded on
 Python 3.11+ only: older code objects have no ``co_qualname``.
 
 A function that only an example enters -- unreached when the census
-stops after the CLI verbs -- is *reached only by an example*. Their
-count is reported too, not gated.
+stops after the CLI verbs -- is *reached only by an example*. An
+example shows a use; it is not one, so these are gated like the
+unreached.
 
-The gate: every unreached function must be listed in
-``tools/reach_allow.txt`` under a one-line reason, and every listed
-entry must name a function that exists. The exit code is 1 when either
-rule fails, and 0 otherwise.
+The gate: every unreached function and every function reached only by
+an example must be listed in ``tools/reach_allow.txt`` under a one-line
+reason, and every listed entry must name a function that exists. The
+exit code is 1 when either rule fails, and 0 otherwise.
 
 Usage::
 
@@ -235,6 +236,30 @@ def reached_only_after(
     funcs = list(funcs)
     still = {f.qualname for f in unreached(funcs, entered)}
     return [f for f in unreached(funcs, before) if f.qualname not in still]
+
+
+def gate(
+    missed: Iterable[Func], example_only: Iterable[Func], allow: Dict[str, str],
+    known: Set[str],
+) -> List[str]:
+    """One line per failure of the gate.
+
+    A function unreached, or reached only by an example, fails unless
+    ``allow`` lists it; an ``allow`` entry fails unless it is in ``known``.
+    """
+    out = [
+        f"unreached and not allowed: {f.entry}"
+        for f in missed if f.entry not in allow
+    ]
+    out += [
+        f"reached only by an example and not allowed: {f.entry}"
+        for f in example_only if f.entry not in allow
+    ]
+    out += [
+        f"allow-list entry names no function: {entry}"
+        for entry in sorted(set(allow) - known)
+    ]
+    return out
 
 
 NO_OPTIONS: Tuple[int, list] = (-1, [])
@@ -500,12 +525,9 @@ def main(argv: List[str] | None = None) -> int:
         for f in example_only:
             print(f"reached only by an example: {f.entry}")
 
-    bad = [f.entry for f in missed if f.entry not in allow]
-    stale = sorted(set(allow) - known)
-    for entry in bad:
-        print(f"unreached and not allowed: {entry}")
-    for entry in stale:
-        print(f"allow-list entry names no function: {entry}")
+    failures = gate(missed, example_only, allow, known)
+    for line in failures:
+        print(line)
     print(f"{len(missed)} unreached functions, {len(allow)} allow-list entries")
     print(
         f"{len(example_only)} functions ({sum(f.lines for f in example_only)} lines) "
@@ -513,7 +535,7 @@ def main(argv: List[str] | None = None) -> int:
     )
     if sys.version_info >= (3, 11):
         print(f"{len(unset)} options never set to a non-default value")
-    return 1 if bad or stale else 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
