@@ -12,11 +12,14 @@ Covers, bottom-up:
   migration, for a crash of the streaming *target* or a streaming *source*
   at any point in the window, and the migration itself always drains;
 - the autoscaler's hysteresis (consecutive breaches, cooldown, bounds,
-  no decisions mid-migration);
+  no decisions mid-migration), its scale-in projection and $/kop, and the
+  utilization it observes;
 - sweep byte-determinism across worker counts for the elastic scenarios.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.cluster.partitioner import token_of
 from repro.cluster.replication import NetworkTopologyStrategy, SimpleStrategy
 from repro.cluster.ring import TokenRing
 from repro.cluster.coordinator import REQUEST_OVERHEAD
+from repro.cluster.node import ServiceModel
 from repro.cluster.store import StoreConfig
 from repro.elastic import autoscale, rebalance
 from repro.elastic import (
@@ -49,7 +53,7 @@ from tests.conftest import sim_store
 KEYS = [f"user{i}" for i in range(60)]
 
 
-def build_store(n_nodes=5, rf=3, seed=2):
+def build_store(n_nodes=5, rf=3, seed=2, **config):
     topo = Topology(
         [Datacenter("dc", "r")],
         [n_nodes],
@@ -62,7 +66,8 @@ def build_store(n_nodes=5, rf=3, seed=2):
         topo,
         strategy=SimpleStrategy(rf=rf),
         config=StoreConfig(
-            seed=seed, read_repair_chance=0.0, read_timeout=0.5, write_timeout=0.5
+            seed=seed, read_repair_chance=0.0, read_timeout=0.5, write_timeout=0.5,
+            **config,
         ),
     )
 
@@ -538,8 +543,8 @@ class TestCrashWindowProperty:
 # -- autoscaler hysteresis --------------------------------------------------------
 
 
-def build_autoscaled(config=None, n_nodes=4):
-    store = build_store(n_nodes=n_nodes)
+def build_autoscaled(config=None, n_nodes=4, **store_config):
+    store = build_store(n_nodes=n_nodes, **store_config)
     cluster = ElasticCluster(
         store, RebalanceConfig(pump_interval=0.002, attempt_timeout=0.02)
     )
@@ -666,6 +671,140 @@ class TestAutoscaler:
             scenarios.get("elastic-scale-in-cost").run(
                 seed=1, ops=50, overrides={"min_nodes": 30}
             )
+
+
+class TestScaleInProjection:
+    """The counterfactual a scale-in is judged on, and the $/kop it records.
+
+    Default node: 4 servers per stage, mean read 0.7 ms, mean write 0.5 ms,
+    so a node serves 4 / 0.0007 reads/s or 4 / 0.0005 mutations/s.
+    """
+
+    def test_no_load_projects_zero(self):
+        _, _, scaler = build_autoscaled()
+        assert scaler._stage_utilization(0.0, 0.0, 4, 3, 2) == 0.0
+
+    def test_read_stage_is_reads_times_level_over_capacity(self):
+        _, _, scaler = build_autoscaled()
+        # 1000 reads/s at level 2 over 4 nodes: 500 local reads/s per node
+        assert scaler._stage_utilization(1000.0, 0.0, 4, 3, 2) == pytest.approx(
+            500.0 * 0.0007 / 4
+        )
+
+    def test_write_stage_is_writes_times_rf_over_capacity(self):
+        _, _, scaler = build_autoscaled()
+        # every write lands on all rf=3 replicas: 1000 mutations/s per node
+        assert scaler._stage_utilization(0.0, 1000.0, 3, 3, 1) == pytest.approx(
+            1000.0 * 0.0005 / 4
+        )
+
+    def test_busier_stage_is_the_projection(self):
+        _, _, scaler = build_autoscaled()
+        reads = scaler._stage_utilization(1000.0, 0.0, 4, 3, 2)
+        writes = scaler._stage_utilization(0.0, 2000.0, 4, 3, 2)
+        both = scaler._stage_utilization(1000.0, 2000.0, 4, 3, 2)
+        assert writes > reads and both == writes
+
+    def test_one_node_fewer_runs_hotter_in_proportion(self):
+        _, _, scaler = build_autoscaled()
+        at5 = scaler._stage_utilization(1000.0, 500.0, 5, 3, 2)
+        at4 = scaler._stage_utilization(1000.0, 500.0, 4, 3, 2)
+        assert at4 == pytest.approx(at5 * 5 / 4)
+
+    def test_mutation_servers_set_the_write_capacity(self):
+        _, _, default = build_autoscaled()
+        _, _, narrow = build_autoscaled(mutation_servers_per_node=2)
+        assert narrow._stage_utilization(0.0, 1000.0, 4, 3, 2) == pytest.approx(
+            2 * default._stage_utilization(0.0, 1000.0, 4, 3, 2)
+        )
+        # the read stage keeps servers_per_node
+        assert narrow._stage_utilization(1000.0, 0.0, 4, 3, 2) == (
+            default._stage_utilization(1000.0, 0.0, 4, 3, 2)
+        )
+
+    def test_service_times_come_from_the_store_config(self):
+        slow = ServiceModel(read_base=0.002, read_jitter=0.0)
+        _, _, scaler = build_autoscaled(service=slow, servers_per_node=2)
+        assert scaler._stage_utilization(100.0, 0.0, 4, 3, 2) == pytest.approx(
+            50.0 * 0.002 / 2
+        )
+
+    @pytest.mark.parametrize(
+        "store_config, args, expected",
+        [
+            ({}, (3014.2, 321.0, 7, 3, 3), 0.22606499999999993),
+            ({}, (100.0, 1439.4, 6, 3, 2), 0.08996250000000001),
+            (
+                {
+                    "service": ServiceModel(0.001, 0.0005, 0.0002, 0.0001),
+                    "mutation_servers_per_node": 3,
+                },
+                (800.1, 5912.1, 7, 3, 3),
+                0.25337571428571437,
+            ),
+        ],
+        ids=["read-bound", "write-bound", "narrow-mutation-stage"],
+    )
+    def test_same_floats_as_the_provisioning_check_it_replaced(
+        self, store_config, args, expected
+    ):
+        # pinned from ProvisioningAdvisor.stage_utilization before its
+        # removal: projected_util is in the decision log, so it must not move.
+        # These inputs round differently if the divisions are reordered.
+        _, _, scaler = build_autoscaled(**store_config)
+        assert scaler._stage_utilization(*args) == expected
+
+    def test_scale_in_projects_one_node_fewer_at_quorum_reads(self):
+        store, cluster, scaler = build_autoscaled(n_nodes=5)
+        force_signals(scaler, util=0.01)
+        calls = []
+        project = scaler._stage_utilization
+
+        def recording(*args):
+            calls.append((cluster.n_members, args))
+            return project(*args)
+
+        scaler._stage_utilization = recording
+        scaler.start()
+        store.sim.run(until=2.0)
+        assert cluster.n_members == 3 and len(calls) >= 2
+        for members, (reads, writes, n_nodes, rf, level) in calls:
+            assert n_nodes == members - 1
+            assert (rf, level) == (3, 2)
+            assert reads >= 0.0 and writes >= 0.0
+
+    def test_cost_per_kop_is_zero_without_load(self):
+        _, _, scaler = build_autoscaled()
+        idle = SimpleNamespace(read_rate=0.0, write_rate=0.0)
+        assert scaler.cost_per_kop(4, idle) == 0.0
+
+    def test_cost_per_kop_is_the_hourly_bill_over_kops_per_hour(self):
+        _, _, scaler = build_autoscaled()
+        load = SimpleNamespace(read_rate=600.0, write_rate=400.0)
+        hourly = 4 * EC2_US_EAST_2013.instance_hour
+        assert scaler.cost_per_kop(4, load) == pytest.approx(hourly / 3600.0)
+        # one node fewer at the same load saves a quarter
+        assert scaler.cost_per_kop(3, load) == pytest.approx(
+            0.75 * scaler.cost_per_kop(4, load)
+        )
+
+
+class TestObservedUtilization:
+    def test_first_poll_is_the_baseline(self):
+        store, _, scaler = build_autoscaled()
+        store.nodes[0].resource.submit(0.5, lambda: None)
+        store.sim.run(until=1.0)
+        assert scaler.observed_utilization() == 0.0
+
+    def test_busy_share_of_both_stages_since_the_last_poll(self):
+        store, _, scaler = build_autoscaled()
+        scaler.observed_utilization()
+        scaler._last_tick_t = store.sim.now
+        store.nodes[0].resource.submit(0.5, lambda: None)
+        store.nodes[1].mutation_resource.submit(0.25, lambda: None)
+        store.sim.run(until=1.0)
+        # 0.75 server-seconds of 4 nodes x (4 + 4) servers over 1 s
+        assert scaler.observed_utilization() == pytest.approx(0.75 / 32)
 
 
 # -- end-to-end scenarios ----------------------------------------------------------

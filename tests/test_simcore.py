@@ -437,6 +437,37 @@ class TestResource:
         sim.run()
         assert order == ["a", "b", "c"]
 
+    def test_idle_time_is_not_busy(self, sim):
+        r = Resource(sim, servers=2)
+        sim.post_at(5.0, lambda: None)
+        sim.run()
+        assert sim.now == 5.0 and r.busy_seconds() == 0.0
+
+    def test_busy_seconds_count_service_in_progress(self, sim):
+        r = Resource(sim, servers=1)
+        r.submit(1.0, lambda: None)
+        sim.run(until=0.4)
+        assert r.busy_seconds() == pytest.approx(0.4)
+        sim.run()
+        assert r.busy_seconds() == pytest.approx(1.0)
+
+    def test_busy_seconds_count_each_busy_server(self, sim):
+        r = Resource(sim, servers=3)
+        for _ in range(3):
+            r.submit(1.0, lambda: None)
+        sim.run(until=0.5)
+        assert r.busy_seconds() == pytest.approx(1.5)
+        sim.run()
+        assert sim.now == pytest.approx(1.0) and r.busy_seconds() == pytest.approx(3.0)
+
+    def test_queue_wait_is_not_busy_time(self, sim):
+        r = Resource(sim, servers=1)
+        r.submit(1.0, lambda: None)
+        r.submit(1.0, lambda: None)
+        # the second request has waited 1.0 s and served 0.5 s
+        sim.run(until=1.5)
+        assert r.busy_seconds() == pytest.approx(1.5)
+
     @given(st.integers(1, 4), st.lists(st.floats(0.01, 2.0), min_size=1, max_size=20))
     @settings(max_examples=40, deadline=None)
     def test_property_conservation(self, servers, services):
@@ -448,6 +479,7 @@ class TestResource:
         sim.run()
         assert sorted(done) == sorted(services)  # nothing lost or duplicated
         assert r.completed == len(services)
+        assert r.busy_seconds() == pytest.approx(sum(services))
         # makespan bounds: at least max service, at most serial sum
         assert sim.now >= max(services) - 1e-9
         assert sim.now <= sum(services) + 1e-9
