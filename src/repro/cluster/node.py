@@ -107,7 +107,6 @@ class StorageNode:
         "retired",
         "reads_served",
         "writes_applied",
-        "dropped_while_down",
         "_unit_jitter",
     )
 
@@ -139,7 +138,6 @@ class StorageNode:
         self.retired = False
         self.reads_served = 0
         self.writes_applied = 0
-        self.dropped_while_down = 0
 
     # -- failure state -------------------------------------------------------
 
@@ -187,7 +185,6 @@ class StorageNode:
         durable, it just lost the race, exactly like Cassandra).
         """
         if not self.up:
-            self.dropped_while_down += 1
             return
         model = self.service
         service, jitter = model.write_base, model.write_jitter
@@ -201,7 +198,6 @@ class StorageNode:
         self, key: str, version: Version, done: Callable[..., Any], *ctx: Any
     ) -> None:
         if not self.up:
-            self.dropped_while_down += 1
             return
         current = self.data.get(key)
         if current is None or version.newer_than(current):
@@ -218,7 +214,6 @@ class StorageNode:
         :meth:`handle_write`.
         """
         if not self.up:
-            self.dropped_while_down += 1
             return
         model = self.service
         service, jitter = model.read_base, model.read_jitter
@@ -228,7 +223,6 @@ class StorageNode:
 
     def _serve_read(self, key: str, done: Callable[..., Any], *ctx: Any) -> None:
         if not self.up:
-            self.dropped_while_down += 1
             return
         self.reads_served += 1
         done(self.node_id, key, self.data.get(key), *ctx)

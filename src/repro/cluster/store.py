@@ -23,8 +23,9 @@ the exact ownership diff (which keys gained or lost replica owners). With a
 streaming rebalancer attached (:mod:`repro.elastic`), moved data migrates
 over the simulated network while foreground traffic continues -- reads
 consult the *old* owners until a key's new owners are caught up, and writes
-are forwarded to both. Without one, the diff is applied instantly (an
-offline rebalance), which keeps bare-store membership tests simple.
+are forwarded to both. A membership change needs one: without it, both
+calls raise :class:`~repro.common.errors.ConfigError` before anything
+changes.
 
 The store runs on any :class:`~repro.runtime.interface.Transport` over its
 topology: on the simulator (:class:`~repro.runtime.sim.SimTransport`) or on
@@ -242,8 +243,8 @@ class ReplicatedStore:
         # on (level, rf, per-DC signature): Requirement objects are immutable
         # so one instance serves every operation with the same shape.
         self._requirement_cache: Dict[Any, Any] = {}
-        #: streaming rebalancer (attached by :mod:`repro.elastic`); when
-        #: ``None``, membership changes rebalance offline (instant copy).
+        #: streaming rebalancer (attached by :mod:`repro.elastic`); a
+        #: membership change requires one.
         self.rebalancer: Optional[Any] = None
         # billable-capacity meter: instance-seconds integrated over the live
         # (non-retired) node count, so elastic runs bill capacity-over-time;
@@ -418,9 +419,9 @@ class ReplicatedStore:
         """Add one node to datacenter ``dc_index`` and rebalance; returns its id.
 
         The token ring is rebuilt incrementally; the exact ownership diff is
-        handed to the attached streaming rebalancer (or applied instantly
-        when none is attached).
+        handed to the attached streaming rebalancer.
         """
+        self._require_rebalancer()
         self._instances_tick()
         self._instance_count += 1
         self._coord_pools = None
@@ -450,6 +451,7 @@ class ReplicatedStore:
         has been streamed to its new owners, then retires (final -- a
         retired node is never recovered).
         """
+        self._require_rebalancer()
         node_id = int(node_id)
         if not (0 <= node_id < len(self.nodes)):
             raise ConfigError(f"unknown node {node_id}")
@@ -460,6 +462,13 @@ class ReplicatedStore:
         self._apply_membership_change(
             lambda: self.ring.remove_node(node_id), leaving=node_id
         )
+
+    def _require_rebalancer(self) -> None:
+        if self.rebalancer is None:
+            raise ConfigError(
+                "a membership change needs a streaming rebalancer "
+                "(attach one with repro.elastic.StreamingRebalancer)"
+            )
 
     def _apply_membership_change(
         self,
@@ -489,35 +498,8 @@ class ReplicatedStore:
             moved_ranges=tuple(moved),
             pending=pending,
         )
-        if self.rebalancer is not None:
-            self.rebalancer.begin(change)
-        else:
-            self._offline_rebalance(change)
+        self.rebalancer.begin(change)
         return change
-
-    def _offline_rebalance(self, change: MembershipChange) -> None:
-        """Instantly hand moved keys to their new owners (no simulated traffic).
-
-        The fallback when no streaming rebalancer is attached: correct (the
-        newest surviving version lands on every new owner) but free, like
-        :meth:`preload`. Real migration cost is the elastic subsystem's job.
-        """
-        for key, (old, new) in change.pending.items():
-            best = None
-            for r in old:
-                v = self.nodes[r].data.get(key)
-                if v is not None and (best is None or v.newer_than(best)):
-                    best = v
-            if best is None:
-                continue
-            for r in new:
-                if r in old:
-                    continue
-                current = self.nodes[r].data.get(key)
-                if current is None or best.newer_than(current):
-                    self.nodes[r].data[key] = best
-        if change.leaving is not None:
-            self.retire_node(change.leaving)
 
     def retire_node(self, node_id: int) -> None:
         """Finalize a decommission: the node stops serving (and billing)."""

@@ -52,8 +52,9 @@ class RngFactory:
     def __init__(self, seed: int = 0):
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self.seed = int(seed)
-        self._root = np.random.SeedSequence(self.seed)
         self._streams: Dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> np.random.Generator:

@@ -13,7 +13,9 @@ Collected signals:
   structure of Figure 1 (``T`` = rank-w delay, ``Tp`` = rank-N delay);
 - per-key access frequencies for the skew correction
   (:class:`~repro.monitor.keyfreq.KeyFrequencyTracker`);
-- operation latency EWMAs (used by Bismar's cost estimator).
+- operation latency EWMAs (used by Bismar's cost estimator);
+- transaction verdict and scale-out/-in counts, in a
+  :class:`~repro.obs.metrics.MetricsRegistry` the run observer reads.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ class ClusterMonitor:
         #: recent-window rank EWMAs react faster than the all-time means.
         self._rank_ewma: List[Ewma] = []
         self._now = 0.0
-        self.ops_seen = 0
         # Transaction and elasticity signals live in a MetricsRegistry so
         # the observability sampler can read the monitor's instruments
         # directly instead of subscribing to the same hooks again (which
@@ -113,16 +114,10 @@ class ClusterMonitor:
         self._txn_commits = self.metrics.counter("txn_commits")
         self._txn_aborts = self.metrics.counter("txn_aborts")
         self._txn_in_doubt = self.metrics.counter("txn_in_doubt")
-        self.commit_latency = Ewma(halflife=LATENCY_HALFLIFE)
         # elasticity signals (populated only when the elastic subsystem
-        # drives membership changes; zero otherwise). The streaming pair
-        # are gauges: migration-complete events carry cumulative
-        # rebalancer snapshots, assigned rather than summed.
+        # drives membership changes; zero otherwise)
         self._scale_outs = self.metrics.counter("scale_outs")
         self._scale_ins = self.metrics.counter("scale_ins")
-        self._ranges_moved = self.metrics.counter("ranges_moved")
-        self._keys_streamed = self.metrics.gauge("keys_streamed")
-        self._bytes_streamed = self.metrics.gauge("bytes_streamed")
 
     # -- listener interface ------------------------------------------------------
 
@@ -130,7 +125,6 @@ class ClusterMonitor:
         """Fold one completed operation into the running estimates."""
         t = result.t_end
         self._now = max(self._now, t)
-        self.ops_seen += 1
         if result.kind == "read":
             self.read_rate.record(result.t_start)
             self.keys.record_read(result.key, result.t_start)
@@ -147,7 +141,7 @@ class ClusterMonitor:
 
         ``outcome`` is a :class:`repro.txn.api.TxnOutcome`; like everything
         else the monitor sees, it is coordinator-observable (commit/abort
-        verdicts and client-side commit latency -- never oracle state).
+        verdicts -- never oracle state).
         A ``resolved-in-doubt`` outcome is the late verdict of a
         transaction previously reported in doubt: it moves the count from
         the in-doubt bucket to the decided one.
@@ -158,29 +152,22 @@ class ClusterMonitor:
             self._txn_in_doubt.inc(-1)
         if outcome.status == "committed":
             self._txn_commits.inc()
-            self.commit_latency.update(outcome.commit_latency, t=t)
         elif outcome.status == "aborted":
             self._txn_aborts.inc()
         else:
             self._txn_in_doubt.inc()
 
     def on_elastic_event(self, event) -> None:
-        """Fold one elasticity event (scale / migration) into the counters.
+        """Count one scale-out or scale-in from the ``on_elastic_event`` channel.
 
-        Events come from the store's ``on_elastic_event`` channel; streaming
-        counters on ``migration-complete`` are cumulative snapshots of the
-        rebalancer, so they are assigned, not summed.
+        Migration events carry the rebalancer's own counters, which the
+        report's ``elastic`` block already holds; the monitor skips them.
         """
         kind = event.get("kind")
         if kind == "scale-out":
             self._scale_outs.inc()
         elif kind == "scale-in":
             self._scale_ins.inc()
-        elif kind == "migration-start":
-            self._ranges_moved.inc(int(event.get("ranges", 0)))
-        elif kind == "migration-complete":
-            self._keys_streamed.set(int(event.get("keys_streamed", 0)))
-            self._bytes_streamed.set(int(event.get("bytes_streamed", 0)))
 
     def on_write_propagated(self, result: OpResult) -> None:
         """Fold a fully-acknowledged write's ack-delay profile."""
@@ -230,7 +217,6 @@ class ClusterMonitor:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ClusterMonitor(ops={self.ops_seen}, "
-            f"rr={self.read_rate.rate(self._now):.1f}/s, "
+            f"ClusterMonitor(rr={self.read_rate.rate(self._now):.1f}/s, "
             f"wr={self.write_rate.rate(self._now):.1f}/s)"
         )

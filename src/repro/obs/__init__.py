@@ -2,7 +2,7 @@
 
 Harmony's loop is *observe -> estimate -> adapt*; this package makes every
 run inspectable the same way: a :class:`~repro.obs.metrics.MetricsRegistry`
-holds labelled counters and gauges, an
+holds the named counters a run's monitor and observer share, an
 :class:`~repro.obs.events.ObsEvent` records a structured fault (crash,
 recovery, partition, heal) on the store's ``on_fault`` channel, a
 :class:`~repro.obs.trace.Tracer` builds spans from the existing listener
@@ -34,7 +34,7 @@ byte-identical with observability on or off.
 """
 
 from repro.obs.events import EventBus, ObsEvent
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.oracles import AnomalyOracles, OracleConfig
 from repro.obs.recorder import ObsConfig, RunObserver
 from repro.obs.sampler import TimeSeriesSampler
@@ -45,7 +45,6 @@ __all__ = [
     "AnomalyOracles",
     "Counter",
     "EventBus",
-    "Gauge",
     "MetricsRegistry",
     "ObsConfig",
     "ObsEvent",

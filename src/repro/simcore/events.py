@@ -21,7 +21,7 @@ class Event:
     skips it when popped (O(1) cancel, no heap surgery).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "live", "owner")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled")
 
     def __init__(
         self,
@@ -29,30 +29,20 @@ class Event:
         seq: int,
         fn: Optional[Callable[..., Any]],
         args: Tuple[Any, ...] = (),
-        owner: Optional[Any] = None,
     ):
         self.time = time
         self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
-        #: True while the event is scheduled and has neither fired nor been
-        #: cancelled; a cancel while live is counted by the owning simulator.
-        self.live = True
-        self.owner = owner
 
     def cancel(self) -> None:
-        """Prevent this event from firing (no-op if it already fired)."""
-        if not self.live:
-            return
-        self.live = False
+        """Prevent this event from firing (harmless if it already fired)."""
         self.cancelled = True
         # Drop references eagerly so cancelled events do not pin payloads
         # (messages, closures) in memory until they surface from the heap.
         self.fn = None
         self.args = ()
-        if self.owner is not None:
-            self.owner._cancelled += 1  # keeps Simulator.pending() O(1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "cancelled" if self.cancelled else "pending"

@@ -27,8 +27,7 @@ Design notes (hpc-parallel idioms):
   ``(time, seq)`` key, as the next gate. A gate precedes every side entry, so
   the hot heap's head is the global minimum: the one-heap order, any ``_FAR``;
 - cancellation is lazy (flag + skip) so cancelling a timeout that did not
-  fire costs O(1); the engine counts the cancelled entries still in the
-  heap, so ``pending()`` is O(1) without a counter on every push and pop;
+  fire costs O(1);
 - the **tie rule**: entries due at a bit-equal time fire in the order they
   were pushed, whoever pushed them (every verb, ``Transport.set_timer_at``,
   the inline pushes, a ``DeadlineQueue`` timer as of when it is armed, a far
@@ -73,7 +72,6 @@ class Simulator:
         self._far: List[Tuple[float, int, Callable[..., Any], Any]] = []  # side heap
         self._gate: Optional[float] = None  # the armed far entry's time
         self._seq: int = 0
-        self._cancelled: int = 0  # cancelled Events still in the heap
         self._running = False
         self._stop_requested = False
         self.events_processed: int = 0
@@ -126,7 +124,7 @@ class Simulator:
         if time < self.now:
             raise SimulationError(f"cannot schedule at t={time} < now={self.now}")
         self._seq = seq = self._seq + 1
-        ev = Event(time, seq, fn, args, owner=self)
+        ev = Event(time, seq, fn, args)
         heapq.heappush(self._heap, (time, seq, None, ev))
         return ev
 
@@ -135,8 +133,9 @@ class Simulator:
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
 
-        When ``until`` is given and the queue drains earlier, the clock is
-        advanced to ``until`` (matching how a real system would idle).
+        When ``until`` is given and no entry due by it is left (a spent
+        ``max_events`` budget can leave some), the clock is advanced to
+        ``until`` (matching how a real system would idle).
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -150,7 +149,6 @@ class Simulator:
                 time, _, fn, args = heap[0]
                 if fn is None and args.cancelled:
                     heappop(heap)
-                    self._cancelled -= 1
                     continue
                 if until is not None and time > until:
                     break
@@ -163,12 +161,16 @@ class Simulator:
                     fn, args = ev.fn, ev.args
                     ev.fn = None  # break cycles; callers may retain the handle
                     ev.args = ()
-                    ev.live = False
                 self.events_processed += 1
                 fn(*args)
                 if budget > 0:
                     budget -= 1
-            if until is not None and self.now < until and not self._stop_requested:
+            if (
+                until is not None
+                and self.now < until
+                and not self._stop_requested
+                and (not heap or heap[0][0] > until)
+            ):
                 self.now = until
         finally:
             self._running = False
@@ -176,13 +178,10 @@ class Simulator:
     # -- introspection ---------------------------------------------------------
 
     def pending(self) -> int:
-        """Number of not-yet-cancelled events in the queue.
-
-        O(1): the heap's length less the cancelled entries still in it (the
-        engine counts those at cancel and at pop), so monitors can poll this
-        every tick without paying a heap scan.
-        """
-        return len(self._heap) + len(self._far) - self._cancelled
+        """Number of not-yet-cancelled events in the queue (a heap scan)."""
+        heap = self._heap
+        live = sum(1 for _, _, fn, ev in heap if fn is not None or not ev.cancelled)
+        return live + len(self._far)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -188,8 +188,6 @@ class TxnOutcome:
         "t_begin",
         "t_commit",
         "t_end",
-        "n_reads",
-        "n_writes",
         "stale_reads",
     )
 
@@ -200,18 +198,12 @@ class TxnOutcome:
         self.t_begin = txn.t_begin
         self.t_commit = txn.t_commit
         self.t_end = t_end
-        self.n_reads = txn.n_reads
-        self.n_writes = len(txn.writes)
         self.stale_reads = txn.stale_reads
-
-    @property
-    def commit_latency(self) -> float:
-        """Seconds from the commit request to the client-visible outcome."""
-        return self.t_end - self.t_commit
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = f"({self.reason})" if self.reason else ""
-        return f"TxnOutcome(#{self.txn_id} {self.status}{tag}, {self.commit_latency * 1e3:.2f}ms)"
+        ms = (self.t_end - self.t_commit) * 1e3
+        return f"TxnOutcome(#{self.txn_id} {self.status}{tag}, {ms:.2f}ms)"
 
 
 class Transaction:
@@ -233,7 +225,6 @@ class Transaction:
         "done",
         "read_failed",
         "stale_reads",
-        "n_reads",
     )
 
     def __init__(self, owner: "TransactionalStore", txn_id: int, coordinator: Optional[int]):
@@ -252,7 +243,6 @@ class Transaction:
         self.done: Optional[Callable[[TxnOutcome], Any]] = None
         self.read_failed = False
         self.stale_reads = 0
-        self.n_reads = 0
 
     # -- operations ---------------------------------------------------------------
 
@@ -261,7 +251,6 @@ class Transaction:
         if self.state != "active":
             raise SimulationError(f"read on a {self.state} transaction")
         self.pending_reads += 1
-        self.n_reads += 1
 
         def _done(result: OpResult) -> None:
             self.pending_reads -= 1
@@ -301,8 +290,7 @@ class Transaction:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Transaction(#{self.txn_id}, {self.state}, reads={self.n_reads}, "
-            f"writes={len(self.writes)})"
+            f"Transaction(#{self.txn_id}, {self.state}, writes={len(self.writes)})"
         )
 
 
@@ -387,7 +375,6 @@ class TransactionalStore:
             tr.register(f"tm{i}.on_status_query", tm.on_status_query)
 
     def _reset_counters(self) -> None:
-        self.txns_begun = 0
         self.commits = 0
         self.aborts: Dict[str, int] = {}
         self.in_doubt_client = 0
@@ -440,7 +427,6 @@ class TransactionalStore:
         else:
             picked = self.store._pick_coordinator()
             coord = picked.node_id if picked is not None else None
-        self.txns_begun += 1
         return Transaction(self, self._txn_seq, coord)
 
     def read_level(self):

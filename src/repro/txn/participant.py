@@ -154,11 +154,6 @@ class TxnParticipant:
         #: txn_id -> prepared state awaiting a decision.
         self.prepared: Dict[int, _Prepared] = {}
         # counters (never reset by a crash -- they are measurement surfaces)
-        self.prepares_seen = 0
-        self.votes_yes = 0
-        self.votes_no = 0
-        self.commits_applied = 0
-        self.aborts_applied = 0
         self.in_doubt_recovered = 0
         #: in-doubt entries resolved by the termination protocol (peer
         #: verdicts, pledges driving rounds dry, and unilateral aborts).
@@ -181,7 +176,6 @@ class TxnParticipant:
         """PREPARE from the TM: vote, and on YES make the writes durable."""
         if not self.node.up:
             return  # message lost at a dead node; the TM's timeout handles it
-        self.prepares_seen += 1
         if txn_id in self.prepared:
             self._reply(tm_node, "on_vote", txn_id, True)  # duplicate (TM retry)
             return
@@ -191,7 +185,6 @@ class TxnParticipant:
             return
         vote = self._evaluate(txn_id, writes, read_versions)
         if vote:
-            self.votes_yes += 1
             now = self.tr.now
             # The TM's own write map and participant list, kept as sent:
             # nothing mutates them after the send.
@@ -208,8 +201,6 @@ class TxnParticipant:
             obs = self.owner.obs
             if obs is not None:
                 obs.on_txn_prepared(self.node_id, txn_id, now)
-        else:
-            self.votes_no += 1
         self._reply(tm_node, "on_vote", txn_id, vote)
 
     def _evaluate(
@@ -272,9 +263,6 @@ class TxnParticipant:
         self.wal.append(REC_COMMIT if commit else REC_ABORT, p.txn_id, now)
         if commit:
             self._apply(p)
-            self.commits_applied += 1
-        else:
-            self.aborts_applied += 1
         self.blocked_time += now - p.t_registered
         for key in p.writes:
             if self.locks.get(key) == p.txn_id:
@@ -560,6 +548,5 @@ class TxnParticipant:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TxnParticipant(node={self.node_id}, prepared={len(self.prepared)}, "
-            f"yes={self.votes_yes}, no={self.votes_no})"
+            f"TxnParticipant(node={self.node_id}, prepared={len(self.prepared)})"
         )

@@ -115,9 +115,6 @@ class TransactionManager:
         self.tr = owner.store.transport
         self._active: Dict[int, _TmTxn] = {}
         # counters
-        self.rounds_started = 0
-        self.commits_decided = 0
-        self.aborts_decided = 0
         self.recovery_resolved = 0
 
     # -- the commit round ---------------------------------------------------------
@@ -141,7 +138,6 @@ class TransactionManager:
                 writes_by_node.setdefault(r, {})[key] = version
         participants = sorted(writes_by_node)
 
-        self.rounds_started += 1
         self.wal.append(REC_TM_BEGIN, txn.txn_id, now, participants=participants)
         t = _TmTxn(txn.txn_id, participants)
         t.writes_by_node = writes_by_node
@@ -300,7 +296,6 @@ class TransactionManager:
             REC_TM_COMMIT if commit else REC_TM_ABORT, t.txn_id, tr.now
         )
         if commit:
-            self.commits_decided += 1
             oracle = self.owner.store.oracle
             self.owner.grade_commit(t.txn_id, t.writes_by_key)
             for key in sorted(t.writes_by_key):
@@ -309,8 +304,6 @@ class TransactionManager:
                     key, version, n_replicas=self._replica_count(key)
                 )
                 oracle.note_write_acked(key, version)
-        else:
-            self.aborts_decided += 1
         obs = self.owner.obs
         if obs is not None:
             obs.on_txn_phase(
@@ -458,7 +451,6 @@ class TransactionManager:
                 # Crashed before deciding: no participant can hold a commit,
                 # so the round resolves to abort (the presumed-abort rule).
                 self.wal.append(REC_TM_ABORT, txn_id, tr.now)
-                self.aborts_decided += 1
                 self.owner.txn_decided(txn_id, False, "tm-crash")
                 t.decision = "abort"
             else:
@@ -480,6 +472,5 @@ class TransactionManager:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TransactionManager(node={self.node_id}, active={len(self._active)}, "
-            f"commits={self.commits_decided}, aborts={self.aborts_decided})"
+            f"TransactionManager(node={self.node_id}, active={len(self._active)})"
         )

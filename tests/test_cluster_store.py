@@ -135,7 +135,8 @@ class TestStorageNode:
         node.handle_read("k", lambda *a: got.append("r"))
         sim.run()
         assert got == []
-        assert node.dropped_while_down == 2
+        assert node.data == {}
+        assert (node.reads_served, node.writes_applied) == (0, 0)
 
     def test_recover_keeps_data(self, sim):
         node = StorageNode(_transport(sim), 0, rng=0)

@@ -41,6 +41,10 @@ class TestRngFactory:
         with pytest.raises(TypeError):
             RngFactory("seed")  # type: ignore[arg-type]
 
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            RngFactory(-1)
+
 
 class TestSpawnRng:
     def test_none_is_deterministic(self):

@@ -157,49 +157,56 @@ class TestRingMembership:
 
 
 class TestStoreMembership:
+    """Membership calls on a store with a streaming rebalancer attached."""
+
     def test_bootstrap_then_full_reads(self):
-        store = build_store()
+        store, reb = build_streaming()
         store.preload(KEYS, value_size=10)
         node_id = store.bootstrap_node(0)
         assert node_id == 5
         assert store.ring.n_nodes == 6
         assert len(store.nodes) == 6 and len(store.coordinators) == 6
+        store.sim.run(until=1.0)
+        assert not reb.active
         results = []
         for key in KEYS:
             store.read(key, 3, results.append)
-        store.sim.run(until=1.0)
+        store.sim.run(until=2.0)
         assert all(r.ok for r in results)
         assert store.oracle.stale_rate == 0.0
         # the newcomer holds its share of the data
         assert len(store.nodes[node_id].data) > 0
 
     def test_decommission_then_full_reads(self):
-        store = build_store()
+        store, reb = build_streaming()
         store.preload(KEYS, value_size=10)
         store.decommission_node(1)
-        assert store.nodes[1].retired
         assert 1 not in store.ring.members
+        store.sim.run(until=1.0)
+        assert store.nodes[1].retired
         results = []
         for key in KEYS:
             store.read(key, 3, results.append)
-        store.sim.run(until=1.0)
+        store.sim.run(until=2.0)
         assert all(r.ok for r in results)
         assert store.oracle.stale_rate == 0.0
 
     def test_decommission_below_rf_rejected(self):
-        store = build_store(n_nodes=3, rf=3)
+        store, _ = build_streaming(n_nodes=3, rf=3)
         with pytest.raises(ConsistencyError):
             store.decommission_node(0)
 
     def test_decommission_twice_rejected(self):
-        store = build_store()
+        store, _ = build_streaming()
         store.decommission_node(1)
+        store.sim.run(until=1.0)
         with pytest.raises(ConfigError, match="already decommissioned"):
             store.decommission_node(1)
 
     def test_retired_node_cannot_recover(self):
-        store = build_store()
+        store, _ = build_streaming()
         store.decommission_node(1)
+        store.sim.run(until=1.0)
         store.on_node_recover(1)
         assert not store.nodes[1].up
 
@@ -210,17 +217,37 @@ class TestStoreMembership:
             strategy=NetworkTopologyStrategy({0: 2, 1: 1}),
             config=StoreConfig(seed=1, read_repair_chance=0.0),
         )
+        StreamingRebalancer(store)
         # az-a has 3 nodes and needs 2 replicas: dropping to 1 must fail
         store.decommission_node(0)
         with pytest.raises(ConsistencyError):
             store.decommission_node(1)
 
     def test_bootstrapped_node_is_deterministic(self):
-        a, b = build_store(seed=9), build_store(seed=9)
+        a, _ = build_streaming(seed=9)
+        b, _ = build_streaming(seed=9)
         for s in (a, b):
             s.preload(KEYS, value_size=10)
             s.bootstrap_node(0)
+            s.sim.run(until=1.0)
         assert sorted(a.nodes[5].data) == sorted(b.nodes[5].data)
+
+    def test_bare_store_rejects_membership_changes(self):
+        store = build_store()
+        store.preload(KEYS, value_size=10)
+
+        def shape():
+            return (
+                list(store.ring.members), store.ring.n_nodes, store.topology.n_nodes,
+                len(store.nodes), len(store.coordinators), store.nodes[1].retired,
+            )
+
+        before = shape()
+        with pytest.raises(ConfigError, match="rebalancer"):
+            store.bootstrap_node(0)
+        with pytest.raises(ConfigError, match="rebalancer"):
+            store.decommission_node(1)
+        assert shape() == before
 
 
 # -- streaming rebalance ---------------------------------------------------------
@@ -238,6 +265,12 @@ class TestStreamingRebalance:
     def test_migration_streams_and_drains(self):
         store, reb = build_streaming()
         store.preload(KEYS, value_size=10)
+        cluster_events = []
+
+        class Recorder:
+            on_elastic_event = cluster_events.append
+
+        store.observe(Recorder())
         store.bootstrap_node(0)
         assert reb.active
         assert reb.pending_keys() > 0
@@ -246,6 +279,8 @@ class TestStreamingRebalance:
         assert reb.keys_streamed > 0
         assert reb.bytes_streamed > 0
         assert len(store.nodes[5].data) > 0
+        kinds = [e["kind"] for e in cluster_events]
+        assert kinds[0] == "migration-start" and kinds[-1] == "migration-complete"
 
     def test_each_pump_round_starts_one_batch(self):
         store, reb = build_streaming()
@@ -335,25 +370,6 @@ class TestStreamingRebalance:
         store.sim.run(until=1.0)
         assert store.nodes[1].retired
         assert not reb.active
-
-    def test_monitor_counters_track_migration(self):
-        store, reb = build_streaming()
-        monitor = ClusterMonitor(window=2.0)
-        store.observe(monitor)
-        store.preload(KEYS, value_size=10)
-        cluster_events = []
-
-        class Recorder:
-            on_elastic_event = cluster_events.append
-
-        store.observe(Recorder())
-        store.bootstrap_node(0)
-        store.sim.run(until=1.0)
-        assert monitor.metrics.counter("ranges_moved").value > 0
-        assert monitor.metrics.gauge("keys_streamed").value == reb.keys_streamed
-        assert monitor.metrics.gauge("bytes_streamed").value == reb.bytes_streamed
-        kinds = [e["kind"] for e in cluster_events]
-        assert kinds[0] == "migration-start" and kinds[-1] == "migration-complete"
 
 
 class TestInFlightWrites:

@@ -44,26 +44,14 @@ TINY_OPS = 400
 
 
 class TestMetricsRegistry:
-    def test_counter_get_or_create_and_labels(self):
+    def test_counter_get_or_create(self):
         reg = MetricsRegistry()
-        c = reg.counter("reads", dc=0)
+        c = reg.counter("reads")
         c.inc()
         c.inc(2)
-        assert reg.counter("reads", dc=0).value == 3
-        # a different label set is a different instrument
-        assert reg.counter("reads", dc=1).value == 0
-        assert reg.counter("reads", dc=0).value == 3
-
-    def test_gauge(self):
-        reg = MetricsRegistry()
-        reg.gauge("backlog").set(7)
-        assert reg.gauge("backlog").value == 7
-
-    def test_type_mismatch_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ConfigError):
-            reg.gauge("x")
+        assert reg.counter("reads") is c and c.value == 3
+        # a different name is a different counter
+        assert reg.counter("writes").value == 0
 
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigError):

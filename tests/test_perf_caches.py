@@ -45,6 +45,17 @@ def elastic_store():
 KEYS = [f"user{i}" for i in range(64)]
 
 
+def _attach_rebalancer(store):
+    return StreamingRebalancer(
+        store, RebalanceConfig(pump_interval=0.005, attempt_timeout=0.1)
+    )
+
+
+def _drain(store, rebalancer):
+    store.sim.run(until=60.0)
+    assert not rebalancer.active
+
+
 class TestPlacementCache:
     def test_replica_info_is_memoized(self, elastic_store):
         st = elastic_store
@@ -58,9 +69,11 @@ class TestPlacementCache:
 
     def test_bootstrap_invalidates_placement(self, elastic_store):
         st = elastic_store
+        rebalancer = _attach_rebalancer(st)
         st.preload(KEYS)
         before = {k: st.replica_sets(k)[0] for k in KEYS}
         st.bootstrap_node(0)
+        _drain(st, rebalancer)
         after = {k: st.replica_sets(k)[0] for k in KEYS}
         # The cache must answer with the *new* ring's placement...
         for k in KEYS:
@@ -71,8 +84,10 @@ class TestPlacementCache:
 
     def test_decommission_invalidates_placement(self, elastic_store):
         st = elastic_store
+        rebalancer = _attach_rebalancer(st)
         st.preload(KEYS)
         st.decommission_node(4)
+        _drain(st, rebalancer)
         for k in KEYS:
             placement = st.replica_sets(k)[0]
             assert 4 not in placement, k
@@ -80,9 +95,7 @@ class TestPlacementCache:
 
     def test_streaming_migration_cache_lifecycle(self, elastic_store):
         st = elastic_store
-        rebalancer = StreamingRebalancer(
-            st, RebalanceConfig(pump_interval=0.005, attempt_timeout=0.1)
-        )
+        rebalancer = _attach_rebalancer(st)
         st.preload(KEYS)
         strategy_before = {k: tuple(st.replica_sets(k)[0]) for k in KEYS}
         new_node = st.bootstrap_node(0)
@@ -96,8 +109,7 @@ class TestPlacementCache:
                 assert tuple(authoritative) == strategy_before[k], k
                 assert all(n == new_node for n in extra)
         assert moved > 0
-        st.sim.run(until=60.0)
-        assert not rebalancer.active
+        _drain(st, rebalancer)
         # Drained: every key must resolve to the new ring's placement.
         for k in KEYS:
             authoritative, extra = st.replica_sets(k)
@@ -142,6 +154,7 @@ class TestRequirementCache:
 class TestNetworkRouteCache:
     def test_routes_cover_new_nodes_after_bootstrap(self, elastic_store):
         st = elastic_store
+        _attach_rebalancer(st)
         net = st.network
         assert net.topology.link_class(0, 1) is LinkClass.INTRA_DC
         fired = []

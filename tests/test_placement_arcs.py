@@ -207,17 +207,20 @@ class TestSharedRecords:
             assert all(store.replica_info(k) is first for k in keys)
         assert len(store.strategy._arcs) == len(by_slot)
 
-    def test_offline_membership_changes_rebuild_the_table(self):
+    def test_membership_changes_rebuild_the_table(self):
         store = geo_store()
+        attach_rebalancer(store)
         store.preload(KEYS)
         before = {k: list(store.replica_sets(k)[0]) for k in KEYS}
         joined = store.bootstrap_node(1)
+        drain(store)
         for key in KEYS:
             assert store.replica_sets(key)[0] == reference_for_key(
                 store.strategy, key, store.ring, store.topology
             ), key
         assert any(joined in store.replica_sets(k)[0] for k in KEYS)
         store.decommission_node(0)
+        drain(store)
         for key in KEYS:
             replicas, extra = store.replica_sets(key)
             assert 0 not in replicas and extra == ()
@@ -229,9 +232,7 @@ class TestSharedRecords:
 
     def test_a_pending_key_owns_a_private_record(self):
         store = geo_store()
-        repro.StreamingRebalancer(
-            store, repro.RebalanceConfig(pump_interval=0.005, attempt_timeout=0.1)
-        )
+        attach_rebalancer(store)
         store.preload(KEYS)
         old = {k: list(store.replica_sets(k)[0]) for k in KEYS}
         joined = store.bootstrap_node(0)
@@ -498,6 +499,7 @@ class TestRecordedLoad:
 
     def test_a_membership_change_installs_every_pending_key(self):
         store = geo_store()
+        attach_rebalancer(store)
         store.preload(KEYS)
         store.bootstrap_node(1)
         assert pending_keys(store) == set()
@@ -543,11 +545,10 @@ class TestRecordedLoad:
         assert lazy.rebalancer.keys_streamed > 0
         assert lazy_load_state(lazy) == lazy_load_state(eager)
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_a_bootstrap_before_the_first_touch(self, streaming):
+    def test_a_bootstrap_before_the_first_touch(self):
         steps = [("preload", KeyRange(24), None), ("bootstrap", 0),
                  ("preload", KeyRange(16), 77), ("read", "user20")]
-        lazy, eager = run_both(streaming, steps)
+        lazy, eager = run_both(True, steps)
         assert lazy._pending == 1 and pending_keys(lazy) == set()
         assert lazy_load_state(lazy) == lazy_load_state(eager)
 
@@ -587,14 +588,28 @@ class TestKeyRange:
         assert store.nodes[replicas[0]].data["user999999"].write_id == 1_000_000
 
 
+def attach_rebalancer(store):
+    repro.StreamingRebalancer(
+        store, repro.RebalanceConfig(pump_interval=0.005, attempt_timeout=0.1)
+    )
+
+
+def drain(store):
+    store.sim.run(until=store.sim.now + 5.0)
+    assert not store.rebalancer.active
+
+
 def run_both(streaming, steps):
-    """Run ``steps`` on a lazily and an eagerly loaded store; drain both."""
+    """Run ``steps`` on a lazily and an eagerly loaded store; drain both.
+
+    A script that changes membership always gets a streaming rebalancer (a
+    bare store rejects the change); ``streaming`` attaches one regardless.
+    """
+    streaming = streaming or any(s[0] in ("bootstrap", "decommission") for s in steps)
     lazy, eager = geo_store(), geo_store()
     for store in (lazy, eager):
         if streaming:
-            repro.StreamingRebalancer(
-                store, repro.RebalanceConfig(pump_interval=0.005, attempt_timeout=0.1)
-            )
+            attach_rebalancer(store)
         config = TxnConfig(
             validate_reads=False, prepare_timeout=0.05, client_timeout=0.2,
             retry_interval=0.01, status_interval=0.01,

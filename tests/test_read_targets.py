@@ -133,10 +133,14 @@ class TestSnitchMemo:
         assert_memo_bounded(store)
 
     def test_coordinators_of_one_dc_share_the_stores_table(self):
-        store = make_store([3, 2], NetworkTopologyStrategy({0: 2, 1: 2}))
+        store = make_store(
+            [3, 2], NetworkTopologyStrategy({0: 2, 1: 2}), rebalancer=True
+        )
         for coord in store.coordinators:
             assert coord._orders is store._snitch_orders[coord.dc]
         joined = store.bootstrap_node(1)
+        store.sim.run(until=60.0)
+        assert not store.rebalancer.active
         assert store.coordinators[joined]._orders is store._snitch_orders[1]
 
     def test_membership_changes_with_streaming_and_private_records(self):

@@ -704,11 +704,14 @@ class TestSimTwin:
         txn.read("k")
         txn.write("k", 10)
         txn.commit(outcomes.append)
+        node = store.nodes[replica]
+        before = (dict(node.data), node.reads_served, node.writes_applied)
         transport.post_at(0.01, store.on_node_crash, replica)  # RTT is 80 ms
         transport.run(until=store.read_timeout + 1.0)
         assert [(o.status, o.reason) for o in outcomes] == [("aborted", "read-failed")]
         assert store.summary()["failures"] == {"read_timeout": 1}
-        assert store.nodes[replica].dropped_while_down == 1
+        # The dead replica served nothing: the read was dropped, not answered.
+        assert (dict(node.data), node.reads_served, node.writes_applied) == before
         assert store.ops_completed() == 0
 
 

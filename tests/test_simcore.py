@@ -107,6 +107,22 @@ class TestSimulator:
         sim.run(max_events=1)  # empty queue: nothing fires, the clock stays
         assert fired == [1, 2] and sim.now == 2.0 and sim.events_processed == 2
 
+    def test_a_spent_budget_does_not_advance_past_due_entries(self, sim):
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            sim.post_at(t, fired.append, t)
+        sim.run(until=5.0, max_events=1)
+        assert fired == [1.0] and sim.now == 1.0
+        sim.run(until=5.0)
+        assert fired == [1.0, 2.0, 3.0] and sim.now == 5.0
+        # nothing left due by ``until`` after the budget: the clock idles to it
+        sim.post_at(6.0, fired.append, 6.0)
+        sim.post_at(12.0, fired.append, 12.0)
+        sim.run(until=10.0, max_events=1)
+        assert fired[-1] == 6.0 and sim.now == 10.0
+        sim.run(until=14.0, max_events=1)
+        assert fired[-1] == 12.0 and sim.now == 14.0
+
     def test_stop_from_callback(self, sim):
         fired = []
         sim.schedule(1.0, fired.append, 1)
@@ -181,7 +197,7 @@ class TestSimulator:
         assert sim.pending() == 1
         sim.run(max_events=1)
         assert fired[-1] == "s4" and sim.now == 4.0
-        assert not late.live and sim.pending() == 0
+        assert late.fn is None and sim.pending() == 0
 
     @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)

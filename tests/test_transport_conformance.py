@@ -47,6 +47,7 @@ from repro.cluster.consistency import ConsistencyLevel
 from repro.cluster.replication import SimpleStrategy
 from repro.cluster.store import ReplicatedStore, StoreConfig
 from repro.cluster.versions import Version
+from repro.elastic import StreamingRebalancer
 from repro.experiments.platforms import single_dc_platform
 from repro.net.latency import FixedLatency, LogNormalLatency
 from repro.net.topology import Datacenter, Topology, LinkClass
@@ -565,6 +566,7 @@ class TestStoreOnBothEngines:
 
         def setup(t):
             store = state["store"] = _store(h, read_repair_chance=0.0)
+            StreamingRebalancer(store)
             new = state["new"] = store.bootstrap_node(1)
             state["delay"] = t.send(0, new, 64, None)
             keys = (f"user{i}" for i in range(500))

@@ -174,7 +174,8 @@ class TestCommitPath:
         assert node.data["k"] is newer
         assert node.writes_applied == applied + 1
         assert notes == [older]
-        assert participant.commits_applied == 1
+        # the commit resolved here: logged, no longer prepared
+        assert t.wals[r].decision_for(77) == "commit" and 77 not in participant.prepared
 
     def test_wal_records_of_a_commit(self, simple_store):
         store = simple_store
@@ -210,7 +211,8 @@ class TestCommitPath:
 
         store.sim.schedule(0.0, go)
         settle(store)
-        assert outcomes[0].status == "committed" and outcomes[0].n_reads == 1
+        assert outcomes[0].status == "committed" and outcomes[0].stale_reads == 0
+        assert store.ops_completed() == 1  # the transaction's one read
         assert sum(len(w) for w in t.wals) == 0  # no 2PC round was needed
 
     def test_reads_route_through_policy_level(self, simple_store):
@@ -474,7 +476,6 @@ class TestMonitorIntegration:
         counter = monitor.metrics.counter
         assert counter("txn_commits").value == 1
         assert counter("txn_aborts").value == 1
-        assert monitor.commit_latency.value > 0.0
 
     def test_in_doubt_resolution_reaches_listeners(self, simple_store):
         # TM crashes mid-round and only recovers *after* the client's

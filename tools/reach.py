@@ -438,6 +438,16 @@ def cli_runs(tmp: str) -> List[List[str]]:
         ["sweep", "--jobs", "1", "--ops", "300", "--obs", "--seed", "12",
          "--scenario", "single-dc-ycsb-a", "--out", out("obs-b")],
     ]
+    # Two sim sweeps fire the scripted faults at the scenarios' default ops:
+    # partitions and heals, node crashes and recoveries with hint replay, and
+    # crashed TMs and participants under each commit protocol. Sim runs are
+    # deterministic, so the paths they enter are entered on every census.
+    runs += [
+        ["sweep", "--jobs", "1", "--scenario", "geo-partition-chaos",
+         "--scenario", "node-failure-storm"],
+        ["sweep", "--jobs", "1", "--scenario", "txn-crash-storm",
+         "--grid", "commit_protocol=2pc,2pc-coop,3pc"],
+    ]
     # The crash storm's recoveries start at 2.0 s protocol time, about where
     # a 40-op run ends; 120 ops run past every scripted crash and recovery.
     runs += [
