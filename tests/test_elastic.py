@@ -203,6 +203,14 @@ class TestStoreMembership:
         with pytest.raises(ConfigError, match="already decommissioned"):
             store.decommission_node(1)
 
+    def test_decommission_unknown_node_rejected(self):
+        store, reb = build_streaming()
+        members = list(store.ring.members)
+        for node_id in (-1, len(store.nodes)):
+            with pytest.raises(ConfigError, match="unknown node"):
+                store.decommission_node(node_id)
+        assert list(store.ring.members) == members and not reb.active
+
     def test_retired_node_cannot_recover(self):
         store, _ = build_streaming()
         store.decommission_node(1)

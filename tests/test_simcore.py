@@ -123,6 +123,15 @@ class TestSimulator:
         sim.run(until=14.0, max_events=1)
         assert fired[-1] == 12.0 and sim.now == 14.0
 
+    def test_a_spent_budget_skips_cancelled_entries_before_idling(self, sim):
+        fired = []
+        sim.post_at(1.0, fired.append, 1.0)
+        sim.schedule_at(2.0, fired.append, 2.0).cancel()
+        sim.post_at(12.0, fired.append, 12.0)
+        # the only entry due by ``until`` after the budget is cancelled
+        sim.run(until=10.0, max_events=1)
+        assert fired == [1.0] and sim.now == 10.0 and sim.pending() == 1
+
     def test_stop_from_callback(self, sim):
         fired = []
         sim.schedule(1.0, fired.append, 1)
