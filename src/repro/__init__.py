@@ -60,7 +60,6 @@ from repro.txn import TransactionalStore, TxnConfig, TxnRunner
 from repro.elastic import (
     AutoscalerConfig,
     CostAwareAutoscaler,
-    ElasticCluster,
     ElasticSpec,
     RebalanceConfig,
     StreamingRebalancer,
@@ -131,7 +130,6 @@ __all__ = [
     "TxnRunner",
     "AutoscalerConfig",
     "CostAwareAutoscaler",
-    "ElasticCluster",
     "ElasticSpec",
     "RebalanceConfig",
     "StreamingRebalancer",

@@ -60,7 +60,6 @@ class OpResult:
         "level_label",
         "replicas_contacted",
         "ack_delays",
-        "value_size",
         "version",
         "dc",
     )
@@ -76,13 +75,12 @@ class OpResult:
         self.level_label = level_label
         self.replicas_contacted = 0
         #: datacenter of the coordinating node (``-1`` for synthetic results
-        #: such as total-outage failures or hint replays) -- the observability
-        #: sampler keys per-DC latency series off this.
+        #: such as total-outage failures or hint replays) -- the run
+        #: observer keys per-DC latency series off this.
         self.dc = -1
         #: per-replica acknowledgement delays observed by the coordinator
         #: (writes only) -- the monitor's observable proxy for propagation time.
         self.ack_delays: Optional[List[float]] = None
-        self.value_size = 0
         #: merged version a read returned (``None`` for writes / missing keys);
         #: transactional reads record it for commit-time validation.
         self.version: Optional[Version] = None
@@ -248,7 +246,6 @@ class Coordinator:
         requirement = self._requirement(level, replicas, by_dc)
         result = OpResult("write", key, now, requirement.label)
         result.dc = self.dc
-        result.value_size = value_size
         result.ack_delays = []
 
         nodes = st.nodes
@@ -530,7 +527,6 @@ class Coordinator:
             result = op.result
             result.t_end = st.transport.now
             result.ok = True
-            result.value_size = best.size if best is not None else 0
             result.version = best
             result.stale = st.oracle.note_read(op.expected, best)
             st._op_done(result, op.done_cb)

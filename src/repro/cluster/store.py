@@ -591,7 +591,6 @@ class ReplicatedStore:
         result = OpResult("write", key, version.timestamp, "hint-replay")
         result.ok = True
         result.t_end = self.transport.now
-        result.value_size = version.size
         result.replicas_contacted = 1
         result.ack_delays = [self.transport.now - version.timestamp]
         self.fire("on_write_propagated", result)

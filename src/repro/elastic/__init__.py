@@ -2,11 +2,11 @@
 
 The capacity-over-time axis of the simulated store:
 
-- :class:`~repro.elastic.cluster.ElasticCluster` -- bootstrap/decommission
-  with an event log, over the store's live-membership API;
 - :class:`~repro.elastic.rebalance.StreamingRebalancer` -- crash-safe
   online migration of moved token ranges (pending-ranges reads, forwarded
-  writes, re-stream on failure);
+  writes, re-stream on failure), and the two capacity operations
+  (bootstrap/decommission over the store's live-membership API) with the
+  membership event log and the report's ``elastic`` block;
 - :class:`~repro.elastic.autoscale.CostAwareAutoscaler` -- a hysteretic
   control loop trading observed load pressure against the projected bill;
 - :class:`~repro.elastic.runner.ElasticSpec` -- what changes during a run
@@ -14,14 +14,12 @@ The capacity-over-time axis of the simulated store:
 """
 
 from repro.elastic.autoscale import AutoscalerConfig, CostAwareAutoscaler
-from repro.elastic.cluster import ElasticCluster
 from repro.elastic.rebalance import RebalanceConfig, StreamingRebalancer
 from repro.elastic.runner import ElasticSpec
 
 __all__ = [
     "AutoscalerConfig",
     "CostAwareAutoscaler",
-    "ElasticCluster",
     "RebalanceConfig",
     "StreamingRebalancer",
     "ElasticSpec",

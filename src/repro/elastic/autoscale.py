@@ -3,8 +3,8 @@
 A control loop on the simulation clock that polls the observable cluster
 state -- the :class:`~repro.monitor.collector.ClusterMonitor`'s arrival
 rates and latency EWMAs, plus per-node service-stage utilization and queue
-depth -- and decides scale-out / scale-in through an
-:class:`~repro.elastic.cluster.ElasticCluster`.
+depth -- and decides scale-out / scale-in through the run's
+:class:`~repro.elastic.rebalance.StreamingRebalancer`.
 
 The decision logic is deliberately asymmetric, the way production
 autoscalers are:
@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 from repro.common.errors import ConfigError
 from repro.cluster.consistency import quorum
 from repro.cost.pricing import PriceBook
-from repro.elastic.cluster import ElasticCluster
+from repro.elastic.rebalance import StreamingRebalancer
 from repro.monitor.collector import ClusterMonitor
 
 __all__ = ["AutoscalerConfig", "CostAwareAutoscaler"]
@@ -100,16 +100,17 @@ class CostAwareAutoscaler:
 
     def __init__(
         self,
-        cluster: ElasticCluster,
+        rebalancer: StreamingRebalancer,
         monitor: ClusterMonitor,
         prices: PriceBook,
         config: Optional[AutoscalerConfig] = None,
     ):
-        self.cluster = cluster
+        self.rebalancer = rebalancer
+        self.store = rebalancer.store
         self.monitor = monitor
         self.config = config or AutoscalerConfig()
         self.prices = prices
-        self.min_nodes = max(self.config.min_nodes, cluster.store.strategy.rf_total)
+        self.min_nodes = max(self.config.min_nodes, self.store.strategy.rf_total)
         self._streak_out = 0
         self._streak_in = 0
         self._last_change_t = -1e18
@@ -129,7 +130,7 @@ class CostAwareAutoscaler:
             raise ConfigError("autoscaler already started")
         self._started = True
         self._stopped = False
-        tr = self.cluster.store.transport
+        tr = self.store.transport
         tr.post_at(tr.now + self.config.interval, self._tick)
 
     def stop(self) -> None:
@@ -145,7 +146,7 @@ class CostAwareAutoscaler:
         available across both service stages -- a direct observation, no
         model involved.
         """
-        st = self.cluster.store
+        st = self.store
         now = st.transport.now
         busy = 0.0
         capacity_rate = 0.0
@@ -165,7 +166,7 @@ class CostAwareAutoscaler:
 
     def mean_queue_depth(self) -> float:
         """Mean queued requests per live node (both stages)."""
-        st = self.cluster.store
+        st = self.store
         members = st.ring.members
         if not members:
             return 0.0
@@ -183,7 +184,7 @@ class CostAwareAutoscaler:
         The M/M/c-style capacity fraction of the busier of the read and
         mutation stages (1.0 = at capacity), with the store's node type.
         """
-        config = self.cluster.store.config
+        config = self.store.config
         service = config.service
         servers = config.servers_per_node
         m = config.mutation_servers_per_node
@@ -208,18 +209,17 @@ class CostAwareAutoscaler:
         if self._stopped:
             return
         cfg = self.config
-        cluster = self.cluster
-        st = cluster.store
+        st = self.store
         now = st.transport.now
         self.ticks += 1
         util = self.observed_utilization()
         self._last_tick_t = now
         queue = self.mean_queue_depth()
         snapshot = self.monitor.snapshot(now)
-        n = cluster.n_members
+        n = st.ring.n_nodes
 
         in_cooldown = (now - self._last_change_t) < cfg.cooldown
-        migrating = cluster.rebalancer.active
+        migrating = self.rebalancer.active
         if migrating or in_cooldown:
             # One capacity change at a time; breaches during a move do not
             # accumulate toward the next one.
@@ -243,12 +243,14 @@ class CostAwareAutoscaler:
         st.transport.post_at(now + cfg.interval, self._tick)
 
     def _scale_out(self, now, n, util, queue, snapshot) -> None:
-        cluster = self.cluster
-        # Fill the emptiest datacenter (lowest index on ties): keeps the
-        # per-DC balance the placement strategies assume.
-        dcs = range(len(cluster.store.topology.datacenters))
-        dc = min(dcs, key=lambda d: (len(cluster.members_in_dc(d)), d))
-        node_id = cluster.bootstrap_node(dc, reason="autoscale")
+        topology = self.store.topology
+        # Fill the datacenter with the fewest ring members (lowest index on
+        # ties): keeps the per-DC balance the placement strategies assume.
+        per_dc = [0] * len(topology.datacenters)
+        for member in self.store.ring.members:
+            per_dc[topology.dc_of(member)] += 1
+        dc = per_dc.index(min(per_dc))
+        node_id = self.rebalancer.bootstrap_node(dc, reason="autoscale")
         self._record(
             now,
             "scale-out",
@@ -261,12 +263,11 @@ class CostAwareAutoscaler:
 
     def _try_scale_in(self, now, n, util, snapshot) -> None:
         cfg = self.config
-        cluster = self.cluster
-        candidate = cluster.decommission_candidate()
+        candidate = self.rebalancer.decommission_candidate()
         if candidate is None:
             self._streak_in = 0
             return
-        rf = cluster.store.strategy.rf_total
+        rf = self.store.strategy.rf_total
         projected = self._stage_utilization(
             max(snapshot.read_rate, 0.0), max(snapshot.write_rate, 0.0),
             n - 1, rf, quorum(rf),
@@ -275,7 +276,7 @@ class CostAwareAutoscaler:
             # The smaller cluster would run too hot: stay put.
             self._streak_in = 0
             return
-        cluster.decommission_node(candidate, reason="autoscale")
+        self.rebalancer.decommission_node(candidate, reason="autoscale")
         self._record(
             now,
             "scale-in",

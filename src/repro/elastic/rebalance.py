@@ -24,14 +24,21 @@ target mid-stream drops the transfer (down nodes drop work), the key stays
 pending, and the pump re-streams it after ``attempt_timeout``. There is no
 migration state to recover -- the pending table *is* the WAL, and
 re-streaming is idempotent (last-write-wins reconciliation).
+
+The rebalancer is also the elastic run's membership controller: its two
+capacity operations (:meth:`StreamingRebalancer.bootstrap_node`,
+:meth:`StreamingRebalancer.decommission_node`) call the store and log one
+``scale-out`` / ``scale-in`` event each, and :meth:`StreamingRebalancer.summary`
+is the ``elastic`` block run reports carry. Scripted scenarios and the
+autoscaler both drive it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ConsistencyError
 from repro.cluster.coordinator import REQUEST_OVERHEAD
 from repro.cluster.store import MembershipChange, ReplicatedStore
 from repro.cluster.versions import Version
@@ -78,11 +85,13 @@ class _KeyMigration:
 
 
 class StreamingRebalancer:
-    """Owns the pending-ranges table and the background streaming pump."""
+    """Owns the pending-ranges table, the streaming pump and the membership log."""
 
     def __init__(
         self, store: ReplicatedStore, config: Optional[RebalanceConfig] = None
     ):
+        if store.rebalancer is not None:
+            raise ConfigError("store already has a rebalancer attached")
         self.store = store
         self.config = config or RebalanceConfig()
         store.rebalancer = self
@@ -91,13 +100,63 @@ class StreamingRebalancer:
         #: decommissioned nodes awaiting retirement (done when fully drained).
         self._retiring: List[int] = []
 
-        # counters (consumed by run reports and the cluster monitor)
+        # counters (consumed by run reports and the rebalance-stall oracle)
         self.migrations_started = 0
         self.migrations_completed = 0
         self.ranges_moved = 0
         self.keys_streamed = 0
         self.bytes_streamed = 0
         self.restreams = 0
+
+        self.nodes_initial = store.ring.n_nodes
+        self.scale_outs = 0
+        self.scale_ins = 0
+        #: chronological membership event log (JSON-safe dicts).
+        self.events: List[Dict[str, Any]] = []
+
+    # -- capacity operations -------------------------------------------------------
+
+    def bootstrap_node(self, dc_index: int, reason: str = "scripted") -> int:
+        """Scale out: add one node to ``dc_index`` and stream its ranges in."""
+        node_id = self.store.bootstrap_node(dc_index)
+        self.scale_outs += 1
+        self._log("scale-out", node_id, dc_index, reason)
+        return node_id
+
+    def decommission_node(self, node_id: int, reason: str = "scripted") -> None:
+        """Scale in: drain ``node_id``'s ranges out, then retire it."""
+        st = self.store
+        st.decommission_node(node_id)
+        self.scale_ins += 1
+        self._log("scale-in", int(node_id), st.topology.dc_of(node_id), reason)
+
+    def _log(self, kind: str, node_id: int, dc_index: int, reason: str) -> None:
+        """Record one scale event (after the store call) and announce it."""
+        event = {
+            "kind": kind,
+            "t": self.store.transport.now,
+            "node": node_id,
+            "dc": dc_index,
+            "reason": reason,
+        }
+        self.events.append(event)
+        self.store.fire("on_elastic_event", event)
+
+    def decommission_candidate(self) -> Optional[int]:
+        """Highest-id node whose removal keeps the placement satisfiable.
+
+        Prefers the most recently added node (scale-in undoes scale-out) and
+        skips nodes whose departure would break per-DC replica quotas.
+        """
+        st = self.store
+        for node_id in sorted(st.ring.members, reverse=True):
+            survivors = [m for m in st.ring.members if m != node_id]
+            try:
+                st.strategy.validate_membership(survivors, st.topology)
+            except ConsistencyError:
+                continue  # its departure would break a replica quota
+            return node_id
+        return None
 
     # -- store-facing interface ----------------------------------------------------
 
@@ -308,9 +367,14 @@ class StreamingRebalancer:
                 },
             )
 
-    def summary(self) -> Dict[str, int]:
-        """Counter snapshot for run reports (JSON-safe)."""
+    def summary(self) -> Dict[str, Any]:
+        """The ``elastic`` block of a run report (JSON-safe, deterministic)."""
         return {
+            "nodes_initial": int(self.nodes_initial),
+            "nodes_final": int(self.store.ring.n_nodes),
+            "scale_outs": int(self.scale_outs),
+            "scale_ins": int(self.scale_ins),
+            "events": [{k: ev[k] for k in sorted(ev)} for ev in self.events],
             "migrations_started": self.migrations_started,
             "migrations_completed": self.migrations_completed,
             "ranges_moved": self.ranges_moved,

@@ -14,15 +14,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.elastic.autoscale import AutoscalerConfig, CostAwareAutoscaler
-from repro.elastic.cluster import ElasticCluster
-from repro.elastic.rebalance import RebalanceConfig
+from repro.elastic.rebalance import RebalanceConfig, StreamingRebalancer
 from repro.workload.client import WorkloadRunner
 
 __all__ = ["ElasticSpec"]
 
-#: A membership script receives the cluster and schedules bootstrap /
-#: decommission calls on the simulation clock (times relative to run start).
-ElasticScript = Callable[[ElasticCluster], None]
+#: A membership script receives the run's rebalancer and schedules its
+#: bootstrap / decommission calls on the simulation clock (times relative to
+#: run start).
+ElasticScript = Callable[[StreamingRebalancer], None]
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ def _repace(runner: WorkloadRunner, total_rate: float) -> None:
 
 
 def _elastic_block(
-    cluster: ElasticCluster, autoscaler: Optional[CostAwareAutoscaler]
+    rebalancer: StreamingRebalancer, autoscaler: Optional[CostAwareAutoscaler]
 ) -> Dict[str, Any]:
     """The report's ``elastic`` dict (JSON-safe, deterministic ordering)."""
-    block = cluster.summary()
+    block = rebalancer.summary()
     if autoscaler is not None:
         block["autoscaler"] = autoscaler.summary()
     return block

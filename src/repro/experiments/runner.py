@@ -27,7 +27,7 @@ from repro.bismar.engine import BismarEngine
 from repro.harmony.engine import HarmonyEngine
 from repro.monitor.collector import ClusterMonitor
 from repro.elastic.autoscale import CostAwareAutoscaler
-from repro.elastic.cluster import ElasticCluster
+from repro.elastic.rebalance import StreamingRebalancer
 from repro.obs.recorder import RunObserver
 from repro.policy import ConsistencyPolicy, StaticPolicy
 from repro.stale.dcmodel import DeploymentInfo
@@ -86,13 +86,11 @@ def harmony_factory(tolerance: float, monitor_window: float = 2.0) -> PolicyFact
     return build
 
 
-def bismar_factory(
-    prices, stale_cap: Optional[float] = None, monitor_window: float = 2.0
-) -> PolicyFactory:
+def bismar_factory(prices, stale_cap: Optional[float] = None) -> PolicyFactory:
     """Factory for a Bismar engine wired to a fresh monitor + cost estimator."""
 
     def build(store: ReplicatedStore) -> ConsistencyPolicy:
-        monitor = ClusterMonitor(window=monitor_window)
+        monitor = ClusterMonitor(window=2.0)
         store.observe(monitor)
         estimator = CostEstimator.for_store(store, prices)
         return BismarEngine(
@@ -163,7 +161,7 @@ class RunOutcome:
     ``policy`` and ``store`` are the live objects from the run, so adaptive
     policies can be asked for their decision timelines
     (``policy.level_time_fractions()``) and the store for post-run summaries.
-    ``tstore`` is set only by a transactional run, ``cluster`` (and
+    ``tstore`` is set only by a transactional run, ``rebalancer`` (and
     ``autoscaler``, when one was configured) only by an elastic run; the
     report's ``txn`` / ``elastic`` blocks are filled to match. ``store`` is
     the store every operation ran on, on either engine. ``timed_out`` is
@@ -176,7 +174,7 @@ class RunOutcome:
     store: ReplicatedStore
     obs: Optional[RunObserver] = None
     tstore: Optional[TransactionalStore] = None
-    cluster: Optional[ElasticCluster] = None
+    rebalancer: Optional[StreamingRebalancer] = None
     autoscaler: Optional[CostAwareAutoscaler] = None
     timed_out: bool = False
 

@@ -41,8 +41,7 @@ from repro.common.errors import ConfigError
 from repro.cluster.failures import FailureInjector
 from repro.cost.pricing import EC2_US_EAST_2013
 from repro.elastic.autoscale import AutoscalerConfig
-from repro.elastic.cluster import ElasticCluster
-from repro.elastic.rebalance import RebalanceConfig
+from repro.elastic.rebalance import RebalanceConfig, StreamingRebalancer
 from repro.elastic.runner import ElasticSpec
 from repro.experiments.platforms import (
     ec2_harmony_platform,
@@ -611,20 +610,21 @@ def _diurnal_run(p: Params, clients: int, client_mode: str) -> RunSpec:
     )
 
 
-def _churn_script(cluster: ElasticCluster, p: Params) -> None:
+def _churn_script(rebalancer: StreamingRebalancer, p: Params) -> None:
     """Rolling membership churn: two joins, then two drains, back to back."""
-    tr = cluster.store.transport
+    store = rebalancer.store
+    tr = store.transport
     dt = float(p["churn_interval"])
     t = float(p.get("churn_start", 0.03))
-    n_dcs = len(cluster.store.topology.datacenters)
+    n_dcs = len(store.topology.datacenters)
 
     def drain() -> None:
-        candidate = cluster.decommission_candidate()
+        candidate = rebalancer.decommission_candidate()
         if candidate is not None:
-            cluster.decommission_node(candidate)
+            rebalancer.decommission_node(candidate)
 
-    tr.post_at(t, cluster.bootstrap_node, 0)
-    tr.post_at(t + dt, cluster.bootstrap_node, (1 % n_dcs))
+    tr.post_at(t, rebalancer.bootstrap_node, 0)
+    tr.post_at(t + dt, rebalancer.bootstrap_node, (1 % n_dcs))
     tr.post_at(t + 2 * dt, drain)
     tr.post_at(t + 3 * dt, drain)
 
@@ -696,7 +696,7 @@ register(
             policy=_harmony_policy(p),
             workload=heavy_read_update(record_count=800),
             elastic=ElasticSpec(
-                script=lambda cluster: _churn_script(cluster, p),
+                script=lambda rebalancer: _churn_script(rebalancer, p),
                 rebalance=_ELASTIC_STREAMING,
             ),
             ops=6000,

@@ -28,7 +28,7 @@ from repro.cluster.failures import FailureInjector
 from repro.common.errors import ConfigError
 from repro.cost.billing import Biller
 from repro.elastic.autoscale import CostAwareAutoscaler
-from repro.elastic.cluster import ElasticCluster
+from repro.elastic.rebalance import StreamingRebalancer
 from repro.elastic.runner import ElasticSpec, _elastic_block, _repace
 from repro.experiments.platforms import Platform
 from repro.experiments.runner import FailureScript, PolicyFactory, RunOutcome
@@ -157,19 +157,19 @@ def _pipeline(
             store, policy=policy, config=txn_config, wal_factory=wal_factory
         )
 
-    cluster: Optional[ElasticCluster] = None
+    rebalancer: Optional[StreamingRebalancer] = None
     autoscaler: Optional[CostAwareAutoscaler] = None
     if elastic is not None:
-        cluster = ElasticCluster(store, rebalance=elastic.rebalance)
+        rebalancer = StreamingRebalancer(store, elastic.rebalance)
         if elastic.autoscaler is not None:
             monitor = ClusterMonitor(window=2.0)
             store.observe(monitor)
             autoscaler = CostAwareAutoscaler(
-                cluster, monitor, platform.prices, elastic.autoscaler
+                rebalancer, monitor, platform.prices, elastic.autoscaler
             )
             autoscaler.start()
         if elastic.script is not None:
-            elastic.script(cluster)
+            elastic.script(rebalancer)
 
     workload = spec.txn_workload if tstore is not None else spec.workload
     if workload is None:
@@ -219,7 +219,7 @@ def _pipeline(
     # drain below moves the clock (and streams bytes) past it.
     bill = biller.bill()
 
-    if cluster is not None:
+    if rebalancer is not None:
         if autoscaler is not None:
             autoscaler.stop()
         # Let in-flight migrations finish (bounded): the workload window just
@@ -227,9 +227,9 @@ def _pipeline(
         # one more pump tick after the last write settles.
         tr = store.transport
         deadline = tr.now + 5.0
-        while cluster.rebalancer.active and tr.now < deadline:
+        while rebalancer.active and tr.now < deadline:
             tr.run(until=min(tr.now + 0.05, deadline))
-        report.elastic = _elastic_block(cluster, autoscaler)
+        report.elastic = _elastic_block(rebalancer, autoscaler)
     if observer is not None:
         observer.finish()
     return RunOutcome(
@@ -239,7 +239,7 @@ def _pipeline(
         store=store,
         obs=observer,
         tstore=tstore,
-        cluster=cluster,
+        rebalancer=rebalancer,
         autoscaler=autoscaler,
         timed_out=runner.timed_out,
     )
@@ -250,7 +250,7 @@ def run(spec: RunSpec) -> RunOutcome:
 
     Every run returns one :class:`~repro.experiments.runner.RunOutcome`
     whatever the engine or workload shape: ``tstore`` is set for a
-    transactional run (and ``report.txn`` filled), ``cluster`` /
+    transactional run (and ``report.txn`` filled), ``rebalancer`` /
     ``autoscaler`` for an elastic one (and ``report.elastic`` filled), all
     three ``None`` for a plain run. Both backends run the same pipeline
     on the platform's store -- policy, bill and observer included;

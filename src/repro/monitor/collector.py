@@ -13,9 +13,10 @@ Collected signals:
   structure of Figure 1 (``T`` = rank-w delay, ``Tp`` = rank-N delay);
 - per-key access frequencies for the skew correction
   (:class:`~repro.monitor.keyfreq.KeyFrequencyTracker`);
-- operation latency EWMAs (used by Bismar's cost estimator);
-- transaction verdict and scale-out/-in counts, in a
-  :class:`~repro.obs.metrics.MetricsRegistry` the run observer reads.
+- operation latency EWMAs (used by Bismar's cost estimator).
+
+Transaction verdicts and scale events are not folded here: no policy
+reads them, and the run observer counts them from its own hooks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.common.errors import ConfigError
 from repro.common.stats import Ewma, OnlineStats, RateEstimator
 from repro.cluster.coordinator import OpResult
 from repro.monitor.keyfreq import KeyFrequencyTracker
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ClusterMonitor", "MonitorSnapshot"]
 
@@ -104,20 +104,6 @@ class ClusterMonitor:
         #: recent-window rank EWMAs react faster than the all-time means.
         self._rank_ewma: List[Ewma] = []
         self._now = 0.0
-        # Transaction and elasticity signals live in a MetricsRegistry so
-        # the observability sampler can read the monitor's instruments
-        # directly instead of subscribing to the same hooks again (which
-        # would double-count every event).
-        self.metrics = MetricsRegistry()
-        # transactional signals (populated only when a TransactionalStore
-        # drives the deployment; zero otherwise)
-        self._txn_commits = self.metrics.counter("txn_commits")
-        self._txn_aborts = self.metrics.counter("txn_aborts")
-        self._txn_in_doubt = self.metrics.counter("txn_in_doubt")
-        # elasticity signals (populated only when the elastic subsystem
-        # drives membership changes; zero otherwise)
-        self._scale_outs = self.metrics.counter("scale_outs")
-        self._scale_ins = self.metrics.counter("scale_ins")
 
     # -- listener interface ------------------------------------------------------
 
@@ -135,39 +121,6 @@ class ClusterMonitor:
             self.keys.record_write(result.key, result.t_start)
             if result.ok:
                 self.write_latency.update(result.latency, t=t)
-
-    def on_txn_complete(self, outcome) -> None:
-        """Fold one transaction outcome into the running estimates.
-
-        ``outcome`` is a :class:`repro.txn.api.TxnOutcome`; like everything
-        else the monitor sees, it is coordinator-observable (commit/abort
-        verdicts -- never oracle state).
-        A ``resolved-in-doubt`` outcome is the late verdict of a
-        transaction previously reported in doubt: it moves the count from
-        the in-doubt bucket to the decided one.
-        """
-        t = outcome.t_end
-        self._now = max(self._now, t)
-        if outcome.reason == "resolved-in-doubt" and self._txn_in_doubt.value > 0:
-            self._txn_in_doubt.inc(-1)
-        if outcome.status == "committed":
-            self._txn_commits.inc()
-        elif outcome.status == "aborted":
-            self._txn_aborts.inc()
-        else:
-            self._txn_in_doubt.inc()
-
-    def on_elastic_event(self, event) -> None:
-        """Count one scale-out or scale-in from the ``on_elastic_event`` channel.
-
-        Migration events carry the rebalancer's own counters, which the
-        report's ``elastic`` block already holds; the monitor skips them.
-        """
-        kind = event.get("kind")
-        if kind == "scale-out":
-            self._scale_outs.inc()
-        elif kind == "scale-in":
-            self._scale_ins.inc()
 
     def on_write_propagated(self, result: OpResult) -> None:
         """Fold a fully-acknowledged write's ack-delay profile."""

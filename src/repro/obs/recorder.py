@@ -1,4 +1,4 @@
-"""The run observer: one object wiring metrics, events, traces, samples.
+"""The run observer: one object wiring counts, events, traces, samples.
 
 A :class:`RunObserver` attaches to a deployed store (and optionally its
 policy and transactional layer) and records three streams into one
@@ -26,14 +26,19 @@ rebalance streams, and instants for every marker.
 The observer is strictly read-only with respect to the simulation: it
 never draws randomness, never calls ``policy.read_level`` (that would
 trigger a lazy refresh and perturb the decision schedule -- levels are
-tracked via the engine's ``on_decision`` hook instead), and its sampler
-ticks only read state. A run therefore produces byte-identical results
-with the observer attached or not.
+tracked via the engine's ``on_decision`` hook instead), and its sample
+ticks only read state. Each tick consumes a simulator sequence number, but
+the relative order of all other events is unchanged, so a run produces
+byte-identical results with the observer attached or not. The observer
+re-arms its tick every ``sample_interval`` simulated seconds until
+:meth:`RunObserver.finish`, or until ``MAX_SAMPLES`` ticks have landed, so
+it can never keep an otherwise-drained simulation alive indefinitely.
 
-Transaction and elastic counters in samples come from an attached
-:class:`~repro.monitor.collector.ClusterMonitor`'s registry when one is
-listening (the monitor already folds those hooks; reading its instruments
-avoids double-counting), and from the observer's own registry otherwise.
+The observer counts transaction verdicts and scale events itself, from
+the ``on_txn_complete`` and ``on_elastic_event`` hooks it receives. Samples
+carry the scale counts only when a
+:class:`~repro.monitor.collector.ClusterMonitor` observed the store before
+the observer attached (the layout the golden timelines pin).
 """
 
 from __future__ import annotations
@@ -45,9 +50,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.obs.events import ObsEvent
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.oracles import AnomalyOracles, OracleConfig
-from repro.obs.sampler import MAX_SAMPLES, TimeSeriesSampler
 from repro.obs.trace import Tracer
 
 __all__ = ["ObsConfig", "RunObserver", "TIMELINE_SCHEMA"]
@@ -57,6 +60,9 @@ __all__ = ["ObsConfig", "RunObserver", "TIMELINE_SCHEMA"]
 #: ground-truth read windows, and header truncation/anomaly counters; the
 #: report loader still accepts ``/1`` artifacts.
 TIMELINE_SCHEMA = "repro.obs/2"
+
+#: Hard cap on ticked samples per run (bounds memory and self-perpetuation).
+MAX_SAMPLES = 20_000
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,6 @@ class RunObserver:
         self.config = config
         self.policy = policy
         self.run_meta = dict(run_meta) if run_meta else {}
-        self.metrics = MetricsRegistry()
         self.tracer: Optional[Tracer] = (
             Tracer() if config.trace else None
         )
@@ -155,41 +160,35 @@ class RunObserver:
             else None
         )
 
-        # own txn counters; used for samples only when no monitor listens
-        self._own_commits = self.metrics.counter("txn_commits")
-        self._own_aborts = self.metrics.counter("txn_aborts")
-        self._own_in_doubt = self.metrics.counter("txn_in_doubt")
+        # verdict and scale counts; txn_in_doubt is net (a late verdict
+        # moves a transaction out of it)
+        self.txn_commits = 0
+        self.txn_aborts = 0
+        self.txn_in_doubt = 0
+        self.scale_outs = 0
+        self.scale_ins = 0
 
         # open trace bookkeeping
         self._open_txn_phase: Dict[int, str] = {}
         self._open_migrations: List[str] = []
         self._mig_seq = 0
 
-        # wiring: store observer hooks, policy decisions
+        # Deferred: the cluster package imports this one, the monitor it.
+        from repro.monitor.collector import ClusterMonitor
+
+        self._sample_scale = any(
+            isinstance(o, ClusterMonitor) for o in store.observers
+        )
+
+        # wiring: store observer hooks, policy decisions, the first tick
         store.observe(self)
         if policy is not None and hasattr(policy, "on_decision"):
             policy.on_decision = self._on_decision
-        self._monitor_metrics = self._find_monitor_metrics()
-
-        self.sampler = TimeSeriesSampler(
-            store.transport, config.sample_interval, self._collect
-        )
-        self.sampler.start()
         self._finished = False
-
-    def _find_monitor_metrics(self) -> Optional[MetricsRegistry]:
-        """Registry of an already-attached monitor (else ``None``).
-
-        Duck-typed on the ``metrics`` attribute so this module never
-        imports the monitor package (the cluster package imports this one).
-        """
-        for observer in self.store.observers:
-            if observer is self:
-                continue
-            registry = getattr(observer, "metrics", None)
-            if isinstance(registry, MetricsRegistry):
-                return registry
-        return None
+        self._ticks = 0
+        store.transport.post_at(
+            store.transport.now + config.sample_interval, self._tick
+        )
 
     # -- store observer interface ------------------------------------------------
 
@@ -233,17 +232,21 @@ class RunObserver:
                     )
 
     def on_txn_complete(self, outcome) -> None:
-        if outcome.reason == "resolved-in-doubt" and self._own_in_doubt.value > 0:
-            self._own_in_doubt.inc(-1)
+        if outcome.reason == "resolved-in-doubt" and self.txn_in_doubt > 0:
+            self.txn_in_doubt -= 1
         if outcome.status == "committed":
-            self._own_commits.inc()
+            self.txn_commits += 1
         elif outcome.status == "aborted":
-            self._own_aborts.inc()
+            self.txn_aborts += 1
         else:
-            self._own_in_doubt.inc()
+            self.txn_in_doubt += 1
 
     def on_elastic_event(self, event: Dict[str, Any]) -> None:
         kind = event.get("kind")
+        if kind == "scale-out":
+            self.scale_outs += 1
+        elif kind == "scale-in":
+            self.scale_ins += 1
         t = float(event.get("t", self.store.transport.now))
         record: Dict[str, Any] = {"type": "event", "t": t, "kind": kind}
         for k, v in event.items():
@@ -357,7 +360,7 @@ class RunObserver:
         """A participant voted YES and holds prepared (in-doubt) state.
 
         ``restart=True`` marks a recovery re-registration: the dwell clock
-        restarts at ``t`` even if the crash fell between sampler ticks.
+        restarts at ``t`` even if the crash fell between sample ticks.
         """
         if self.oracles is not None:
             self.oracles.on_txn_prepared(node_id, txn_id, t, restart=restart)
@@ -369,7 +372,16 @@ class RunObserver:
 
     # -- sampling --------------------------------------------------------------------
 
-    def _collect(self, now: float) -> Dict[str, Any]:
+    def _tick(self) -> None:
+        if self._finished:
+            return
+        now = self.store.transport.now
+        self._collect(now)
+        self._ticks += 1
+        if self._ticks < MAX_SAMPLES:
+            self.store.transport.post_at(now + self.config.sample_interval, self._tick)
+
+    def _collect(self, now: float) -> None:
         store = self.store
         # The actual window since the previous sample: equals the configured
         # interval on regular ticks, shorter for the closing partial sample.
@@ -407,29 +419,24 @@ class RunObserver:
         self._dc_write = {}
         self._ops_since_tick = 0
 
-        registry = (
-            self._monitor_metrics
-            if self._monitor_metrics is not None
-            else self.metrics
-        )
-        for name in ("txn_commits", "txn_aborts", "txn_in_doubt"):
-            sample[name] = registry.counter(name).value
+        sample["txn_commits"] = self.txn_commits
+        sample["txn_aborts"] = self.txn_aborts
+        sample["txn_in_doubt"] = self.txn_in_doubt
         if self.oracles is not None:
             # Participant-side blocked state straight from the in-doubt
             # dwell oracle: (node, txn) pairs held prepared-without-decision
             # past the dwell budget right now. The SLO engine integrates
-            # this signal over the sampler windows into ``blocked_txn_time``.
+            # this signal over the sample windows into ``blocked_txn_time``.
             sample["txn_blocked"] = self.oracles.blocked_now
-        if self._monitor_metrics is not None:
-            sample["scale_outs"] = registry.counter("scale_outs").value
-            sample["scale_ins"] = registry.counter("scale_ins").value
+        if self._sample_scale:
+            sample["scale_outs"] = self.scale_outs
+            sample["scale_ins"] = self.scale_ins
 
         self._records.append({"type": "sample", "t": now, **sample})
         # Oracles evaluate after the sample lands so their anomaly records
         # follow it at the same timestamp (stable interleaving).
         if self.oracles is not None:
             self.oracles.on_tick(now, window_reads, window_stale)
-        return sample
 
     # -- artifacts -------------------------------------------------------------------
 
@@ -440,7 +447,7 @@ class RunObserver:
             "sample_interval": self.config.sample_interval,
             "trace": self.config.trace,
             "trace_sample_every": self.config.trace_sample_every,
-            # truncation surfaces: a capped trace or sampler is flagged
+            # truncation surfaces: a capped trace or sample stream is flagged
             # here instead of silently missing records
             "samples": sum(1 for r in self._records if r["type"] == "sample"),
             "max_samples": MAX_SAMPLES,
@@ -465,7 +472,6 @@ class RunObserver:
         if self._finished:
             return
         self._finished = True
-        self.sampler.stop()
         now = self.store.transport.now
         last_t = self._records[-1]["t"] if self._records else -1.0
         if now > last_t or not any(

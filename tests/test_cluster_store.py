@@ -176,7 +176,7 @@ class TestReplicatedStore:
         read = results[1]
         assert read.kind == "read"
         assert read.stale is False
-        assert read.value_size == store.default_value_size
+        assert read.version.size == store.default_value_size
 
     def test_read_before_any_write_is_fresh(self, store):
         results = run_ops(store, [(0.0, "r", "nokey", 1)])

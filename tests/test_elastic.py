@@ -34,7 +34,6 @@ from repro.elastic import autoscale, rebalance
 from repro.elastic import (
     AutoscalerConfig,
     CostAwareAutoscaler,
-    ElasticCluster,
     ElasticSpec,
     RebalanceConfig,
     StreamingRebalancer,
@@ -380,6 +379,108 @@ class TestStreamingRebalance:
         assert not reb.active
 
 
+class TestMembershipLog:
+    """The rebalancer's capacity operations: store call, then one scale event."""
+
+    @staticmethod
+    def listen(store):
+        heard = []
+
+        class Listener:
+            on_elastic_event = heard.append
+
+        store.observe(Listener())
+        return heard
+
+    def test_join_with_nothing_to_move_settles_before_the_scale_out(self):
+        store, reb = build_streaming()
+        heard = self.listen(store)
+        node_id = reb.bootstrap_node(0)
+        assert [e["kind"] for e in heard] == [
+            "migration-start",
+            "migration-complete",
+            "scale-out",
+        ]
+        assert heard[-1] == {
+            "kind": "scale-out", "t": 0.0, "node": node_id, "dc": 0,
+            "reason": "scripted",
+        }
+        assert reb.events == [heard[-1]] and reb.scale_outs == 1
+
+    def test_join_with_keys_to_move_completes_after_the_scale_out(self):
+        store, reb = build_streaming()
+        store.preload(KEYS, value_size=10)
+        heard = self.listen(store)
+        reb.bootstrap_node(0, reason="autoscale")
+        assert [e["kind"] for e in heard] == ["migration-start", "scale-out"]
+        store.sim.run(until=1.0)
+        assert [e["kind"] for e in heard] == [
+            "migration-start",
+            "scale-out",
+            "migration-complete",
+        ]
+        assert heard[1]["reason"] == "autoscale"
+
+    def test_drain_logs_the_scale_in_after_the_store_call(self):
+        store, reb = build_streaming()
+        heard = self.listen(store)
+        reb.decommission_node(4)
+        assert [e["kind"] for e in heard] == [
+            "migration-start",
+            "migration-complete",
+            "scale-in",
+        ]
+        assert heard[-1]["node"] == 4 and heard[-1]["dc"] == 0
+        assert store.nodes[4].retired and reb.scale_ins == 1
+
+    def test_a_rejected_drain_logs_nothing(self):
+        store, reb = build_streaming(n_nodes=3, rf=3)
+        heard = self.listen(store)
+        with pytest.raises(ConsistencyError):
+            reb.decommission_node(0)
+        assert heard == [] and reb.events == [] and reb.scale_ins == 0
+
+    def test_candidate_is_the_newest_node_a_quota_can_spare(self, az_topology):
+        store = sim_store(
+            Simulator(),
+            az_topology,
+            strategy=NetworkTopologyStrategy({0: 2, 1: 1}),
+            config=StoreConfig(seed=1, read_repair_chance=0.0),
+        )
+        reb = StreamingRebalancer(store)
+        az_b = az_topology.nodes_in_dc(1)
+        # the newest node first; once az-b is down to the one node its
+        # replica needs, the newest node of az-a
+        assert reb.decommission_candidate() == max(az_b)
+        for node_id in az_b[1:]:
+            reb.decommission_node(node_id)
+        assert reb.decommission_candidate() == max(az_topology.nodes_in_dc(0))
+
+    def test_summary_is_the_report_block(self):
+        store, reb = build_streaming()
+        store.preload(KEYS, value_size=10)
+        reb.bootstrap_node(0)
+        store.sim.run(until=1.0)
+        reb.decommission_node(reb.decommission_candidate())
+        store.sim.run(until=2.0)
+        block = reb.summary()
+        assert list(block)[:5] == [
+            "nodes_initial", "nodes_final", "scale_outs", "scale_ins", "events",
+        ]
+        assert (block["nodes_initial"], block["nodes_final"]) == (5, 5)
+        assert (block["scale_outs"], block["scale_ins"]) == (1, 1)
+        assert [e["kind"] for e in block["events"]] == ["scale-out", "scale-in"]
+        assert all(list(e) == sorted(e) for e in block["events"])
+        assert block["migrations_started"] == block["migrations_completed"] == 2
+        assert block["pending_final"] == 0
+
+    def test_one_rebalancer_per_store(self):
+        store, reb = build_streaming()
+        with pytest.raises(ConfigError, match="already has a rebalancer"):
+            StreamingRebalancer(store)
+        assert store.rebalancer is reb
+
+
 class TestInFlightWrites:
     """The hand-off gate's table exists only while a rebalancer is attached."""
 
@@ -569,13 +670,13 @@ class TestCrashWindowProperty:
 
 def build_autoscaled(config=None, n_nodes=4, **store_config):
     store = build_store(n_nodes=n_nodes, **store_config)
-    cluster = ElasticCluster(
+    reb = StreamingRebalancer(
         store, RebalanceConfig(pump_interval=0.002, attempt_timeout=0.02)
     )
     monitor = ClusterMonitor(window=2.0)
     store.observe(monitor)
     scaler = CostAwareAutoscaler(
-        cluster,
+        reb,
         monitor,
         EC2_US_EAST_2013,
         config
@@ -584,7 +685,7 @@ def build_autoscaled(config=None, n_nodes=4, **store_config):
             scale_in_util=0.2, max_nodes=6,
         ),
     )
-    return store, cluster, scaler
+    return store, reb, scaler
 
 
 def force_signals(scaler, util, queue=0.0):
@@ -594,46 +695,46 @@ def force_signals(scaler, util, queue=0.0):
 
 class TestAutoscaler:
     def test_scale_out_needs_consecutive_breaches(self):
-        store, cluster, scaler = build_autoscaled()
+        store, reb, scaler = build_autoscaled()
         force_signals(scaler, util=0.9)
         scaler.start()
         store.sim.run(until=0.025)  # two ticks: not enough
-        assert cluster.scale_outs == 0
+        assert reb.scale_outs == 0
         store.sim.run(until=0.035)  # third consecutive breach
-        assert cluster.scale_outs == 1
+        assert reb.scale_outs == 1
 
     def test_brief_spike_does_not_scale(self):
-        store, cluster, scaler = build_autoscaled()
+        store, reb, scaler = build_autoscaled()
         spiky = iter([0.9, 0.9, 0.1, 0.9, 0.9, 0.1] * 10)
         scaler.observed_utilization = lambda: next(spiky)
         scaler.mean_queue_depth = lambda: 0.0
         scaler.start()
         store.sim.run(until=0.1)
-        assert cluster.scale_outs == 0
+        assert reb.scale_outs == 0
 
     def test_cooldown_blocks_back_to_back_changes(self):
-        store, cluster, scaler = build_autoscaled()
+        store, reb, scaler = build_autoscaled()
         force_signals(scaler, util=0.9)
         scaler.start()
         store.sim.run(until=0.06)
         # one change, then the migration + 0.05s cooldown must gate the next
-        assert cluster.scale_outs == 1
+        assert reb.scale_outs == 1
         store.sim.run(until=0.2)
-        assert cluster.scale_outs >= 2  # resumes after cooldown
+        assert reb.scale_outs >= 2  # resumes after cooldown
 
     def test_max_nodes_clamps(self):
-        store, cluster, scaler = build_autoscaled()
+        store, reb, scaler = build_autoscaled()
         force_signals(scaler, util=0.95)
         scaler.start()
         store.sim.run(until=2.0)
-        assert cluster.n_members == 6  # max_nodes
+        assert store.ring.n_nodes == 6  # max_nodes
 
     def test_scale_in_floors_at_rf(self):
-        store, cluster, scaler = build_autoscaled(n_nodes=5)
+        store, reb, scaler = build_autoscaled(n_nodes=5)
         force_signals(scaler, util=0.01)
         scaler.start()
         store.sim.run(until=2.0)
-        assert cluster.n_members == 3  # rf floor
+        assert store.ring.n_nodes == 3  # rf floor
         assert all(d["action"] == "scale-in" for d in scaler.decisions)
         assert all("projected_util" in d for d in scaler.decisions)
 
@@ -644,28 +745,28 @@ class TestAutoscaler:
         # scale_out_util 0.6 x SCALE_IN_HEADROOM 0.8: a smaller cluster
         # projected above 0.48 would soon scale back out, so it stays put
         assert autoscale.SCALE_IN_HEADROOM == 0.8
-        store, cluster, scaler = build_autoscaled(n_nodes=5)
+        store, reb, scaler = build_autoscaled(n_nodes=5)
         force_signals(scaler, util=0.01)
         scaler._stage_utilization = lambda *args: projected
         scaler.start()
         store.sim.run(until=0.2)
-        assert (cluster.n_members < 5) == scales_in
+        assert (store.ring.n_nodes < 5) == scales_in
         assert all(d["projected_util"] == projected for d in scaler.decisions)
 
     def test_queue_depth_triggers_scale_out(self):
-        store, cluster, scaler = build_autoscaled()
+        store, reb, scaler = build_autoscaled()
         force_signals(scaler, util=0.1, queue=50.0)
         scaler.start()
         store.sim.run(until=0.2)
-        assert cluster.scale_outs >= 1
+        assert reb.scale_outs >= 1
 
     def test_no_decision_while_migrating(self):
-        store, cluster, scaler = build_autoscaled()
+        store, reb, scaler = build_autoscaled()
         store.preload(KEYS, value_size=10)
         force_signals(scaler, util=0.9)
         scaler.start()
         store.sim.run(until=0.035)
-        assert cluster.scale_outs == 1
+        assert reb.scale_outs == 1
         # while the resulting migration streams, breaches must not stack
         assert scaler._streak_out == 0
 
@@ -779,19 +880,19 @@ class TestScaleInProjection:
         assert scaler._stage_utilization(*args) == expected
 
     def test_scale_in_projects_one_node_fewer_at_quorum_reads(self):
-        store, cluster, scaler = build_autoscaled(n_nodes=5)
+        store, reb, scaler = build_autoscaled(n_nodes=5)
         force_signals(scaler, util=0.01)
         calls = []
         project = scaler._stage_utilization
 
         def recording(*args):
-            calls.append((cluster.n_members, args))
+            calls.append((store.ring.n_nodes, args))
             return project(*args)
 
         scaler._stage_utilization = recording
         scaler.start()
         store.sim.run(until=2.0)
-        assert cluster.n_members == 3 and len(calls) >= 2
+        assert store.ring.n_nodes == 3 and len(calls) >= 2
         for members, (reads, writes, n_nodes, rf, level) in calls:
             assert n_nodes == members - 1
             assert (rf, level) == (3, 2)

@@ -142,7 +142,7 @@ class TestOutcomeShape:
     def test_plain_run(self):
         out = run(_plain_spec())
         assert isinstance(out, RunOutcome)
-        assert out.tstore is None and out.cluster is None and out.autoscaler is None
+        assert out.tstore is None and out.rebalancer is None and out.autoscaler is None
         assert out.report.txn is None and out.report.elastic is None
         # The report covers the measured window: 400 ops minus 20% warmup.
         assert out.report.ops_completed == 320
@@ -151,7 +151,7 @@ class TestOutcomeShape:
         out = run(_txn_spec())
         assert isinstance(out, RunOutcome)
         assert out.tstore is not None and out.tstore.store is out.store
-        assert out.cluster is None and out.autoscaler is None
+        assert out.rebalancer is None and out.autoscaler is None
         assert out.report.elastic is None
         txn = out.report.txn
         assert txn["commits"] + sum(txn["aborts"].values()) == txn["txns"]
@@ -159,7 +159,7 @@ class TestOutcomeShape:
     def test_elastic_run(self):
         out = run(_elastic_spec())
         assert isinstance(out, RunOutcome)
-        assert out.cluster is not None and out.cluster.store is out.store
+        assert out.rebalancer is not None and out.rebalancer.store is out.store
         assert out.autoscaler is None  # none configured
         assert out.tstore is None and out.report.txn is None
         assert out.report.elastic is not None
@@ -167,7 +167,7 @@ class TestOutcomeShape:
 
     def test_elastic_run_with_autoscaler(self):
         out = run(_elastic_spec(elastic=ElasticSpec(autoscaler=AutoscalerConfig())))
-        assert out.autoscaler is not None and out.autoscaler.cluster is out.cluster
+        assert out.autoscaler is not None and out.autoscaler.rebalancer is out.rebalancer
         assert out.report.elastic["autoscaler"] == out.autoscaler.summary()
 
     def test_observer_is_wired_into_the_txn_store(self):

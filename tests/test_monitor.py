@@ -9,6 +9,7 @@ from repro.cluster.coordinator import OpResult
 from repro.monitor.collector import ClusterMonitor
 from repro.monitor import keyfreq
 from repro.monitor.keyfreq import KeyFrequencyTracker
+from repro.obs.recorder import ObsConfig, RunObserver
 
 
 def op(kind, key, t_start, t_end, ok=True, acks=None):
@@ -212,8 +213,8 @@ class TestClusterMonitor:
         assert snap.replication_factor() == 0
         assert snap.propagation_windows(1) == []
 
-    def test_elastic_events_fold_into_counters(self):
-        m = ClusterMonitor()
+    def test_elastic_events_fold_into_the_observer_counters(self, store):
+        obs = RunObserver(store, ObsConfig(trace=False, oracles=False))
         for event in (
             {"kind": "scale-out"},
             {"kind": "scale-out"},
@@ -222,10 +223,15 @@ class TestClusterMonitor:
             {"kind": "migration-complete", "keys_streamed": 10, "bytes_streamed": 900},
             {"kind": "something-else"},
         ):
-            m.on_elastic_event(event)
-        counter = m.metrics.counter
-        assert counter("scale_outs").value == 2
-        assert counter("scale_ins").value == 1
+            obs.on_elastic_event(event)
+        assert (obs.scale_outs, obs.scale_ins) == (2, 1)
+
+    def test_monitor_binds_no_txn_or_elastic_hook(self, store):
+        # only the run observer reads verdicts and scale events
+        store.observe(ClusterMonitor())
+        assert store.hooks["on_txn_complete"] == []
+        assert store.hooks["on_elastic_event"] == []
+        assert len(store.hooks["on_op_complete"]) == 1
 
     def test_live_against_store(self, store):
         m = ClusterMonitor(window=5.0)

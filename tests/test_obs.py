@@ -1,4 +1,4 @@
-"""Tests for the observability subsystem: metrics, events, traces, timelines.
+"""Tests for the observability subsystem: samples, events, traces, timelines.
 
 The load-bearing guarantees:
 
@@ -21,11 +21,10 @@ import pytest
 from repro.cluster.failures import FailureInjector
 from repro.common.errors import ConfigError
 from repro.experiments import scenarios
-from repro.experiments.runner import harmony_factory
+from repro.experiments.runner import harmony_factory, static_factory
 from repro.facade import RunSpec, run
 from repro.experiments.sweep import SweepRunner, plan_sweep
 from repro.obs.events import EventBus, ObsEvent
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import TIMELINE_SCHEMA, ObsConfig, RunObserver
 from repro.obs.report import (
     find_timelines,
@@ -34,28 +33,11 @@ from repro.obs.report import (
     samples_csv,
     validate_timeline,
 )
-from repro.obs import sampler as sampler_mod
+from repro.obs import recorder as recorder_mod
 from repro.obs import trace as trace_mod
-from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.trace import Tracer
-from repro.simcore.simulator import Simulator
 
 TINY_OPS = 400
-
-
-class TestMetricsRegistry:
-    def test_counter_get_or_create(self):
-        reg = MetricsRegistry()
-        c = reg.counter("reads")
-        c.inc()
-        c.inc(2)
-        assert reg.counter("reads") is c and c.value == 3
-        # a different name is a different counter
-        assert reg.counter("writes").value == 0
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ConfigError):
-            MetricsRegistry().counter("")
 
 
 class TestEventBus:
@@ -118,46 +100,47 @@ class TestTracer:
         assert build() == build()
 
 
-class TestTimeSeriesSampler:
-    def test_ticks_at_interval(self):
-        sim = Simulator()
-        sampler = TimeSeriesSampler(sim, 0.5, lambda now: {"x": now})
-        sampler.start()
+def _bare_observer(store, interval: float) -> RunObserver:
+    return RunObserver(
+        store, ObsConfig(sample_interval=interval, trace=False, oracles=False)
+    )
+
+
+def _sample_times(observer: RunObserver):
+    return [r["t"] for r in observer.timeline_records() if r["type"] == "sample"]
+
+
+class TestSampleTick:
+    def test_ticks_at_interval(self, store):
+        obs = _bare_observer(store, 0.5)
         # ticks are self-perpetuating, so bound the run by a horizon (the
-        # workload harnesses always run with `until=` + `stop()`)
-        sim.run(until=2.1)
-        assert [s["t"] for s in sampler.samples] == [0.5, 1.0, 1.5, 2.0]
+        # run pipeline always ends with `finish()`)
+        store.sim.run(until=2.1)
+        assert _sample_times(obs) == [0.5, 1.0, 1.5, 2.0]
 
-    def test_stop_disarms(self):
-        sim = Simulator()
-        sampler = TimeSeriesSampler(sim, 0.5, lambda now: {})
-        sampler.start()
-        sim.run(until=1.1)
-        sampler.stop()
-        sim.schedule_at(5.0, lambda: None)
-        sim.run()
-        assert len(sampler.samples) == 2
+    def test_finish_disarms(self, store):
+        obs = _bare_observer(store, 0.5)
+        store.sim.run(until=1.1)
+        obs.finish()  # the closing sample at the cutoff
+        store.sim.schedule_at(5.0, lambda: None)
+        store.sim.run()
+        assert _sample_times(obs) == [0.5, 1.0, 1.1]
 
-    def test_running_follows_start_and_stop(self):
-        sampler = TimeSeriesSampler(Simulator(), 0.5, lambda now: {})
-        assert not sampler.running
-        sampler.start()
-        assert sampler.running
-        sampler.stop()
-        assert not sampler.running
-
-    def test_max_samples_cap(self, monkeypatch):
-        monkeypatch.setattr(sampler_mod, "MAX_SAMPLES", 3)
-        sim = Simulator()
-        sampler = TimeSeriesSampler(sim, 0.1, lambda now: {})
-        sampler.start()
-        sim.schedule_at(10.0, lambda: None)
-        sim.run()
-        assert len(sampler.samples) == 3
+    def test_max_samples_cap(self, store, monkeypatch):
+        monkeypatch.setattr(recorder_mod, "MAX_SAMPLES", 3)
+        obs = _bare_observer(store, 0.1)
+        store.sim.schedule_at(10.0, lambda: None)
+        store.sim.run()
+        assert len(_sample_times(obs)) == 3
+        # the cap counts ticks: the closing sample still lands
+        obs.finish()
+        assert _sample_times(obs)[-1] == 10.0
+        assert obs.header()["samples"] == 4
+        assert obs.header()["max_samples"] == 3
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ConfigError):
-            TimeSeriesSampler(Simulator(), 0.0, lambda now: {})
+            ObsConfig(sample_interval=0.0)
 
 
 class TestFailureInjectorEvents:
@@ -527,8 +510,8 @@ class TestReportCli:
         assert "--out" in capsys.readouterr().err
 
 
-class TestMonitorMetricsBridge:
-    def test_monitor_counters_back_samples_without_double_count(self):
+class TestObserverScaleCounts:
+    def test_samples_carry_the_observer_counts_without_double_count(self):
         run = scenarios.get("elastic-rebalance-storm").run(
             seed=5, ops=2000, obs=ObsConfig()
         )
@@ -538,5 +521,67 @@ class TestMonitorMetricsBridge:
         final = samples[-1]
         elastic = run.report.elastic
         assert elastic["scale_outs"] > 0
+        assert (run.obs.scale_outs, run.obs.scale_ins) == (
+            elastic["scale_outs"],
+            elastic["scale_ins"],
+        )
         assert final["scale_outs"] == elastic["scale_outs"]
         assert final["scale_ins"] == elastic["scale_ins"]
+
+    @pytest.mark.parametrize(
+        "policy, has_scale",
+        [(static_factory(1, 1), False), (harmony_factory(0.4), True)],
+        ids=["static", "harmony"],
+    )
+    def test_scale_fields_only_when_a_monitor_listened_first(self, policy, has_scale):
+        from repro.experiments.platforms import single_dc_platform
+
+        out = run(
+            RunSpec(
+                platform=single_dc_platform(),
+                policy=policy,
+                ops=TINY_OPS,
+                seed=5,
+                obs=ObsConfig(sample_interval=0.002),
+            )
+        )
+        samples = [r for r in out.obs.timeline_records() if r["type"] == "sample"]
+        assert len(samples) > 1
+        assert all(("scale_outs" in r) == has_scale for r in samples)
+        assert all(("scale_ins" in r) == has_scale for r in samples)
+
+    def test_a_monitor_attached_after_the_observer_adds_no_scale_fields(self, store):
+        from repro.monitor.collector import ClusterMonitor
+
+        obs = _bare_observer(store, 0.5)
+        store.observe(ClusterMonitor())
+        store.sim.run(until=1.1)
+        assert all(
+            "scale_outs" not in r
+            for r in obs.timeline_records()
+            if r["type"] == "sample"
+        )
+
+    def test_static_elastic_run_counts_scale_events_but_samples_omit_them(self):
+        from repro.elastic import ElasticSpec, RebalanceConfig
+        from repro.experiments.platforms import single_dc_platform
+
+        def script(reb):
+            reb.store.transport.post_at(0.02, reb.bootstrap_node, 0)
+
+        out = run(
+            RunSpec(
+                platform=single_dc_platform(),
+                policy=static_factory(1, 1),
+                ops=1200,
+                seed=5,
+                elastic=ElasticSpec(
+                    script=script,
+                    rebalance=RebalanceConfig(pump_interval=0.002),
+                ),
+                obs=ObsConfig(sample_interval=0.02),
+            )
+        )
+        assert out.report.elastic["scale_outs"] == out.obs.scale_outs == 1
+        samples = [r for r in out.obs.timeline_records() if r["type"] == "sample"]
+        assert not any("scale_outs" in r for r in samples)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.cluster.failures import FailureInjector
 from repro.cluster.store import CHANNELS
-from repro.elastic.cluster import ElasticCluster
+from repro.elastic.rebalance import StreamingRebalancer
 from repro.txn.api import TransactionalStore
 
 
@@ -34,7 +34,7 @@ class TestObserve:
         store.observe(c)
         assert store.observers == [a, b, tstore, c]
 
-        elastic = ElasticCluster(store)
+        elastic = StreamingRebalancer(store)
         FailureInjector(store).crash_node(4, at=0.1, duration=0.1)
 
         def commit():

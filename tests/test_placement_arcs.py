@@ -253,16 +253,16 @@ class TestSharedRecords:
             )
 
     def test_no_caller_mutates_a_record_through_an_elastic_run(self):
-        def churn(cluster):
-            sim = cluster.store.sim
+        def churn(reb):
+            sim = reb.store.sim
 
             def drain():
-                candidate = cluster.decommission_candidate()
+                candidate = reb.decommission_candidate()
                 if candidate is not None:
-                    cluster.decommission_node(candidate)
+                    reb.decommission_node(candidate)
 
-            sim.schedule_at(0.03, cluster.bootstrap_node, 0)
-            sim.schedule_at(0.09, cluster.bootstrap_node, 0)
+            sim.schedule_at(0.03, reb.bootstrap_node, 0)
+            sim.schedule_at(0.09, reb.bootstrap_node, 0)
             sim.schedule_at(0.15, drain)
             sim.schedule_at(0.21, drain)
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.versions import Version
 from repro.common.errors import ConfigError, SimulationError
-from repro.monitor.collector import ClusterMonitor
+from repro.obs.recorder import ObsConfig, RunObserver
 from repro.txn.api import TransactionalStore, TxnConfig
 from repro.txn.runner import TxnRunner
 from repro.txn.wal import (
@@ -458,12 +458,11 @@ class TestFailureModes:
         assert outcomes[0].reason == "read-failed"
 
 
-class TestMonitorIntegration:
-    def test_monitor_counts_txn_outcomes(self, simple_store):
+class TestObserverTxnCounts:
+    def test_observer_counts_txn_outcomes(self, simple_store):
         store = simple_store
-        monitor = ClusterMonitor(window=2.0)
-        store.observe(monitor)
         t = TransactionalStore(store, config=TxnConfig(**FAST))
+        obs = RunObserver(store, ObsConfig(trace=False, oracles=False))
 
         def writer():
             txn = t.begin(coordinator=1)
@@ -473,19 +472,19 @@ class TestMonitorIntegration:
         store.sim.schedule(0.0, writer)
         store.sim.schedule(0.0001, writer)
         settle(store)
-        counter = monitor.metrics.counter
-        assert counter("txn_commits").value == 1
-        assert counter("txn_aborts").value == 1
+        assert (obs.txn_commits, obs.txn_aborts, obs.txn_in_doubt) == (1, 1, 0)
+        obs.finish()
+        last = [r for r in obs.timeline_records() if r["type"] == "sample"][-1]
+        assert (last["txn_commits"], last["txn_aborts"]) == (1, 1)
 
     def test_in_doubt_resolution_reaches_listeners(self, simple_store):
         # TM crashes mid-round and only recovers *after* the client's
         # timeout: the client hears "in-doubt", the recovery pass later
-        # resolves it, and both the store counters and the monitor must
+        # resolves it, and both the store counters and the observer must
         # converge on the final verdict (nothing stays in-doubt forever).
         store = simple_store
-        monitor = ClusterMonitor(window=2.0)
-        store.observe(monitor)
         t = TransactionalStore(store, config=TxnConfig(**FAST))
+        obs = RunObserver(store, ObsConfig(trace=False, oracles=False))
         outcomes = []
 
         def go():
@@ -502,9 +501,13 @@ class TestMonitorIntegration:
         assert t.in_doubt_client == 1
         assert t.in_doubt_resolved == 1  # recovery settled it afterwards
         assert t.in_doubt_now() == 0
-        counter = monitor.metrics.counter
-        assert counter("txn_in_doubt").value == 0  # the late verdict moved the count
-        assert counter("txn_commits").value + counter("txn_aborts").value == 1
+        assert obs.txn_in_doubt == 0  # the late verdict moved the count
+        assert obs.txn_commits + obs.txn_aborts == 1
+        # the client-side in-doubt verdict showed in a sample before that
+        in_doubt = [
+            r["txn_in_doubt"] for r in obs.timeline_records() if r["type"] == "sample"
+        ]
+        assert 1 in in_doubt and in_doubt[-1] == 0
 
     def test_reset_metrics_zeroes_txn_surfaces(self, simple_store):
         store = simple_store

@@ -428,6 +428,7 @@ def cli_runs(tmp: str) -> List[List[str]]:
         runs.append(["txn", "--ops", "200", "--protocol", protocol])
     runs += [
         ["elastic", "--ops", "2000"],
+        ["elastic", "--ops", "2000", "--scenario", "elastic-rebalance-storm"],
         ["xval", "--txns", "12", "--clients", "4", "--levels", "0.0,0.9",
          "--timeout", "60", "--json"],
         ["sweep", "--jobs", "1", "--ops", "300", "--out", out("plain")],
