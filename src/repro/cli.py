@@ -316,48 +316,38 @@ def _report(args) -> None:
 def _report_slo(args, paths) -> None:
     """Grade each timeline against its SLO; exit 1 on any breach.
 
-    The spec comes from the artifact itself (``meta_slo`` in the header,
-    stamped by the scenario harness) or, failing that, from the scenario
-    registry via ``meta_scenario``. Exit codes: 0 = every graded timeline
-    passed, 1 = at least one breach, 2 = no timeline carries or maps to
-    an SLO (or other bad input).
+    Each timeline is validated first; the spec is the ``meta_slo`` the
+    scenario harness stamps into its header. Exit codes: 0 = every graded
+    timeline passed, 1 = at least one breach, 2 = an invalid timeline, or
+    no timeline carries an SLO.
     """
     import os
 
-    from repro.obs.report import load_timeline
+    from repro.obs.report import load_timeline, validate_timeline
     from repro.obs.slo import SLOSpec, evaluate_slo
 
     graded = 0
     breached = False
     for i, path in enumerate(paths):
         records = load_timeline(path)
-        head = records[0] if records and records[0].get("type") == "header" else {}
-        spec = None
-        if isinstance(head.get("meta_slo"), dict):
-            spec = SLOSpec.from_dict(head["meta_slo"])
-        else:
-            scenario = head.get("meta_scenario")
-            if scenario:
-                from repro.experiments import scenarios
-
-                try:
-                    spec = scenarios.get(str(scenario)).slo
-                except ConfigError:
-                    spec = None
+        problems = validate_timeline(records)
+        if problems:
+            raise ConfigError(
+                f"{path}: invalid timeline ({'; '.join(problems[:3])})"
+            )
         source = os.path.relpath(path, args.path) if path != args.path else path
         if i:
             print()
-        if spec is None:
-            print(f"{source}: no SLO (none in header, none in registry)")
+        slo = records[0].get("meta_slo")
+        if not isinstance(slo, dict):
+            print(f"{source}: no SLO in the header")
             continue
-        report = evaluate_slo(records, spec)
+        report = evaluate_slo(records, SLOSpec.from_dict(slo))
         print(report.render(source))
         graded += 1
         breached = breached or not report.ok
     if not graded:
-        raise ConfigError(
-            f"no timeline under {args.path} carries or maps to an SLO spec"
-        )
+        raise ConfigError(f"no timeline under {args.path} carries an SLO spec")
     if breached:
         raise SystemExit(1)
 
@@ -567,9 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--slo",
                 action="store_true",
-                help="grade each timeline against its SLO spec (header "
-                "meta_slo, else the scenario registry); exit 0 = pass, "
-                "1 = breach, 2 = no SLO resolvable",
+                help="grade each timeline against the SLO spec in its "
+                "header (meta_slo); exit 0 = pass, 1 = breach, "
+                "2 = invalid timeline or no SLO",
             )
         if name == "diff":
             p.add_argument(

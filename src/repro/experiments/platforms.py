@@ -5,7 +5,7 @@ configuration, price book and default workload scale. Node counts follow
 the paper; operation counts are scaled down (the paper runs 3M-10M
 operations on physical testbeds; the simulator defaults to tens of
 thousands, which the staleness/cost *ratios* have long converged at --
-every preset's scale knob can be turned up).
+``RunSpec.ops`` and the workload's record count size a longer run).
 
 Latency calibration (one-way, lognormal with heavy tail):
 
@@ -103,7 +103,7 @@ def _g5k_latencies() -> Dict[LinkClass, LogNormalLatency]:
     }
 
 
-def single_dc_platform(scale: float = 1.0) -> Platform:
+def single_dc_platform() -> Platform:
     """A single-datacenter baseline deployment: 12 nodes, RF=3, LAN only.
 
     Not a paper platform -- the control case the scenario sweeps use to
@@ -119,13 +119,13 @@ def single_dc_platform(scale: float = 1.0) -> Platform:
         ),
         strategy_factory=lambda: SimpleStrategy(rf=3),
         prices=FREE_PRIVATE_CLOUD,
-        default_record_count=int(1000 * scale),
-        default_ops=int(30_000 * scale),
+        default_record_count=1000,
+        default_ops=30_000,
         default_clients=32,
     )
 
 
-def small_dc_platform(scale: float = 1.0) -> Platform:
+def small_dc_platform() -> Platform:
     """An intentionally tight deployment: 4 thin nodes, RF=3, one LAN DC.
 
     The elastic scenarios' starting point -- the cluster runs hot under the
@@ -142,14 +142,14 @@ def small_dc_platform(scale: float = 1.0) -> Platform:
         ),
         strategy_factory=lambda: SimpleStrategy(rf=3),
         prices=EC2_US_EAST_2013,
-        default_record_count=int(800 * scale),
-        default_ops=int(20_000 * scale),
+        default_record_count=800,
+        default_ops=20_000,
         default_clients=48,
         store_config=StoreConfig(servers_per_node=2, mutation_servers_per_node=2),
     )
 
 
-def ec2_harmony_platform(scale: float = 1.0) -> Platform:
+def ec2_harmony_platform() -> Platform:
     """§IV-A on EC2: 20 VMs over two availability zones, RF=3.
 
     The paper deploys Cassandra on 20 EC2 VMs with a 23.85 GB data set and
@@ -164,14 +164,14 @@ def ec2_harmony_platform(scale: float = 1.0) -> Platform:
         ),
         strategy_factory=lambda: NetworkTopologyStrategy({0: 2, 1: 1}),
         prices=EC2_US_EAST_2013,
-        default_record_count=int(1000 * scale),
-        default_ops=int(30_000 * scale),
+        default_record_count=1000,
+        default_ops=30_000,
         default_clients=32,
     )
 
 
-def grid5000_harmony_platform(scale: float = 1.0) -> Platform:
-    """§IV-A on Grid'5000: 84 nodes over two sites, RF=3, 3M ops at scale 1.
+def grid5000_harmony_platform() -> Platform:
+    """§IV-A on Grid'5000: 84 nodes over two sites, RF=3 (3M ops in the paper).
 
     Tolerated stale rates tested there are 20% and 40%. The WAN hop is the
     Rennes <-> Sophia RENATER path (~9 ms one-way).
@@ -185,13 +185,13 @@ def grid5000_harmony_platform(scale: float = 1.0) -> Platform:
         ),
         strategy_factory=lambda: NetworkTopologyStrategy({0: 2, 1: 1}),
         prices=FREE_PRIVATE_CLOUD,
-        default_record_count=int(1000 * scale),
-        default_ops=int(30_000 * scale),
+        default_record_count=1000,
+        default_ops=30_000,
         default_clients=32,
     )
 
 
-def storm_txn_platform(scale: float = 1.0) -> Platform:
+def storm_txn_platform() -> Platform:
     """A deliberately small two-site cluster for the commit-protocol storms.
 
     Ten nodes over the Grid'5000 WAN, RF=3 with a cross-site replica. Not
@@ -211,13 +211,13 @@ def storm_txn_platform(scale: float = 1.0) -> Platform:
         ),
         strategy_factory=lambda: NetworkTopologyStrategy({0: 2, 1: 1}),
         prices=FREE_PRIVATE_CLOUD,
-        default_record_count=int(400 * scale),
-        default_ops=int(12_000 * scale),
+        default_record_count=400,
+        default_ops=12_000,
         default_clients=12,
     )
 
 
-def ec2_cost_platform(scale: float = 1.0) -> Platform:
+def ec2_cost_platform() -> Platform:
     """§IV-B cost experiments: 18 VMs, two AZs of us-east-1, RF=5.
 
     The paper: "Apache Cassandra was deployed with a replication factor of
@@ -233,14 +233,14 @@ def ec2_cost_platform(scale: float = 1.0) -> Platform:
         ),
         strategy_factory=lambda: NetworkTopologyStrategy({0: 3, 1: 2}),
         prices=EC2_US_EAST_2013,
-        default_record_count=int(120 * scale),
-        default_ops=int(40_000 * scale),
+        default_record_count=120,
+        default_ops=40_000,
         default_clients=64,
         store_config=StoreConfig(read_repair_chance=0.0),
     )
 
 
-def grid5000_bismar_platform(scale: float = 1.0) -> Platform:
+def grid5000_bismar_platform() -> Platform:
     """§IV-B Bismar evaluation: 50 nodes over two French sites, RF=5.
 
     Grid'5000 has no cloud bill; runs are priced with the EC2 price book
@@ -255,8 +255,8 @@ def grid5000_bismar_platform(scale: float = 1.0) -> Platform:
         ),
         strategy_factory=lambda: NetworkTopologyStrategy({0: 3, 1: 2}),
         prices=EC2_US_EAST_2013,
-        default_record_count=int(120 * scale),
-        default_ops=int(40_000 * scale),
+        default_record_count=120,
+        default_ops=40_000,
         default_clients=64,
         store_config=StoreConfig(read_repair_chance=0.0),
     )

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.tables import Table
-from repro.obs.report import find_timelines, load_timeline
+from repro.obs.report import anomaly_counts, find_timelines, load_timeline
 
 __all__ = ["diff_paths", "diff_timelines", "pair_timelines", "render_diff"]
 
@@ -109,15 +109,6 @@ def _column_stats(
     return mean, final
 
 
-def _anomaly_counts(records: List[Dict[str, Any]]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for r in records:
-        if r.get("type") == "anomaly" and r.get("phase") in ("start", "point"):
-            name = str(r.get("oracle", "?"))
-            counts[name] = counts.get(name, 0) + 1
-    return counts
-
-
 def _event_counts(records: List[Dict[str, Any]]) -> Dict[str, int]:
     counts: Dict[str, int] = {}
     for r in records:
@@ -154,7 +145,7 @@ def diff_timelines(
             row["delta_mean"] = None
         metrics.append(row)
 
-    anom_a, anom_b = _anomaly_counts(records_a), _anomaly_counts(records_b)
+    anom_a, anom_b = anomaly_counts(records_a), anomaly_counts(records_b)
     anomalies: List[Dict[str, Any]] = []
     for oracle in sorted(set(anom_a) | set(anom_b)):
         a, b = anom_a.get(oracle, 0), anom_b.get(oracle, 0)

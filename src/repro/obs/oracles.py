@@ -89,15 +89,43 @@ class OracleConfig:
 _Emit = Callable[..., None]
 
 
-class _StaleBurstOracle:
+class _IntervalOracle:
+    """An edge-triggered interval invariant.
+
+    :meth:`_edge` emits ``start`` (with the caller's fields) when the
+    violation first holds and ``end`` with its ``duration`` when it
+    clears; :meth:`finish` closes a still-open interval as
+    ``unresolved``.
+    """
+
+    name = ""
+
+    def __init__(self, emit: _Emit):
+        self._emit = emit
+        self._open_since: Optional[float] = None
+
+    def _edge(self, now: float, holds: bool, **start: Any) -> None:
+        if holds and self._open_since is None:
+            self._open_since = now
+            self._emit(self.name, "start", now, **start)
+        elif not holds and self._open_since is not None:
+            self._emit(self.name, "end", now, duration=now - self._open_since)
+            self._open_since = None
+
+    def finish(self, now: float) -> None:
+        if self._open_since is not None:
+            since, self._open_since = self._open_since, None
+            self._emit(self.name, "end", now, duration=now - since, unresolved=True)
+
+
+class _StaleBurstOracle(_IntervalOracle):
     """Windowed ground-truth stale-read rate over rolling sampler ticks."""
 
     name = "stale-burst"
 
     def __init__(self, emit: _Emit):
-        self._emit = emit
+        super().__init__(emit)
         self._window: List[Tuple[int, int]] = []  # (reads, stale) per tick
-        self._open_since: Optional[float] = None
 
     def on_tick(self, now: float, window_reads: int, window_stale: int) -> None:
         self._window.append((window_reads, window_stale))
@@ -106,33 +134,13 @@ class _StaleBurstOracle:
         reads = sum(r for r, _ in self._window)
         stale = sum(s for _, s in self._window)
         rate = stale / reads if reads else 0.0
-        burst = reads >= STALE_MIN_READS and rate > STALE_RATE_THRESHOLD
-        if burst and self._open_since is None:
-            self._open_since = now
-            self._emit(
-                self.name,
-                "start",
-                now,
-                window_rate=rate,
-                window_reads=reads,
-                threshold=STALE_RATE_THRESHOLD,
-            )
-        elif not burst and self._open_since is not None:
-            self._emit(
-                self.name, "end", now, duration=now - self._open_since
-            )
-            self._open_since = None
-
-    def finish(self, now: float) -> None:
-        if self._open_since is not None:
-            self._emit(
-                self.name,
-                "end",
-                now,
-                duration=now - self._open_since,
-                unresolved=True,
-            )
-            self._open_since = None
+        self._edge(
+            now,
+            reads >= STALE_MIN_READS and rate > STALE_RATE_THRESHOLD,
+            window_rate=rate,
+            window_reads=reads,
+            threshold=STALE_RATE_THRESHOLD,
+        )
 
 
 class _InDoubtDwellOracle:
@@ -140,7 +148,7 @@ class _InDoubtDwellOracle:
 
     name = "in-doubt-dwell"
 
-    def __init__(self, config: OracleConfig, emit: _Emit, store=None):
+    def __init__(self, config: OracleConfig, emit: _Emit, store):
         self._config = config
         self._emit = emit
         self._store = store
@@ -174,8 +182,6 @@ class _InDoubtDwellOracle:
             self._prepared[key] = t
 
     def _node_down(self, node_id: int) -> bool:
-        if self._store is None:
-            return False
         nodes = self._store.nodes
         if not 0 <= node_id < len(nodes):
             return False
@@ -221,11 +227,6 @@ class _InDoubtDwellOracle:
                 )
 
     @property
-    def pending(self) -> int:
-        """(node, txn) pairs currently prepared without a decision."""
-        return len(self._prepared)
-
-    @property
     def overdue(self) -> int:
         """(node, txn) pairs held past the dwell budget (open anomalies).
 
@@ -248,17 +249,16 @@ class _InDoubtDwellOracle:
         self._open.clear()
 
 
-class _RebalanceStallOracle:
+class _RebalanceStallOracle(_IntervalOracle):
     """Active migration with no streaming progress for too long."""
 
     name = "rebalance-stall"
 
     def __init__(self, emit: _Emit, store):
-        self._emit = emit
+        super().__init__(emit)
         self._store = store
         self._last_sig: Optional[Tuple[int, ...]] = None
         self._last_progress_t = 0.0
-        self._open_since: Optional[float] = None
 
     def on_migration_start(self, t: float) -> None:
         # restart the stall clock: a fresh migration is allowed the full
@@ -267,49 +267,25 @@ class _RebalanceStallOracle:
         self._last_sig = None
 
     def on_tick(self, now: float) -> None:
-        reb = getattr(self._store, "rebalancer", None)
+        reb = self._store.rebalancer
         if reb is None or not reb.active:
-            if self._open_since is not None:
-                self._emit(
-                    self.name, "end", now, duration=now - self._open_since
-                )
-                self._open_since = None
             self._last_sig = None
+            self._edge(now, False)
             return
         sig = reb.progress_signature()
         if sig != self._last_sig:
             self._last_sig = sig
             self._last_progress_t = now
-            if self._open_since is not None:
-                self._emit(
-                    self.name, "end", now, duration=now - self._open_since
-                )
-                self._open_since = None
-            return
         stalled = now - self._last_progress_t
-        if stalled >= REBALANCE_STALL and self._open_since is None:
-            self._open_since = now
-            self._emit(
-                self.name,
-                "start",
-                now,
-                stalled_for=stalled,
-                pending_keys=reb.pending_keys(),
-            )
-
-    def finish(self, now: float) -> None:
-        if self._open_since is not None:
-            self._emit(
-                self.name,
-                "end",
-                now,
-                duration=now - self._open_since,
-                unresolved=True,
-            )
-            self._open_since = None
+        self._edge(
+            now,
+            stalled >= REBALANCE_STALL,
+            stalled_for=stalled,
+            pending_keys=reb.pending_keys(),
+        )
 
 
-class _QuorumLossOracle:
+class _QuorumLossOracle(_IntervalOracle):
     """No connected component holds a majority of the non-retired nodes.
 
     Node up/retired state is read from the store (the source of truth the
@@ -321,10 +297,9 @@ class _QuorumLossOracle:
     name = "quorum-loss"
 
     def __init__(self, emit: _Emit, store):
-        self._emit = emit
+        super().__init__(emit)
         self._store = store
         self._partitions: set = set()
-        self._open_since: Optional[float] = None
 
     def on_fault(self, event: ObsEvent) -> None:
         if event.kind == "partition":
@@ -371,31 +346,11 @@ class _QuorumLossOracle:
             component_live[root] = component_live.get(root, 0) + live_by_dc[dc]
         best = max(component_live.values()) if component_live else 0
         lost = total > 0 and best < needed
-        if lost and self._open_since is None:
-            self._open_since = now
-            self._emit(
-                self.name, "start", now, live=best, needed=needed, total=total
-            )
-        elif not lost and self._open_since is not None:
-            self._emit(
-                self.name, "end", now, duration=now - self._open_since
-            )
-            self._open_since = None
+        self._edge(now, lost, live=best, needed=needed, total=total)
 
     def on_tick(self, now: float) -> None:
         # membership can change without a fault event (elastic joins/retires)
         self.evaluate(now)
-
-    def finish(self, now: float) -> None:
-        if self._open_since is not None:
-            self._emit(
-                self.name,
-                "end",
-                now,
-                duration=now - self._open_since,
-                unresolved=True,
-            )
-            self._open_since = None
 
 
 class _MonotonicReadOracle:
@@ -433,12 +388,6 @@ class _MonotonicReadOracle:
         else:
             self._seen[key] = version
 
-    def on_tick(self, now: float) -> None:  # pragma: no cover - no-op
-        pass
-
-    def finish(self, now: float) -> None:  # pragma: no cover - no-op
-        pass
-
 
 class AnomalyOracles:
     """The oracle engine: owns the five oracles and the anomaly sink.
@@ -461,14 +410,6 @@ class AnomalyOracles:
         self.rebalance = _RebalanceStallOracle(emit, store)
         self.quorum = _QuorumLossOracle(emit, store)
         self.monotonic = _MonotonicReadOracle(emit)
-        self._all = (
-            self.stale_burst,
-            self.in_doubt,
-            self.rebalance,
-            self.quorum,
-            self.monotonic,
-        )
-        self._finished = False
 
     def _emit(self, oracle: str, phase: str, t: float, **data: Any) -> None:
         count = self.counts.get(oracle, 0)
@@ -505,16 +446,6 @@ class AnomalyOracles:
     def on_txn_doubt_resolved(self, node_id: int, txn_id: int, t: float) -> None:
         self.in_doubt.on_resolved(node_id, txn_id, t)
 
-    @property
-    def blocked_now(self) -> int:
-        """Participants blocked in doubt right now (dwell-oracle state).
-
-        Counts only pairs held past the configured dwell budget, so the
-        signal discriminates protocol blocking from the healthy prepared
-        window every commit round necessarily has.
-        """
-        return self.in_doubt.overdue
-
     def on_tick(self, now: float, window_reads: int, window_stale: int) -> None:
         self.stale_burst.on_tick(now, window_reads, window_stale)
         self.in_doubt.on_tick(now)
@@ -523,10 +454,7 @@ class AnomalyOracles:
 
     def finish(self, now: float) -> None:
         """Close every still-open interval anomaly (``unresolved: true``)."""
-        if self._finished:
-            return
-        self._finished = True
-        for oracle in self._all:
+        for oracle in (self.stale_burst, self.in_doubt, self.rebalance, self.quorum):
             oracle.finish(now)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

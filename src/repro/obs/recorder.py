@@ -1,7 +1,7 @@
 """The run observer: one object wiring counts, events, traces, samples.
 
 A :class:`RunObserver` attaches to a deployed store (and optionally its
-policy and transactional layer) and records three streams into one
+policy and transactional layer) and records four streams into one
 chronological timeline:
 
 - **samples** -- periodic cluster snapshots (staleness, per-DC latency
@@ -17,6 +17,12 @@ chronological timeline:
   dwell, rebalance stalls, quorum loss, monotonic-read violations) from
   :class:`~repro.obs.oracles.AnomalyOracles`, edge-triggered and
   interleaved at their exact simulated time.
+
+The oracles run with every observer, so the timeline has one layout: the
+header always counts anomalies per oracle, and every sample carries the
+ground-truth read window (``window_reads``/``window_stale``) and the
+in-doubt oracle's ``txn_blocked`` count -- the fields
+:func:`repro.obs.report.validate_timeline` requires.
 
 With ``trace`` enabled it also builds spans: coordinator fan-outs with
 per-rank ack children (every ``trace_sample_every``-th operation,
@@ -55,10 +61,8 @@ from repro.obs.trace import Tracer
 
 __all__ = ["ObsConfig", "RunObserver", "TIMELINE_SCHEMA"]
 
-#: Timeline artifact schema tag, bumped on breaking record-layout changes.
-#: ``/2`` adds ``anomaly`` records (streaming oracle verdicts), per-sample
-#: ground-truth read windows, and header truncation/anomaly counters; the
-#: report loader still accepts ``/1`` artifacts.
+#: Timeline artifact schema tag, bumped on breaking record-layout changes;
+#: the report loader accepts this one schema only.
 TIMELINE_SCHEMA = "repro.obs/2"
 
 #: Hard cap on ticked samples per run (bounds memory and self-perpetuation).
@@ -78,12 +82,9 @@ class ObsConfig:
     trace_sample_every:
         Trace every N-th client operation's fan-out (1 = all). The
         counter-based choice keeps the selection deterministic.
-    oracles:
-        Run the streaming anomaly oracles (stale bursts, in-doubt dwell,
-        rebalance stalls, quorum loss, monotonic reads) and interleave
-        their ``anomaly`` records with the timeline.
     oracle_config:
-        Detection budgets and thresholds for the oracles.
+        Detection budgets for the streaming anomaly oracles, which always
+        run alongside the sampler.
     out_dir:
         When set, :meth:`RunObserver.finish` writes ``timeline.jsonl``
         (and ``trace.json`` if tracing) into this directory.
@@ -92,7 +93,6 @@ class ObsConfig:
     sample_interval: float = 0.25
     trace: bool = True
     trace_sample_every: int = 16
-    oracles: bool = True
     oracle_config: OracleConfig = field(default_factory=OracleConfig)
     out_dir: Optional[str] = None
 
@@ -154,10 +154,8 @@ class RunObserver:
         # deltas (feeds the per-sample window fields and the burst oracle)
         self._last_oracle_reads = store.oracle.reads
         self._last_oracle_stale = store.oracle.stale_reads
-        self.oracles: Optional[AnomalyOracles] = (
-            AnomalyOracles(store, config.oracle_config, self._records.append)
-            if config.oracles
-            else None
+        self.oracles = AnomalyOracles(
+            store, config.oracle_config, self._records.append
         )
 
         # verdict and scale counts; txn_in_doubt is net (a late verdict
@@ -195,7 +193,7 @@ class RunObserver:
     def on_op_complete(self, result) -> None:
         self._ops_seen += 1
         self._ops_since_tick += 1
-        if self.oracles is not None and result.kind == "read":
+        if result.kind == "read":
             self.oracles.on_read(result)
         if result.ok:
             acc = self._dc_read if result.kind == "read" else self._dc_write
@@ -253,8 +251,7 @@ class RunObserver:
             if k not in ("kind", "t"):
                 record[k] = v
         self._records.append(record)
-        if self.oracles is not None:
-            self.oracles.on_elastic_event(str(kind), t)
+        self.oracles.on_elastic_event(str(kind), t)
         tracer = self.tracer
         if tracer is None:
             return
@@ -286,8 +283,7 @@ class RunObserver:
 
     def on_fault(self, event: ObsEvent) -> None:
         self._records.append(event.to_record())
-        if self.oracles is not None:
-            self.oracles.on_fault(event)
+        self.oracles.on_fault(event)
         if self.tracer is not None:
             self.tracer.instant(event.kind, event.t, cat="failure", args=event.data)
 
@@ -362,13 +358,11 @@ class RunObserver:
         ``restart=True`` marks a recovery re-registration: the dwell clock
         restarts at ``t`` even if the crash fell between sample ticks.
         """
-        if self.oracles is not None:
-            self.oracles.on_txn_prepared(node_id, txn_id, t, restart=restart)
+        self.oracles.on_txn_prepared(node_id, txn_id, t, restart=restart)
 
     def on_txn_doubt_resolved(self, node_id: int, txn_id: int, t: float) -> None:
         """A participant's prepared state was resolved by a decision."""
-        if self.oracles is not None:
-            self.oracles.on_txn_doubt_resolved(node_id, txn_id, t)
+        self.oracles.on_txn_doubt_resolved(node_id, txn_id, t)
 
     # -- sampling --------------------------------------------------------------------
 
@@ -422,12 +416,11 @@ class RunObserver:
         sample["txn_commits"] = self.txn_commits
         sample["txn_aborts"] = self.txn_aborts
         sample["txn_in_doubt"] = self.txn_in_doubt
-        if self.oracles is not None:
-            # Participant-side blocked state straight from the in-doubt
-            # dwell oracle: (node, txn) pairs held prepared-without-decision
-            # past the dwell budget right now. The SLO engine integrates
-            # this signal over the sample windows into ``blocked_txn_time``.
-            sample["txn_blocked"] = self.oracles.blocked_now
+        # Participant-side blocked state straight from the in-doubt dwell
+        # oracle: (node, txn) pairs held prepared-without-decision past the
+        # dwell budget right now. The SLO engine integrates this signal
+        # over the sample windows into ``blocked_txn_time``.
+        sample["txn_blocked"] = self.oracles.in_doubt.overdue
         if self._sample_scale:
             sample["scale_outs"] = self.scale_outs
             sample["scale_ins"] = self.scale_ins
@@ -435,8 +428,7 @@ class RunObserver:
         self._records.append({"type": "sample", "t": now, **sample})
         # Oracles evaluate after the sample lands so their anomaly records
         # follow it at the same timestamp (stable interleaving).
-        if self.oracles is not None:
-            self.oracles.on_tick(now, window_reads, window_stale)
+        self.oracles.on_tick(now, window_reads, window_stale)
 
     # -- artifacts -------------------------------------------------------------------
 
@@ -453,12 +445,11 @@ class RunObserver:
             "max_samples": MAX_SAMPLES,
             "trace_events": len(self.tracer) if self.tracer is not None else 0,
             "trace_dropped": self.tracer.dropped if self.tracer is not None else 0,
-        }
-        if self.oracles is not None:
-            head["anomalies"] = {
+            "anomalies": {
                 k: self.oracles.counts[k] for k in sorted(self.oracles.counts)
-            }
-            head["anomalies_suppressed"] = self.oracles.suppressed
+            },
+            "anomalies_suppressed": self.oracles.suppressed,
+        }
         for k in sorted(self.run_meta):
             head[f"meta_{k}"] = self.run_meta[k]
         return head
@@ -478,8 +469,7 @@ class RunObserver:
             r["type"] == "sample" for r in self._records
         ):
             self._collect(now)
-        if self.oracles is not None:
-            self.oracles.finish(now)
+        self.oracles.finish(now)
         if self.tracer is not None:
             # Close spans still open at the cutoff (in-flight transactions,
             # unfinished migrations) so every begin has a matching end.

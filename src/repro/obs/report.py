@@ -7,10 +7,12 @@ interleaved with event/explain/anomaly markers) or a CSV of the sample
 series. Kept out of ``repro.obs.__init__`` so the hot path never pays
 for report-only imports.
 
-The loader accepts both schema generations: ``repro.obs/2`` (current;
-adds ``anomaly`` records and header truncation counters) and the
-``repro.obs/1`` artifacts older runs wrote -- those still validate and
-render, they simply carry no anomaly stream.
+The validator accepts only what the observer writes: the
+``TIMELINE_SCHEMA`` header, and samples carrying every field the SLO
+engine indexes directly (the ground-truth read window and the
+``txn_blocked`` signal of the always-on oracles). :func:`anomaly_counts`
+is the one count of oracle detections the SLO engine and ``repro diff``
+share.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.common.errors import ConfigError
 from repro.obs.recorder import TIMELINE_SCHEMA
 
 __all__ = [
-    "SUPPORTED_SCHEMAS",
+    "anomaly_counts",
     "find_timelines",
     "load_timeline",
     "render_text",
@@ -31,11 +33,15 @@ __all__ = [
     "validate_timeline",
 ]
 
-#: every schema generation the loader understands, oldest first.
-SUPPORTED_SCHEMAS = ("repro.obs/1", TIMELINE_SCHEMA)
-
 _RECORD_TYPES = ("sample", "event", "explain", "anomaly")
-_SAMPLE_REQUIRED = ("stale_rate", "level", "ops_per_s")
+_SAMPLE_REQUIRED = (
+    "stale_rate",
+    "level",
+    "ops_per_s",
+    "window_reads",
+    "window_stale",
+    "txn_blocked",
+)
 _ANOMALY_PHASES = ("start", "end", "point")
 
 
@@ -77,23 +83,17 @@ def validate_timeline(records: List[Dict[str, Any]]) -> List[str]:
     if not records:
         return ["timeline is empty"]
     head = records[0]
-    schema = head.get("schema")
     if head.get("type") != "header":
         problems.append("first record must be the header")
-    elif schema not in SUPPORTED_SCHEMAS:
+    elif head.get("schema") != TIMELINE_SCHEMA:
         problems.append(
-            f"unknown schema {schema!r} (supported: {', '.join(SUPPORTED_SCHEMAS)})"
+            f"unknown schema {head.get('schema')!r} (expected {TIMELINE_SCHEMA})"
         )
     last_t = float("-inf")
     for i, record in enumerate(records[1:], start=2):
         rtype = record.get("type")
         if rtype not in _RECORD_TYPES:
             problems.append(f"record {i}: unknown type {rtype!r}")
-            continue
-        if rtype == "anomaly" and schema == "repro.obs/1":
-            problems.append(
-                f"record {i}: anomaly records are not part of repro.obs/1"
-            )
             continue
         t = record.get("t")
         if not isinstance(t, (int, float)):
@@ -119,6 +119,16 @@ def validate_timeline(records: List[Dict[str, Any]]) -> List[str]:
                     f"{_ANOMALY_PHASES}, got {record.get('phase')!r}"
                 )
     return problems
+
+
+def anomaly_counts(records: List[Dict[str, Any]]) -> Dict[str, int]:
+    """Detections per oracle: its ``start`` and ``point`` anomaly records."""
+    counts: Dict[str, int] = {}
+    for r in records:
+        if r.get("type") == "anomaly" and r.get("phase") in ("start", "point"):
+            name = str(r.get("oracle", "?"))
+            counts[name] = counts.get(name, 0) + 1
+    return counts
 
 
 def _fmt(value: Any) -> str:

@@ -15,10 +15,13 @@ stamped into the timeline header (``meta_slo``) by
 :meth:`repro.experiments.scenarios.ScenarioSpec.run`, so ``repro report
 PATH --slo`` can grade artifacts long after the run -- and CI gates chaos
 scenarios on oracle silence with documented exit codes (0 = all pass,
-1 = breach, 2 = no SLO resolvable / bad input).
+1 = breach, 2 = an invalid timeline, or no header carries an SLO).
 
-Evaluation is pure and deterministic: plain arithmetic over the already
-written records, exact sorted-order percentiles, no RNG, no clock.
+The engine reads the sample fields :func:`repro.obs.report.validate_timeline`
+requires (``window_reads``, ``window_stale``, ``txn_blocked``) directly, so
+a timeline is validated before it is graded. Evaluation is pure and
+deterministic: plain arithmetic over the already written records, exact
+sorted-order percentiles, no RNG, no clock.
 """
 
 from __future__ import annotations
@@ -50,8 +53,7 @@ class SLOSpec:
     blocked_txn_time_max:
         Total simulated seconds with any participant *blocked* in doubt:
         prepared without a decision past the dwell oracle's budget, per
-        the ``txn_blocked`` sample signal (older timelines fall back to
-        the client-visible in-doubt counter).
+        the ``txn_blocked`` sample signal.
     cost_ceiling_usd:
         Total run cost ceiling (needs ``meta_cost_total_usd`` in the
         header, stamped by the scenario harness).
@@ -183,16 +185,6 @@ def _windows(
     return out
 
 
-def _window_reads(sample: Dict[str, Any], dt: float) -> Optional[float]:
-    """Reads in this window; estimated from per-DC rates for ``/1`` samples."""
-    if "window_reads" in sample:
-        return float(sample["window_reads"])
-    rates = [v for k, v in sample.items() if k.endswith("_reads_per_s")]
-    if not rates:
-        return None
-    return sum(float(r) for r in rates) * dt
-
-
 def _burn(breach_time: float, exposed_time: float, budget: float) -> Tuple[bool, float]:
     """(breached, burn) for time-in-breach vs an error budget."""
     if exposed_time <= 0.0:
@@ -204,8 +196,12 @@ def _burn(breach_time: float, exposed_time: float, budget: float) -> Tuple[bool,
 
 
 def evaluate_slo(records: List[Dict[str, Any]], spec: SLOSpec) -> SLOReport:
-    """Grade one loaded timeline against ``spec``."""
-    head = records[0] if records and records[0].get("type") == "header" else {}
+    """Grade one loaded, validated timeline against ``spec``."""
+    # Deferred: the package imports this module, and the report module
+    # stays off the hot path's import.
+    from repro.obs.report import anomaly_counts
+
+    head = records[0]
     windows = _windows(records)
     samples = [s for _, s in windows]
     results: List[SLOResult] = []
@@ -214,17 +210,10 @@ def evaluate_slo(records: List[Dict[str, Any]], spec: SLOSpec) -> SLOReport:
         breach_time = exposed = 0.0
         worst = 0.0
         for dt, sample in windows:
-            reads = _window_reads(sample, dt)
-            if reads is not None and reads <= 0.0:
+            reads = float(sample["window_reads"])
+            if reads <= 0.0:
                 continue  # no reads this window: no staleness exposure
-            if reads is not None and "window_stale" in sample:
-                rate = float(sample["window_stale"]) / reads
-            elif "stale_rate" in sample:
-                # /1 sample (no per-window stale count): fall back to the
-                # cumulative ground-truth rate at this tick.
-                rate = float(sample["stale_rate"])
-            else:
-                continue
+            rate = float(sample["window_stale"]) / reads
             exposed += dt
             worst = max(worst, rate)
             if rate > spec.stale_rate_max:
@@ -284,27 +273,16 @@ def evaluate_slo(records: List[Dict[str, Any]], spec: SLOSpec) -> SLOReport:
         )
 
     if spec.blocked_txn_time_max is not None:
-        # Prefer the participant-side blocked count the dwell oracle feeds
-        # into samples (``txn_blocked``: prepared-without-decision pairs);
-        # older timelines without it fall back to the client-visible
-        # in-doubt counter.
-        blocked = sum(
-            dt
-            for dt, s in windows
-            if int(s.get("txn_blocked", s.get("txn_in_doubt", 0))) > 0
-        )
-        detail = (
-            "windows with blocked participants"
-            if any("txn_blocked" in s for _, s in windows)
-            else "windows with in-doubt transactions"
-        )
+        # The participant-side blocked count the dwell oracle feeds into
+        # samples: prepared-without-decision pairs past the dwell budget.
+        blocked = sum(dt for dt, s in windows if int(s["txn_blocked"]) > 0)
         results.append(
             SLOResult(
                 "blocked_txn_time",
                 spec.blocked_txn_time_max,
                 blocked,
                 blocked > spec.blocked_txn_time_max,
-                detail=detail,
+                detail="windows with blocked participants",
             )
         )
 
@@ -331,15 +309,8 @@ def evaluate_slo(records: List[Dict[str, Any]], spec: SLOSpec) -> SLOReport:
             )
 
     if spec.anomalies_max is not None:
-        detections = [
-            r
-            for r in records
-            if r.get("type") == "anomaly" and r.get("phase") in ("start", "point")
-        ]
-        per_oracle: Dict[str, int] = {}
-        for r in detections:
-            name = str(r.get("oracle", "?"))
-            per_oracle[name] = per_oracle.get(name, 0) + 1
+        per_oracle = anomaly_counts(records)
+        detections = sum(per_oracle.values())
         detail = (
             " ".join(f"{k}={per_oracle[k]}" for k in sorted(per_oracle))
             or "oracle silence"
@@ -348,8 +319,8 @@ def evaluate_slo(records: List[Dict[str, Any]], spec: SLOSpec) -> SLOReport:
             SLOResult(
                 "anomalies",
                 float(spec.anomalies_max),
-                float(len(detections)),
-                len(detections) > spec.anomalies_max,
+                float(detections),
+                detections > spec.anomalies_max,
                 detail=detail,
             )
         )

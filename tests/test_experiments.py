@@ -7,6 +7,9 @@ from repro.experiments.platforms import (
     ec2_harmony_platform,
     grid5000_bismar_platform,
     grid5000_harmony_platform,
+    single_dc_platform,
+    small_dc_platform,
+    storm_txn_platform,
 )
 from repro.experiments.runner import (
     bismar_factory,
@@ -44,10 +47,21 @@ class TestPlatforms:
         assert a is not b
         assert a.sim is not b.sim
 
-    def test_scale_knob(self):
-        small = ec2_cost_platform(scale=0.5)
-        assert small.default_ops == 20_000
-        assert small.default_record_count == 60
+    @pytest.mark.parametrize(
+        "factory,ops,records",
+        [
+            (single_dc_platform, 30_000, 1000),
+            (small_dc_platform, 20_000, 800),
+            (ec2_harmony_platform, 30_000, 1000),
+            (grid5000_harmony_platform, 30_000, 1000),
+            (storm_txn_platform, 12_000, 400),
+            (ec2_cost_platform, 40_000, 120),
+            (grid5000_bismar_platform, 40_000, 120),
+        ],
+    )
+    def test_default_run_size(self, factory, ops, records):
+        plat = factory()
+        assert (plat.default_ops, plat.default_record_count) == (ops, records)
 
     def test_g5k_has_wan_latency(self):
         plat = grid5000_harmony_platform()

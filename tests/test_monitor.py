@@ -214,7 +214,7 @@ class TestClusterMonitor:
         assert snap.propagation_windows(1) == []
 
     def test_elastic_events_fold_into_the_observer_counters(self, store):
-        obs = RunObserver(store, ObsConfig(trace=False, oracles=False))
+        obs = RunObserver(store, ObsConfig(trace=False))
         for event in (
             {"kind": "scale-out"},
             {"kind": "scale-out"},

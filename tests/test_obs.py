@@ -13,6 +13,7 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -101,9 +102,7 @@ class TestTracer:
 
 
 def _bare_observer(store, interval: float) -> RunObserver:
-    return RunObserver(
-        store, ObsConfig(sample_interval=interval, trace=False, oracles=False)
-    )
+    return RunObserver(store, ObsConfig(sample_interval=interval, trace=False))
 
 
 def _sample_times(observer: RunObserver):
@@ -111,6 +110,21 @@ def _sample_times(observer: RunObserver):
 
 
 class TestSampleTick:
+    def test_bare_observer_writes_the_one_oracle_layout(self, store):
+        # No switch turns the oracles off, so every observer writes the
+        # anomaly counters and the txn_blocked signal the readers index.
+        assert "oracles" not in {f.name for f in dataclasses.fields(ObsConfig)}
+        obs = _bare_observer(store, 0.5)
+        store.sim.run(until=1.1)
+        obs.finish()
+        records = obs.timeline_records()
+        assert records[0]["anomalies"] == {}
+        assert records[0]["anomalies_suppressed"] == 0
+        samples = [r for r in records if r["type"] == "sample"]
+        assert len(samples) == 3
+        assert all(s["txn_blocked"] == 0 for s in samples)
+        assert validate_timeline(records) == []
+
     def test_ticks_at_interval(self, store):
         obs = _bare_observer(store, 0.5)
         # ticks are self-perpetuating, so bound the run by a horizon (the
@@ -407,7 +421,8 @@ class TestReportHelpers:
         return [
             {"type": "header", "schema": TIMELINE_SCHEMA, "sample_interval": 0.25},
             {"type": "sample", "t": 0.25, "stale_rate": 0.01, "level": "r=1",
-             "ops_per_s": 100.0, "live_nodes": 4, "rebalance_active": False},
+             "ops_per_s": 100.0, "live_nodes": 4, "rebalance_active": False,
+             "window_reads": 25, "window_stale": 0, "txn_blocked": 0},
             {"type": "event", "t": 0.3, "kind": "node-crash", "node": 1},
             {"type": "explain", "t": 0.5, "policy": "harmony(0.4)",
              "read_level": 2, "estimates": [0.5, 0.1], "tolerance": 0.4,
@@ -428,6 +443,12 @@ class TestReportHelpers:
         missing = self._records()
         del missing[2]["kind"]
         assert any("kind" in p for p in validate_timeline(missing))
+        for field in ("window_reads", "window_stale", "txn_blocked"):
+            unread = self._records()
+            del unread[1][field]
+            assert validate_timeline(unread) == [
+                f"record 2: sample missing {field!r}"
+            ]
 
     def test_samples_csv_shape(self):
         csv = samples_csv(self._records())

@@ -9,8 +9,9 @@ The load-bearing guarantees:
 - oracles ride the observer-effect contract: enabling them never changes
   a run's results, and anomaly records are byte-identical across
   ``--jobs`` layouts and ``PYTHONHASHSEED`` values;
-- ``repro.obs/1`` artifacts (pre-oracle) still load, validate and render
-  through the ``/2`` loader.
+- the oracles always run: a bare observer's header counts anomalies and
+  every sample carries ``txn_blocked``, and the validator accepts only
+  the schema the observer writes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.obs.events import ObsEvent
 from repro.obs import oracles
 from repro.obs.oracles import AnomalyOracles, OracleConfig
 from repro.obs.recorder import TIMELINE_SCHEMA, ObsConfig
-from repro.obs.report import load_timeline, render_text, validate_timeline
+from repro.obs.report import render_text, validate_timeline
 
 # Tiny-but-real chaos runs: pacing makes the horizon ops/offered_load
 # (=4000/s), so the partition window must be squeezed to fit.
@@ -433,13 +434,6 @@ class TestChaosScenarioIntegration:
         assert observed.report.stale_rate == plain.report.stale_rate
         assert observed.report.duration == plain.report.duration
 
-    def test_oracles_off_leaves_a_v2_timeline_without_anomaly_plumbing(self):
-        run = _chaos_run(obs=ObsConfig(sample_interval=0.02, oracles=False))
-        records = run.obs.timeline_records()
-        assert [r for r in records if r.get("type") == "anomaly"] == []
-        assert "anomalies" not in records[0]
-        assert validate_timeline(records) == []
-
 
 class TestChaosDeterminism:
     def test_anomaly_artifacts_byte_identical_across_jobs(self, tmp_path):
@@ -519,40 +513,28 @@ class TestChaosDeterminism:
         assert compared >= 2 and saw_anomaly >= 1
 
 
-class TestSchemaV1BackCompat:
-    def _v1_records(self):
-        return [
+class TestSchema:
+    def test_v1_header_is_rejected(self):
+        records = [
             {"type": "header", "schema": "repro.obs/1", "sample_interval": 0.25},
-            {"type": "sample", "t": 0.25, "stale_rate": 0.01, "level": "r=1",
-             "ops_per_s": 100.0},
             {"type": "event", "t": 0.3, "kind": "node-crash", "node": 1},
         ]
+        (problem,) = validate_timeline(records)
+        assert "repro.obs/1" in problem and TIMELINE_SCHEMA in problem
 
-    def test_v1_timeline_still_validates_and_renders(self):
-        records = self._v1_records()
-        assert validate_timeline(records) == []
-        text = render_text(records)
-        assert "repro.obs/1" in text
-        assert "node-crash" in text
-
-    def test_v1_loader_roundtrip_from_disk(self, tmp_path):
+    def test_report_validate_exits_1_on_a_v1_header(self, tmp_path, capsys):
         import json
+
+        from repro.cli import main
 
         path = tmp_path / "timeline.jsonl"
         path.write_text(
-            "".join(json.dumps(r) + "\n" for r in self._v1_records())
+            json.dumps({"type": "header", "schema": "repro.obs/1"}) + "\n"
         )
-        records = load_timeline(str(path))
-        assert validate_timeline(records) == []
-
-    def test_anomaly_records_are_invalid_under_v1(self):
-        records = self._v1_records()
-        records.append(
-            {"type": "anomaly", "t": 0.5, "oracle": "quorum-loss",
-             "phase": "start"}
-        )
-        problems = validate_timeline(records)
-        assert any("anomaly" in p for p in problems)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path), "--validate"])
+        assert exc.value.code == 1
+        assert "INVALID" in capsys.readouterr().out
 
     def test_v2_anomaly_shape_is_checked(self):
         base = [

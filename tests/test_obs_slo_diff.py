@@ -4,9 +4,10 @@ The load-bearing guarantees:
 
 - :func:`evaluate_slo` is pure arithmetic over recorded samples: the
   error-budget burn math, exact p99, and every objective's pass/fail
-  edge are checked on synthetic timelines (including ``/1`` fallbacks);
+  edge are checked on synthetic timelines;
 - ``repro report PATH --slo`` honours the documented exit codes:
-  0 = all objectives pass, 1 = breach, 2 = no SLO resolvable;
+  0 = all objectives pass, 1 = breach, 2 = an invalid timeline or no
+  SLO in any header;
 - ``repro diff A B`` pairs runs deterministically and reports metric
   deltas, anomaly presence changes and event-count changes.
 """
@@ -39,7 +40,12 @@ def _header(**meta):
 
 
 def _sample(t, **cols):
-    record = {"type": "sample", "t": t, "level": "r=1"}
+    """A sample with every field the observer writes, overridden by ``cols``."""
+    record = {
+        "type": "sample", "t": t, "level": "r=1", "stale_rate": 0.0,
+        "ops_per_s": 0.0, "window_reads": 0, "window_stale": 0,
+        "txn_blocked": 0,
+    }
     record.update(cols)
     return record
 
@@ -133,20 +139,6 @@ class TestEvaluateStaleRate:
         )
         assert "1s" in hit.detail  # only the second window counts
 
-    def test_v1_samples_fall_back_to_cumulative_rate(self):
-        # /1 samples carry no window_stale; the cumulative stale_rate is
-        # the deterministic fallback.
-        records = [
-            {"type": "header", "schema": "repro.obs/1", "sample_interval": 1.0},
-            _sample(1.0, stale_rate=0.3, dc0_reads_per_s=50.0),
-            _sample(2.0, stale_rate=0.3, dc0_reads_per_s=50.0),
-        ]
-        hit = _result(
-            evaluate_slo(records, SLOSpec(stale_rate_max=0.1)), "stale_rate"
-        )
-        assert hit.breached
-        assert hit.observed == pytest.approx(0.3)
-
     def test_no_reads_at_all_is_not_applicable(self):
         records = [_header(), _sample(1.0, window_reads=0, window_stale=0)]
         hit = _result(
@@ -195,10 +187,10 @@ class TestEvaluateOtherObjectives:
     def test_blocked_txn_time_sums_in_doubt_windows(self):
         records = [
             _header(),
-            _sample(1.0, txn_in_doubt=0),
-            _sample(2.0, txn_in_doubt=2),
-            _sample(3.5, txn_in_doubt=1),
-            _sample(4.0, txn_in_doubt=0),
+            _sample(1.0, txn_blocked=0),
+            _sample(2.0, txn_blocked=2, txn_in_doubt=0),
+            _sample(3.5, txn_blocked=1),
+            _sample(4.0, txn_blocked=0, txn_in_doubt=3),
         ]
         hit = _result(
             evaluate_slo(records, SLOSpec(blocked_txn_time_max=2.0)),
@@ -206,6 +198,7 @@ class TestEvaluateOtherObjectives:
         )
         assert hit.breached
         assert hit.observed == pytest.approx(2.5)  # (1,2] + (2,3.5]
+        assert hit.detail == "windows with blocked participants"
 
     def test_cost_ceiling_reads_header_meta(self):
         records = [_header(cost_total_usd=12.5), _sample(1.0)]
@@ -311,6 +304,39 @@ class TestReportSloCli:
         captured = capsys.readouterr()
         assert "no SLO" in captured.out
         assert "error:" in captured.err
+
+    def _write(self, tmp_path, records):
+        path = tmp_path / "run" / "timeline.jsonl"
+        path.parent.mkdir()
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return str(path)
+
+    def test_scenario_name_without_meta_slo_exits_2(self, tmp_path, capsys):
+        # The SLO comes from the header only; the registry is not consulted
+        # even when the named scenario declares one.
+        assert scenarios.get("geo-partition-chaos").slo is not None
+        path = self._write(
+            tmp_path,
+            [_header(scenario="geo-partition-chaos"), _sample(1.0)],
+        )
+        assert main(["report", path, "--slo"]) == 2
+        captured = capsys.readouterr()
+        assert "no SLO" in captured.out
+        assert "carries an SLO" in captured.err
+
+    def test_samples_without_window_reads_exit_2(self, tmp_path, capsys):
+        sample = _sample(1.0, stale_rate=0.3)
+        del sample["window_reads"]
+        path = self._write(
+            tmp_path,
+            [_header(slo={"stale_rate_max": 0.1, "error_budget": 0.0}), sample],
+        )
+        assert main(["report", path, "--slo"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "window_reads" in captured.err
+        assert "Traceback" not in captured.err
+        assert "SLO verdict" not in captured.out
 
 
 class TestDiffTimelines:

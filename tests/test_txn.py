@@ -462,7 +462,7 @@ class TestObserverTxnCounts:
     def test_observer_counts_txn_outcomes(self, simple_store):
         store = simple_store
         t = TransactionalStore(store, config=TxnConfig(**FAST))
-        obs = RunObserver(store, ObsConfig(trace=False, oracles=False))
+        obs = RunObserver(store, ObsConfig(trace=False))
 
         def writer():
             txn = t.begin(coordinator=1)
@@ -484,7 +484,7 @@ class TestObserverTxnCounts:
         # converge on the final verdict (nothing stays in-doubt forever).
         store = simple_store
         t = TransactionalStore(store, config=TxnConfig(**FAST))
-        obs = RunObserver(store, ObsConfig(trace=False, oracles=False))
+        obs = RunObserver(store, ObsConfig(trace=False))
         outcomes = []
 
         def go():
