@@ -3,12 +3,26 @@
 import argparse
 import ast
 import inspect
+import zlib
 
 import pytest
 
 from repro import cli
 from repro.cli import COMMANDS, TAKES_OPS, TAKES_SEED, build_parser, main
 from repro.experiments.platforms import grid5000_harmony_platform
+
+
+#: crc32 of each experiment verb's stdout at the small scale its run test
+#: uses below. The tables and claim lines are the paper's results as a user
+#: sees them; a refactor of the experiment harness must not move a byte.
+STDOUT_CRC32 = {
+    "e1-g5k": 4165725061,
+    "fig1": 3611433204,
+    "e1-ec2": 3982186677,
+    "e2-cost": 2324826368,
+    "e3-efficiency": 2333043734,
+    "e4-bismar": 1498098163,
+}
 
 
 def _args_read(handler: str) -> set:
@@ -122,12 +136,14 @@ class TestMain:
         assert "E1:" in out
         assert "harmony(0.2)" in out
         assert "stale-read reduction" in out
+        assert zlib.crc32(out.encode()) == STDOUT_CRC32["e1-g5k"]
 
     def test_fig1_small_run(self, capsys):
         assert main(["fig1", "--ops", "2000", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "FIG1" in out
         assert "simulator" in out
+        assert zlib.crc32(out.encode()) == STDOUT_CRC32["fig1"]
 
     @pytest.mark.parametrize(
         "verb, heading, rows",
@@ -156,6 +172,7 @@ class TestMain:
         assert out.startswith(heading)
         firsts = {line.split()[0] for line in out.splitlines() if line.strip()}
         assert set(rows) <= firsts
+        assert zlib.crc32(out.encode()) == STDOUT_CRC32[verb]
 
     def test_fig1_ops_sets_the_horizon(self, monkeypatch):
         from repro.experiments import model_eval
