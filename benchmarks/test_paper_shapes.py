@@ -2,9 +2,10 @@
 
 Each section regenerates one of the paper's tables or figures through the
 same functions the ``repro`` CLI verbs call, and asserts the *shape* the
-paper reports (direction and ordering, with the paper's number in the
-comment). One module-scoped fixture per experiment runs it once; the tests
-read its result. Not part of the tier-1 suite (``testpaths = ["tests"]``);
+paper reports (direction and ordering). A bound that is the paper's number
+reads it from ``repro.experiments.paper``; a band around it cites it in the
+assertion message. One module-scoped fixture per experiment runs it once;
+the tests read its rows and claims. Not part of the tier-1 suite (``testpaths = ["tests"]``);
 run it with::
 
     PYTHONPATH=src python -m pytest benchmarks -q
@@ -19,6 +20,7 @@ from repro.experiments.bismar_eval import run_bismar_eval, run_efficiency_sample
 from repro.experiments.cost_eval import run_cost_eval
 from repro.experiments.harmony_eval import run_harmony_eval
 from repro.experiments.model_eval import run_behavior_eval, run_fig1_validation
+from repro.experiments.paper import PAPER
 from repro.experiments.platforms import (
     ec2_cost_platform,
     ec2_harmony_platform,
@@ -37,14 +39,14 @@ from repro.monitor.collector import ClusterMonitor
 from repro.policy import StaticPolicy
 from repro.stale.dcmodel import DeploymentInfo, system_stale_rate_dc
 from repro.stale.model import params_from_snapshot, system_stale_rate
-from repro.workload.client import WorkloadRunner
+from repro.workload.client import WorkloadRunner, level_mix
 from repro.workload.workloads import bank_transfer_mix, heavy_read_update
 
 
 # -- E1-G5K: Harmony on the Grid'5000 preset (§IV-A) --------------------------
 #
-# Harmony at 20%/40% tolerated staleness vs static eventual/strong. Paper:
-# ~80% fewer stale reads than eventual, up to 45% more throughput than
+# Harmony at 20%/40% tolerated staleness vs static eventual/strong. The
+# paper reports fewer stale reads than eventual and more throughput than
 # strong. The closed-loop clients amplify the throughput ratio; direction
 # and ordering are the reproduced claims.
 
@@ -61,31 +63,33 @@ def e1_g5k():
 
 def test_e1_grid5000_harmony(e1_g5k):
     res = e1_g5k
-    eventual = res.reports["eventual"]
-    strong = res.reports["strong"]
+    eventual = res.rows["eventual"]
+    strong = res.rows["strong"]
 
     # each Harmony tolerance is respected (with sampling margin)
     for tol in (0.2, 0.4):
-        rep = res.reports[f"harmony({tol:g})"]
-        assert rep.stale_rate_strict <= tol + 0.05
+        row = res.rows[f"harmony({tol:g})"]
+        assert row["stale_rate_strict"] <= tol + 0.05
 
     # ordering: eventual fastest+stalest, strong slowest+fresh
-    assert eventual.stale_rate_strict > 0.1
-    assert strong.stale_rate == 0.0
-    assert eventual.throughput > strong.throughput
+    assert eventual["stale_rate_strict"] > 0.1
+    assert strong["stale_rate"] == 0.0
+    assert eventual["throughput_ops_s"] > strong["throughput_ops_s"]
 
     # headline claims hold in direction
-    assert res.stale_reduction_vs_eventual > 0.4  # paper: ~80%
-    assert res.throughput_gain_vs_strong > 0.45  # paper: up to 45%
+    cut = res.claims["stale_reduction_vs_eventual"]
+    assert cut > 0.4, PAPER["stale_reduction_vs_eventual"].line(cut)
+    gain = res.claims["throughput_gain_vs_strong"]
+    assert gain > PAPER["throughput_gain_vs_strong"].value
 
 
 def test_e1_harmony_latency_between_extremes(e1_g5k):
-    eventual = e1_g5k.reports["eventual"]
-    strong = e1_g5k.reports["strong"]
+    eventual = e1_g5k.rows["eventual"]["read_latency_mean_ms"]
+    strong = e1_g5k.rows["strong"]["read_latency_mean_ms"]
     for tol in (0.2, 0.4):
-        rep = e1_g5k.reports[f"harmony({tol:g})"]
-        assert eventual.read_latency_mean <= rep.read_latency_mean * 1.05
-        assert rep.read_latency_mean <= strong.read_latency_mean * 1.05
+        mean = e1_g5k.rows[f"harmony({tol:g})"]["read_latency_mean_ms"]
+        assert eventual <= mean * 1.05
+        assert mean <= strong * 1.05
 
 
 # -- E1-EC2: Harmony on the EC2 preset (§IV-A) --------------------------------
@@ -109,25 +113,28 @@ def e1_ec2():
 def test_e1_ec2_harmony(e1_ec2):
     res = e1_ec2
     for tol in (0.4, 0.6):
-        rep = res.reports[f"harmony({tol:g})"]
-        assert rep.stale_rate_strict <= tol + 0.05
-    assert res.reports["strong"].stale_rate == 0.0
-    assert res.reports["eventual"].throughput > res.reports["strong"].throughput
-    assert res.throughput_gain_vs_strong > 0.45
+        row = res.rows[f"harmony({tol:g})"]
+        assert row["stale_rate_strict"] <= tol + 0.05
+    assert res.rows["strong"]["stale_rate"] == 0.0
+    assert (
+        res.rows["eventual"]["throughput_ops_s"]
+        > res.rows["strong"]["throughput_ops_s"]
+    )
+    gain = res.claims["throughput_gain_vs_strong"]
+    assert gain > PAPER["throughput_gain_vs_strong"].value
 
 
 def test_e1_ec2_harmony_beats_eventual_on_staleness(e1_ec2):
-    eventual = e1_ec2.reports["eventual"].stale_rate_strict
-    tightest = e1_ec2.reports["harmony(0.4)"].stale_rate_strict
+    eventual = e1_ec2.rows["eventual"]["stale_rate_strict"]
+    tightest = e1_ec2.rows["harmony(0.4)"]["stale_rate_strict"]
     assert tightest <= eventual + 1e-9
 
 
 # -- E2-COST: consistency level vs the bill (§IV-B, first set) ----------------
 #
 # RF=5 over two us-east-1 AZs, one run per static level. Paper: the bill
-# falls as the level weakens (48% cheaper at ONE), QUORUM is always fresh
-# yet ~13% cheaper than ALL, and only ~21% of reads at ONE are estimated
-# fresh.
+# falls as the level weakens, QUORUM is always fresh yet cheaper than ALL,
+# and few reads at ONE are estimated fresh.
 
 
 @pytest.fixture(scope="module")
@@ -137,39 +144,47 @@ def e2_cost():
 
 def test_e2_cost_levels(e2_cost):
     res = e2_cost
-    totals = [res.bills[name].total for name in ("ONE", "TWO", "QUORUM", "FOUR", "ALL")]
+    totals = [
+        res.rows[name]["cost_total_usd"]
+        for name in ("ONE", "TWO", "QUORUM", "FOUR", "ALL")
+    ]
     # cost decreases when degrading the consistency level
     for weaker, stronger in zip(totals, totals[1:]):
         assert weaker <= stronger * 1.02  # monotone within noise
 
     # headline ratios in the paper's ballpark
-    assert 0.25 <= res.cost_reduction_one_vs_all <= 0.60  # paper: 48%
-    assert 0.05 <= res.cost_reduction_quorum_vs_all <= 0.30  # paper: 13%
+    one_cut = res.claims["cost_reduction_one_vs_all"]
+    assert 0.25 <= one_cut <= 0.60, PAPER["cost_reduction_one_vs_all"].line(one_cut)
+    quorum_cut = res.claims["cost_reduction_quorum_vs_all"]
+    assert 0.05 <= quorum_cut <= 0.30, PAPER["cost_reduction_quorum_vs_all"].line(
+        quorum_cut
+    )
 
     # QUORUM always returns an up-to-date replica
-    assert res.reports["QUORUM"].stale_rate == 0.0
+    assert res.rows["QUORUM"]["stale_rate"] == 0.0
 
     # estimated freshness at ONE collapses under heavy read-update
-    assert res.fresh_reads_at_one_estimated < 0.5  # paper: 21%
+    fresh = res.claims["fresh_reads_at_one_estimated"]
+    assert fresh < 0.5, PAPER["fresh_reads_at_one_estimated"].line(fresh)
 
 
 def test_e2_bill_parts_all_positive(e2_cost):
-    for bill in e2_cost.bills.values():
-        assert bill.instance_cost > 0
-        assert bill.storage_cost > 0
-        assert bill.network_cost > 0
+    for row in e2_cost.rows.values():
+        assert row["cost_instance_usd"] > 0
+        assert row["cost_storage_usd"] > 0
+        assert row["cost_network_usd"] > 0
 
 
 def test_e2_measured_staleness_ordering(e2_cost):
-    stale = {k: r.stale_rate_strict for k, r in e2_cost.reports.items()}
+    stale = {k: r["stale_rate_strict"] for k, r in e2_cost.rows.items()}
     assert stale["ONE"] >= stale["TWO"] >= stale["QUORUM"]
     assert stale["ALL"] == pytest.approx(0.0, abs=1e-6)
 
 
 # -- E3-EFF: the consistency-cost efficiency metric (§IV-B) -------------------
 #
-# Paper: "the most efficient consistency levels are the ones that provide a
-# staleness rate smaller than 20%".
+# Paper: the most efficient consistency levels are the acceptably
+# consistent ones (below the staleness rate of PAPER's E3 entry).
 
 
 @pytest.fixture(scope="module")
@@ -185,27 +200,29 @@ def e3_samples():
 
 def _by_pattern(samples):
     groups = {}
-    for s in samples:
-        groups.setdefault(s.pattern, []).append(s)
+    for row in samples.rows.values():
+        groups.setdefault(row["pattern"], []).append(row)
     return groups
 
 
 def test_e3_efficiency_samples(e3_samples):
     by_pattern = _by_pattern(e3_samples)
     assert len(by_pattern) == 3  # zipfian / uniform / hotspot access patterns
+    paper = PAPER["efficient_level_stale_rate"]
     for pattern, group in by_pattern.items():
         assert len(group) == 5
-        winner = max(group, key=lambda s: s.efficiency)
+        winner = max(group, key=lambda r: r["efficiency"])
         # the efficient levels are the acceptably consistent ones
-        assert winner.stale_rate < 0.20, (
-            f"{pattern}: winner {winner.level} has {winner.stale_rate:.0%} stale"
+        stale = winner["stale_rate_strict"]
+        assert stale < paper.value, (
+            f"{pattern}: winner {winner['level']}: {paper.line(stale)}"
         )
 
 
 def test_e3_relative_cost_grows_with_level(e3_samples):
     for group in _by_pattern(e3_samples).values():
-        by_level = {s.level: s for s in group}
-        assert by_level["n=5"].relative_cost >= by_level["n=1"].relative_cost
+        by_level = {r["level"]: r for r in group}
+        assert by_level["n=5"]["relative_cost"] >= by_level["n=1"]["relative_cost"]
 
 
 def test_e3_heavily_stale_weak_levels_lose(e3_samples):
@@ -213,18 +230,18 @@ def test_e3_heavily_stale_weak_levels_lose(e3_samples):
     # best fresh level of the same pattern
     for group in _by_pattern(e3_samples).values():
         fresh_best = max(
-            (s.efficiency for s in group if s.stale_rate < 0.05), default=None
+            (r["efficiency"] for r in group if r["stale_rate_strict"] < 0.05),
+            default=None,
         )
-        for s in group:
-            if s.stale_rate > 0.5 and fresh_best is not None:
-                assert s.efficiency < fresh_best
+        for r in group:
+            if r["stale_rate_strict"] > 0.5 and fresh_best is not None:
+                assert r["efficiency"] < fresh_best
 
 
 # -- E4-BISMAR: Bismar vs static levels (§IV-B, second set) -------------------
 #
 # RF=5 over two Grid'5000 sites. Paper: only static ONE is cheaper than
-# Bismar, at up to 61% stale; Bismar undercuts QUORUM by up to 31% at 3.5%
-# stale.
+# Bismar, at a high stale rate; Bismar undercuts QUORUM at a low one.
 
 
 @pytest.fixture(scope="module")
@@ -240,34 +257,34 @@ def e4_bismar():
 
 def test_e4_bismar(e4_bismar):
     res = e4_bismar
-    bismar = res.bills["bismar"]
-    one = res.bills["ONE"]
-    quorum = res.bills["QUORUM"]
-    all_ = res.bills["ALL"]
+    kop = {name: row["cost_per_kop_usd"] for name, row in res.rows.items()}
 
     # only ONE costs less than Bismar
-    assert one.cost_per_kop <= bismar.cost_per_kop
-    assert bismar.cost_per_kop < quorum.cost_per_kop
-    assert bismar.cost_per_kop < all_.cost_per_kop
+    assert kop["ONE"] <= kop["bismar"]
+    assert kop["bismar"] < kop["QUORUM"]
+    assert kop["bismar"] < kop["ALL"]
 
-    # cost reduction vs QUORUM in the paper's ballpark (paper: 31%)
-    assert 0.10 <= res.cost_reduction_vs_quorum <= 0.60
+    # cost reduction vs QUORUM in the paper's ballpark
+    cut = res.claims["cost_reduction_vs_quorum"]
+    assert 0.10 <= cut <= 0.60, PAPER["cost_reduction_vs_quorum"].line(cut)
 
     # consistency: Bismar keeps stale reads low while ONE does not
-    assert res.bismar_stale_rate <= 0.10  # paper: 3.5%
-    assert res.one_stale_rate > 0.15  # paper: up to 61%
-    assert res.bismar_stale_rate < res.one_stale_rate
+    bismar_stale = res.claims["bismar_stale_rate"]
+    one_stale = res.claims["one_stale_rate"]
+    assert bismar_stale <= 0.10, PAPER["bismar_stale_rate"].line(bismar_stale)
+    assert one_stale > 0.15, PAPER["one_stale_rate"].line(one_stale)
+    assert bismar_stale < one_stale
 
 
 def test_e4_quorum_always_fresh(e4_bismar):
-    assert e4_bismar.reports["QUORUM"].stale_rate == 0.0
-    assert e4_bismar.reports["ALL"].stale_rate == 0.0
+    assert e4_bismar.rows["QUORUM"]["stale_rate"] == 0.0
+    assert e4_bismar.rows["ALL"]["stale_rate"] == 0.0
 
 
 def test_e4_bismar_adapts_levels(e4_bismar):
     # Bismar must actually have exercised the adaptive dial (not sat on one
     # static level the whole run) OR have chosen an intermediate level.
-    mix = e4_bismar.reports["bismar"].read_levels
+    mix = e4_bismar.rows["bismar"]["read_levels"]
     assert mix, "bismar recorded no level usage"
     labels = set(mix)
     assert labels != {"n=1"}, "bismar degenerated to static ONE"
@@ -287,15 +304,19 @@ def e5_behavior():
     )
 
 
-def test_e5_behavior_modeling(e5_behavior):
-    res = e5_behavior
-    # offline step: the planted phases are recovered
-    assert res.k >= 2
-    assert res.purity >= 0.85
+def _stale_and_cost(row):
+    return row["stale_rate"], row["cost_per_kop_usd"]
 
-    b_stale, b_cost, _ = res.rows["behavior"]
-    e_stale, e_cost, _ = res.rows["eventual"]
-    s_stale, s_cost, _ = res.rows["strong"]
+
+def test_e5_behavior_modeling(e5_behavior):
+    rows = e5_behavior.rows
+    # offline step: the planted phases are recovered
+    assert rows["behavior"]["clusters"] >= 2
+    assert rows["behavior"]["phase_purity"] >= 0.85
+
+    b_stale, b_cost = _stale_and_cost(rows["behavior"])
+    e_stale, e_cost = _stale_and_cost(rows["eventual"])
+    s_stale, s_cost = _stale_and_cost(rows["strong"])
 
     # fresher than eventual, cheaper than strong
     assert b_stale <= e_stale + 1e-9
@@ -307,10 +328,11 @@ def test_e5_behavior_modeling(e5_behavior):
 
 def test_e5_behavior_beats_every_static_on_pareto(e5_behavior):
     """No static policy Pareto-dominates the behavior-modeled one."""
-    b_stale, b_cost, _ = e5_behavior.rows["behavior"]
-    for name, (stale, cost, _) in e5_behavior.rows.items():
+    b_stale, b_cost = _stale_and_cost(e5_behavior.rows["behavior"])
+    for name, row in e5_behavior.rows.items():
         if name == "behavior":
             continue
+        stale, cost = _stale_and_cost(row)
         dominated = stale < b_stale - 1e-9 and cost < b_cost * 0.98
         assert not dominated, f"{name} Pareto-dominates behavior policy"
 
@@ -331,32 +353,32 @@ def fig1_rows():
         read_levels=(1, 2, 3),
         horizon=40.0,
         seed=5,
-    )
+    ).rows.values()
 
 
 def test_fig1_model_validation(fig1_rows):
     for row in fig1_rows:
-        assert 0.0 <= row.closed_form <= 1.0
-        assert 0.0 <= row.simulator <= 1.0
-        if row.simulator > 0.02:
+        assert 0.0 <= row["closed_form"] <= 1.0
+        assert 0.0 <= row["stale_rate"] <= 1.0
+        if row["stale_rate"] > 0.02:
             # within a factor of ~2.5 of ground truth
-            assert row.closed_form == pytest.approx(row.simulator, rel=1.5)
+            assert row["closed_form"] == pytest.approx(row["stale_rate"], rel=1.5)
         # MC and closed form implement the same model: tight agreement
-        assert row.monte_carlo == pytest.approx(row.closed_form, abs=0.08)
+        assert row["monte_carlo"] == pytest.approx(row["closed_form"], abs=0.08)
     by_rate = {}
     for row in fig1_rows:
-        by_rate.setdefault(row.write_rate, []).append(row)
+        by_rate.setdefault(row["write_rate"], []).append(row)
     for rate_rows in by_rate.values():
-        rate_rows.sort(key=lambda r: r.read_level)
+        rate_rows.sort(key=lambda r: r["read_level"])
         for a, b in zip(rate_rows, rate_rows[1:]):
-            assert a.closed_form >= b.closed_form - 1e-9
+            assert a["closed_form"] >= b["closed_form"] - 1e-9
 
 
 def test_fig1_staleness_grows_with_write_rate(fig1_rows):
     at_one = sorted(
-        (r for r in fig1_rows if r.read_level == 1), key=lambda r: r.write_rate
+        (r for r in fig1_rows if r["read_level"] == 1), key=lambda r: r["write_rate"]
     )
-    sims = [r.simulator for r in at_one]
+    sims = [r["stale_rate"] for r in at_one]
     assert sims == sorted(sims)
     assert sims[-1] > sims[0]
 
@@ -405,7 +427,7 @@ def abl_windows(platform):
                 target_throughput=8000.0,
             )
         ).report
-        rows.append((window, rep.stale_rate_strict, rep.level_mix()))
+        rows.append((window, rep.stale_rate_strict, level_mix(rep.read_levels)))
     return rows
 
 

@@ -17,6 +17,7 @@ Run:  python examples/cost_aware_deployment.py
 import repro
 from repro.bismar.efficiency import rank_levels
 from repro.common.tables import Table
+from repro.workload.client import level_mix
 
 OPS = 20_000
 TARGET = 8_000.0  # offered load cap, as YCSB's target parameter
@@ -96,7 +97,7 @@ def main() -> None:
     quorum_bill = runs[3][1]
     print(
         f"\nBismar: ${bill.cost_per_kop:.6f}/kop at "
-        f"{report.stale_rate_strict:.1%} stale (levels used: {report.level_mix()})"
+        f"{report.stale_rate_strict:.1%} stale (levels used: {level_mix(report.read_levels)})"
     )
     print(
         f"  vs static ONE    ${one_bill.cost_per_kop:.6f}/kop at "

@@ -39,6 +39,7 @@ from repro.cost.pricing import EC2_US_EAST_2013
 from repro.experiments.platforms import Platform, _ec2_latencies
 from repro.experiments.runner import named_policy_factory
 from repro.net.topology import Datacenter, Topology
+from repro.workload.client import level_mix
 from repro.workload.workloads import flash_crowd
 
 
@@ -120,7 +121,7 @@ def main() -> None:
                 f"{e['scale_outs']}/{e['scale_ins']}",
                 e["keys_streamed"],
                 round(e["bytes_streamed"] / 1e6, 2),
-                rep.level_mix(),
+                level_mix(rep.read_levels),
             ]
         )
     print(table)

@@ -28,6 +28,7 @@ from repro import (
 )
 from repro.common.tables import Table
 from repro.stale import DeploymentInfo
+from repro.workload.client import level_mix
 
 
 def build_store(seed: int) -> ReplicatedStore:
@@ -93,7 +94,7 @@ def main() -> None:
                 round(rep.throughput),
                 round(rep.read_latency_mean * 1e3, 2),
                 round(rep.stale_rate_strict * 100, 2),
-                rep.level_mix(),
+                level_mix(rep.read_levels),
             ]
         )
     print(table)

@@ -36,16 +36,23 @@ from typing import Callable, Dict
 from repro.common.errors import ConfigError
 
 
+def _show(result) -> None:
+    """Print an experiment's table, then its measured claim lines."""
+    print(result.table)
+    for claim in result.claim_lines():
+        print(" ", claim)
+
+
 def _e1_g5k(args) -> None:
     from repro.experiments.harmony_eval import run_harmony_eval
     from repro.experiments.platforms import grid5000_harmony_platform
 
-    res = run_harmony_eval(
-        grid5000_harmony_platform(), tolerances=(0.2, 0.4), ops=args.ops, seed=args.seed
+    _show(
+        run_harmony_eval(
+            grid5000_harmony_platform(), tolerances=(0.2, 0.4), ops=args.ops,
+            seed=args.seed,
+        )
     )
-    print(res.table())
-    for claim in res.claims():
-        print(" ", claim)
 
 
 def _e1_ec2(args) -> None:
@@ -53,64 +60,54 @@ def _e1_ec2(args) -> None:
     from repro.experiments.platforms import ec2_harmony_platform
     from repro.workload.workloads import heavy_read_update
 
-    res = run_harmony_eval(
-        ec2_harmony_platform(),
-        tolerances=(0.4, 0.6),
-        spec=heavy_read_update(record_count=200),
-        ops=args.ops,
-        seed=args.seed,
+    _show(
+        run_harmony_eval(
+            ec2_harmony_platform(),
+            tolerances=(0.4, 0.6),
+            spec=heavy_read_update(record_count=200),
+            ops=args.ops,
+            seed=args.seed,
+        )
     )
-    print(res.table())
-    for claim in res.claims():
-        print(" ", claim)
 
 
 def _e2_cost(args) -> None:
     from repro.experiments.cost_eval import run_cost_eval
     from repro.experiments.platforms import ec2_cost_platform
 
-    res = run_cost_eval(ec2_cost_platform(), ops=args.ops, seed=args.seed)
-    print(res.table())
-    for claim in res.claims():
-        print(" ", claim)
+    _show(run_cost_eval(ec2_cost_platform(), ops=args.ops, seed=args.seed))
 
 
 def _e3_efficiency(args) -> None:
-    from repro.experiments.bismar_eval import efficiency_table, run_efficiency_samples
+    from repro.experiments.bismar_eval import run_efficiency_samples
     from repro.experiments.platforms import grid5000_bismar_platform
 
-    samples = run_efficiency_samples(
-        grid5000_bismar_platform(), ops=args.ops, seed=args.seed
+    _show(
+        run_efficiency_samples(grid5000_bismar_platform(), ops=args.ops, seed=args.seed)
     )
-    print(efficiency_table(samples))
 
 
 def _e4_bismar(args) -> None:
     from repro.experiments.bismar_eval import run_bismar_eval
     from repro.experiments.platforms import grid5000_bismar_platform
 
-    res = run_bismar_eval(grid5000_bismar_platform(), ops=args.ops, seed=args.seed)
-    print(res.table())
-    for claim in res.claims():
-        print(" ", claim)
+    _show(run_bismar_eval(grid5000_bismar_platform(), ops=args.ops, seed=args.seed))
 
 
 def _fig1(args) -> None:
-    from repro.experiments.model_eval import fig1_table, run_fig1_validation
+    from repro.experiments.model_eval import run_fig1_validation
     from repro.experiments.platforms import grid5000_harmony_platform
 
-    rows = run_fig1_validation(
-        grid5000_harmony_platform(), ops=args.ops, seed=args.seed
+    _show(
+        run_fig1_validation(grid5000_harmony_platform(), ops=args.ops, seed=args.seed)
     )
-    print(fig1_table(rows))
 
 
 def _e5_behavior(args) -> None:
     from repro.experiments.model_eval import run_behavior_eval
     from repro.experiments.platforms import ec2_harmony_platform
 
-    res = run_behavior_eval(ec2_harmony_platform(), seed=args.seed)
-    print(res.table())
+    _show(run_behavior_eval(ec2_harmony_platform(), seed=args.seed))
 
 
 def _scenarios(args) -> None:

@@ -685,24 +685,6 @@ class ReplicatedStore:
         """Successful reads + writes."""
         return self.reads_ok + self.writes_ok
 
-    def summary(self) -> Dict[str, Any]:
-        """One-shot metrics snapshot used by the experiment harness."""
-        return {
-            "reads_ok": self.reads_ok,
-            "writes_ok": self.writes_ok,
-            "failures": dict(self.failures),
-            "stale_rate": self.oracle.stale_rate,
-            "stale_reads": self.oracle.stale_reads,
-            "read_latency_mean": self.read_latency.mean,
-            "read_latency_p99": self.read_latency.percentile(99),
-            "write_latency_mean": self.write_latency.mean,
-            "write_latency_p99": self.write_latency.percentile(99),
-            "mean_propagation": self.oracle.mean_propagation_time(),
-            "billable_bytes": self.network.traffic.billable_bytes(),
-            "total_bytes": self.network.traffic.total_bytes(),
-            "repairs_issued": self.repairs_issued,
-        }
-
     # -- internals ---------------------------------------------------------------
 
     def _pick_coordinator(self) -> Optional[Coordinator]:

@@ -7,6 +7,8 @@ verbs and ``benchmarks/test_paper_shapes.py`` call these):
   simulated presets (Amazon EC2 / Grid'5000 deployments);
 - :mod:`repro.experiments.runner` -- policy factories and the run outcome
   type (the deploy-run-bill pipeline itself is :func:`repro.run`);
+- :mod:`repro.experiments.paper` -- the paper's numbers, each written
+  once, and ``ExperimentResult``, what every experiment below returns;
 - :mod:`repro.experiments.harmony_eval` -- E1: performance/staleness of
   Harmony vs static eventual/strong (§IV-A);
 - :mod:`repro.experiments.cost_eval` -- E2: consistency impact on monetary

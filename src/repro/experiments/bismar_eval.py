@@ -2,54 +2,36 @@
 
 **E3 (metric samples).** The paper collects efficiency samples "when
 running the same workload with different access patterns and different
-consistency levels" and finds "the most efficient consistency levels are
-the ones that provide a staleness rate smaller than 20%".
-:func:`run_efficiency_samples` sweeps access patterns x levels, computes
-the measured efficiency of each sample, and checks where the winners sit.
+consistency levels" and finds that the most efficient levels are the
+acceptably consistent ones. :func:`run_efficiency_samples` sweeps access
+patterns x levels, computes the measured efficiency of each sample, and
+marks where the winners sit.
 
-**E4 (Bismar).** The paper: "only the consistency level ONE costs less
-[than Bismar]. This level (ONE) however, tolerates up to 61% of stale
-reads. Our approach Bismar achieves up to 31% of cost reduction compared to
-the static level Quorum ... while it only tolerates 3.5% of stale reads".
+**E4 (Bismar).** The paper: only static ONE costs less than Bismar, at a
+high stale-read rate, while Bismar undercuts static QUORUM at a low one.
 :func:`run_bismar_eval` reruns that comparison.
+
+The paper's numbers for both are in :mod:`repro.experiments.paper`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from repro.common.tables import Table
 from repro.cluster.consistency import ConsistencyLevel
-from repro.cost.billing import Bill
 from repro.bismar.efficiency import consistency_cost_efficiency
+from repro.experiments.paper import ExperimentResult
 from repro.experiments.platforms import Platform
 from repro.experiments.runner import bismar_factory, static_factory
 from repro.facade import RunSpec, run
-from repro.workload.client import RunReport
+from repro.workload.client import level_mix
 from repro.workload.workloads import WorkloadSpec, heavy_read_update
 
-__all__ = [
-    "EfficiencySample",
-    "run_efficiency_samples",
-    "BismarEvalResult",
-    "run_bismar_eval",
-]
+__all__ = ["run_efficiency_samples", "run_bismar_eval"]
 
 
 # --------------------------------------------------------------------------- E3
-
-
-@dataclass(frozen=True)
-class EfficiencySample:
-    """One (access pattern, level) sample of measured efficiency."""
-
-    pattern: str
-    level: str
-    stale_rate: float
-    cost_per_kop: float
-    relative_cost: float
-    efficiency: float
 
 
 def run_efficiency_samples(
@@ -59,12 +41,15 @@ def run_efficiency_samples(
     ops: Optional[int] = None,
     seed: int = 11,
     target_throughput: Optional[float] = 10_000.0,
-) -> List[EfficiencySample]:
+) -> ExperimentResult:
     """Sweep access patterns x read levels; measure cost and staleness.
 
     Efficiency is computed from *measured* quantities: fresh fraction over
     cost-per-kop normalized within the pattern (exactly how the paper's
-    samples are comparable only within a workload).
+    samples are comparable only within a workload). Each row, labelled
+    ``"{pattern} n={level}"``, is the run's metrics row plus ``pattern``,
+    ``level``, ``relative_cost`` and ``efficiency``; the table marks the
+    first most efficient level of each pattern.
     """
     if patterns is None:
         rc = platform.default_record_count
@@ -80,9 +65,9 @@ def run_efficiency_samples(
                 distribution_kwargs={"hot_set_fraction": 0.05, "hot_opn_fraction": 0.9},
             ),
         }
-    samples: List[EfficiencySample] = []
+    rows: Dict[str, Dict[str, Any]] = {}
     for pname, spec in patterns.items():
-        rows: List[Tuple[str, RunReport, Bill]] = []
+        group = []
         for lv in levels:
             out = run(
                 RunSpec(
@@ -94,92 +79,40 @@ def run_efficiency_samples(
                     target_throughput=target_throughput,
                 )
             )
-            rows.append((f"n={lv}", out.report, out.bill))
-        floor = min(b.cost_per_kop for _, _, b in rows if b.cost_per_kop > 0)
-        for name, rep, bill in rows:
-            rel = bill.cost_per_kop / floor if floor > 0 else 1.0
-            samples.append(
-                EfficiencySample(
-                    pattern=pname,
-                    level=name,
-                    stale_rate=rep.stale_rate_strict,
-                    cost_per_kop=bill.cost_per_kop,
-                    relative_cost=rel,
-                    efficiency=consistency_cost_efficiency(rep.stale_rate_strict, rel),
-                )
-            )
-    return samples
+            group.append({**out.metrics(), "pattern": pname, "level": f"n={lv}"})
+        floor = min(r["cost_per_kop_usd"] for r in group if r["cost_per_kop_usd"] > 0)
+        for row in group:
+            rel = row["cost_per_kop_usd"] / floor if floor > 0 else 1.0
+            row["relative_cost"] = rel
+            row["efficiency"] = consistency_cost_efficiency(row["stale_rate_strict"], rel)
+            rows[f"{pname} {row['level']}"] = row
 
-
-def efficiency_table(samples: Sequence[EfficiencySample]) -> Table:
-    """Render E3 samples with the per-pattern winner marked."""
-    t = Table(
+    best: Dict[str, Dict[str, Any]] = {}
+    for row in rows.values():
+        cur = best.get(row["pattern"])
+        if cur is None or row["efficiency"] > cur["efficiency"]:
+            best[row["pattern"]] = row
+    table = Table(
         "E3: consistency-cost efficiency samples "
         "(winner per access pattern marked *)",
         ["pattern", "level", "stale %", "$/kop", "rel cost", "efficiency", "best"],
     )
-    best_by_pattern: Dict[str, EfficiencySample] = {}
-    for s in samples:
-        cur = best_by_pattern.get(s.pattern)
-        if cur is None or s.efficiency > cur.efficiency:
-            best_by_pattern[s.pattern] = s
-    for s in samples:
-        t.add_row(
+    for row in rows.values():
+        table.add_row(
             [
-                s.pattern,
-                s.level,
-                round(s.stale_rate * 100.0, 1),
-                round(s.cost_per_kop, 6),
-                round(s.relative_cost, 3),
-                round(s.efficiency, 3),
-                "*" if best_by_pattern[s.pattern] is s else "",
+                row["pattern"],
+                row["level"],
+                round(row["stale_rate_strict"] * 100.0, 1),
+                round(row["cost_per_kop_usd"], 6),
+                round(row["relative_cost"], 3),
+                round(row["efficiency"], 3),
+                "*" if best[row["pattern"]] is row else "",
             ]
         )
-    return t
+    return ExperimentResult(table, rows)
 
 
 # --------------------------------------------------------------------------- E4
-
-
-@dataclass
-class BismarEvalResult:
-    """Bismar vs static levels, with the paper's headline ratios."""
-
-    platform: str
-    reports: Dict[str, RunReport]
-    bills: Dict[str, Bill]
-    cost_reduction_vs_quorum: float
-    bismar_stale_rate: float
-    one_stale_rate: float
-
-    def table(self) -> Table:
-        """The E4 comparison table."""
-        t = Table(
-            f"E4: Bismar vs static levels on {self.platform} (RF=5)",
-            ["policy", "stale % (fig1)", "thr ops/s", "$/kop", "total $", "read-level mix"],
-        )
-        for name in self.reports:
-            rep, bill = self.reports[name], self.bills[name]
-            t.add_row(
-                [
-                    name,
-                    round(rep.stale_rate_strict * 100.0, 2),
-                    round(rep.throughput, 0),
-                    round(bill.cost_per_kop, 6),
-                    round(bill.total, 6),
-                    rep.level_mix(),
-                ]
-            )
-        return t
-
-    def claims(self) -> List[str]:
-        """Measured versions of the paper's Bismar claims."""
-        return [
-            f"Bismar cost reduction vs QUORUM: {self.cost_reduction_vs_quorum:.0%} "
-            "(paper: up to 31%)",
-            f"Bismar stale reads: {self.bismar_stale_rate:.1%} (paper: 3.5%)",
-            f"static ONE stale reads: {self.one_stale_rate:.0%} (paper: up to 61%)",
-        ]
 
 
 def run_bismar_eval(
@@ -189,7 +122,7 @@ def run_bismar_eval(
     seed: int = 11,
     stale_cap: Optional[float] = 0.05,
     target_throughput: Optional[float] = 10_000.0,
-) -> BismarEvalResult:
+) -> ExperimentResult:
     """Run ONE / QUORUM / ALL / Bismar on the platform and compare bills.
 
     ``target_throughput`` paces the clients (as YCSB's target parameter
@@ -205,26 +138,41 @@ def run_bismar_eval(
         "ALL": static_factory(ConsistencyLevel.ALL, ConsistencyLevel.ALL, name="ALL"),
         "bismar": bismar_factory(platform.prices, stale_cap=stale_cap),
     }
-    reports: Dict[str, RunReport] = {}
-    bills: Dict[str, Bill] = {}
-    for name, factory in factories.items():
-        out = run(
+    rows = {
+        name: run(
             RunSpec(
                 platform=platform, policy=factory, workload=spec, ops=ops,
                 seed=seed, target_throughput=target_throughput,
             )
-        )
-        reports[name] = out.report
-        bills[name] = out.bill
+        ).metrics()
+        for name, factory in factories.items()
+    }
 
-    quorum_kop = bills["QUORUM"].cost_per_kop
-    bismar_kop = bills["bismar"].cost_per_kop
-    cut = 1.0 - bismar_kop / quorum_kop if quorum_kop > 0 else 0.0
-    return BismarEvalResult(
-        platform=platform.name,
-        reports=reports,
-        bills=bills,
-        cost_reduction_vs_quorum=cut,
-        bismar_stale_rate=reports["bismar"].stale_rate_strict,
-        one_stale_rate=reports["ONE"].stale_rate_strict,
+    table = Table(
+        f"E4: Bismar vs static levels on {platform.name} (RF=5)",
+        ["policy", "stale % (fig1)", "thr ops/s", "$/kop", "total $", "read-level mix"],
+    )
+    for name, row in rows.items():
+        table.add_row(
+            [
+                name,
+                round(row["stale_rate_strict"] * 100.0, 2),
+                round(row["throughput_ops_s"], 0),
+                round(row["cost_per_kop_usd"], 6),
+                round(row["cost_total_usd"], 6),
+                level_mix(row["read_levels"]),
+            ]
+        )
+    quorum_kop = rows["QUORUM"]["cost_per_kop_usd"]
+    bismar_kop = rows["bismar"]["cost_per_kop_usd"]
+    return ExperimentResult(
+        table,
+        rows,
+        {
+            "cost_reduction_vs_quorum": (
+                1.0 - bismar_kop / quorum_kop if quorum_kop > 0 else 0.0
+            ),
+            "bismar_stale_rate": rows["bismar"]["stale_rate_strict"],
+            "one_stale_rate": rows["ONE"]["stale_rate_strict"],
+        },
     )

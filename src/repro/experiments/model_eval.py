@@ -15,8 +15,7 @@ replayed against the store, compared with every static policy on the
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from repro.cluster.consistency import ConsistencyLevel
 from repro.behavior.features import extract_features
 from repro.behavior.manager import BehaviorModel, BehaviorPolicy
 from repro.cost.billing import Biller
+from repro.experiments.paper import ExperimentResult
 from repro.experiments.platforms import Platform
 from repro.experiments.runner import static_factory
 from repro.monitor.collector import ClusterMonitor
@@ -35,28 +35,10 @@ from repro.workload.client import OpenLoopSource
 from repro.workload.traces import PhasedTraceGenerator, TracePhase, replay_trace
 from repro.workload.workloads import KeyRange, WorkloadSpec
 
-__all__ = [
-    "Fig1Row",
-    "run_fig1_validation",
-    "fig1_table",
-    "BehaviorEvalResult",
-    "run_behavior_eval",
-    "webshop_phases",
-]
+__all__ = ["run_fig1_validation", "run_behavior_eval", "webshop_phases"]
 
 
 # -------------------------------------------------------------------------- FIG1
-
-
-@dataclass(frozen=True)
-class Fig1Row:
-    """One sweep point: the three estimates side by side."""
-
-    write_rate: float
-    read_level: int
-    closed_form: float
-    monte_carlo: float
-    simulator: float
 
 
 def _simulate_single_key(
@@ -100,14 +82,17 @@ def run_fig1_validation(
     horizon: float = 60.0,
     seed: int = 5,
     ops: Optional[int] = None,
-) -> List[Fig1Row]:
+) -> ExperimentResult:
     """Sweep (write rate, read level); return all three estimates per point.
 
+    Each row, labelled ``"w={write_rate} r={read_level}"``, holds
+    ``write_rate``, ``read_level``, the model's ``closed_form`` and
+    ``monte_carlo`` estimates and the simulator oracle's ``stale_rate``.
     ``ops``, when given, sets ``horizon`` to ``ops / read_rate``.
     """
     if ops is not None:
         horizon = ops / read_rate
-    rows: List[Fig1Row] = []
+    rows: Dict[str, Dict[str, Any]] = {}
     rf = platform.rf
 
     for lam in write_rates:
@@ -150,35 +135,29 @@ def run_fig1_validation(
             ss = _simulate_single_key(
                 platform, lam, read_rate, r, write_level, horizon, seed
             )
-            rows.append(
-                Fig1Row(
-                    write_rate=lam,
-                    read_level=r,
-                    closed_form=cf,
-                    monte_carlo=mc,
-                    simulator=ss,
-                )
-            )
-    return rows
+            rows[f"w={lam:g} r={r}"] = {
+                "write_rate": lam,
+                "read_level": r,
+                "closed_form": cf,
+                "monte_carlo": mc,
+                "stale_rate": ss,
+            }
 
-
-def fig1_table(rows: Sequence[Fig1Row]) -> Table:
-    """Render the FIG1 sweep."""
-    t = Table(
+    table = Table(
         "FIG1: stale-read probability -- closed form vs Monte Carlo vs simulator",
         ["write rate /s", "read level", "closed form", "monte carlo", "simulator"],
     )
-    for row in rows:
-        t.add_row(
+    for row in rows.values():
+        table.add_row(
             [
-                row.write_rate,
-                row.read_level,
-                round(row.closed_form, 4),
-                round(row.monte_carlo, 4),
-                round(row.simulator, 4),
+                row["write_rate"],
+                row["read_level"],
+                round(row["closed_form"], 4),
+                round(row["monte_carlo"], 4),
+                round(row["stale_rate"], 4),
             ]
         )
-    return t
+    return ExperimentResult(table, rows)
 
 
 # -------------------------------------------------------------------------- E5
@@ -202,24 +181,26 @@ def webshop_phases(key_count: int = 400) -> List[TracePhase]:
     ]
 
 
-@dataclass
-class BehaviorEvalResult:
-    """Clustering quality plus the policy comparison on the phased trace."""
-
-    purity: float
-    k: int
-    rows: Dict[str, Tuple[float, float, float]]  # policy -> (stale, $/kop, p99 ms)
-
-    def table(self) -> Table:
-        """The E5 comparison table."""
-        t = Table(
-            f"E5: behavior-modeled policy vs statics on a phased webshop trace "
-            f"(clusters k={self.k}, phase purity {self.purity:.0%})",
-            ["policy", "stale %", "$/kop", "read p99 ms"],
+def _behavior_result(rows: Dict[str, Dict[str, Any]]) -> ExperimentResult:
+    """The E5 table over the policy rows; the title reads the ``behavior``
+    row's ``clusters`` and ``phase_purity``."""
+    behavior = rows["behavior"]
+    table = Table(
+        f"E5: behavior-modeled policy vs statics on a phased webshop trace "
+        f"(clusters k={behavior['clusters']}, "
+        f"phase purity {behavior['phase_purity']:.0%})",
+        ["policy", "stale %", "$/kop", "read p99 ms"],
+    )
+    for name, row in rows.items():
+        table.add_row(
+            [
+                name,
+                round(row["stale_rate"] * 100.0, 2),
+                round(row["cost_per_kop_usd"], 6),
+                round(row["read_latency_p99_ms"], 2),
+            ]
         )
-        for name, (stale, kop, p99) in self.rows.items():
-            t.add_row([name, round(stale * 100.0, 2), round(kop, 6), round(p99, 2)])
-        return t
+    return ExperimentResult(table, rows)
 
 
 def _replay_with_policy(
@@ -228,8 +209,8 @@ def _replay_with_policy(
     policy_factory,
     key_count: int,
     seed: int,
-) -> Tuple[float, float, float]:
-    """Replay the trace under a policy; return (stale, $/kop, p99 ms)."""
+) -> Dict[str, Any]:
+    """Replay the trace under a policy; return its stale / cost / p99 row."""
     _, store = platform.build(seed=seed)
     policy = policy_factory(store)
     store.preload(KeyRange(key_count), store.default_value_size)
@@ -237,11 +218,11 @@ def _replay_with_policy(
     replay_trace(store, trace, policy)
     store.transport.run()
     bill = biller.bill()
-    return (
-        store.oracle.stale_rate,
-        bill.cost_per_kop,
-        store.read_latency.percentile(99) * 1e3,
-    )
+    return {
+        "stale_rate": store.oracle.stale_rate,
+        "cost_per_kop_usd": bill.cost_per_kop,
+        "read_latency_p99_ms": store.read_latency.percentile(99) * 1e3,
+    }
 
 
 def run_behavior_eval(
@@ -250,8 +231,13 @@ def run_behavior_eval(
     key_count: int = 400,
     window: float = 5.0,
     seed: int = 7,
-) -> BehaviorEvalResult:
-    """Fit the behavior model on one trace; evaluate policies on a fresh one."""
+) -> ExperimentResult:
+    """Fit the behavior model on one trace; evaluate policies on a fresh one.
+
+    Each row is one policy's replay; the ``behavior`` row also carries the
+    fitted model's cluster count (``clusters``) and the majority-phase
+    purity of its training windows (``phase_purity``).
+    """
     phases = webshop_phases(key_count)
     train = PhasedTraceGenerator(phases).generate(cycles=cycles, seed=seed)
     test = PhasedTraceGenerator(phases).generate(cycles=max(cycles - 1, 1), seed=seed + 1)
@@ -260,7 +246,6 @@ def run_behavior_eval(
 
     # clustering quality: majority-phase purity of the training windows
     feats = extract_features(train, window)
-    idx = 0
     truth: List[str] = []
     for f in feats:
         phases_in = [
@@ -281,10 +266,13 @@ def run_behavior_eval(
             model, monitor, rf=store.strategy.rf_total, update_interval=window / 2,
         )
 
-    rows: Dict[str, Tuple[float, float, float]] = {}
-    rows["behavior"] = _replay_with_policy(
-        platform, test, behavior_factory, key_count, seed
-    )
+    rows = {
+        "behavior": {
+            **_replay_with_policy(platform, test, behavior_factory, key_count, seed),
+            "clusters": model.k,
+            "phase_purity": purity,
+        }
+    }
     for name, level in (
         ("eventual", ConsistencyLevel.ONE),
         ("quorum", ConsistencyLevel.QUORUM),
@@ -297,4 +285,4 @@ def run_behavior_eval(
             key_count,
             seed,
         )
-    return BehaviorEvalResult(purity=purity, k=model.k, rows=rows)
+    return _behavior_result(rows)

@@ -43,6 +43,7 @@ __all__ = [
     "OpenLoopSource",
     "WorkloadRunner",
     "RunReport",
+    "level_mix",
     "LevelUsage",
 ]
 
@@ -309,14 +310,18 @@ class RunReport:
     #: aggregate per-cohort accounting blocks (cohort mode only).
     cohorts: Optional[List[Dict[str, Any]]] = None
 
-    def level_mix(self) -> str:
-        """Compact ``label:count`` summary of read levels used (for reports)."""
-        total = sum(self.read_levels.values()) or 1
-        parts = [
-            f"{label}:{100.0 * n / total:.0f}%"
-            for label, n in sorted(self.read_levels.items(), key=lambda kv: -kv[1])
-        ]
-        return " ".join(parts)
+
+def level_mix(read_levels: Dict[str, int]) -> str:
+    """Compact ``label:share`` summary of the read levels a run used.
+
+    Labels print most used first; equal counts keep ``read_levels``' order.
+    """
+    total = sum(read_levels.values()) or 1
+    parts = [
+        f"{label}:{100.0 * n / total:.0f}%"
+        for label, n in sorted(read_levels.items(), key=lambda kv: -kv[1])
+    ]
+    return " ".join(parts)
 
 
 class WorkloadRunner:
@@ -463,7 +468,6 @@ class WorkloadRunner:
     def _report(self, duration: float) -> RunReport:
         """The measurement window's report (``duration`` simulated seconds)."""
         store = self.store
-        summary = store.summary()
         ops = store.ops_completed()
         return RunReport(
             policy=self.policy.name,
@@ -471,18 +475,18 @@ class WorkloadRunner:
             ops_completed=ops,
             duration=duration,
             throughput=ops / duration,
-            read_latency_mean=summary["read_latency_mean"],
-            read_latency_p99=summary["read_latency_p99"],
-            write_latency_mean=summary["write_latency_mean"],
-            write_latency_p99=summary["write_latency_p99"],
-            stale_rate=summary["stale_rate"],
+            read_latency_mean=store.read_latency.mean,
+            read_latency_p99=store.read_latency.percentile(99),
+            write_latency_mean=store.write_latency.mean,
+            write_latency_p99=store.write_latency.percentile(99),
+            stale_rate=store.oracle.stale_rate,
             stale_rate_strict=store.oracle.stale_rate_strict,
-            failures=summary["failures"],
-            billable_bytes=summary["billable_bytes"],
-            total_bytes=summary["total_bytes"],
+            failures=dict(store.failures),
+            billable_bytes=store.network.traffic.billable_bytes(),
+            total_bytes=store.network.traffic.total_bytes(),
             read_levels=dict(self._usage.read_levels),
             write_levels=dict(self._usage.write_levels),
-            mean_propagation=summary["mean_propagation"],
+            mean_propagation=store.oracle.mean_propagation_time(),
             client_mode=self.client_mode,
             n_clients=self.n_clients,
             cohorts=(

@@ -182,11 +182,11 @@ class TestMain:
             model_eval, "_simulate_single_key",
             lambda *a: seen.append(a[5]) or 0.0,
         )
-        rows = model_eval.run_fig1_validation(
+        res = model_eval.run_fig1_validation(
             grid5000_harmony_platform(), write_rates=(2.0,), read_levels=(1, 2),
             read_rate=200.0, ops=500,
         )
-        assert len(rows) == 2
+        assert list(res.rows) == ["w=2 r=1", "w=2 r=2"]
         assert seen == [2.5, 2.5]  # 500 ops / 200 reads per second
         seen.clear()
         model_eval.run_fig1_validation(

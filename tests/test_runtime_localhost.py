@@ -709,7 +709,7 @@ class TestSimTwin:
         transport.post_at(0.01, store.on_node_crash, replica)  # RTT is 80 ms
         transport.run(until=store.read_timeout + 1.0)
         assert [(o.status, o.reason) for o in outcomes] == [("aborted", "read-failed")]
-        assert store.summary()["failures"] == {"read_timeout": 1}
+        assert store.failures == {"read_timeout": 1}
         # The dead replica served nothing: the read was dropped, not answered.
         assert (dict(node.data), node.reads_served, node.writes_applied) == before
         assert store.ops_completed() == 0

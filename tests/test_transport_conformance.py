@@ -479,7 +479,7 @@ class TestStoreOnBothEngines:
         assert {store.nodes[r].data["k"].write_id for r in store.all_replicas("k")} == {
             store.write_seq
         }
-        assert store.summary()["failures"] == {}
+        assert store.failures == {}
 
     def test_crashed_replicas_silence_reads_until_recovery(self, harness):
         # Crashing the whole replica set of a key must fail reads at once;
@@ -508,7 +508,7 @@ class TestStoreOnBothEngines:
         assert not results[0].ok
         assert results[0].error == "unavailable"
         assert results[1].ok
-        assert state["store"].summary()["failures"] == {"read_unavailable": 1}
+        assert state["store"].failures == {"read_unavailable": 1}
         assert state["store"].ops_completed() == 1
 
     def test_hints_replay_to_a_recovered_replica(self, harness):

@@ -6,7 +6,12 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.cluster.store import DEFAULT_VALUE_SIZE, StoreConfig
 from repro.policy import StaticPolicy
-from repro.workload.client import ClosedLoopClient, OpenLoopSource, WorkloadRunner
+from repro.workload.client import (
+    ClosedLoopClient,
+    OpenLoopSource,
+    WorkloadRunner,
+    level_mix,
+)
 from repro.workload.traces import (
     PhasedTraceGenerator,
     TracePhase,
@@ -239,7 +244,7 @@ class TestWorkloadRunner:
         assert 0.0 <= rep.stale_rate <= 1.0
         assert rep.read_latency_p99 >= rep.read_latency_mean * 0.5
         assert rep.read_levels  # level usage recorded
-        assert "n=1" in rep.level_mix()
+        assert "n=1" in level_mix(rep.read_levels)
 
     def test_warmup_resets_metrics(self):
         store = self._store()
