@@ -275,7 +275,7 @@ class OpenLoopSource:
 
 @dataclass
 class RunReport:
-    """Results of one workload run (the row every experiment table prints)."""
+    """Results of one workload run (``RunOutcome.metrics()`` builds the row from it)."""
 
     policy: str
     workload: str
