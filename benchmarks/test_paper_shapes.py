@@ -1,8 +1,9 @@
 """Paper-direction checks: every experiment of §III-§IV at its default scale.
 
-Each section regenerates one of the paper's tables or figures through the
-same functions the ``repro`` CLI verbs call, and asserts the *shape* the
-paper reports (direction and ordering). A bound that is the paper's number
+Each section regenerates one of the paper's tables or figures at its verb's
+one operating point (``repro.experiments.verbs``): the fixture's result is
+what ``repro <verb> --seed 11`` prints. It asserts the *shape* the paper
+reports (direction and ordering). A bound that is the paper's number
 reads it from ``repro.experiments.paper``; a band around it cites it in the
 assertion message. One module-scoped fixture per experiment runs it once;
 the tests read its rows and claims. Not part of the tier-1 suite (``testpaths = ["tests"]``);
@@ -16,16 +17,9 @@ Speed is measured by ``bench/run.py`` (see ``BENCHMARK.json``), not here.
 import pytest
 
 from repro.elastic import ElasticSpec, RebalanceConfig
-from repro.experiments.bismar_eval import run_bismar_eval, run_efficiency_samples
-from repro.experiments.cost_eval import run_cost_eval
-from repro.experiments.harmony_eval import run_harmony_eval
-from repro.experiments.model_eval import run_behavior_eval, run_fig1_validation
 from repro.experiments.paper import PAPER
 from repro.experiments.platforms import (
-    ec2_cost_platform,
-    ec2_harmony_platform,
     grid5000_bismar_platform,
-    grid5000_harmony_platform,
     single_dc_platform,
     small_dc_platform,
 )
@@ -34,6 +28,7 @@ from repro.experiments.runner import (
     named_policy_factory,
     static_factory,
 )
+from repro.experiments.verbs import VERBS
 from repro.facade import RunSpec, run as run_spec
 from repro.monitor.collector import ClusterMonitor
 from repro.policy import StaticPolicy
@@ -41,6 +36,9 @@ from repro.stale.dcmodel import DeploymentInfo, system_stale_rate_dc
 from repro.stale.model import params_from_snapshot, system_stale_rate
 from repro.workload.client import WorkloadRunner, level_mix
 from repro.workload.workloads import bank_transfer_mix, heavy_read_update
+
+#: The seed every experiment fixture runs its verb at: the CLI's default.
+SEED = 11
 
 
 # -- E1-G5K: Harmony on the Grid'5000 preset (§IV-A) --------------------------
@@ -53,12 +51,7 @@ from repro.workload.workloads import bank_transfer_mix, heavy_read_update
 
 @pytest.fixture(scope="module")
 def e1_g5k():
-    return run_harmony_eval(
-        grid5000_harmony_platform(),
-        tolerances=(0.2, 0.4),
-        ops=24_000,
-        seed=11,
-    )
+    return VERBS["e1-g5k"](None, SEED)
 
 
 def test_e1_grid5000_harmony(e1_g5k):
@@ -101,13 +94,7 @@ def test_e1_harmony_latency_between_extremes(e1_g5k):
 
 @pytest.fixture(scope="module")
 def e1_ec2():
-    return run_harmony_eval(
-        ec2_harmony_platform(),
-        tolerances=(0.4, 0.6),
-        spec=heavy_read_update(record_count=200),
-        ops=24_000,
-        seed=11,
-    )
+    return VERBS["e1-ec2"](None, SEED)
 
 
 def test_e1_ec2_harmony(e1_ec2):
@@ -139,7 +126,7 @@ def test_e1_ec2_harmony_beats_eventual_on_staleness(e1_ec2):
 
 @pytest.fixture(scope="module")
 def e2_cost():
-    return run_cost_eval(ec2_cost_platform(), ops=30_000, seed=11)
+    return VERBS["e2-cost"](None, SEED)
 
 
 def test_e2_cost_levels(e2_cost):
@@ -189,13 +176,7 @@ def test_e2_measured_staleness_ordering(e2_cost):
 
 @pytest.fixture(scope="module")
 def e3_samples():
-    return run_efficiency_samples(
-        grid5000_bismar_platform(),
-        levels=(1, 2, 3, 4, 5),
-        ops=15_000,
-        seed=11,
-        target_throughput=8_000.0,
-    )
+    return VERBS["e3-efficiency"](None, SEED)
 
 
 def _by_pattern(samples):
@@ -246,13 +227,7 @@ def test_e3_heavily_stale_weak_levels_lose(e3_samples):
 
 @pytest.fixture(scope="module")
 def e4_bismar():
-    return run_bismar_eval(
-        grid5000_bismar_platform(),
-        ops=40_000,
-        seed=11,
-        stale_cap=0.05,
-        target_throughput=10_000.0,
-    )
+    return VERBS["e4-bismar"](None, SEED)
 
 
 def test_e4_bismar(e4_bismar):
@@ -299,9 +274,7 @@ def test_e4_bismar_adapts_levels(e4_bismar):
 
 @pytest.fixture(scope="module")
 def e5_behavior():
-    return run_behavior_eval(
-        ec2_harmony_platform(), cycles=3, key_count=300, window=5.0, seed=7
-    )
+    return VERBS["e5-behavior"](None, SEED)
 
 
 def _stale_and_cost(row):
@@ -347,13 +320,7 @@ def test_e5_behavior_beats_every_static_on_pareto(e5_behavior):
 
 @pytest.fixture(scope="module")
 def fig1_rows():
-    return run_fig1_validation(
-        grid5000_harmony_platform(),
-        write_rates=(2.0, 8.0, 32.0),
-        read_levels=(1, 2, 3),
-        horizon=40.0,
-        seed=5,
-    ).rows.values()
+    return VERBS["fig1"](None, SEED).rows.values()
 
 
 def test_fig1_model_validation(fig1_rows):

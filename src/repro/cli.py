@@ -36,78 +36,43 @@ from typing import Callable, Dict
 from repro.common.errors import ConfigError
 
 
-def _show(result) -> None:
-    """Print an experiment's table, then its measured claim lines."""
+def _show(verb: str, ops, seed: int) -> None:
+    """Run an experiment verb at its operating point; print its table, then
+    its measured claim lines."""
+    from repro.experiments.verbs import VERBS
+
+    result = VERBS[verb](ops, seed)
     print(result.table)
     for claim in result.claim_lines():
         print(" ", claim)
 
 
 def _e1_g5k(args) -> None:
-    from repro.experiments.harmony_eval import run_harmony_eval
-    from repro.experiments.platforms import grid5000_harmony_platform
-
-    _show(
-        run_harmony_eval(
-            grid5000_harmony_platform(), tolerances=(0.2, 0.4), ops=args.ops,
-            seed=args.seed,
-        )
-    )
+    _show("e1-g5k", args.ops, args.seed)
 
 
 def _e1_ec2(args) -> None:
-    from repro.experiments.harmony_eval import run_harmony_eval
-    from repro.experiments.platforms import ec2_harmony_platform
-    from repro.workload.workloads import heavy_read_update
-
-    _show(
-        run_harmony_eval(
-            ec2_harmony_platform(),
-            tolerances=(0.4, 0.6),
-            spec=heavy_read_update(record_count=200),
-            ops=args.ops,
-            seed=args.seed,
-        )
-    )
+    _show("e1-ec2", args.ops, args.seed)
 
 
 def _e2_cost(args) -> None:
-    from repro.experiments.cost_eval import run_cost_eval
-    from repro.experiments.platforms import ec2_cost_platform
-
-    _show(run_cost_eval(ec2_cost_platform(), ops=args.ops, seed=args.seed))
+    _show("e2-cost", args.ops, args.seed)
 
 
 def _e3_efficiency(args) -> None:
-    from repro.experiments.bismar_eval import run_efficiency_samples
-    from repro.experiments.platforms import grid5000_bismar_platform
-
-    _show(
-        run_efficiency_samples(grid5000_bismar_platform(), ops=args.ops, seed=args.seed)
-    )
+    _show("e3-efficiency", args.ops, args.seed)
 
 
 def _e4_bismar(args) -> None:
-    from repro.experiments.bismar_eval import run_bismar_eval
-    from repro.experiments.platforms import grid5000_bismar_platform
-
-    _show(run_bismar_eval(grid5000_bismar_platform(), ops=args.ops, seed=args.seed))
+    _show("e4-bismar", args.ops, args.seed)
 
 
 def _fig1(args) -> None:
-    from repro.experiments.model_eval import run_fig1_validation
-    from repro.experiments.platforms import grid5000_harmony_platform
-
-    _show(
-        run_fig1_validation(grid5000_harmony_platform(), ops=args.ops, seed=args.seed)
-    )
+    _show("fig1", args.ops, args.seed)
 
 
 def _e5_behavior(args) -> None:
-    from repro.experiments.model_eval import run_behavior_eval
-    from repro.experiments.platforms import ec2_harmony_platform
-
-    _show(run_behavior_eval(ec2_harmony_platform(), seed=args.seed))
+    _show("e5-behavior", None, args.seed)
 
 
 def _scenarios(args) -> None:
@@ -662,6 +627,10 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
+        # The runs' RNGs take only non-negative seeds; sweep derives its
+        # runs' seeds from --seed, so any integer roots it.
+        if getattr(args, "seed", 0) < 0 and args.command != "sweep":
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         COMMANDS[args.command](args)
     except ConfigError as exc:
         # User-input problems (bad --grid axis, unknown scenario, --jobs 0)

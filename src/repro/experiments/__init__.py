@@ -1,7 +1,8 @@
 """Experiment harness: platform presets and per-experiment reproductions.
 
-One module per experiment family of the paper's §IV (the ``repro`` CLI
-verbs and ``benchmarks/test_paper_shapes.py`` call these):
+One module per experiment family of the paper's §IV, each verb's call of
+it written once in :mod:`repro.experiments.verbs` (the ``repro`` CLI verbs
+and ``benchmarks/test_paper_shapes.py`` both run that):
 
 - :mod:`repro.experiments.platforms` -- the two evaluation platforms as
   simulated presets (Amazon EC2 / Grid'5000 deployments);
@@ -18,6 +19,8 @@ verbs and ``benchmarks/test_paper_shapes.py`` call these):
 - :mod:`repro.experiments.model_eval` -- FIG1: staleness-model validation,
   and E5: the behavior-modeling evaluation (the paper lists it as future
   work; built here as the natural extension);
+- :mod:`repro.experiments.verbs` -- each experiment verb's one operating
+  point: its platform, its arguments and its ``(ops, seed)``;
 - :mod:`repro.experiments.scenarios` -- the declarative scenario registry
   (workload x topology x policy x failure-injection recipes);
 - :mod:`repro.experiments.sweep` -- grid expansion and the multiprocess

@@ -16,13 +16,13 @@ The paper's numbers for both are in :mod:`repro.experiments.paper`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.common.tables import Table
 from repro.cluster.consistency import ConsistencyLevel
 from repro.bismar.efficiency import consistency_cost_efficiency
 from repro.experiments.paper import ExperimentResult
-from repro.experiments.platforms import Platform
+from repro.experiments.platforms import grid5000_bismar_platform
 from repro.experiments.runner import bismar_factory, static_factory
 from repro.facade import RunSpec, run
 from repro.workload.client import level_mix
@@ -31,17 +31,20 @@ from repro.workload.workloads import WorkloadSpec, heavy_read_update
 __all__ = ["run_efficiency_samples", "run_bismar_eval"]
 
 
+#: The pace of E3's and E4's clients, ops/s. It paces them as YCSB's target
+#: parameter does, so every run lasts long enough for the adaptive engines'
+#: monitor windows to be meaningful -- unpaced, weak levels finish the
+#: scaled op count in well under one monitoring window.
+TARGET_THROUGHPUT = 10_000.0
+
+
 # --------------------------------------------------------------------------- E3
 
+#: E3's symmetric levels: every level of the RF=5 deployment.
+LEVELS = (1, 2, 3, 4, 5)
 
-def run_efficiency_samples(
-    platform: Platform,
-    patterns: Optional[Dict[str, WorkloadSpec]] = None,
-    levels: Sequence[int] = (1, 2, 3, 4, 5),
-    ops: Optional[int] = None,
-    seed: int = 11,
-    target_throughput: Optional[float] = 10_000.0,
-) -> ExperimentResult:
+
+def run_efficiency_samples(ops: Optional[int], seed: int) -> ExperimentResult:
     """Sweep access patterns x read levels; measure cost and staleness.
 
     Efficiency is computed from *measured* quantities: fresh fraction over
@@ -51,24 +54,24 @@ def run_efficiency_samples(
     ``level``, ``relative_cost`` and ``efficiency``; the table marks the
     first most efficient level of each pattern.
     """
-    if patterns is None:
-        rc = platform.default_record_count
-        patterns = {
-            "zipfian": heavy_read_update(record_count=rc, distribution="zipfian"),
-            "uniform": heavy_read_update(record_count=rc, distribution="uniform"),
-            "hotspot": WorkloadSpec(
-                name="hotspot-heavy",
-                read_proportion=0.5,
-                update_proportion=0.5,
-                record_count=rc,
-                distribution="hotspot",
-                distribution_kwargs={"hot_set_fraction": 0.05, "hot_opn_fraction": 0.9},
-            ),
-        }
+    platform = grid5000_bismar_platform()
+    rc = platform.default_record_count
+    patterns = {
+        "zipfian": heavy_read_update(record_count=rc, distribution="zipfian"),
+        "uniform": heavy_read_update(record_count=rc, distribution="uniform"),
+        "hotspot": WorkloadSpec(
+            name="hotspot-heavy",
+            read_proportion=0.5,
+            update_proportion=0.5,
+            record_count=rc,
+            distribution="hotspot",
+            distribution_kwargs={"hot_set_fraction": 0.05, "hot_opn_fraction": 0.9},
+        ),
+    }
     rows: Dict[str, Dict[str, Any]] = {}
     for pname, spec in patterns.items():
         group = []
-        for lv in levels:
+        for lv in LEVELS:
             out = run(
                 RunSpec(
                     platform=platform,
@@ -76,7 +79,7 @@ def run_efficiency_samples(
                     workload=spec,
                     ops=ops,
                     seed=seed,
-                    target_throughput=target_throughput,
+                    target_throughput=TARGET_THROUGHPUT,
                 )
             )
             group.append({**out.metrics(), "pattern": pname, "level": f"n={lv}"})
@@ -114,35 +117,29 @@ def run_efficiency_samples(
 
 # --------------------------------------------------------------------------- E4
 
+#: The stale-read cap E4's Bismar holds.
+STALE_CAP = 0.05
 
-def run_bismar_eval(
-    platform: Platform,
-    spec: Optional[WorkloadSpec] = None,
-    ops: Optional[int] = None,
-    seed: int = 11,
-    stale_cap: Optional[float] = 0.05,
-    target_throughput: Optional[float] = 10_000.0,
-) -> ExperimentResult:
-    """Run ONE / QUORUM / ALL / Bismar on the platform and compare bills.
 
-    ``target_throughput`` paces the clients (as YCSB's target parameter
-    does) so every run lasts long enough for the adaptive engines' monitor
-    windows to be meaningful -- without it, weak levels finish the scaled
-    op count in well under one monitoring window.
+def run_bismar_eval(ops: Optional[int], seed: int) -> ExperimentResult:
+    """Run ONE / QUORUM / ALL / Bismar on Grid'5000 and compare bills.
+
+    The clients are paced at :data:`TARGET_THROUGHPUT`.
     """
+    platform = grid5000_bismar_platform()
     factories = {
         "ONE": static_factory(1, 1, name="ONE"),
         "QUORUM": static_factory(
             ConsistencyLevel.QUORUM, ConsistencyLevel.QUORUM, name="QUORUM"
         ),
         "ALL": static_factory(ConsistencyLevel.ALL, ConsistencyLevel.ALL, name="ALL"),
-        "bismar": bismar_factory(platform.prices, stale_cap=stale_cap),
+        "bismar": bismar_factory(platform.prices, stale_cap=STALE_CAP),
     }
     rows = {
         name: run(
             RunSpec(
-                platform=platform, policy=factory, workload=spec, ops=ops,
-                seed=seed, target_throughput=target_throughput,
+                platform=platform, policy=factory, ops=ops, seed=seed,
+                target_throughput=TARGET_THROUGHPUT,
             )
         ).metrics()
         for name, factory in factories.items()

@@ -18,12 +18,11 @@ from typing import Any, Dict, Optional, Tuple
 from repro.common.tables import Table
 from repro.cluster.consistency import ConsistencyLevel, resolve_level
 from repro.experiments.paper import ExperimentResult
-from repro.experiments.platforms import Platform
+from repro.experiments.platforms import ec2_cost_platform
 from repro.facade import RunSpec, run
 from repro.monitor.collector import ClusterMonitor
 from repro.policy import StaticPolicy
 from repro.stale.dcmodel import forecast_stale
-from repro.workload.workloads import WorkloadSpec
 
 __all__ = ["run_cost_eval", "COST_LEVELS"]
 
@@ -38,12 +37,7 @@ COST_LEVELS: Dict[str, Tuple[object, object]] = {
 }
 
 
-def run_cost_eval(
-    platform: Platform,
-    spec: Optional[WorkloadSpec] = None,
-    ops: Optional[int] = None,
-    seed: int = 11,
-) -> ExperimentResult:
+def run_cost_eval(ops: Optional[int], seed: int) -> ExperimentResult:
     """Sweep the static levels and bill each run's measurement phase.
 
     Each row is the run's metrics row plus the bill's parts
@@ -52,6 +46,7 @@ def run_cost_eval(
     for the level, computed from a monitor on the same run -- the quantity
     the paper reports as reads *estimated* to be up-to-date.
     """
+    platform = ec2_cost_platform()
     rows: Dict[str, Dict[str, Any]] = {}
     rf = platform.rf
     for name, (read, write) in COST_LEVELS.items():
@@ -63,9 +58,7 @@ def run_cost_eval(
             captured["monitor"] = monitor
             return StaticPolicy(read, write, name=name)
 
-        out = run(
-            RunSpec(platform=platform, policy=factory, workload=spec, ops=ops, seed=seed)
-        )
+        out = run(RunSpec(platform=platform, policy=factory, ops=ops, seed=seed))
         snapshot = captured["monitor"].snapshot()
         r_level = resolve_level(read, rf).total
         w_level = resolve_level(write, rf).total

@@ -29,12 +29,15 @@ __all__ = ["run_harmony_eval"]
 
 def run_harmony_eval(
     platform: Platform,
-    tolerances: Sequence[float] = (0.2, 0.4),
-    spec: Optional[WorkloadSpec] = None,
-    ops: Optional[int] = None,
-    seed: int = 11,
+    tolerances: Sequence[float],
+    spec: Optional[WorkloadSpec],
+    ops: Optional[int],
+    seed: int,
 ) -> ExperimentResult:
-    """Run eventual / Harmony(each tolerance) / strong and compare."""
+    """Run eventual / Harmony(each tolerance) / strong and compare.
+
+    ``spec`` ``None`` runs the platform's default workload.
+    """
     factories = {"eventual": static_factory(1, 1, name="eventual")}
     for tol in tolerances:
         factories[f"harmony({tol:g})"] = harmony_factory(tol)

@@ -15,17 +15,22 @@ replayed against the store, compared with every static policy on the
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.common.errors import ConfigError
 from repro.common.tables import Table
 from repro.cluster.consistency import ConsistencyLevel
 from repro.behavior.features import extract_features
 from repro.behavior.manager import BehaviorModel, BehaviorPolicy
 from repro.cost.billing import Biller
 from repro.experiments.paper import ExperimentResult
-from repro.experiments.platforms import Platform
+from repro.experiments.platforms import (
+    Platform,
+    ec2_harmony_platform,
+    grid5000_harmony_platform,
+)
 from repro.experiments.runner import static_factory
 from repro.monitor.collector import ClusterMonitor
 from repro.policy import StaticPolicy
@@ -40,22 +45,26 @@ __all__ = ["run_fig1_validation", "run_behavior_eval", "webshop_phases"]
 
 # -------------------------------------------------------------------------- FIG1
 
+#: FIG1's per-key write rates (/s) and read levels: the swept points.
+WRITE_RATES = (2.0, 8.0, 32.0)
+READ_LEVELS = (1, 2, 3)
+#: Every write's level, and the per-key read rate (/s), at every point.
+WRITE_LEVEL = 1
+READ_RATE = 200.0
+#: How long each point is simulated, in seconds, unless ``ops`` sets it.
+HORIZON = 60.0
+
 
 def _simulate_single_key(
-    platform: Platform,
-    write_rate: float,
-    read_rate: float,
-    read_level: int,
-    write_level: int,
-    horizon: float,
-    seed: int,
+    platform: Platform, write_rate: float, read_level: int, horizon: float, seed: int
 ) -> float:
     """Ground-truth staleness of a single hot key on the full simulator."""
     _, store = platform.build(seed=seed)
+    rate = READ_RATE + write_rate
     spec = WorkloadSpec(
         name="single-key",
-        read_proportion=read_rate / (read_rate + write_rate),
-        update_proportion=write_rate / (read_rate + write_rate),
+        read_proportion=READ_RATE / rate,
+        update_proportion=write_rate / rate,
         record_count=1,
         distribution="uniform",
     )
@@ -63,9 +72,9 @@ def _simulate_single_key(
     source = OpenLoopSource(
         store,
         spec,
-        StaticPolicy(read_level, write_level),
-        rate=read_rate + write_rate,
-        ops=int((read_rate + write_rate) * horizon),
+        StaticPolicy(read_level, WRITE_LEVEL),
+        rate=rate,
+        ops=int(rate * horizon),
         rng=np.random.default_rng(seed),
     )
     source.start()
@@ -73,29 +82,23 @@ def _simulate_single_key(
     return store.oracle.stale_rate
 
 
-def run_fig1_validation(
-    platform: Platform,
-    write_rates: Sequence[float] = (2.0, 8.0, 32.0),
-    read_levels: Sequence[int] = (1, 2, 3),
-    write_level: int = 1,
-    read_rate: float = 200.0,
-    horizon: float = 60.0,
-    seed: int = 5,
-    ops: Optional[int] = None,
-) -> ExperimentResult:
+def run_fig1_validation(ops: Optional[int], seed: int) -> ExperimentResult:
     """Sweep (write rate, read level); return all three estimates per point.
 
     Each row, labelled ``"w={write_rate} r={read_level}"``, holds
     ``write_rate``, ``read_level``, the model's ``closed_form`` and
     ``monte_carlo`` estimates and the simulator oracle's ``stale_rate``.
-    ``ops``, when given, sets ``horizon`` to ``ops / read_rate``.
+    ``ops``, when given, sets the horizon to ``ops / READ_RATE`` seconds,
+    else it is :data:`HORIZON`.
     """
-    if ops is not None:
-        horizon = ops / read_rate
+    if ops is not None and ops < 1:
+        raise ConfigError(f"ops must be >= 1, got {ops}")
+    horizon = HORIZON if ops is None else ops / READ_RATE
+    platform = grid5000_harmony_platform()
     rows: Dict[str, Dict[str, Any]] = {}
     rf = platform.rf
 
-    for lam in write_rates:
+    for lam in WRITE_RATES:
         # Calibrate the model/MC inputs from the platform's own latency
         # structure by measuring one simulator run's ack profile.
         _, store = platform.build(seed=seed)
@@ -108,7 +111,7 @@ def run_fig1_validation(
                 name="probe", read_proportion=0.0, update_proportion=1.0,
                 record_count=1, distribution="uniform",
             ),
-            StaticPolicy(1, write_level),
+            StaticPolicy(1, WRITE_LEVEL),
             rate=lam,
             ops=max(int(lam * 20.0), 50),
             rng=np.random.default_rng(seed + 1),
@@ -118,7 +121,7 @@ def run_fig1_validation(
         ranks = monitor.ack_rank_means(recent=False)
         while len(ranks) < rf:
             ranks.append(ranks[-1] if ranks else 0.001)
-        t_commit = ranks[write_level - 1]
+        t_commit = ranks[WRITE_LEVEL - 1]
         windows = [max(d - t_commit, 0.0) for d in ranks]
 
         def sampler(rng, n, ranks=tuple(ranks)):
@@ -126,15 +129,13 @@ def run_fig1_validation(
             jitter = rng.exponential(np.maximum(base, 1e-6) * 0.3, size=(n, rf))
             return np.maximum(base + jitter - base * 0.3, 1e-6)
 
-        for r in read_levels:
-            cf = per_key_stale_probability(lam, r, write_level, windows)
+        for r in READ_LEVELS:
+            cf = per_key_stale_probability(lam, r, WRITE_LEVEL, windows)
             mc = MonteCarloStaleEstimator(
-                write_rate=lam, read_rate=read_rate, rf=rf,
+                write_rate=lam, read_rate=READ_RATE, rf=rf,
                 delay_sampler=sampler, rng=seed,
-            ).estimate(r, write_level, horizon=min(horizon * 4, 400.0))
-            ss = _simulate_single_key(
-                platform, lam, read_rate, r, write_level, horizon, seed
-            )
+            ).estimate(r, WRITE_LEVEL, horizon=min(horizon * 4, 400.0))
+            ss = _simulate_single_key(platform, lam, r, horizon, seed)
             rows[f"w={lam:g} r={r}"] = {
                 "write_rate": lam,
                 "read_level": r,
@@ -162,21 +163,27 @@ def run_fig1_validation(
 
 # -------------------------------------------------------------------------- E5
 
+#: The webshop's keyspace, the training trace's phase cycles (the test
+#: trace has one fewer) and the behavior model's window in seconds.
+KEY_COUNT = 400
+CYCLES = 3
+WINDOW = 5.0
 
-def webshop_phases(key_count: int = 400) -> List[TracePhase]:
+
+def webshop_phases() -> List[TracePhase]:
     """The motivating webshop timeline: browse / checkout rush / batch."""
     return [
         TracePhase(
             "browse", 60.0, rate=400.0, read_fraction=0.96,
-            key_count=key_count, hot_fraction=0.25, hot_weight=0.6,
+            key_count=KEY_COUNT, hot_fraction=0.25, hot_weight=0.6,
         ),
         TracePhase(
             "checkout-rush", 30.0, rate=700.0, read_fraction=0.55,
-            key_count=key_count, hot_fraction=0.04, hot_weight=0.9,
+            key_count=KEY_COUNT, hot_fraction=0.04, hot_weight=0.9,
         ),
         TracePhase(
             "batch-update", 30.0, rate=300.0, read_fraction=0.10,
-            key_count=key_count, hot_fraction=0.5, hot_weight=0.4,
+            key_count=KEY_COUNT, hot_fraction=0.5, hot_weight=0.4,
         ),
     ]
 
@@ -204,17 +211,13 @@ def _behavior_result(rows: Dict[str, Dict[str, Any]]) -> ExperimentResult:
 
 
 def _replay_with_policy(
-    platform: Platform,
-    trace,
-    policy_factory,
-    key_count: int,
-    seed: int,
+    platform: Platform, trace, policy_factory, seed: int
 ) -> Dict[str, Any]:
     """Replay the trace under a policy; return its stale / cost / p99 row."""
     _, store = platform.build(seed=seed)
     policy = policy_factory(store)
-    store.preload(KeyRange(key_count), store.default_value_size)
-    biller = Biller(store, platform.prices, key_count * store.default_value_size)
+    store.preload(KeyRange(KEY_COUNT), store.default_value_size)
+    biller = Biller(store, platform.prices, KEY_COUNT * store.default_value_size)
     replay_trace(store, trace, policy)
     store.transport.run()
     bill = biller.bill()
@@ -225,27 +228,22 @@ def _replay_with_policy(
     }
 
 
-def run_behavior_eval(
-    platform: Platform,
-    cycles: int = 3,
-    key_count: int = 400,
-    window: float = 5.0,
-    seed: int = 7,
-) -> ExperimentResult:
+def run_behavior_eval(seed: int) -> ExperimentResult:
     """Fit the behavior model on one trace; evaluate policies on a fresh one.
 
     Each row is one policy's replay; the ``behavior`` row also carries the
     fitted model's cluster count (``clusters``) and the majority-phase
     purity of its training windows (``phase_purity``).
     """
-    phases = webshop_phases(key_count)
-    train = PhasedTraceGenerator(phases).generate(cycles=cycles, seed=seed)
-    test = PhasedTraceGenerator(phases).generate(cycles=max(cycles - 1, 1), seed=seed + 1)
+    platform = ec2_harmony_platform()
+    phases = webshop_phases()
+    train = PhasedTraceGenerator(phases).generate(cycles=CYCLES, seed=seed)
+    test = PhasedTraceGenerator(phases).generate(cycles=CYCLES - 1, seed=seed + 1)
 
-    model = BehaviorModel.fit(train, window=window, k_range=(2, 3, 4, 5))
+    model = BehaviorModel.fit(train, window=WINDOW, k_range=(2, 3, 4, 5))
 
     # clustering quality: majority-phase purity of the training windows
-    feats = extract_features(train, window)
+    feats = extract_features(train, WINDOW)
     truth: List[str] = []
     for f in feats:
         phases_in = [
@@ -260,15 +258,15 @@ def run_behavior_eval(
     purity = sum(c.most_common(1)[0][1] for c in per_cluster.values()) / len(truth)
 
     def behavior_factory(store):
-        monitor = ClusterMonitor(window=window)
+        monitor = ClusterMonitor(window=WINDOW)
         store.observe(monitor)
         return BehaviorPolicy(
-            model, monitor, rf=store.strategy.rf_total, update_interval=window / 2,
+            model, monitor, rf=store.strategy.rf_total, update_interval=WINDOW / 2,
         )
 
     rows = {
         "behavior": {
-            **_replay_with_policy(platform, test, behavior_factory, key_count, seed),
+            **_replay_with_policy(platform, test, behavior_factory, seed),
             "clusters": model.k,
             "phase_purity": purity,
         }
@@ -279,10 +277,6 @@ def run_behavior_eval(
         ("strong", ConsistencyLevel.ALL),
     ):
         rows[name] = _replay_with_policy(
-            platform,
-            test,
-            static_factory(level, level, name=name),
-            key_count,
-            seed,
+            platform, test, static_factory(level, level, name=name), seed
         )
     return _behavior_result(rows)

@@ -3,13 +3,15 @@
 import argparse
 import ast
 import inspect
+import os
+import subprocess
+import sys
 import zlib
 
 import pytest
 
 from repro import cli
 from repro.cli import COMMANDS, TAKES_OPS, TAKES_SEED, build_parser, main
-from repro.experiments.platforms import grid5000_harmony_platform
 
 
 #: crc32 of each experiment verb's stdout at the small scale its run test
@@ -177,23 +179,56 @@ class TestMain:
     def test_fig1_ops_sets_the_horizon(self, monkeypatch):
         from repro.experiments import model_eval
 
+        class MonteCarlo:  # the model's estimate is not under test
+            def __init__(self, **kwargs):
+                pass
+
+            def estimate(self, read_level, write_level, horizon):
+                return 0.0
+
         seen = []
+        monkeypatch.setattr(model_eval, "MonteCarloStaleEstimator", MonteCarlo)
         monkeypatch.setattr(
             model_eval, "_simulate_single_key",
-            lambda *a: seen.append(a[5]) or 0.0,
+            lambda *a: seen.append(a[3]) or 0.0,
         )
-        res = model_eval.run_fig1_validation(
-            grid5000_harmony_platform(), write_rates=(2.0,), read_levels=(1, 2),
-            read_rate=200.0, ops=500,
-        )
-        assert list(res.rows) == ["w=2 r=1", "w=2 r=2"]
-        assert seen == [2.5, 2.5]  # 500 ops / 200 reads per second
+        res = model_eval.run_fig1_validation(ops=500, seed=5)
+        assert list(res.rows) == [
+            f"w={w:g} r={r}"
+            for w in model_eval.WRITE_RATES for r in model_eval.READ_LEVELS
+        ]
+        assert set(seen) == {2.5}  # 500 ops / 200 reads per second
         seen.clear()
-        model_eval.run_fig1_validation(
-            grid5000_harmony_platform(), write_rates=(2.0,), read_levels=(1,),
-            horizon=7.0,
-        )
-        assert seen == [7.0]  # without ops the horizon is untouched
+        model_eval.run_fig1_validation(ops=None, seed=5)
+        assert set(seen) == {model_eval.HORIZON}  # without ops, the default
+
+    def test_fig1_zero_ops_is_clean_error(self, capsys):
+        assert main(["fig1", "--ops", "0"]) == 2
+        assert capsys.readouterr().err == "error: ops must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["e1-g5k", "--ops", "400"],
+            ["e2-cost"],
+            ["fig1"],
+            ["e5-behavior"],
+            ["txn", "--ops", "40"],
+            ["elastic", "--ops", "400"],
+            ["xval"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_clean_error(self, argv, capsys):
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+    def test_sweep_takes_a_negative_root_seed(self, capsys):
+        # the sweep derives each run's non-negative seed from its root seed
+        argv = ["sweep", "--scenario", "single-dc-ycsb-a", "--ops", "200",
+                "--seed", "-1"]
+        assert main(argv) == 0
+        assert "sweep: 1 runs" in capsys.readouterr().out
 
     def test_xval_bad_levels_is_clean_error(self, capsys):
         assert main(["xval", "--levels", "0.1,lots"]) == 2
@@ -347,3 +382,24 @@ class TestMain:
         out = capsys.readouterr().out
         assert "sweep: 1 runs" in out
         assert "harmony-geo-cohort" in out
+
+
+class TestLazyImports:
+    def test_importing_the_cli_leaves_the_eval_modules_out(self):
+        # A fresh interpreter: this one has long since imported them. The
+        # CLI starts in a new process for every command a user types, and
+        # only an experiment verb needs its eval module.
+        probe = (
+            "import sys, repro.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.experiments.')\n"
+            "             and m.endswith('_eval')))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert done.stdout == "[]\n"

@@ -6,6 +6,7 @@ or policy, headline ratios that agree with the bills they are computed
 from, and tables that render every row.
 """
 
+import ast
 import zlib
 from pathlib import Path
 
@@ -16,32 +17,27 @@ from repro.experiments.bismar_eval import run_bismar_eval, run_efficiency_sample
 from repro.experiments.cost_eval import COST_LEVELS, run_cost_eval
 from repro.experiments.model_eval import webshop_phases
 from repro.experiments.paper import PAPER
-from repro.experiments.platforms import ec2_cost_platform, grid5000_bismar_platform
-from repro.workload.workloads import heavy_read_update
+from repro.experiments.verbs import VERBS
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
 def cost():
-    return run_cost_eval(ec2_cost_platform(), ops=1500, seed=3)
+    return run_cost_eval(ops=1500, seed=3)
 
 
 @pytest.fixture(scope="module")
 def bismar():
-    return run_bismar_eval(grid5000_bismar_platform(), ops=1500, seed=3)
+    return run_bismar_eval(ops=1500, seed=3)
 
 
 @pytest.fixture(scope="module")
 def samples():
-    plat = grid5000_bismar_platform()
-    patterns = {
-        "zipfian": heavy_read_update(record_count=200, distribution="zipfian"),
-        "uniform": heavy_read_update(record_count=200, distribution="uniform"),
-    }
-    return run_efficiency_samples(
-        plat, patterns=patterns, levels=(1, 3, 5), ops=600, seed=3
-    )
+    return run_efficiency_samples(ops=600, seed=3)
+
+
+PATTERNS = ("zipfian", "uniform", "hotspot")
 
 
 class TestCostEval:
@@ -117,16 +113,15 @@ class TestBismarEval:
 
 class TestEfficiencySamples:
     def test_one_sample_per_pattern_and_level(self, samples):
+        levels = bismar_eval.LEVELS
         assert [(r["pattern"], r["level"]) for r in samples.rows.values()] == [
-            (p, f"n={lv}") for p in ("zipfian", "uniform") for lv in (1, 3, 5)
+            (p, f"n={lv}") for p in PATTERNS for lv in levels
         ]
-        assert list(samples.rows) == [
-            f"{p} n={lv}" for p in ("zipfian", "uniform") for lv in (1, 3, 5)
-        ]
+        assert list(samples.rows) == [f"{p} n={lv}" for p in PATTERNS for lv in levels]
         assert samples.claims == {}
 
     def test_relative_cost_is_normalized_within_a_pattern(self, samples):
-        for pattern in ("zipfian", "uniform"):
+        for pattern in PATTERNS:
             rel = [
                 r["relative_cost"] for r in samples.rows.values()
                 if r["pattern"] == pattern
@@ -137,7 +132,7 @@ class TestEfficiencySamples:
     def test_table_marks_one_winner_per_pattern(self, samples):
         rows = samples.table.rows
         assert len(rows) == len(samples.rows)
-        for pattern in ("zipfian", "uniform"):
+        for pattern in PATTERNS:
             marked = [r for r in rows if r[0] == pattern and r[-1] == "*"]
             assert len(marked) == 1
             best = max(
@@ -152,19 +147,16 @@ class TestEfficiencySamples:
                 return {"stale_rate_strict": 0.0, "cost_per_kop_usd": 1.0}
 
         monkeypatch.setattr(bismar_eval, "run", lambda spec: Outcome())
-        tied = run_efficiency_samples(
-            grid5000_bismar_platform(),
-            patterns={"p": heavy_read_update(record_count=10)},
-            levels=(1, 2),
-        )
-        assert [r[-1] for r in tied.table.rows] == ["*", ""]
+        tied = run_efficiency_samples(ops=None, seed=0)
+        first = ["*"] + [""] * (len(bismar_eval.LEVELS) - 1)
+        assert [r[-1] for r in tied.table.rows] == first * len(PATTERNS)
 
 
 class TestBehaviorEval:
     def test_webshop_phases(self):
-        phases = webshop_phases(key_count=100)
+        phases = webshop_phases()
         assert [p.name for p in phases] == ["browse", "checkout-rush", "batch-update"]
-        assert all(p.key_count == 100 for p in phases)
+        assert all(p.key_count == model_eval.KEY_COUNT for p in phases)
         # read-heavy browsing, a mixed rush, a write-heavy batch
         assert [p.read_fraction > 0.5 for p in phases] == [True, True, False]
 
@@ -231,3 +223,36 @@ class TestPaperTable:
             encoding="utf-8"
         )
         assert "# paper:" not in shapes
+
+
+class TestVerbs:
+    """Each verb's operating point is written once, in
+    ``repro.experiments.verbs``, and the paper-shape gate runs it."""
+
+    def test_the_gate_runs_each_verb_through_its_definition(self):
+        evals = {
+            node.name
+            for path in (ROOT / "src" / "repro" / "experiments").glob("*_eval.py")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("run_")
+        }
+        assert "run_harmony_eval" in evals
+        shapes = ast.parse(
+            (ROOT / "benchmarks" / "test_paper_shapes.py").read_text(encoding="utf-8")
+        )
+        named, verbs = set(), set()
+        for node in ast.walk(shapes):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                named.add(node.module.rpartition(".")[2])
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == "VERBS"):
+                verbs.add(ast.literal_eval(node.slice))
+        assert sorted(named & evals) == []
+        assert not any(name.endswith("_eval") for name in named)
+        assert verbs == set(VERBS)
